@@ -21,6 +21,7 @@ from .combinatorics import (
 )
 from .hecke_core import cells_regular, kl_lower, kl_upper
 from .nonstandard import (
+    ModulusError,
     NsIrredLabel,
     TensorModule,
     build_irreducible,
@@ -294,7 +295,10 @@ def cmd_dim_check(args, cfg, parser):
         kwargs["u0"] = args.u0
     if args.mod_p is not None:
         kwargs["mod_p"] = args.mod_p
-    oracle = nonstandard_dimension_oracle(args.r, **kwargs)
+    try:
+        oracle = nonstandard_dimension_oracle(args.r, **kwargs)
+    except ModulusError as exc:
+        parser.error(f"--mod-p: {exc}")
     agree = formula == oracle
     _emit({"formula": formula, "oracle": oracle, "agree": agree}, cfg)
     return 0 if agree else 1

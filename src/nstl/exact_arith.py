@@ -39,10 +39,6 @@ class LaurentPoly:
     def from_int(cls, n: int) -> "LaurentPoly":
         return cls({0: n})
 
-    @classmethod
-    def u_power(cls, e: int, c: int = 1) -> "LaurentPoly":
-        return cls({e: c})
-
     # -- predicates / accessors ---------------------------------------
 
     def is_zero(self) -> bool:
@@ -170,8 +166,10 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its int, so it must hash like it
         if self._hash is None:
-            self._hash = hash(frozenset(self.coeffs.items()))
+            n = self.as_int()
+            self._hash = hash(frozenset(self.coeffs.items()) if n is None else n)
         return self._hash
 
     # -- serialization -------------------------------------------------
@@ -240,16 +238,6 @@ def _dense_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _dense_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _dense_trim(out)
-
 def _dense_content(a: list[int]) -> int:
     g = 0
     for x in a:
@@ -308,12 +296,9 @@ def _dense_div_exact(a: list[int], b: list[int]) -> list[int]:
         out[k] = q
         for i, y in enumerate(b):
             a[k + i] -= q * y
-    assert all(x == 0 for x in a[:db]), "inexact polynomial division"
-    result = []
-    for q in out:
-        assert q.denominator == 1, "inexact polynomial division"
-        result.append(int(q))
-    return result
+    if any(a[:db]) or any(q.denominator != 1 for q in out):
+        raise ArithmeticError("inexact polynomial division")
+    return [int(q) for q in out]
 
 
 def _dense_to_laurent(shift: int, dense: list[int]) -> LaurentPoly:
@@ -356,10 +341,6 @@ class RationalFn:
     @classmethod
     def from_int(cls, n: int) -> "RationalFn":
         return cls(LaurentPoly.from_int(n))
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> "RationalFn":
-        return cls(p)
 
     # -- predicates ----------------------------------------------------
 
@@ -459,12 +440,6 @@ class RationalFn:
             return math.inf
         return self.den.max_exp() - self.num.max_exp()
 
-    def in_K0(self) -> bool:
-        return self.val0() >= 0
-
-    def in_Kinf(self) -> bool:
-        return self.val_inf() >= 0
-
     # -- specialization ------------------------------------------------
 
     def specialize(self, u0) -> Fraction:
@@ -484,8 +459,11 @@ class RationalFn:
         return NotImplemented
 
     def __hash__(self):
+        # a RationalFn with denominator 1 equals its numerator
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            self._hash = hash(
+                self.num if self.den.is_one() else (self.num, self.den)
+            )
         return self._hash
 
     def __bool__(self):
@@ -504,6 +482,9 @@ class RationalFn:
 
 R_ZERO = RationalFn(L_ZERO)
 R_ONE = RationalFn(L_ONE)
+TWO = RationalFn(quantum_int(2))  # the quantum integer [2] = u + u^-1
+FOUR = TWO * TWO
+R_HALF = RationalFn(L_ONE, LaurentPoly({0: 2}))
 
 
 def val0(f: RationalFn):

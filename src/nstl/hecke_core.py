@@ -257,9 +257,6 @@ class KLTable:
             }
         return self._shape_of
 
-    def rsk_pq(self, w: Permutation):
-        return rsk(w.word)
-
     # -- disk cache -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -571,12 +568,6 @@ class CellPartition:
     labels: list
     blocks: list  # list of lists of labels
     block_leq: set  # pairs (i, j) with block i <= block j in the preorder
-
-    def block_of(self, label) -> int:
-        for k, b in enumerate(self.blocks):
-            if label in b:
-                return k
-        raise KeyError(label)
 
     def as_label_sets(self):
         return [frozenset(b) for b in self.blocks]

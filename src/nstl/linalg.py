@@ -163,44 +163,6 @@ class SpanBasis:
 # mod-p routines (numpy int64; p must satisfy n * p^2 < 2^63)
 
 
-def rref_mod_p(M: np.ndarray, p: int):
-    """In-place-free row reduction mod p. Returns (reduced, pivots)."""
-    A = np.mod(M.astype(np.int64), p)
-    nrows, ncols = A.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        col = A[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        for i in range(nrows):
-            if i != r and A[i, c]:
-                A[i] = (A[i] - int(A[i, c]) * A[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return A[:r], pivots
-
-
-def rank_mod_p(M: np.ndarray, p: int) -> int:
-    if M.size == 0:
-        return 0
-    return len(rref_mod_p(M, p)[1])
-
-
-def nullity_mod_p(M: np.ndarray, p: int) -> int:
-    if M.size == 0:
-        return 0
-    return M.shape[1] - rank_mod_p(M, p)
-
-
 class SpanBasisModP:
     """Echelon span tracker over F_p on numpy vectors."""
 

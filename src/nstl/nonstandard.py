@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 from .combinatorics import (
     Partition,
@@ -29,9 +29,7 @@ from .combinatorics import (
     syt_count,
     two_row_partitions,
 )
-from .exact_arith import L_ONE, LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
-
-R_HALF = RationalFn(L_ONE, LaurentPoly({0: 2}))
+from .exact_arith import FOUR, R_HALF, R_ONE, R_ZERO, TWO, RationalFn
 from .hecke_core import (
     HeckeElement,
     from_standard,
@@ -54,8 +52,9 @@ from .linalg import (
 )
 from .specht_modules import build_specht, specialize_matrix
 
-TWO = RationalFn(quantum_int(2))
-FOUR = TWO * TWO
+
+class ModulusError(ValueError):
+    """A modulus for which the mod-p oracle cannot give a sound rank."""
 
 
 class StabilizationError(RuntimeError):
@@ -165,10 +164,6 @@ def _zero(n, m):
     return [[R_ZERO] * m for _ in range(n)]
 
 
-def _is_zero(M):
-    return all(not x for row in M for x in row)
-
-
 class TensorModule:
     """M_lambda (x) M_mu with vectors as coefficient matrices."""
 
@@ -220,13 +215,6 @@ class TensorModule:
         lp, lc = self._factor_matrices(self.left, i, pair[0])
         rp, rc = self._factor_matrices(self.right, i, pair[1])
         return [(lp, rp), (lc, rc)]
-
-    def q_ops(self, i: int, pair: str):
-        """Q_{s_i} = [2]^2 - P_{s_i} as (A, B) pairs."""
-        lp, lc = self._factor_matrices(self.left, i, pair[0])
-        rp, rc = self._factor_matrices(self.right, i, pair[1])
-        neg = lambda M: _scale(M, R_ZERO - R_ONE)
-        return [(neg(lp), rc), (neg(lc), rp)]
 
     @staticmethod
     def apply(ops, c):
@@ -609,18 +597,6 @@ def certify_irreducible(mod: NsSubmodule, u0: Fraction = None) -> int:
 # restriction to rank r-1
 
 
-def _embed(iota_l, pi_l, iota_r, pi_r, inner, transform=None):
-    """Lift an endomorphism of the child block back to the ambient:
-    c -> iota_l . inner(pi_l c pi_r^T) . iota_r^T."""
-
-    def apply(c):
-        d = mat_mul(pi_l, mat_mul(c, mat_transpose(pi_r)))
-        d = inner(d)
-        return mat_mul(iota_l, mat_mul(d, mat_transpose(iota_r)))
-
-    return apply
-
-
 def _ambient_level_projectors(tm: TensorModule):
     """Projectors of M_lam (x) M_mu onto the rank-(r-1) isotypic
     components, keyed by NsIrredLabel. Functions on ll coefficient
@@ -750,11 +726,29 @@ def _block_generators(r: int, u0: Fraction):
     return gens, N
 
 
+def _check_modulus(p: int, u0: Fraction, N: int):
+    """Products of N int64 terms reduced mod p stay exact only while
+    N (p - 1)^2 < 2^63; F_p needs p prime. The generators are Laurent
+    polynomials in u, so their only poles mod p are u0 = 0 and u0 =
+    infinity."""
+    if p < 2 or N * (p - 1) ** 2 >= 2**63:
+        raise ModulusError(
+            f"modulus {p} is outside the int64-safe range "
+            f"2 <= p, {N}*(p-1)^2 < 2^63"
+        )
+    if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ModulusError(f"modulus {p} is not prime")
+    if u0.numerator % p == 0 or u0.denominator % p == 0:
+        raise ModulusError(f"u0 = {u0} is 0 or a pole mod {p}")
+
+
 def nonstandard_dimension_oracle(
     r: int, u0: Fraction = Fraction(7, 3), mod_p: int = None
 ) -> int:
     """Dimension of the unital algebra generated by the specialized
-    P_i on the faithful two-row tensor sum, by product-span closure."""
+    P_i on the faithful two-row tensor sum, by product-span closure.
+    With mod_p the span is over F_p, a lower bound on the dimension at
+    u0; a modulus that cannot give that raises ModulusError."""
     gens, N = _block_generators(r, u0)
     safety = N * N * (r - 1) + r
     steps = 0
@@ -782,6 +776,7 @@ def nonstandard_dimension_oracle(
     import numpy as np
 
     p = mod_p
+    _check_modulus(p, u0, N)
     span = SpanBasisModP(N * N, p)
     ident = np.eye(N, dtype=np.int64)
     span.add(ident.reshape(-1))

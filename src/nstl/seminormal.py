@@ -25,7 +25,7 @@ from .combinatorics import (
     syt_enumerate,
     y_tableau,
 )
-from .exact_arith import L_ONE, LaurentPoly, R_ONE, R_ZERO, RationalFn
+from .exact_arith import R_HALF, R_ONE, R_ZERO, RationalFn
 from .linalg import (
     identity,
     mat_add,
@@ -37,8 +37,6 @@ from .linalg import (
 )
 from .nonstandard import NsIrredLabel, NsSubmodule, TensorModule, flatten, unflatten
 from .specht_modules import build_specht
-
-R_HALF = RationalFn(L_ONE, LaurentPoly({0: 2}))
 
 
 class MultiplicityError(RuntimeError):
@@ -376,7 +374,10 @@ def hh_chain_basis(tm: TensorModule) -> list:
 
     def descend(space, k, chain):
         if k == 1:
-            assert len(space) == 1
+            if len(space) != 1:
+                raise MultiplicityError(
+                    f"chain {chain} ends in a space of dimension {len(space)}"
+                )
             leaves.append((chain, _normalize(space[0])))
             return
         projs = projectors(k)

@@ -6,7 +6,12 @@ canonical bases, and lattice reduction mod u.
 Both bases are realized on right cells of the regular module: the lower
 basis on a cell of {C'_w} with labels Q(w)^t, the upper basis on a cell
 of {C_w} with labels Q(w). Action matrices act on coordinate columns:
-(C_Q * C_s) has coordinates A[:, Q]."""
+(C_Q * C_s) has coordinates A[:, Q].
+
+The transition matrix and the branching embeddings are intertwiners of
+irreducible modules, unique up to a scalar because restriction to
+H_{r-1} is multiplicity-free. `_intertwiner` solves for one from a
+cyclic vector in dim(target) unknowns and checks it exactly."""
 
 from __future__ import annotations
 
@@ -19,15 +24,18 @@ from .combinatorics import (
     rsk,
     syt_enumerate,
 )
-from .exact_arith import R_ONE, R_ZERO, RationalFn, quantum_int
+from .exact_arith import R_ONE, R_ZERO, TWO, RationalFn
 from .hecke_core import HeckeElement, kl_table, right_multiply_canonical
 from .linalg import (
+    SpanBasis,
     identity,
     inverse,
+    mat_add,
     mat_mul,
+    mat_scale,
+    mat_transpose,
     mat_vec,
     nullspace,
-    rref,
 )
 
 
@@ -35,11 +43,81 @@ class PreconditionError(ValueError):
     """A stated precondition of an operation was violated."""
 
 
-TWO = RationalFn(quantum_int(2))
-
-
 def _zero_matrix(n, m):
     return [[R_ZERO for _ in range(m)] for _ in range(n)]
+
+
+def _intertwiner(src_actions, dst_actions, gens):
+    """The Phi, unique up to a scalar, with dst_i Phi = Phi src_i for
+    every generator i in gens; the source module must be irreducible.
+
+    e_0 is then a cyclic vector: breadth-first words
+    w_j = src_{i_k} ... src_{i_1} e_0 that grow the span form a basis W,
+    and with M_j = dst_{i_k} ... dst_{i_1} an intertwiner satisfies
+    Phi w_j = M_j v for v = Phi e_0. Intertwining on that basis is the
+    system dst_i M_j v = sum_k (W^-1 src_i w_j)_k M_k v in dim(dst)
+    unknowns, whose solutions v correspond one-to-one with intertwiners.
+    Raises ArithmeticError unless the solutions form a line, and checks
+    Phi = [M_j v] W^-1 exactly against every generator before returning
+    it."""
+    gens = list(gens)
+    n = len(src_actions[gens[0]])
+    m = len(dst_actions[gens[0]])
+    words = [[R_ONE] + [R_ZERO] * (n - 1)]
+    dst_words = [identity(m, R_ONE, R_ZERO)]
+    span = SpanBasis()
+    span.add(words[0])
+    j = 0
+    while j < len(words) and len(words) < n:
+        for i in gens:
+            w = mat_vec(src_actions[i], words[j])
+            if span.add(w):
+                words.append(w)
+                dst_words.append(mat_mul(dst_actions[i], dst_words[j]))
+                if len(words) == n:
+                    break
+        j += 1
+    if len(words) != n:
+        raise ArithmeticError("e_0 is not cyclic: the source is reducible")
+    W_inv = inverse(mat_transpose(words), R_ONE, R_ZERO)
+
+    def equations():
+        # word-major order: the equations of one word under all the
+        # generators raise the rank much faster than one generator's
+        for j, w in enumerate(words):
+            for i in gens:
+                coords = mat_vec(W_inv, mat_vec(src_actions[i], w))
+                block = mat_mul(dst_actions[i], dst_words[j])
+                for c, M in zip(coords, dst_words):
+                    if c:
+                        block = [
+                            [x - c * y for x, y in zip(row, row_m)]
+                            for row, row_m in zip(block, M)
+                        ]
+                yield from block
+
+    # The solutions of the whole system lie among those of any prefix,
+    # so rows are taken only until the prefix has rank m - 1. Its null
+    # line is then the only candidate, and the exact check below accepts
+    # it iff the whole system has nullity 1. If the rows run out first,
+    # the nullity is at least 2.
+    eqs = SpanBasis()
+    for row in equations():
+        if eqs.add(row) and len(eqs) == m - 1:
+            break
+    sols = nullspace(eqs.rows or [[R_ZERO] * m], R_ONE, R_ZERO)
+    if len(sols) != 1:
+        raise ArithmeticError(
+            f"intertwiner space has dimension {len(sols)}, not 1"
+        )
+    images = [mat_vec(M, sols[0]) for M in dst_words]
+    phi = mat_mul(mat_transpose(images), W_inv)
+    for i in gens:
+        # (src_i^T Phi^T)^T: mat_mul skips the zeros of its left factor
+        right = mat_mul(mat_transpose(src_actions[i]), mat_transpose(phi))
+        if mat_mul(dst_actions[i], phi) != mat_transpose(right):
+            raise ArithmeticError(f"intertwiner check failed at s_{i}")
+    return phi
 
 
 class SpechtModule:
@@ -79,8 +157,8 @@ class SpechtModule:
                 lower_members[Q.transpose()] = w
             if P == p0:
                 upper_members[Q] = w
-        assert set(lower_members) == set(self.index)
-        assert set(upper_members) == set(self.index)
+        if not set(lower_members) == set(upper_members) == set(self.index):
+            raise RuntimeError(f"cell labels of {self.shape} are not SYT")
 
         def cell_action(members, tag):
             mats = {}
@@ -109,7 +187,10 @@ class SpechtModule:
                     mu_table[(q1, q2)] = m
         for q1, w1 in lower_members.items():
             for q2, w2 in lower_members.items():
-                assert table.mu(w1, w2) == mu_table.get((q1, q2), 0)
+                if table.mu(w1, w2) != mu_table.get((q1, q2), 0):
+                    raise ArithmeticError(
+                        f"mu({q1}, {q2}) differs between the cells"
+                    )
         return lower, upper, mu_table
 
     # -- actions --------------------------------------------------------
@@ -181,31 +262,13 @@ class SpechtModule:
         if n == 1 or self.r <= 1:
             return identity(1, R_ONE, R_ZERO)
         # X intertwines: (U_i + [2] I) X = X L_i for every generator,
-        # since C'_s = C_s + [2] T_e in H_r; Schur gives a line of
-        # solutions, normalized by X[0][0] = 1.
-        rows = []
-        for i in range(1, self.r):
-            L = self.lower_action[i]
-            Uc = [row[:] for row in self.upper_action[i]]
-            for k in range(n):
-                Uc[k][k] = Uc[k][k] + TWO
-            for a in range(n):
-                for b in range(n):
-                    row = [R_ZERO] * (n * n)
-                    for k in range(n):
-                        row[k * n + b] = row[k * n + b] + Uc[a][k]
-                        row[a * n + k] = row[a * n + k] - L[k][b]
-                    rows.append(row)
-        sols = nullspace(rows, R_ONE, R_ZERO)
-        if len(sols) != 1:
-            raise AssertionError(
-                f"transition solution space has dimension {len(sols)}"
-            )
-        flat = sols[0]
-        X = [[flat[a * n + b] for b in range(n)] for a in range(n)]
+        # since C'_s = C_s + [2] T_e in H_r; normalized by X[0][0] = 1.
+        two = mat_scale(identity(n, R_ONE, R_ZERO), TWO)
+        shifted = {i: mat_add(U, two) for i, U in self.upper_action.items()}
+        X = _intertwiner(self.lower_action, shifted, range(1, self.r))
         pivot = X[0][0]
         if not pivot:
-            raise AssertionError("transition matrix has zero leading entry")
+            raise ArithmeticError("transition matrix has zero leading entry")
         return [[x / pivot for x in row] for row in X]
 
     # -- restriction / branching ---------------------------------------
@@ -239,7 +302,10 @@ class SpechtModule:
                 for a in range(n):
                     B[a][col + j] = iota[a][j]
             col += child.dim
-        assert col == n
+        if col != n:
+            raise ArithmeticError(
+                f"restriction of {self.shape} has dimension {col}, not {n}"
+            )
         Binv = inverse(B, R_ONE, R_ZERO)
         for k, (child_shape, child, iota) in enumerate(blocks):
             off = offsets[k]
@@ -249,41 +315,20 @@ class SpechtModule:
         return out
 
     def _solve_embedding(self, child: "SpechtModule"):
-        """1-dim solve of L_i iota = iota L'_i over the parabolic
-        generators s_1 .. s_{r-2}."""
+        """The embedding iota with L_i iota = iota L'_i over the
+        parabolic generators s_1 .. s_{r-2}, normalized so that its
+        first nonzero entry (row-major) is 1."""
         n, m = self.dim, child.dim
         if self.r - 1 <= 1:
             return [[R_ONE] for _ in range(n)] if m == 1 and n == 1 else None
-        rows = []
-        for i in range(1, self.r - 1):
-            L = self.lower_action[i]
-            Lc = child.lower_action[i]
-            for a in range(n):
-                for b in range(m):
-                    row = [R_ZERO] * (n * m)
-                    for k in range(n):
-                        row[k * m + b] = row[k * m + b] + L[a][k]
-                    for k in range(m):
-                        row[a * m + k] = row[a * m + k] - Lc[k][b]
-                    rows.append(row)
-        sols = nullspace(rows, R_ONE, R_ZERO)
-        if len(sols) != 1:
-            raise AssertionError(
-                f"embedding space for {child.shape} in {self.shape} has "
-                f"dimension {len(sols)}"
-            )
-        flat = sols[0]
-        iota = [[flat[a * m + b] for b in range(m)] for a in range(n)]
-        # normalize so the first nonzero entry (row-major) is 1
+        iota = _intertwiner(
+            child.lower_action, self.lower_action, range(1, self.r - 1)
+        )
         lead = next(x for row in iota for x in row if x)
         return [[x / lead for x in row] for row in iota]
 
     def restriction_shape(self, q: Tableau) -> Partition:
         return q.restrict(self.r - 1).shape
-
-    def corner_index(self, q: Tableau) -> int:
-        """West-to-east index of the corner holding r in q."""
-        return self.shape.corners().index(q.position(self.r))
 
 
 @lru_cache(maxsize=None)

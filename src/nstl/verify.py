@@ -22,7 +22,7 @@ from .combinatorics import (
     two_row_partitions,
     y_tableau,
 )
-from .exact_arith import L_ONE, R_ONE, R_ZERO, RationalFn, quantum_int
+from .exact_arith import FOUR, L_ONE, R_ONE, R_ZERO
 from .hecke_core import bar_element, cells_regular, kl_lower, kl_upper
 from .linalg import mat_mul, mat_transpose
 from .nonstandard import (
@@ -52,9 +52,6 @@ from .seminormal import (
     seminormal_table,
 )
 from .specht_modules import build_specht, projected_basis
-
-TWO = RationalFn(quantum_int(2))
-FOUR = TWO * TWO
 
 
 def _tab(s: str) -> Tableau:
@@ -489,8 +486,3 @@ ACCEPTANCE_CHECKS = (
     ("dimension", lambda cfg: check_dimension(tuple(range(2, min(cfg, 4) + 1)))),
     ("seminormal", lambda cfg: check_seminormal()),
 )
-
-
-def run_all(r_bound: int = 4) -> dict:
-    """Run every acceptance check; returns name -> result dict."""
-    return {name: fn(r_bound) for name, fn in ACCEPTANCE_CHECKS}

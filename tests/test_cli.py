@@ -33,6 +33,29 @@ class TestDimCheck:
             main(["dim-check", "--r", "3", "--u0", "1"])
         assert exc.value.code == 2
 
+    def test_mod_p(self, capsys):
+        code, data = run_json(capsys, "dim-check", "--r", "3", "--mod-p", "1000003")
+        assert code == 0
+        assert data == {"formula": 10, "oracle": 10, "agree": True}
+
+    @pytest.mark.parametrize(
+        "r, p, why",
+        [
+            ("3", "3", "u0 = 7/3 is 0 or a pole mod 3"),
+            ("3", "7", "u0 = 7/3 is 0 or a pole mod 7"),
+            ("3", "10", "not prime"),
+            ("3", "1", "int64-safe range"),
+            # 4294967311 is prime, but (p-1)^2 alone exceeds 2^63
+            ("4", "4294967311", "int64-safe range"),
+        ],
+    )
+    def test_bad_modulus(self, capsys, r, p, why):
+        with pytest.raises(SystemExit) as exc:
+            main(["dim-check", "--r", r, "--mod-p", p])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert why in captured.err and not captured.out
+
 
 class TestGraphs:
     def test_de_graph_32(self, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nstl.exact_arith import (
     LaurentPoly,
+    _dense_div_exact,
     PoleError,
     RationalFn,
     bar,
@@ -157,3 +158,27 @@ def test_serialization():
     one = LaurentPoly({0: 1})
     assert str(rf(u, one + u)) == "(u^1) / (u^1 + 1)"
     assert str(RationalFn(p)) == str(p)
+
+
+def test_hash_agrees_with_equality():
+    five = LaurentPoly.from_int(5)
+    u = LaurentPoly({1: 1})
+    assert five == 5 and hash(five) == hash(5)
+    assert len({five, 5}) == 1
+    assert LaurentPoly() == 0 and hash(LaurentPoly()) == hash(0)
+    assert RationalFn(u) == u and hash(RationalFn(u)) == hash(u)
+    assert len({RationalFn(u), u}) == 1
+    assert len({RationalFn.from_int(5), five, 5}) == 1
+
+
+@given(lp, lp_nonzero)
+def test_equal_values_hash_equal(a, b):
+    q = RationalFn(a * b, b)
+    assert q == a and hash(q) == hash(a)
+
+
+def test_inexact_division_raises():
+    assert _dense_div_exact([1, 2, 1], [1, 1]) == [1, 1]
+    for a, b in (([1, 0, 1], [1, 1]), ([1, 2], [2])):
+        with pytest.raises(ArithmeticError):
+            _dense_div_exact(a, b)

@@ -3,17 +3,12 @@ import random
 import pytest
 
 from nstl.combinatorics import Partition, partitions_of, syt_count
-from nstl.exact_arith import (
-    LaurentPoly,
-    R_ONE,
-    R_ZERO,
-    RationalFn,
-    quantum_int,
-)
-from nstl.linalg import identity, mat_mul, mat_vec
+from nstl.exact_arith import R_ONE, R_ZERO, TWO, LaurentPoly, RationalFn
+from nstl.linalg import identity, mat_mul, mat_vec, nullspace
 from nstl.specht_modules import (
     Lattice,
     PreconditionError,
+    SpechtModule,
     build_specht,
     isotypic_projector,
     lattice_reduce,
@@ -23,8 +18,6 @@ from nstl.specht_modules import (
 
 rng = random.Random(11)
 
-TWO = RationalFn(quantum_int(2))
-
 
 def shapes_up_to(n, lo=2):
     return [lam for r in range(lo, n + 1) for lam in partitions_of(r)]
@@ -32,6 +25,36 @@ def shapes_up_to(n, lo=2):
 
 def mats_equal(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+
+def kronecker_intertwiner(src, dst, gens):
+    """Oracle for the intertwiner solve: Phi with dst_i Phi = Phi src_i,
+    from the dense system in all dim(dst) * dim(src) entries of Phi."""
+    n, m = len(src[gens[0]]), len(dst[gens[0]])
+    rows = []
+    for i in gens:
+        for a in range(m):
+            for b in range(n):
+                row = [R_ZERO] * (m * n)
+                for k in range(m):
+                    row[k * n + b] = row[k * n + b] + dst[i][a][k]
+                for k in range(n):
+                    row[a * n + k] = row[a * n + k] - src[i][k][b]
+                rows.append(row)
+    sols = nullspace(rows, R_ONE, R_ZERO)
+    assert len(sols) == 1
+    return [[sols[0][a * n + b] for b in range(n)] for a in range(m)]
+
+
+def shifted_upper(m):
+    """U_i + [2] I, the upper action of C'_{s_i}."""
+    return {
+        i: [
+            [x + TWO if a == b else x for b, x in enumerate(row)]
+            for a, row in enumerate(U)
+        ]
+        for i, U in m.upper_action.items()
+    }
 
 
 class TestConstruction:
@@ -86,17 +109,14 @@ class TestConstruction:
 
 
 class TestTransition:
-    @pytest.mark.parametrize("lam", shapes_up_to(5), ids=str)
+    @pytest.mark.parametrize("lam", shapes_up_to(6), ids=str)
     def test_intertwines(self, lam):
         m = build_specht(lam)
         X = m.transition
-        for i in range(1, lam.size):
-            Uc = [row[:] for row in m.upper_action[i]]
-            for k in range(m.dim):
-                Uc[k][k] = Uc[k][k] + TWO
+        for i, Uc in shifted_upper(m).items():
             assert mats_equal(mat_mul(Uc, X), mat_mul(X, m.lower_action[i]))
 
-    @pytest.mark.parametrize("lam", shapes_up_to(5), ids=str)
+    @pytest.mark.parametrize("lam", shapes_up_to(6), ids=str)
     def test_identity_at_zero_and_infinity(self, lam):
         m = build_specht(lam)
         X = m.transition
@@ -120,6 +140,23 @@ class TestTransition:
     def test_21_explicit(self):
         X = transition_lower_to_upper(Partition([2, 1]))
         assert X[0][0] == R_ONE and X[1][1] == R_ONE
+
+    @pytest.mark.parametrize("lam", shapes_up_to(5), ids=str)
+    def test_matches_kronecker_solve(self, lam):
+        m = build_specht(lam)
+        X = kronecker_intertwiner(
+            m.lower_action, shifted_upper(m), list(range(1, lam.size))
+        )
+        assert [[x / X[0][0] for x in row] for row in X] == m.transition
+
+    @pytest.mark.parametrize("shape", [[2, 1], [3, 2], [3, 2, 1]], ids=str)
+    def test_perturbed_action_raises(self, shape):
+        # a fresh module, so the cached one keeps its true action
+        m = SpechtModule(Partition(shape))
+        U = m.upper_action[m.r - 1]
+        U[0][m.dim - 1] = U[0][m.dim - 1] + R_ONE
+        with pytest.raises(ArithmeticError):
+            m._compute_transition()
 
 
 class TestBranching:
@@ -166,6 +203,18 @@ class TestBranching:
             for b in range(a + 1, len(children)):
                 assert children[a].dominates(children[b])
                 assert children[a] != children[b]
+
+    @pytest.mark.parametrize("lam", shapes_up_to(5, lo=3), ids=str)
+    def test_embeddings_match_kronecker_solve(self, lam):
+        m = build_specht(lam)
+        gens = list(range(1, lam.size - 1))
+        for child_shape, iota, _, _ in m.branching:
+            child = build_specht(child_shape)
+            want = kronecker_intertwiner(
+                child.lower_action, m.lower_action, gens
+            )
+            lead = next(x for row in want for x in row if x)
+            assert [[x / lead for x in row] for row in want] == iota
 
     def test_non_child_gives_zero(self):
         p = isotypic_projector(Partition([3, 2]), Partition([4]))
