@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import (
@@ -23,7 +23,6 @@ from .hecke_core import cells_regular, kl_lower, kl_upper
 from .nonstandard import (
     ModulusError,
     NsIrredLabel,
-    TensorModule,
     build_irreducible,
     dimension_formula,
     nonstandard_dimension_oracle,
@@ -34,16 +33,12 @@ from .seminormal import seminormal_table
 from .specht_modules import build_specht
 from .verify import ACCEPTANCE_CHECKS
 
-DEFAULT_SPECIALIZATIONS = ("7/3", "11/5", "13/7")
-
 
 @dataclass
 class RunConfig:
     r_bound: int = 5
-    specializations: tuple = DEFAULT_SPECIALIZATIONS
     output: str | None = None
     verbosity: int = 0
-    seed: int = 0
     force: bool = False
 
     def check_rank(self, r: int, parser: argparse.ArgumentParser):
@@ -340,16 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output", help="write the JSON payload to this path"
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="random seed for sampling"
-    )
     parser.add_argument("-v", "--verbose", action="count", default=0)
-    parser.add_argument(
-        "--specialize",
-        type=_specialization,
-        action="append",
-        help="rational specialization point (repeatable)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kl-basis", help="canonical basis elements")
@@ -422,13 +408,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = RunConfig(
         r_bound=args.r_bound,
-        specializations=tuple(
-            str(s) for s in (args.specialize or [])
-        )
-        or DEFAULT_SPECIALIZATIONS,
         output=args.output,
         verbosity=args.verbose,
-        seed=args.seed,
         force=args.force,
     )
     return args.fn(args, cfg, parser)

@@ -193,13 +193,6 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
-    def to_json(self) -> dict:
-        return {str(e): c for e, c in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in data.items()})
-
 
 L_ZERO = LaurentPoly()
 L_ONE = LaurentPoly({0: 1})

@@ -1,22 +1,24 @@
 """The Hecke algebra H_r: standard basis multiplication, bar involution,
-both canonical bases via the Kazhdan-Lusztig recursion, mu-coefficients,
+the lower canonical basis via the Kazhdan-Lusztig recursion and the
+upper one derived from it, mu-coefficients,
 cell decomposition of modules-with-basis, and the Temperley-Lieb
 quotient killing shapes with more than d rows.
 
 Conventions: (T_s - u)(T_s + u^-1) = 0, C'_s = T_s + u^-1, C_s = T_s - u,
 bar(T_w) = (T_{w^-1})^-1, theta(T_s) = -T_s^-1, C_w = (-1)^{l(w)}
 theta(C'_w).
+
+The upper basis is read off the lower one: theta(T_x) = (-1)^{l(x)}
+bar(T_x) and C_w is bar-invariant, so
+C_w = sum_x (-1)^{l(w)+l(x)} bar(P'_{x,w}) T_x.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinatorics import Partition, Permutation, all_permutations, rsk
+from .combinatorics import Permutation, all_permutations, rsk
 from .exact_arith import (
     L_ONE,
     LaurentPoly,
@@ -27,8 +29,6 @@ from .exact_arith import (
 U_MINUS_UINV = LaurentPoly({1: 1, -1: -1})
 UINV = LaurentPoly({-1: 1})
 NEG_U = LaurentPoly({1: -1})
-
-CACHE_VERSION = 1
 
 
 def _std_right_mul_s(coords: dict, i: int) -> dict:
@@ -84,15 +84,16 @@ class KLTable:
     """Both canonical bases of H_r, expanded over the standard basis.
 
     lower[w] maps x -> P'_{x,w} (LaurentPoly); upper[w] holds the
-    standard-basis coordinates of C_w = (-1)^{l(w)} theta(C'_w).
+    standard-basis coordinates of C_w = (-1)^{l(w)} theta(C'_w), which
+    are (-1)^{l(w)+l(x)} bar(P'_{x,w}).
     mu_pairs[w] lists (w', mu) over all w' with mu(w', w) != 0 (both
     Bruhat directions, symmetric usage).
     """
 
-    def __init__(self, r: int, lower: dict | None = None):
+    def __init__(self, r: int):
         self.r = r
         self.perms = sorted(all_permutations(r), key=lambda w: (w.length(), w.word))
-        self.lower = lower if lower is not None else self._compute_lower()
+        self.lower = self._compute_lower()
         self._mu_pairs = None
         self._upper = None
         self._theta_t = None
@@ -169,7 +170,8 @@ class KLTable:
 
     @property
     def theta_t(self) -> dict:
-        """theta(T_w) in standard coordinates, for all w."""
+        """theta(T_w) in standard coordinates, for all w; used by
+        theta_element only."""
         if self._theta_t is None:
             e = Permutation.identity(self.r)
 
@@ -225,25 +227,13 @@ class KLTable:
     @property
     def upper(self) -> dict:
         if self._upper is None:
-            theta = self.theta_t
-            out = {}
-            for w, coords in self.lower.items():
-                sign = -1 if w.length() % 2 else 1
-                acc: dict = {}
-                for x, p in coords.items():
-                    for y, d in theta[x].items():
-                        c = p * d * sign
-                        if y in acc:
-                            t = acc[y] + c
-                            if t:
-                                acc[y] = t
-                            else:
-                                del acc[y]
-                        else:
-                            if c:
-                                acc[y] = c
-                out[w] = acc
-            self._upper = out
+            self._upper = {
+                w: {
+                    x: p.bar() * (-1) ** (w.length() + x.length())
+                    for x, p in coords.items()
+                }
+                for w, coords in self.lower.items()
+            }
         return self._upper
 
     # -- RSK shapes ----------------------------------------------------
@@ -257,60 +247,10 @@ class KLTable:
             }
         return self._shape_of
 
-    # -- disk cache -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "version": CACHE_VERSION,
-            "r": self.r,
-            "lower": {
-                str(w): {str(x): p.to_json() for x, p in coords.items()}
-                for w, coords in self.lower.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "KLTable":
-        if data.get("version") != CACHE_VERSION:
-            raise ValueError("cache version mismatch")
-        lower = {
-            Permutation.parse(w): {
-                Permutation.parse(x): LaurentPoly.from_json(p)
-                for x, p in coords.items()
-            }
-            for w, coords in data["lower"].items()
-        }
-        return cls(data["r"], lower=lower)
-
-
-def default_cache_dir() -> pathlib.Path:
-    env = os.environ.get("NSTL_CACHE_DIR")
-    if env:
-        return pathlib.Path(env)
-    return pathlib.Path.home() / ".cache" / "nstl"
-
 
 @lru_cache(maxsize=None)
 def kl_table(r: int) -> KLTable:
     return KLTable(r)
-
-
-def kl_table_cached(r: int, cache_dir=None) -> KLTable:
-    """KL table with a versioned JSON disk cache keyed by r."""
-    cache_dir = pathlib.Path(cache_dir) if cache_dir else default_cache_dir()
-    path = cache_dir / f"kl_table_r{r}_v{CACHE_VERSION}.json"
-    if path.exists():
-        try:
-            return KLTable.from_json(json.loads(path.read_text()))
-        except (ValueError, KeyError):
-            pass
-    table = kl_table(r)
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(table.to_json(), sort_keys=True))
-    except OSError:
-        pass
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -400,16 +340,6 @@ class HeckeElement:
             f"{w}: {c}" for w, c in sorted(self.coords.items(), key=lambda t: t[0].word)
         )
         return f"HeckeElement[{self.basis_tag}]({{{terms}}})"
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "basis": self.basis_tag,
-            "coords": {
-                str(w): str(c)
-                for w, c in sorted(self.coords.items(), key=lambda t: t[0].word)
-            },
-        }
 
 
 def multiply_standard(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -571,12 +501,6 @@ class CellPartition:
 
     def as_label_sets(self):
         return [frozenset(b) for b in self.blocks]
-
-    def to_json(self) -> dict:
-        return {
-            "blocks": [sorted(str(x) for x in b) for b in self.blocks],
-            "leq": sorted(list(p) for p in self.block_leq),
-        }
 
 
 def cells(labels: list, action_matrices: list) -> CellPartition:

@@ -12,24 +12,23 @@ import numpy as np
 
 
 def mat_mul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if k else 0
+    """A B, summing a_t B[t][j] only where both factors are nonzero,
+    in increasing t; an entry with no such term is its row's zero."""
+    m = len(B[0]) if B else 0
     out = []
-    for i in range(n):
-        row_a = A[i]
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                a = row_a[t]
-                if not a:
-                    continue
-                term = a * B[t][j]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = row_a[0] - row_a[0] if k else 0
-            row.append(acc)
-        out.append(row)
+    for row_a in A:
+        acc = [None] * m
+        for a, row_b in zip(row_a, B):
+            if not a:
+                continue
+            for j, b in enumerate(row_b):
+                if b:
+                    term = a * b
+                    acc[j] = term if acc[j] is None else acc[j] + term
+        if any(x is None for x in acc):
+            zero = row_a[0] - row_a[0]
+            acc = [zero if x is None else x for x in acc]
+        out.append(acc)
     return out
 
 
@@ -51,6 +50,10 @@ def mat_scale(A, c):
 
 def mat_transpose(A):
     return [list(col) for col in zip(*A)] if A else []
+
+
+def zeros(n, m, zero):
+    return [[zero] * m for _ in range(n)]
 
 
 def identity(n, one, zero):

@@ -22,19 +22,14 @@ from math import comb, isqrt
 
 from .combinatorics import (
     Partition,
-    Tableau,
     de_distance,
     descent_set,
-    partitions_of,
     syt_count,
     two_row_partitions,
 )
 from .exact_arith import FOUR, R_HALF, R_ONE, R_ZERO, TWO, RationalFn
 from .hecke_core import (
     HeckeElement,
-    from_standard,
-    kl_lower,
-    kl_upper,
     multiply_standard,
     theta_element,
     to_standard,
@@ -43,12 +38,16 @@ from .linalg import (
     SpanBasis,
     SpanBasisModP,
     identity,
+    mat_add,
     mat_mul,
+    mat_scale,
+    mat_sub,
     mat_transpose,
     nullspace,
     rank,
-    rref,
+    rref,  # noqa: F401 - kept importable as nonstandard.rref
     solve,
+    zeros,
 )
 from .specht_modules import build_specht, specialize_matrix
 
@@ -148,22 +147,6 @@ def ns_labels(r: int):
 # tensor modules
 
 
-def _scale(M, a):
-    return [[a * x for x in row] for row in M]
-
-
-def _add(M, N):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(M, N)]
-
-
-def _sub(M, N):
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(M, N)]
-
-
-def _zero(n, m):
-    return [[R_ZERO] * m for _ in range(n)]
-
-
 class TensorModule:
     """M_lambda (x) M_mu with vectors as coefficient matrices."""
 
@@ -177,6 +160,16 @@ class TensorModule:
         self.dim = self.left.dim * self.right.dim
 
     # -- coordinates ----------------------------------------------------
+
+    def unit_vectors(self):
+        """The coefficient matrices E_ab of the basis pairs, row-major."""
+        out = []
+        for a in range(self.left.dim):
+            for b in range(self.right.dim):
+                e = zeros(self.left.dim, self.right.dim, R_ZERO)
+                e[a][b] = R_ONE
+                out.append(e)
+        return out
 
     def convert(self, c, frm: str, to: str):
         """Change a coefficient matrix between basis pairs; first tag
@@ -200,13 +193,14 @@ class TensorModule:
 
     def _factor_matrices(self, module, i, letter):
         """(C'_s matrix, C_s matrix) on the chosen coordinates."""
+        two = mat_scale(identity(module.dim, R_ONE, R_ZERO), TWO)
         if letter == "l":
             L = module.lower_action[i]
             prime = L
-            plain = _sub(L, _scale(identity(module.dim, R_ONE, R_ZERO), TWO))
+            plain = mat_sub(L, two)
         else:
             U = module.upper_action[i]
-            prime = _add(U, _scale(identity(module.dim, R_ONE, R_ZERO), TWO))
+            prime = mat_add(U, two)
             plain = U
         return prime, plain
 
@@ -221,7 +215,7 @@ class TensorModule:
         out = None
         for A, B in ops:
             term = mat_mul(A, mat_mul(c, mat_transpose(B)))
-            out = term if out is None else _add(out, term)
+            out = term if out is None else mat_add(out, term)
         return out
 
     def p_apply(self, c, i: int, pair: str = "ll"):
@@ -229,14 +223,8 @@ class TensorModule:
 
     def p_matrix(self, i: int, pair: str = "ll"):
         """P_{s_i} as a flat matrix acting on row-major vec(c)."""
-        fl, fr = self.left.dim, self.right.dim
-        cols = []
-        for a in range(fl):
-            for b in range(fr):
-                e = _zero(fl, fr)
-                e[a][b] = R_ONE
-                cols.append(flatten(self.p_apply(e, i, pair)))
-        return [[cols[j][k] for j in range(len(cols))] for k in range(self.dim)]
+        cols = [flatten(self.p_apply(e, i, pair)) for e in self.unit_vectors()]
+        return mat_transpose(cols)
 
 
 def flatten(c):
@@ -259,7 +247,7 @@ def p_action(tm: TensorModule, c, i: int, pair: str = "ll"):
     left, right = tm.left, tm.right
     lconv = "lower" if pair[0] == "l" else "upper"
     rconv = "lower" if pair[1] == "l" else "upper"
-    out = _zero(left.dim, right.dim)
+    out = zeros(left.dim, right.dim, R_ZERO)
 
     def neighbors(module, conv, q):
         return [
@@ -356,7 +344,7 @@ def p_action(tm: TensorModule, c, i: int, pair: str = "ll"):
 
 def q_element(tm: TensorModule, c, i: int, pair: str = "ll"):
     """Action of Q_{s_i} = [2]^2 - P_{s_i}."""
-    return _sub(_scale(c, FOUR), tm.p_apply(c, i, pair))
+    return mat_sub(mat_scale(c, FOUR), tm.p_apply(c, i, pair))
 
 
 def epsilon_plus_vector(lam: Partition):
@@ -370,7 +358,7 @@ def epsilon_minus_vector(lam: Partition):
     as a lower (x) lower coefficient matrix."""
     left = build_specht(lam.conjugate())
     right = build_specht(lam)
-    c = _zero(left.dim, right.dim)
+    c = zeros(left.dim, right.dim, R_ZERO)
     for Q in right.basis:
         sign = -1 if de_distance(Q) % 2 else 1
         c[left.index[Q.transpose()]][right.index[Q]] = RationalFn.from_int(sign)
@@ -383,11 +371,14 @@ def trace_functional(lam: Partition, c, pair: str = "lu"):
     m = build_specht(lam)
     tm = TensorModule(lam, lam)
     c = tm.convert(c, pair, "lu")
-    f = RationalFn.from_int(m.dim)
-    total = R_ZERO
-    for k in range(m.dim):
-        total = total + c[k][k]
-    return total / f
+    return _trace(c) / RationalFn.from_int(m.dim)
+
+
+def _trace(M):
+    t = R_ZERO
+    for a in range(len(M)):
+        t = t + M[a][a]
+    return t
 
 
 # ---------------------------------------------------------------------
@@ -454,14 +445,14 @@ def _sym_projection_basis(lam: Partition):
         for b in range(a, m.dim):
             if a == b == 0:
                 continue  # the excluded diagonal tableau
-            c = _zero(m.dim, m.dim)
+            c = zeros(m.dim, m.dim, R_ZERO)
             if a == b:
                 c[a][a] = R_ONE
             else:
                 c[a][b] = half
                 c[b][a] = half
             t = trace_functional(lam, c, "ll")
-            out.append(_sub(c, _scale(eps, t)))
+            out.append(mat_sub(c, mat_scale(eps, t)))
     return out
 
 
@@ -471,13 +462,7 @@ def build_irreducible(label: NsIrredLabel, r: int) -> NsSubmodule:
     if label.kind == "pair":
         lam, mu = label.shapes
         tm = TensorModule(lam, mu)
-        basis = []
-        for a in range(tm.left.dim):
-            for b in range(tm.right.dim):
-                c = _zero(tm.left.dim, tm.right.dim)
-                c[a][b] = R_ONE
-                basis.append(c)
-        return NsSubmodule(label, tm, basis)
+        return NsSubmodule(label, tm, tm.unit_vectors())
     if label.kind == "eps_plus":
         lam = max(two_row_partitions(r), key=syt_count)
         return NsSubmodule(
@@ -492,7 +477,7 @@ def build_irreducible(label: NsIrredLabel, r: int) -> NsSubmodule:
     half = R_HALF
     for a in range(m.dim):
         for b in range(a + 1, m.dim):
-            c = _zero(m.dim, m.dim)
+            c = zeros(m.dim, m.dim, R_ZERO)
             c[a][b] = half
             c[b][a] = R_ZERO - half
             basis.append(c)
@@ -533,11 +518,7 @@ def _restricted_generators(mod: NsSubmodule, u0: Fraction):
         ]
         cols = []
         for c in mod.basis:
-            cq = [[x.specialize(u0) for x in row] for row in c]
-            img = None
-            for A, B in ops:
-                term = mat_mul(A, mat_mul(cq, mat_transpose(B)))
-                img = term if img is None else _add(img, term)
+            img = TensorModule.apply(ops, specialize_matrix(c, u0))
             y = solve(Vcols, flatten(img))
             if y is None:
                 raise ArithmeticError("image escapes submodule span")
@@ -594,81 +575,124 @@ def certify_irreducible(mod: NsSubmodule, u0: Fraction = None) -> int:
 
 
 # ---------------------------------------------------------------------
-# restriction to rank r-1
+# isotypic projectors of the parabolic subalgebras
 
 
-def _ambient_level_projectors(tm: TensorModule):
-    """Projectors of M_lam (x) M_mu onto the rank-(r-1) isotypic
-    components, keyed by NsIrredLabel. Functions on ll coefficient
-    matrices."""
+@lru_cache(maxsize=None)
+def _paths(parts: tuple, k: int):
+    """All branching paths from the given shape down to size k, as
+    (terminal shape, iota, pi) with iota: child coords -> top coords and
+    pi its left inverse (both lower coordinates)."""
+    lam = Partition(parts)
+    m = build_specht(lam)
+    if lam.size == k:
+        eye = identity(m.dim, R_ONE, R_ZERO)
+        return ((lam, eye, eye),)
+    out = []
+    for child_shape, iota, pi, _ in m.branching:
+        for term, ci, cp in _paths(child_shape.parts, k):
+            out.append((term, mat_mul(iota, ci), mat_mul(cp, pi)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _level_projectors(lam: Partition, mu: Partition, k: int) -> dict:
+    """Exact isotypic projectors of the rank-k parabolic on
+    M_lam (x) M_mu, keyed by rank-k NsIrredLabel; functions on lower (x)
+    lower coefficient matrices.  They are idempotent and resolve the
+    identity."""
+    by_l, by_r = {}, {}
+    for term, iota, pi in _paths(lam.parts, k):
+        by_l.setdefault(term, []).append((iota, pi))
+    for term, iota, pi in _paths(mu.parts, k):
+        by_r.setdefault(term, []).append((iota, pi))
+
     out = {}
-    left_br = tm.left.branching
-    right_br = tm.right.branching
-    half = R_HALF
 
-    # pair components {nu, rho}, nu != rho
+    # off-diagonal blocks: full tensor irreducibles, unordered pairs
     pair_blocks = {}
-    for ls, liota, lpi, lproj in left_br:
-        for rs, riota, rpi, rproj in right_br:
-            if ls == rs:
+    for nu, lps in by_l.items():
+        for rho, rps in by_r.items():
+            if nu == rho:
                 continue
-            key = NsIrredLabel("pair", (ls, rs))
-            pair_blocks.setdefault(key, []).append((lproj, rproj))
+            key = NsIrredLabel("pair", (nu, rho))
+            for li, lp in lps:
+                for ri, rp in rps:
+                    pair_blocks.setdefault(key, []).append(
+                        (mat_mul(li, lp), mat_mul(ri, rp))
+                    )
     for key, blocks in pair_blocks.items():
-        def proj(c, blocks=blocks):
-            out_c = None
-            for lp, rp in blocks:
-                term = mat_mul(lp, mat_mul(c, mat_transpose(rp)))
-                out_c = term if out_c is None else _add(out_c, term)
-            return out_c
-        out[key] = proj
+        out[key] = lambda c, blocks=blocks: TensorModule.apply(blocks, c)
 
-    # diagonal components nu = rho: split S' / wedge / eps+
-    for ls, liota, lpi, lproj in left_br:
-        for rs, riota, rpi, rproj in right_br:
-            if ls != rs:
-                continue
-            nu = ls
-            child = build_specht(nu)
-            Xi = child.transition_inv
-            X = child.transition
-            fnu = RationalFn.from_int(child.dim)
+    # diagonal blocks: symmetric / wedge / one-dimensional eigenline
+    eps_parts = []
+    for nu in by_l:
+        if nu not in by_r:
+            continue
+        child = build_specht(nu)
+        X, Xi = child.transition, child.transition_inv
+        fnu = RationalFn.from_int(child.dim)
+        pairs = [
+            (li, lp, ri, rp)
+            for li, lp in by_l[nu]
+            for ri, rp in by_r[nu]
+        ]
 
-            def block(c, lp=lproj, rp=rproj):
-                return mat_mul(lp, mat_mul(c, mat_transpose(rp)))
-
-            def partial_flip(c, li=liota, lp=lpi, ri=riota, rp=rpi):
+        def block(c, pairs=pairs):
+            acc = None
+            for li, lp, ri, rp in pairs:
                 d = mat_mul(lp, mat_mul(c, mat_transpose(rp)))
-                d = mat_transpose(d)
-                return mat_mul(li, mat_mul(d, mat_transpose(ri)))
+                term = mat_mul(li, mat_mul(d, mat_transpose(ri)))
+                acc = term if acc is None else mat_add(acc, term)
+            return acc
 
-            def q_eps(c, li=liota, lp=lpi, ri=riota, rp=rpi, X=X, Xi=Xi,
-                      fnu=fnu, child=child):
+        def partial_flip(c, pairs=pairs):
+            acc = None
+            for li, lp, ri, rp in pairs:
                 d = mat_mul(lp, mat_mul(c, mat_transpose(rp)))
-                t = R_ZERO
-                e = mat_mul(d, mat_transpose(X))
-                for k in range(child.dim):
-                    t = t + e[k][k]
-                t = t / fnu
-                return mat_mul(li, mat_mul(_scale(Xi, t), mat_transpose(ri)))
-
-            def sym(c, block=block, pf=partial_flip, q=q_eps):
-                return _sub(_scale(_add(block(c), pf(c)), half), q(c))
-
-            def wedge(c, block=block, pf=partial_flip):
-                return _scale(_sub(block(c), pf(c)), half)
-
-            if child.dim > 1:
-                out[NsIrredLabel("plus", (nu,))] = sym
-                out[NsIrredLabel("minus", (nu,))] = wedge
-            prev = out.get(NsIrredLabel("eps_plus"))
-            if prev is None:
-                out[NsIrredLabel("eps_plus")] = q_eps
-            else:
-                out[NsIrredLabel("eps_plus")] = (
-                    lambda c, a=prev, b=q_eps: _add(a(c), b(c))
+                term = mat_mul(
+                    li, mat_mul(mat_transpose(d), mat_transpose(ri))
                 )
+                acc = term if acc is None else mat_add(acc, term)
+            return acc
+
+        def q_eps(c, pairs=pairs, X=X, Xi=Xi, fnu=fnu):
+            acc = None
+            for li, lp, ri, rp in pairs:
+                d = mat_mul(lp, mat_mul(c, mat_transpose(rp)))
+                t = _trace(mat_mul(d, mat_transpose(X))) / fnu
+                term = mat_mul(
+                    li, mat_mul(mat_scale(Xi, t), mat_transpose(ri))
+                )
+                acc = term if acc is None else mat_add(acc, term)
+            return acc
+
+        if child.dim > 1:
+            out[NsIrredLabel("plus", (nu,))] = (
+                lambda c, b=block, f=partial_flip, q=q_eps: mat_sub(
+                    mat_scale(mat_add(b(c), f(c)), R_HALF), q(c)
+                )
+            )
+            out[NsIrredLabel("minus", (nu,))] = (
+                lambda c, b=block, f=partial_flip: mat_scale(
+                    mat_sub(b(c), f(c)), R_HALF
+                )
+            )
+        eps_parts.append(q_eps)
+    if eps_parts:
+        def eps(c, parts=eps_parts):
+            acc = None
+            for q in parts:
+                term = q(c)
+                acc = term if acc is None else mat_add(acc, term)
+            return acc
+
+        out[NsIrredLabel("eps_plus")] = eps
     return out
+
+
+# ---------------------------------------------------------------------
+# restriction to rank r-1
 
 
 def restriction_decompose(mod: NsSubmodule) -> Counter:
@@ -677,7 +701,7 @@ def restriction_decompose(mod: NsSubmodule) -> Counter:
     tm = mod.ambient
     if tm.r < 2:
         raise ValueError("needs r >= 2")
-    projs = _ambient_level_projectors(tm)
+    projs = _level_projectors(tm.lam, tm.mu, tm.r - 1)
     result = Counter()
     for label, proj in projs.items():
         dim = label.dimension(tm.r - 1)

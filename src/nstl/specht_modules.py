@@ -36,15 +36,12 @@ from .linalg import (
     mat_transpose,
     mat_vec,
     nullspace,
+    zeros,
 )
 
 
 class PreconditionError(ValueError):
     """A stated precondition of an operation was violated."""
-
-
-def _zero_matrix(n, m):
-    return [[R_ZERO for _ in range(m)] for _ in range(n)]
 
 
 def _intertwiner(src_actions, dst_actions, gens):
@@ -113,9 +110,7 @@ def _intertwiner(src_actions, dst_actions, gens):
     images = [mat_vec(M, sols[0]) for M in dst_words]
     phi = mat_mul(mat_transpose(images), W_inv)
     for i in gens:
-        # (src_i^T Phi^T)^T: mat_mul skips the zeros of its left factor
-        right = mat_mul(mat_transpose(src_actions[i]), mat_transpose(phi))
-        if mat_mul(dst_actions[i], phi) != mat_transpose(right):
+        if mat_mul(dst_actions[i], phi) != mat_mul(phi, src_actions[i]):
             raise ArithmeticError(f"intertwiner check failed at s_{i}")
     return phi
 
@@ -164,7 +159,7 @@ class SpechtModule:
             mats = {}
             label_of = {w: q for q, w in members.items()}
             for i in range(1, r):
-                A = _zero_matrix(self.dim, self.dim)
+                A = zeros(self.dim, self.dim, R_ZERO)
                 for q, w in members.items():
                     el = HeckeElement(r, tag, {w: R_ONE})
                     img = right_multiply_canonical(el, i)
@@ -225,7 +220,7 @@ class SpechtModule:
         independent of the cell realization."""
         conv = "lower" if basis == "lower" else "upper"
         sign = TWO if basis == "lower" else (R_ZERO - TWO)
-        A = _zero_matrix(self.dim, self.dim)
+        A = zeros(self.dim, self.dim, R_ZERO)
         for q in self.basis:
             col = self.index[q]
             if i in descent_set(q, conv):
@@ -293,7 +288,7 @@ class SpechtModule:
             blocks.append((child_shape, child, iota))
         # stack embeddings and invert to get the projections
         n = self.dim
-        B = [[R_ZERO] * n for _ in range(n)]
+        B = zeros(n, n, R_ZERO)
         col = 0
         offsets = []
         for child_shape, child, iota in blocks:
@@ -356,7 +351,7 @@ def isotypic_projector(shape: Partition, child: Partition):
     for child_shape, _, _, proj in m.branching:
         if child_shape == child:
             return proj
-    return _zero_matrix(m.dim, m.dim)
+    return zeros(m.dim, m.dim, R_ZERO)
 
 
 def projected_basis(shape: Partition, which: str):

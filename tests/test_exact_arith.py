@@ -153,7 +153,6 @@ def test_field_axioms(a, b, c, d):
 def test_serialization():
     p = LaurentPoly({2: 1, 0: -1, -2: 3})
     assert str(p) == "u^2 + -1 + 3*u^-2"
-    assert LaurentPoly.from_json(p.to_json()) == p
     u = LaurentPoly({1: 1})
     one = LaurentPoly({0: 1})
     assert str(rf(u, one + u)) == "(u^1) / (u^1 + 1)"

@@ -15,7 +15,6 @@ from nstl.hecke_core import (
     from_standard,
     kl_lower,
     kl_table,
-    kl_table_cached,
     kl_upper,
     mu,
     multiply_standard,
@@ -144,9 +143,15 @@ class TestKLBases:
     def test_theta_maps_lower_to_upper(self):
         from nstl.combinatorics import all_permutations
 
-        for w in all_permutations(4):
-            sign = -1 if w.length() % 2 else 1
-            assert theta_element(kl_lower(w)) == kl_upper(w).scale(sign)
+        for r in range(2, 6):
+            for w in all_permutations(r):
+                sign = -1 if w.length() % 2 else 1
+                assert theta_element(kl_lower(w)) == kl_upper(w).scale(sign)
+
+    def test_upper_is_read_off_lower(self):
+        table = KLTable(4)
+        assert table.upper
+        assert table._theta_t is None and table._bar_t is None
 
     def test_conversion_roundtrip(self):
         for _ in range(10):
@@ -154,13 +159,6 @@ class TestKLBases:
             for tag in ("lower", "upper"):
                 b = from_standard(a, tag)
                 assert to_standard(b) == a
-
-    def test_cache_roundtrip(self, tmp_path):
-        t1 = kl_table_cached(3, cache_dir=tmp_path)
-        t2 = kl_table_cached(3, cache_dir=tmp_path)
-        assert t1.lower == t2.lower
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1 and files[0].suffix == ".json"
 
 
 class TestMu:

@@ -7,7 +7,7 @@ import pytest
 
 from nstl.combinatorics import Partition, partitions_of, two_row_partitions
 from nstl.exact_arith import LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
-from nstl.linalg import mat_mul, mat_transpose
+from nstl.linalg import mat_mul, mat_transpose, zeros
 from nstl.nonstandard import (
     FOUR,
     NsIrredLabel,
@@ -31,7 +31,6 @@ from nstl.nonstandard import (
     q_element,
     restriction_decompose,
     trace_functional,
-    _zero,
 )
 from nstl.specht_modules import build_specht
 
@@ -91,7 +90,7 @@ class TestPAction:
             for i in range(1, 4):
                 for a in range(tm.left.dim):
                     for b in range(tm.right.dim):
-                        e = _zero(tm.left.dim, tm.right.dim)
+                        e = zeros(tm.left.dim, tm.right.dim, R_ZERO)
                         e[a][b] = R_ONE
                         assert mats_equal(
                             p_action(tm, e, i, pair), tm.p_apply(e, i, pair)
@@ -136,7 +135,7 @@ class TestThetaTwist:
 
         m = build_specht(lam)
         mt = build_specht(lam.conjugate())
-        S = _zero(mt.dim, m.dim)
+        S = zeros(mt.dim, m.dim, R_ZERO)
         for Q in m.basis:
             sign = -1 if de_distance(Q) % 2 else 1
             S[mt.index[Q.transpose()]][m.index[Q]] = RationalFn.from_int(sign)
@@ -240,7 +239,7 @@ class TestTrace:
 
     def test_off_diagonal_zero(self):
         lam = P([2, 1])
-        c = _zero(2, 2)
+        c = zeros(2, 2, R_ZERO)
         c[0][1] = R_ONE  # C'_T (x) C_U with T != U in lu coords
         assert trace_functional(lam, c, "lu") == R_ZERO
 
@@ -302,7 +301,7 @@ class TestCertification:
         basis = []
         for a in range(2):
             for b in range(2):
-                c = _zero(2, 2)
+                c = zeros(2, 2, R_ZERO)
                 c[a][b] = R_ONE
                 basis.append(c)
         mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, basis)
