@@ -278,20 +278,25 @@ def _dense_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _dense_div_exact(a: list[int], b: list[int]) -> list[int]:
-    """Exact division in Q[x]; input must be divisible."""
+    """Exact division in Z[x]: the quotient must have integer
+    coefficients and leave no remainder. By Gauss's lemma that holds
+    whenever b divides a in Z[x], as a gcd does."""
     if not a:
         return []
     out = [0] * (len(a) - len(b) + 1)
-    a = [Fraction(x) for x in a]
+    a = list(a)
     db, lb = len(b) - 1, b[-1]
     for k in range(len(out) - 1, -1, -1):
-        q = a[k + db] / lb
-        out[k] = q
-        for i, y in enumerate(b):
-            a[k + i] -= q * y
-    if any(a[:db]) or any(q.denominator != 1 for q in out):
+        q, rem = divmod(a[k + db], lb)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        if q:
+            out[k] = q
+            for i, y in enumerate(b):
+                a[k + i] -= q * y
+    if any(a[:db]):
         raise ArithmeticError("inexact polynomial division")
-    return [int(q) for q in out]
+    return out
 
 
 def _dense_to_laurent(shift: int, dense: list[int]) -> LaurentPoly:

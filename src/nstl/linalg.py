@@ -1,12 +1,15 @@
 """Dense exact linear algebra over any field-like element type.
 
 Works for RationalFn, Fraction, or anything supporting +, -, *, / and
-truthiness-as-nonzero. Matrices are lists of lists (rows). A companion
+truthiness-as-nonzero. Matrices are lists of lists (rows). IntSpanBasis
+tracks the span of integer vectors without fractions, and a companion
 set of mod-p routines on numpy int64 arrays backs the large certification
 and spanning-closure jobs.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 import numpy as np
 
@@ -156,6 +159,54 @@ class SpanBasis:
         v = [x / pv for x in v]
         self.rows.append(v)
         self.pivots.append(p)
+        return True
+
+    def __len__(self):
+        return len(self.rows)
+
+
+class IntSpanBasis:
+    """Echelon basis of the Q-span of integer vectors, fraction-free.
+
+    Rows are sparse primitive integer vectors {column: entry}, each zero
+    at the pivots of the rows before it. A vector v with entry x at the
+    pivot p of a row with pivot entry a becomes (a/g) v - (x/g) row,
+    g = gcd(a, x); once reduced it is divided by its content, so entries
+    stay the size of the integer rows rather than of their fractions.
+    """
+
+    def __init__(self):
+        self.rows = []  # primitive rows {column: entry}
+        self.pivots = []  # pivot column per row, insertion order
+
+    def add(self, v):
+        """Reduce the integer vector v against the basis; absorb it if
+        independent. Returns True iff the span grew."""
+        v = {j: x for j, x in enumerate(v) if x}
+        for row, p in zip(self.rows, self.pivots):
+            x = v.get(p)
+            if not x:
+                continue
+            a = row[p]
+            g = gcd(a, x)
+            a, x = a // g, x // g
+            if a != 1:
+                for j in v:
+                    v[j] *= a
+            for j, y in row.items():
+                n = v.get(j, 0) - x * y
+                if n:
+                    v[j] = n
+                else:
+                    del v[j]
+        if not v:
+            return False
+        g = gcd(*v.values())
+        if g != 1:
+            for j in v:
+                v[j] //= g
+        self.rows.append(v)
+        self.pivots.append(min(v))
         return True
 
     def __len__(self):

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, gcd, isqrt, lcm
 
 from .combinatorics import (
     Partition,
@@ -35,6 +35,7 @@ from .hecke_core import (
     to_standard,
 )
 from .linalg import (
+    IntSpanBasis,
     SpanBasis,
     SpanBasisModP,
     identity,
@@ -728,26 +729,79 @@ def restriction_decompose(mod: NsSubmodule) -> Counter:
 
 
 def _block_generators(r: int, u0: Fraction):
-    """Specialized P_i on the faithful sum of all two-row tensor
-    blocks, as one block-diagonal Fraction matrix per generator."""
+    """Specialized P_i on the faithful sum of the two-row tensor blocks
+    M_lam (x) M_mu over all ordered pairs: gens[i - 1][k] is the
+    Fraction matrix of P_i on block k. Returns (gens, block dims)."""
     shapes = two_row_partitions(r)
-    blocks = []
-    for lam in shapes:
-        for mu in shapes:
-            blocks.append(TensorModule(lam, mu))
-    N = sum(b.dim for b in blocks)
-    gens = []
-    for i in range(1, r):
-        G = [[Fraction(0)] * N for _ in range(N)]
-        off = 0
-        for b in blocks:
-            flat = b.p_matrix(i, "ll")
-            for a in range(b.dim):
-                for c in range(b.dim):
-                    G[off + a][off + c] = flat[a][c].specialize(u0)
-            off += b.dim
-        gens.append(G)
-    return gens, N
+    blocks = [TensorModule(lam, mu) for lam in shapes for mu in shapes]
+    gens = [
+        [
+            [[x.specialize(u0) for x in row] for row in b.p_matrix(i, "ll")]
+            for b in blocks
+        ]
+        for i in range(1, r)
+    ]
+    return gens, [b.dim for b in blocks]
+
+
+def _integer_generators(gens):
+    """Each generator times the lcm of its entries' denominators, one
+    scalar over all its blocks: a word in these is a nonzero multiple
+    of the same word in the Fraction generators, so both span alike."""
+    out = []
+    for blocks in gens:
+        scale = lcm(*(x.denominator for B in blocks for row in B for x in row))
+        out.append(
+            [
+                [[x.numerator * (scale // x.denominator) for x in row] for row in B]
+                for B in blocks
+            ]
+        )
+    return out
+
+
+def _accepted_words(r: int, u0: Fraction):
+    """Words in the specialized P_i (tuples of generator indices i),
+    from the empty word, that grow the span of the breadth-first
+    product closure, in the order they are accepted.
+
+    Integer arithmetic only: a word is kept as its integer blocks
+    divided by their common content, and its flattened blocks enter a
+    fraction-free span. The zero blocks off the diagonal of the
+    faithful sum are never built."""
+    gens, dims = _block_generators(r, u0)
+    gens = _integer_generators(gens)
+    N = sum(dims)
+    safety = N * N * (r - 1) + r
+    steps = 0
+    span = IntSpanBasis()
+    ident = [identity(d, 1, 0) for d in dims]
+    span.add(_flatten_blocks(ident))
+    words = [()]
+    frontier = [((), ident)]
+    while frontier:
+        new_frontier = []
+        for word, M in frontier:
+            for i, G in enumerate(gens, start=1):
+                steps += 1
+                if steps > safety:
+                    raise StabilizationError(
+                        "span closure exceeded safety bound"
+                    )
+                prod = [mat_mul(A, B) for A, B in zip(M, G)]
+                flat = _flatten_blocks(prod)
+                if span.add(flat):
+                    g = gcd(*flat)
+                    if g > 1:
+                        prod = [[[x // g for x in row] for row in A] for A in prod]
+                    words.append(word + (i,))
+                    new_frontier.append((word + (i,), prod))
+        frontier = new_frontier
+    return words
+
+
+def _flatten_blocks(blocks):
+    return [x for B in blocks for row in B for x in row]
 
 
 def _check_modulus(p: int, u0: Fraction, N: int):
@@ -773,47 +827,31 @@ def nonstandard_dimension_oracle(
     P_i on the faithful two-row tensor sum, by product-span closure.
     With mod_p the span is over F_p, a lower bound on the dimension at
     u0; a modulus that cannot give that raises ModulusError."""
-    gens, N = _block_generators(r, u0)
-    safety = N * N * (r - 1) + r
-    steps = 0
     if mod_p is None:
-        one, zero = Fraction(1), Fraction(0)
-        span = SpanBasis()
-        ident = [[one if a == b else zero for b in range(N)] for a in range(N)]
-        span.add(flatten(ident))
-        frontier = [ident]
-        while frontier:
-            new_frontier = []
-            for M in frontier:
-                for G in gens:
-                    steps += 1
-                    if steps > safety:
-                        raise StabilizationError(
-                            "span closure exceeded safety bound"
-                        )
-                    prod = mat_mul(M, G)
-                    if span.add(flatten(prod)):
-                        new_frontier.append(prod)
-            frontier = new_frontier
-        return len(span)
+        return len(_accepted_words(r, u0))
 
     import numpy as np
 
     p = mod_p
+    blocks, dims = _block_generators(r, u0)
+    N = sum(dims)
     _check_modulus(p, u0, N)
+    mults = []
+    for per_block in blocks:
+        G = np.zeros((N, N), dtype=np.int64)
+        off = 0
+        for B in per_block:
+            G[off : off + len(B), off : off + len(B)] = [
+                [x.numerator * pow(x.denominator, -1, p) % p for x in row]
+                for row in B
+            ]
+            off += len(B)
+        mults.append(G)
+    safety = N * N * (r - 1) + r
+    steps = 0
     span = SpanBasisModP(N * N, p)
     ident = np.eye(N, dtype=np.int64)
     span.add(ident.reshape(-1))
-    mults = [
-        np.array(
-            [
-                [int(x.numerator * pow(x.denominator, -1, p)) % p for x in row]
-                for row in G
-            ],
-            dtype=np.int64,
-        )
-        for G in gens
-    ]
     frontier = [ident]
     while frontier:
         new_frontier = []

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nstl.cli import main
+from nstl.nonstandard import StabilizationError
 
 
 def run(capsys, *argv):
@@ -175,3 +176,88 @@ class TestVerifyAll:
         assert code == 0
         lines = out.splitlines()
         assert sum(1 for l in lines if l.endswith(": PASS")) == 12
+
+    def test_capped_checks_name_their_rank(self, capsys, monkeypatch):
+        ran = []
+
+        def stub(name, ok=True):
+            def check(r):
+                ran.append((name, r))
+                return {"ok": ok} if ok else {"ok": False, "detail": "boom"}
+
+            return check
+
+        monkeypatch.setattr(
+            "nstl.cli.ACCEPTANCE_CHECKS",
+            (
+                ("full", 5, stub("full")),
+                ("capped", 4, stub("capped")),
+                ("failed", 3, stub("failed", ok=False)),
+            ),
+        )
+        code, out = run(capsys, "verify-all", "--r", "5")
+        assert code == 1
+        assert ran == [("full", 5), ("capped", 4), ("failed", 3)]
+        lines = out.splitlines()
+        assert lines[:3] == [
+            "full: PASS",
+            "capped: PASS (at r=4)",
+            "failed: FAIL (at r=3) (boom)",
+        ]
+        assert json.loads(lines[3]) == {
+            "r": 5,
+            "ok": False,
+            "results": {
+                "full": {"ok": True},
+                "capped": {"ok": True, "effective_r": 4},
+                "failed": {"ok": False, "detail": "boom", "effective_r": 3},
+            },
+        }
+        # at or below every cap nothing is marked
+        code, out = run(capsys, "verify-all", "--r", "3")
+        assert out.splitlines()[:3] == [
+            "full: PASS",
+            "capped: PASS",
+            "failed: FAIL (boom)",
+        ]
+        assert "effective_r" not in out
+
+
+class TestInternalError:
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            ArithmeticError("inexact polynomial division"),
+            StabilizationError("span closure exceeded\nsafety bound"),
+        ],
+    )
+    def test_uncaught_exception_exits_3(self, capsys, monkeypatch, exc):
+        def boom(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("nstl.cli.nonstandard_dimension_oracle", boom)
+        assert main(["dim-check", "--r", "3"]) == 3
+        captured = capsys.readouterr()
+        assert not captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"nstl: internal error: {type(exc).__name__}: ")
+        assert " ".join(str(exc).split()) in err[0]
+
+    def test_verbose_prints_the_traceback(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise StabilizationError("span closure exceeded safety bound")
+
+        monkeypatch.setattr("nstl.cli.nonstandard_dimension_oracle", boom)
+        assert main(["-v", "dim-check", "--r", "3"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "Traceback (most recent call last):"
+        assert err[-1] == (
+            "nstl: internal error: StabilizationError: "
+            "span closure exceeded safety bound"
+        )
+
+    def test_usage_errors_keep_exit_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["dim-check", "--r", "0"])
+        assert exc.value.code == 2

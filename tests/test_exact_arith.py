@@ -176,6 +176,55 @@ def test_equal_values_hash_equal(a, b):
     assert q == a and hash(q) == hash(a)
 
 
+def fraction_div_exact(a, b):
+    """Oracle for _dense_div_exact: long division in Q[x] through
+    Fraction, then a check that the quotient is integral."""
+    out = [0] * (len(a) - len(b) + 1)
+    a = [Fraction(x) for x in a]
+    db, lb = len(b) - 1, b[-1]
+    for k in range(len(out) - 1, -1, -1):
+        q = a[k + db] / lb
+        out[k] = q
+        for i, y in enumerate(b):
+            a[k + i] -= q * y
+    if any(a[:db]) or any(q.denominator != 1 for q in out):
+        raise ArithmeticError("inexact polynomial division")
+    return [int(q) for q in out]
+
+
+def dense_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+coeff = st.integers(min_value=-40, max_value=40)
+dense_poly = st.lists(coeff, min_size=1, max_size=6).filter(lambda a: a[-1])
+# a leading coefficient other than +-1, so a quotient step can be inexact
+dense_divisor = st.lists(coeff, min_size=1, max_size=5).filter(
+    lambda b: abs(b[-1]) > 1
+)
+
+
+@given(dense_poly, dense_divisor)
+def test_div_exact_recovers_quotient(q, b):
+    a = dense_mul(q, b)
+    assert _dense_div_exact(a, b) == q == fraction_div_exact(a, b)
+
+
+@given(dense_poly, dense_divisor)
+def test_div_exact_rejects_non_multiples(q, b):
+    # q b + 1 leaves remainder 1 when deg b > 0, and a constant term
+    # that b does not divide when b is a constant other than +-1
+    a = dense_mul(q, b)
+    a[0] += 1
+    for div in (_dense_div_exact, fraction_div_exact):
+        with pytest.raises(ArithmeticError):
+            div(a, b)
+
+
 def test_inexact_division_raises():
     assert _dense_div_exact([1, 2, 1], [1, 1]) == [1, 1]
     for a, b in (([1, 0, 1], [1, 1]), ([1, 2], [2])):

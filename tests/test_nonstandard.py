@@ -7,12 +7,13 @@ import pytest
 
 from nstl.combinatorics import Partition, partitions_of, two_row_partitions
 from nstl.exact_arith import LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
-from nstl.linalg import mat_mul, mat_transpose, zeros
+from nstl.linalg import SpanBasis, mat_mul, mat_transpose, zeros
 from nstl.nonstandard import (
     FOUR,
     NsIrredLabel,
     NsSubmodule,
     TensorModule,
+    _accepted_words,
     _restricted_generators,
     antipode_check,
     build_irreducible,
@@ -56,6 +57,42 @@ def mats_equal(A, B):
 def shape_pairs(r):
     shapes = partitions_of(r)
     return [(a, b) for a in shapes for b in shapes]
+
+
+def fraction_closure_words(r, u0):
+    """Oracle for the integer span closure: the same breadth-first
+    closure on dense block-diagonal Fraction generators of the whole
+    faithful sum, with each product's N^2 entries in a Fraction span.
+    Returns the accepted words in order."""
+    shapes = two_row_partitions(r)
+    blocks = [TensorModule(lam, mu) for lam in shapes for mu in shapes]
+    N = sum(b.dim for b in blocks)
+    gens = []
+    for i in range(1, r):
+        G = [[Fraction(0)] * N for _ in range(N)]
+        off = 0
+        for b in blocks:
+            flat = b.p_matrix(i, "ll")
+            for a in range(b.dim):
+                for c in range(b.dim):
+                    G[off + a][off + c] = flat[a][c].specialize(u0)
+            off += b.dim
+        gens.append(G)
+    span = SpanBasis()
+    ident = [[Fraction(int(a == b)) for b in range(N)] for a in range(N)]
+    span.add(flatten(ident))
+    words = [()]
+    frontier = [((), ident)]
+    while frontier:
+        new_frontier = []
+        for word, M in frontier:
+            for i, G in enumerate(gens, start=1):
+                prod = mat_mul(M, G)
+                if span.add(flatten(prod)):
+                    words.append(word + (i,))
+                    new_frontier.append((word + (i,), prod))
+        frontier = new_frontier
+    return words
 
 
 class TestLabels:
@@ -396,3 +433,21 @@ class TestDimension:
 
     def test_oracle_r4(self):
         assert nonstandard_dimension_oracle(4) == 89
+
+    @pytest.mark.parametrize(
+        "r, u0",
+        [
+            (r, u0)
+            for r in (2, 3)
+            for u0 in (Fraction(7, 3), Fraction(2), Fraction(5, 2))
+        ]
+        + [(4, Fraction(5, 2))],
+    )
+    def test_integer_closure_matches_fraction_closure(self, r, u0):
+        words = _accepted_words(r, u0)
+        assert words == fraction_closure_words(r, u0)
+        assert len(words) == nonstandard_dimension_oracle(r, u0)
+
+    def test_mod_p_bounds_exact_r4(self):
+        exact = nonstandard_dimension_oracle(4)
+        assert nonstandard_dimension_oracle(4, mod_p=1000003) <= exact
