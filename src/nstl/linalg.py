@@ -2,16 +2,14 @@
 
 Works for RationalFn, Fraction, or anything supporting +, -, *, / and
 truthiness-as-nonzero. Matrices are lists of lists (rows). IntSpanBasis
-tracks the span of integer vectors without fractions, and a companion
-set of mod-p routines on numpy int64 arrays backs the large certification
-and spanning-closure jobs.
+tracks the span of integer vectors without fractions, and SpanBasisModP,
+on numpy int64 arrays, backs the mod-p spanning closure; numpy is
+imported only when that class is first used.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-import numpy as np
 
 
 def mat_mul(A, B):
@@ -221,11 +219,15 @@ class SpanBasisModP:
     """Echelon span tracker over F_p on numpy vectors."""
 
     def __init__(self, dim: int, p: int):
+        import numpy as np
+
         self.p = p
         self.rows = np.zeros((0, dim), dtype=np.int64)
         self.pivots = []
 
     def add(self, v: np.ndarray) -> bool:
+        import numpy as np
+
         p = self.p
         v = np.mod(v.astype(np.int64), p)
         for row, piv in zip(self.rows, self.pivots):

@@ -532,17 +532,7 @@ def _restricted_generators(mod: NsSubmodule, u0: Fraction):
 
 def commutant_dimension(gens, dim):
     """dim {Z : G Z = Z G for all G} over Q."""
-    one, zero = Fraction(1), Fraction(0)
-    rows = []
-    for G in gens:
-        for a in range(dim):
-            for b in range(dim):
-                row = [zero] * (dim * dim)
-                for k in range(dim):
-                    row[k * dim + b] += G[a][k]
-                    row[a * dim + k] -= G[k][b]
-                rows.append(row)
-    return len(nullspace(rows, one, zero)) if rows else dim * dim
+    return hom_dimension(gens, dim, gens, dim)
 
 
 def hom_dimension(gens_a, dim_a, gens_b, dim_b):
@@ -576,7 +566,7 @@ def certify_irreducible(mod: NsSubmodule, u0: Fraction = None) -> int:
 
 
 # ---------------------------------------------------------------------
-# isotypic projectors of the parabolic subalgebras
+# isotypic splitting along the parabolic chain
 
 
 @lru_cache(maxsize=None)
@@ -596,99 +586,56 @@ def _paths(parts: tuple, k: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _level_projectors(lam: Partition, mu: Partition, k: int) -> dict:
-    """Exact isotypic projectors of the rank-k parabolic on
-    M_lam (x) M_mu, keyed by rank-k NsIrredLabel; functions on lower (x)
-    lower coefficient matrices.  They are idempotent and resolve the
-    identity."""
-    by_l, by_r = {}, {}
-    for term, iota, pi in _paths(lam.parts, k):
-        by_l.setdefault(term, []).append((iota, pi))
-    for term, iota, pi in _paths(mu.parts, k):
-        by_r.setdefault(term, []).append((iota, pi))
+def nonstandard_pieces(nu: Partition, rho: Partition, d) -> tuple:
+    """Cut the child block d of a (nu, rho) path pair by rank-k
+    nonstandard label: the whole block is pair{nu, rho} when nu != rho;
+    otherwise the eps+ eigenline e = tr(d X^T)/f X^-1, and for f > 1 the
+    symmetric rest (d + d^T)/2 - e and the wedge (d - d^T)/2."""
+    if nu != rho:
+        return ((NsIrredLabel("pair", (nu, rho)), d),)
+    child = build_specht(nu)
+    X = child.transition
+    t = sum(
+        (a * x for ra, rx in zip(d, X) for a, x in zip(ra, rx) if a and x),
+        R_ZERO,
+    ) / RationalFn.from_int(child.dim)
+    e = mat_scale(child.transition_inv, t)
+    if child.dim == 1:
+        return ((NsIrredLabel("eps_plus"), e),)
+    dt = mat_transpose(d)
+    plus = mat_sub(mat_scale(mat_add(d, dt), R_HALF), e)
+    return (
+        (NsIrredLabel("eps_plus"), e),
+        (NsIrredLabel("plus", (nu,)), plus),
+        (NsIrredLabel("minus", (nu,)), mat_scale(mat_sub(d, dt), R_HALF)),
+    )
 
+
+def hh_pieces(nu: Partition, rho: Partition, d) -> tuple:
+    """The full tensor-square rule: the block is the (nu, rho) part."""
+    return (((nu, rho), d),)
+
+
+def isotypic_split(lam: Partition, mu: Partition, k: int, c, pieces) -> dict:
+    """Isotypic components {label: component} of the lower (x) lower
+    coefficient matrix c under the rank-k parabolic, zero ones omitted.
+    Each pair of branching paths to (nu, rho) cuts its child block
+    d = pi_l c pi_r^T into labelled pieces by the rule `pieces`
+    (nonstandard_pieces or hh_pieces); each piece is lifted back as
+    iota_l piece iota_r^T and added to its label's component."""
+    right = [
+        (rho, mat_transpose(ri), mat_transpose(rp))
+        for rho, ri, rp in _paths(mu.parts, k)
+    ]
     out = {}
-
-    # off-diagonal blocks: full tensor irreducibles, unordered pairs
-    pair_blocks = {}
-    for nu, lps in by_l.items():
-        for rho, rps in by_r.items():
-            if nu == rho:
-                continue
-            key = NsIrredLabel("pair", (nu, rho))
-            for li, lp in lps:
-                for ri, rp in rps:
-                    pair_blocks.setdefault(key, []).append(
-                        (mat_mul(li, lp), mat_mul(ri, rp))
-                    )
-    for key, blocks in pair_blocks.items():
-        out[key] = lambda c, blocks=blocks: TensorModule.apply(blocks, c)
-
-    # diagonal blocks: symmetric / wedge / one-dimensional eigenline
-    eps_parts = []
-    for nu in by_l:
-        if nu not in by_r:
-            continue
-        child = build_specht(nu)
-        X, Xi = child.transition, child.transition_inv
-        fnu = RationalFn.from_int(child.dim)
-        pairs = [
-            (li, lp, ri, rp)
-            for li, lp in by_l[nu]
-            for ri, rp in by_r[nu]
-        ]
-
-        def block(c, pairs=pairs):
-            acc = None
-            for li, lp, ri, rp in pairs:
-                d = mat_mul(lp, mat_mul(c, mat_transpose(rp)))
-                term = mat_mul(li, mat_mul(d, mat_transpose(ri)))
-                acc = term if acc is None else mat_add(acc, term)
-            return acc
-
-        def partial_flip(c, pairs=pairs):
-            acc = None
-            for li, lp, ri, rp in pairs:
-                d = mat_mul(lp, mat_mul(c, mat_transpose(rp)))
-                term = mat_mul(
-                    li, mat_mul(mat_transpose(d), mat_transpose(ri))
-                )
-                acc = term if acc is None else mat_add(acc, term)
-            return acc
-
-        def q_eps(c, pairs=pairs, X=X, Xi=Xi, fnu=fnu):
-            acc = None
-            for li, lp, ri, rp in pairs:
-                d = mat_mul(lp, mat_mul(c, mat_transpose(rp)))
-                t = _trace(mat_mul(d, mat_transpose(X))) / fnu
-                term = mat_mul(
-                    li, mat_mul(mat_scale(Xi, t), mat_transpose(ri))
-                )
-                acc = term if acc is None else mat_add(acc, term)
-            return acc
-
-        if child.dim > 1:
-            out[NsIrredLabel("plus", (nu,))] = (
-                lambda c, b=block, f=partial_flip, q=q_eps: mat_sub(
-                    mat_scale(mat_add(b(c), f(c)), R_HALF), q(c)
-                )
-            )
-            out[NsIrredLabel("minus", (nu,))] = (
-                lambda c, b=block, f=partial_flip: mat_scale(
-                    mat_sub(b(c), f(c)), R_HALF
-                )
-            )
-        eps_parts.append(q_eps)
-    if eps_parts:
-        def eps(c, parts=eps_parts):
-            acc = None
-            for q in parts:
-                term = q(c)
-                acc = term if acc is None else mat_add(acc, term)
-            return acc
-
-        out[NsIrredLabel("eps_plus")] = eps
+    for nu, li, lp in _paths(lam.parts, k):
+        lc = mat_mul(lp, c)
+        for rho, riT, rpT in right:
+            for label, piece in pieces(nu, rho, mat_mul(lc, rpT)):
+                if any(x for row in piece for x in row):
+                    term = mat_mul(li, mat_mul(piece, riT))
+                    acc = out.get(label)
+                    out[label] = term if acc is None else mat_add(acc, term)
     return out
 
 
@@ -697,25 +644,25 @@ def _level_projectors(lam: Partition, mu: Partition, k: int) -> dict:
 
 
 def restriction_decompose(mod: NsSubmodule) -> Counter:
-    """Multiset of rank-(r-1) labels in the restriction, computed from
-    exact isotypic projectors; zero modules omitted."""
+    """Multiset of rank-(r-1) labels in the restriction, read off the
+    ranks of the exact isotypic components of the basis."""
     tm = mod.ambient
     if tm.r < 2:
         raise ValueError("needs r >= 2")
-    projs = _level_projectors(tm.lam, tm.mu, tm.r - 1)
+    images = {}
+    for c in mod.basis:
+        split = isotypic_split(tm.lam, tm.mu, tm.r - 1, c, nonstandard_pieces)
+        for label, comp in split.items():
+            images.setdefault(label, []).append(flatten(comp))
     result = Counter()
-    for label, proj in projs.items():
+    for label, rows in images.items():
         dim = label.dimension(tm.r - 1)
-        if dim == 0:
-            continue
-        images = [flatten(proj(c)) for c in mod.basis]
-        rk = rank(images)
-        if rk:
-            if rk % dim:
-                raise AssertionError(
-                    f"rank {rk} of {label} component not a multiple of {dim}"
-                )
-            result[label] = rk // dim
+        rk = rank(rows)
+        if rk % dim:
+            raise AssertionError(
+                f"rank {rk} of {label} component not a multiple of {dim}"
+            )
+        result[label] = rk // dim
     total = sum(lbl.dimension(tm.r - 1) * m for lbl, m in result.items())
     if total != mod.dim:
         raise AssertionError(

@@ -5,7 +5,7 @@ alpha from pairs of standard tableaux to seminormal chain labels.
 
 A seminormal basis of an invariant subspace of M_lambda (x) M_mu is
 obtained by iterated isotypic splitting: at each level k = r, r-1, ...,
-2 the space is cut by the exact isotypic projectors of the rank-k
+2 the space is cut into its exact isotypic components under the rank-k
 parabolic, and multiplicity-freeness of the chain makes every terminal
 piece one-dimensional.  Vectors are stored as lower (x) lower
 coefficient matrices of the ambient tensor module and normalized so the
@@ -24,14 +24,16 @@ from .combinatorics import (
     syt_enumerate,
     y_tableau,
 )
-from .linalg import mat_mul, rref
+from .linalg import rref
 from .nonstandard import (
     NsIrredLabel,
     NsSubmodule,
     TensorModule,
-    _level_projectors,
-    _paths,
+    _paths,  # noqa: F401 - the benchmark reads seminormal._paths
     flatten,
+    hh_pieces,
+    isotypic_split,
+    nonstandard_pieces,
     unflatten,
 )
 
@@ -144,13 +146,13 @@ def _normalize(c):
     return [[x / lead for x in row] for row in c]
 
 
-def _split(tm: TensorModule, vectors, projectors) -> list:
+def _split(tm: TensorModule, vectors, pieces) -> list:
     """Iterated isotypic splitting of the span of `vectors` at levels
-    k = r, r-1, ..., 2, where projectors(k) maps each level-k label to its
-    projector. Returns (chain of labels, normalized vector) per leaf and
-    raises MultiplicityError unless every leaf is a line."""
+    k = r, r-1, ..., 2 under the labeling rule `pieces` (see
+    nonstandard.isotypic_split). Returns (chain of labels, normalized
+    vector) per leaf and raises MultiplicityError unless every leaf is
+    a line."""
     nrows, ncols = tm.left.dim, tm.right.dim
-    levels = {k: projectors(k) for k in range(2, tm.r + 1)}
     leaves = []
 
     def descend(space, k, chain):
@@ -162,12 +164,14 @@ def _split(tm: TensorModule, vectors, projectors) -> list:
                 )
             leaves.append((chain, _normalize(space[0])))
             return
-        projs = levels[k]
-        for label in sorted(projs, key=str):
-            images = [projs[label](v) for v in space]
-            basis = _row_basis(images, nrows, ncols)
-            if basis:
-                descend(basis, k - 1, chain + (label,))
+        images = {}
+        for v in space:
+            split = isotypic_split(tm.lam, tm.mu, k, v, pieces)
+            for label, comp in split.items():
+                images.setdefault(label, []).append(comp)
+        for label in sorted(images, key=str):
+            basis = _row_basis(images[label], nrows, ncols)
+            descend(basis, k - 1, chain + (label,))
 
     descend(_row_basis(vectors, nrows, ncols), tm.r, ())
     return leaves
@@ -183,9 +187,7 @@ def seminormal_basis(m) -> SeminormalBasis:
         tm, vectors = m, m.unit_vectors()
     else:
         raise TypeError("expected TensorModule or NsSubmodule")
-    leaves = _split(
-        tm, vectors, lambda k: _level_projectors(tm.lam, tm.mu, k)
-    )
+    leaves = _split(tm, vectors, nonstandard_pieces)
     if len(leaves) != len(vectors):
         raise MultiplicityError(
             f"{len(leaves)} leaves for a {len(vectors)}-dimensional space"
@@ -195,15 +197,16 @@ def seminormal_basis(m) -> SeminormalBasis:
 
 
 def chain_membership(basis: SeminormalBasis, idx: int) -> bool:
-    """A leaf vector must be fixed by the isotypic projector named by
-    its chain at every level."""
+    """A leaf vector must be its own isotypic component under the
+    label its chain names at every level."""
     v = basis.vectors[idx]
     chain = basis.chains[idx]
     tm = basis.ambient
-    return all(
-        _level_projectors(tm.lam, tm.mu, k)[chain.level(k)](v) == v
-        for k in range(chain.r, 1, -1)
-    )
+    for k in range(chain.r, 1, -1):
+        split = isotypic_split(tm.lam, tm.mu, k, v, nonstandard_pieces)
+        if split.get(chain.level(k)) != v:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------
@@ -216,23 +219,4 @@ def hh_chain_basis(tm: TensorModule) -> list:
     are the ordered pairs (nu, rho).  Returns (chain of (nu, rho)
     pairs, normalized vector) per leaf; every leaf vector has a rank-1
     coefficient matrix."""
-
-    def projectors(k):
-        by_l, by_r = {}, {}
-        for term, iota, pi in _paths(tm.lam.parts, k):
-            by_l.setdefault(term, []).append(mat_mul(iota, pi))
-        for term, iota, pi in _paths(tm.mu.parts, k):
-            by_r.setdefault(term, []).append(mat_mul(iota, pi))
-        out = {}
-        for nu, lprojs in by_l.items():
-            for rho, rprojs in by_r.items():
-                blocks = [(a, b) for a in lprojs for b in rprojs]
-                out[(nu, rho)] = lambda c, b=blocks: TensorModule.apply(b, c)
-        return out
-
-    return _split(tm, tm.unit_vectors(), projectors)
-
-
-def matrix_rank_over_field(c) -> int:
-    rows, _ = rref([row[:] for row in c])
-    return len(rows)
+    return _split(tm, tm.unit_vectors(), hh_pieces)

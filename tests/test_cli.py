@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import nstl
 from nstl.cli import main
 from nstl.nonstandard import StabilizationError
 
@@ -261,3 +266,18 @@ class TestInternalError:
         with pytest.raises(SystemExit) as exc:
             main(["dim-check", "--r", "0"])
         assert exc.value.code == 2
+
+
+def test_cli_import_leaves_numpy_out():
+    # only the mod-p oracle needs numpy; importing the CLI must not
+    src = pathlib.Path(nstl.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, nstl.cli; print('numpy' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.strip() == "False"

@@ -1,0 +1,96 @@
+"""Byte-identical library results across processes and refactors.
+
+The digests in `library_golden.json` are sha256 hashes of the printed
+seminormal and hh bases (vectors and chains) of three tensor products
+and of every rank-4 irreducible, and of the restriction multiset of
+every label with r <= 5. Each pytest process runs under its own hash
+seed, so a match also shows that these results do not depend on set or
+dict iteration order. After an intended change, re-record them with
+
+    PYTHONPATH=src python tests/test_library_golden.py
+"""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from nstl.combinatorics import Partition
+from nstl.nonstandard import (
+    TensorModule,
+    build_irreducible,
+    ns_labels,
+    restriction_decompose,
+)
+from nstl.seminormal import hh_chain_basis, seminormal_basis
+
+GOLDEN = pathlib.Path(__file__).with_name("library_golden.json")
+
+PRODUCTS = [((3, 2), (3, 2)), ((3, 1), (2, 2)), ((4, 1), (3, 2))]
+
+
+def _matrix(c):
+    return "[" + "; ".join(", ".join(map(str, row)) for row in c) + "]"
+
+
+def _seminormal(space):
+    sb = seminormal_basis(space)
+    return "\n".join(
+        f"{chain} : {_matrix(v)}" for chain, v in zip(sb.chains, sb.vectors)
+    )
+
+
+def _hh(tm):
+    return "\n".join(
+        " > ".join(f"{nu}:{rho}" for nu, rho in chain) + " : " + _matrix(v)
+        for chain, v in hh_chain_basis(tm)
+    )
+
+
+def _restriction(label, r):
+    counts = restriction_decompose(build_irreducible(label, r))
+    return ", ".join(
+        f"{lbl} x{m}" for lbl, m in sorted(counts.items(), key=lambda kv: str(kv[0]))
+    )
+
+
+def cases():
+    """Name -> zero-argument function returning the printed result."""
+    out = {}
+    for lam, mu in PRODUCTS:
+        tm = TensorModule(Partition(lam), Partition(mu))
+        name = f"{tm.lam}x{tm.mu}"
+        out[f"seminormal {name}"] = lambda tm=tm: _seminormal(tm)
+        out[f"hh {name}"] = lambda tm=tm: _hh(tm)
+    for label in ns_labels(4):
+        out[f"seminormal {label} r=4"] = lambda label=label: _seminormal(
+            build_irreducible(label, 4)
+        )
+        out[f"hh ambient of {label} r=4"] = lambda label=label: _hh(
+            build_irreducible(label, 4).ambient
+        )
+    for r in range(2, 6):
+        for label in ns_labels(r):
+            out[f"restrict {label} r={r}"] = lambda label=label, r=r: (
+                _restriction(label, r)
+            )
+    return out
+
+
+CASES = cases()
+
+
+def digest(name):
+    return hashlib.sha256(CASES[name]().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_library_digest(name):
+    assert digest(name) == json.loads(GOLDEN.read_text())[name]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps({name: digest(name) for name in CASES}, indent=1) + "\n"
+    )

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -7,7 +8,7 @@ import pytest
 
 from nstl.combinatorics import Partition, partitions_of, two_row_partitions
 from nstl.exact_arith import LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
-from nstl.linalg import SpanBasis, mat_mul, mat_transpose, zeros
+from nstl.linalg import SpanBasis, mat_add, mat_mul, mat_transpose, zeros
 from nstl.nonstandard import (
     FOUR,
     NsIrredLabel,
@@ -25,9 +26,12 @@ from nstl.nonstandard import (
     epsilon_minus_vector,
     epsilon_plus_vector,
     flatten,
+    hh_pieces,
     hom_dimension,
+    isotypic_split,
     ns_labels,
     nonstandard_dimension_oracle,
+    nonstandard_pieces,
     p_action,
     q_element,
     restriction_decompose,
@@ -411,6 +415,56 @@ class TestRestriction:
     def test_case_4(self, r):
         mod = build_irreducible(lbl("eps+"), r)
         assert restriction_decompose(mod) == Counter({lbl("eps+"): 1})
+
+
+def split_cases(max_r):
+    for r in range(2, max_r + 1):
+        shapes = two_row_partitions(r)
+        for lam, mu in itertools.product(shapes, shapes):
+            for k in range(2, r + 1):
+                yield lam, mu, k
+
+
+class TestIsotypicSplit:
+    """The defining properties of the split, on every unit vector."""
+
+    @staticmethod
+    def total(mats, like):
+        return functools.reduce(
+            mat_add, mats, zeros(len(like), len(like[0]), R_ZERO)
+        )
+
+    @pytest.mark.parametrize("lam,mu,k", list(split_cases(4)), ids=str)
+    @pytest.mark.parametrize("pieces", [nonstandard_pieces, hh_pieces])
+    def test_resolves_identity_and_is_idempotent(self, lam, mu, k, pieces):
+        for c in TensorModule(lam, mu).unit_vectors():
+            split = isotypic_split(lam, mu, k, c, pieces)
+            assert mats_equal(self.total(split.values(), c), c)
+            for label, comp in split.items():
+                assert isotypic_split(lam, mu, k, comp, pieces) == {
+                    label: comp
+                }
+
+    @pytest.mark.parametrize("lam,mu,k", list(split_cases(4)), ids=str)
+    def test_refines_the_tensor_square_split(self, lam, mu, k):
+        for c in TensorModule(lam, mu).unit_vectors():
+            ns = isotypic_split(lam, mu, k, c, nonstandard_pieces)
+            hh = isotypic_split(lam, mu, k, c, hh_pieces)
+            diagonal = [hh[nu, rho] for nu, rho in hh if nu == rho]
+            signed = [v for label, v in ns.items() if label.kind != "pair"]
+            assert mats_equal(
+                self.total(signed, c), self.total(diagonal, c)
+            )
+            pairs = {
+                NsIrredLabel("pair", key): [
+                    hh[nu, rho] for nu, rho in hh if {nu, rho} == set(key)
+                ]
+                for key in hh
+                if key[0] != key[1]
+            }
+            assert pairs.keys() == {l for l in ns if l.kind == "pair"}
+            for label, parts in pairs.items():
+                assert mats_equal(ns[label], self.total(parts, c))
 
 
 class TestDimension:
