@@ -62,7 +62,9 @@ def identity(n, one, zero):
 
 
 def rref(M):
-    """Reduced row echelon form. Returns (rows, pivot column list)."""
+    """Reduced row echelon form. Returns (rows, pivot column list).
+    Zero entries of the pivot row are skipped in the division and the
+    row updates; canonical zeros make that exact."""
     if not M:
         return [], []
     rows = [list(r) for r in M]
@@ -75,11 +77,13 @@ def rref(M):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        rows[r] = [x / pv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [
+                    x - f * y if y else x for x, y in zip(rows[i], rows[r])
+                ]
         pivots.append(c)
         r += 1
         if r == len(rows):

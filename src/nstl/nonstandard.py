@@ -232,10 +232,6 @@ def flatten(c):
     return [x for row in c for x in row]
 
 
-def unflatten(v, nrows, ncols):
-    return [list(v[a * ncols : (a + 1) * ncols]) for a in range(nrows)]
-
-
 # ---------------------------------------------------------------------
 # recorded case formulas for the action of P_s
 
@@ -659,13 +655,13 @@ def restriction_decompose(mod: NsSubmodule) -> Counter:
         dim = label.dimension(tm.r - 1)
         rk = rank(rows)
         if rk % dim:
-            raise AssertionError(
+            raise ArithmeticError(
                 f"rank {rk} of {label} component not a multiple of {dim}"
             )
         result[label] = rk // dim
     total = sum(lbl.dimension(tm.r - 1) * m for lbl, m in result.items())
     if total != mod.dim:
-        raise AssertionError(
+        raise ArithmeticError(
             f"restriction dimensions {total} != module dimension {mod.dim}"
         )
     return result

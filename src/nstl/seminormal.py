@@ -7,16 +7,27 @@ A seminormal basis of an invariant subspace of M_lambda (x) M_mu is
 obtained by iterated isotypic splitting: at each level k = r, r-1, ...,
 2 the space is cut into its exact isotypic components under the rank-k
 parabolic, and multiplicity-freeness of the chain makes every terminal
-piece one-dimensional.  Vectors are stored as lower (x) lower
-coefficient matrices of the ambient tensor module and normalized so the
-lexicographically-first nonzero coordinate (row-major, canonical SYT
-order) equals 1; the basis is only canonical up to one scalar per
-vector, and this normalization pins the scalars for reproducibility.
+piece one-dimensional.
+
+The descent runs in Gelfand-Tsetlin coordinates: each factor's Young
+seminormal basis V (the embeddings of its branching paths down to size
+1, with inverse Pi), so a vector is a sparse dict {(T, U): entry} over
+pairs of paths and c = V_lambda C V_mu^T is its lower (x) lower
+coefficient matrix. At level k the (T, U) coordinates whose paths
+share their first r - k steps form one child block, and a block is cut
+in closed form (`_nonstandard_pieces`). Each component is row reduced
+only on the columns where it is nonzero. A leaf is mapped back to lower
+(x) lower coordinates once, and normalized so the lexicographically-
+first nonzero coordinate (row-major, canonical SYT order) equals 1; the
+basis is only canonical up to one scalar per vector, and this
+normalization pins the scalars for reproducibility. A submodule basis
+enters the descent as Pi_lambda c Pi_mu^T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .combinatorics import (
     Partition,
@@ -24,18 +35,18 @@ from .combinatorics import (
     syt_enumerate,
     y_tableau,
 )
-from .linalg import rref
+from .exact_arith import R_HALF, R_ONE, R_ZERO, RationalFn
+from .linalg import identity, mat_mul, mat_transpose, rref, zeros
 from .nonstandard import (
     NsIrredLabel,
     NsSubmodule,
     TensorModule,
-    _paths,  # noqa: F401 - the benchmark reads seminormal._paths
-    flatten,
+    _paths,
     hh_pieces,
     isotypic_split,
     nonstandard_pieces,
-    unflatten,
 )
+from .specht_modules import build_specht
 
 
 class MultiplicityError(RuntimeError):
@@ -111,18 +122,136 @@ def seminormal_table(lam: Partition, mu: Partition, level: int) -> list:
 
 
 # ---------------------------------------------------------------------
-# iterated splitting
+# Gelfand-Tsetlin coordinates
 
 
-def _row_basis(vectors, nrows, ncols):
-    """Canonical echelon basis of the span of the given coefficient
-    matrices; deterministic for fixed input order."""
-    flats = [flatten(v) for v in vectors]
-    flats = [f for f in flats if any(f)]
-    if not flats:
-        return []
-    rows, _ = rref(flats)
-    return [unflatten(row, nrows, ncols) for row in rows]
+@dataclass(frozen=True)
+class GTBasis:
+    """Young's seminormal (Gelfand-Tsetlin) basis of one Specht module.
+
+    Column a of V is the embedding iota of the a-th branching path of
+    `_paths(parts, 1)` in lower coordinates and row a of Pi is its pi,
+    so Pi V = I; `seqs[a]` lists that path's shapes from the top shape
+    down to size 1. With X the lower -> upper transition matrix,
+    g = diag(V^T X V) and E = diag(Pi X^-1 Pi^T), both matrices being
+    diagonal. Every field is a tuple."""
+
+    V: tuple
+    Pi: tuple
+    seqs: tuple
+    g: tuple
+    E: tuple
+
+
+@lru_cache(maxsize=None)
+def _gt_basis(parts: tuple) -> GTBasis:
+    """The GT basis of shape `parts`, checked as it is built: raises
+    ArithmeticError unless Pi V = I and both forms are diagonal."""
+    lam = Partition(parts)
+    m = build_specht(lam)
+    paths = _paths(parts, 1)
+    V = [[iota[i][0] for _, iota, _ in paths] for i in range(m.dim)]
+    Pi = [pi[0] for _, _, pi in paths]
+    if lam.size == 1:
+        seqs = ((lam,),)
+    else:
+        seqs = tuple(
+            (lam,) + s
+            for child, _, _, _ in m.branching
+            for s in _gt_basis(child.parts).seqs
+        )
+    G = mat_mul(mat_transpose(V), mat_mul(m.transition, V))
+    H = mat_mul(Pi, mat_mul(m.transition_inv, mat_transpose(Pi)))
+    if mat_mul(Pi, V) != identity(m.dim, R_ONE, R_ZERO):
+        raise ArithmeticError(f"GT basis of {lam}: Pi V is not the identity")
+    if any(
+        x
+        for M in (G, H)
+        for a, row in enumerate(M)
+        for b, x in enumerate(row)
+        if a != b
+    ):
+        raise ArithmeticError(f"GT basis of {lam}: a form is not diagonal")
+    return GTBasis(
+        V=tuple(map(tuple, V)),
+        Pi=tuple(map(tuple, Pi)),
+        seqs=seqs,
+        g=tuple(G[a][a] for a in range(m.dim)),
+        E=tuple(H[a][a] for a in range(m.dim)),
+    )
+
+
+def _nonstandard_pieces(nu: Partition, rho: Partition, D) -> tuple:
+    """nonstandard.nonstandard_pieces on a child block D given in GT
+    coordinates as {(s, t): entry}: pair{nu, rho} when nu != rho;
+    otherwise the eps+ line (sum_s D_ss g_s / f) E on the diagonal, and
+    for f > 1 the symmetric rest (D + D^T)/2 - eps+ and the wedge
+    (D - D^T)/2. Zero entries and empty pieces are left out."""
+    if nu != rho:
+        return ((NsIrredLabel("pair", (nu, rho)), D),)
+    gt = _gt_basis(nu.parts)
+    f = len(gt.g)
+    tr = sum(
+        (x * gt.g[s] for (s, s2), x in D.items() if s == s2), R_ZERO
+    ) / RationalFn.from_int(f)
+    eps = {(s, s): tr * e for s, e in enumerate(gt.E)} if tr else {}
+    out = [(NsIrredLabel("eps_plus"), eps)]
+    if f > 1:
+        plus, minus = {}, {}
+        for s, t in set(D) | {(t, s) for s, t in D} | set(eps):
+            x, y = D.get((s, t), R_ZERO), D.get((t, s), R_ZERO)
+            p = (x + y) * R_HALF
+            if (s, t) in eps:
+                p = p - eps[s, t]
+            if p:
+                plus[s, t] = p
+            if x != y:
+                minus[s, t] = (x - y) * R_HALF
+        out += [
+            (NsIrredLabel("plus", (nu,)), plus),
+            (NsIrredLabel("minus", (nu,)), minus),
+        ]
+    return tuple((label, piece) for label, piece in out if piece)
+
+
+def _level(gt: GTBasis, k: int):
+    """Per GT index a at level k: (the branching path to size k that
+    a's path starts with, a's index in the GT basis of its shape at size
+    k), and the GT indices of each such path, listed by that index."""
+    cut = len(gt.seqs[0]) - k + 1
+    where, members = [], {}
+    for a, seq in enumerate(gt.seqs):
+        group = members.setdefault(seq[:cut], [])
+        where.append((seq[:cut], len(group)))
+        group.append(a)
+    return where, members
+
+
+def _echelon(vectors) -> list:
+    """Canonical echelon basis of the span of sparse vectors, row
+    reduced on the columns where some vector is nonzero."""
+    cols = sorted(set().union(*vectors))
+    rows, _ = rref([[v.get(c, R_ZERO) for c in cols] for v in vectors])
+    return [{c: x for c, x in zip(cols, row) if x} for row in rows]
+
+
+def _to_gt(c, tm: TensorModule) -> dict:
+    """The sparse GT coordinates Pi_lambda c Pi_mu^T of a lower (x)
+    lower coefficient matrix c."""
+    left, right = _gt_basis(tm.lam.parts), _gt_basis(tm.mu.parts)
+    C = mat_mul(mat_mul(left.Pi, c), mat_transpose(right.Pi))
+    return {
+        (a, b): x for a, row in enumerate(C) for b, x in enumerate(row) if x
+    }
+
+
+def _to_lower(C, left: GTBasis, right: GTBasis):
+    """The lower (x) lower matrix V_left C V_right^T of a sparse GT
+    coordinate vector C."""
+    dense = zeros(len(left.V), len(right.V), R_ZERO)
+    for (a, b), x in C.items():
+        dense[a][b] = x
+    return mat_mul(mat_mul(left.V, dense), mat_transpose(right.V))
 
 
 @dataclass
@@ -146,14 +275,34 @@ def _normalize(c):
     return [[x / lead for x in row] for row in c]
 
 
-def _split(tm: TensorModule, vectors, pieces) -> list:
-    """Iterated isotypic splitting of the span of `vectors` at levels
-    k = r, r-1, ..., 2 under the labeling rule `pieces` (see
-    nonstandard.isotypic_split). Returns (chain of labels, normalized
-    vector) per leaf and raises MultiplicityError unless every leaf is
-    a line."""
-    nrows, ncols = tm.left.dim, tm.right.dim
+def _split(tm: TensorModule, space, pieces) -> list:
+    """Iterated isotypic splitting of the span of `space` (sparse GT
+    coordinate vectors {(a, b): entry}) at levels k = r, r-1, ..., 2
+    under the labeling rule `pieces`. At level k the (a, b) coordinate
+    lies in the child block of the pair of branching paths to size k
+    that a and b start with, and the rule cuts each block by label.
+    Returns (chain of labels, normalized lower (x) lower vector) per
+    leaf and raises MultiplicityError unless every leaf is a line."""
+    left, right = _gt_basis(tm.lam.parts), _gt_basis(tm.mu.parts)
+    levels = {
+        k: (_level(left, k), _level(right, k)) for k in range(2, tm.r + 1)
+    }
     leaves = []
+
+    def split(v, k):
+        (lwhere, lmembers), (rwhere, rmembers) = levels[k]
+        blocks = {}
+        for (a, b), x in v.items():
+            (p, s), (q, t) = lwhere[a], rwhere[b]
+            blocks.setdefault((p, q), {})[s, t] = x
+        out = {}
+        for (p, q), D in blocks.items():
+            la, rb = lmembers[p], rmembers[q]
+            for label, piece in pieces(p[-1], q[-1], D):
+                comp = out.setdefault(label, {})
+                for (s, t), x in piece.items():
+                    comp[la[s], rb[t]] = x
+        return out
 
     def descend(space, k, chain):
         if k == 1:
@@ -162,19 +311,26 @@ def _split(tm: TensorModule, vectors, pieces) -> list:
                     f"chain {' > '.join(map(str, chain))} ends with "
                     f"dimension {len(space)}"
                 )
-            leaves.append((chain, _normalize(space[0])))
+            c = _to_lower(space[0], left, right)
+            leaves.append((chain, _normalize(c)))
             return
         images = {}
         for v in space:
-            split = isotypic_split(tm.lam, tm.mu, k, v, pieces)
-            for label, comp in split.items():
+            for label, comp in split(v, k).items():
                 images.setdefault(label, []).append(comp)
         for label in sorted(images, key=str):
-            basis = _row_basis(images[label], nrows, ncols)
-            descend(basis, k - 1, chain + (label,))
+            descend(_echelon(images[label]), k - 1, chain + (label,))
 
-    descend(_row_basis(vectors, nrows, ncols), tm.r, ())
+    descend(_echelon(space), tm.r, ())
     return leaves
+
+
+def _unit_space(tm: TensorModule) -> list:
+    return [
+        {(a, b): R_ONE}
+        for a in range(tm.left.dim)
+        for b in range(tm.right.dim)
+    ]
 
 
 def seminormal_basis(m) -> SeminormalBasis:
@@ -182,15 +338,16 @@ def seminormal_basis(m) -> SeminormalBasis:
     parabolic chain; every leaf is one-dimensional and is tagged with
     its chain of labels."""
     if isinstance(m, NsSubmodule):
-        tm, vectors = m.ambient, m.basis
+        tm = m.ambient
+        space = [_to_gt(c, tm) for c in m.basis]
     elif isinstance(m, TensorModule):
-        tm, vectors = m, m.unit_vectors()
+        tm, space = m, _unit_space(m)
     else:
         raise TypeError("expected TensorModule or NsSubmodule")
-    leaves = _split(tm, vectors, nonstandard_pieces)
-    if len(leaves) != len(vectors):
+    leaves = _split(tm, space, _nonstandard_pieces)
+    if len(leaves) != len(space):
         raise MultiplicityError(
-            f"{len(leaves)} leaves for a {len(vectors)}-dimensional space"
+            f"{len(leaves)} leaves for a {len(space)}-dimensional space"
         )
     chains = [SeminormalChainLabel(c) for c, _ in leaves]
     return SeminormalBasis(tm, [v for _, v in leaves], chains)
@@ -219,4 +376,4 @@ def hh_chain_basis(tm: TensorModule) -> list:
     are the ordered pairs (nu, rho).  Returns (chain of (nu, rho)
     pairs, normalized vector) per leaf; every leaf vector has a rank-1
     coefficient matrix."""
-    return _split(tm, tm.unit_vectors(), hh_pieces)
+    return _split(tm, _unit_space(tm), hh_pieces)

@@ -1,7 +1,7 @@
 """Byte-identical library results across processes and refactors.
 
 The digests in `library_golden.json` are sha256 hashes of the printed
-seminormal and hh bases (vectors and chains) of three tensor products
+seminormal and hh bases (vectors and chains) of five tensor products
 and of every rank-4 irreducible, and of the restriction multiset of
 every label with r <= 5. Each pytest process runs under its own hash
 seed, so a match also shows that these results do not depend on set or
@@ -27,7 +27,13 @@ from nstl.seminormal import hh_chain_basis, seminormal_basis
 
 GOLDEN = pathlib.Path(__file__).with_name("library_golden.json")
 
-PRODUCTS = [((3, 2), (3, 2)), ((3, 1), (2, 2)), ((4, 1), (3, 2))]
+PRODUCTS = [
+    ((3, 2), (3, 2)),
+    ((3, 1), (2, 2)),
+    ((4, 1), (3, 2)),
+    ((4, 2), (3, 3)),
+    ((4, 2), (4, 2)),
+]
 
 
 def _matrix(c):

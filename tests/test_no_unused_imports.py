@@ -12,8 +12,6 @@ SOURCES = sorted((Path(__file__).parent.parent / "src" / "nstl").glob("*.py"))
 ALLOWED = {
     # the benchmark's tracer test checks that nonstandard.rref exists
     ("nonstandard.py", "rref"),
-    # the benchmark's tracer reads seminormal._paths.cache_info()
-    ("seminormal.py", "_paths"),
 }
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from nstl import nonstandard
 from nstl.combinatorics import Partition, partitions_of, two_row_partitions
 from nstl.exact_arith import LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
 from nstl.linalg import SpanBasis, mat_add, mat_mul, mat_transpose, zeros
@@ -415,6 +416,18 @@ class TestRestriction:
     def test_case_4(self, r):
         mod = build_irreducible(lbl("eps+"), r)
         assert restriction_decompose(mod) == Counter({lbl("eps+"): 1})
+
+    @pytest.mark.parametrize(
+        "stub_rank, message",
+        [(1, "not a multiple"), (0, "restriction dimensions")],
+    )
+    def test_inconsistent_ranks_raise(self, monkeypatch, stub_rank, message):
+        # 3:2,1 has dimension 2, so rank 1 is not a multiple of it; rank
+        # 0 everywhere leaves the restriction short of the module
+        monkeypatch.setattr(nonstandard, "rank", lambda rows: stub_rank)
+        mod = build_irreducible(lbl("3,1:2,2"), 4)
+        with pytest.raises(ArithmeticError, match=message):
+            restriction_decompose(mod)
 
 
 def split_cases(max_r):

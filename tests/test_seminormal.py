@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from nstl import seminormal
 from nstl.combinatorics import (
     Partition,
     Tableau,
@@ -10,23 +11,31 @@ from nstl.combinatorics import (
     two_row_partitions,
     y_tableau,
 )
-from nstl.exact_arith import R_ONE
-from nstl.linalg import rank
+from nstl.exact_arith import R_ONE, R_ZERO
+from nstl.linalg import identity, mat_mul, mat_transpose, rank, rref
 from nstl.nonstandard import (
     NsIrredLabel,
+    NsSubmodule,
     TensorModule,
     build_irreducible,
     epsilon_plus_vector,
+    flatten,
+    hh_pieces,
+    isotypic_split,
+    nonstandard_pieces,
+    ns_labels,
 )
 from nstl.seminormal import (
     MultiplicityError,
     SeminormalChainLabel,
+    _gt_basis,
     alpha,
     chain_membership,
     hh_chain_basis,
     seminormal_basis,
     seminormal_table,
 )
+from nstl.specht_modules import build_specht
 
 
 def tab(s: str) -> Tableau:
@@ -234,3 +243,147 @@ class TestTensorSquareChainDiffers:
         assert {tuple(map(tuple, v)) for _, v in hh} != {
             tuple(map(tuple, v)) for v in ns.vectors
         }
+
+
+# ---------------------------------------------------------------------
+# Gelfand-Tsetlin coordinates
+
+
+def two_row_shapes(max_n):
+    for n in range(1, max_n + 1):
+        yield from two_row_partitions(n)
+
+
+def is_diagonal(M):
+    return all(
+        not x for a, row in enumerate(M) for b, x in enumerate(row) if a != b
+    )
+
+
+class TestGTBasis:
+    @pytest.mark.parametrize("lam", list(two_row_shapes(6)), ids=str)
+    def test_inverse_pair_with_diagonal_forms(self, lam):
+        gt = _gt_basis(lam.parts)
+        m = build_specht(lam)
+        V, Pi = [list(row) for row in gt.V], [list(row) for row in gt.Pi]
+        assert mat_mul(Pi, V) == identity(m.dim, R_ONE, R_ZERO)
+        G = mat_mul(mat_transpose(V), mat_mul(m.transition, V))
+        H = mat_mul(Pi, mat_mul(m.transition_inv, mat_transpose(Pi)))
+        assert is_diagonal(G) and is_diagonal(H)
+        assert list(gt.g) == [G[a][a] for a in range(m.dim)]
+        assert list(gt.E) == [H[a][a] for a in range(m.dim)]
+        assert len(set(gt.seqs)) == m.dim
+        assert all(seq[0] == lam and seq[-1].size == 1 for seq in gt.seqs)
+
+    def test_fields_are_tuples(self):
+        gt = _gt_basis(P32.parts)
+        for field in (gt.V, gt.Pi, gt.seqs, gt.g, gt.E):
+            assert isinstance(field, tuple)
+        assert all(isinstance(row, tuple) for row in gt.V + gt.Pi)
+
+    def _build_with(self, monkeypatch, change):
+        """Build the (3,2) GT basis, bypassing the cache, from paths
+        whose embeddings and projections `change` rewrites."""
+        paths = seminormal._paths(P32.parts, 1)
+        _gt_basis(P32.parts)  # the children's bases stay the cached ones
+        monkeypatch.setattr(
+            seminormal, "_paths", lambda parts, k: change(paths)
+        )
+        return _gt_basis.__wrapped__(P32.parts)
+
+    def test_rejects_pi_not_inverse(self, monkeypatch):
+        def scale_first_iota(paths):
+            (shape, iota, pi), *rest = paths
+            iota = [[x + x for x in row] for row in iota]
+            return [(shape, iota, pi)] + rest
+
+        with pytest.raises(ArithmeticError, match="identity"):
+            self._build_with(monkeypatch, scale_first_iota)
+
+    def test_rejects_non_diagonal_form(self, monkeypatch):
+        def shear(paths):
+            # iota_0 + iota_1 and pi_1 - pi_0: still inverse, not GT
+            (s0, i0, p0), (s1, i1, p1), *rest = paths
+            i0 = [[a + b for a, b in zip(x, y)] for x, y in zip(i0, i1)]
+            p1 = [[b - a for a, b in zip(x, y)] for x, y in zip(p0, p1)]
+            return [(s0, i0, p0), (s1, i1, p1)] + rest
+
+        with pytest.raises(ArithmeticError, match="not diagonal"):
+            self._build_with(monkeypatch, shear)
+
+
+def dense_row_basis(vectors, nrows, ncols):
+    flats = [f for f in (flatten(v) for v in vectors) if any(f)]
+    if not flats:
+        return []
+    return [
+        [row[a * ncols : (a + 1) * ncols] for a in range(nrows)]
+        for row in rref(flats)[0]
+    ]
+
+
+def dense_split(tm, vectors, pieces):
+    """Oracle for the GT-coordinate descent: the same iterated splitting
+    on dense lower (x) lower coefficient matrices, re-echelonning every
+    component at every level with nonstandard.isotypic_split."""
+    nrows, ncols = tm.left.dim, tm.right.dim
+    leaves = []
+
+    def descend(space, k, chain):
+        if k == 1:
+            assert len(space) == 1, chain
+            (v,) = space
+            lead = next(x for row in v for x in row if x)
+            leaves.append((chain, [[x / lead for x in row] for row in v]))
+            return
+        images = {}
+        for v in space:
+            split = isotypic_split(tm.lam, tm.mu, k, v, pieces)
+            for label, comp in split.items():
+                images.setdefault(label, []).append(comp)
+        for label in sorted(images, key=str):
+            basis = dense_row_basis(images[label], nrows, ncols)
+            descend(basis, k - 1, chain + (label,))
+
+    descend(dense_row_basis(vectors, nrows, ncols), tm.r, ())
+    return leaves
+
+
+def printed(leaves):
+    return "\n".join(
+        " > ".join(map(str, chain))
+        + " : "
+        + "; ".join(", ".join(map(str, row)) for row in v)
+        for chain, v in leaves
+    )
+
+
+class TestDenseOracle:
+    """The GT descent prints exactly what the dense one prints."""
+
+    @pytest.mark.parametrize("pair", list(two_row_pairs(5)), ids=str)
+    def test_tensor_products(self, pair):
+        tm = TensorModule(*pair)
+        sb = seminormal_basis(tm)
+        assert printed(
+            (c.labels, v) for c, v in zip(sb.chains, sb.vectors)
+        ) == printed(dense_split(tm, tm.unit_vectors(), nonstandard_pieces))
+        assert printed(hh_chain_basis(tm)) == printed(
+            dense_split(tm, tm.unit_vectors(), hh_pieces)
+        )
+
+    @pytest.mark.parametrize(
+        "label,r", [(l, r) for r in (3, 4) for l in ns_labels(r)], ids=str
+    )
+    def test_irreducibles(self, label, r):
+        mod = build_irreducible(label, r)
+        sb = seminormal_basis(mod)
+        assert printed(
+            (c.labels, v) for c, v in zip(sb.chains, sb.vectors)
+        ) == printed(dense_split(mod.ambient, mod.basis, nonstandard_pieces))
+
+    def test_dependent_submodule_basis_is_rejected(self):
+        mod = build_irreducible(lbl("+2,1"), 3)
+        twice = NsSubmodule(mod.label, mod.ambient, mod.basis + mod.basis[:1])
+        with pytest.raises(MultiplicityError):
+            seminormal_basis(twice)
