@@ -11,7 +11,7 @@ from functools import lru_cache
 class Permutation:
     """Permutation of 1..r in one-line notation; (w*v)(i) = w(v(i))."""
 
-    __slots__ = ("word", "_hash")
+    __slots__ = ("word", "_hash", "_length")
 
     def __init__(self, word):
         word = tuple(word)
@@ -19,6 +19,7 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{len(word)}: {word}")
         self.word = word
         self._hash = None
+        self._length = None
 
     @property
     def r(self) -> int:
@@ -56,13 +57,15 @@ class Permutation:
         return Permutation(inv)
 
     def length(self) -> int:
-        w = self.word
-        return sum(
-            1
-            for i in range(len(w))
-            for j in range(i + 1, len(w))
-            if w[i] > w[j]
-        )
+        if self._length is None:
+            w = self.word
+            self._length = sum(
+                1
+                for i in range(len(w))
+                for j in range(i + 1, len(w))
+                if w[i] > w[j]
+            )
+        return self._length
 
     def right_descents(self) -> frozenset:
         """{i : w s_i < w} = {i : w(i) > w(i+1)}."""
@@ -72,16 +75,27 @@ class Permutation:
     def left_descents(self) -> frozenset:
         return self.inverse().right_descents()
 
+    def _step(self, w: list, up: bool) -> "Permutation":
+        """self times a simple reflection, whose word w is not validated
+        again; it is one longer than self when up."""
+        v = Permutation.__new__(Permutation)
+        v.word, v._hash, v._length = tuple(w), None, self._length
+        if v._length is not None:
+            v._length += 1 if up else -1
+        return v
+
     def times_simple_right(self, i: int) -> "Permutation":
+        if not 1 <= i < len(self.word):
+            raise ValueError(f"s_{i} out of range for r={len(self.word)}")
         w = list(self.word)
         w[i - 1], w[i] = w[i], w[i - 1]
-        return Permutation(w)
+        return self._step(w, w[i - 1] > w[i])
 
     def times_simple_left(self, i: int) -> "Permutation":
         w = list(self.word)
         a, b = w.index(i), w.index(i + 1)
         w[a], w[b] = w[b], w[a]
-        return Permutation(w)
+        return self._step(w, a < b)
 
     def reduced_word(self) -> tuple:
         """One reduced word (indices i of s_i), by descent stripping."""

@@ -366,6 +366,10 @@ class RationalFn:
 
     def __add__(self, other) -> "RationalFn":
         other = self._coerce(other)
+        if not other.num.coeffs:
+            return self
+        if not self.num.coeffs:
+            return other
         if self.den.is_one() and other.den.is_one():
             r = RationalFn.__new__(RationalFn)
             r.num, r.den, r._hash = self.num + other.num, L_ONE, None

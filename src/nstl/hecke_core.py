@@ -56,27 +56,24 @@ def _std_right_mul_s(coords: dict, i: int) -> dict:
     return out
 
 
-def _std_left_mul_s(coords: dict, i: int) -> dict:
-    """Left multiplication by T_{s_i}."""
+def _add(out: dict, k: int, c: LaurentPoly) -> None:
+    """out[k] += c. There is no zero test: every P'_{x,w} and every
+    coordinate of bar(T_w) with x <= w in the Bruhat order is nonzero,
+    and a sum that cancels on the way keeps the place where its key was
+    first inserted."""
+    out[k] = out[k] + c if k in out else c
+
+
+def _left_mul_s(coords: dict, row: list, lengths: list) -> dict:
+    """Left multiplication by T_{s_i} of standard coordinates
+    {index: LaurentPoly} over KLTable.perms, where row[k] is the index
+    of s_i perms[k] and lengths[k] the length of perms[k]."""
     out: dict = {}
-
-    def add(w, c):
-        if w in out:
-            s = out[w] + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        elif c:
-            out[w] = c
-
-    for w, c in coords.items():
-        sw = w.times_simple_left(i)
-        if sw.length() > w.length():
-            add(sw, c)
-        else:
-            add(sw, c)
-            add(w, c * U_MINUS_UINV)
+    for x, c in coords.items():
+        sx = row[x]
+        _add(out, sx, c)
+        if lengths[sx] < lengths[x]:
+            _add(out, x, c * U_MINUS_UINV)
     return out
 
 
@@ -88,59 +85,66 @@ class KLTable:
     are (-1)^{l(w)+l(x)} bar(P'_{x,w}).
     mu_pairs[w] lists (w', mu) over all w' with mu(w', w) != 0 (both
     Bruhat directions, symmetric usage).
+
+    The recursions run on indices into perms, which is sorted by length
+    and then by word, and are keyed by Permutation once at the end.
     """
 
     def __init__(self, r: int):
         self.r = r
         self.perms = sorted(all_permutations(r), key=lambda w: (w.length(), w.word))
-        self.lower = self._compute_lower()
+        index = {w.word: k for k, w in enumerate(self.perms)}
+        self._lengths = [w.length() for w in self.perms]
+        # _left[i][k] is the index of s_i perms[k]
+        self._left = {
+            i: [index[w.times_simple_left(i).word] for w in self.perms]
+            for i in range(1, r)
+        }
+        self.lower = self._keyed(self._compute_lower())
         self._mu_pairs = None
         self._upper = None
-        self._theta_t = None
         self._bar_t = None
+        self._theta_t = None
+        self._rsk_pairs = None
         self._shape_of = None
+
+    def _keyed(self, table: list) -> dict:
+        perms = self.perms
+        return {
+            perms[k]: {perms[x]: p for x, p in coords.items()}
+            for k, coords in enumerate(table)
+        }
+
+    def _descents(self):
+        """(i, v) for k = 1, 2, ...: i is the first left descent of
+        perms[k], and v the index of s_i perms[k]."""
+        lengths, left = self._lengths, self._left
+        for k in range(1, len(self.perms)):
+            i = next(i for i in left if lengths[left[i][k]] < lengths[k])
+            yield i, left[i][k]
 
     # -- lower canonical basis ----------------------------------------
 
-    def _compute_lower(self) -> dict:
-        e = Permutation.identity(self.r)
-        lower = {e: {e: L_ONE}}
-        for w in self.perms:
-            if w == e:
-                continue
-            i = min(w.left_descents())
-            v = w.times_simple_left(i)
+    def _compute_lower(self) -> list:
+        lengths, left = self._lengths, self._left
+        lower = [{0: L_ONE}]
+        for i, v in self._descents():
+            row = left[i]
             cv = lower[v]
-            prod = _std_left_mul_s(cv, i)
+            prod = _left_mul_s(cv, row, lengths)
             # C'_s C'_v = (T_s + u^-1) C'_v
             for x, c in cv.items():
-                term = c * UINV
-                if x in prod:
-                    s = prod[x] + term
-                    if s:
-                        prod[x] = s
-                    else:
-                        del prod[x]
-                else:
-                    prod[x] = term
+                _add(prod, x, c.shift(-1))
             # subtract mu-corrections for z with s z < z
             for z, pz in cv.items():
                 if z == v:
                     continue
                 m = pz.coeff(-1)
-                if not m or z.times_simple_left(i).length() > z.length():
+                if not m or lengths[row[z]] > lengths[z]:
                     continue
                 for x, c in lower[z].items():
-                    term = c * (-m)
-                    if x in prod:
-                        s = prod[x] + term
-                        if s:
-                            prod[x] = s
-                        else:
-                            del prod[x]
-                    else:
-                        prod[x] = term
-            lower[w] = prod
+                    _add(prod, x, c * (-m))
+            lower.append(prod)
         return lower
 
     # -- mu -----------------------------------------------------------
@@ -169,58 +173,32 @@ class KLTable:
     # -- theta / bar on the standard basis ----------------------------
 
     @property
-    def theta_t(self) -> dict:
-        """theta(T_w) in standard coordinates, for all w; used by
-        theta_element only."""
-        if self._theta_t is None:
-            e = Permutation.identity(self.r)
-
-            def s_image(i):
-                # theta(T_s) = -T_s^-1 = -T_s + (u - u^-1) T_e
-                s = Permutation.simple(self.r, i)
-                return {s: LaurentPoly({0: -1}), e: U_MINUS_UINV}
-
-            self._theta_t = self._theta_like(s_image)
-        return self._theta_t
-
-    @property
     def bar_t(self) -> dict:
         """bar(T_w) in standard coordinates, for all w."""
         if self._bar_t is None:
-            e = Permutation.identity(self.r)
-
-            def s_image(i):
-                # bar(T_s) = T_s^-1 = T_s + (u^-1 - u) T_e
-                s = Permutation.simple(self.r, i)
-                return {s: L_ONE, e: -U_MINUS_UINV}
-
-            self._bar_t = self._theta_like(s_image)
+            # bar(T_s) = T_s^-1 = T_s - (u - u^-1) T_e, and
+            # bar(T_w) = bar(T_s) bar(T_v) for w = s v > v
+            lengths, left = self._lengths, self._left
+            out = [{0: L_ONE}]
+            for i, v in self._descents():
+                base = out[v]
+                acc = _left_mul_s(base, left[i], lengths)
+                for y, d in base.items():
+                    _add(acc, y, -(d * U_MINUS_UINV))
+                out.append(acc)
+            self._bar_t = self._keyed(out)
         return self._bar_t
 
-    def _theta_like(self, s_image) -> dict:
-        e = Permutation.identity(self.r)
-        out = {e: {e: L_ONE}}
-        for w in self.perms:
-            if w == e:
-                continue
-            i = min(w.left_descents())
-            v = w.times_simple_left(i)
-            base = out[v]
-            acc: dict = {}
-            for x, c in s_image(i).items():
-                pieces = base if x == e else _std_left_mul_s(base, i)
-                for y, d in pieces.items():
-                    cd = d if (x != e and c.is_one()) else c * d
-                    if y in acc:
-                        t = acc[y] + cd
-                        if t:
-                            acc[y] = t
-                        else:
-                            del acc[y]
-                    else:
-                        acc[y] = cd
-            out[w] = acc
-        return out
+    @property
+    def theta_t(self) -> dict:
+        """theta(T_w) = (-1)^{l(w)} bar(T_w) in standard coordinates,
+        for all w; used by theta_element only."""
+        if self._theta_t is None:
+            self._theta_t = {
+                w: {x: -p for x, p in coords.items()} if w.length() % 2 else coords
+                for w, coords in self.bar_t.items()
+            }
+        return self._theta_t
 
     # -- upper canonical basis ----------------------------------------
 
@@ -236,15 +214,21 @@ class KLTable:
             }
         return self._upper
 
-    # -- RSK shapes ----------------------------------------------------
+    # -- RSK -----------------------------------------------------------
+
+    @property
+    def rsk_pairs(self) -> dict:
+        """w -> (P(w), Q(w)), the RSK insertion and recording tableaux,
+        in the order of perms."""
+        if self._rsk_pairs is None:
+            self._rsk_pairs = {w: rsk(w.word) for w in self.perms}
+        return self._rsk_pairs
 
     @property
     def shape_of(self) -> dict:
         """w -> shape of the RSK insertion tableau P(w)."""
         if self._shape_of is None:
-            self._shape_of = {
-                w: rsk(w.word)[0].shape for w in self.perms
-            }
+            self._shape_of = {w: P.shape for w, (P, _) in self.rsk_pairs.items()}
         return self._shape_of
 
 

@@ -21,7 +21,6 @@ from .combinatorics import (
     Partition,
     Tableau,
     descent_set,
-    rsk,
     syt_enumerate,
 )
 from .exact_arith import R_ONE, R_ZERO, TWO, RationalFn
@@ -146,8 +145,7 @@ class SpechtModule:
         # upper cell: {C_w : P(w) = P0}, labels Q(w)
         p0 = self.basis[0]
         upper_members = {}
-        for w in table.perms:
-            P, Q = rsk(w.word)
+        for w, (P, Q) in table.rsk_pairs.items():
             if P == p0t:
                 lower_members[Q.transpose()] = w
             if P == p0:

@@ -54,6 +54,34 @@ class TestPermutation:
         assert (w * v).length() <= w.length() + v.length()
         assert (w * w.inverse()) == Permutation.identity(w.r)
 
+    @given(st.integers(1, 7).flatmap(lambda r: st.permutations(range(1, r + 1))))
+    def test_simple_products_carry_the_length(self, word):
+        def fresh_length(v):
+            return Permutation(v.word).length()
+
+        measured = Permutation(word)
+        measured.length()
+        for start in (Permutation(word), measured):
+            for i in range(1, len(word)):
+                for v in (start.times_simple_left(i), start.times_simple_right(i)):
+                    assert v.length() == fresh_length(v)
+        # a walk on which every length is handed on from the step before
+        v = measured
+        for i in range(1, len(word)):
+            for step in (Permutation.times_simple_left, Permutation.times_simple_right):
+                v = step(v, i)
+                assert v.length() == fresh_length(v)
+
+    def test_constructor_validates(self):
+        for word in ((1, 1, 2), (0, 1), (2, 3)):
+            with pytest.raises(ValueError):
+                Permutation(word)
+        for i in (0, 3):
+            with pytest.raises(ValueError):
+                Permutation((1, 2, 3)).times_simple_right(i)
+            with pytest.raises(ValueError):
+                Permutation((1, 2, 3)).times_simple_left(i)
+
     def test_reduced_word(self):
         for w in all_permutations(4):
             word = w.reduced_word()

@@ -230,3 +230,23 @@ def test_inexact_division_raises():
     for a, b in (([1, 0, 1], [1, 1]), ([1, 2], [2])):
         with pytest.raises(ArithmeticError):
             _dense_div_exact(a, b)
+
+
+def test_adding_zero_skips_the_gcd(monkeypatch):
+    from nstl import exact_arith
+
+    u = LaurentPoly({1: 1})
+    q = rf(u, LaurentPoly({0: 1}) + u)
+    calls = []
+    real_gcd = exact_arith._dense_gcd
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(exact_arith, "_dense_gcd", counting_gcd)
+    zero = exact_arith.R_ZERO
+    for total in (q + zero, zero + q, q + 0, 0 + q, q - zero):
+        assert total == q
+    assert zero + zero == zero
+    assert calls == []

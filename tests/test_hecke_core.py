@@ -161,6 +161,154 @@ class TestKLBases:
                 assert to_standard(b) == a
 
 
+# ----------------------------------------------------------------------
+# Test-only oracle: the KL and theta/bar recursions keyed by Permutation,
+# with a left multiplication of their own.
+
+U_MINUS_UINV = LaurentPoly({1: 1, -1: -1})
+UINV = LaurentPoly({-1: 1})
+
+
+def _std_left_mul_s(coords: dict, i: int) -> dict:
+    """Left multiplication by T_{s_i}."""
+    out: dict = {}
+
+    def add(w, c):
+        if w in out:
+            s = out[w] + c
+            if s:
+                out[w] = s
+            else:
+                del out[w]
+        elif c:
+            out[w] = c
+
+    for w, c in coords.items():
+        sw = w.times_simple_left(i)
+        if sw.length() > w.length():
+            add(sw, c)
+        else:
+            add(sw, c)
+            add(w, c * U_MINUS_UINV)
+    return out
+
+
+def _oracle_perms(r):
+    from nstl.combinatorics import all_permutations
+
+    return sorted(all_permutations(r), key=lambda w: (w.length(), w.word))
+
+
+def oracle_lower(r: int) -> dict:
+    e = Permutation.identity(r)
+    lower = {e: {e: L_ONE}}
+    for w in _oracle_perms(r):
+        if w == e:
+            continue
+        i = min(w.left_descents())
+        v = w.times_simple_left(i)
+        cv = lower[v]
+        prod = _std_left_mul_s(cv, i)
+        # C'_s C'_v = (T_s + u^-1) C'_v
+        for x, c in cv.items():
+            term = c * UINV
+            if x in prod:
+                s = prod[x] + term
+                if s:
+                    prod[x] = s
+                else:
+                    del prod[x]
+            else:
+                prod[x] = term
+        # subtract mu-corrections for z with s z < z
+        for z, pz in cv.items():
+            if z == v:
+                continue
+            m = pz.coeff(-1)
+            if not m or z.times_simple_left(i).length() > z.length():
+                continue
+            for x, c in lower[z].items():
+                term = c * (-m)
+                if x in prod:
+                    s = prod[x] + term
+                    if s:
+                        prod[x] = s
+                    else:
+                        del prod[x]
+                else:
+                    prod[x] = term
+        lower[w] = prod
+    return lower
+
+
+def oracle_theta_like(r: int, s_image) -> dict:
+    e = Permutation.identity(r)
+    out = {e: {e: L_ONE}}
+    for w in _oracle_perms(r):
+        if w == e:
+            continue
+        i = min(w.left_descents())
+        v = w.times_simple_left(i)
+        base = out[v]
+        acc: dict = {}
+        for x, c in s_image(i).items():
+            pieces = base if x == e else _std_left_mul_s(base, i)
+            for y, d in pieces.items():
+                cd = d if (x != e and c.is_one()) else c * d
+                if y in acc:
+                    t = acc[y] + cd
+                    if t:
+                        acc[y] = t
+                    else:
+                        del acc[y]
+                else:
+                    acc[y] = cd
+        out[w] = acc
+    return out
+
+
+def oracle_bar_t(r: int) -> dict:
+    # bar(T_s) = T_s^-1 = T_s + (u^-1 - u) T_e
+    e = Permutation.identity(r)
+    return oracle_theta_like(
+        r, lambda i: {Permutation.simple(r, i): L_ONE, e: -U_MINUS_UINV}
+    )
+
+
+def oracle_theta_t(r: int) -> dict:
+    # theta(T_s) = -T_s^-1 = -T_s + (u - u^-1) T_e
+    e = Permutation.identity(r)
+    return oracle_theta_like(
+        r,
+        lambda i: {Permutation.simple(r, i): LaurentPoly({0: -1}), e: U_MINUS_UINV},
+    )
+
+
+def in_order(table: dict) -> list:
+    """Every (w, x, coefficient) of a table, in its iteration order."""
+    return [(w, x, p) for w, coords in table.items() for x, p in coords.items()]
+
+
+class TestPermutationKeyedOracle:
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "name,oracle",
+        [("lower", oracle_lower), ("bar_t", oracle_bar_t), ("theta_t", oracle_theta_t)],
+    )
+    def test_indexed_tables_match_in_order(self, r, name, oracle):
+        got = in_order(getattr(KLTable(r), name))
+        want = in_order(oracle(r))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == b
+
+    def test_order_is_checked(self):
+        table = oracle_lower(3)
+        w = next(reversed(table))
+        table[w] = dict(reversed(table[w].items()))
+        assert in_order(table) != in_order(oracle_lower(3))
+
+
 class TestMu:
     def test_mu_e_s(self):
         assert mu(Permutation.identity(2), Permutation.simple(2, 1)) == 1

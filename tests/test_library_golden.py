@@ -2,10 +2,13 @@
 
 The digests in `library_golden.json` are sha256 hashes of the printed
 seminormal and hh bases (vectors and chains) of five tensor products
-and of every rank-4 irreducible, and of the restriction multiset of
-every label with r <= 5. Each pytest process runs under its own hash
-seed, so a match also shows that these results do not depend on set or
-dict iteration order. After an intended change, re-record them with
+and of every rank-4 irreducible, of the restriction multiset of every
+label with r <= 5, and of both canonical bases of H_6 and the cell
+actions and mu table of every Specht module of rank 6. Each pytest
+process runs under its own hash seed, so a match also shows that these
+results do not depend on set or dict iteration order. The KL and Specht
+digests print every entry in dict order, so they also pin the order in
+which the tables are built. After an intended change, re-record them with
 
     PYTHONPATH=src python tests/test_library_golden.py
 """
@@ -16,7 +19,8 @@ import pathlib
 
 import pytest
 
-from nstl.combinatorics import Partition
+from nstl.combinatorics import Partition, partitions_of
+from nstl.hecke_core import kl_table
 from nstl.nonstandard import (
     TensorModule,
     build_irreducible,
@@ -24,6 +28,7 @@ from nstl.nonstandard import (
     restriction_decompose,
 )
 from nstl.seminormal import hh_chain_basis, seminormal_basis
+from nstl.specht_modules import build_specht
 
 GOLDEN = pathlib.Path(__file__).with_name("library_golden.json")
 
@@ -61,6 +66,24 @@ def _restriction(label, r):
     )
 
 
+def _kl(basis):
+    table = getattr(kl_table(6), basis)
+    return "\n".join(
+        f"{w} {x} {p}" for w, coords in table.items() for x, p in coords.items()
+    )
+
+
+def _specht(parts):
+    m = build_specht(Partition(parts))
+    lines = [
+        f"{basis} s_{i} : {_matrix(A)}"
+        for basis, actions in (("lower", m.lower_action), ("upper", m.upper_action))
+        for i, A in actions.items()
+    ]
+    lines += [f"mu {q1} {q2} {c}" for (q1, q2), c in m.mu_table.items()]
+    return "\n".join(lines)
+
+
 def cases():
     """Name -> zero-argument function returning the printed result."""
     out = {}
@@ -81,6 +104,10 @@ def cases():
             out[f"restrict {label} r={r}"] = lambda label=label, r=r: (
                 _restriction(label, r)
             )
+    for basis in ("lower", "upper"):
+        out[f"kl {basis} r=6"] = lambda basis=basis: _kl(basis)
+    for shape in partitions_of(6):
+        out[f"specht {shape}"] = lambda parts=shape.parts: _specht(parts)
     return out
 
 
