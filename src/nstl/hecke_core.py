@@ -20,7 +20,6 @@ from functools import lru_cache
 
 from .combinatorics import Permutation, all_permutations, rsk
 from .exact_arith import (
-    L_ONE,
     LaurentPoly,
     RationalFn,
     quantum_int,
@@ -56,24 +55,69 @@ def _std_right_mul_s(coords: dict, i: int) -> dict:
     return out
 
 
-def _add(out: dict, k: int, c: LaurentPoly) -> None:
-    """out[k] += c. There is no zero test: every P'_{x,w} and every
-    coordinate of bar(T_w) with x <= w in the Bruhat order is nonzero,
-    and a sum that cancels on the way keeps the place where its key was
-    first inserted."""
-    out[k] = out[k] + c if k in out else c
+# Packed coordinates. Inside KLTable a coordinate sum_e c_e u^e is the
+# integer sum_e c_e 2^(K(L - e)), a Kronecker substitution u^-1 -> 2^K:
+# u^-1 is a left shift by K bits, u a right shift, and a coefficient
+# update is one integer operation. Only coordinates of degree below L are
+# multiplied by u (L = 1 for the lower basis, whose coordinates have
+# degree <= 0, as _compute_lower checks; L = l(w0) + 1 for bar(T_w)), so
+# the right shift is exact, and a coordinate of few terms is a small
+# integer. Coefficients are read back as balanced base-2^K digits, which
+# is exact while each is below 2^(K-1) in absolute value; both recursions
+# carry a bound per row and raise ArithmeticError before it gets there.
+# K = 36 fits both bounds at r = 7: 2^26 for the lower basis and
+# 3^21 < 2^35 for bar(T_w).
+_K = 36
+_HALF = 1 << (_K - 1)
+_MASK = (1 << _K) - 1
+
+
+def _mu_digit(n: int) -> int:
+    """The coefficient of u^-1 (digit 2) of a packed lower-basis
+    coordinate: round away the digits below it, then read the balanced
+    low digit."""
+    t = (n + (1 << (2 * _K - 1))) >> (2 * _K)
+    return ((t + _HALF) & _MASK) - _HALF
+
+
+def _unpack(n: int, top: int) -> LaurentPoly:
+    """The Laurent polynomial of a packed coordinate with L = top."""
+    coeffs = {}
+    if n:
+        j = ((n & -n).bit_length() - 1) // _K  # the lowest nonzero digit
+        n >>= _K * j
+        while n:
+            d = ((n + _HALF) & _MASK) - _HALF
+            coeffs[top - j] = d
+            n = (n - d) >> _K
+            j += 1
+    return LaurentPoly(coeffs)
+
+
+def _check_bound(bound: int, w: Permutation) -> None:
+    if bound >= _HALF:
+        raise ArithmeticError(
+            f"coefficients at {w} may reach 2^{_K - 1}: packed digits would overlap"
+        )
 
 
 def _left_mul_s(coords: dict, row: list, lengths: list) -> dict:
-    """Left multiplication by T_{s_i} of standard coordinates
-    {index: LaurentPoly} over KLTable.perms, where row[k] is the index
-    of s_i perms[k] and lengths[k] the length of perms[k]."""
+    """Left multiplication by T_{s_i} of packed standard coordinates
+    {index: int} over KLTable.perms, where row[k] is the index of
+    s_i perms[k] and lengths[k] the length of perms[k].
+
+    There is no zero test: every P'_{x,w} and every coordinate of
+    bar(T_w) with x <= w in the Bruhat order is nonzero, and a sum that
+    cancels on the way keeps the place where its key was first inserted.
+    """
     out: dict = {}
+    get = out.get
     for x, c in coords.items():
         sx = row[x]
-        _add(out, sx, c)
+        out[sx] = get(sx, 0) + c
         if lengths[sx] < lengths[x]:
-            _add(out, x, c * U_MINUS_UINV)
+            # T_s T_x = T_sx + (u - u^-1) T_x for s x < x
+            out[x] = get(x, 0) + (c >> _K) - (c << _K)
     return out
 
 
@@ -86,21 +130,24 @@ class KLTable:
     mu_pairs[w] lists (w', mu) over all w' with mu(w', w) != 0 (both
     Bruhat directions, symmetric usage).
 
-    The recursions run on indices into perms, which is sorted by length
-    and then by word, and are keyed by Permutation once at the end.
+    The recursions run on packed rows {index: int} over perms, which is
+    sorted by length and then by word. mu and mu_pairs read the packed
+    lower rows; lower is decoded and keyed by Permutation on first
+    access only.
     """
 
     def __init__(self, r: int):
         self.r = r
         self.perms = sorted(all_permutations(r), key=lambda w: (w.length(), w.word))
-        index = {w.word: k for k, w in enumerate(self.perms)}
+        self._index = {w.word: k for k, w in enumerate(self.perms)}
         self._lengths = [w.length() for w in self.perms]
         # _left[i][k] is the index of s_i perms[k]
         self._left = {
-            i: [index[w.times_simple_left(i).word] for w in self.perms]
+            i: [self._index[w.times_simple_left(i).word] for w in self.perms]
             for i in range(1, r)
         }
-        self.lower = self._keyed(self._compute_lower())
+        self._rows = self._compute_lower()
+        self._lower = None
         self._mu_pairs = None
         self._upper = None
         self._bar_t = None
@@ -108,67 +155,92 @@ class KLTable:
         self._rsk_pairs = None
         self._shape_of = None
 
-    def _keyed(self, table: list) -> dict:
+    def _unpacked(self, rows: list, top: int) -> dict:
         perms = self.perms
         return {
-            perms[k]: {perms[x]: p for x, p in coords.items()}
-            for k, coords in enumerate(table)
+            perms[k]: {perms[x]: _unpack(n, top) for x, n in row.items()}
+            for k, row in enumerate(rows)
         }
 
     def _descents(self):
-        """(i, v) for k = 1, 2, ...: i is the first left descent of
+        """(k, i, v) for k = 1, 2, ...: i is the first left descent of
         perms[k], and v the index of s_i perms[k]."""
         lengths, left = self._lengths, self._left
         for k in range(1, len(self.perms)):
             i = next(i for i in left if lengths[left[i][k]] < lengths[k])
-            yield i, left[i][k]
+            yield k, i, left[i][k]
 
     # -- lower canonical basis ----------------------------------------
 
     def _compute_lower(self) -> list:
+        """Packed rows of the lower basis, with L = 1. bound[k] is at
+        least every |coefficient| of C'_{perms[k]}: for w = s v, C'_s C'_v
+        has the coordinates c_sy + u^(+-1) c_y, and each correction is
+        mu(z, v) C'_z."""
         lengths, left = self._lengths, self._left
-        lower = [{0: L_ONE}]
-        for i, v in self._descents():
+        one, low = 1 << _K, (1 << (2 * _K)) - 1  # digits 0 and 1 hold u^1, u^0
+        rows = [{0: one}]
+        bound = [1]
+        for k, i, v in self._descents():
             row = left[i]
-            cv = lower[v]
+            cv = rows[v]
             prod = _left_mul_s(cv, row, lengths)
+            get = prod.get
             # C'_s C'_v = (T_s + u^-1) C'_v
             for x, c in cv.items():
-                _add(prod, x, c.shift(-1))
+                prod[x] = get(x, 0) + (c << _K)
+            b = 2 * bound[v]
             # subtract mu-corrections for z with s z < z
             for z, pz in cv.items():
-                if z == v:
+                if z == v or lengths[row[z]] > lengths[z]:
                     continue
-                m = pz.coeff(-1)
-                if not m or lengths[row[z]] > lengths[z]:
+                m = _mu_digit(pz)
+                if not m:
                     continue
-                for x, c in lower[z].items():
-                    _add(prod, x, c * (-m))
-            lower.append(prod)
-        return lower
+                b += abs(m) * bound[z]
+                for x, c in rows[z].items():
+                    prod[x] = get(x, 0) - m * c
+            _check_bound(b, self.perms[k])
+            # P'_{w,w} = 1 and P'_{x,w} in u^-1 Z[u^-1] otherwise, so
+            # every coordinate has degree <= 0 and the right shift by
+            # u stays exact
+            if prod[k] != one or any(n & low for x, n in prod.items() if x != k):
+                raise ArithmeticError(f"C'_{self.perms[k]} has a term of degree >= 0")
+            rows.append(prod)
+            bound.append(b)
+        return rows
+
+    @property
+    def lower(self) -> dict:
+        if self._lower is None:
+            self._lower = self._unpacked(self._rows, 1)
+        return self._lower
 
     # -- mu -----------------------------------------------------------
 
     @property
     def mu_pairs(self) -> dict:
         if self._mu_pairs is None:
-            pairs = {w: [] for w in self.perms}
-            for w, coords in self.lower.items():
-                for x, p in coords.items():
-                    if x == w:
+            perms = self.perms
+            pairs = {w: [] for w in perms}
+            for k, row in enumerate(self._rows):
+                w = perms[k]
+                for x, n in row.items():
+                    if x == k:
                         continue
-                    m = p.coeff(-1)
+                    m = _mu_digit(n)
                     if m:
-                        pairs[w].append((x, m))
-                        pairs[x].append((w, m))
+                        pairs[w].append((perms[x], m))
+                        pairs[perms[x]].append((w, m))
             self._mu_pairs = pairs
         return self._mu_pairs
 
     def mu(self, x: Permutation, w: Permutation) -> int:
         if x.length() > w.length():
             x, w = w, x
-        p = self.lower.get(w, {}).get(x)
-        return p.coeff(-1) if p is not None else 0
+        k = self._index.get(w.word)
+        n = None if k is None else self._rows[k].get(self._index.get(x.word))
+        return _mu_digit(n) if n is not None else 0
 
     # -- theta / bar on the standard basis ----------------------------
 
@@ -177,16 +249,22 @@ class KLTable:
         """bar(T_w) in standard coordinates, for all w."""
         if self._bar_t is None:
             # bar(T_s) = T_s^-1 = T_s - (u - u^-1) T_e, and
-            # bar(T_w) = bar(T_s) bar(T_v) for w = s v > v
+            # bar(T_w) = bar(T_s) bar(T_v) for w = s v > v. A coordinate
+            # of bar(T_w) is d_sy or d_sy - (u - u^-1) d_y, so every
+            # |coefficient| is at most 3^l(w), and every degree at most
+            # l(w) < L = l(w0) + 1.
             lengths, left = self._lengths, self._left
-            out = [{0: L_ONE}]
-            for i, v in self._descents():
+            top = lengths[-1] + 1
+            out = [{0: 1 << (_K * top)}]
+            for k, i, v in self._descents():
+                _check_bound(3 ** lengths[k], self.perms[k])
                 base = out[v]
                 acc = _left_mul_s(base, left[i], lengths)
+                get = acc.get
                 for y, d in base.items():
-                    _add(acc, y, -(d * U_MINUS_UINV))
+                    acc[y] = get(y, 0) - (d >> _K) + (d << _K)
                 out.append(acc)
-            self._bar_t = self._keyed(out)
+            self._bar_t = self._unpacked(out, top)
         return self._bar_t
 
     @property

@@ -29,8 +29,8 @@ from .nonstandard import (
     TensorModule,
     _restricted_generators,
     build_irreducible,
-    certify_irreducible,
     closure_check,
+    commutant_dimension,
     dimension_formula,
     epsilon_minus_vector,
     epsilon_plus_vector,
@@ -288,14 +288,18 @@ def check_epsilon_antipode() -> dict:
 def check_certification(r: int) -> dict:
     labels = ns_labels(r)
     mods = []
+    # point -> the restricted generators of each module, built once for
+    # both the commutant and the pairwise Hom
+    gens = {u0: [] for u0 in SPECIALIZATION_LADDER[:2]}
     for label in labels:
         mod = build_irreducible(label, r)
         if mod.dim != label.dimension(r):
             return _fail(f"dimension mismatch for {label}")
         if not closure_check(mod):
             return _fail(f"not generator-closed: {label}")
-        for u0 in SPECIALIZATION_LADDER[:2]:
-            if certify_irreducible(mod, u0) != 1:
+        for u0, at in gens.items():
+            at.append(_restricted_generators(mod, u0))
+            if commutant_dimension(at[-1], mod.dim) != 1:
                 return _fail(f"commutant not a line for {label} at {u0}")
         mods.append(mod)
     # each tensor square tiles as symmetric + wedge + eigenline
@@ -311,16 +315,10 @@ def check_certification(r: int) -> dict:
     if squares != dimension_formula(r):
         return _fail("sum of squared dimensions misses the formula")
     # pairwise inequivalence at two specializations
-    for u0 in SPECIALIZATION_LADDER[:2]:
-        gens = [_restricted_generators(m, u0) for m in mods]
+    for at in gens.values():
         for a in range(len(mods)):
             for b in range(a + 1, len(mods)):
-                if (
-                    hom_dimension(
-                        gens[a], mods[a].dim, gens[b], mods[b].dim
-                    )
-                    != 0
-                ):
+                if hom_dimension(at[a], mods[a].dim, at[b], mods[b].dim) != 0:
                     return _fail(
                         f"nonzero intertwiner {labels[a]} -> {labels[b]}"
                     )

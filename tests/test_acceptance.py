@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+from nstl import nonstandard, verify
+from nstl.exact_arith import PoleError
 from nstl.verify import (
     check_action_formula,
     check_branching,
@@ -67,6 +69,35 @@ def test_criterion_08_epsilon_antipode():
 def test_criterion_09_certification():
     for r in (3, 4) + ((5,) if HEAVY else ()):
         report(9, f"certification r={r}", check_certification(r))
+
+
+def _counting_generators(monkeypatch):
+    calls = []
+    real = nonstandard._restricted_generators
+
+    def counted(mod, u0):
+        calls.append((mod.label, u0))
+        return real(mod, u0)
+
+    monkeypatch.setattr(nonstandard, "_restricted_generators", counted)
+    monkeypatch.setattr(verify, "_restricted_generators", counted)
+    return calls
+
+
+def test_certification_builds_each_generator_set_once(monkeypatch):
+    calls = _counting_generators(monkeypatch)
+    assert check_certification(4)["ok"]
+    assert len(calls) == len(set(calls)) == 2 * len(nonstandard.ns_labels(4))
+
+
+def test_certification_raises_on_a_pole(monkeypatch):
+    def pole(mod, u0):
+        raise PoleError(f"pole at u = {u0}")
+
+    monkeypatch.setattr(nonstandard, "_restricted_generators", pole)
+    monkeypatch.setattr(verify, "_restricted_generators", pole)
+    with pytest.raises(PoleError):
+        check_certification(3)
 
 
 def test_criterion_10_branching():

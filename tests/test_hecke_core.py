@@ -1,8 +1,13 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
-from nstl.combinatorics import Partition, Permutation, rsk, syt_count
+from nstl import hecke_core, specht_modules
+from nstl.combinatorics import Partition, Permutation, partitions_of, rsk, syt_count
 from nstl.exact_arith import L_ONE, LaurentPoly, RationalFn, quantum_int
 from nstl.hecke_core import (
     HeckeElement,
@@ -307,6 +312,93 @@ class TestPermutationKeyedOracle:
         w = next(reversed(table))
         table[w] = dict(reversed(table[w].items()))
         assert in_order(table) != in_order(oracle_lower(3))
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_packed_mu_reads_match(self, r):
+        # mu and mu_pairs read the packed rows, never the decoded table
+        lower = oracle_lower(r)
+        table = KLTable(r)
+        pairs = {w: [] for w in lower}
+        for w, coords in lower.items():
+            for x, p in coords.items():
+                if x != w and p.coeff(-1):
+                    pairs[w].append((x, p.coeff(-1)))
+                    pairs[x].append((w, p.coeff(-1)))
+        assert list(table.mu_pairs.items()) == list(pairs.items())
+        for w in lower:
+            for x in lower:
+                low, high = (x, w) if x.length() <= w.length() else (w, x)
+                p = lower[high].get(low)
+                assert table.mu(x, w) == (p.coeff(-1) if p is not None else 0)
+        assert table._lower is None
+
+
+def _narrow_digits(monkeypatch, k: int) -> None:
+    monkeypatch.setattr(hecke_core, "_K", k)
+    monkeypatch.setattr(hecke_core, "_HALF", 1 << (k - 1))
+    monkeypatch.setattr(hecke_core, "_MASK", (1 << k) - 1)
+
+
+class TestPackedBound:
+    def test_lower_guard_raises(self, monkeypatch):
+        _narrow_digits(monkeypatch, 2)
+        with pytest.raises(ArithmeticError, match="packed digits"):
+            KLTable(5)
+
+    def test_bar_guard_raises(self, monkeypatch):
+        # 8-bit digits hold the r=4 lower basis (bound < 2^7), not 3^6
+        _narrow_digits(monkeypatch, 8)
+        table = KLTable(4)
+        assert in_order(table.lower) == in_order(oracle_lower(4))
+        with pytest.raises(ArithmeticError, match="packed digits"):
+            table.bar_t
+        assert table._bar_t is None
+
+    def test_skipped_mu_corrections_raise(self, monkeypatch):
+        # without them C'_{s1 s2 s1} would keep the degree-0 term T_{s1}
+        monkeypatch.setattr(hecke_core, "_mu_digit", lambda n: 0)
+        with pytest.raises(ArithmeticError, match="degree >= 0"):
+            KLTable(3)
+
+    def test_widths_the_guards_reject_give_wrong_digits(self, monkeypatch):
+        monkeypatch.setattr(hecke_core, "_check_bound", lambda bound, w: None)
+        _narrow_digits(monkeypatch, 2)
+        assert in_order(KLTable(5).lower) != in_order(oracle_lower(5))
+        _narrow_digits(monkeypatch, 3)
+        assert in_order(KLTable(4).bar_t) != in_order(oracle_bar_t(4))
+
+    def test_guard_is_not_an_assert(self):
+        src = pathlib.Path(hecke_core.__file__).resolve().parent.parent
+        code = (
+            "import nstl.hecke_core as h\n"
+            "h._K, h._HALF, h._MASK = 2, 2, 3\n"
+            "try:\n"
+            "    h.KLTable(5)\n"
+            "except ArithmeticError:\n"
+            "    print('raised')\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert run.stdout.strip() == "raised"
+
+
+def test_specht_modules_leave_lower_packed():
+    kl_table.cache_clear()
+    specht_modules._build_specht.cache_clear()
+    table = kl_table(6)
+    for lam in partitions_of(6):
+        specht_modules.build_specht(lam)
+    assert kl_table(6) is table and table._lower is None
+    w0 = table.perms[-1]
+    c = kl_lower(w0)
+    assert table._lower is not None
+    assert len(c.coords) == 720
+    assert c.coords[Permutation.identity(6)] == RationalFn(LaurentPoly({-15: 1}))
 
 
 class TestMu:
