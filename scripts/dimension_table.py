@@ -3,9 +3,10 @@
 
 Usage: python3 scripts/dimension_table.py [max_r] [--mod-p P]
 
-Rank 5 with exact rationals is slow; pass --mod-p 1000003 to use the
-modular oracle instead (the same answer with overwhelming probability,
-and any disagreement would be caught by the exact run at lower rank).
+The exact oracle is practical up to rank 4. For rank 5 pass
+--mod-p 1000003: the same closure over F_p takes a few seconds there
+and gives a lower bound on the dimension (at ranks 2-4 it equals the
+exact value, which the tests check).
 """
 
 import argparse

@@ -156,9 +156,14 @@ class KLTable:
         self._shape_of = None
 
     def _unpacked(self, rows: list, top: int) -> dict:
+        # Few distinct packed integers occur (121 among the 98,407
+        # coordinates of the lower basis at r = 6), so each is decoded
+        # once per call, for this top only, and its LaurentPoly shared:
+        # nothing mutates LaurentPoly.coeffs after construction.
         perms = self.perms
+        poly = {n: _unpack(n, top) for n in {n for row in rows for n in row.values()}}
         return {
-            perms[k]: {perms[x]: _unpack(n, top) for x, n in row.items()}
+            perms[k]: {perms[x]: poly[n] for x, n in row.items()}
             for k, row in enumerate(rows)
         }
 

@@ -2,9 +2,10 @@
 
 Works for RationalFn, Fraction, or anything supporting +, -, *, / and
 truthiness-as-nonzero. Matrices are lists of lists (rows). IntSpanBasis
-tracks the span of integer vectors without fractions, and SpanBasisModP,
-on numpy int64 arrays, backs the mod-p spanning closure; numpy is
-imported only when that class is first used.
+tracks the span of integer vectors without fractions. SpanBasisModP
+keeps a reduced echelon basis over F_p in numpy int64 arrays and takes
+a whole level of the mod-p spanning closure with one matrix product;
+numpy is imported only when that class is first used.
 """
 
 from __future__ import annotations
@@ -216,11 +217,13 @@ class IntSpanBasis:
 
 
 # ----------------------------------------------------------------------
-# mod-p routines (numpy int64; p must satisfy n * p^2 < 2^63)
+# mod-p routines (numpy int64; vectors of length n need n (p - 1)^2 < 2^63)
 
 
 class SpanBasisModP:
-    """Echelon span tracker over F_p on numpy vectors."""
+    """Reduced echelon span tracker over F_p on numpy int64 vectors:
+    each row has a 1 at its pivot, and every row is 0 at the pivots of
+    the others."""
 
     def __init__(self, dim: int, p: int):
         import numpy as np
@@ -230,21 +233,39 @@ class SpanBasisModP:
         self.pivots = []
 
     def add(self, v: np.ndarray) -> bool:
+        """Absorb v if independent. Returns True iff the span grew."""
+        return self.add_level(v[None, :])[0]
+
+    def add_level(self, V: np.ndarray) -> list:
+        """Absorb the rows of V in order, each one that is independent
+        of the span and of the rows before it; returns a flag per row,
+        as add would one row at a time. The basis is reduced, so one
+        product on the columns that are not its pivots reduces all of V
+        against it; each row then needs only the rows of V absorbed
+        before it."""
         import numpy as np
 
         p = self.p
-        v = np.mod(v.astype(np.int64), p)
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                v = (v - int(v[piv]) * row) % p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        v = (v * pow(int(v[piv]), p - 2, p)) % p
-        self.rows = np.vstack([self.rows, v])
-        self.pivots.append(piv)
-        return True
+        V = np.mod(V.astype(np.int64), p)
+        free = np.ones(V.shape[1], bool)
+        free[self.pivots] = False
+        V[:, free] = (V[:, free] - V[:, self.pivots] @ self.rows[:, free] % p) % p
+        V[:, self.pivots] = 0
+        new, pivots, flags = V[:0], [], []
+        for v in V:
+            v = (v - v[pivots] @ new % p) % p
+            nz = np.flatnonzero(v)
+            flags.append(bool(nz.size))
+            if not nz.size:
+                continue
+            piv = int(nz[0])
+            v = v * pow(int(v[piv]), p - 2, p) % p
+            new = np.vstack([(new - np.outer(new[:, piv], v)) % p, v])
+            pivots.append(piv)
+        old = self.rows
+        self.rows = np.vstack([(old - old[:, pivots] @ new % p) % p, new])
+        self.pivots += pivots
+        return flags
 
     def __len__(self):
         return self.rows.shape[0]

@@ -224,8 +224,7 @@ class TensorModule:
 
     def p_matrix(self, i: int, pair: str = "ll"):
         """P_{s_i} as a flat matrix acting on row-major vec(c)."""
-        cols = [flatten(self.p_apply(e, i, pair)) for e in self.unit_vectors()]
-        return mat_transpose(cols)
+        return _kron_sum(self.ops(i, pair))
 
 
 def flatten(c):
@@ -671,91 +670,144 @@ def restriction_decompose(mod: NsSubmodule) -> Counter:
 # dimension oracle and formula
 
 
+def _kron_sum(ops):
+    """The matrix of c -> sum A c B^T on row-major vec(c)."""
+    m, n = len(ops[0][0]), len(ops[0][1])
+    cols = list(itertools.product(range(m), range(n)))
+    return [[sum(A[a][c] * B[b][d] for A, B in ops) for c, d in cols] for a, b in cols]
+
+
+def _flip_split(K, f):
+    """An operator K on vec(c) of M (x) M, f = dim M, cut into its
+    symmetric part (coordinates c_ab, a <= b; basis E_aa, E_ab + E_ba)
+    and its antisymmetric part (c_ab, a < b; basis E_ab - E_ba), each
+    tagged with the sign of the flip c -> c^T on it. Both are K-stable
+    only if K commutes with the flip, which is checked exactly."""
+    for a, b, c, d in itertools.product(range(f), repeat=4):
+        if K[a * f + b][c * f + d] != K[b * f + a][d * f + c]:
+            raise ArithmeticError("operator does not commute with the flip")
+    sym = [(a * f + b, b * f + a) for a in range(f) for b in range(a, f)]
+    alt = [(j, k) for j, k in sym if j != k]
+    plus = [[sum(K[i][x] for x in {j, k}) for j, k in sym] for i, _ in sym]
+    minus = [[K[i][j] - K[i][k] for j, k in alt] for i, _ in alt]
+    return [(1, plus), (-1, minus)]
+
+
 def _block_generators(r: int, u0: Fraction):
-    """Specialized P_i on the faithful sum of the two-row tensor blocks
-    M_lam (x) M_mu over all ordered pairs: gens[i - 1][k] is the
-    Fraction matrix of P_i on block k. Returns (gens, block dims)."""
+    """The identity and the specialized P_i on a faithful module cut
+    small by the flip c -> c^T, which commutes with P_i because
+    P_s = C'_s (x) C'_s + C_s (x) C_s is symmetric in its factors: the
+    antisymmetric parts of the squares M_lam (x) M_lam, one block
+    M_lam (x) M_mu per pair lam < mu of two-row shapes, and the
+    symmetric parts, in that order (the exact closure at r = 4 runs
+    about a third faster than with the blocks in shape order). The
+    ordered sum over all pairs is a direct sum of copies of these, so
+    it has the same annihilator and word relations. mats[0][k] is the
+    identity on block k and mats[i][k] the Fraction matrix of P_i."""
+    mats = [[] for _ in range(r)]
     shapes = two_row_partitions(r)
-    blocks = [TensorModule(lam, mu) for lam in shapes for mu in shapes]
-    gens = [
-        [
-            [[x.specialize(u0) for x in row] for row in b.p_matrix(i, "ll")]
-            for b in blocks
+    for lam, mu in itertools.combinations_with_replacement(shapes, 2):
+        tm = TensorModule(lam, mu)
+        f = tm.left.dim
+        ops = [[(identity(f, 1, 0), identity(tm.right.dim, 1, 0))]] + [
+            [tuple(specialize_matrix(A, u0) for A in op) for op in tm.ops(i, "ll")]
+            for i in range(1, r)
         ]
-        for i in range(1, r)
-    ]
-    return gens, [b.dim for b in blocks]
+        for blocks, op in zip(mats, ops):
+            K = _kron_sum(op)
+            blocks.extend([(0, K)] if lam != mu else _flip_split(K, f))
+    return [[K for _, K in sorted(b, key=lambda t: t[0]) if K] for b in mats]
 
 
 def _integer_generators(gens):
     """Each generator times the lcm of its entries' denominators, one
     scalar over all its blocks: a word in these is a nonzero multiple
     of the same word in the Fraction generators, so both span alike."""
-    out = []
-    for blocks in gens:
-        scale = lcm(*(x.denominator for B in blocks for row in B for x in row))
-        out.append(
-            [
-                [[x.numerator * (scale // x.denominator) for x in row] for row in B]
-                for B in blocks
-            ]
-        )
-    return out
+    scales = [lcm(*(x.denominator for B in g for row in B for x in row)) for g in gens]
+    return [
+        [[[int(x * s) for x in row] for row in B] for B in blocks]
+        for blocks, s in zip(gens, scales)
+    ]
 
 
-def _accepted_words(r: int, u0: Fraction):
+def _closure(ident, gens, multiply, accept, safety):
+    """Breadth-first product closure from ident, level by level:
+    accept(values) takes the values of one level's words in order and
+    returns for each the value to keep if the word grew the span, else a
+    false value. The next level holds the products of the kept values
+    with each generator. Returns the accepted words in order."""
+    words, steps, level = [], 0, [((), ident)]
+    while level:
+        kept = accept([M for _, M in level])
+        frontier = [(word, M) for (word, _), M in zip(level, kept) if M]
+        words += [word for word, _ in frontier]
+        steps += len(frontier) * len(gens)
+        if steps > safety:
+            raise StabilizationError("span closure exceeded safety bound")
+        level = [
+            (word + (i,), multiply(M, G))
+            for word, M in frontier
+            for i, G in enumerate(gens, start=1)
+        ]
+    return words
+
+
+def _accepted_words(r: int, u0: Fraction, mod_p: int = None):
     """Words in the specialized P_i (tuples of generator indices i),
     from the empty word, that grow the span of the breadth-first
     product closure, in the order they are accepted.
 
-    Integer arithmetic only: a word is kept as its integer blocks
-    divided by their common content, and its flattened blocks enter a
-    fraction-free span. The zero blocks off the diagonal of the
-    faithful sum are never built."""
-    gens, dims = _block_generators(r, u0)
-    gens = _integer_generators(gens)
-    N = sum(dims)
-    safety = N * N * (r - 1) + r
-    steps = 0
-    span = IntSpanBasis()
-    ident = [identity(d, 1, 0) for d in dims]
-    span.add(_flatten_blocks(ident))
-    words = [()]
-    frontier = [((), ident)]
-    while frontier:
-        new_frontier = []
-        for word, M in frontier:
-            for i, G in enumerate(gens, start=1):
-                steps += 1
-                if steps > safety:
-                    raise StabilizationError(
-                        "span closure exceeded safety bound"
-                    )
-                prod = [mat_mul(A, B) for A, B in zip(M, G)]
-                flat = _flatten_blocks(prod)
-                if span.add(flat):
-                    g = gcd(*flat)
-                    if g > 1:
-                        prod = [[[x // g for x in row] for row in A] for A in prod]
-                    words.append(word + (i,))
-                    new_frontier.append((word + (i,), prod))
-        frontier = new_frontier
-    return words
+    A word's value is its list of integer blocks. Exactly, its flattened
+    blocks enter a fraction-free span, and it is kept divided by their
+    content; with mod_p, a whole level enters an F_p span at once."""
+    ident, *gens = _integer_generators(_block_generators(r, u0))
+    length = sum(len(B) ** 2 for B in ident)
+    safety = length * (r - 1) + r
+    if mod_p is None:
+        span = IntSpanBasis()
+
+        def accept(values):
+            kept = []
+            for M in values:
+                flat = [x for B in M for row in B for x in row]
+                g = gcd(*flat) if span.add(flat) else 0
+                kept.append(g and [[[x // g for x in row] for row in B] for B in M])
+            return kept
+
+        def multiply(M, G):
+            return [mat_mul(A, B) for A, B in zip(M, G)]
+
+        return _closure(ident, gens, multiply, accept, safety)
+
+    import numpy as np
+
+    _check_modulus(mod_p, u0, length)
+    span = SpanBasisModP(length, mod_p)
+    ident, *gens = [
+        [np.array([[x % mod_p for x in row] for row in B], dtype=np.int64) for B in M]
+        for M in [ident] + gens
+    ]
+
+    def accept(values):
+        flat = np.array([np.concatenate([B.ravel() for B in M]) for M in values])
+        return [ok and M for M, ok in zip(values, span.add_level(flat))]
+
+    def multiply(M, G):
+        return [A @ B % mod_p for A, B in zip(M, G)]
+
+    return _closure(ident, gens, multiply, accept, safety)
 
 
-def _flatten_blocks(blocks):
-    return [x for B in blocks for row in B for x in row]
-
-
-def _check_modulus(p: int, u0: Fraction, N: int):
-    """Products of N int64 terms reduced mod p stay exact only while
-    N (p - 1)^2 < 2^63; F_p needs p prime. The generators are Laurent
-    polynomials in u, so their only poles mod p are u0 = 0 and u0 =
-    infinity."""
-    if p < 2 or N * (p - 1) ** 2 >= 2**63:
+def _check_modulus(p: int, u0: Fraction, n: int):
+    """A sum of n products of residues mod p stays exact in int64 only
+    while n (p - 1)^2 < 2^63; the longest the mod-p closure forms is a
+    span vector of length n against its basis. F_p needs p prime. The
+    generators are Laurent polynomials in u, so their only poles mod p
+    are u0 = 0 and u0 = infinity."""
+    if p < 2 or n * (p - 1) ** 2 >= 2**63:
         raise ModulusError(
             f"modulus {p} is outside the int64-safe range "
-            f"2 <= p, {N}*(p-1)^2 < 2^63"
+            f"2 <= p, {n}*(p-1)^2 < 2^63"
         )
     if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ModulusError(f"modulus {p} is not prime")
@@ -770,46 +822,7 @@ def nonstandard_dimension_oracle(
     P_i on the faithful two-row tensor sum, by product-span closure.
     With mod_p the span is over F_p, a lower bound on the dimension at
     u0; a modulus that cannot give that raises ModulusError."""
-    if mod_p is None:
-        return len(_accepted_words(r, u0))
-
-    import numpy as np
-
-    p = mod_p
-    blocks, dims = _block_generators(r, u0)
-    N = sum(dims)
-    _check_modulus(p, u0, N)
-    mults = []
-    for per_block in blocks:
-        G = np.zeros((N, N), dtype=np.int64)
-        off = 0
-        for B in per_block:
-            G[off : off + len(B), off : off + len(B)] = [
-                [x.numerator * pow(x.denominator, -1, p) % p for x in row]
-                for row in B
-            ]
-            off += len(B)
-        mults.append(G)
-    safety = N * N * (r - 1) + r
-    steps = 0
-    span = SpanBasisModP(N * N, p)
-    ident = np.eye(N, dtype=np.int64)
-    span.add(ident.reshape(-1))
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for M in frontier:
-            for G in mults:
-                steps += 1
-                if steps > safety:
-                    raise StabilizationError(
-                        "span closure exceeded safety bound"
-                    )
-                prod = (M @ G) % p
-                if span.add(prod.reshape(-1).copy()):
-                    new_frontier.append(prod)
-        frontier = new_frontier
-    return len(span)
+    return len(_accepted_words(r, u0, mod_p))
 
 
 def dimension_formula(r: int) -> int:

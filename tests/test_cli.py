@@ -53,6 +53,9 @@ class TestDimCheck:
             ("3", "1", "int64-safe range"),
             # 4294967311 is prime, but (p-1)^2 alone exceeds 2^63
             ("4", "4294967311", "int64-safe range"),
+            # 784150187 is prime, but 15 (p-1)^2 exceeds 2^63, and the
+            # span vectors at r = 3 have 15 entries
+            ("3", "784150187", "int64-safe range"),
         ],
     )
     def test_bad_modulus(self, capsys, r, p, why):

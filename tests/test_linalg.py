@@ -1,9 +1,10 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 
-from nstl.linalg import IntSpanBasis, SpanBasis
+from nstl.linalg import IntSpanBasis, SpanBasis, SpanBasisModP
 
 # few distinct entries, so that dependent vectors turn up often
 int_vectors = st.lists(
@@ -28,3 +29,26 @@ def test_int_span_rows_are_primitive_and_pivoted(vectors):
     for k, (row, p) in enumerate(zip(span.rows, span.pivots)):
         assert row[p] and gcd(*row.values()) == 1
         assert all(other.get(p, 0) == 0 for other in span.rows[k + 1 :])
+
+
+# a prime above every minor of these vectors (Hadamard: (3 sqrt 5)^5 <
+# 13,600), so their ranks over F_p and over Q agree
+BIG_PRIME = 1000003
+
+
+@given(int_vectors, st.lists(st.integers(min_value=1, max_value=4)))
+def test_mod_p_levels_accept_like_one_at_a_time(vectors, cuts):
+    np = pytest.importorskip("numpy")
+    exact, modp = IntSpanBasis(), SpanBasisModP(5, BIG_PRIME)
+    want = [exact.add(v) for v in vectors]
+    got, start = [], 0
+    for size in cuts + [len(vectors)]:
+        level = vectors[start : start + size]
+        if level:
+            got += modp.add_level(np.array(level, dtype=np.int64))
+        start += size
+    assert got == want
+    assert len(modp) == len(exact)
+    # reduced echelon: a 1 at each pivot, 0 at the pivots of the others
+    for row, p in zip(modp.rows, modp.pivots):
+        assert [int(row[q]) for q in modp.pivots] == [int(q == p) for q in modp.pivots]

@@ -12,10 +12,12 @@ from nstl.exact_arith import LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
 from nstl.linalg import SpanBasis, mat_add, mat_mul, mat_transpose, zeros
 from nstl.nonstandard import (
     FOUR,
+    ModulusError,
     NsIrredLabel,
     NsSubmodule,
     TensorModule,
     _accepted_words,
+    _block_generators,
     _restricted_generators,
     antipode_check,
     build_irreducible,
@@ -518,3 +520,38 @@ class TestDimension:
     def test_mod_p_bounds_exact_r4(self):
         exact = nonstandard_dimension_oracle(4)
         assert nonstandard_dimension_oracle(4, mod_p=1000003) <= exact
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_mod_p_equals_exact(self, r):
+        assert nonstandard_dimension_oracle(
+            r, mod_p=1000003
+        ) == nonstandard_dimension_oracle(r)
+
+    def test_oracle_r5_mod_p(self):
+        assert nonstandard_dimension_oracle(5, mod_p=1000003) == 855
+
+    def test_modulus_bound_is_span_vector_length(self):
+        # at r = 3 the span vectors have 15 entries: 784150127 is the
+        # largest prime p with 15 (p - 1)^2 < 2^63, 784150187 the next
+        assert nonstandard_dimension_oracle(3, mod_p=784150127) == 10
+        with pytest.raises(ModulusError, match="int64-safe range"):
+            nonstandard_dimension_oracle(3, mod_p=784150187)
+
+    def test_blocks_are_unordered_pairs_and_flip_parts(self):
+        # r = 4, f = 1, 3, 2: the antisymmetric parts 3, 1 of the squares
+        # (none for f = 1), the pairs 3, 2, 6, the symmetric parts 1, 6, 3
+        mats = _block_generators(4, Fraction(7, 3))
+        assert [len(B) for B in mats[0]] == [3, 1, 3, 2, 6, 1, 6, 3]
+        assert len(mats) == 4
+
+    def test_square_block_must_commute_with_flip(self, monkeypatch):
+        ops = TensorModule.ops
+
+        def lopsided(self, i, pair):
+            # C'_s (x) C_s alone is not symmetric in the two factors
+            (lp, _), (_, rc) = ops(self, i, pair)
+            return [(lp, rc)]
+
+        monkeypatch.setattr(TensorModule, "ops", lopsided)
+        with pytest.raises(ArithmeticError, match="flip"):
+            _block_generators(3, Fraction(7, 3))
