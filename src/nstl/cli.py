@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -307,7 +308,11 @@ def cmd_verify_all(args, cfg, parser):
     ok = True
     for name, cap, check in ACCEPTANCE_CHECKS:
         rank = min(args.r, cap)
+        t0 = time.perf_counter()
         res = check(rank)
+        if cfg.verbosity:
+            seconds = time.perf_counter() - t0
+            print(f"{name}: r={rank} {seconds:.3f}s", file=sys.stderr)
         line = f"{name}: {'PASS' if res['ok'] else 'FAIL'}"
         if rank < args.r:
             res["effective_r"] = rank

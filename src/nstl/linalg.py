@@ -113,22 +113,6 @@ def nullspace(M, one, zero):
     return basis
 
 
-def solve(A, b):
-    """One solution of A x = b, or None if inconsistent."""
-    if not A:
-        return None
-    ncols = len(A[0])
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    rows, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    zero = A[0][0] - A[0][0]
-    x = [zero] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][ncols]
-    return x
-
-
 def inverse(A, one, zero):
     n = len(A)
     aug = [list(row) + list(identity(n, one, zero)[i]) for i, row in enumerate(A)]

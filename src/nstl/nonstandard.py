@@ -44,10 +44,8 @@ from .linalg import (
     mat_scale,
     mat_sub,
     mat_transpose,
-    nullspace,
     rank,
-    rref,  # noqa: F401 - kept importable as nonstandard.rref
-    solve,
+    rref,
     zeros,
 )
 from .specht_modules import build_specht, specialize_matrix
@@ -502,53 +500,78 @@ SPECIALIZATION_LADDER = (Fraction(7, 3), Fraction(11, 5), Fraction(13, 7))
 
 
 def _restricted_generators(mod: NsSubmodule, u0: Fraction):
-    """Matrices of the specialized P_i on the submodule's own basis."""
-    V = [flatten(c) for c in mod.basis]  # rows = basis vectors
-    Vq = [[x.specialize(u0) for x in row] for row in V]
-    Vcols = [[Vq[j][k] for j in range(len(Vq))] for k in range(len(Vq[0]))]
+    """Matrices of the specialized P_i on the submodule's own basis:
+    one row reduction of [V | images] per generator, V holding the
+    basis vectors as columns; an image with a pivot outside V raises
+    ArithmeticError."""
+    basis = [specialize_matrix(c, u0) for c in mod.basis]
+    V = mat_transpose([flatten(c) for c in basis])
+    d = len(basis)
     gens = []
     for i in range(1, mod.ambient.r):
         ops = [
             (specialize_matrix(A, u0), specialize_matrix(B, u0))
             for A, B in mod.ambient.ops(i, "ll")
         ]
-        cols = []
-        for c in mod.basis:
-            img = TensorModule.apply(ops, specialize_matrix(c, u0))
-            y = solve(Vcols, flatten(img))
-            if y is None:
-                raise ArithmeticError("image escapes submodule span")
-            cols.append(y)
-        gens.append(
-            [[cols[j][k] for j in range(len(cols))] for k in range(len(cols))]
+        images = mat_transpose(
+            [flatten(TensorModule.apply(ops, c)) for c in basis]
         )
+        rows, pivots = rref([v + w for v, w in zip(V, images)])
+        if pivots and pivots[-1] >= d:
+            raise ArithmeticError("image escapes submodule span")
+        G = zeros(d, d, Fraction(0))
+        for row, p in zip(rows, pivots):
+            G[p] = row[d:]
+        gens.append(G)
     return gens
 
 
 def commutant_dimension(gens, dim):
-    """dim {Z : G Z = Z G for all G} over Q."""
-    return hom_dimension(gens, dim, gens, dim)
+    """dim {Z : G Z = Z G for all G} over Q; at least 1, since the
+    identity commutes."""
+    return _hom_nullity(gens, dim, gens, dim, 1)
 
 
 def hom_dimension(gens_a, dim_a, gens_b, dim_b):
-    """dim {Z : Z G_a = G_b Z for all generators}."""
-    one, zero = Fraction(1), Fraction(0)
-    rows = []
+    """dim {Z : Z G_a = G_b Z for all generators} over Q."""
+    return _hom_nullity(gens_a, dim_a, gens_b, dim_b, 0)
+
+
+def _hom_nullity(gens_a, dim_a, gens_b, dim_b, least):
+    """The nullity of the dim_a*dim_b equations per generator pair in
+    the entries Z[a][b] (unknown a*dim_a + b), known to be at least
+    `least`. Each pair is scaled by the lcm of its denominators and its
+    equations are ranked as integer rows in an IntSpanBasis, which
+    stops once the rank leaves no more than `least` free."""
+    n = dim_a * dim_b
+    span = IntSpanBasis()
     for G, H in zip(gens_a, gens_b):
+        s = lcm(*(x.denominator for M in (G, H) for row in M for x in row))
+        G, H = (
+            [[x.numerator * (s // x.denominator) for x in row] for row in M]
+            for M in (G, H)
+        )
         for a in range(dim_b):
             for b in range(dim_a):
-                row = [zero] * (dim_b * dim_a)
+                row = [0] * n
                 for k in range(dim_a):
                     row[a * dim_a + k] += G[k][b]
                 for k in range(dim_b):
                     row[k * dim_a + b] -= H[a][k]
-                rows.append(row)
-    return len(nullspace(rows, one, zero)) if rows else dim_a * dim_b
+                if span.add(row) and len(span) == n - least:
+                    return least
+    return n - len(span)
 
 
 def certify_irreducible(mod: NsSubmodule, u0: Fraction = None) -> int:
-    """Commutant dimension of the specialized action; 1 certifies
-    generic irreducibility. Retries along the ladder on poles."""
+    """Commutant dimension of the specialized action; retries along the
+    ladder on poles. A commutant of 1 at u0 gives End = Q at generic u,
+    and Hom = 0 at u0 gives Hom = 0 there, because the nullity of these
+    equations can only drop away from u0. That alone is not
+    irreducibility (the upper-triangular 2 x 2 matrices acting on Q^2
+    have commutant Q); irreducibility rests on it together with
+    verify.check_dimension, which shows the algebra has dimension
+    sum_i d_i^2, the dimension of the product of the End(V_i)."""
     ladder = [u0] if u0 is not None else list(SPECIALIZATION_LADDER)
     last = None
     for point in ladder:

@@ -43,7 +43,6 @@ from .nonstandard import (
     TensorModule,
     _paths,
     hh_pieces,
-    isotypic_split,
     nonstandard_pieces,
 )
 from .specht_modules import build_specht
@@ -354,16 +353,45 @@ def seminormal_basis(m) -> SeminormalBasis:
 
 
 def chain_membership(basis: SeminormalBasis, idx: int) -> bool:
-    """A leaf vector must be its own isotypic component under the
-    label its chain names at every level."""
+    """A nonzero leaf vector must be its own isotypic component under
+    the label its chain names at every level k. Its child blocks are
+    carried down one branching step at a time, d' = pi_c d pi_c'^T, in
+    lower coordinates; at level k every piece that nonstandard_pieces
+    cuts from a block under another label must vanish. Since the
+    branching maps give sum_c iota_c pi_c = I and pi_c iota_c' = delta,
+    the lifts of distinct path pairs and labels are independent, so
+    this is the same as the vector equalling its component."""
     v = basis.vectors[idx]
-    chain = basis.chains[idx]
     tm = basis.ambient
-    for k in range(chain.r, 1, -1):
-        split = isotypic_split(tm.lam, tm.mu, k, v, nonstandard_pieces)
-        if split.get(chain.level(k)) != v:
-            return False
+    if not any(x for row in v for x in row):
+        return False
+    blocks = [(tm.lam, tm.mu, v)]
+    for depth, want in enumerate(basis.chains[idx].labels):
+        if depth:
+            blocks = _child_blocks(blocks)
+        for nu, rho, d in blocks:
+            for label, piece in nonstandard_pieces(nu, rho, d):
+                if label != want and any(x for row in piece for x in row):
+                    return False
     return True
+
+
+def _child_blocks(blocks) -> list:
+    """The nonzero child blocks pi_c d pi_c'^T, one branching step down
+    from each (shape, shape, block d) of `blocks`."""
+    out = []
+    for lam, mu, d in blocks:
+        right = [
+            (rho, mat_transpose(pi))
+            for rho, _, pi, _ in build_specht(mu).branching
+        ]
+        for nu, _, pi, _ in build_specht(lam).branching:
+            left = mat_mul(pi, d)
+            for rho, piT in right:
+                child = mat_mul(left, piT)
+                if any(x for row in child for x in row):
+                    out.append((nu, rho, child))
+    return out
 
 
 # ---------------------------------------------------------------------

@@ -448,9 +448,6 @@ def check_seminormal() -> dict:
     for idx in range(sb.dim):
         if not chain_membership(sb, idx):
             return _fail(f"membership fails for chain {sb.chains[idx]}")
-    again = seminormal_basis(TensorModule(lam, lam))
-    if again.vectors != sb.vectors or again.chains != sb.chains:
-        return _fail("basis is not deterministic")
     return {"ok": True, "leaves": sb.dim}
 
 

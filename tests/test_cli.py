@@ -8,6 +8,7 @@ import pytest
 
 import nstl
 from nstl.cli import main
+from nstl.verify import ACCEPTANCE_CHECKS
 from nstl.nonstandard import StabilizationError
 
 
@@ -229,6 +230,38 @@ class TestVerifyAll:
             "failed: FAIL (boom)",
         ]
         assert "effective_r" not in out
+
+
+    def test_verbose_times_each_check_on_stderr(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "nstl.cli.ACCEPTANCE_CHECKS",
+            (
+                ("full", 5, lambda r: {"ok": True}),
+                ("capped", 4, lambda r: {"ok": True}),
+            ),
+        )
+        assert main(["verify-all", "--r", "5"]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert main(["-v", "verify-all", "--r", "5"]) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out
+        lines = loud.err.splitlines()
+        assert [line.rsplit(" ", 1)[0] for line in lines] == [
+            "full: r=5",
+            "capped: r=4",
+        ]
+        for line in lines:
+            seconds = line.rsplit(" ", 1)[1]
+            assert seconds.endswith("s") and float(seconds[:-1]) >= 0
+
+    def test_verbose_leaves_the_real_stdout_alone(self, capsys):
+        code, quiet = run(capsys, "verify-all", "--r", "3")
+        assert main(["-v", "verify-all", "--r", "3"]) == code == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet
+        names = [name for name, _, _ in ACCEPTANCE_CHECKS]
+        assert [line.split(":")[0] for line in loud.err.splitlines()] == names
 
 
 class TestInternalError:

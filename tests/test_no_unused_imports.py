@@ -8,11 +8,9 @@ import pytest
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "nstl").glob("*.py"))
 
-# Names kept importable on purpose, as (module file, name).
-ALLOWED = {
-    # the benchmark's tracer test checks that nonstandard.rref exists
-    ("nonstandard.py", "rref"),
-}
+# Names kept importable on purpose, as (module file, name). None today:
+# nonstandard.rref, which the benchmark's tracer test looks up, is used.
+ALLOWED = set()
 
 
 def imported_names(tree):

@@ -5,16 +5,18 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nstl import nonstandard
 from nstl.combinatorics import Partition, partitions_of, two_row_partitions
 from nstl.exact_arith import LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
-from nstl.linalg import SpanBasis, mat_add, mat_mul, mat_transpose, zeros
+from nstl.linalg import SpanBasis, mat_add, mat_mul, mat_transpose, nullspace, zeros
 from nstl.nonstandard import (
     FOUR,
     ModulusError,
     NsIrredLabel,
     NsSubmodule,
+    SPECIALIZATION_LADDER,
     TensorModule,
     _accepted_words,
     _block_generators,
@@ -351,6 +353,14 @@ class TestCertification:
         mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, basis)
         gens = _restricted_generators(mod, Fraction(7, 3))
         assert commutant_dimension(gens, 4) == 3
+        assert fraction_hom_dimension(gens, 4, gens, 4) == 3
+
+    def test_image_outside_the_span_raises(self):
+        # one basis pair of (2,1) x (2,1) spans no submodule
+        tm = TensorModule(P([2, 1]), P([2, 1]))
+        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, tm.unit_vectors()[:1])
+        with pytest.raises(ArithmeticError, match="escapes submodule span"):
+            _restricted_generators(mod, Fraction(7, 3))
 
     def test_pairwise_hom_zero_r3(self):
         mods = [build_irreducible(lbl, 3) for lbl in ns_labels(3)]
@@ -363,6 +373,86 @@ class TestCertification:
     def test_retry_ladder(self):
         mod = build_irreducible(NsIrredLabel("eps_plus"), 3)
         assert certify_irreducible(mod, Fraction(7, 3)) == 1
+
+
+def fraction_hom_dimension(gens_a, dim_a, gens_b, dim_b):
+    """Oracle for hom_dimension: the nullspace of the dim_a*dim_b
+    Fraction equations Z G_a = G_b Z of all generator pairs at once."""
+    one, zero = Fraction(1), Fraction(0)
+    rows = []
+    for G, H in zip(gens_a, gens_b):
+        for a in range(dim_b):
+            for b in range(dim_a):
+                row = [zero] * (dim_b * dim_a)
+                for k in range(dim_a):
+                    row[a * dim_a + k] += G[k][b]
+                for k in range(dim_b):
+                    row[k * dim_a + b] -= H[a][k]
+                rows.append(row)
+    return len(nullspace(rows, one, zero)) if rows else dim_a * dim_b
+
+
+def direct_sum(A, B):
+    zero = Fraction(0)
+    return [row + [zero] * len(B) for row in A] + [
+        [zero] * len(A) + row for row in B
+    ]
+
+
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2]).flatmap(
+    lambda n: st.sampled_from([Fraction(n), Fraction(n, 3), Fraction(-n, 7)])
+)
+
+
+def fraction_gens(count, dim):
+    row = st.lists(ENTRIES, min_size=dim, max_size=dim)
+    matrix = st.lists(row, min_size=dim, max_size=dim)
+    return st.lists(matrix, min_size=count, max_size=count)
+
+
+@st.composite
+def generator_pairs(draw):
+    count = draw(st.integers(1, 3))
+    dim_a, dim_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ga, gb = draw(fraction_gens(count, dim_a)), draw(fraction_gens(count, dim_b))
+    return ga, dim_a, gb, dim_b
+
+
+class TestIntegerHom:
+    """The integer-row Hom rank against the Fraction nullspace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_pairs())
+    def test_random_pairs(self, case):
+        ga, da, gb, db = case
+        assert hom_dimension(ga, da, gb, db) == fraction_hom_dimension(ga, da, gb, db)
+        assert commutant_dimension(ga, da) == fraction_hom_dimension(ga, da, ga, da)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: fraction_gens(2, d)))
+    def test_nonzero_hom_into_a_double(self, gens):
+        # Hom(A, A + A) holds two copies of End(A), so it is never 0
+        d = len(gens[0])
+        double = [direct_sum(G, G) for G in gens]
+        want = fraction_hom_dimension(gens, d, double, 2 * d)
+        assert want >= 2
+        assert hom_dimension(gens, d, double, 2 * d) == want
+        assert hom_dimension(double, 2 * d, gens, d) == want
+        assert commutant_dimension(double, 2 * d) == 2 * want
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("u0", SPECIALIZATION_LADDER[:2], ids=str)
+    def test_every_ordered_label_pair(self, r, u0):
+        mods = [build_irreducible(lbl, r) for lbl in ns_labels(r)]
+        gens = [_restricted_generators(m, u0) for m in mods]
+        for (ga, ma), (gb, mb) in itertools.product(zip(gens, mods), repeat=2):
+            got = (
+                commutant_dimension(ga, ma.dim)
+                if ga is gb
+                else hom_dimension(ga, ma.dim, gb, mb.dim)
+            )
+            assert got == fraction_hom_dimension(ga, ma.dim, gb, mb.dim)
+            assert got == (1 if ga is gb else 0)
 
 
 def lbl(text):

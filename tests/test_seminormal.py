@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from nstl import seminormal
+from nstl import seminormal, specht_modules
 from nstl.combinatorics import (
     Partition,
     Tableau,
@@ -11,12 +11,13 @@ from nstl.combinatorics import (
     two_row_partitions,
     y_tableau,
 )
-from nstl.exact_arith import R_ONE, R_ZERO
-from nstl.linalg import identity, mat_mul, mat_transpose, rank, rref
+from nstl.exact_arith import R_ONE, R_ZERO, RationalFn
+from nstl.linalg import identity, mat_add, mat_mul, mat_transpose, rank, rref
 from nstl.nonstandard import (
     NsIrredLabel,
     NsSubmodule,
     TensorModule,
+    _paths,
     build_irreducible,
     epsilon_plus_vector,
     flatten,
@@ -27,6 +28,7 @@ from nstl.nonstandard import (
 )
 from nstl.seminormal import (
     MultiplicityError,
+    SeminormalBasis,
     SeminormalChainLabel,
     _gt_basis,
     alpha,
@@ -214,11 +216,102 @@ class TestSeminormalBasis:
         assert a.chains == b.chains
         assert a.vectors == b.vectors
 
+    def test_rebuild_reads_only_the_gt_caches(self):
+        """Once the tuple-valued _gt_basis caches are warm, a rebuild in
+        the same process reads nothing list-valued: corrupting every
+        cached _paths matrix and every Specht action, transition and
+        branching matrix in place leaves the basis unchanged. So a
+        second build in one process cannot check determinism; the
+        golden digests, recorded per process, do that."""
+        caches = (_gt_basis, _paths, specht_modules._build_specht)
+        junk = RationalFn.from_int(-3)
+
+        def corrupt(M):
+            for row in M:
+                row[:] = [junk] * len(row)
+
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            sb = seminormal_basis(TensorModule(P32, P32))
+            shapes = {s for seq in _gt_basis(P32.parts).seqs for s in seq}
+            for lam in shapes:
+                for _, iota, pi in _paths(lam.parts, 1):
+                    corrupt(iota)
+                    corrupt(pi)
+                m = build_specht(lam)
+                for M in (*m.lower_action.values(), *m.upper_action.values()):
+                    corrupt(M)
+                corrupt(m.transition)
+                corrupt(m.transition_inv)
+                for _, iota, pi, proj in m.branching:
+                    for M in (iota, pi, proj):
+                        corrupt(M)
+            assert build_specht(P32).lower_action[1][0][0] == junk
+            again = seminormal_basis(TensorModule(P32, P32))
+            assert again.chains == sb.chains
+            assert again.vectors == sb.vectors
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
     def test_normalization(self):
         sb = seminormal_basis(TensorModule(P32, P32))
         for v in sb.vectors:
             lead = next(x for row in v for x in row if x)
             assert lead == R_ONE
+
+
+def isotypic_chain_membership(basis, idx):
+    """Oracle for chain_membership: at every level the leaf equals its
+    isotypic component under the chain's label, split from the top
+    module with nonstandard.isotypic_split."""
+    v = basis.vectors[idx]
+    chain = basis.chains[idx]
+    tm = basis.ambient
+    for k in range(chain.r, 1, -1):
+        split = isotypic_split(tm.lam, tm.mu, k, v, nonstandard_pieces)
+        if split.get(chain.level(k)) != v:
+            return False
+    return True
+
+
+MEMBERSHIP_PAIRS = list(two_row_pairs(4)) + [(P32, P32)]
+
+
+class TestMembershipOracle:
+    """The one-step-at-a-time membership against the isotypic split."""
+
+    @pytest.mark.parametrize("pair", MEMBERSHIP_PAIRS, ids=str)
+    def test_every_leaf(self, pair):
+        sb = seminormal_basis(TensorModule(*pair))
+        for idx in range(sb.dim):
+            assert chain_membership(sb, idx)
+            assert isotypic_chain_membership(sb, idx)
+
+    @pytest.mark.parametrize("pair", MEMBERSHIP_PAIRS, ids=str)
+    def test_perturbed_swapped_and_zero(self, pair):
+        """Per leaf: the leaf plus the next leaf, the leaf with one
+        entry moved, the leaf under the next leaf's chain, and the zero
+        vector under the leaf's chain."""
+        sb = seminormal_basis(TensorModule(*pair))
+        n = sb.dim
+        zero = [[R_ZERO] * len(row) for row in sb.vectors[0]]
+        vectors, chains = [], []
+        for idx in range(n):
+            v, chain = sb.vectors[idx], sb.chains[idx]
+            moved = [row[:] for row in v]
+            moved[0][0] = moved[0][0] + R_ONE
+            vectors += [mat_add(v, sb.vectors[(idx + 1) % n]), moved, v, zero]
+            chains += [chain, chain, sb.chains[(idx + 1) % n], chain]
+        probe = SeminormalBasis(sb.ambient, vectors, chains)
+        got = [chain_membership(probe, j) for j in range(len(vectors))]
+        assert got == [
+            isotypic_chain_membership(probe, j) for j in range(len(vectors))
+        ]
+        assert not any(got[3::4])
+        if n > 1:
+            assert not any(got[0::4]) and not any(got[2::4])
 
 
 class TestTensorSquareChainDiffers:
