@@ -55,6 +55,11 @@ class ModulusError(ValueError):
     """A modulus for which the mod-p oracle cannot give a sound rank."""
 
 
+class CertificateError(ValueError):
+    """A module fails one of its irreducibility certificates; the
+    message names which."""
+
+
 class StabilizationError(RuntimeError):
     """Spanning closure failed to stabilize within the safety bound."""
 
@@ -183,11 +188,6 @@ class TensorModule:
             c = mat_mul(c, mat_transpose(XR if to[1] == "u" else XRi))
         return c
 
-    def flip(self, c):
-        if self.lam != self.mu:
-            raise ValueError("flip needs equal shapes")
-        return mat_transpose(c)
-
     # -- generator action ----------------------------------------------
 
     def _factor_matrices(self, module, i, letter):
@@ -219,10 +219,6 @@ class TensorModule:
 
     def p_apply(self, c, i: int, pair: str = "ll"):
         return self.apply(self.ops(i, pair), c)
-
-    def p_matrix(self, i: int, pair: str = "ll"):
-        """P_{s_i} as a flat matrix acting on row-major vec(c)."""
-        return _kron_sum(self.ops(i, pair))
 
 
 def flatten(c):
@@ -496,7 +492,7 @@ def closure_check(mod: NsSubmodule) -> bool:
 # certification at a specialization
 
 
-SPECIALIZATION_LADDER = (Fraction(7, 3), Fraction(11, 5), Fraction(13, 7))
+SPECIALIZATION_LADDER = (Fraction(7, 3), Fraction(11, 5))
 
 
 def _restricted_generators(mod: NsSubmodule, u0: Fraction):
@@ -545,12 +541,7 @@ def _hom_nullity(gens_a, dim_a, gens_b, dim_b, least):
     stops once the rank leaves no more than `least` free."""
     n = dim_a * dim_b
     span = IntSpanBasis()
-    for G, H in zip(gens_a, gens_b):
-        s = lcm(*(x.denominator for M in (G, H) for row in M for x in row))
-        G, H = (
-            [[x.numerator * (s // x.denominator) for x in row] for row in M]
-            for M in (G, H)
-        )
+    for G, H in _integer_generators(list(zip(gens_a, gens_b))):
         for a in range(dim_b):
             for b in range(dim_a):
                 row = [0] * n
@@ -563,24 +554,29 @@ def _hom_nullity(gens_a, dim_a, gens_b, dim_b, least):
     return n - len(span)
 
 
-def certify_irreducible(mod: NsSubmodule, u0: Fraction = None) -> int:
-    """Commutant dimension of the specialized action; retries along the
-    ladder on poles. A commutant of 1 at u0 gives End = Q at generic u,
-    and Hom = 0 at u0 gives Hom = 0 there, because the nullity of these
-    equations can only drop away from u0. That alone is not
-    irreducibility (the upper-triangular 2 x 2 matrices acting on Q^2
-    have commutant Q); irreducibility rests on it together with
-    verify.check_dimension, which shows the algebra has dimension
-    sum_i d_i^2, the dimension of the product of the End(V_i)."""
-    ladder = [u0] if u0 is not None else list(SPECIALIZATION_LADDER)
-    last = None
-    for point in ladder:
-        try:
-            gens = _restricted_generators(mod, point)
-            return commutant_dimension(gens, mod.dim)
-        except ZeroDivisionError as exc:  # includes PoleError
-            last = exc
-    raise last
+def certify_irreducible(mod: NsSubmodule, points=SPECIALIZATION_LADDER) -> list:
+    """Certify one module: closure under the P_i over Q(u), then at
+    each point u0 the restricted generators and a commutant that is a
+    line. Returns the generators at each point, in order, for the
+    pairwise Hom check. Raises CertificateError naming the certificate
+    that fails; a pole at a point raises PoleError.
+
+    A commutant of 1 at u0 gives End = Q at generic u, and Hom = 0 at
+    u0 gives Hom = 0 there, because the nullity of these equations can
+    only drop away from u0. That alone is not irreducibility (the
+    upper-triangular 2 x 2 matrices acting on Q^2 have commutant Q);
+    irreducibility rests on it together with verify.check_dimension,
+    which shows the algebra has dimension sum_i d_i^2, the dimension of
+    the product of the End(V_i)."""
+    if not closure_check(mod):
+        raise CertificateError(f"not generator-closed: {mod.label}")
+    gens = [_restricted_generators(mod, u0) for u0 in points]
+    for u0, at in zip(points, gens):
+        if commutant_dimension(at, mod.dim) != 1:
+            raise CertificateError(
+                f"commutant not a line for {mod.label} at {u0}"
+            )
+    return gens
 
 
 # ---------------------------------------------------------------------
@@ -745,11 +741,12 @@ def _block_generators(r: int, u0: Fraction):
 def _integer_generators(gens):
     """Each generator times the lcm of its entries' denominators, one
     scalar over all its blocks: a word in these is a nonzero multiple
-    of the same word in the Fraction generators, so both span alike."""
+    of the same word in the Fraction generators, so both span alike,
+    and a pair (G, H) scaled as one keeps the solutions of Z G = H Z."""
     scales = [lcm(*(x.denominator for B in g for row in B for x in row)) for g in gens]
     return [
-        [[[int(x * s) for x in row] for row in B] for B in blocks]
-        for blocks, s in zip(gens, scales)
+        [[[x.numerator * (s // x.denominator) for x in row] for row in B] for B in g]
+        for g, s in zip(gens, scales)
     ]
 
 

@@ -23,21 +23,22 @@ from .combinatorics import (
 )
 from .exact_arith import FOUR, L_ONE, R_ONE, R_ZERO
 from .hecke_core import bar_element, cells_regular, kl_lower, kl_upper
+from .linalg import rank
 from .nonstandard import (
+    CertificateError,
     NsIrredLabel,
-    SPECIALIZATION_LADDER,
     TensorModule,
-    _restricted_generators,
     build_irreducible,
-    closure_check,
-    commutant_dimension,
+    certify_irreducible,
     dimension_formula,
     epsilon_minus_vector,
     epsilon_plus_vector,
+    flatten,
     hom_dimension,
     nonstandard_dimension_oracle,
     ns_labels,
     p_action,
+    proper_two_row,
     q_element,
 )
 from .seminormal import (
@@ -287,35 +288,30 @@ def check_epsilon_antipode() -> dict:
 
 def check_certification(r: int) -> dict:
     labels = ns_labels(r)
-    mods = []
-    # point -> the restricted generators of each module, built once for
-    # both the commutant and the pairwise Hom
-    gens = {u0: [] for u0 in SPECIALIZATION_LADDER[:2]}
+    mods, gens = [], []  # gens[k]: module k's generators at each point
     for label in labels:
         mod = build_irreducible(label, r)
         if mod.dim != label.dimension(r):
             return _fail(f"dimension mismatch for {label}")
-        if not closure_check(mod):
-            return _fail(f"not generator-closed: {label}")
-        for u0, at in gens.items():
-            at.append(_restricted_generators(mod, u0))
-            if commutant_dimension(at[-1], mod.dim) != 1:
-                return _fail(f"commutant not a line for {label} at {u0}")
+        try:
+            gens.append(certify_irreducible(mod))
+        except CertificateError as exc:
+            return _fail(exc)
         mods.append(mod)
-    # each tensor square tiles as symmetric + wedge + eigenline
-    for lam in two_row_partitions(r):
-        if lam.length != 2 or lam == Partition([1, 1]):
-            continue
-        f = build_specht(lam).dim
-        s = NsIrredLabel("plus", (lam,)).dimension(r)
-        w = NsIrredLabel("minus", (lam,)).dimension(r)
-        if s + w + 1 != f * f:
-            return _fail(f"square of {lam} does not tile: {s}+{w}+1")
-    squares = sum(lbl.dimension(r) ** 2 for lbl in labels)
+    # each tensor square is exactly V+ (+) V- (+) the eps line: their
+    # f^2 basis vectors have rank f^2 over Q(u)
+    built = dict(zip(labels, mods))
+    for lam in proper_two_row(r):
+        plus, minus = (built[NsIrredLabel(k, (lam,))] for k in ("plus", "minus"))
+        vecs = plus.basis + minus.basis + [epsilon_plus_vector(lam)]
+        got = rank([flatten(c) for c in vecs])
+        if got != plus.ambient.dim:
+            return _fail(f"square of {lam} is not V+ + V- + eps: rank {got}")
+    squares = sum(mod.dim**2 for mod in mods)
     if squares != dimension_formula(r):
         return _fail("sum of squared dimensions misses the formula")
-    # pairwise inequivalence at two specializations
-    for at in gens.values():
+    # pairwise inequivalence at each point
+    for at in zip(*gens):
         for a in range(len(mods)):
             for b in range(a + 1, len(mods)):
                 if hom_dimension(at[a], mods[a].dim, at[b], mods[b].dim) != 0:

@@ -80,7 +80,6 @@ def _counting_generators(monkeypatch):
         return real(mod, u0)
 
     monkeypatch.setattr(nonstandard, "_restricted_generators", counted)
-    monkeypatch.setattr(verify, "_restricted_generators", counted)
     return calls
 
 
@@ -95,9 +94,27 @@ def test_certification_raises_on_a_pole(monkeypatch):
         raise PoleError(f"pole at u = {u0}")
 
     monkeypatch.setattr(nonstandard, "_restricted_generators", pole)
-    monkeypatch.setattr(verify, "_restricted_generators", pole)
     with pytest.raises(PoleError):
         check_certification(3)
+
+
+@pytest.mark.parametrize("bad", ["3,1", "2,2"])
+def test_certification_needs_the_eps_line_outside_v_plus(monkeypatch, bad):
+    # the dimensions still tile the square, but V+ plus a vector of its
+    # own no longer spans it
+    real = verify.epsilon_plus_vector
+
+    def eps(lam):
+        if str(lam) != bad:
+            return real(lam)
+        return nonstandard.build_irreducible(
+            nonstandard.NsIrredLabel("plus", (lam,)), 4
+        ).basis[-1]
+
+    monkeypatch.setattr(verify, "epsilon_plus_vector", eps)
+    result = check_certification(4)
+    assert not result["ok"]
+    assert result["detail"].startswith(f"square of {bad} ")
 
 
 def test_criterion_10_branching():

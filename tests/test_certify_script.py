@@ -1,10 +1,14 @@
-"""scripts/certify_irreducibles.py exits 1 when any of its certificates
-fails, so a CI step can run it."""
+"""scripts/certify_irreducibles.py takes its verdict from
+verify.check_certification, so a failure injected into any certificate
+of that one path fails the check, names the certificate, and makes the
+script exit 1."""
 
 import importlib.util
 import pathlib
 
 import pytest
+
+from nstl import nonstandard, verify
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location(
@@ -18,18 +22,34 @@ def test_rank_3_passes(capsys):
     assert certify.main(["3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5
-    assert all("closed=True  commutant=[1, 1]" in line for line in lines[:4])
-    assert lines[-1] == "sum of squared dimensions: 10"
+    assert all("dim=" in line and "Res = " in line for line in lines[:4])
+    assert lines[-1] == "certification: PASS"
+
+
+def inside_plus(lam):
+    """A vector of V+ in place of the eps line."""
+    return nonstandard._sym_projection_basis(lam)[0]
+
+
+FAILURES = [
+    (nonstandard, "closure_check", lambda mod: False, "not generator-closed"),
+    (nonstandard, "commutant_dimension", lambda gens, d: 2, "commutant"),
+    (verify, "hom_dimension", lambda *args: 1, "intertwiner"),
+    (verify, "dimension_formula", lambda r: 11, "formula"),
+    (verify, "epsilon_plus_vector", inside_plus, "square of 2,1"),
+]
 
 
 @pytest.mark.parametrize(
-    "name,fake",
-    [
-        ("closure_check", lambda mod: False),
-        ("certify_irreducible", lambda mod, u0: 2),
-        ("dimension_formula", lambda r: 11),
-    ],
+    "module,name,fake,named", FAILURES, ids=[f[1] for f in FAILURES]
 )
-def test_a_failed_certificate_exits_1(capsys, monkeypatch, name, fake):
-    monkeypatch.setattr(certify, name, fake)
+def test_a_failed_certificate_fails_the_check_and_exits_1(
+    capsys, monkeypatch, module, name, fake, named
+):
+    monkeypatch.setattr(module, name, fake)
+    result = verify.check_certification(3)
+    assert not result["ok"]
+    assert named in result["detail"]
     assert certify.main(["3"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"certification: FAIL ({result['detail']})"

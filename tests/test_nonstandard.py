@@ -13,6 +13,7 @@ from nstl.exact_arith import LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
 from nstl.linalg import SpanBasis, mat_add, mat_mul, mat_transpose, nullspace, zeros
 from nstl.nonstandard import (
     FOUR,
+    CertificateError,
     ModulusError,
     NsIrredLabel,
     NsSubmodule,
@@ -20,6 +21,7 @@ from nstl.nonstandard import (
     TensorModule,
     _accepted_words,
     _block_generators,
+    _kron_sum,
     _restricted_generators,
     antipode_check,
     build_irreducible,
@@ -81,7 +83,7 @@ def fraction_closure_words(r, u0):
         G = [[Fraction(0)] * N for _ in range(N)]
         off = 0
         for b in blocks:
-            flat = b.p_matrix(i, "ll")
+            flat = _kron_sum(b.ops(i, "ll"))
             for a in range(b.dim):
                 for c in range(b.dim):
                     G[off + a][off + c] = flat[a][c].specialize(u0)
@@ -338,7 +340,11 @@ class TestCertification:
     def test_commutant_one(self, r):
         for lbl in ns_labels(r):
             mod = build_irreducible(lbl, r)
-            assert certify_irreducible(mod) == 1
+            gens = certify_irreducible(mod)
+            assert len(gens) == len(SPECIALIZATION_LADDER)
+            for at in gens:
+                assert len(at) == r - 1
+                assert all(len(G) == mod.dim for G in at)
 
     def test_reducible_control(self):
         # the full diagonal tensor square has three summands
@@ -354,6 +360,14 @@ class TestCertification:
         gens = _restricted_generators(mod, Fraction(7, 3))
         assert commutant_dimension(gens, 4) == 3
         assert fraction_hom_dimension(gens, 4, gens, 4) == 3
+        with pytest.raises(CertificateError, match="commutant not a line"):
+            certify_irreducible(mod)
+
+    def test_open_module_fails_closure(self):
+        tm = TensorModule(P([2, 1]), P([2, 1]))
+        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, tm.unit_vectors()[:1])
+        with pytest.raises(CertificateError, match="not generator-closed"):
+            certify_irreducible(mod)
 
     def test_image_outside_the_span_raises(self):
         # one basis pair of (2,1) x (2,1) spans no submodule
@@ -369,10 +383,6 @@ class TestCertification:
             zip(gens, mods), 2
         ):
             assert hom_dimension(ga, ma.dim, gb, mb.dim) == 0
-
-    def test_retry_ladder(self):
-        mod = build_irreducible(NsIrredLabel("eps_plus"), 3)
-        assert certify_irreducible(mod, Fraction(7, 3)) == 1
 
 
 def fraction_hom_dimension(gens_a, dim_a, gens_b, dim_b):
@@ -441,7 +451,7 @@ class TestIntegerHom:
         assert commutant_dimension(double, 2 * d) == 2 * want
 
     @pytest.mark.parametrize("r", [2, 3, 4])
-    @pytest.mark.parametrize("u0", SPECIALIZATION_LADDER[:2], ids=str)
+    @pytest.mark.parametrize("u0", SPECIALIZATION_LADDER, ids=str)
     def test_every_ordered_label_pair(self, r, u0):
         mods = [build_irreducible(lbl, r) for lbl in ns_labels(r)]
         gens = [_restricted_generators(m, u0) for m in mods]

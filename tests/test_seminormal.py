@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -38,6 +42,19 @@ from nstl.seminormal import (
     seminormal_table,
 )
 from nstl.specht_modules import build_specht
+
+# sha256 of the (3,2) x (3,2) seminormal chains and vectors
+DIGEST_32 = """
+import hashlib
+from nstl.combinatorics import Partition
+from nstl.nonstandard import TensorModule
+from nstl.seminormal import seminormal_basis
+lam = Partition([3, 2])
+sb = seminormal_basis(TensorModule(lam, lam))
+text = repr([(str(c), [[str(x) for x in row] for row in v])
+             for c, v in zip(sb.chains, sb.vectors)])
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
 
 
 def tab(s: str) -> Tableau:
@@ -211,10 +228,22 @@ class TestSeminormalBasis:
         assert all(l == lbl("eps+") for l in sb.chains[0].labels)
 
     def test_deterministic(self):
-        a = seminormal_basis(TensorModule(P32, P32))
-        b = seminormal_basis(TensorModule(P32, P32))
-        assert a.chains == b.chains
-        assert a.vectors == b.vectors
+        # two processes under different hash seeds, so set and dict
+        # iteration order differ; a rebuild in one process would only
+        # read the caches back (see the next test)
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", DIGEST_32],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        }
+        assert len(digests) == 1 and len(digests.pop()) == 65
 
     def test_rebuild_reads_only_the_gt_caches(self):
         """Once the tuple-valued _gt_basis caches are warm, a rebuild in
