@@ -554,11 +554,11 @@ def _hom_nullity(gens_a, dim_a, gens_b, dim_b, least):
     return n - len(span)
 
 
-def certify_irreducible(mod: NsSubmodule, points=SPECIALIZATION_LADDER) -> list:
+def certify_irreducible(mod: NsSubmodule) -> list:
     """Certify one module: closure under the P_i over Q(u), then at
-    each point u0 the restricted generators and a commutant that is a
-    line. Returns the generators at each point, in order, for the
-    pairwise Hom check. Raises CertificateError naming the certificate
+    each point u0 of SPECIALIZATION_LADDER the restricted generators
+    and a commutant that is a line. Returns the generators at each
+    point, in order, for the pairwise Hom check. Raises CertificateError naming the certificate
     that fails; a pole at a point raises PoleError.
 
     A commutant of 1 at u0 gives End = Q at generic u, and Hom = 0 at
@@ -570,8 +570,8 @@ def certify_irreducible(mod: NsSubmodule, points=SPECIALIZATION_LADDER) -> list:
     the product of the End(V_i)."""
     if not closure_check(mod):
         raise CertificateError(f"not generator-closed: {mod.label}")
-    gens = [_restricted_generators(mod, u0) for u0 in points]
-    for u0, at in zip(points, gens):
+    gens = [_restricted_generators(mod, u0) for u0 in SPECIALIZATION_LADDER]
+    for u0, at in zip(SPECIALIZATION_LADDER, gens):
         if commutant_dimension(at, mod.dim) != 1:
             raise CertificateError(
                 f"commutant not a line for {mod.label} at {u0}"
