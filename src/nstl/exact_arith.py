@@ -489,6 +489,22 @@ FOUR = TWO * TWO
 R_HALF = RationalFn(L_ONE, LaurentPoly({0: 2}))
 
 
+def common_denominator(values) -> tuple:
+    """(d, nums) with values[k] = nums[k] / d for RationalFn values and
+    d the least common multiple of their denominators in Z[u]."""
+    dens = dict.fromkeys(x.den for x in values)
+    d = L_ONE
+    for den in dens:
+        dd, ld = _poly_of(den)[1], _poly_of(d)[1]
+        d = d * _dense_to_laurent(0, _dense_div_exact(dd, _dense_gcd(ld, dd)))
+    ld = _poly_of(d)[1]
+    cofactor = {
+        den: _dense_to_laurent(0, _dense_div_exact(ld, _poly_of(den)[1]))
+        for den in dens
+    }
+    return d, [x.num * cofactor[x.den] for x in values]
+
+
 def val0(f: RationalFn):
     return RationalFn._coerce(f).val0()
 

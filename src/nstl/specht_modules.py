@@ -3,15 +3,20 @@ by SYT(lambda), exact generator actions, the lower -> upper transition
 matrix, branching projectors for the restriction to H_{r-1}, projected
 canonical bases, and lattice reduction mod u.
 
-Both bases are realized on right cells of the regular module: the lower
-basis on a cell of {C'_w} with labels Q(w)^t, the upper basis on a cell
-of {C_w} with labels Q(w). Action matrices act on coordinate columns:
-(C_Q * C_s) has coordinates A[:, Q].
+Both actions are built from the W-graph of the module: the tableau
+descent sets and the mu-table. The mu-table is read from the KL table
+on a right cell of each canonical basis: a cell of {C'_w} with labels
+Q(w)^t and a cell of {C_w} with labels Q(w), which must agree. Action
+matrices act on coordinate columns: (C_Q * C_s) has coordinates A[:, Q].
 
-The transition matrix and the branching embeddings are intertwiners of
+The lower and upper descent sets of a tableau are complements, so
+U_i + [2] I = L_i^T and the transition matrix is the Gram matrix of
+the contravariant form, solved from the W-graph by propagation in
+`_contravariant_form`. The branching embeddings are intertwiners of
 irreducible modules, unique up to a scalar because restriction to
 H_{r-1} is multiplicity-free. `_intertwiner` solves for one from a
-cyclic vector in dim(target) unknowns and checks it exactly."""
+cyclic vector in dim(target) unknowns. Both results are checked
+exactly against every generator."""
 
 from __future__ import annotations
 
@@ -23,18 +28,24 @@ from .combinatorics import (
     descent_set,
     syt_enumerate,
 )
-from .exact_arith import R_ONE, R_ZERO, TWO, RationalFn
-from .hecke_core import HeckeElement, kl_table, right_multiply_canonical
+from .exact_arith import (
+    L_ZERO,
+    R_ONE,
+    R_ZERO,
+    TWO,
+    RationalFn,
+    common_denominator,
+)
+from .hecke_core import kl_table
 from .linalg import (
     SpanBasis,
     identity,
     inverse,
-    mat_add,
     mat_mul,
-    mat_scale,
     mat_transpose,
     mat_vec,
     nullspace,
+    rref,
     zeros,
 )
 
@@ -114,6 +125,140 @@ def _intertwiner(src_actions, dst_actions, gens):
     return phi
 
 
+def _contravariant_form(actions):
+    """The symmetric X with X[0][0] = 1 and L_i^T X = X L_i for every
+    generator i, where L_i = actions[i] acts like C'_{s_i} on a W-graph.
+
+    First the W-graph shape of every L_i is checked exactly: with
+    D_i = {p : L_i[p][p] = [2]}, column q is [2] e_q for q in D_i, and
+    for q outside D_i its nonzero entries lie in the rows D_i. For X
+    symmetric, L_i^T X = X L_i says that X L_i is symmetric. Given that
+    shape, its entries (p, q) with p in D_i and q outside it read
+
+        [2] X[p][q] = sum_{p' in D_i} L_i[p'][q] X[p][p'],
+
+    and those with p, q both outside D_i follow from these, by
+    substituting them into both sides and using the symmetry of X.
+
+    The equations are solved by propagation: an equation with one
+    unknown entry left fixes it. The entries are linear forms in
+    parameters; the first parameter is X[0][0], and whenever the
+    propagation stalls another is put on an unknown entry, diagonal
+    ones first. The equations that fixed nothing then form a
+    homogeneous system in the parameters; with X[0][0] = 1 added, one
+    rref must give it a unique solution, which proves that the
+    symmetric intertwiners form a line that does not vanish at X[0][0].
+    Over Q(u) every irreducible H_r-module carries such a form, so a
+    module with k irreducible summands has at least k dimensions of
+    them. Raises ArithmeticError unless the shape is right and the
+    solution is unique."""
+    n = len(next(iter(actions.values())))
+    # an equation sum c X[entry] = 0 is a list of (entry, c), and an
+    # entry (a, b) has a <= b
+    eqs = []
+    for i, L in actions.items():
+        desc = [p for p in range(n) if L[p][p] == TWO]
+        inside = set(desc)
+        for q in range(n):
+            col = [(p, L[p][q]) for p in range(n) if L[p][q]]
+            if q in inside:
+                shaped = col == [(q, TWO)]
+            else:
+                shaped = all(p in inside for p, _ in col)
+            if not shaped:
+                raise ArithmeticError(
+                    f"column {q} of s_{i} is not of W-graph shape"
+                )
+            if q in inside:
+                continue
+            for p in desc:
+                eqs.append(
+                    [((p, q) if p < q else (q, p), -TWO)]
+                    + [((min(p, a), max(p, a)), c) for a, c in col]
+                )
+
+    holders = {}
+    for e, eq in enumerate(eqs):
+        for entry, _ in eq:
+            holders.setdefault(entry, []).append(e)
+    unknown = [len(eq) for eq in eqs]
+    value = {}  # entry -> {parameter: coefficient}
+    queue, used, leftover = [], set(), []
+
+    def assign(entry, form):
+        value[entry] = form
+        for e in holders.get(entry, ()):
+            unknown[e] -= 1
+            if unknown[e] == 1:
+                queue.append(e)
+            elif unknown[e] == 0 and e not in used:
+                leftover.append(e)
+
+    def combine(terms):
+        # most coefficients are mu = 1
+        out = {}
+        for c, form in terms:
+            for k, x in form.items():
+                x = x if c.is_one() else c * x
+                out[k] = out[k] + x if k in out else x
+        return out
+
+    entries = [(a, a) for a in range(n)] + [
+        (a, b) for a in range(n) for b in range(a + 1, n)
+    ]
+    params = 0
+    for entry in entries:
+        if entry in value:
+            continue
+        assign(entry, {params: R_ONE})
+        params += 1
+        while queue:
+            e = queue.pop()
+            if unknown[e] != 1:
+                continue
+            used.add(e)
+            (target, c0), = [(x, c) for x, c in eqs[e] if x not in value]
+            form = combine((c, value[x]) for x, c in eqs[e] if x in value)
+            assign(target, {k: -x / c0 for k, x in form.items()})
+
+    rows = []
+    for e in leftover:
+        form = combine((c, value[x]) for x, c in eqs[e])
+        row = [form.get(k, R_ZERO) for k in range(params)] + [R_ZERO]
+        if any(row):
+            rows.append(row)
+    rows.append([R_ONE] + [R_ZERO] * (params - 1) + [R_ONE])
+    red, pivots = rref(rows)
+    if pivots != list(range(params)):
+        raise ArithmeticError(
+            "no contravariant form with X[0][0] = 1"
+            if params in pivots
+            else "the contravariant form with X[0][0] = 1 is not unique"
+        )
+    t = [row[params] for row in red]
+    X = zeros(n, n, R_ZERO)
+    for (a, b), form in value.items():
+        x = R_ZERO
+        for k, c in form.items():
+            x = x + c * t[k]
+        X[a][b] = X[b][a] = x
+    return X
+
+
+def _laurent_entries(A):
+    """The nonzero entries (a, b, A[a][b]) of a RationalFn matrix, each
+    as a LaurentPoly."""
+    out = []
+    for a, row in enumerate(A):
+        for b, x in enumerate(row):
+            if x:
+                p = x.as_laurent()
+                if p is None:
+                    raise ArithmeticError("action entry is not a Laurent polynomial")
+                out.append((a, b, p))
+    return out
+
+
 class SpechtModule:
     """Shape lambda with canonical bases indexed by SYT(lambda)."""
 
@@ -123,21 +268,26 @@ class SpechtModule:
         self.basis = syt_enumerate(shape)
         self.index = {t: k for k, t in enumerate(self.basis)}
         self.dim = len(self.basis)
-        (
-            self.lower_action,
-            self.upper_action,
-            self.mu_table,
-        ) = self._build_from_cells()
+        self.mu_table = self._cell_mu_table()
+        self.lower_action = {
+            i: self._wgraph_action(i, "lower") for i in range(1, self.r)
+        }
+        self.upper_action = {
+            i: self._wgraph_action(i, "upper") for i in range(1, self.r)
+        }
         self._transition = None
         self._transition_inv = None
         self._branching = None
 
     # -- construction --------------------------------------------------
 
-    def _build_from_cells(self):
+    def _cell_mu_table(self):
+        """mu between the members of one right cell of each canonical
+        basis, keyed by their SYT labels; the two cells must carry the
+        same labels and the same mu."""
         r = self.r
         if r <= 1:
-            return {}, {}, {}
+            return {}
         table = kl_table(r)
         # lower cell: {C'_w : P(w) = P0t}, labels Q(w)^t, P0t in SYT(shape^t)
         p0t = syt_enumerate(self.shape.conjugate())[0]
@@ -153,24 +303,6 @@ class SpechtModule:
         if not set(lower_members) == set(upper_members) == set(self.index):
             raise RuntimeError(f"cell labels of {self.shape} are not SYT")
 
-        def cell_action(members, tag):
-            mats = {}
-            label_of = {w: q for q, w in members.items()}
-            for i in range(1, r):
-                A = zeros(self.dim, self.dim, R_ZERO)
-                for q, w in members.items():
-                    el = HeckeElement(r, tag, {w: R_ONE})
-                    img = right_multiply_canonical(el, i)
-                    col = self.index[q]
-                    for x, c in img.coords.items():
-                        if x in label_of:
-                            A[self.index[label_of[x]]][col] = c
-                mats[i] = A
-            return mats
-
-        lower = cell_action(lower_members, "lower")
-        upper = cell_action(upper_members, "upper")
-
         # mu-table from the upper cell; checked against the lower cell
         mu_table = {}
         for q1, w1 in upper_members.items():
@@ -184,7 +316,26 @@ class SpechtModule:
                     raise ArithmeticError(
                         f"mu({q1}, {q2}) differs between the cells"
                     )
-        return lower, upper, mu_table
+        return mu_table
+
+    def _wgraph_action(self, i: int, basis: str):
+        """C'_{s_i} (lower) or C_{s_i} (upper) from the W-graph: column
+        Q is +-[2] e_Q when i is in the descent set of Q, and otherwise
+        sum mu(Q', Q) e_Q' over the Q' whose descent set holds i."""
+        diag = TWO if basis == "lower" else -TWO
+        descends = [i in descent_set(q, basis) for q in self.basis]
+        ints = {}
+        A = zeros(self.dim, self.dim, R_ZERO)
+        for (qp, q), m in self.mu_table.items():
+            row, col = self.index[qp], self.index[q]
+            if descends[row] and not descends[col]:
+                if m not in ints:
+                    ints[m] = RationalFn.from_int(m)
+                A[row][col] = ints[m]
+        for col, d in enumerate(descends):
+            if d:
+                A[col][col] = diag
+        return A
 
     # -- actions --------------------------------------------------------
 
@@ -213,24 +364,6 @@ class SpechtModule:
             A[k][k] = A[k][k] - uinv
         return A
 
-    def formula_action(self, i: int, basis: str):
-        """Action rebuilt from tableau descent sets and the mu-table,
-        independent of the cell realization."""
-        conv = "lower" if basis == "lower" else "upper"
-        sign = TWO if basis == "lower" else (R_ZERO - TWO)
-        A = zeros(self.dim, self.dim, R_ZERO)
-        for q in self.basis:
-            col = self.index[q]
-            if i in descent_set(q, conv):
-                A[col][col] = sign
-            else:
-                for qp in self.basis:
-                    if i in descent_set(qp, conv):
-                        m = self.mu(qp, q)
-                        if m:
-                            A[self.index[qp]][col] = RationalFn.from_int(m)
-        return A
-
     def act(self, coords, i: int, basis: str):
         """Apply the canonical generator to a coordinate vector."""
         return mat_vec(self.action_matrix(i, basis), list(coords))
@@ -251,18 +384,32 @@ class SpechtModule:
         return self._transition_inv
 
     def _compute_transition(self):
+        """X intertwines: (U_i + [2] I) X = X L_i for every generator,
+        since C'_s = C_s + [2] T_e in H_r; normalized by X[0][0] = 1.
+        U_i + [2] I = L_i^T, so X is the Gram matrix of the contravariant
+        form; it is solved from L alone and then checked against U."""
         n = self.dim
         if n == 1 or self.r <= 1:
             return identity(1, R_ONE, R_ZERO)
-        # X intertwines: (U_i + [2] I) X = X L_i for every generator,
-        # since C'_s = C_s + [2] T_e in H_r; normalized by X[0][0] = 1.
-        two = mat_scale(identity(n, R_ONE, R_ZERO), TWO)
-        shifted = {i: mat_add(U, two) for i, U in self.upper_action.items()}
-        X = _intertwiner(self.lower_action, shifted, range(1, self.r))
-        pivot = X[0][0]
-        if not pivot:
-            raise ArithmeticError("transition matrix has zero leading entry")
-        return [[x / pivot for x in row] for row in X]
+        X = _contravariant_form(self.lower_action)
+        # the exact check on X = Y / d: Laurent products, no gcd
+        _, nums = common_denominator([x for row in X for x in row])
+        Y = [nums[a * n:(a + 1) * n] for a in range(n)]
+        for i, U in self.upper_action.items():
+            shifted = [
+                [x + TWO if a == b else x for b, x in enumerate(row)]
+                for a, row in enumerate(U)
+            ]
+            lhs, rhs = zeros(n, n, L_ZERO), zeros(n, n, L_ZERO)
+            for a, k, s in _laurent_entries(shifted):
+                for b in range(n):
+                    lhs[a][b] = lhs[a][b] + s * Y[k][b]
+            for k, b, s in _laurent_entries(self.lower_action[i]):
+                for a in range(n):
+                    rhs[a][b] = rhs[a][b] + Y[a][k] * s
+            if lhs != rhs:
+                raise ArithmeticError(f"transition check failed at s_{i}")
+        return X
 
     # -- restriction / branching ---------------------------------------
 

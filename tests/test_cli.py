@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -199,9 +200,9 @@ class TestVerifyAll:
         monkeypatch.setattr(
             "nstl.cli.ACCEPTANCE_CHECKS",
             (
-                ("full", 5, stub("full")),
-                ("capped", 4, stub("capped")),
-                ("failed", 3, stub("failed", ok=False)),
+                ("full", 5, False, stub("full")),
+                ("capped", 4, False, stub("capped")),
+                ("failed", 3, False, stub("failed", ok=False)),
             ),
         )
         code, out = run(capsys, "verify-all", "--r", "5")
@@ -236,8 +237,8 @@ class TestVerifyAll:
         monkeypatch.setattr(
             "nstl.cli.ACCEPTANCE_CHECKS",
             (
-                ("full", 5, lambda r: {"ok": True}),
-                ("capped", 4, lambda r: {"ok": True}),
+                ("full", 5, False, lambda r: {"ok": True}),
+                ("capped", 4, False, lambda r: {"ok": True}),
             ),
         )
         assert main(["verify-all", "--r", "5"]) == 0
@@ -260,8 +261,36 @@ class TestVerifyAll:
         assert main(["-v", "verify-all", "--r", "3"]) == code == 0
         loud = capsys.readouterr()
         assert loud.out == quiet
-        names = [name for name, _, _ in ACCEPTANCE_CHECKS]
+        names = [name for name, _, _, _ in ACCEPTANCE_CHECKS]
         assert [line.split(":")[0] for line in loud.err.splitlines()] == names
+
+    def test_verbose_names_the_rank_a_fixed_check_ran_at(self, capsys):
+        # figures and seminormal run on (3,2), action-formula and
+        # eps-antipode at r=4, whatever --r says
+        assert main(["-v", "verify-all", "--r", "4"]) == 0
+        captured = capsys.readouterr()
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert digest == (
+            "5d515035eb5e002afe095edb48001b7ebfc7e2de361d8927cd5aec8021ce955e"
+        )
+        ranks = dict(
+            line.rsplit(" ", 1)[0].split(": ")
+            for line in captured.err.splitlines()
+        )
+        assert ranks == {
+            "kl-basis": "r=4",
+            "cells-rsk": "r=4",
+            "figures": "r=5",
+            "de-mu": "r=4",
+            "transition": "r=4",
+            "projected-basis": "r=4",
+            "action-formula": "r=4",
+            "eps-antipode": "r=4",
+            "certification": "r=4",
+            "branching": "r=4",
+            "dimension": "r=4",
+            "seminormal": "r=5",
+        }
 
 
 class TestInternalError:

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from nstl.combinatorics import Partition, partitions_of, syt_count
+from nstl.combinatorics import Partition, partitions_of, syt_count, syt_enumerate
 from nstl.exact_arith import R_ONE, R_ZERO, TWO, LaurentPoly, RationalFn
-from nstl.linalg import identity, mat_mul, mat_vec, nullspace
+from nstl.hecke_core import HeckeElement, kl_table, right_multiply_canonical
+from nstl.linalg import identity, mat_mul, mat_transpose, mat_vec, nullspace, zeros
 from nstl.specht_modules import (
     Lattice,
     PreconditionError,
     SpechtModule,
+    _intertwiner,
     build_specht,
     isotypic_projector,
     lattice_reduce,
@@ -57,6 +59,44 @@ def shifted_upper(m):
     }
 
 
+def cell_realization(lam):
+    """Oracle for the W-graph actions: right multiplication in H_r by
+    C'_{s_i} on the lower cell {C'_w : P(w) = P0^t} (labels Q(w)^t) and
+    by C_{s_i} on the upper cell {C_w : P(w) = P0} (labels Q(w)), as
+    (lower, upper) dicts of matrices on coordinate columns."""
+    r = lam.size
+    table = kl_table(r)
+    m = build_specht(lam)
+    p0t = syt_enumerate(lam.conjugate())[0]
+    members = {"lower": {}, "upper": {}}
+    for w, (P, Q) in table.rsk_pairs.items():
+        if P == p0t:
+            members["lower"][Q.transpose()] = w
+        if P == m.basis[0]:
+            members["upper"][Q] = w
+    actions = []
+    for tag, cell in members.items():
+        label_of = {w: q for q, w in cell.items()}
+        mats = {}
+        for i in range(1, r):
+            A = zeros(m.dim, m.dim, R_ZERO)
+            for q, w in cell.items():
+                img = right_multiply_canonical(HeckeElement(r, tag, {w: R_ONE}), i)
+                for x, c in img.coords.items():
+                    if x in label_of:
+                        A[m.index[label_of[x]]][m.index[q]] = c
+            mats[i] = A
+        actions.append(mats)
+    return tuple(actions)
+
+
+def block_diagonal(A, B):
+    zero = R_ZERO
+    return [row + [zero] * len(B) for row in A] + [
+        [zero] * len(A) + row for row in B
+    ]
+
+
 class TestConstruction:
     @pytest.mark.parametrize("lam", shapes_up_to(5), ids=str)
     def test_dimension(self, lam):
@@ -93,12 +133,12 @@ class TestConstruction:
                     mat_mul(T[i], T[j]), mat_mul(T[j], T[i])
                 )
 
-    @pytest.mark.parametrize("lam", shapes_up_to(5), ids=str)
+    @pytest.mark.parametrize("lam", shapes_up_to(6), ids=str)
     def test_formula_matches_cells(self, lam):
         m = build_specht(lam)
-        for i in range(1, lam.size):
-            assert mats_equal(m.lower_action[i], m.formula_action(i, "lower"))
-            assert mats_equal(m.upper_action[i], m.formula_action(i, "upper"))
+        lower, upper = cell_realization(lam)
+        assert lower == m.lower_action
+        assert upper == m.upper_action
 
     @pytest.mark.parametrize("lam", shapes_up_to(5), ids=str)
     def test_mu_table_symmetric_positive(self, lam):
@@ -156,6 +196,40 @@ class TestTransition:
         U = m.upper_action[m.r - 1]
         U[0][m.dim - 1] = U[0][m.dim - 1] + R_ONE
         with pytest.raises(ArithmeticError):
+            m._compute_transition()
+
+    @pytest.mark.parametrize("lam", partitions_of(6), ids=str)
+    def test_matches_cyclic_vector_solve(self, lam):
+        m = build_specht(lam)
+        X = _intertwiner(m.lower_action, shifted_upper(m), range(1, lam.size))
+        assert [[x / X[0][0] for x in row] for row in X] == m.transition
+
+    @pytest.mark.parametrize("lam", shapes_up_to(6), ids=str)
+    def test_symmetric(self, lam):
+        X = build_specht(lam).transition
+        assert X == mat_transpose(X)
+
+    @pytest.mark.parametrize("shape", [[2, 1], [3, 2], [3, 1, 1]], ids=str)
+    def test_reducible_module_raises(self, shape):
+        # M + M carries a plane of contravariant forms, not a line
+        m = SpechtModule(Partition(shape))
+        for action in (m.lower_action, m.upper_action):
+            for i, A in action.items():
+                action[i] = block_diagonal(A, A)
+        m.dim *= 2
+        with pytest.raises(ArithmeticError, match="not unique"):
+            m._compute_transition()
+
+    @pytest.mark.parametrize("shape", [[3, 2], [3, 1, 1], [3, 2, 1]], ids=str)
+    def test_column_outside_wgraph_shape_raises(self, shape):
+        # an entry linking two basis vectors that both lack descent i
+        m = SpechtModule(Partition(shape))
+        i = m.r - 1
+        L = m.lower_action[i]
+        outside = [p for p in range(m.dim) if L[p][p] != TWO]
+        assert len(outside) >= 2
+        L[outside[0]][outside[1]] = R_ONE
+        with pytest.raises(ArithmeticError, match="W-graph shape"):
             m._compute_transition()
 
 
