@@ -91,9 +91,8 @@ def cell_realization(lam):
 
 
 def block_diagonal(A, B):
-    zero = R_ZERO
-    return [row + [zero] * len(B) for row in A] + [
-        [zero] * len(A) + row for row in B
+    return [row + [R_ZERO] * len(B) for row in A] + [
+        [R_ZERO] * len(A) + row for row in B
     ]
 
 
@@ -211,7 +210,7 @@ class TestTransition:
 
     @pytest.mark.parametrize("shape", [[2, 1], [3, 2], [3, 1, 1]], ids=str)
     def test_reducible_module_raises(self, shape):
-        # M + M carries a plane of contravariant forms, not a line
+        # M + M carries a 3-dimensional space of contravariant forms
         m = SpechtModule(Partition(shape))
         for action in (m.lower_action, m.upper_action):
             for i, A in action.items():
