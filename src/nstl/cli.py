@@ -17,12 +17,11 @@ from fractions import Fraction
 
 from .combinatorics import (
     Partition,
-    all_permutations,
     dkt_edges,
     descent_set,
     syt_enumerate,
 )
-from .hecke_core import cells_regular, kl_lower, kl_upper
+from .hecke_core import cells_regular, kl_table
 from .nonstandard import (
     ModulusError,
     NsIrredLabel,
@@ -99,14 +98,7 @@ def _matrix_strings(M):
 
 def cmd_kl_basis(args, cfg, parser):
     cfg.check_rank(args.r, parser)
-    fn = kl_lower if args.basis == "lower" else kl_upper
-    elements = {}
-    for w in all_permutations(args.r):
-        elements[str(w)] = {
-            str(x): str(c.as_laurent()) for x, c in sorted(
-                fn(w).coords.items(), key=lambda kv: str(kv[0])
-            )
-        }
+    elements = kl_table(args.r).printed(args.basis)
     _emit({"r": args.r, "basis": args.basis, "elements": elements}, cfg)
     return 0
 
@@ -229,6 +221,8 @@ def cmd_restrict(args, cfg, parser):
         if args.r is not None and args.r != r:
             parser.error(f"--r {args.r} conflicts with label rank {r}")
     cfg.check_rank(r, parser)
+    if r < 2:
+        parser.error(f"restriction from rank {r} needs r >= 2")
     if label not in set(ns_labels(r)):
         parser.error(f"label {label} is not in the rank-{r} index set")
     counts = restriction_decompose(build_irreducible(label, r))
@@ -304,6 +298,8 @@ def cmd_dim_check(args, cfg, parser):
 
 def cmd_verify_all(args, cfg, parser):
     cfg.check_rank(args.r, parser)
+    if args.r < 2:
+        parser.error(f"verify-all at rank {args.r} needs r >= 2 (branching restricts)")
     results = {}
     ok = True
     for name, cap, fixed, check in ACCEPTANCE_CHECKS:

@@ -66,7 +66,8 @@ def _std_right_mul_s(coords: dict, i: int) -> dict:
 # is exact while each is below 2^(K-1) in absolute value; both recursions
 # carry a bound per row and raise ArithmeticError before it gets there.
 # K = 36 fits both bounds at r = 7: 2^26 for the lower basis and
-# 3^21 < 2^35 for bar(T_w).
+# 3^21 < 2^35 for bar(T_w). The bar-invariance check of
+# KLTable.canonical_failure fits up to r = 6 (2^27; 2^37 at r = 7).
 _K = 36
 _HALF = 1 << (_K - 1)
 _MASK = (1 << _K) - 1
@@ -80,18 +81,25 @@ def _mu_digit(n: int) -> int:
     return ((t + _HALF) & _MASK) - _HALF
 
 
-def _unpack(n: int, top: int) -> LaurentPoly:
-    """The Laurent polynomial of a packed coordinate with L = top."""
-    coeffs = {}
+def _digits(n: int) -> dict:
+    """{j: d} for the nonzero balanced base-2^K digits d of n, where j
+    is the place of d; every integer has exactly one such expansion."""
+    out = {}
     if n:
         j = ((n & -n).bit_length() - 1) // _K  # the lowest nonzero digit
         n >>= _K * j
         while n:
             d = ((n + _HALF) & _MASK) - _HALF
-            coeffs[top - j] = d
+            if d:
+                out[j] = d
             n = (n - d) >> _K
             j += 1
-    return LaurentPoly(coeffs)
+    return out
+
+
+def _unpack(n: int, top: int) -> LaurentPoly:
+    """The Laurent polynomial of a packed coordinate with L = top."""
+    return LaurentPoly({top - j: d for j, d in _digits(n).items()})
 
 
 def _check_bound(bound: int, w: Permutation) -> None:
@@ -150,6 +158,7 @@ class KLTable:
         self._lower = None
         self._mu_pairs = None
         self._upper = None
+        self._bar_packed = None
         self._bar_t = None
         self._theta_t = None
         self._rsk_pairs = None
@@ -249,18 +258,16 @@ class KLTable:
 
     # -- theta / bar on the standard basis ----------------------------
 
-    @property
-    def bar_t(self) -> dict:
-        """bar(T_w) in standard coordinates, for all w."""
-        if self._bar_t is None:
+    def _bar_rows(self) -> list:
+        """Packed rows of bar(T_w) for all w, with L = l(w0) + 1."""
+        if self._bar_packed is None:
             # bar(T_s) = T_s^-1 = T_s - (u - u^-1) T_e, and
             # bar(T_w) = bar(T_s) bar(T_v) for w = s v > v. A coordinate
             # of bar(T_w) is d_sy or d_sy - (u - u^-1) d_y, so every
             # |coefficient| is at most 3^l(w), and every degree at most
             # l(w) < L = l(w0) + 1.
             lengths, left = self._lengths, self._left
-            top = lengths[-1] + 1
-            out = [{0: 1 << (_K * top)}]
+            out = [{0: 1 << (_K * (lengths[-1] + 1))}]
             for k, i, v in self._descents():
                 _check_bound(3 ** lengths[k], self.perms[k])
                 base = out[v]
@@ -269,7 +276,14 @@ class KLTable:
                 for y, d in base.items():
                     acc[y] = get(y, 0) - (d >> _K) + (d << _K)
                 out.append(acc)
-            self._bar_t = self._unpacked(out, top)
+            self._bar_packed = out
+        return self._bar_packed
+
+    @property
+    def bar_t(self) -> dict:
+        """bar(T_w) in standard coordinates, for all w."""
+        if self._bar_t is None:
+            self._bar_t = self._unpacked(self._bar_rows(), self._lengths[-1] + 1)
         return self._bar_t
 
     @property
@@ -296,6 +310,103 @@ class KLTable:
                 for w, coords in self.lower.items()
             }
         return self._upper
+
+    # -- readers of the packed rows -----------------------------------
+
+    def printed(self, basis: str) -> dict:
+        """The canonical basis as `nstl kl-basis` prints it: str(w) ->
+        {str(x): coordinate} for every w, the coordinates of C'_w
+        (basis "lower") or of C_w ("upper"), zero ones left out. Each
+        packed value is decoded and printed once per sign; an upper
+        coordinate is (-1)^{l(w)+l(x)} bar(P'_{x,w})."""
+        upper = basis == "upper"
+        names = [str(w) for w in self.perms]
+        lengths = self._lengths
+        text: dict = {}
+        out = {}
+        for k, row in enumerate(self._rows):
+            coords = {}
+            for x, n in row.items():
+                if not n:
+                    continue
+                key = (n, upper and (lengths[k] + lengths[x]) % 2)
+                s = text.get(key)
+                if s is None:
+                    p = _unpack(n, 1)
+                    if upper:
+                        p = -p.bar() if key[1] else p.bar()
+                    s = text[key] = str(p)
+                coords[names[x]] = s
+            out[names[k]] = coords
+        return out
+
+    def canonical_failure(self):
+        """The first failure of C'_w or C_w, read off the packed rows, to
+        be the canonical basis element, as a message naming w; None if
+        every w passes.
+
+        Per w it checks that the diagonal coordinate is 1 and that every
+        other one lies in u^-1 Z[u^-1] (C'_w), so that its signed bar lies
+        in u Z[u] (C_w); then that both are bar-invariant:
+            sum_x bar(P'_{x,w}) bar(T_x) = sum_y P'_{y,w} T_y,
+            sum_x (-1)^l(x) P'_{x,w} bar(T_x) = sum_y (-1)^l(y) bar(P'_{y,w}) T_y,
+        the second being bar(C_w) = C_w with the sign (-1)^l(w) taken out.
+        Both sides are packed at L = B + l(w0) + 1, so a product of
+        coordinates is an integer product: bar(P') as the digit reversal
+        of P' at L = B, P' itself shifted to L = B, bar(T_x) as its
+        packed row.
+
+        The comparison is exact: a left side has coefficients of absolute
+        value at most sum_x ||P'_{x,w}||_1 3^l(x) (|bar(T_x)| <= 3^l(x)
+        coefficient-wise), a right side those of the row's balanced
+        digits, at most 2^(K-1). While the first bound is below 2^(K-1),
+        the difference of the two sides has coefficients below 2^K, and
+        its packed integer is 0 only if it is the zero polynomial. At or
+        past that bound this raises ArithmeticError (2^27 at r = 6).
+        """
+        lengths, perms = self._lengths, self.perms
+        bar_rows = self._bar_rows()
+        values = {n for row in self._rows for n in row.values()}
+        digits = {n: _digits(n) for n in values}
+        # B >= 1 gives every reversed digit of every row a place >= 0
+        base = max([1] + [j - 1 for ds in digits.values() for j in ds])
+        rev, lift, norm = {}, {}, {}
+        for n, ds in digits.items():
+            rev[n] = sum(d << (_K * (base + 1 - j)) for j, d in ds.items())
+            lift[n] = n << (_K * (base - 1))
+            norm[n] = sum(abs(d) for d in ds.values())
+        high = _K * (lengths[-1] + 1)  # from L = B to L = B + l(w0) + 1
+        pow3 = [3**n for n in lengths]
+        one, low = 1 << _K, (1 << (2 * _K)) - 1
+        size = len(perms)
+        for k, row in enumerate(self._rows):
+            w = perms[k]
+            if row.get(k) != one:
+                return f"diagonal coefficient != 1 at {w}"
+            if any(n & low for x, n in row.items() if x != k):
+                return f"lattice congruence fails at {w}"
+            _check_bound(sum(norm[n] * pow3[x] for x, n in row.items()), w)
+            # x with the same coordinate and parity share one product:
+            # sum their bar(T_x) rows first
+            groups: dict = {}
+            for x, n in row.items():
+                g = groups.setdefault((n, lengths[x] % 2), {})
+                get = g.get
+                for y, d in bar_rows[x].items():
+                    g[y] = get(y, 0) + d
+            bar_lower, bar_upper = [0] * size, [0] * size
+            for (n, odd), g in groups.items():
+                a, b = rev[n], -lift[n] if odd else lift[n]
+                for y, d in g.items():
+                    bar_lower[y] += a * d
+                    bar_upper[y] += b * d
+            lower, upper = [0] * size, [0] * size
+            for y, n in row.items():
+                lower[y] = lift[n] << high
+                upper[y] = (-rev[n] if lengths[y] % 2 else rev[n]) << high
+            if bar_lower != lower or bar_upper != upper:
+                return f"not bar-invariant at {w}"
+        return None
 
     # -- RSK -----------------------------------------------------------
 

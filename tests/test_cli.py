@@ -9,6 +9,8 @@ import pytest
 
 import nstl
 from nstl.cli import main
+from nstl.combinatorics import all_permutations
+from nstl.hecke_core import kl_lower, kl_upper
 from nstl.verify import ACCEPTANCE_CHECKS
 from nstl.nonstandard import StabilizationError
 
@@ -88,6 +90,24 @@ class TestAlgebra:
         code, data = run_json(capsys, "kl-basis", "--r", "2")
         assert code == 0
         assert data["elements"]["2,1"] == {"1,2": "u^-1", "2,1": "1"}
+
+    @pytest.mark.parametrize(
+        "r,basis",
+        [(r, b) for r in range(1, 6) for b in ("lower", "upper")] + [(6, "upper")],
+    )
+    def test_kl_basis_matches_hecke_elements(self, capsys, r, basis):
+        # the packed reader prints what the HeckeElement route printed
+        fn = kl_lower if basis == "lower" else kl_upper
+        elements = {
+            str(w): {str(x): str(c.as_laurent()) for x, c in fn(w).coords.items()}
+            for w in all_permutations(r)
+        }
+        want = {"r": r, "basis": basis, "elements": elements}
+        code, out = run(
+            capsys, "--r-bound", "6", "kl-basis", "--r", str(r), "--basis", basis
+        )
+        assert code == 0
+        assert out == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
 
     def test_cells_r3(self, capsys):
         code, data = run_json(capsys, "cells", "--r", "3")
@@ -331,6 +351,19 @@ class TestInternalError:
         with pytest.raises(SystemExit) as exc:
             main(["dim-check", "--r", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-all", "--r", "1"], ["restrict", "--label", "eps+", "--r", "1"]],
+    )
+    def test_rank_one_is_a_usage_error(self, capsys, argv):
+        # branching restricts to rank r - 1, so both need r >= 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs r >= 2" in captured.err
 
 
 def test_cli_import_leaves_numpy_out():

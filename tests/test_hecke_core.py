@@ -387,6 +387,119 @@ class TestPackedBound:
         assert run.stdout.strip() == "raised"
 
 
+# ----------------------------------------------------------------------
+# The bar-invariance check on packed rows against its HeckeElement oracle
+
+
+def oracle_canonical_failure(table: KLTable):
+    """What the check did on RationalFn coordinates: bar_element on the
+    decoded C'_w and C_w, then their diagonal and lattice congruence."""
+    for w in table.perms:
+        for coords, sign in ((table.lower[w], -1), (table.upper[w], 1)):
+            elem = HeckeElement(table.r, "standard", coords)
+            if bar_element(elem) != elem:
+                return f"not bar-invariant at {w}"
+            for x, c in elem.coords.items():
+                p = c.as_laurent()
+                if x == w:
+                    if p != L_ONE:
+                        return f"diagonal coefficient != 1 at {w}"
+                elif (p.max_exp() > -1) if sign < 0 else (p.min_exp() < 1):
+                    return f"lattice congruence fails at {w}"
+    return None
+
+
+def _failing_w(message):
+    return None if message is None else message.rsplit(" at ", 1)[1]
+
+
+def _off_diagonal(table: KLTable) -> tuple:
+    """(k, x): the longest w, and an x of length l(w) - 1 below it."""
+    k = len(table.perms) - 1
+    return k, k - 1
+
+
+class TestPackedCheck:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_agrees_with_bar_element_oracle(self, r):
+        table = KLTable(r)
+        assert table.canonical_failure() is None
+        assert oracle_canonical_failure(table) is None
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_agrees_with_oracle_on_altered_digits(self, r):
+        # one digit of one packed coordinate moved, in seeded places
+        K = hecke_core._K
+        pick = random.Random(r)
+        for _ in range(12):
+            table = KLTable(r)
+            k = pick.randrange(1, len(table.perms))
+            x = pick.choice(list(table._rows[k]))
+            step = pick.choice((-1, 1, 2)) << (K * pick.randrange(0, r + 1))
+            table._rows[k][x] += step
+            got = table.canonical_failure()
+            assert got is not None
+            assert _failing_w(got) == _failing_w(oracle_canonical_failure(table))
+
+    def test_does_not_decode(self):
+        table = KLTable(5)
+        assert table.canonical_failure() is None
+        assert table.printed("upper") and table.printed("lower")
+        assert table._lower is None and table._bar_t is None
+
+    def test_altered_coordinate_is_not_bar_invariant(self):
+        table = KLTable(4)
+        k, x = _off_diagonal(table)
+        table._rows[k][x] += 1 << (2 * hecke_core._K)  # one more u^-1
+        assert table.canonical_failure() == f"not bar-invariant at {table.perms[k]}"
+
+    def test_diagonal_other_than_one_fails(self):
+        table = KLTable(4)
+        k = len(table.perms) - 1
+        table._rows[k][k] = 2 << hecke_core._K
+        assert table.canonical_failure() == (
+            f"diagonal coefficient != 1 at {table.perms[k]}"
+        )
+
+    def test_off_diagonal_constant_fails_the_lattice_congruence(self):
+        table = KLTable(4)
+        k, x = _off_diagonal(table)
+        table._rows[k][x] += 1 << hecke_core._K  # a u^0 term
+        assert table.canonical_failure() == (
+            f"lattice congruence fails at {table.perms[k]}"
+        )
+
+    def test_row_past_the_bound_raises(self):
+        table = KLTable(4)
+        k, x = _off_diagonal(table)
+        # ||P'_{x,w}||_1 3^l(x) >= 2^34 * 3^5 > 2^35
+        table._rows[k][x] += (1 << 34) << (2 * hecke_core._K)
+        with pytest.raises(ArithmeticError, match="packed digits"):
+            table.canonical_failure()
+
+    def test_narrow_digits_raise_before_comparing(self, monkeypatch):
+        # 12-bit digits hold the r=4 tables (bounds 2^6 and 3^6 < 2^11),
+        # not the products of the check (2080 >= 2^11)
+        _narrow_digits(monkeypatch, 12)
+        table = KLTable(4)
+        assert in_order(table.bar_t) == in_order(oracle_bar_t(4))
+        with pytest.raises(ArithmeticError, match="packed digits"):
+            table.canonical_failure()
+
+    def test_check_kl_reports_the_failure(self, monkeypatch):
+        from nstl import verify
+
+        assert verify.check_kl(4) == {"ok": True, "elements": 48}
+        table = KLTable(3)
+        k, x = _off_diagonal(table)
+        table._rows[k][x] -= 1 << (2 * hecke_core._K)
+        monkeypatch.setattr(verify, "kl_table", lambda r: table)
+        assert verify.check_kl(3) == {
+            "ok": False,
+            "detail": f"not bar-invariant at {table.perms[k]}",
+        }
+
+
 def test_specht_modules_leave_lower_packed():
     kl_table.cache_clear()
     specht_modules._build_specht.cache_clear()
