@@ -316,9 +316,10 @@ class KLTable:
     def printed(self, basis: str) -> dict:
         """The canonical basis as `nstl kl-basis` prints it: str(w) ->
         {str(x): coordinate} for every w, the coordinates of C'_w
-        (basis "lower") or of C_w ("upper"), zero ones left out. Each
-        packed value is decoded and printed once per sign; an upper
-        coordinate is (-1)^{l(w)+l(x)} bar(P'_{x,w})."""
+        (basis "lower") or of C_w ("upper"). Each packed value is
+        decoded and printed once per sign; an upper coordinate is
+        (-1)^{l(w)+l(x)} bar(P'_{x,w}). No coordinate is zero (see
+        _left_mul_s), so all are printed."""
         upper = basis == "upper"
         names = [str(w) for w in self.perms]
         lengths = self._lengths
@@ -327,8 +328,6 @@ class KLTable:
         for k, row in enumerate(self._rows):
             coords = {}
             for x, n in row.items():
-                if not n:
-                    continue
                 key = (n, upper and (lengths[k] + lengths[x]) % 2)
                 s = text.get(key)
                 if s is None:
@@ -340,7 +339,7 @@ class KLTable:
             out[names[k]] = coords
         return out
 
-    def canonical_failure(self):
+    def canonical_failure(self) -> str | None:
         """The first failure of C'_w or C_w, read off the packed rows, to
         be the canonical basis element, as a message naming w; None if
         every w passes.
