@@ -8,6 +8,24 @@ valuations at u = 0 and u = infinity direct degree computations:
   term and positive leading coefficient (all u-powers cleared into the
   numerator),
 * gcd(num, den) = 1 in Z[u].
+
+The constructor reduces any fraction to this form with one gcd. The
+field operations on canonical operands cancel across them instead
+(Henrici's rule, Knuth TAOCP vol. 2, 4.5.1): with a/b and c/d canonical,
+g1 = gcd(a, d) and g2 = gcd(c, b),
+
+    (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)).
+
+This is canonical without a further gcd. Z[u] has unique factorization,
+so a prime that divided both sides would divide one factor of each, and
+every such pair is coprime: a/g1 and b/g2 divide a and b, a/g1 and d/g1
+are coprime by the choice of g1, and likewise for c. The gcds are taken
+with positive leading coefficients, so the denominator keeps its sign,
+and no factor of it vanishes at u = 0. Each gcd is of two operand parts,
+not of the larger product, and a constant or monomial side makes it an
+integer gcd. A quotient multiplies by the inverse, which is canonical
+once its sign is fixed; a sum a + c/d with one denominator 1 is
+(a d + c)/d, which is reduced because gcd(c, d) = 1.
 """
 
 from __future__ import annotations
@@ -23,7 +41,9 @@ class PoleError(ZeroDivisionError):
 class LaurentPoly:
     """Element of Z[u, u^-1] with arbitrary-precision coefficients."""
 
-    __slots__ = ("coeffs", "_hash")
+    # _dense caches (shift, dense coefficients) for the gcd helpers; it
+    # is a tuple, and nothing mutates coeffs after construction
+    __slots__ = ("coeffs", "_hash", "_dense")
 
     def __init__(self, coeffs=None):
         # normal form: no zero coefficients stored
@@ -32,6 +52,7 @@ class LaurentPoly:
         else:
             self.coeffs = {}
         self._hash = None
+        self._dense = None
 
     # -- constructors -------------------------------------------------
 
@@ -43,6 +64,9 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def is_one(self) -> bool:
         return self.coeffs == {0: 1}
@@ -78,16 +102,10 @@ class LaurentPoly:
                 out[e] = n
             else:
                 out.pop(e, None)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.coeffs = out
-        r._hash = None
-        return r
+        return _laurent(out)
 
     def __neg__(self) -> "LaurentPoly":
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.coeffs = {e: -c for e, c in self.coeffs.items()}
-        r._hash = None
-        return r
+        return _laurent({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -96,10 +114,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly()
-            r = LaurentPoly.__new__(LaurentPoly)
-            r.coeffs = {e: c * other for e, c in self.coeffs.items()}
-            r._hash = None
-            return r
+            return _laurent({e: c * other for e, c in self.coeffs.items()})
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -109,10 +124,7 @@ class LaurentPoly:
                     out[e] = n
                 else:
                     out.pop(e, None)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.coeffs = out
-        r._hash = None
-        return r
+        return _laurent(out)
 
     __rmul__ = __mul__
 
@@ -130,17 +142,11 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by u^k."""
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        r._hash = None
-        return r
+        return _laurent({e + k: c for e, c in self.coeffs.items()})
 
     def bar(self) -> "LaurentPoly":
         """The involution u -> u^-1."""
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.coeffs = {-e: c for e, c in self.coeffs.items()}
-        r._hash = None
-        return r
+        return _laurent({-e: c for e, c in self.coeffs.items()})
 
     # -- evaluation ----------------------------------------------------
 
@@ -194,6 +200,13 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
+def _laurent(coeffs: dict) -> LaurentPoly:
+    """A LaurentPoly on a dict that stores no zero coefficient."""
+    r = LaurentPoly.__new__(LaurentPoly)
+    r.coeffs, r._hash, r._dense = coeffs, None, None
+    return r
+
+
 L_ZERO = LaurentPoly()
 L_ONE = LaurentPoly({0: 1})
 U = LaurentPoly({1: 1})
@@ -216,13 +229,20 @@ def bar(p):
 # dense Z[x] helpers for gcd / exact division (constant term at index 0)
 
 
-def _poly_of(p: LaurentPoly) -> tuple[int, list[int]]:
-    """Split u^shift * (dense polynomial with nonzero constant term)."""
-    if p.is_zero():
-        return 0, []
-    lo, hi = p.min_exp(), p.max_exp()
-    dense = [p.coeff(e) for e in range(lo, hi + 1)]
-    return lo, dense
+def _poly_of(p: LaurentPoly) -> tuple[int, tuple[int, ...]]:
+    """Split u^shift * (dense polynomial with nonzero constant term),
+    cached on p."""
+    form = p._dense
+    if form is None:
+        coeffs = p.coeffs
+        if coeffs:
+            lo = min(coeffs)
+            get = coeffs.get
+            form = lo, tuple([get(e, 0) for e in range(lo, max(coeffs) + 1)])
+        else:
+            form = 0, ()
+        p._dense = form
+    return form
 
 
 def _dense_trim(a: list[int]) -> list[int]:
@@ -235,6 +255,8 @@ def _dense_content(a: list[int]) -> int:
     g = 0
     for x in a:
         g = math.gcd(g, x)
+        if g == 1:
+            break
     return g
 
 
@@ -299,8 +321,56 @@ def _dense_div_exact(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _dense_to_laurent(shift: int, dense: list[int]) -> LaurentPoly:
-    return LaurentPoly({shift + i: c for i, c in enumerate(dense) if c})
+def _dense_to_laurent(shift: int, dense) -> LaurentPoly:
+    """u^shift * dense; a dense list with nonzero end terms is cached as
+    the dense form of the result."""
+    p = _laurent({shift + i: c for i, c in enumerate(dense) if c})
+    if dense and dense[0] and dense[-1]:
+        p._dense = shift, tuple(dense)
+    return p
+
+
+def _dense_mul(a, b):
+    if len(a) == 1:
+        k = a[0]
+        return b if k == 1 else [k * y for y in b]
+    if len(b) == 1:
+        k = b[0]
+        return a if k == 1 else [k * x for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
+def _cancel(a, b):
+    """(a / g, b / g) for g = gcd(a, b) in Z[x], both nonzero with a
+    nonzero constant term; g has positive leading coefficient, so b / g
+    keeps the sign of b. If either is a constant, g is an integer."""
+    if len(b) == 1:
+        if b[0] == 1 or b[0] == -1:
+            return a, b
+        g = math.gcd(_dense_content(a), b[0])
+    elif len(a) == 1:
+        g = math.gcd(a[0], _dense_content(b))
+    else:
+        g = _dense_gcd(a, b)
+        if len(g) > 1:
+            return _dense_div_exact(a, g), _dense_div_exact(b, g)
+        g = g[0]
+    if g == 1:
+        return a, b
+    return [x // g for x in a], [y // g for y in b]
+
+
+def _horner(dense, p: int, q: int) -> int:
+    """q^deg * dense(p / q), an integer."""
+    acc, qk = 0, 1
+    for c in reversed(dense):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
 
 
 class RationalFn:
@@ -325,10 +395,7 @@ class RationalFn:
         nshift, ndense = _poly_of(num)
         # clear the denominator's u-power into the numerator
         nshift -= dshift
-        g = _dense_gcd(ndense, ddense)
-        if len(g) > 1 or g[0] != 1:
-            ndense = _dense_div_exact(ndense, g)
-            ddense = _dense_div_exact(ddense, g)
+        ndense, ddense = _cancel(ndense, ddense)
         if ddense[-1] < 0:
             ndense = [-x for x in ndense]
             ddense = [-x for x in ddense]
@@ -370,10 +437,14 @@ class RationalFn:
             return self
         if not self.num.coeffs:
             return other
-        if self.den.is_one() and other.den.is_one():
-            r = RationalFn.__new__(RationalFn)
-            r.num, r.den, r._hash = self.num + other.num, L_ONE, None
-            return r
+        if self.den.is_one():
+            if other.den.is_one():
+                return _rational(self.num + other.num, L_ONE)
+            # (a d + c) / d is reduced: a common factor of it and d
+            # would divide c
+            return _rational(self.num * other.den + other.num, other.den)
+        if other.den.is_one():
+            return _rational(other.num * self.den + self.num, self.den)
         if self.den == other.den:
             return RationalFn(self.num + other.num, self.den)
         return RationalFn(
@@ -383,9 +454,7 @@ class RationalFn:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFn":
-        r = RationalFn.__new__(RationalFn)
-        r.num, r.den, r._hash = -self.num, self.den, None
-        return r
+        return _rational(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFn":
         return self + (-self._coerce(other))
@@ -395,11 +464,11 @@ class RationalFn:
 
     def __mul__(self, other) -> "RationalFn":
         other = self._coerce(other)
+        if not self.num.coeffs or not other.num.coeffs:
+            return R_ZERO
         if self.den.is_one() and other.den.is_one():
-            r = RationalFn.__new__(RationalFn)
-            r.num, r.den, r._hash = self.num * other.num, L_ONE, None
-            return r
-        return RationalFn(self.num * other.num, self.den * other.den)
+            return _rational(self.num * other.num, L_ONE)
+        return _product(self, *_poly_of(other.num), _poly_of(other.den)[1])
 
     __rmul__ = __mul__
 
@@ -407,7 +476,14 @@ class RationalFn:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
+        if not self.num.coeffs:
+            return R_ZERO
+        # other = u^s c / d, so 1 / other = u^-s d / c, with c's sign moved
+        s, c = _poly_of(other.num)
+        d = _poly_of(other.den)[1]
+        if c[-1] < 0:
+            c, d = [-x for x in c], [-x for x in d]
+        return _product(self, -s, d, c)
 
     def __rtruediv__(self, other) -> "RationalFn":
         return self._coerce(other) / self
@@ -445,11 +521,25 @@ class RationalFn:
     # -- specialization ------------------------------------------------
 
     def specialize(self, u0) -> Fraction:
+        """The value at u0 = p/q: Horner on integers gives
+        q^deg * f(p/q) for the dense parts, and one Fraction divides."""
         u0 = Fraction(u0)
-        d = self.den.evaluate(u0)
-        if d == 0:
+        p, q = u0.numerator, u0.denominator
+        shift, num = _poly_of(self.num)
+        den = _poly_of(self.den)[1]
+        top, bottom = _horner(den, p, q), _horner(num, p, q)
+        if not top or (shift < 0 and not p):
             raise PoleError(f"pole at u = {u0}")
-        return self.num.evaluate(u0) / d
+        if not bottom:
+            return Fraction(0)
+        # f(p/q) = (p/q)^shift * (bottom / q^deg num) / (top / q^deg den)
+        bottom *= q ** (len(den) - 1)
+        top *= q ** (len(num) - 1)
+        if shift >= 0:
+            bottom, top = bottom * p**shift, top * q**shift
+        else:
+            bottom, top = bottom * q**-shift, top * p**-shift
+        return Fraction(bottom, top)
 
     # -- comparison / hashing ------------------------------------------
 
@@ -480,6 +570,26 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"RationalFn({self})"
+
+
+def _rational(num: LaurentPoly, den: LaurentPoly) -> RationalFn:
+    """A RationalFn on a pair already in canonical form."""
+    r = RationalFn.__new__(RationalFn)
+    r.num, r.den, r._hash = num, den, None
+    return r
+
+
+def _product(x: RationalFn, shift: int, c, d) -> RationalFn:
+    """x * u^shift c / d for the dense parts of a canonical form, by
+    cancelling across the two factors (see the module docstring)."""
+    xshift, a = _poly_of(x.num)
+    b = _poly_of(x.den)[1]
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return _rational(
+        _dense_to_laurent(xshift + shift, _dense_mul(a, c)),
+        _dense_to_laurent(0, _dense_mul(b, d)),
+    )
 
 
 R_ZERO = RationalFn(L_ZERO)

@@ -444,11 +444,8 @@ class HeckeElement:
             raise ValueError(f"unknown basis {basis_tag!r}")
         self.r = r
         self.basis_tag = basis_tag
-        self.coords = {
-            w: RationalFn._coerce(c)
-            for w, c in coords.items()
-            if RationalFn._coerce(c)
-        }
+        coerced = ((w, RationalFn._coerce(c)) for w, c in coords.items())
+        self.coords = {w: c for w, c in coerced if c}
 
     @classmethod
     def t(cls, w: Permutation) -> "HeckeElement":
@@ -799,11 +796,8 @@ class TLElement:
         self.r = r
         self.d = d
         shape_of = kl_table(r).shape_of
-        self.coords = {
-            w: RationalFn._coerce(c)
-            for w, c in coords.items()
-            if RationalFn._coerce(c) and shape_of[w].length <= d
-        }
+        coerced = ((w, RationalFn._coerce(c)) for w, c in coords.items())
+        self.coords = {w: c for w, c in coerced if c and shape_of[w].length <= d}
 
     def __eq__(self, other):
         return (

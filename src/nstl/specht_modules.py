@@ -24,8 +24,11 @@ from functools import lru_cache
 
 from .combinatorics import (
     Partition,
+    Permutation,
     Tableau,
     descent_set,
+    rsk,
+    rsk_inverse,
     syt_enumerate,
 )
 from .exact_arith import (
@@ -289,19 +292,26 @@ class SpechtModule:
         if r <= 1:
             return {}
         table = kl_table(r)
+
+        def cell(P, recording):
+            """label q -> the w with RSK pair (P, recording(q)), in the
+            order of table.perms, by inverse RSK and a round trip."""
+            members = []
+            for q in self.basis:
+                Q = recording(q)
+                w = Permutation(rsk_inverse(P, Q))
+                if rsk(w.word) != (P, Q):
+                    raise RuntimeError(f"cell labels of {self.shape} are not SYT")
+                members.append((q, w))
+            members.sort(key=lambda m: (m[1].length(), m[1].word))
+            return dict(members)
+
         # lower cell: {C'_w : P(w) = P0t}, labels Q(w)^t, P0t in SYT(shape^t)
-        p0t = syt_enumerate(self.shape.conjugate())[0]
-        lower_members = {}
+        lower_members = cell(
+            syt_enumerate(self.shape.conjugate())[0], Tableau.transpose
+        )
         # upper cell: {C_w : P(w) = P0}, labels Q(w)
-        p0 = self.basis[0]
-        upper_members = {}
-        for w, (P, Q) in table.rsk_pairs.items():
-            if P == p0t:
-                lower_members[Q.transpose()] = w
-            if P == p0:
-                upper_members[Q] = w
-        if not set(lower_members) == set(upper_members) == set(self.index):
-            raise RuntimeError(f"cell labels of {self.shape} are not SYT")
+        upper_members = cell(self.basis[0], lambda q: q)
 
         # mu-table from the upper cell; checked against the lower cell
         mu_table = {}

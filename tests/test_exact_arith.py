@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nstl.exact_arith import (
     LaurentPoly,
     _dense_div_exact,
+    _poly_of,
     PoleError,
     RationalFn,
     bar,
@@ -250,3 +251,140 @@ def test_adding_zero_skips_the_gcd(monkeypatch):
         assert total == q
     assert zero + zero == zero
     assert calls == []
+
+
+# Cross-cancelled operations against the full reduction of the product.
+
+# factors that exercise the short cuts: units, u-shifts, integer content
+# (2, 3 + 3u^2), a negative leading coefficient, and common factors
+FACTORS = [
+    LaurentPoly({0: -1}),
+    LaurentPoly({0: 2}),
+    LaurentPoly({0: 6}),
+    LaurentPoly({1: 1}),
+    LaurentPoly({-2: -3}),
+    LaurentPoly({1: 1, 0: 1}),
+    LaurentPoly({1: 1, 0: -1}),
+    LaurentPoly({2: 3, 0: 3}),
+    LaurentPoly({1: 1, -1: 1}),
+    LaurentPoly({2: -2, 1: 1, 0: 4}),
+]
+factor = st.sampled_from(FACTORS) | lp_nonzero
+
+
+def _product(factors):
+    out = LaurentPoly({0: 1})
+    for f in factors:
+        out = out * f
+    return out
+
+
+nonzero_poly = st.lists(factor, min_size=1, max_size=3).map(_product)
+poly = nonzero_poly | st.just(LaurentPoly())
+rational = st.builds(RationalFn, poly, nonzero_poly)
+operand = rational | poly | st.integers(min_value=-6, max_value=6)
+
+
+def parts(x):
+    x = RationalFn._coerce(x)
+    return x.num, x.den
+
+
+def assert_same(got, want):
+    assert got == want
+    assert str(got) == str(want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rational, operand)
+def test_cross_cancelled_ops_match_full_reduction(x, y):
+    (a, b), (c, d) = parts(x), parts(y)
+    assert_same(x * y, RationalFn(a * c, b * d))
+    assert_same(x + y, RationalFn(a * d + c * b, b * d))
+    assert_same(x - y, RationalFn(a * d - c * b, b * d))
+    # LaurentPoly's own operators do not take a RationalFn
+    if not isinstance(y, LaurentPoly):
+        assert_same(y * x, RationalFn(a * c, b * d))
+        assert_same(y + x, RationalFn(a * d + c * b, b * d))
+        assert_same(y - x, RationalFn(c * b - a * d, b * d))
+    if not c.is_zero():
+        assert_same(x / y, RationalFn(a * d, b * c))
+    if not a.is_zero():
+        assert_same(y / x, RationalFn(c * b, d * a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rational, min_size=2, max_size=4))
+def test_cached_dense_forms_stay_fresh(values):
+    seen = list(values)
+    for x, y in zip(values, values[1:]):
+        seen += [x * y, x + y, x - y, y * x * x]
+        if not y.is_zero():
+            seen.append(x / y)
+    for x in seen:
+        for p in (x.num, x.den):
+            cached = p._dense
+            if cached is not None:
+                assert isinstance(cached[1], tuple)
+                assert cached == _poly_of(LaurentPoly(p.coeffs))
+
+
+POINTS = [0, 1, -1, 2, Fraction(7, 3), Fraction(-2, 5), Fraction(1, 4)]
+
+
+@settings(max_examples=300)
+@given(rational, st.sampled_from(POINTS))
+def test_specialize_matches_termwise_evaluation(f, u0):
+    u0 = Fraction(u0)
+    try:
+        want = f.num.evaluate(u0) / f.den.evaluate(u0)
+    except ZeroDivisionError:  # PoleError is one
+        with pytest.raises(PoleError):
+            f.specialize(u0)
+        return
+    got = f.specialize(u0)
+    assert isinstance(got, Fraction) and got == want
+
+
+def test_specialize_poles():
+    u = LaurentPoly({1: 1})
+    two = LaurentPoly({0: 2})
+    with pytest.raises(PoleError):
+        RationalFn(LaurentPoly({-1: 1})).specialize(0)
+    with pytest.raises(PoleError):
+        rf(u, u - two).specialize(2)
+    with pytest.raises(PoleError):
+        rf(u, LaurentPoly({1: 3, 0: 1})).specialize(Fraction(-1, 3))
+    assert RationalFn(LaurentPoly()).specialize(0) == 0
+    assert rf(u, u - two).specialize(0) == 0
+
+
+def test_cheap_operands_take_no_polynomial_gcd(monkeypatch):
+    from nstl import exact_arith
+
+    u = LaurentPoly({1: 1})
+    one = LaurentPoly({0: 1})
+    f = rf(u * u + one, LaurentPoly({0: 3}) * (u + one))
+    calls = []
+    real_gcd = exact_arith._dense_gcd
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(exact_arith, "_dense_gcd", counting_gcd)
+    # a monomial numerator or a constant denominator needs an integer
+    # gcd at most, a quotient's inverse none, and a sum with a
+    # denominator 1 none
+    f * 6, 6 * f, f * u, f / 6, f / u, 2 / f
+    f + u, 1 + f, f - 2, rf(one, LaurentPoly({0: 4})) * f
+    assert calls == []
+    assert f * rf(u + one, u - one) == rf(u * u + one, LaurentPoly({0: 3}) * (u - one))
+    assert calls
+
+
+def test_laurent_truthiness():
+    assert not LaurentPoly()
+    assert not LaurentPoly({3: 0})
+    assert LaurentPoly({-1: 2})
+    assert not LaurentPoly({1: 1}) - LaurentPoly({1: 1})

@@ -174,27 +174,20 @@ U_MINUS_UINV = LaurentPoly({1: 1, -1: -1})
 UINV = LaurentPoly({-1: 1})
 
 
+def _accumulate(out: dict, w, c):
+    """out[w] += c. A zero sum stays in place, as it does in the packed
+    rows, so that the oracles list their keys in the same order."""
+    out[w] = out[w] + c if w in out else c
+
+
 def _std_left_mul_s(coords: dict, i: int) -> dict:
     """Left multiplication by T_{s_i}."""
     out: dict = {}
-
-    def add(w, c):
-        if w in out:
-            s = out[w] + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        elif c:
-            out[w] = c
-
     for w, c in coords.items():
         sw = w.times_simple_left(i)
-        if sw.length() > w.length():
-            add(sw, c)
-        else:
-            add(sw, c)
-            add(w, c * U_MINUS_UINV)
+        _accumulate(out, sw, c)
+        if sw.length() < w.length():
+            _accumulate(out, w, c * U_MINUS_UINV)
     return out
 
 
@@ -216,15 +209,7 @@ def oracle_lower(r: int) -> dict:
         prod = _std_left_mul_s(cv, i)
         # C'_s C'_v = (T_s + u^-1) C'_v
         for x, c in cv.items():
-            term = c * UINV
-            if x in prod:
-                s = prod[x] + term
-                if s:
-                    prod[x] = s
-                else:
-                    del prod[x]
-            else:
-                prod[x] = term
+            _accumulate(prod, x, c * UINV)
         # subtract mu-corrections for z with s z < z
         for z, pz in cv.items():
             if z == v:
@@ -233,15 +218,7 @@ def oracle_lower(r: int) -> dict:
             if not m or z.times_simple_left(i).length() > z.length():
                 continue
             for x, c in lower[z].items():
-                term = c * (-m)
-                if x in prod:
-                    s = prod[x] + term
-                    if s:
-                        prod[x] = s
-                    else:
-                        del prod[x]
-                else:
-                    prod[x] = term
+                _accumulate(prod, x, c * (-m))
         lower[w] = prod
     return lower
 
@@ -260,14 +237,7 @@ def oracle_theta_like(r: int, s_image) -> dict:
             pieces = base if x == e else _std_left_mul_s(base, i)
             for y, d in pieces.items():
                 cd = d if (x != e and c.is_one()) else c * d
-                if y in acc:
-                    t = acc[y] + cd
-                    if t:
-                        acc[y] = t
-                    else:
-                        del acc[y]
-                else:
-                    acc[y] = cd
+                _accumulate(acc, y, cd)
         out[w] = acc
     return out
 

@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from nstl.linalg import IntSpanBasis, SpanBasis, SpanBasisModP
+from nstl.exact_arith import LaurentPoly
+from nstl.linalg import IntSpanBasis, SpanBasis, SpanBasisModP, mat_mul
 
 # few distinct entries, so that dependent vectors turn up often
 int_vectors = st.lists(
@@ -52,3 +53,22 @@ def test_mod_p_levels_accept_like_one_at_a_time(vectors, cuts):
     # reduced echelon: a 1 at each pivot, 0 at the pivots of the others
     for row, p in zip(modp.rows, modp.pivots):
         assert [int(row[q]) for q in modp.pivots] == [int(q == p) for q in modp.pivots]
+
+
+class _ZeroNoMul(LaurentPoly):
+    """A zero LaurentPoly that must never be multiplied."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        raise AssertionError("mat_mul multiplied a zero entry")
+
+    __rmul__ = __mul__
+
+
+def test_mat_mul_skips_laurent_zeros():
+    o, u, z = LaurentPoly({0: 1}), LaurentPoly({1: 1}), _ZeroNoMul()
+    A = [[z, u], [z, z]]
+    B = [[u, z], [o + o, u]]
+    C = mat_mul(A, B)
+    assert C == [[u + u, u * u], [LaurentPoly(), LaurentPoly()]]
