@@ -272,14 +272,14 @@ FACTORS = [
 factor = st.sampled_from(FACTORS) | lp_nonzero
 
 
-def _product(factors):
+def _multiply_all(factors):
     out = LaurentPoly({0: 1})
     for f in factors:
         out = out * f
     return out
 
 
-nonzero_poly = st.lists(factor, min_size=1, max_size=3).map(_product)
+nonzero_poly = st.lists(factor, min_size=1, max_size=3).map(_multiply_all)
 poly = nonzero_poly | st.just(LaurentPoly())
 rational = st.builds(RationalFn, poly, nonzero_poly)
 operand = rational | poly | st.integers(min_value=-6, max_value=6)
