@@ -2,10 +2,10 @@
 """Print every irreducible at a given rank with its dimension and its
 restriction to the next rank down, then run verify.check_certification:
 each module is closed under the generators over Q(u), its commutant is
-a line at two specializations, no two modules have a nonzero Hom there,
-each tensor square is exactly V+ + V- + eps by exact rank, and the
-squared dimensions sum to the dimension formula. Exits 1 unless that
-certification passes.
+a line at the one specialization u = 7/3, no two modules have a nonzero
+Hom there, each tensor square is exactly V+ + V- + eps by exact rank,
+and the squared dimensions sum to the dimension formula. Exits 1 unless
+that certification passes.
 
 Usage: python3 scripts/certify_irreducibles.py [r]
 """

@@ -2,7 +2,7 @@
 
 Works for RationalFn, Fraction, or anything supporting +, -, *, / and
 truthiness-as-nonzero. Matrices are lists of lists (rows). IntSpanBasis
-tracks the span of integer vectors without fractions. SpanBasisModP
+tracks the span of sparse integer vectors without fractions. SpanBasisModP
 keeps a reduced echelon basis over F_p in numpy int64 arrays and takes
 a whole level of the mod-p spanning closure with one matrix product;
 numpy is imported only when that class is first used.
@@ -166,10 +166,12 @@ class IntSpanBasis:
         self.rows = []  # primitive rows {column: entry}
         self.pivots = []  # pivot column per row, insertion order
 
-    def add(self, v):
-        """Reduce the integer vector v against the basis; absorb it if
-        independent. Returns True iff the span grew."""
-        v = {j: x for j, x in enumerate(v) if x}
+    def add(self, v: dict):
+        """Reduce the sparse integer vector v, {column: entry} with no
+        zero entries, against the basis; absorb it if independent.
+        Returns True iff the span grew. A zero entry would be taken for
+        a pivot, so callers drop them."""
+        v = dict(v)
         for row, p in zip(self.rows, self.pivots):
             x = v.get(p)
             if not x:
@@ -216,14 +218,10 @@ class SpanBasisModP:
         self.rows = np.zeros((0, dim), dtype=np.int64)
         self.pivots = []
 
-    def add(self, v: np.ndarray) -> bool:
-        """Absorb v if independent. Returns True iff the span grew."""
-        return self.add_level(v[None, :])[0]
-
     def add_level(self, V: np.ndarray) -> list:
         """Absorb the rows of V in order, each one that is independent
         of the span and of the rows before it; returns a flag per row,
-        as add would one row at a time. The basis is reduced, so one
+        True iff that row grew the span. The basis is reduced, so one
         product on the columns that are not its pivots reduces all of V
         against it; each row then needs only the rows of V absorbed
         before it."""

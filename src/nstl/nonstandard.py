@@ -492,7 +492,8 @@ def closure_check(mod: NsSubmodule) -> bool:
 # certification at a specialization
 
 
-SPECIALIZATION_LADDER = (Fraction(7, 3), Fraction(11, 5))
+# The point of the irreducibility certificate and the oracle's default.
+U0 = Fraction(7, 3)
 
 
 def _restricted_generators(mod: NsSubmodule, u0: Fraction):
@@ -537,18 +538,20 @@ def _hom_nullity(gens_a, dim_a, gens_b, dim_b, least):
     """The nullity of the dim_a*dim_b equations per generator pair in
     the entries Z[a][b] (unknown a*dim_a + b), known to be at least
     `least`. Each pair is scaled by the lcm of its denominators and its
-    equations are ranked as integer rows in an IntSpanBasis, which
-    stops once the rank leaves no more than `least` free."""
+    equations are ranked as sparse integer rows in an IntSpanBasis,
+    which stops once the rank leaves no more than `least` free. The
+    terms of Z G and of H Z meet only at unknown a*dim_a + b; a row
+    keeps only its nonzero entries, since IntSpanBasis would take a
+    zero for a pivot."""
     n = dim_a * dim_b
     span = IntSpanBasis()
     for G, H in _integer_generators(list(zip(gens_a, gens_b))):
         for a in range(dim_b):
             for b in range(dim_a):
-                row = [0] * n
-                for k in range(dim_a):
-                    row[a * dim_a + k] += G[k][b]
-                for k in range(dim_b):
-                    row[k * dim_a + b] -= H[a][k]
+                row = {a * dim_a + k: G[k][b] for k in range(dim_a)}
+                row.update((k * dim_a + b, -H[a][k]) for k in range(dim_b))
+                row[a * dim_a + b] = G[b][b] - H[a][a]
+                row = {j: x for j, x in row.items() if x}
                 if span.add(row) and len(span) == n - least:
                     return least
     return n - len(span)
@@ -556,26 +559,23 @@ def _hom_nullity(gens_a, dim_a, gens_b, dim_b, least):
 
 def certify_irreducible(mod: NsSubmodule) -> list:
     """Certify one module: closure under the P_i over Q(u), then at
-    each point u0 of SPECIALIZATION_LADDER the restricted generators
-    and a commutant that is a line. Returns the generators at each
-    point, in order, for the pairwise Hom check. Raises CertificateError naming the certificate
-    that fails; a pole at a point raises PoleError.
+    u0 = U0 the restricted generators and a commutant that is a line.
+    Returns those generators for the pairwise Hom check. Raises
+    CertificateError naming the certificate that fails; a pole at U0
+    raises PoleError.
 
-    A commutant of 1 at u0 gives End = Q at generic u, and Hom = 0 at
-    u0 gives Hom = 0 there, because the nullity of these equations can
-    only drop away from u0. That alone is not irreducibility (the
-    upper-triangular 2 x 2 matrices acting on Q^2 have commutant Q);
-    irreducibility rests on it together with verify.check_dimension,
-    which shows the algebra has dimension sum_i d_i^2, the dimension of
-    the product of the End(V_i)."""
+    One point is enough: a commutant of 1 at u0 gives End = Q at
+    generic u, and Hom = 0 at u0 gives Hom = 0 there, because the
+    nullity of these equations can only drop away from u0. That alone
+    is not irreducibility (the upper-triangular 2 x 2 matrices acting
+    on Q^2 have commutant Q); irreducibility rests on it together with
+    verify.check_dimension, which shows the algebra has dimension
+    sum_i d_i^2, the dimension of the product of the End(V_i)."""
     if not closure_check(mod):
         raise CertificateError(f"not generator-closed: {mod.label}")
-    gens = [_restricted_generators(mod, u0) for u0 in SPECIALIZATION_LADDER]
-    for u0, at in zip(SPECIALIZATION_LADDER, gens):
-        if commutant_dimension(at, mod.dim) != 1:
-            raise CertificateError(
-                f"commutant not a line for {mod.label} at {u0}"
-            )
+    gens = _restricted_generators(mod, U0)
+    if commutant_dimension(gens, mod.dim) != 1:
+        raise CertificateError(f"commutant not a line for {mod.label} at {U0}")
     return gens
 
 
@@ -789,8 +789,9 @@ def _accepted_words(r: int, u0: Fraction, mod_p: int = None):
         def accept(values):
             kept = []
             for M in values:
-                flat = [x for B in M for row in B for x in row]
-                g = gcd(*flat) if span.add(flat) else 0
+                flat = enumerate(x for B in M for row in B for x in row)
+                v = {j: x for j, x in flat if x}
+                g = gcd(*v.values()) if span.add(v) else 0
                 kept.append(g and [[[x // g for x in row] for row in B] for B in M])
             return kept
 
@@ -836,7 +837,7 @@ def _check_modulus(p: int, u0: Fraction, n: int):
 
 
 def nonstandard_dimension_oracle(
-    r: int, u0: Fraction = Fraction(7, 3), mod_p: int = None
+    r: int, u0: Fraction = U0, mod_p: int = None
 ) -> int:
     """Dimension of the unital algebra generated by the specialized
     P_i on the faithful two-row tensor sum, by product-span closure.
@@ -846,8 +847,6 @@ def nonstandard_dimension_oracle(
 
 
 def dimension_formula(r: int) -> int:
-    from math import comb
-
     catalan = comb(2 * r, r) // (r + 1)
     return comb(catalan, 2) - comb(r, r // 2) + r // 2 + 2
 

@@ -8,7 +8,6 @@ the package's headline guarantees at desk scale.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from .combinatorics import (
     Partition,
@@ -28,6 +27,7 @@ from .nonstandard import (
     CertificateError,
     NsIrredLabel,
     TensorModule,
+    antipode_check,
     build_irreducible,
     certify_irreducible,
     dimension_formula,
@@ -40,6 +40,7 @@ from .nonstandard import (
     p_action,
     proper_two_row,
     q_element,
+    restriction_decompose,
 )
 from .seminormal import (
     alpha,
@@ -247,8 +248,6 @@ def check_action_formula() -> dict:
 
 
 def check_epsilon_antipode() -> dict:
-    from .nonstandard import antipode_check
-
     for r in range(2, 5):
         for lam in partitions_of(r):
             tm = TensorModule(lam, lam)
@@ -286,7 +285,7 @@ def check_epsilon_antipode() -> dict:
 
 def check_certification(r: int) -> dict:
     labels = ns_labels(r)
-    mods, gens = [], []  # gens[k]: module k's generators at each point
+    mods, gens = [], []  # gens[k]: module k's generators at U0
     for label in labels:
         mod = build_irreducible(label, r)
         if mod.dim != label.dimension(r):
@@ -308,14 +307,11 @@ def check_certification(r: int) -> dict:
     squares = sum(mod.dim**2 for mod in mods)
     if squares != dimension_formula(r):
         return _fail("sum of squared dimensions misses the formula")
-    # pairwise inequivalence at each point
-    for at in zip(*gens):
-        for a in range(len(mods)):
-            for b in range(a + 1, len(mods)):
-                if hom_dimension(at[a], mods[a].dim, at[b], mods[b].dim) != 0:
-                    return _fail(
-                        f"nonzero intertwiner {labels[a]} -> {labels[b]}"
-                    )
+    # pairwise inequivalence at U0
+    for a in range(len(mods)):
+        for b in range(a + 1, len(mods)):
+            if hom_dimension(gens[a], mods[a].dim, gens[b], mods[b].dim) != 0:
+                return _fail(f"nonzero intertwiner {labels[a]} -> {labels[b]}")
     return {"ok": True, "labels": len(labels)}
 
 
@@ -366,8 +362,6 @@ def expected_restriction(label: NsIrredLabel, r: int) -> Counter:
 def check_branching(r: int) -> dict:
     for label in ns_labels(r):
         mod = build_irreducible(label, r)
-        from .nonstandard import restriction_decompose
-
         got = restriction_decompose(mod)
         want = expected_restriction(label, r)
         if got != want:
@@ -378,13 +372,11 @@ def check_branching(r: int) -> dict:
 # -- 11: dimension formula vs oracle ----------------------------------
 
 
-def check_dimension(rs=(2, 3, 4), u0: Fraction | None = None) -> dict:
+def check_dimension(rs=(2, 3, 4)) -> dict:
     values = {}
     for r in rs:
         formula = dimension_formula(r)
-        oracle = nonstandard_dimension_oracle(
-            r, **({"u0": u0} if u0 is not None else {})
-        )
+        oracle = nonstandard_dimension_oracle(r)
         if formula != oracle:
             return _fail(f"r={r}: formula {formula} != oracle {oracle}")
         values[r] = formula

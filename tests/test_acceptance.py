@@ -86,7 +86,8 @@ def _counting_generators(monkeypatch):
 def test_certification_builds_each_generator_set_once(monkeypatch):
     calls = _counting_generators(monkeypatch)
     assert check_certification(4)["ok"]
-    assert len(calls) == len(set(calls)) == 2 * len(nonstandard.ns_labels(4))
+    assert len(calls) == len(set(calls)) == len(nonstandard.ns_labels(4))
+    assert all(u0 == nonstandard.U0 for _, u0 in calls)
 
 
 def test_certification_raises_on_a_pole(monkeypatch):
