@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print every irreducible at a given rank with its dimension and its
 restriction to the next rank down, then run verify.check_certification:
-each module is closed under the generators over Q(u), its commutant is
+each module is closed under the generators, by identities checked
+exactly over Q(u) (nonstandard.square_split_identities), its commutant is
 a line at the one specialization u = 7/3, no two modules have a nonzero
 Hom there, each tensor square is exactly V+ + V- + eps by exact rank,
 and the squared dimensions sum to the dimension formula. Exits 1 unless

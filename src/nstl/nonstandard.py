@@ -17,7 +17,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd, isqrt, lcm
 
 from .combinatorics import (
@@ -36,7 +36,6 @@ from .hecke_core import (
 )
 from .linalg import (
     IntSpanBasis,
-    SpanBasis,
     SpanBasisModP,
     identity,
     mat_add,
@@ -190,23 +189,11 @@ class TensorModule:
 
     # -- generator action ----------------------------------------------
 
-    def _factor_matrices(self, module, i, letter):
-        """(C'_s matrix, C_s matrix) on the chosen coordinates."""
-        two = mat_scale(identity(module.dim, R_ONE, R_ZERO), TWO)
-        if letter == "l":
-            L = module.lower_action[i]
-            prime = L
-            plain = mat_sub(L, two)
-        else:
-            U = module.upper_action[i]
-            prime = mat_add(U, two)
-            plain = U
-        return prime, plain
-
     def ops(self, i: int, pair: str):
-        """P_{s_i} as a list of (A, B) with action c -> sum A c B^T."""
-        lp, lc = self._factor_matrices(self.left, i, pair[0])
-        rp, rc = self._factor_matrices(self.right, i, pair[1])
+        """P_{s_i} as a list of (A, B) with action c -> sum A c B^T; the
+        matrices are the factors' cached ones, not to be mutated."""
+        lp, lc = self.left.p_factors(i, pair[0])
+        rp, rc = self.right.p_factors(i, pair[1])
         return [(lp, rp), (lc, rc)]
 
     @staticmethod
@@ -371,6 +358,51 @@ def _trace(M):
     return t
 
 
+def _pairing(c, X):
+    """sum_ab c_ab X_ab. With X the transition matrix of the shape this
+    is f t(c), t the trace functional: the lower (x) upper coefficients
+    of c are c X^T."""
+    return sum(
+        (a * x for ra, rx in zip(c, X) for a, x in zip(ra, rx) if a and x),
+        R_ZERO,
+    )
+
+
+@lru_cache(maxsize=None)
+def square_split_identities(lam: Partition) -> str:
+    """Check exactly over Q(u), for every generator P_i of the square
+    M_lam (x) M_lam, the identities that cut it into P_i-stable pieces.
+    Returns '' when all hold, else names the first that fails.
+
+    - flip: both factors of each (A, B) in P_i are equal, so P_i
+      commutes with c -> c^T and keeps Sym^2 and Lambda^2 = V-;
+    - eps = eps^T and t(eps) = 1, so eps lies in Sym^2 outside ker t;
+    - P_i eps = 4 eps;
+    - t o P_i = 4 t, as one covector identity: t(A c B^T) = <A^T X B,
+      c> / f with X the transition matrix, so sum A^T X B = 4 X.
+
+    Then c -> c - t(c) eps commutes with P_i, so Sym^2 of dimension n
+    is V+ = Sym^2 n ker t, of dimension n - 1, plus the line of eps, and
+    both are stable; every P_i acts on every eps line by 4."""
+    tm = TensorModule(lam, lam)
+    X, eps = tm.left.transition, epsilon_plus_vector(lam)
+    if eps != mat_transpose(eps):
+        return f"eps of {lam} is not symmetric"
+    if _pairing(eps, X) != RationalFn.from_int(tm.left.dim):
+        return f"t(eps) != 1 on {lam}"
+    four_eps, four_X = mat_scale(eps, FOUR), mat_scale(X, FOUR)
+    for i in range(1, lam.size):
+        ops = tm.ops(i, "ll")
+        if any(A != B for A, B in ops):
+            return f"P_{i} does not commute with the flip on {lam}"
+        if tm.apply(ops, eps) != four_eps:
+            return f"P_{i} eps != 4 eps on {lam}"
+        covector = [mat_mul(mat_transpose(A), mat_mul(X, B)) for A, B in ops]
+        if reduce(mat_add, covector) != four_X:
+            return f"t P_{i} != 4 t on {lam}"
+    return ""
+
+
 # ---------------------------------------------------------------------
 # antipode identities in the Hecke algebra itself
 
@@ -474,18 +506,54 @@ def build_irreducible(label: NsIrredLabel, r: int) -> NsSubmodule:
     return NsSubmodule(label, tm, basis)
 
 
-def closure_check(mod: NsSubmodule) -> bool:
-    """Every generator image of every basis vector stays in the span."""
-    span = SpanBasis()
-    for c in mod.basis:
-        if not span.add(flatten(c)):
-            return False
-    for i in range(1, mod.ambient.r):
-        for c in mod.basis:
-            img = mod.ambient.p_apply(c, i, "ll")
-            if span.add(flatten(img)):
-                return False
-    return True
+def _split_failure(mod: NsSubmodule) -> str:
+    """Why the basis is not the piece of the split its label names, or
+    ''. Each vector must lie in the piece: a unit vector of
+    M_lam (x) M_mu for a pair, Lambda^2 (antisymmetric) for -lam, V+
+    (symmetric with t = 0) for +lam, the line of eps for eps+; and there
+    must be as many vectors as the piece has dimensions. The pieces of a
+    square are P_i-stable by square_split_identities, which is checked
+    here, so a basis that is also independent spans a closed module."""
+    tm, label, basis = mod.ambient, mod.label, mod.basis
+    if label.kind == "pair":
+        if set(label.shapes) != {tm.lam, tm.mu}:
+            return f"ambient {tm.lam} x {tm.mu} is not the pair"
+        want = tm.dim
+
+        def inside(c):
+            return [x for row in c for x in row if x] == [R_ONE]
+
+    else:
+        lam = tm.lam
+        if tm.mu != lam or label.shapes not in ((), (lam,)):
+            return f"ambient {lam} x {tm.mu} is not the label's square"
+        broken = square_split_identities(lam)
+        if broken:
+            return broken
+        f, X = tm.left.dim, tm.left.transition
+        pairs = [(a, b) for a in range(f) for b in range(a, f)]
+        if label.kind == "eps_plus":
+            eps = epsilon_plus_vector(lam)
+            want, inside = 1, lambda c: c == eps
+        elif label.kind == "minus":
+            want = comb(f, 2)
+
+            def inside(c):
+                return all(c[a][b] == -c[b][a] for a, b in pairs)
+
+        else:
+            want = comb(f + 1, 2) - 1
+
+            def inside(c):
+                symmetric = all(c[a][b] == c[b][a] for a, b in pairs)
+                return symmetric and not _pairing(c, X)
+
+    if len(basis) != want:
+        return f"{len(basis)} vectors for a piece of dimension {want}"
+    outside = next((k for k, c in enumerate(basis) if not inside(c)), None)
+    if outside is not None:
+        return f"basis vector {outside} lies outside the {label.kind} piece"
+    return ""
 
 
 # ---------------------------------------------------------------------
@@ -499,7 +567,8 @@ U0 = Fraction(7, 3)
 def _restricted_generators(mod: NsSubmodule, u0: Fraction):
     """Matrices of the specialized P_i on the submodule's own basis:
     one row reduction of [V | images] per generator, V holding the
-    basis vectors as columns; an image with a pivot outside V raises
+    basis vectors as columns. V without full column rank at u0 raises
+    CertificateError; an image with a pivot outside V raises
     ArithmeticError."""
     basis = [specialize_matrix(c, u0) for c in mod.basis]
     V = mat_transpose([flatten(c) for c in basis])
@@ -514,7 +583,11 @@ def _restricted_generators(mod: NsSubmodule, u0: Fraction):
             [flatten(TensorModule.apply(ops, c)) for c in basis]
         )
         rows, pivots = rref([v + w for v, w in zip(V, images)])
-        if pivots and pivots[-1] >= d:
+        if pivots[:d] != list(range(d)):
+            raise CertificateError(
+                f"not generator-closed: {mod.label} (basis dependent at {u0})"
+            )
+        if len(pivots) > d:
             raise ArithmeticError("image escapes submodule span")
         G = zeros(d, d, Fraction(0))
         for row, p in zip(rows, pivots):
@@ -564,15 +637,25 @@ def certify_irreducible(mod: NsSubmodule) -> list:
     CertificateError naming the certificate that fails; a pole at U0
     raises PoleError.
 
-    One point is enough: a commutant of 1 at u0 gives End = Q at
-    generic u, and Hom = 0 at u0 gives Hom = 0 there, because the
-    nullity of these equations can only drop away from u0. That alone
-    is not irreducibility (the upper-triangular 2 x 2 matrices acting
-    on Q^2 have commutant Q); irreducibility rests on it together with
-    verify.check_dimension, which shows the algebra has dimension
-    sum_i d_i^2, the dimension of the product of the End(V_i)."""
-    if not closure_check(mod):
-        raise CertificateError(f"not generator-closed: {mod.label}")
+    Closure is proved without elimination: the basis lies in the piece
+    of the split its label names (_split_failure), which the identities
+    of square_split_identities, checked exactly over Q(u), make
+    P_i-stable, and it has that piece's dimension. The row reduction at
+    U0 that builds the generators also shows the basis independent
+    there, so independent over Q(u), and it spans the piece.
+
+    One point is enough, and a bad one can only give a false FAIL: the
+    rank of the basis at u0 is at most its generic rank, a commutant of
+    1 at u0 gives End = Q at generic u, and Hom = 0 at u0 gives Hom = 0
+    there, because the nullity of these equations can only drop away
+    from u0. That alone is not irreducibility (the upper-triangular
+    2 x 2 matrices acting on Q^2 have commutant Q); irreducibility rests
+    on it together with verify.check_dimension, which shows the algebra
+    has dimension sum_i d_i^2, the dimension of the product of the
+    End(V_i)."""
+    broken = _split_failure(mod)
+    if broken:
+        raise CertificateError(f"not generator-closed: {mod.label} ({broken})")
     gens = _restricted_generators(mod, U0)
     if commutant_dimension(gens, mod.dim) != 1:
         raise CertificateError(f"commutant not a line for {mod.label} at {U0}")
@@ -609,10 +692,7 @@ def nonstandard_pieces(nu: Partition, rho: Partition, d) -> tuple:
         return ((NsIrredLabel("pair", (nu, rho)), d),)
     child = build_specht(nu)
     X = child.transition
-    t = sum(
-        (a * x for ra, rx in zip(d, X) for a, x in zip(ra, rx) if a and x),
-        R_ZERO,
-    ) / RationalFn.from_int(child.dim)
+    t = _pairing(d, X) / RationalFn.from_int(child.dim)
     e = mat_scale(child.transition_inv, t)
     if child.dim == 1:
         return ((NsIrredLabel("eps_plus"), e),)
@@ -721,8 +801,10 @@ def _block_generators(r: int, u0: Fraction):
     symmetric parts, in that order (the exact closure at r = 4 runs
     about a third faster than with the blocks in shape order). The
     ordered sum over all pairs is a direct sum of copies of these, so
-    it has the same annihilator and word relations. mats[0][k] is the
-    identity on block k and mats[i][k] the Fraction matrix of P_i."""
+    it has the same annihilator and word relations. Returns (signs,
+    mats): signs[k] is the flip sign of block k (0 for a pair block),
+    mats[0][k] the identity on block k and mats[i][k] the Fraction
+    matrix of P_i."""
     mats = [[] for _ in range(r)]
     shapes = two_row_partitions(r)
     for lam, mu in itertools.combinations_with_replacement(shapes, 2):
@@ -735,7 +817,23 @@ def _block_generators(r: int, u0: Fraction):
         for blocks, op in zip(mats, ops):
             K = _kron_sum(op)
             blocks.extend([(0, K)] if lam != mu else _flip_split(K, f))
-    return [[K for _, K in sorted(b, key=lambda t: t[0]) if K] for b in mats]
+    mats = [sorted((t for t in b if t[1]), key=lambda t: t[0]) for b in mats]
+    return [s for s, _ in mats[0]], [[K for _, K in b] for b in mats]
+
+
+def _split_bound(r: int, signs, blocks) -> int:
+    """An upper bound on the dimension of the algebra that the P_i
+    generate on these blocks, at generic u and so at every u0: n^2 for
+    each pair block and each Lambda^2 part of dimension n, (n - 1)^2 for
+    each Sym^2 part, which is V+ plus an eps line, and 1 for all the eps
+    lines together, since every P_i scales each of them by 4. It rests
+    on square_split_identities for every shape of rank r, proved over
+    Q(u); an identity that fails raises CertificateError."""
+    for lam in two_row_partitions(r):
+        broken = square_split_identities(lam)
+        if broken:
+            raise CertificateError(f"no split bound at r={r}: {broken}")
+    return 1 + sum((len(B) - (s > 0)) ** 2 for s, B in zip(signs, blocks))
 
 
 def _integer_generators(gens):
@@ -750,17 +848,22 @@ def _integer_generators(gens):
     ]
 
 
-def _closure(ident, gens, multiply, accept, safety):
+def _closure(ident, gens, multiply, accept, bound, safety):
     """Breadth-first product closure from ident, level by level:
     accept(values) takes the values of one level's words in order and
     returns for each the value to keep if the word grew the span, else a
-    false value. The next level holds the products of the kept values
-    with each generator. Returns the accepted words in order."""
+    false value; it may stop early, once the span holds `bound` words.
+    The next level holds the products of the kept values with each
+    generator. The closure ends when no word is kept or `bound`, an
+    upper bound on the span's dimension, is reached. Returns the
+    accepted words in order."""
     words, steps, level = [], 0, [((), ident)]
-    while level:
+    while True:
         kept = accept([M for _, M in level])
         frontier = [(word, M) for (word, _), M in zip(level, kept) if M]
         words += [word for word, _ in frontier]
+        if not frontier or len(words) >= bound:
+            return words
         steps += len(frontier) * len(gens)
         if steps > safety:
             raise StabilizationError("span closure exceeded safety bound")
@@ -769,18 +872,20 @@ def _closure(ident, gens, multiply, accept, safety):
             for word, M in frontier
             for i, G in enumerate(gens, start=1)
         ]
-    return words
 
 
 def _accepted_words(r: int, u0: Fraction, mod_p: int = None):
     """Words in the specialized P_i (tuples of generator indices i),
     from the empty word, that grow the span of the breadth-first
-    product closure, in the order they are accepted.
+    product closure, in the order they are accepted. The closure stops
+    once the span reaches _split_bound, which no span can pass.
 
     A word's value is its list of integer blocks. Exactly, its flattened
     blocks enter a fraction-free span, and it is kept divided by their
     content; with mod_p, a whole level enters an F_p span at once."""
-    ident, *gens = _integer_generators(_block_generators(r, u0))
+    signs, mats = _block_generators(r, u0)
+    bound = _split_bound(r, signs, mats[0])
+    ident, *gens = _integer_generators(mats)
     length = sum(len(B) ** 2 for B in ident)
     safety = length * (r - 1) + r
     if mod_p is None:
@@ -789,6 +894,8 @@ def _accepted_words(r: int, u0: Fraction, mod_p: int = None):
         def accept(values):
             kept = []
             for M in values:
+                if len(span) == bound:
+                    break
                 flat = enumerate(x for B in M for row in B for x in row)
                 v = {j: x for j, x in flat if x}
                 g = gcd(*v.values()) if span.add(v) else 0
@@ -798,7 +905,7 @@ def _accepted_words(r: int, u0: Fraction, mod_p: int = None):
         def multiply(M, G):
             return [mat_mul(A, B) for A, B in zip(M, G)]
 
-        return _closure(ident, gens, multiply, accept, safety)
+        return _closure(ident, gens, multiply, accept, bound, safety)
 
     import numpy as np
 
@@ -816,7 +923,7 @@ def _accepted_words(r: int, u0: Fraction, mod_p: int = None):
     def multiply(M, G):
         return [A @ B % mod_p for A, B in zip(M, G)]
 
-    return _closure(ident, gens, multiply, accept, safety)
+    return _closure(ident, gens, multiply, accept, bound, safety)
 
 
 def _check_modulus(p: int, u0: Fraction, n: int):
@@ -841,8 +948,16 @@ def nonstandard_dimension_oracle(
 ) -> int:
     """Dimension of the unital algebra generated by the specialized
     P_i on the faithful two-row tensor sum, by product-span closure.
-    With mod_p the span is over F_p, a lower bound on the dimension at
-    u0; a modulus that cannot give that raises ModulusError."""
+    With mod_p the span is over F_p; a modulus that cannot give a sound
+    rank raises ModulusError.
+
+    Soundness: the span at u0, and mod p, is a lower bound on the
+    algebra's dimension at generic u, and _split_bound, from identities
+    proved over Q(u), an upper bound. The closure stops when the span
+    reaches the upper bound, and then the generic dimension is exactly
+    that. A bad point or prime can only leave the span short of it,
+    which gives a false FAIL against the formula, never a false PASS.
+    A split identity that fails raises CertificateError."""
     return len(_accepted_words(r, u0, mod_p))
 
 

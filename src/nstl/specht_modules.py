@@ -281,6 +281,7 @@ class SpechtModule:
         self._transition = None
         self._transition_inv = None
         self._branching = None
+        self._p_factors = {}
 
     # -- construction --------------------------------------------------
 
@@ -364,6 +365,23 @@ class SpechtModule:
             return self.standard_action(i)
         raise ValueError(f"unknown basis {basis!r}")
 
+    def p_factors(self, i: int, basis: str):
+        """(C'_{s_i}, C_{s_i}) as matrices on the lower ("l") or upper
+        ("u") basis, the factors of P_{s_i} on a tensor product; the one
+        not given by the W-graph differs from the other by [2] on the
+        diagonal, since C'_s = C_s + [2] T_e. Cached on the module, so
+        callers must not mutate them."""
+        key = (i, basis)
+        if key not in self._p_factors:
+            if basis == "l":
+                L = self.lower_action[i]
+                pair = (L, _shift_diagonal(L, -TWO))
+            else:
+                U = self.upper_action[i]
+                pair = (_shift_diagonal(U, TWO), U)
+            self._p_factors[key] = pair
+        return self._p_factors[key]
+
     def standard_action(self, i: int):
         """T_{s_i} on lower coordinates: C'_{s_i} action minus u^-1."""
         from .exact_arith import U_INV
@@ -406,10 +424,7 @@ class SpechtModule:
         _, nums = common_denominator([x for row in X for x in row])
         Y = [nums[a * n:(a + 1) * n] for a in range(n)]
         for i, U in self.upper_action.items():
-            shifted = [
-                [x + TWO if a == b else x for b, x in enumerate(row)]
-                for a, row in enumerate(U)
-            ]
+            shifted = _shift_diagonal(U, TWO)
             lhs, rhs = zeros(n, n, L_ZERO), zeros(n, n, L_ZERO)
             for a, k, s in _laurent_entries(shifted):
                 for b in range(n):
@@ -479,6 +494,14 @@ class SpechtModule:
 
     def restriction_shape(self, q: Tableau) -> Partition:
         return q.restrict(self.r - 1).shape
+
+
+def _shift_diagonal(A, c):
+    """A + c I."""
+    return [
+        [x + c if a == b else x for b, x in enumerate(row)]
+        for a, row in enumerate(A)
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -373,10 +373,19 @@ def check_branching(r: int) -> dict:
 
 
 def check_dimension(rs=(2, 3, 4)) -> dict:
+    """The formula against the exact oracle at U0 at each rank. The
+    oracle's span at U0 is a lower bound on the generic dimension, and
+    it stops at an upper bound proved over Q(u) by the split identities
+    (nonstandard._split_bound), never taken from the formula; so a PASS
+    proves the generic dimension equals the formula, and a bad point
+    can only give a false FAIL. A split identity that fails is a FAIL."""
     values = {}
     for r in rs:
         formula = dimension_formula(r)
-        oracle = nonstandard_dimension_oracle(r)
+        try:
+            oracle = nonstandard_dimension_oracle(r)
+        except CertificateError as exc:
+            return _fail(exc)
         if formula != oracle:
             return _fail(f"r={r}: formula {formula} != oracle {oracle}")
         values[r] = formula

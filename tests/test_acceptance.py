@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from nstl import nonstandard, verify
+from nstl import cli, nonstandard, verify
+from nstl.combinatorics import Partition
 from nstl.exact_arith import PoleError
 from nstl.verify import (
     check_action_formula,
@@ -126,6 +127,56 @@ def test_criterion_10_branching():
 def test_criterion_11_dimension_formula():
     rs = (2, 3, 4, 5) if HEAVY else (2, 3, 4)
     report(11, "dimension", check_dimension(rs))
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("r", [3, 4])
+def test_dimension_fails_on_a_formula_off_by_one(monkeypatch, capsys, r, shift):
+    # the oracle's bound comes from the split identities: a formula one
+    # short must not pull the oracle down to agree with it
+    real = nonstandard.dimension_formula
+
+    def off(n):
+        return real(n) + shift * (n == r)
+
+    for module in (verify, nonstandard):
+        monkeypatch.setattr(module, "dimension_formula", off)
+    result = check_dimension(tuple(range(2, r + 1)))
+    assert result == {
+        "ok": False,
+        "detail": f"r={r}: formula {real(r) + shift} != oracle {real(r)}",
+    }
+    assert cli.main(["verify-all", "--r", str(r)]) == 1
+    assert f"dimension: FAIL ({result['detail']})" in capsys.readouterr().out
+
+
+def test_a_broken_split_identity_fails_dimension_and_certification(
+    monkeypatch, capsys
+):
+    # a V+ vector in place of the eps line of (2,1): t(eps) = 0
+    lam = Partition([2, 1])
+    vector = nonstandard._sym_projection_basis(lam)[0]
+    real = nonstandard.epsilon_plus_vector
+    monkeypatch.setattr(
+        nonstandard,
+        "epsilon_plus_vector",
+        lambda mu: vector if mu == lam else real(mu),
+    )
+    nonstandard.square_split_identities.cache_clear()
+    try:
+        dimension = check_dimension((2, 3, 4))
+        certification = check_certification(3)
+        code = cli.main(["verify-all", "--r", "4"])
+    finally:
+        nonstandard.square_split_identities.cache_clear()
+    why = "t(eps) != 1 on 2,1"
+    assert dimension == {"ok": False, "detail": f"no split bound at r=3: {why}"}
+    assert certification == {
+        "ok": False,
+        "detail": f"not generator-closed: +2,1 ({why})",
+    }
+    assert code == 1
+    assert f"dimension: FAIL ({dimension['detail']})" in capsys.readouterr().out
 
 
 def test_criterion_12_seminormal():

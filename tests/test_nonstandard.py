@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,16 @@ from hypothesis import given, settings, strategies as st
 from nstl import nonstandard
 from nstl.combinatorics import Partition, partitions_of, two_row_partitions
 from nstl.exact_arith import LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
-from nstl.linalg import SpanBasis, mat_add, mat_mul, mat_transpose, nullspace, zeros
+from nstl.linalg import (
+    IntSpanBasis,
+    SpanBasis,
+    SpanBasisModP,
+    mat_add,
+    mat_mul,
+    mat_transpose,
+    nullspace,
+    zeros,
+)
 from nstl.nonstandard import (
     FOUR,
     CertificateError,
@@ -23,10 +33,12 @@ from nstl.nonstandard import (
     _block_generators,
     _kron_sum,
     _restricted_generators,
+    _split_bound,
+    _split_failure,
+    _sym_projection_basis,
     antipode_check,
     build_irreducible,
     certify_irreducible,
-    closure_check,
     commutant_dimension,
     dimension_formula,
     dimension_formula_details,
@@ -42,6 +54,7 @@ from nstl.nonstandard import (
     p_action,
     q_element,
     restriction_decompose,
+    square_split_identities,
     trace_functional,
 )
 from nstl.specht_modules import build_specht
@@ -68,6 +81,20 @@ def mats_equal(A, B):
 def shape_pairs(r):
     shapes = partitions_of(r)
     return [(a, b) for a in shapes for b in shapes]
+
+
+def closure_check(mod):
+    """Oracle for the certificate's closure: every generator image of
+    every basis vector stays in the span, by Q(u) elimination."""
+    span = SpanBasis()
+    for c in mod.basis:
+        if not span.add(flatten(c)):
+            return False
+    for i in range(1, mod.ambient.r):
+        for c in mod.basis:
+            if span.add(flatten(mod.ambient.p_apply(c, i, "ll"))):
+                return False
+    return True
 
 
 def fraction_closure_words(r, u0):
@@ -335,6 +362,154 @@ class TestBuildIrreducible:
             assert closure_check(build_irreducible(lbl, r))
 
 
+@pytest.fixture
+def fresh_split_identities():
+    """square_split_identities is cached: a test that patches what it
+    reads starts and ends with an empty cache."""
+    square_split_identities.cache_clear()
+    yield
+    square_split_identities.cache_clear()
+
+
+def replaced(basis, k, c):
+    return basis[:k] + [c] + basis[k + 1:]
+
+
+def open_controls():
+    """{name: (module, message)}: modules of (3,1) x (3,1) and
+    (4) x (3,1) whose basis is not the piece its label names, or not
+    independent, with what the certificate says of each; none is
+    closed."""
+    lam = P([3, 1])
+    tm = TensorModule(lam, lam)
+    units = tm.unit_vectors()
+    plus, minus = (build_irreducible(lbl(k + "3,1"), 4).basis for k in "+-")
+    pair = build_irreducible(lbl("4:3,1"), 4)
+    sym = mat_add(units[1], units[3])  # E_01 + E_10
+    outside = "basis vector 0 lies outside the {} piece".format
+    return {
+        "eps with a unit vector": (
+            NsSubmodule(lbl("eps+"), tm, units[:1]),
+            outside("eps_plus"),
+        ),
+        "plus with t != 0": (
+            NsSubmodule(lbl("+3,1"), tm, replaced(plus, 0, units[0])),
+            outside("plus"),
+        ),
+        "minus with a symmetric vector": (
+            NsSubmodule(lbl("-3,1"), tm, replaced(minus, 0, sym)),
+            outside("minus"),
+        ),
+        "pair missing a unit vector": (
+            NsSubmodule(pair.label, pair.ambient, pair.basis[:-1]),
+            "2 vectors for a piece of dimension 3",
+        ),
+        "repeated vector": (
+            NsSubmodule(lbl("-3,1"), tm, replaced(minus, 1, minus[0])),
+            "basis dependent at 7/3",
+        ),
+    }
+
+
+OPEN_CONTROLS = [
+    "eps with a unit vector",
+    "plus with t != 0",
+    "minus with a symmetric vector",
+    "pair missing a unit vector",
+    "repeated vector",
+]
+
+
+class TestSplitClosure:
+    """The certificate's closure by the split identities, against the
+    elimination oracle closure_check."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_identities_hold(self, r):
+        for lam in two_row_partitions(r):
+            assert square_split_identities(lam) == ""
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_agrees_with_the_oracle_on_every_label(self, r):
+        for label in ns_labels(r):
+            mod = build_irreducible(label, r)
+            assert _split_failure(mod) == ""
+            assert closure_check(mod)
+
+    @pytest.mark.parametrize("name", OPEN_CONTROLS)
+    def test_open_controls_fail(self, name):
+        mod, why = open_controls()[name]
+        assert not closure_check(mod)
+        with pytest.raises(CertificateError) as info:
+            certify_irreducible(mod)
+        assert str(info.value) == f"not generator-closed: {mod.label} ({why})"
+
+    def test_label_must_match_its_ambient(self):
+        mod = build_irreducible(lbl("-3,1"), 4)
+        wrong = NsSubmodule(lbl("-2,2"), mod.ambient, mod.basis)
+        assert "is not the label's square" in _split_failure(wrong)
+        pair = build_irreducible(lbl("4:3,1"), 4)
+        wrong = NsSubmodule(lbl("4:2,2"), pair.ambient, pair.basis)
+        assert "is not the pair" in _split_failure(wrong)
+
+    def test_a_v_plus_vector_for_eps_breaks_the_identities(
+        self, monkeypatch, fresh_split_identities
+    ):
+        lam = P([3, 1])
+        v = _sym_projection_basis(lam)[0]
+        real = nonstandard.epsilon_plus_vector
+        monkeypatch.setattr(
+            nonstandard, "epsilon_plus_vector", lambda mu: v if mu == lam else real(mu)
+        )
+        assert square_split_identities(lam) == "t(eps) != 1 on 3,1"
+        assert square_split_identities(P([2, 2])) == ""
+        with pytest.raises(CertificateError, match=r"^no split bound at r=4: t\(eps\)"):
+            nonstandard_dimension_oracle(4)
+        assert nonstandard_dimension_oracle(3) == 10
+
+    def test_eps_off_its_eigenline_breaks_the_identities(
+        self, monkeypatch, fresh_split_identities
+    ):
+        # eps plus a V+ vector is symmetric with t = 1, but P_i moves it
+        lam = P([3, 1])
+        shifted = mat_add(epsilon_plus_vector(lam), _sym_projection_basis(lam)[0])
+        monkeypatch.setattr(nonstandard, "epsilon_plus_vector", lambda mu: shifted)
+        got = square_split_identities(lam)
+        assert re.fullmatch(r"P_[123] eps != 4 eps on 3,1", got)
+
+    def test_a_perturbed_trace_breaks_the_covector_identity(
+        self, monkeypatch, fresh_split_identities
+    ):
+        # X + d with d symmetric and <d, eps> = 0 keeps t(eps) = 1, but
+        # sum A^T (X + d) B = 4 (X + d) fails
+        lam = P([3, 1])
+        m = build_specht(lam)
+        eps = m.transition_inv
+        d = zeros(m.dim, m.dim, R_ZERO)
+        d[0][1] = d[1][0] = R_ONE
+        d[0][0] = (R_ZERO - eps[0][1] - eps[1][0]) / eps[0][0]
+        monkeypatch.setattr(m, "_transition", mat_add(m.transition, d))
+        assert square_split_identities(lam).startswith("t P_")
+
+    def test_lopsided_generators_break_the_flip(
+        self, monkeypatch, fresh_split_identities
+    ):
+        ops = TensorModule.ops
+
+        def lopsided(self, i, pair):
+            (lp, _), (_, rc) = ops(self, i, pair)
+            return [(lp, rc)]
+
+        monkeypatch.setattr(TensorModule, "ops", lopsided)
+        got = square_split_identities(P([2, 1]))
+        assert got == "P_1 does not commute with the flip on 2,1"
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_bound_is_the_sum_of_squares(self, r):
+        signs, mats = _block_generators(r, U0)
+        assert _split_bound(r, signs, mats[0]) == dimension_formula(r)
+
+
 class TestCertification:
     @pytest.mark.parametrize("r", [3, 4])
     def test_commutant_one(self, r):
@@ -358,7 +533,7 @@ class TestCertification:
         gens = _restricted_generators(mod, U0)
         assert commutant_dimension(gens, 4) == 3
         assert fraction_hom_dimension(gens, 4, gens, 4) == 3
-        with pytest.raises(CertificateError, match="commutant not a line"):
+        with pytest.raises(CertificateError, match="not generator-closed"):
             certify_irreducible(mod)
 
     def test_open_module_fails_closure(self):
@@ -632,6 +807,33 @@ class TestDimension:
         assert words == fraction_closure_words(r, u0)
         assert len(words) == nonstandard_dimension_oracle(r, u0)
 
+    def test_exact_oracle_stops_at_the_split_bound(self, monkeypatch):
+        # the 191st add takes the span to 89, and none follows it; the
+        # closure run to its end makes 268
+        sizes = []
+        add = IntSpanBasis.add
+
+        def counted(self, v):
+            sizes.append(len(self))
+            return add(self, v)
+
+        monkeypatch.setattr(IntSpanBasis, "add", counted)
+        assert nonstandard_dimension_oracle(4) == 89
+        assert len(sizes) == 191
+        assert max(sizes) == sizes[-1] == 88
+
+    def test_mod_p_oracle_stops_at_the_split_bound(self, monkeypatch):
+        sizes = []
+        add_level = SpanBasisModP.add_level
+
+        def counted(self, V):
+            sizes.append(len(self))
+            return add_level(self, V)
+
+        monkeypatch.setattr(SpanBasisModP, "add_level", counted)
+        assert nonstandard_dimension_oracle(4, mod_p=1000003) == 89
+        assert max(sizes) < 89
+
     def test_mod_p_bounds_exact_r4(self):
         exact = nonstandard_dimension_oracle(4)
         assert nonstandard_dimension_oracle(4, mod_p=1000003) <= exact
@@ -655,7 +857,8 @@ class TestDimension:
     def test_blocks_are_unordered_pairs_and_flip_parts(self):
         # r = 4, f = 1, 3, 2: the antisymmetric parts 3, 1 of the squares
         # (none for f = 1), the pairs 3, 2, 6, the symmetric parts 1, 6, 3
-        mats = _block_generators(4, Fraction(7, 3))
+        signs, mats = _block_generators(4, Fraction(7, 3))
+        assert signs == [-1, -1, 0, 0, 0, 1, 1, 1]
         assert [len(B) for B in mats[0]] == [3, 1, 3, 2, 6, 1, 6, 3]
         assert len(mats) == 4
 
