@@ -850,28 +850,26 @@ def _integer_generators(gens):
 
 def _closure(ident, gens, multiply, accept, bound, safety):
     """Breadth-first product closure from ident, level by level:
-    accept(values) takes the values of one level's words in order and
-    returns for each the value to keep if the word grew the span, else a
-    false value; it may stop early, once the span holds `bound` words.
+    accept(level) takes one level's (word, value) pairs in order and
+    returns those whose word grew the span, each with the value to keep.
     The next level holds the products of the kept values with each
-    generator. The closure ends when no word is kept or `bound`, an
-    upper bound on the span's dimension, is reached. Returns the
-    accepted words in order."""
-    words, steps, level = [], 0, [((), ident)]
+    generator, formed only as accept draws them, so an accept that
+    stops once the span holds `bound` words forms no more. The closure
+    ends when no word is kept or `bound`, an upper bound on the span's
+    dimension, is reached. Returns the accepted words in order."""
+    words, steps, frontier = [], 0, accept([((), ident)])
     while True:
-        kept = accept([M for _, M in level])
-        frontier = [(word, M) for (word, _), M in zip(level, kept) if M]
         words += [word for word, _ in frontier]
         if not frontier or len(words) >= bound:
             return words
         steps += len(frontier) * len(gens)
         if steps > safety:
             raise StabilizationError("span closure exceeded safety bound")
-        level = [
+        frontier = accept(
             (word + (i,), multiply(M, G))
             for word, M in frontier
             for i, G in enumerate(gens, start=1)
-        ]
+        )
 
 
 def _accepted_words(r: int, u0: Fraction, mod_p: int = None):
@@ -891,15 +889,17 @@ def _accepted_words(r: int, u0: Fraction, mod_p: int = None):
     if mod_p is None:
         span = IntSpanBasis()
 
-        def accept(values):
+        def accept(level):
             kept = []
-            for M in values:
+            for word, M in level:
                 if len(span) == bound:
                     break
                 flat = enumerate(x for B in M for row in B for x in row)
                 v = {j: x for j, x in flat if x}
-                g = gcd(*v.values()) if span.add(v) else 0
-                kept.append(g and [[[x // g for x in row] for row in B] for B in M])
+                if span.add(v):
+                    g = gcd(*v.values())
+                    M = [[[x // g for x in row] for row in B] for B in M]
+                    kept.append((word, M))
             return kept
 
         def multiply(M, G):
@@ -916,9 +916,10 @@ def _accepted_words(r: int, u0: Fraction, mod_p: int = None):
         for M in [ident] + gens
     ]
 
-    def accept(values):
-        flat = np.array([np.concatenate([B.ravel() for B in M]) for M in values])
-        return [ok and M for M, ok in zip(values, span.add_level(flat))]
+    def accept(level):
+        level = list(level)
+        flat = np.array([np.concatenate([B.ravel() for B in M]) for _, M in level])
+        return [pair for pair, ok in zip(level, span.add_level(flat)) if ok]
 
     def multiply(M, G):
         return [A @ B % mod_p for A, B in zip(M, G)]
