@@ -1,8 +1,9 @@
 """Tensor products M_lambda (x) M_mu with the generators
 P_s = C'_s (x) C'_s + C_s (x) C_s acting on them, the irreducible
 modules they generate, epsilon_+/- embeddings and the trace map,
-restriction decompositions, irreducibility certificates, and the
-dimension formula with its spanning oracle.
+restriction decompositions, irreducibility certificates read off the
+multiplicity-free restriction, and the dimension formula with its
+spanning oracle.
 
 Tensor vectors are stored as coefficient matrices c of size
 f_lambda x f_mu over a basis pair; an operator A (x) B sends c to
@@ -17,7 +18,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import comb, gcd, isqrt, lcm
 
 from .combinatorics import (
@@ -36,6 +37,7 @@ from .hecke_core import (
 )
 from .linalg import (
     IntSpanBasis,
+    SpanBasis,
     SpanBasisModP,
     identity,
     mat_add,
@@ -43,7 +45,6 @@ from .linalg import (
     mat_scale,
     mat_sub,
     mat_transpose,
-    rank,
     rref,
     zeros,
 )
@@ -57,6 +58,10 @@ class ModulusError(ValueError):
 class CertificateError(ValueError):
     """A module fails one of its irreducibility certificates; the
     message names which."""
+
+
+class RestrictionError(ArithmeticError):
+    """Isotypic ranks that do not fit the module: a fault in its data."""
 
 
 class StabilizationError(RuntimeError):
@@ -123,27 +128,16 @@ class NsIrredLabel:
         return 1
 
 
-def proper_two_row(r: int):
-    """Two-row shapes that are neither a single row nor a single
-    column."""
-    return [
-        lam
-        for lam in two_row_partitions(r)
-        if lam.length == 2 and lam != Partition([1, 1])
-    ]
-
-
 def ns_labels(r: int):
-    """The index set of irreducibles at rank r."""
-    out = []
+    """The index set of irreducibles at rank r: the pairs of two-row
+    shapes, then +lam and -lam for each that is neither a row nor a
+    column, then eps+."""
     shapes = two_row_partitions(r)
-    for lam, mu in itertools.combinations(shapes, 2):
-        out.append(NsIrredLabel("pair", (lam, mu)))
-    for lam in proper_two_row(r):
-        out.append(NsIrredLabel("plus", (lam,)))
-        out.append(NsIrredLabel("minus", (lam,)))
-    out.append(NsIrredLabel("eps_plus"))
-    return out
+    out = [NsIrredLabel("pair", pair) for pair in itertools.combinations(shapes, 2)]
+    for lam in shapes:
+        if lam.length == 2 and lam != Partition([1, 1]):
+            out += [NsIrredLabel("plus", (lam,)), NsIrredLabel("minus", (lam,))]
+    return out + [NsIrredLabel("eps_plus")]
 
 
 # ---------------------------------------------------------------------
@@ -216,9 +210,28 @@ def flatten(c):
 # recorded case formulas for the action of P_s
 
 
+# (basis pair, i in D(T), i in D(U)) -> the coefficients that P_{s_i}
+# sends T (x) U to on T (x) U, T' (x) U, T (x) U' and T' (x) U', for the
+# tableaux T' with i in D(T') times mu(T', T), and likewise U'.
+_P_CASES = {
+    ("ll", True, True): (FOUR, 0, 0, 0),
+    ("ll", True, False): (0, 0, TWO, 0),
+    ("ll", False, True): (0, TWO, 0, 0),
+    ("ll", False, False): (FOUR, -TWO, -TWO, 2),
+    ("ul", True, True): (0, 0, 0, 0),
+    ("ul", True, False): (FOUR, 0, -TWO, 0),
+    ("ul", False, True): (FOUR, TWO, 0, 0),
+    ("ul", False, False): (0, -TWO, TWO, 2),
+    ("uu", True, True): (FOUR, 0, 0, 0),
+    ("uu", True, False): (0, 0, -TWO, 0),
+    ("uu", False, True): (0, -TWO, 0, 0),
+    ("uu", False, False): (FOUR, TWO, TWO, 2),
+}
+
+
 def p_action(tm: TensorModule, c, i: int, pair: str = "ll"):
     """Action of P_{s_i} on a coefficient matrix, computed from the
-    descent-set/mu case formulas on the chosen basis pair."""
+    descent-set/mu case formulas (_P_CASES) on the chosen basis pair."""
     if pair not in ("ll", "ul", "uu"):
         raise ValueError(f"unsupported basis pair {pair!r}")
     left, right = tm.left, tm.right
@@ -228,90 +241,28 @@ def p_action(tm: TensorModule, c, i: int, pair: str = "ll"):
 
     def neighbors(module, conv, q):
         return [
-            (qp, module.mu(qp, q))
+            (module.index[qp], module.mu(qp, q))
             for qp in module.basis
             if i in descent_set(qp, conv) and module.mu(qp, q)
         ]
 
     for T in left.basis:
         for U in right.basis:
-            coeff = c[left.index[T]][right.index[U]]
-            if not coeff:
-                continue
-            in_t = i in descent_set(T, lconv)
-            in_u = i in descent_set(U, rconv)
             t, u = left.index[T], right.index[U]
-
-            def bump(a, b, val):
-                out[a][b] = out[a][b] + val
-
-            if pair == "ll":
-                if in_t and in_u:
-                    bump(t, u, FOUR * coeff)
-                elif in_t:
-                    for Up, m in neighbors(right, rconv, U):
-                        bump(t, right.index[Up], TWO * coeff * m)
-                elif in_u:
-                    for Tp, m in neighbors(left, lconv, T):
-                        bump(left.index[Tp], u, TWO * coeff * m)
-                else:
-                    bump(t, u, FOUR * coeff)
-                    for Tp, m in neighbors(left, lconv, T):
-                        bump(left.index[Tp], u, -(TWO * coeff * m))
-                    for Up, m in neighbors(right, rconv, U):
-                        bump(t, right.index[Up], -(TWO * coeff * m))
-                    for Tp, mt in neighbors(left, lconv, T):
-                        for Up, mu_ in neighbors(right, rconv, U):
-                            bump(
-                                left.index[Tp],
-                                right.index[Up],
-                                coeff * (2 * mt * mu_),
-                            )
-            elif pair == "ul":
-                if in_t and in_u:
-                    pass  # zero
-                elif in_t:
-                    bump(t, u, FOUR * coeff)
-                    for Up, m in neighbors(right, rconv, U):
-                        bump(t, right.index[Up], -(TWO * coeff * m))
-                elif in_u:
-                    bump(t, u, FOUR * coeff)
-                    for Tp, m in neighbors(left, lconv, T):
-                        bump(left.index[Tp], u, TWO * coeff * m)
-                else:
-                    for Tp, m in neighbors(left, lconv, T):
-                        bump(left.index[Tp], u, -(TWO * coeff * m))
-                    for Up, m in neighbors(right, rconv, U):
-                        bump(t, right.index[Up], TWO * coeff * m)
-                    for Tp, mt in neighbors(left, lconv, T):
-                        for Up, mu_ in neighbors(right, rconv, U):
-                            bump(
-                                left.index[Tp],
-                                right.index[Up],
-                                coeff * (2 * mt * mu_),
-                            )
-            else:  # uu
-                if in_t and in_u:
-                    bump(t, u, FOUR * coeff)
-                elif in_t:
-                    for Up, m in neighbors(right, rconv, U):
-                        bump(t, right.index[Up], -(TWO * coeff * m))
-                elif in_u:
-                    for Tp, m in neighbors(left, lconv, T):
-                        bump(left.index[Tp], u, -(TWO * coeff * m))
-                else:
-                    bump(t, u, FOUR * coeff)
-                    for Tp, m in neighbors(left, lconv, T):
-                        bump(left.index[Tp], u, TWO * coeff * m)
-                    for Up, m in neighbors(right, rconv, U):
-                        bump(t, right.index[Up], TWO * coeff * m)
-                    for Tp, mt in neighbors(left, lconv, T):
-                        for Up, mu_ in neighbors(right, rconv, U):
-                            bump(
-                                left.index[Tp],
-                                right.index[Up],
-                                coeff * (2 * mt * mu_),
-                            )
+            if not c[t][u]:
+                continue
+            case = (pair, i in descent_set(T, lconv), i in descent_set(U, rconv))
+            same, lft, rgt, both = _P_CASES[case]
+            ln, rn = neighbors(left, lconv, T), neighbors(right, rconv, U)
+            terms = (
+                [(t, u, same)]
+                + [(a, u, lft * m) for a, m in ln]
+                + [(t, b, rgt * m) for b, m in rn]
+                + [(a, b, both * ma * mb) for a, ma in ln for b, mb in rn]
+            )
+            for a, b, x in terms:
+                if x:
+                    out[a][b] = out[a][b] + c[t][u] * x
     return out
 
 
@@ -454,55 +405,51 @@ class NsSubmodule:
     def dim(self):
         return len(self.basis)
 
+    @cached_property
+    def restriction(self) -> dict:
+        """_restriction_split of the basis, computed once per module."""
+        return _restriction_split(self)
+
+
+def _half_sums(f: int, sign: int):
+    """(E_ab + sign E_ba)/2 in f x f, row by row over a <= b for sign 1
+    (E_aa on the diagonal) and over a < b for sign -1."""
+    out = []
+    for a in range(f):
+        for b in range(a + (sign < 0), f):
+            c = zeros(f, f, R_ZERO)
+            c[a][b] = R_HALF
+            c[b][a] = c[b][a] + R_HALF * sign
+            out.append(c)
+    return out
+
 
 def _sym_projection_basis(lam: Partition):
     """Lemma basis of S'M-hat_lam: projections of C'_A . C'_B for
     A < B together with A = B, A != first canonical tableau."""
-    m = build_specht(lam)
-    tm = TensorModule(lam, lam)
     eps = epsilon_plus_vector(lam)
-    out = []
-    half = R_HALF
-    for a in range(m.dim):
-        for b in range(a, m.dim):
-            if a == b == 0:
-                continue  # the excluded diagonal tableau
-            c = zeros(m.dim, m.dim, R_ZERO)
-            if a == b:
-                c[a][a] = R_ONE
-            else:
-                c[a][b] = half
-                c[b][a] = half
-            t = trace_functional(lam, c, "ll")
-            out.append(mat_sub(c, mat_scale(eps, t)))
-    return out
+    return [
+        mat_sub(c, mat_scale(eps, trace_functional(lam, c, "ll")))
+        for c in _half_sums(build_specht(lam).dim, 1)[1:]
+    ]
 
 
+@lru_cache(maxsize=None)
 def build_irreducible(label: NsIrredLabel, r: int) -> NsSubmodule:
+    """The module of a label, cached with its restriction: not to be
+    mutated."""
     if label not in set(ns_labels(r)):
         raise ValueError(f"label {label} is not in the rank-{r} index set")
+    shapes = label.shapes or (max(two_row_partitions(r), key=syt_count),)
+    tm = TensorModule(shapes[0], shapes[-1])
     if label.kind == "pair":
-        lam, mu = label.shapes
-        tm = TensorModule(lam, mu)
-        return NsSubmodule(label, tm, tm.unit_vectors())
-    if label.kind == "eps_plus":
-        lam = max(two_row_partitions(r), key=syt_count)
-        return NsSubmodule(
-            label, TensorModule(lam, lam), [epsilon_plus_vector(lam)]
-        )
-    lam = label.shapes[0]
-    tm = TensorModule(lam, lam)
-    m = tm.left
-    if label.kind == "plus":
-        return NsSubmodule(label, tm, _sym_projection_basis(lam))
-    basis = []
-    half = R_HALF
-    for a in range(m.dim):
-        for b in range(a + 1, m.dim):
-            c = zeros(m.dim, m.dim, R_ZERO)
-            c[a][b] = half
-            c[b][a] = R_ZERO - half
-            basis.append(c)
+        basis = tm.unit_vectors()
+    elif label.kind == "eps_plus":
+        basis = [epsilon_plus_vector(tm.lam)]
+    elif label.kind == "plus":
+        basis = _sym_projection_basis(tm.lam)
+    else:
+        basis = _half_sums(tm.left.dim, -1)
     return NsSubmodule(label, tm, basis)
 
 
@@ -510,10 +457,11 @@ def _split_failure(mod: NsSubmodule) -> str:
     """Why the basis is not the piece of the split its label names, or
     ''. Each vector must lie in the piece: a unit vector of
     M_lam (x) M_mu for a pair, Lambda^2 (antisymmetric) for -lam, V+
-    (symmetric with t = 0) for +lam, the line of eps for eps+; and there
-    must be as many vectors as the piece has dimensions. The pieces of a
-    square are P_i-stable by square_split_identities, which is checked
-    here, so a basis that is also independent spans a closed module."""
+    (symmetric with t = 0) for +lam, the line of eps for eps+; there
+    must be as many vectors as the piece has dimensions, and they must
+    be independent over Q(u), checked exactly. The pieces of a square
+    are P_i-stable by square_split_identities, which is checked here,
+    so such a basis spans a closed module."""
     tm, label, basis = mod.ambient, mod.label, mod.basis
     if label.kind == "pair":
         if set(label.shapes) != {tm.lam, tm.mu}:
@@ -553,113 +501,103 @@ def _split_failure(mod: NsSubmodule) -> str:
     outside = next((k for k, c in enumerate(basis) if not inside(c)), None)
     if outside is not None:
         return f"basis vector {outside} lies outside the {label.kind} piece"
+    _, pivots = rref(mat_transpose([flatten(c) for c in basis]))
+    if len(pivots) < len(basis):
+        k = next(k for k, p in enumerate(pivots + [None]) if p != k)
+        return f"basis vector {k} depends on the ones before it"
     return ""
 
 
 # ---------------------------------------------------------------------
-# certification at a specialization
+# certification from the multiplicity-free restriction
 
 
-# The point of the irreducibility certificate and the oracle's default.
-U0 = Fraction(7, 3)
+def certify_irreducible(mod: NsSubmodule) -> None:
+    """Certify a module V of rank r absolutely irreducible, exactly over
+    Q(u), given that the rank-(r-1) labels are absolutely irreducible
+    and pairwise inequivalent (verify.check_certification does the
+    ranks below first). Raises CertificateError naming the step that
+    fails: closure (_split_failure); multiplicity-free, each label once
+    in the restriction to rank r - 1 (restriction_decompose, from the
+    isotypic split of the basis); strongly connected, the digraph with
+    j -> k when pi_k P_{r-1} probe_j != 0 (_restriction_edges).
 
-
-def _restricted_generators(mod: NsSubmodule, u0: Fraction):
-    """Matrices of the specialized P_i on the submodule's own basis:
-    one row reduction of [V | images] per generator, V holding the
-    basis vectors as columns. V without full column rank at u0 raises
-    CertificateError; an image with a pivot outside V raises
-    ArithmeticError."""
-    basis = [specialize_matrix(c, u0) for c in mod.basis]
-    V = mat_transpose([flatten(c) for c in basis])
-    d = len(basis)
-    gens = []
-    for i in range(1, mod.ambient.r):
-        ops = [
-            (specialize_matrix(A, u0), specialize_matrix(B, u0))
-            for A, B in mod.ambient.ops(i, "ll")
-        ]
-        images = mat_transpose(
-            [flatten(TensorModule.apply(ops, c)) for c in basis]
-        )
-        rows, pivots = rref([v + w for v, w in zip(V, images)])
-        if pivots[:d] != list(range(d)):
-            raise CertificateError(
-                f"not generator-closed: {mod.label} (basis dependent at {u0})"
-            )
-        if len(pivots) > d:
-            raise ArithmeticError("image escapes submodule span")
-        G = zeros(d, d, Fraction(0))
-        for row, p in zip(rows, pivots):
-            G[p] = row[d:]
-        gens.append(G)
-    return gens
-
-
-def commutant_dimension(gens, dim):
-    """dim {Z : G Z = Z G for all G} over Q; at least 1, since the
-    identity commutes."""
-    return _hom_nullity(gens, dim, gens, dim, 1)
-
-
-def hom_dimension(gens_a, dim_a, gens_b, dim_b):
-    """dim {Z : Z G_a = G_b Z for all generators} over Q."""
-    return _hom_nullity(gens_a, dim_a, gens_b, dim_b, 0)
-
-
-def _hom_nullity(gens_a, dim_a, gens_b, dim_b, least):
-    """The nullity of the dim_a*dim_b equations per generator pair in
-    the entries Z[a][b] (unknown a*dim_a + b), known to be at least
-    `least`. Each pair is scaled by the lcm of its denominators and its
-    equations are ranked as sparse integer rows in an IntSpanBasis,
-    which stops once the rank leaves no more than `least` free. The
-    terms of Z G and of H Z meet only at unknown a*dim_a + b; a row
-    keeps only its nonzero entries, since IntSpanBasis would take a
-    zero for a pivot."""
-    n = dim_a * dim_b
-    span = IntSpanBasis()
-    for G, H in _integer_generators(list(zip(gens_a, gens_b))):
-        for a in range(dim_b):
-            for b in range(dim_a):
-                row = {a * dim_a + k: G[k][b] for k in range(dim_a)}
-                row.update((k * dim_a + b, -H[a][k]) for k in range(dim_b))
-                row[a * dim_a + b] = G[b][b] - H[a][a]
-                row = {j: x for j, x in row.items() if x}
-                if span.add(row) and len(span) == n - least:
-                    return least
-    return n - len(span)
-
-
-def certify_irreducible(mod: NsSubmodule) -> list:
-    """Certify one module: closure under the P_i over Q(u), then at
-    u0 = U0 the restricted generators and a commutant that is a line.
-    Returns those generators for the pairwise Hom check. Raises
-    CertificateError naming the certificate that fails; a pole at U0
-    raises PoleError.
-
-    Closure is proved without elimination: the basis lies in the piece
-    of the split its label names (_split_failure), which the identities
-    of square_split_identities, checked exactly over Q(u), make
-    P_i-stable, and it has that piece's dimension. The row reduction at
-    U0 that builds the generators also shows the basis independent
-    there, so independent over Q(u), and it spans the piece.
-
-    One point is enough, and a bad one can only give a false FAIL: the
-    rank of the basis at u0 is at most its generic rank, a commutant of
-    1 at u0 gives End = Q at generic u, and Hom = 0 at u0 gives Hom = 0
-    there, because the nullity of these equations can only drop away
-    from u0. That alone is not irreducibility (the upper-triangular
-    2 x 2 matrices acting on Q^2 have commutant Q); irreducibility rests
-    on it together with verify.check_dimension, which shows the algebra
-    has dimension sum_i d_i^2, the dimension of the product of the
-    End(V_i)."""
+    Soundness. (i) Lemma: the projector pi_j onto the pieces labelled j
+    lies in the image of H_{r-1,2}. The branching maps iota are
+    H_{r-1}-equivariant, so the path pairs cut the ambient into the
+    blocks M_nu (x) M_rho of the semisimple H_{r-1} (x) H_{r-1}; the
+    flip and c -> t(c) eps commute with the P_i
+    (square_split_identities), so nonstandard_pieces cuts each block
+    into rank-(r-1) modules. These are pairwise inequivalent
+    irreducibles, so pi_j is a central idempotent of the image, and
+    pi_j V lies in V. (ii) V is the direct sum of the pi_j V, each a
+    sum of copies of V_j: one copy when its rank is dim V_j. (iii) A
+    submodule W is the sum of the pi_j W, each 0 or pi_j V. If W holds
+    pi_j V it holds P_{r-1} probe_j, so an edge j -> k puts pi_k V in
+    W; strongly connected, W = V. The argument holds over an algebraic
+    closure of Q(u) too. A probe that misses an edge can only give a
+    false FAIL, never a false PASS."""
     broken = _split_failure(mod)
     if broken:
         raise CertificateError(f"not generator-closed: {mod.label} ({broken})")
-    gens = _restricted_generators(mod, U0)
-    if commutant_dimension(gens, mod.dim) != 1:
-        raise CertificateError(f"commutant not a line for {mod.label} at {U0}")
-    return gens
+    try:
+        counts = restriction_decompose(mod)
+        many = [f"{k} {m} times" for k, m in counts.items() if m > 1]
+    except RestrictionError as exc:
+        many = [str(exc)]
+    if many:
+        raise CertificateError(f"not multiplicity-free: {mod.label} ({many[0]})")
+    if len(mod.restriction) == 1:
+        return
+    missing = _unreachable(_restriction_edges(mod))
+    if missing:
+        raise CertificateError(
+            f"not strongly connected: {mod.label} "
+            f"({missing[1]} is not reachable from {missing[0]})"
+        )
+
+
+def _restriction_edges(mod: NsSubmodule) -> dict:
+    """{j: the labels k != j with pi_k P_{r-1} probe_j != 0}, read off
+    the unlifted pieces of P_{r-1} probe_j, one cut per component."""
+    tm, k, edges = mod.ambient, mod.ambient.r - 1, {}
+    for j, (_, probe) in mod.restriction.items():
+        cut = _child_pieces(tm.lam, tm.mu, k, tm.p_apply(probe, k), nonstandard_pieces)
+        edges[j] = {label for label, (_, p, _) in cut if label != j and _nonzero(p)}
+    return edges
+
+
+def _unreachable(edges: dict) -> tuple:
+    """(j, k) with k not reachable from j in the digraph, or () when it
+    is strongly connected; reach[j] is closed by Warshall's rule."""
+    reach = {j: {j} | ks for j, ks in edges.items()}
+    for k in reach:
+        for j in reach:
+            if k in reach[j]:
+                reach[j] |= reach[k]
+    return next(((j, k) for j in reach for k in reach if k not in reach[j]), ())
+
+
+def chain_trace(label: NsIrredLabel, r: int) -> RationalFn:
+    """The trace of P_1 P_2 ... P_{r-1} on the label's module, exactly
+    over Q(u): a sum over the 2^(r-1) choices of one factor pair per P_i
+    of X (x) Y, with trace tr X tr Y; on Sym^2 and Lambda^2, where the
+    flip commutes with it, (tr X tr Y +- tr XY)/2, less the eps line's
+    4^(r-1) for +lam."""
+    if label.kind == "eps_plus":
+        return FOUR ** (r - 1)
+    tm = build_irreducible(label, r).ambient
+    terms = [tuple(identity(m.dim, R_ONE, R_ZERO) for m in (tm.left, tm.right))]
+    for i in range(1, r):
+        ops = tm.ops(i, "ll")
+        terms = [(mat_mul(X, A), mat_mul(Y, B)) for X, Y in terms for A, B in ops]
+    product = sum((_trace(X) * _trace(Y) for X, Y in terms), R_ZERO)
+    if label.kind == "pair":
+        return product
+    flipped = sum((_trace(mat_mul(X, Y)) for X, Y in terms), R_ZERO)
+    if label.kind == "minus":
+        return (product - flipped) * R_HALF
+    return (product + flipped) * R_HALF - FOUR ** (r - 1)
 
 
 # ---------------------------------------------------------------------
@@ -710,56 +648,93 @@ def hh_pieces(nu: Partition, rho: Partition, d) -> tuple:
     return (((nu, rho), d),)
 
 
-def isotypic_split(lam: Partition, mu: Partition, k: int, c, pieces) -> dict:
-    """Isotypic components {label: component} of the lower (x) lower
-    coefficient matrix c under the rank-k parabolic, zero ones omitted.
-    Each pair of branching paths to (nu, rho) cuts its child block
-    d = pi_l c pi_r^T into labelled pieces by the rule `pieces`
-    (nonstandard_pieces or hh_pieces); each piece is lifted back as
-    iota_l piece iota_r^T and added to its label's component."""
+def _child_pieces(lam: Partition, mu: Partition, k: int, c, pieces):
+    """(label, (iota_l, piece, iota_r^T)) for every labelled piece, zero
+    ones included, in a fixed order: each pair of branching paths to
+    (nu, rho) cuts its child block d = pi_l c pi_r^T by the rule
+    `pieces` (nonstandard_pieces or hh_pieces). The lifts
+    piece -> iota_l piece iota_r^T of the path pairs are injective into
+    independent blocks, so a label's components have the rank of its
+    pieces laid end to end, and are zero when those are."""
     right = [
         (rho, mat_transpose(ri), mat_transpose(rp))
         for rho, ri, rp in _paths(mu.parts, k)
     ]
-    out = {}
     for nu, li, lp in _paths(lam.parts, k):
         lc = mat_mul(lp, c)
         for rho, riT, rpT in right:
             for label, piece in pieces(nu, rho, mat_mul(lc, rpT)):
-                if any(x for row in piece for x in row):
-                    term = mat_mul(li, mat_mul(piece, riT))
-                    acc = out.get(label)
-                    out[label] = term if acc is None else mat_add(acc, term)
-    return out
+                yield label, (li, piece, riT)
+
+
+def _nonzero(M) -> bool:
+    return any(x for row in M for x in row)
+
+
+def isotypic_split(lam: Partition, mu: Partition, k: int, c, pieces) -> dict:
+    """Isotypic components {label: component} of the lower (x) lower
+    coefficient matrix c under the rank-k parabolic, zero ones omitted:
+    the nonzero pieces of _child_pieces lifted back and summed per
+    label."""
+    parts = {}
+    for label, part in _child_pieces(lam, mu, k, c, pieces):
+        if _nonzero(part[1]):
+            parts.setdefault(label, []).append(part)
+    return {label: _lift(p) for label, p in parts.items()}
+
+
+def _lift(parts):
+    """Sum iota_l piece iota_r^T over the (iota_l, piece, iota_r^T)."""
+    return reduce(mat_add, (mat_mul(li, mat_mul(p, riT)) for li, p, riT in parts))
 
 
 # ---------------------------------------------------------------------
 # restriction to rank r-1
 
 
+def _restriction_split(mod: NsSubmodule) -> dict:
+    """{rank-(r-1) label: (rank, probe)}: the rank over Q(u) of the
+    label's isotypic components of the basis, taken on their pieces
+    (_child_pieces) in a SpanBasis, and the probe, the sum of the
+    components that grew the span: nonzero, since they are independent.
+    The pieces are summed per path pair and lifted once."""
+    tm, k = mod.ambient, mod.ambient.r - 1
+    if k < 1:
+        raise ValueError("needs r >= 2")
+    spans, sums = {}, {}
+    for c in mod.basis:
+        cut = {}
+        for label, part in _child_pieces(tm.lam, tm.mu, k, c, nonstandard_pieces):
+            cut.setdefault(label, []).append(part)
+        for label, parts in cut.items():
+            row = [x for _, piece, _ in parts for x in flatten(piece)]
+            if any(row) and spans.setdefault(label, SpanBasis()).add(row):
+                acc = sums.get(label)
+                sums[label] = parts if acc is None else [
+                    (li, mat_add(a, piece), riT)
+                    for (_, a, _), (li, piece, riT) in zip(acc, parts)
+                ]
+    return {label: (len(span), _lift(sums[label])) for label, span in spans.items()}
+
+
 def restriction_decompose(mod: NsSubmodule) -> Counter:
     """Multiset of rank-(r-1) labels in the restriction, read off the
-    ranks of the exact isotypic components of the basis."""
-    tm = mod.ambient
-    if tm.r < 2:
-        raise ValueError("needs r >= 2")
-    images = {}
-    for c in mod.basis:
-        split = isotypic_split(tm.lam, tm.mu, tm.r - 1, c, nonstandard_pieces)
-        for label, comp in split.items():
-            images.setdefault(label, []).append(flatten(comp))
+    ranks of the exact isotypic components of the basis
+    (NsSubmodule.restriction). Ranks that are not multiples of their
+    label's dimension, or that miss the module's dimension, raise
+    RestrictionError."""
+    r = mod.ambient.r
     result = Counter()
-    for label, rows in images.items():
-        dim = label.dimension(tm.r - 1)
-        rk = rank(rows)
+    for label, (rk, _) in mod.restriction.items():
+        dim = label.dimension(r - 1)
         if rk % dim:
-            raise ArithmeticError(
+            raise RestrictionError(
                 f"rank {rk} of {label} component not a multiple of {dim}"
             )
         result[label] = rk // dim
-    total = sum(lbl.dimension(tm.r - 1) * m for lbl, m in result.items())
+    total = sum(lbl.dimension(r - 1) * m for lbl, m in result.items())
     if total != mod.dim:
-        raise ArithmeticError(
+        raise RestrictionError(
             f"restriction dimensions {total} != module dimension {mod.dim}"
         )
     return result
@@ -767,6 +742,10 @@ def restriction_decompose(mod: NsSubmodule) -> Counter:
 
 # ---------------------------------------------------------------------
 # dimension oracle and formula
+
+
+# The dimension oracle's default specialization point.
+U0 = Fraction(7, 3)
 
 
 def _kron_sum(ops):
@@ -839,8 +818,7 @@ def _split_bound(r: int, signs, blocks) -> int:
 def _integer_generators(gens):
     """Each generator times the lcm of its entries' denominators, one
     scalar over all its blocks: a word in these is a nonzero multiple
-    of the same word in the Fraction generators, so both span alike,
-    and a pair (G, H) scaled as one keeps the solutions of Z G = H Z."""
+    of the same word in the Fraction generators, so both span alike."""
     scales = [lcm(*(x.denominator for B in g for row in B for x in row)) for g in gens]
     return [
         [[[x.numerator * (s // x.denominator) for x in row] for row in B] for B in g]

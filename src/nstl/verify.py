@@ -7,8 +7,10 @@ the package's headline guarantees at desk scale.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
+from . import nonstandard
 from .combinatorics import (
     Partition,
     Tableau,
@@ -22,23 +24,20 @@ from .combinatorics import (
 )
 from .exact_arith import FOUR, R_ONE, R_ZERO
 from .hecke_core import cells_regular, kl_table
-from .linalg import rank
 from .nonstandard import (
     CertificateError,
     NsIrredLabel,
+    RestrictionError,
     TensorModule,
     antipode_check,
     build_irreducible,
     certify_irreducible,
+    chain_trace,
     dimension_formula,
     epsilon_minus_vector,
-    epsilon_plus_vector,
-    flatten,
-    hom_dimension,
     nonstandard_dimension_oracle,
     ns_labels,
     p_action,
-    proper_two_row,
     q_element,
     restriction_decompose,
 )
@@ -251,7 +250,7 @@ def check_epsilon_antipode() -> dict:
     for r in range(2, 5):
         for lam in partitions_of(r):
             tm = TensorModule(lam, lam)
-            eps = epsilon_plus_vector(lam)
+            eps = nonstandard.epsilon_plus_vector(lam)
             for i in range(1, r):
                 got = tm.p_apply(eps, i, "ll")
                 want = [[FOUR * x for x in row] for row in eps]
@@ -284,35 +283,40 @@ def check_epsilon_antipode() -> dict:
 
 
 def check_certification(r: int) -> dict:
-    labels = ns_labels(r)
-    mods, gens = [], []  # gens[k]: module k's generators at U0
-    for label in labels:
-        mod = build_irreducible(label, r)
-        if mod.dim != label.dimension(r):
-            return _fail(f"dimension mismatch for {label}")
-        try:
-            gens.append(certify_irreducible(mod))
-        except CertificateError as exc:
-            return _fail(exc)
-        mods.append(mod)
-    # each tensor square is exactly V+ (+) V- (+) the eps line: their
-    # f^2 basis vectors have rank f^2 over Q(u)
-    built = dict(zip(labels, mods))
-    for lam in proper_two_row(r):
-        plus, minus = (built[NsIrredLabel(k, (lam,))] for k in ("plus", "minus"))
-        vecs = plus.basis + minus.basis + [epsilon_plus_vector(lam)]
-        got = rank([flatten(c) for c in vecs])
-        if got != plus.ambient.dim:
-            return _fail(f"square of {lam} is not V+ + V- + eps: rank {got}")
-    squares = sum(mod.dim**2 for mod in mods)
+    """Every label of ranks 2..r is absolutely irreducible, certified
+    once the rank below is (nonstandard.certify_irreducible; rank 1 has
+    one label, of dimension 1), and no two of a rank are isomorphic:
+    they differ in dimension, in their restrictions (multisets of
+    pairwise inequivalent irreducibles), or else, for 2:1,1 and eps+ at
+    rank 2 and 3:2,1 and +2,1 at rank 3, in the trace of P_1 ... P_{s-1}
+    (nonstandard.chain_trace). All exact over Q(u), at no point. With
+    the split identities the faithful sum is a direct sum of copies of
+    these V_i, so by density the algebra has dimension sum_i d_i^2,
+    which must be the formula."""
+    for s in range(2, r + 1):
+        labels = ns_labels(s)
+        for label in labels:
+            mod = build_irreducible(label, s)
+            if mod.dim != label.dimension(s):
+                return _fail(f"dimension mismatch for {label}")
+            try:
+                certify_irreducible(mod)
+            except CertificateError as exc:
+                return _fail(exc)
+
+        def restricted(label):
+            return restriction_decompose(build_irreducible(label, s))
+
+        for a, b in itertools.combinations(labels, 2):
+            if a.dimension(s) != b.dimension(s) or restricted(a) != restricted(b):
+                continue
+            if chain_trace(a, s) == chain_trace(b, s):
+                why = "not told apart by dimension, restriction or trace"
+                return _fail(f"{a} and {b} {why}")
+    squares = sum(label.dimension(r) ** 2 for label in ns_labels(r))
     if squares != dimension_formula(r):
         return _fail("sum of squared dimensions misses the formula")
-    # pairwise inequivalence at U0
-    for a in range(len(mods)):
-        for b in range(a + 1, len(mods)):
-            if hom_dimension(gens[a], mods[a].dim, gens[b], mods[b].dim) != 0:
-                return _fail(f"nonzero intertwiner {labels[a]} -> {labels[b]}")
-    return {"ok": True, "labels": len(labels)}
+    return {"ok": True, "labels": len(ns_labels(r))}
 
 
 # -- 10: branching ----------------------------------------------------
@@ -360,9 +364,13 @@ def expected_restriction(label: NsIrredLabel, r: int) -> Counter:
 
 
 def check_branching(r: int) -> dict:
+    """The restriction of every label (the split the certificate reads)
+    against the branching rules; ranks that misfit a module FAIL."""
     for label in ns_labels(r):
-        mod = build_irreducible(label, r)
-        got = restriction_decompose(mod)
+        try:
+            got = restriction_decompose(build_irreducible(label, r))
+        except RestrictionError as exc:
+            return _fail(f"restriction of {label}: {exc}")
         want = expected_restriction(label, r)
         if got != want:
             return _fail(f"restriction of {label}: {got} != {want}")
@@ -373,12 +381,14 @@ def check_branching(r: int) -> dict:
 
 
 def check_dimension(rs=(2, 3, 4)) -> dict:
-    """The formula against the exact oracle at U0 at each rank. The
-    oracle's span at U0 is a lower bound on the generic dimension, and
-    it stops at an upper bound proved over Q(u) by the split identities
-    (nonstandard._split_bound), never taken from the formula; so a PASS
-    proves the generic dimension equals the formula, and a bad point
-    can only give a false FAIL. A split identity that fails is a FAIL."""
+    """The formula against the exact oracle at U0 at each rank, a count
+    by spanning independent of check_certification, which derives the
+    same dimension from the irreducibles. The oracle's span at U0 is a
+    lower bound on the generic dimension, and it stops at an upper bound
+    proved over Q(u) by the split identities (nonstandard._split_bound),
+    never taken from the formula; so a PASS proves the generic dimension
+    equals the formula, and a bad point can only give a false FAIL. A
+    split identity that fails is a FAIL."""
     values = {}
     for r in rs:
         formula = dimension_formula(r)

@@ -8,7 +8,7 @@ import pytest
 
 from nstl import cli, nonstandard, verify
 from nstl.combinatorics import Partition
-from nstl.exact_arith import PoleError
+from nstl.exact_arith import PoleError, RationalFn
 from nstl.verify import (
     check_action_formula,
     check_branching,
@@ -72,51 +72,85 @@ def test_criterion_09_certification():
         report(9, f"certification r={r}", check_certification(r))
 
 
-def _counting_generators(monkeypatch):
+@pytest.fixture
+def fresh_modules():
+    """build_irreducible and square_split_identities are cached: a test
+    that patches what they read starts and ends with empty caches."""
+    for cached in (nonstandard.build_irreducible, nonstandard.square_split_identities):
+        cached.cache_clear()
+    yield
+    for cached in (nonstandard.build_irreducible, nonstandard.square_split_identities):
+        cached.cache_clear()
+
+
+def test_certification_and_branching_split_each_label_once(
+    monkeypatch, fresh_modules
+):
     calls = []
-    real = nonstandard._restricted_generators
+    real = nonstandard._restriction_split
 
-    def counted(mod, u0):
-        calls.append((mod.label, u0))
-        return real(mod, u0)
+    def counted(mod):
+        calls.append((mod.label, mod.ambient.r))
+        return real(mod)
 
-    monkeypatch.setattr(nonstandard, "_restricted_generators", counted)
-    return calls
-
-
-def test_certification_builds_each_generator_set_once(monkeypatch):
-    calls = _counting_generators(monkeypatch)
+    monkeypatch.setattr(nonstandard, "_restriction_split", counted)
     assert check_certification(4)["ok"]
-    assert len(calls) == len(set(calls)) == len(nonstandard.ns_labels(4))
-    assert all(u0 == nonstandard.U0 for _, u0 in calls)
+    assert check_branching(4)["ok"]
+    want = [(label, s) for s in (2, 3, 4) for label in nonstandard.ns_labels(s)]
+    assert len(calls) == len(set(calls)) == len(want)
+    assert set(calls) == set(want)
 
 
-def test_certification_raises_on_a_pole(monkeypatch):
-    def pole(mod, u0):
+def test_certification_specializes_nothing(monkeypatch, fresh_modules):
+    # every step is exact over Q(u): no point, so no pole to meet
+    def pole(self, u0):
         raise PoleError(f"pole at u = {u0}")
 
-    monkeypatch.setattr(nonstandard, "_restricted_generators", pole)
-    with pytest.raises(PoleError):
-        check_certification(3)
+    monkeypatch.setattr(RationalFn, "specialize", pole)
+    assert check_certification(4) == {"ok": True, "labels": 8}
+
+
+def v_plus_for_eps(monkeypatch, bad):
+    """Put a V+ vector of the shape `bad` in place of its eps line."""
+    real = nonstandard.epsilon_plus_vector
+    vector = nonstandard._sym_projection_basis(Partition.parse(bad))[0]
+    monkeypatch.setattr(
+        nonstandard,
+        "epsilon_plus_vector",
+        lambda lam: vector if str(lam) == bad else real(lam),
+    )
 
 
 @pytest.mark.parametrize("bad", ["3,1", "2,2"])
-def test_certification_needs_the_eps_line_outside_v_plus(monkeypatch, bad):
-    # the dimensions still tile the square, but V+ plus a vector of its
-    # own no longer spans it
-    real = verify.epsilon_plus_vector
+def test_certification_needs_the_eps_line_outside_v_plus(
+    monkeypatch, fresh_modules, bad
+):
+    # the dimensions still tile the square, but t(eps) = 0
+    v_plus_for_eps(monkeypatch, bad)
+    assert check_certification(4) == {
+        "ok": False,
+        "detail": f"not generator-closed: +{bad} (t(eps) != 1 on {bad})",
+    }
 
-    def eps(lam):
-        if str(lam) != bad:
-            return real(lam)
-        return nonstandard.build_irreducible(
-            nonstandard.NsIrredLabel("plus", (lam,)), 4
-        ).basis[-1]
 
-    monkeypatch.setattr(verify, "epsilon_plus_vector", eps)
-    result = check_certification(4)
+@pytest.mark.parametrize("r, bad", [(3, "2,1"), (4, "3,1")])
+def test_a_restriction_that_misses_its_module_fails_branching(
+    monkeypatch, capsys, fresh_modules, r, bad
+):
+    # the eps+ module of rank r is then a V+ vector, whose restriction
+    # has more dimensions than the module
+    v_plus_for_eps(monkeypatch, bad)
+    result = check_branching(r)
     assert not result["ok"]
-    assert result["detail"].startswith(f"square of {bad} ")
+    assert result["detail"].startswith("restriction of ")
+    assert "!= module dimension" in result["detail"]
+    assert cli.main(["verify-all", "--r", str(r)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    checks = verify.ACCEPTANCE_CHECKS
+    assert [line.split(":")[0] for line in lines[: len(checks)]] == [
+        name for name, *_ in checks
+    ]
+    assert f"branching: FAIL ({result['detail']})" in lines
 
 
 def test_criterion_10_branching():

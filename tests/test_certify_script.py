@@ -1,7 +1,7 @@
 """scripts/certify_irreducibles.py takes its verdict from
-verify.check_certification, so a failure injected into any certificate
-of that one path fails the check, names the certificate, and makes the
-script exit 1."""
+verify.check_certification, so a failure injected into any step of that
+one path fails the check, names the step, and makes the script exit 1;
+it prints the restrictions the certificate computed."""
 
 import importlib.util
 import pathlib
@@ -9,6 +9,7 @@ import pathlib
 import pytest
 
 from nstl import nonstandard, verify
+from nstl.exact_arith import R_ZERO
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location(
@@ -26,9 +27,25 @@ def test_rank_3_passes(capsys):
     assert lines[-1] == "certification: PASS"
 
 
-def inside_plus(lam):
-    """A vector of V+ in place of the eps line."""
-    return nonstandard._sym_projection_basis(lam)[0]
+@pytest.fixture(autouse=True)
+def fresh_modules():
+    """build_irreducible caches each module with its restriction: a
+    fault in what they read must meet an empty cache."""
+    nonstandard.build_irreducible.cache_clear()
+    yield
+    nonstandard.build_irreducible.cache_clear()
+
+
+real_split = nonstandard._restriction_split
+real_trace = verify.chain_trace
+
+
+def doubled(mod):
+    """The restriction with its first component counted twice."""
+    split = real_split(mod)
+    first = next(iter(split))
+    rk, probe = split[first]
+    return {**split, first: (2 * rk, probe)}
 
 
 FAILURES = [
@@ -36,12 +53,22 @@ FAILURES = [
         nonstandard,
         "square_split_identities",
         lambda lam: f"P_1 eps != 4 eps on {lam}",
-        "not generator-closed: +2,1 (P_1 eps != 4 eps on 2,1)",
+        "not generator-closed: eps+ (P_1 eps != 4 eps on 2)",
     ),
-    (nonstandard, "commutant_dimension", lambda gens, d: 2, "commutant"),
-    (verify, "hom_dimension", lambda *args: 1, "intertwiner"),
+    (
+        nonstandard,
+        "_restriction_edges",
+        lambda mod: {j: set() for j in mod.restriction},
+        "not strongly connected: 3:2,1",
+    ),
+    (nonstandard, "_restriction_split", doubled, "not multiplicity-free: 2:1,1"),
+    (
+        verify,
+        "chain_trace",
+        lambda label, r: R_ZERO if r == 3 else real_trace(label, r),
+        "3:2,1 and +2,1 not told apart",
+    ),
     (verify, "dimension_formula", lambda r: 11, "formula"),
-    (verify, "epsilon_plus_vector", inside_plus, "square of 2,1"),
 ]
 
 
@@ -58,3 +85,17 @@ def test_a_failed_certificate_fails_the_check_and_exits_1(
     assert certify.main(["3"]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == f"certification: FAIL ({result['detail']})"
+
+
+def test_the_script_splits_each_label_once(monkeypatch, capsys):
+    splits = []
+
+    def counted(mod):
+        splits.append((str(mod.label), mod.ambient.r))
+        return real_split(mod)
+
+    monkeypatch.setattr(nonstandard, "_restriction_split", counted)
+    assert certify.main(["4"]) == 0
+    want = [(str(label), s) for s in (2, 3, 4) for label in nonstandard.ns_labels(s)]
+    assert sorted(splits) == sorted(want)
+    assert len(capsys.readouterr().out.splitlines()) == 9

@@ -6,7 +6,6 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from nstl import nonstandard
 from nstl.combinatorics import Partition, partitions_of, two_row_partitions
@@ -15,10 +14,13 @@ from nstl.linalg import (
     IntSpanBasis,
     SpanBasis,
     SpanBasisModP,
+    inverse,
     mat_add,
     mat_mul,
     mat_transpose,
     nullspace,
+    rank,
+    rref,
     zeros,
 )
 from nstl.nonstandard import (
@@ -27,26 +29,25 @@ from nstl.nonstandard import (
     ModulusError,
     NsIrredLabel,
     NsSubmodule,
+    RestrictionError,
     TensorModule,
     U0,
     _accepted_words,
     _block_generators,
     _kron_sum,
-    _restricted_generators,
     _split_bound,
     _split_failure,
     _sym_projection_basis,
     antipode_check,
     build_irreducible,
     certify_irreducible,
-    commutant_dimension,
+    chain_trace,
     dimension_formula,
     dimension_formula_details,
     epsilon_minus_vector,
     epsilon_plus_vector,
     flatten,
     hh_pieces,
-    hom_dimension,
     isotypic_split,
     ns_labels,
     nonstandard_dimension_oracle,
@@ -57,7 +58,8 @@ from nstl.nonstandard import (
     square_split_identities,
     trace_functional,
 )
-from nstl.specht_modules import build_specht
+from nstl.specht_modules import build_specht, specialize_matrix
+from nstl.verify import check_certification
 
 rng = random.Random(23)
 
@@ -406,7 +408,7 @@ def open_controls():
         ),
         "repeated vector": (
             NsSubmodule(lbl("-3,1"), tm, replaced(minus, 1, minus[0])),
-            "basis dependent at 7/3",
+            "basis vector 1 depends on the ones before it",
         ),
     }
 
@@ -510,57 +512,29 @@ class TestSplitClosure:
         assert _split_bound(r, signs, mats[0]) == dimension_formula(r)
 
 
-class TestCertification:
-    @pytest.mark.parametrize("r", [3, 4])
-    def test_commutant_one(self, r):
-        for lbl in ns_labels(r):
-            mod = build_irreducible(lbl, r)
-            gens = certify_irreducible(mod)
-            assert len(gens) == r - 1
-            assert all(len(G) == mod.dim for G in gens)
-
-    def test_reducible_control(self):
-        # the full diagonal tensor square has three summands
-        lam = P([2, 1])
-        tm = TensorModule(lam, lam)
-        basis = []
-        for a in range(2):
-            for b in range(2):
-                c = zeros(2, 2, R_ZERO)
-                c[a][b] = R_ONE
-                basis.append(c)
-        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, basis)
-        gens = _restricted_generators(mod, U0)
-        assert commutant_dimension(gens, 4) == 3
-        assert fraction_hom_dimension(gens, 4, gens, 4) == 3
-        with pytest.raises(CertificateError, match="not generator-closed"):
-            certify_irreducible(mod)
-
-    def test_open_module_fails_closure(self):
-        tm = TensorModule(P([2, 1]), P([2, 1]))
-        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, tm.unit_vectors()[:1])
-        with pytest.raises(CertificateError, match="not generator-closed"):
-            certify_irreducible(mod)
-
-    def test_image_outside_the_span_raises(self):
-        # one basis pair of (2,1) x (2,1) spans no submodule
-        tm = TensorModule(P([2, 1]), P([2, 1]))
-        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, tm.unit_vectors()[:1])
-        with pytest.raises(ArithmeticError, match="escapes submodule span"):
-            _restricted_generators(mod, U0)
-
-    def test_pairwise_hom_zero_r3(self):
-        mods = [build_irreducible(lbl, 3) for lbl in ns_labels(3)]
-        gens = [_restricted_generators(m, U0) for m in mods]
-        for (ga, ma), (gb, mb) in itertools.combinations(
-            zip(gens, mods), 2
-        ):
-            assert hom_dimension(ga, ma.dim, gb, mb.dim) == 0
+def basis_matrices(mod, u0=U0):
+    """Oracle input for the Hom and commutant verdict: the Fraction
+    matrices G_i with P_i V = V G_i of the specialized P_i on the
+    module's basis V, read off d rows where V is invertible and checked
+    on every row."""
+    V = mat_transpose([flatten(specialize_matrix(c, u0)) for c in mod.basis])
+    _, rows = rref(mat_transpose(V))
+    assert len(rows) == mod.dim
+    S_inv = inverse([V[j] for j in rows], Fraction(1), Fraction(0))
+    gens = []
+    for i in range(1, mod.ambient.r):
+        images = [flatten(specialize_matrix(mod.ambient.p_apply(c, i), u0)) for c in mod.basis]
+        W = mat_transpose(images)
+        G = mat_mul(S_inv, [W[j] for j in rows])
+        assert mat_mul(V, G) == W
+        gens.append(G)
+    return gens
 
 
 def fraction_hom_dimension(gens_a, dim_a, gens_b, dim_b):
-    """Oracle for hom_dimension: the nullspace of the dim_a*dim_b
-    Fraction equations Z G_a = G_b Z of all generator pairs at once."""
+    """Oracle for the old Hom and commutant verdict: the nullspace of
+    the dim_a*dim_b Fraction equations Z G_a = G_b Z of all generator
+    pairs at once."""
     one, zero = Fraction(1), Fraction(0)
     rows = []
     for G, H in zip(gens_a, gens_b):
@@ -575,84 +549,89 @@ def fraction_hom_dimension(gens_a, dim_a, gens_b, dim_b):
     return len(nullspace(rows, one, zero)) if rows else dim_a * dim_b
 
 
-def direct_sum(A, B):
-    zero = Fraction(0)
-    return [row + [zero] * len(B) for row in A] + [
-        [zero] * len(A) + row for row in B
-    ]
+def square_control(kind, lam):
+    """A closed, reducible module of lam (x) lam: the eps line plus V-
+    ("eps+minus"), or Sym^2 = V+ plus the eps line ("plus+eps"); the
+    certificate sees it only with the closure step bypassed."""
+    r = lam.size
+    eps = [epsilon_plus_vector(lam)]
+    if kind == "eps+minus":
+        minus = build_irreducible(NsIrredLabel("minus", (lam,)), r)
+        return NsSubmodule(minus.label, minus.ambient, eps + minus.basis)
+    plus = build_irreducible(NsIrredLabel("plus", (lam,)), r)
+    return NsSubmodule(plus.label, plus.ambient, plus.basis + eps)
 
 
-ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2]).flatmap(
-    lambda n: st.sampled_from([Fraction(n), Fraction(n, 3), Fraction(-n, 7)])
-)
+class TestCertification:
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_every_label_passes(self, r):
+        for label in ns_labels(r):
+            mod = build_irreducible(label, r)
+            certify_irreducible(mod)
+            assert all(m == 1 for m in restriction_decompose(mod).values())
 
+    def test_reducible_square_fails_closure(self):
+        # the full tensor square of (2,1) has three summands
+        tm = TensorModule(P([2, 1]), P([2, 1]))
+        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, tm.unit_vectors())
+        assert fraction_hom_dimension(*[basis_matrices(mod), 4] * 2) == 3
+        with pytest.raises(CertificateError, match="not generator-closed"):
+            certify_irreducible(mod)
 
-def fraction_gens(count, dim):
-    row = st.lists(ENTRIES, min_size=dim, max_size=dim)
-    matrix = st.lists(row, min_size=dim, max_size=dim)
-    return st.lists(matrix, min_size=count, max_size=count)
+    def test_open_module_fails_closure(self):
+        tm = TensorModule(P([2, 1]), P([2, 1]))
+        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, tm.unit_vectors()[:1])
+        with pytest.raises(CertificateError, match="not generator-closed"):
+            certify_irreducible(mod)
 
+    @pytest.mark.parametrize(
+        "kind, why",
+        [
+            ("eps+minus", r"not strongly connected: -{} \(.+ is not reachable from .+\)"),
+            ("plus+eps", r"not multiplicity-free: \+{} \(eps\+ 2 times\)"),
+        ],
+    )
+    @pytest.mark.parametrize("lam", [P([3, 1]), P([3, 2])], ids=str)
+    def test_reducible_controls_fail(self, monkeypatch, kind, why, lam):
+        # closed and reducible: with the closure step bypassed, the
+        # branching steps alone must catch them
+        mod = square_control(kind, lam)
+        assert closure_check(mod)
+        monkeypatch.setattr(nonstandard, "_split_failure", lambda mod: "")
+        with pytest.raises(CertificateError, match=why.format(lam)):
+            certify_irreducible(mod)
 
-@st.composite
-def generator_pairs(draw):
-    count = draw(st.integers(1, 3))
-    dim_a, dim_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    ga, gb = draw(fraction_gens(count, dim_a)), draw(fraction_gens(count, dim_b))
-    return ga, dim_a, gb, dim_b
-
-
-class TestIntegerHom:
-    """The integer-row Hom rank against the Fraction nullspace."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(generator_pairs())
-    def test_random_pairs(self, case):
-        ga, da, gb, db = case
-        assert hom_dimension(ga, da, gb, db) == fraction_hom_dimension(ga, da, gb, db)
-        assert commutant_dimension(ga, da) == fraction_hom_dimension(ga, da, ga, da)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 3).flatmap(lambda d: fraction_gens(2, d)))
-    def test_nonzero_hom_into_a_double(self, gens):
-        # Hom(A, A + A) holds two copies of End(A), so it is never 0
-        d = len(gens[0])
-        double = [direct_sum(G, G) for G in gens]
-        want = fraction_hom_dimension(gens, d, double, 2 * d)
-        assert want >= 2
-        assert hom_dimension(gens, d, double, 2 * d) == want
-        assert hom_dimension(double, 2 * d, gens, d) == want
-        assert commutant_dimension(double, 2 * d) == 2 * want
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_commutant_of_scalars_is_everything(self, d):
-        # every equation cancels to an empty row
-        gens = [
-            [[Fraction(c * (a == b)) for b in range(d)] for a in range(d)]
-            for c in (2, -1)
-        ]
-        assert commutant_dimension(gens, d) == d * d
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_commutant_of_distinct_diagonal_is_the_diagonal(self, d):
-        # the equations of the diagonal entries cancel to empty rows
-        G = [
-            [Fraction(a + 1, 3) if a == b else Fraction(0) for b in range(d)]
-            for a in range(d)
-        ]
-        assert commutant_dimension([G], d) == d
+    @pytest.mark.parametrize("kind", ["eps+minus", "plus+eps"])
+    def test_reducible_controls_have_a_larger_commutant(self, kind):
+        mod = square_control(kind, P([3, 1]))
+        gens = basis_matrices(mod)
+        assert fraction_hom_dimension(gens, mod.dim, gens, mod.dim) == 2
 
     @pytest.mark.parametrize("r", [2, 3, 4])
-    def test_every_ordered_label_pair(self, r):
-        mods = [build_irreducible(lbl, r) for lbl in ns_labels(r)]
-        gens = [_restricted_generators(m, U0) for m in mods]
+    def test_agrees_with_the_hom_and_commutant_verdict(self, r):
+        # the old certificate: End = Q for each module and Hom = 0
+        # between any two, at U0
+        mods = [build_irreducible(label, r) for label in ns_labels(r)]
+        gens = [basis_matrices(mod) for mod in mods]
         for (ga, ma), (gb, mb) in itertools.product(zip(gens, mods), repeat=2):
-            got = (
-                commutant_dimension(ga, ma.dim)
-                if ga is gb
-                else hom_dimension(ga, ma.dim, gb, mb.dim)
-            )
-            assert got == fraction_hom_dimension(ga, ma.dim, gb, mb.dim)
-            assert got == (1 if ga is gb else 0)
+            want = 1 if ma is mb else 0
+            assert fraction_hom_dimension(ga, ma.dim, gb, mb.dim) == want
+        assert check_certification(r) == {"ok": True, "labels": len(mods)}
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_chain_trace_is_the_trace_on_the_basis(self, r):
+        for label in ns_labels(r):
+            mod = build_irreducible(label, r)
+            product = functools.reduce(mat_mul, basis_matrices(mod))
+            trace = sum(product[a][a] for a in range(mod.dim))
+            assert chain_trace(label, r).specialize(U0) == trace
+
+    def test_traces_tell_the_equal_restrictions_apart(self):
+        for r, a, b in ((2, "2:1,1", "eps+"), (3, "3:2,1", "+2,1")):
+            mods = [build_irreducible(lbl(x), r) for x in (a, b)]
+            assert mods[0].dim == mods[1].dim
+            assert restriction_decompose(mods[0]) == restriction_decompose(mods[1])
+            assert chain_trace(lbl(a), r) != chain_trace(lbl(b), r)
 
 
 def lbl(text):
@@ -716,10 +695,33 @@ class TestRestriction:
     def test_inconsistent_ranks_raise(self, monkeypatch, stub_rank, message):
         # 3:2,1 has dimension 2, so rank 1 is not a multiple of it; rank
         # 0 everywhere leaves the restriction short of the module
-        monkeypatch.setattr(nonstandard, "rank", lambda rows: stub_rank)
-        mod = build_irreducible(lbl("3,1:2,2"), 4)
-        with pytest.raises(ArithmeticError, match=message):
+        class StubSpan:
+            def add(self, row):
+                return True
+
+            def __len__(self):
+                return stub_rank
+
+        monkeypatch.setattr(nonstandard, "SpanBasis", StubSpan)
+        built = build_irreducible(lbl("3,1:2,2"), 4)
+        mod = NsSubmodule(built.label, built.ambient, built.basis)
+        with pytest.raises(RestrictionError, match=message):
             restriction_decompose(mod)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_ranks_and_probes_match_the_lifted_components(self, r):
+        for label in ns_labels(r):
+            mod = build_irreducible(label, r)
+            tm = mod.ambient
+            lifted = {}
+            for c in mod.basis:
+                split = isotypic_split(tm.lam, tm.mu, r - 1, c, nonstandard_pieces)
+                for k, comp in split.items():
+                    lifted.setdefault(k, []).append(flatten(comp))
+            assert mod.restriction.keys() == lifted.keys()
+            for k, (rk, probe) in mod.restriction.items():
+                assert rk == rank(lifted[k])
+                assert isotypic_split(tm.lam, tm.mu, r - 1, probe, nonstandard_pieces) == {k: probe}
 
 
 def split_cases(max_r):
