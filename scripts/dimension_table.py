@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Tabulate the closed dimension formula against the spanning oracle.
 
-Usage: python3 scripts/dimension_table.py [max_r] [--mod-p P]
+Usage: python3 scripts/dimension_table.py [max_r]
 
-The exact oracle is practical up to rank 4. For rank 5 pass
---mod-p 1000003: the same closure over F_p takes a few seconds there
-and gives a lower bound on the dimension (at ranks 2-4 it equals the
-exact value, which the tests check).
+The oracle is exact through rank 4. From rank 5 it runs the same
+closure over F_p, a few seconds at rank 5 (at ranks 2-4 the F_p closure
+equals the exact one, which the tests check).
 """
 
 import argparse
@@ -22,13 +21,11 @@ from nstl.nonstandard import (
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("max_r", type=int, nargs="?", default=4)
-    ap.add_argument("--mod-p", type=int, default=None)
     args = ap.parse_args()
     print(f"{'r':>3} {'formula':>8} {'oracle':>8} {'time':>8}")
     for r in range(2, args.max_r + 1):
         t0 = time.time()
-        kwargs = {"mod_p": args.mod_p} if args.mod_p else {}
-        oracle = nonstandard_dimension_oracle(r, **kwargs)
+        oracle = nonstandard_dimension_oracle(r)
         formula = dimension_formula(r)
         flag = "" if formula == oracle else "  DISAGREE"
         print(

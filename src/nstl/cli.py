@@ -13,7 +13,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .combinatorics import (
     Partition,
@@ -23,7 +22,6 @@ from .combinatorics import (
 )
 from .hecke_core import cells_regular, kl_table
 from .nonstandard import (
-    ModulusError,
     NsIrredLabel,
     build_irreducible,
     dimension_formula,
@@ -41,16 +39,13 @@ class RunConfig:
     r_bound: int = 5
     output: str | None = None
     verbosity: int = 0
-    force: bool = False
 
     def check_rank(self, r: int, parser: argparse.ArgumentParser):
         if r < 1:
             parser.error(f"rank {r} must be positive")
-        bound = self.r_bound if self.force else min(self.r_bound, 6)
-        if r > bound:
+        if r > self.r_bound:
             parser.error(
-                f"rank {r} exceeds the bound {bound}"
-                + ("" if self.force else " (raise with --r-bound/--force)")
+                f"rank {r} exceeds the bound {self.r_bound} (raise with --r-bound)"
             )
 
 
@@ -66,18 +61,6 @@ def _label(text: str) -> NsIrredLabel:
         return NsIrredLabel.parse(text)
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad label {text!r}: {exc}")
-
-
-def _specialization(text: str) -> Fraction:
-    try:
-        val = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad specialization {text!r}: {exc}")
-    if val in (0, 1, -1):
-        raise argparse.ArgumentTypeError(
-            f"specialization {text} must be nonzero and not a sign"
-        )
-    return val
 
 
 def _emit(payload, cfg: RunConfig):
@@ -282,15 +265,7 @@ def cmd_seminormal(args, cfg, parser):
 def cmd_dim_check(args, cfg, parser):
     cfg.check_rank(args.r, parser)
     formula = dimension_formula(args.r)
-    kwargs = {}
-    if args.u0 is not None:
-        kwargs["u0"] = args.u0
-    if args.mod_p is not None:
-        kwargs["mod_p"] = args.mod_p
-    try:
-        oracle = nonstandard_dimension_oracle(args.r, **kwargs)
-    except ModulusError as exc:
-        parser.error(f"--mod-p: {exc}")
+    oracle = nonstandard_dimension_oracle(args.r)
     agree = formula == oracle
     _emit({"formula": formula, "oracle": oracle, "agree": agree}, cfg)
     return 0 if agree else 1
@@ -334,11 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--r-bound", type=int, default=5, help="largest rank accepted"
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        help="allow ranks beyond 6 (expensive)",
     )
     parser.add_argument(
         "--output", help="write the JSON payload to this path"
@@ -400,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         "dim-check", help="dimension formula against the spanning oracle"
     )
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--u0", type=_specialization)
-    p.add_argument("--mod-p", type=int)
     p.set_defaults(fn=cmd_dim_check)
 
     p = sub.add_parser("verify-all", help="run every acceptance check")
@@ -418,7 +386,6 @@ def main(argv=None) -> int:
         r_bound=args.r_bound,
         output=args.output,
         verbosity=args.verbose,
-        force=args.force,
     )
     try:
         return args.fn(args, cfg, parser)

@@ -560,10 +560,15 @@ def certify_irreducible(mod: NsSubmodule) -> None:
 def _restriction_edges(mod: NsSubmodule) -> dict:
     """{j: the labels k != j with pi_k P_{r-1} probe_j != 0}, read off
     the unlifted pieces of P_{r-1} probe_j, one cut per component."""
-    tm, k, edges = mod.ambient, mod.ambient.r - 1, {}
+    tm, edges = mod.ambient, {}
     for j, (_, probe) in mod.restriction.items():
-        cut = _child_pieces(tm.lam, tm.mu, k, tm.p_apply(probe, k), nonstandard_pieces)
-        edges[j] = {label for label, (_, p, _) in cut if label != j and _nonzero(p)}
+        image = tm.p_apply(probe, tm.r - 1)
+        edges[j] = {
+            label
+            for nu, _, rho, _, d in branching_blocks(tm.lam, tm.mu, image)
+            for label, p in nonstandard_pieces(nu, rho, d)
+            if label != j and _nonzero(p)
+        }
     return edges
 
 
@@ -601,7 +606,7 @@ def chain_trace(label: NsIrredLabel, r: int) -> RationalFn:
 
 
 # ---------------------------------------------------------------------
-# isotypic splitting along the parabolic chain
+# one branching step
 
 
 @lru_cache(maxsize=None)
@@ -619,6 +624,26 @@ def _paths(parts: tuple, k: int):
         for term, ci, cp in _paths(child_shape.parts, k):
             out.append((term, mat_mul(iota, ci), mat_mul(cp, pi)))
     return tuple(out)
+
+
+def branching_blocks(lam: Partition, mu: Partition, c):
+    """One branching step down from the lower (x) lower coefficient
+    matrix c of M_lam (x) M_mu: (nu, iota_l, rho, iota_r^T,
+    pi_l c pi_r^T) for every child nu of lam and rho of mu, in branching
+    order, with iota: child coords -> parent coords and pi its left
+    inverse (the cached matrices, not to be mutated). Since
+    sum_c iota_c pi_c = I and pi_c iota_c' = delta, the lifts
+    d -> iota_l d iota_r^T of the pairs are injective into independent
+    blocks: pieces cut from the child blocks have, laid end to end, the
+    rank of their lifts, and are zero just when those are."""
+    right = [
+        (rho, mat_transpose(iota), mat_transpose(pi))
+        for rho, iota, pi, _ in build_specht(mu).branching
+    ]
+    for nu, iota, pi, _ in build_specht(lam).branching:
+        left = mat_mul(pi, c)
+        for rho, iotaT, piT in right:
+            yield nu, iota, rho, iotaT, mat_mul(left, piT)
 
 
 def nonstandard_pieces(nu: Partition, rho: Partition, d) -> tuple:
@@ -648,39 +673,8 @@ def hh_pieces(nu: Partition, rho: Partition, d) -> tuple:
     return (((nu, rho), d),)
 
 
-def _child_pieces(lam: Partition, mu: Partition, k: int, c, pieces):
-    """(label, (iota_l, piece, iota_r^T)) for every labelled piece, zero
-    ones included, in a fixed order: each pair of branching paths to
-    (nu, rho) cuts its child block d = pi_l c pi_r^T by the rule
-    `pieces` (nonstandard_pieces or hh_pieces). The lifts
-    piece -> iota_l piece iota_r^T of the path pairs are injective into
-    independent blocks, so a label's components have the rank of its
-    pieces laid end to end, and are zero when those are."""
-    right = [
-        (rho, mat_transpose(ri), mat_transpose(rp))
-        for rho, ri, rp in _paths(mu.parts, k)
-    ]
-    for nu, li, lp in _paths(lam.parts, k):
-        lc = mat_mul(lp, c)
-        for rho, riT, rpT in right:
-            for label, piece in pieces(nu, rho, mat_mul(lc, rpT)):
-                yield label, (li, piece, riT)
-
-
 def _nonzero(M) -> bool:
     return any(x for row in M for x in row)
-
-
-def isotypic_split(lam: Partition, mu: Partition, k: int, c, pieces) -> dict:
-    """Isotypic components {label: component} of the lower (x) lower
-    coefficient matrix c under the rank-k parabolic, zero ones omitted:
-    the nonzero pieces of _child_pieces lifted back and summed per
-    label."""
-    parts = {}
-    for label, part in _child_pieces(lam, mu, k, c, pieces):
-        if _nonzero(part[1]):
-            parts.setdefault(label, []).append(part)
-    return {label: _lift(p) for label, p in parts.items()}
 
 
 def _lift(parts):
@@ -695,17 +689,19 @@ def _lift(parts):
 def _restriction_split(mod: NsSubmodule) -> dict:
     """{rank-(r-1) label: (rank, probe)}: the rank over Q(u) of the
     label's isotypic components of the basis, taken on their pieces
-    (_child_pieces) in a SpanBasis, and the probe, the sum of the
-    components that grew the span: nonzero, since they are independent.
-    The pieces are summed per path pair and lifted once."""
-    tm, k = mod.ambient, mod.ambient.r - 1
-    if k < 1:
+    (nonstandard_pieces of the branching_blocks) laid end to end in a
+    SpanBasis, and the probe, the sum of the components that grew the
+    span: nonzero, since they are independent. The pieces are summed
+    per pair of children and lifted once."""
+    tm = mod.ambient
+    if tm.r < 2:
         raise ValueError("needs r >= 2")
     spans, sums = {}, {}
     for c in mod.basis:
         cut = {}
-        for label, part in _child_pieces(tm.lam, tm.mu, k, c, nonstandard_pieces):
-            cut.setdefault(label, []).append(part)
+        for nu, li, rho, riT, d in branching_blocks(tm.lam, tm.mu, c):
+            for label, piece in nonstandard_pieces(nu, rho, d):
+                cut.setdefault(label, []).append((li, piece, riT))
         for label, parts in cut.items():
             row = [x for _, piece, _ in parts for x in flatten(piece)]
             if any(row) and spans.setdefault(label, SpanBasis()).add(row):
@@ -744,8 +740,9 @@ def restriction_decompose(mod: NsSubmodule) -> Counter:
 # dimension oracle and formula
 
 
-# The dimension oracle's default specialization point.
+# The dimension oracle's specialization point, and its prime from rank 5.
 U0 = Fraction(7, 3)
+ORACLE_PRIME = 1000003
 
 
 def _kron_sum(ops):
@@ -922,22 +919,20 @@ def _check_modulus(p: int, u0: Fraction, n: int):
         raise ModulusError(f"u0 = {u0} is 0 or a pole mod {p}")
 
 
-def nonstandard_dimension_oracle(
-    r: int, u0: Fraction = U0, mod_p: int = None
-) -> int:
-    """Dimension of the unital algebra generated by the specialized
-    P_i on the faithful two-row tensor sum, by product-span closure.
-    With mod_p the span is over F_p; a modulus that cannot give a sound
-    rank raises ModulusError.
+def nonstandard_dimension_oracle(r: int) -> int:
+    """Dimension of the unital algebra generated by the P_i specialized
+    at U0 on the faithful two-row tensor sum, by product-span closure:
+    exact through rank 4, over F_p for p = ORACLE_PRIME from rank 5,
+    where the exact closure runs for minutes.
 
-    Soundness: the span at u0, and mod p, is a lower bound on the
+    Soundness: the span at U0, and mod p, is a lower bound on the
     algebra's dimension at generic u, and _split_bound, from identities
     proved over Q(u), an upper bound. The closure stops when the span
     reaches the upper bound, and then the generic dimension is exactly
     that. A bad point or prime can only leave the span short of it,
     which gives a false FAIL against the formula, never a false PASS.
     A split identity that fails raises CertificateError."""
-    return len(_accepted_words(r, u0, mod_p))
+    return len(_accepted_words(r, U0, None if r <= 4 else ORACLE_PRIME))
 
 
 def dimension_formula(r: int) -> int:

@@ -41,7 +41,9 @@ from .nonstandard import (
     NsIrredLabel,
     NsSubmodule,
     TensorModule,
+    _nonzero,
     _paths,
+    branching_blocks,
     hh_pieces,
     nonstandard_pieces,
 )
@@ -355,43 +357,29 @@ def seminormal_basis(m) -> SeminormalBasis:
 def chain_membership(basis: SeminormalBasis, idx: int) -> bool:
     """A nonzero leaf vector must be its own isotypic component under
     the label its chain names at every level k. Its child blocks are
-    carried down one branching step at a time, d' = pi_c d pi_c'^T, in
+    carried down one branching step at a time (branching_blocks), in
     lower coordinates; at level k every piece that nonstandard_pieces
-    cuts from a block under another label must vanish. Since the
-    branching maps give sum_c iota_c pi_c = I and pi_c iota_c' = delta,
-    the lifts of distinct path pairs and labels are independent, so
-    this is the same as the vector equalling its component."""
+    cuts from a block under another label must vanish. The lifts of
+    distinct child pairs and labels are independent, so this is the same
+    as the vector equalling its component."""
     v = basis.vectors[idx]
     tm = basis.ambient
-    if not any(x for row in v for x in row):
+    if not _nonzero(v):
         return False
     blocks = [(tm.lam, tm.mu, v)]
     for depth, want in enumerate(basis.chains[idx].labels):
         if depth:
-            blocks = _child_blocks(blocks)
+            blocks = [
+                (nu, rho, d)
+                for lam, mu, c in blocks
+                for nu, _, rho, _, d in branching_blocks(lam, mu, c)
+                if _nonzero(d)
+            ]
         for nu, rho, d in blocks:
             for label, piece in nonstandard_pieces(nu, rho, d):
-                if label != want and any(x for row in piece for x in row):
+                if label != want and _nonzero(piece):
                     return False
     return True
-
-
-def _child_blocks(blocks) -> list:
-    """The nonzero child blocks pi_c d pi_c'^T, one branching step down
-    from each (shape, shape, block d) of `blocks`."""
-    out = []
-    for lam, mu, d in blocks:
-        right = [
-            (rho, mat_transpose(pi))
-            for rho, _, pi, _ in build_specht(mu).branching
-        ]
-        for nu, _, pi, _ in build_specht(lam).branching:
-            left = mat_mul(pi, d)
-            for rho, piT in right:
-                child = mat_mul(left, piT)
-                if any(x for row in child for x in row):
-                    out.append((nu, rho, child))
-    return out
 
 
 # ---------------------------------------------------------------------

@@ -353,18 +353,6 @@ class SpechtModule:
     def mu(self, q1: Tableau, q2: Tableau) -> int:
         return self.mu_table.get((q1, q2), 0)
 
-    def action_matrix(self, i: int, basis: str):
-        """Matrix of the canonical generator (C'_{s_i} on the lower
-        basis, C_{s_i} on the upper, T_{s_i} on standard coordinates in
-        the lower basis)."""
-        if basis == "lower":
-            return self.lower_action[i]
-        if basis == "upper":
-            return self.upper_action[i]
-        if basis == "standard":
-            return self.standard_action(i)
-        raise ValueError(f"unknown basis {basis!r}")
-
     def p_factors(self, i: int, basis: str):
         """(C'_{s_i}, C_{s_i}) as matrices on the lower ("l") or upper
         ("u") basis, the factors of P_{s_i} on a tensor product; the one
@@ -391,10 +379,6 @@ class SpechtModule:
         for k in range(self.dim):
             A[k][k] = A[k][k] - uinv
         return A
-
-    def act(self, coords, i: int, basis: str):
-        """Apply the canonical generator to a coordinate vector."""
-        return mat_vec(self.action_matrix(i, basis), list(coords))
 
     # -- transition lower -> upper --------------------------------------
 
@@ -511,10 +495,6 @@ def _build_specht(parts: tuple) -> SpechtModule:
 
 def build_specht(shape: Partition) -> SpechtModule:
     return _build_specht(shape.parts)
-
-
-def act(module: SpechtModule, coords, i: int, basis: str):
-    return module.act(coords, i, basis)
 
 
 def transition_lower_to_upper(shape: Partition):

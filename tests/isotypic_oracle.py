@@ -1,0 +1,30 @@
+"""Test oracle: the isotypic split of a tensor vector under the rank-k
+parabolic, for any k, lifted back to the top module. The library cuts
+only one branching step (nonstandard.branching_blocks); this is the
+many-step split it is checked against, here and in the seminormal
+tests."""
+
+from nstl.linalg import mat_add, mat_mul, mat_transpose
+from nstl.nonstandard import _paths
+
+
+def isotypic_split(lam, mu, k, c, pieces) -> dict:
+    """Isotypic components {label: component} of the lower (x) lower
+    coefficient matrix c of M_lam (x) M_mu under the rank-k parabolic,
+    zero ones omitted: each pair of branching paths to (nu, rho) cuts
+    its child block d = pi_l c pi_r^T by the rule `pieces`
+    (nonstandard_pieces or hh_pieces), and the nonzero pieces are lifted
+    back by iota_l piece iota_r^T and summed per label."""
+    right = [
+        (rho, mat_transpose(ri), mat_transpose(rp))
+        for rho, ri, rp in _paths(mu.parts, k)
+    ]
+    out = {}
+    for nu, li, lp in _paths(lam.parts, k):
+        lc = mat_mul(lp, c)
+        for rho, riT, rpT in right:
+            for label, piece in pieces(nu, rho, mat_mul(lc, rpT)):
+                if any(x for row in piece for x in row):
+                    lift = mat_mul(li, mat_mul(piece, riT))
+                    out[label] = mat_add(out[label], lift) if label in out else lift
+    return out

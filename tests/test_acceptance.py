@@ -8,7 +8,10 @@ import pytest
 
 from nstl import cli, nonstandard, verify
 from nstl.combinatorics import Partition
-from nstl.exact_arith import PoleError, RationalFn
+from nstl.exact_arith import R_ONE, PoleError, RationalFn
+from nstl.linalg import mat_add
+from nstl.nonstandard import TensorModule
+from nstl.seminormal import SeminormalBasis
 from nstl.verify import (
     check_action_formula,
     check_branching,
@@ -215,3 +218,70 @@ def test_a_broken_split_identity_fails_dimension_and_certification(
 
 def test_criterion_12_seminormal():
     report(12, "seminormal", check_seminormal())
+
+
+# -- faults that each check must catch -----------------------------------
+
+
+def fails_alone(capsys, name, detail):
+    """verify-all at r=4 exits 1 and prints `name: FAIL (detail)`; every
+    other check still passes."""
+    assert cli.main(["verify-all", "--r", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if ": FAIL" in line]
+    assert failed == [f"{name}: FAIL ({detail})"]
+
+
+def test_a_leaf_plus_another_fails_seminormal_membership(monkeypatch, capsys):
+    # v_0 + v_1 keeps the chain of v_0, but where the two chains part it
+    # has a piece under the label of v_1
+    real = verify.seminormal_basis
+
+    def summed(tm):
+        sb = real(tm)
+        vectors = [mat_add(sb.vectors[0], sb.vectors[1])] + sb.vectors[1:]
+        return SeminormalBasis(sb.ambient, vectors, sb.chains)
+
+    monkeypatch.setattr(verify, "seminormal_basis", summed)
+    lam = Partition([3, 2])
+    chain = real(TensorModule(lam, lam)).chains[0]
+    result = check_seminormal()
+    assert result == {"ok": False, "detail": f"membership fails for chain {chain}"}
+    fails_alone(capsys, "seminormal", result["detail"])
+
+
+def test_a_case_coefficient_off_by_one_fails_action_formula(monkeypatch, capsys):
+    # P_i sends T (x) U, neither descending, to 2 mu mu' T' (x) U', not 1
+    case = ("ll", False, False)
+    same, lft, rgt, both = nonstandard._P_CASES[case]
+    monkeypatch.setitem(nonstandard._P_CASES, case, (same, lft, rgt, both - 1))
+    result = check_action_formula()
+    assert result == {"ok": False, "detail": "case formula differs at 3,1,3,1,ll,s_1"}
+    fails_alone(capsys, "action-formula", result["detail"])
+
+
+def test_a_perturbed_transition_entry_fails_transition(monkeypatch, capsys):
+    # X - I must vanish at u = 0 and u = infinity; X[0][1] + 1 does not
+    real = verify.build_specht
+
+    class Perturbed:
+        def __init__(self, module):
+            self.module = module
+
+        def __getattr__(self, name):
+            return getattr(self.module, name)
+
+        @property
+        def transition(self):
+            X = [row[:] for row in self.module.transition]
+            X[0][1] = X[0][1] + R_ONE
+            return X
+
+    monkeypatch.setattr(
+        verify,
+        "build_specht",
+        lambda lam: Perturbed(real(lam)) if lam == Partition([2, 1]) else real(lam),
+    )
+    result = check_transition(4)
+    assert result == {"ok": False, "detail": "not identity at 0/inf for 2,1"}
+    fails_alone(capsys, "transition", result["detail"])

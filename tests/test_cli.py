@@ -32,42 +32,16 @@ class TestDimCheck:
         assert code == 0
         assert data == {"formula": 10, "oracle": 10, "agree": True}
 
-    def test_u0_override(self, capsys):
-        code, data = run_json(
-            capsys, "dim-check", "--r", "3", "--u0", "11/5"
-        )
-        assert code == 0 and data["agree"]
-
-    def test_bad_specialization(self, capsys):
+    @pytest.mark.parametrize("argv", [["--help"], ["dim-check", "--help"]])
+    def test_help_lists_no_route_options(self, capsys, argv):
+        # the oracle picks its route by rank, and --r-bound alone bounds it
         with pytest.raises(SystemExit) as exc:
-            main(["dim-check", "--r", "3", "--u0", "1"])
-        assert exc.value.code == 2
-
-    def test_mod_p(self, capsys):
-        code, data = run_json(capsys, "dim-check", "--r", "3", "--mod-p", "1000003")
-        assert code == 0
-        assert data == {"formula": 10, "oracle": 10, "agree": True}
-
-    @pytest.mark.parametrize(
-        "r, p, why",
-        [
-            ("3", "3", "u0 = 7/3 is 0 or a pole mod 3"),
-            ("3", "7", "u0 = 7/3 is 0 or a pole mod 7"),
-            ("3", "10", "not prime"),
-            ("3", "1", "int64-safe range"),
-            # 4294967311 is prime, but (p-1)^2 alone exceeds 2^63
-            ("4", "4294967311", "int64-safe range"),
-            # 784150187 is prime, but 15 (p-1)^2 exceeds 2^63, and the
-            # span vectors at r = 3 have 15 entries
-            ("3", "784150187", "int64-safe range"),
-        ],
-    )
-    def test_bad_modulus(self, capsys, r, p, why):
-        with pytest.raises(SystemExit) as exc:
-            main(["dim-check", "--r", r, "--mod-p", p])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert why in captured.err and not captured.out
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--r" in out
+        for option in ("--force", "--u0", "--mod-p"):
+            assert option not in out
 
 
 class TestGraphs:
@@ -176,6 +150,23 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(["kl-basis", "--r", "6"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("bound", ["3", "7"])
+    def test_rank_above_the_bound_exits_2_and_at_it_runs(self, capsys, bound):
+        r = int(bound)
+        above = ["--r-bound", bound, "de-graph", "--shape", f"{r},1"]
+        with pytest.raises(SystemExit) as exc:
+            main(above)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        want = f"rank {r + 1} exceeds the bound {r} (raise with --r-bound)"
+        assert want in captured.err
+        code, data = run_json(
+            capsys, "--r-bound", bound, "de-graph", "--shape", f"{r - 1},1"
+        )
+        assert code == 0
+        assert data["shape"] == [r - 1, 1]
 
     def test_rank_bound_override(self, capsys):
         code, data = run_json(
@@ -366,16 +357,28 @@ class TestInternalError:
         assert "needs r >= 2" in captured.err
 
 
-def test_cli_import_leaves_numpy_out():
-    # only the mod-p oracle needs numpy; importing the CLI must not
+def run_flag_numpy(code):
+    """Run code in a fresh interpreter on this source tree; its last line
+    of stdout is whether numpy was loaded."""
     src = pathlib.Path(nstl.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import sys, nstl.cli; print('numpy' in sys.modules)"
     run = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code + "; print('numpy' in sys.modules)"],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert run.stdout.strip() == "False"
+    return run.stdout.splitlines()[-1]
+
+
+def test_cli_import_leaves_numpy_out():
+    # only the oracle's F_p route, from rank 5, needs numpy; importing the
+    # CLI must not load it
+    assert run_flag_numpy("import sys, nstl.cli") == "False"
+
+
+def test_verify_all_at_rank_4_leaves_numpy_out():
+    # the dimension check at rank 4 takes the exact route
+    code = "import sys, nstl.cli; nstl.cli.main(['verify-all', '--r', '4'])"
+    assert run_flag_numpy(code) == "False"

@@ -48,7 +48,6 @@ from nstl.nonstandard import (
     epsilon_plus_vector,
     flatten,
     hh_pieces,
-    isotypic_split,
     ns_labels,
     nonstandard_dimension_oracle,
     nonstandard_pieces,
@@ -60,6 +59,8 @@ from nstl.nonstandard import (
 )
 from nstl.specht_modules import build_specht, specialize_matrix
 from nstl.verify import check_certification
+
+from isotypic_oracle import isotypic_split
 
 rng = random.Random(23)
 
@@ -790,7 +791,7 @@ class TestDimension:
         assert nonstandard_dimension_oracle(3) == 10
 
     def test_oracle_r3_mod_p(self):
-        assert nonstandard_dimension_oracle(3, mod_p=1000003) == 10
+        assert len(_accepted_words(3, U0, 1000003)) == 10
 
     def test_oracle_r4(self):
         assert nonstandard_dimension_oracle(4) == 89
@@ -802,12 +803,12 @@ class TestDimension:
             for r in (2, 3)
             for u0 in (Fraction(7, 3), Fraction(2), Fraction(5, 2))
         ]
-        + [(4, Fraction(5, 2))],
+        + [(3, Fraction(11, 5)), (4, Fraction(5, 2))],
     )
     def test_integer_closure_matches_fraction_closure(self, r, u0):
         words = _accepted_words(r, u0)
         assert words == fraction_closure_words(r, u0)
-        assert len(words) == nonstandard_dimension_oracle(r, u0)
+        assert len(words) == nonstandard_dimension_oracle(r)
 
     def test_exact_oracle_stops_at_the_split_bound(self, monkeypatch):
         # the 191st add takes the span to 89, and none follows it; the
@@ -833,28 +834,56 @@ class TestDimension:
             return add_level(self, V)
 
         monkeypatch.setattr(SpanBasisModP, "add_level", counted)
-        assert nonstandard_dimension_oracle(4, mod_p=1000003) == 89
+        assert len(_accepted_words(4, U0, 1000003)) == 89
         assert max(sizes) < 89
 
     def test_mod_p_bounds_exact_r4(self):
         exact = nonstandard_dimension_oracle(4)
-        assert nonstandard_dimension_oracle(4, mod_p=1000003) <= exact
+        assert len(_accepted_words(4, U0, 1000003)) <= exact
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_mod_p_equals_exact(self, r):
-        assert nonstandard_dimension_oracle(
-            r, mod_p=1000003
-        ) == nonstandard_dimension_oracle(r)
+        assert len(_accepted_words(r, U0, 1000003)) == nonstandard_dimension_oracle(r)
 
     def test_oracle_r5_mod_p(self):
-        assert nonstandard_dimension_oracle(5, mod_p=1000003) == 855
+        assert nonstandard_dimension_oracle(5) == 855
+
+    @pytest.mark.parametrize("r, prime", [(2, None), (4, None), (5, 1000003)])
+    def test_oracle_picks_its_route_by_rank(self, monkeypatch, r, prime):
+        # exact through rank 4, F_p from rank 5, always at U0
+        calls = []
+        monkeypatch.setattr(
+            nonstandard,
+            "_accepted_words",
+            lambda *args: calls.append(args) or [()],
+        )
+        assert nonstandard_dimension_oracle(r) == 1
+        assert calls == [(r, U0, prime)]
 
     def test_modulus_bound_is_span_vector_length(self):
         # at r = 3 the span vectors have 15 entries: 784150127 is the
         # largest prime p with 15 (p - 1)^2 < 2^63, 784150187 the next
-        assert nonstandard_dimension_oracle(3, mod_p=784150127) == 10
+        assert len(_accepted_words(3, U0, 784150127)) == 10
         with pytest.raises(ModulusError, match="int64-safe range"):
-            nonstandard_dimension_oracle(3, mod_p=784150187)
+            _accepted_words(3, U0, 784150187)
+
+    @pytest.mark.parametrize(
+        "r, p, why",
+        [
+            (3, 3, "u0 = 7/3 is 0 or a pole mod 3"),
+            (3, 7, "u0 = 7/3 is 0 or a pole mod 7"),
+            (3, 10, "modulus 10 is not prime"),
+            (3, 1, "int64-safe range"),
+            # 4294967311 is prime, but (p-1)^2 alone exceeds 2^63
+            (4, 4294967311, "int64-safe range"),
+            # 784150187 is prime, but 15 (p-1)^2 exceeds 2^63, and the
+            # span vectors at r = 3 have 15 entries
+            (3, 784150187, "int64-safe range"),
+        ],
+    )
+    def test_bad_modulus(self, r, p, why):
+        with pytest.raises(ModulusError, match=re.escape(why)):
+            _accepted_words(r, U0, p)
 
     def test_blocks_are_unordered_pairs_and_flip_parts(self):
         # r = 4, f = 1, 3, 2: the antisymmetric parts 3, 1 of the squares

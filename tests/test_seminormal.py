@@ -26,7 +26,6 @@ from nstl.nonstandard import (
     epsilon_plus_vector,
     flatten,
     hh_pieces,
-    isotypic_split,
     nonstandard_pieces,
     ns_labels,
 )
@@ -42,6 +41,8 @@ from nstl.seminormal import (
     seminormal_table,
 )
 from nstl.specht_modules import build_specht
+
+from isotypic_oracle import isotypic_split
 
 # sha256 of the (3,2) x (3,2) seminormal chains and vectors
 DIGEST_32 = """
