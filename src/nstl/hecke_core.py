@@ -117,12 +117,15 @@ def _left_mul_s(coords: dict, row: list, lengths: list) -> dict:
     There is no zero test: every P'_{x,w} and every coordinate of
     bar(T_w) with x <= w in the Bruhat order is nonzero, and a sum that
     cancels on the way keeps the place where its key was first inserted.
+    A new key takes c itself, not a copy, so a shared coordinate stays
+    shared.
     """
     out: dict = {}
     get = out.get
     for x, c in coords.items():
         sx = row[x]
-        out[sx] = get(sx, 0) + c
+        n = get(sx)
+        out[sx] = c if n is None else n + c
         if lengths[sx] < lengths[x]:
             # T_s T_x = T_sx + (u - u^-1) T_x for s x < x
             out[x] = get(x, 0) + (c >> _K) - (c << _K)
@@ -139,9 +142,11 @@ class KLTable:
     Bruhat directions, symmetric usage).
 
     The recursions run on packed rows {index: int} over perms, which is
-    sorted by length and then by word. mu and mu_pairs read the packed
-    lower rows; lower is decoded and keyed by Permutation on first
-    access only.
+    sorted by length and then by word. Each distinct packed integer of a
+    table (lower rows, bar(T_w) rows) is one object that every row
+    refers to, shared through a pool that lives only while the rows are
+    built. mu and mu_pairs read the packed lower rows; lower is decoded
+    and keyed by Permutation on first access only.
     """
 
     def __init__(self, r: int):
@@ -166,9 +171,10 @@ class KLTable:
 
     def _unpacked(self, rows: list, top: int) -> dict:
         # Few distinct packed integers occur (121 among the 98,407
-        # coordinates of the lower basis at r = 6), so each is decoded
-        # once per call, for this top only, and its LaurentPoly shared:
-        # nothing mutates LaurentPoly.coeffs after construction.
+        # coordinates of the lower basis at r = 6, 81 among those of
+        # bar(T_w)), and the rows hold each as one object. So each is
+        # decoded once per call, for this top only, and its LaurentPoly
+        # shared: nothing mutates LaurentPoly.coeffs after construction.
         perms = self.perms
         poly = {n: _unpack(n, top) for n in {n for row in rows for n in row.values()}}
         return {
@@ -194,6 +200,7 @@ class KLTable:
         lengths, left = self._lengths, self._left
         one, low = 1 << _K, (1 << (2 * _K)) - 1  # digits 0 and 1 hold u^1, u^0
         rows = [{0: one}]
+        share = {one: one}.setdefault  # one object per distinct coordinate
         bound = [1]
         for k, i, v in self._descents():
             row = left[i]
@@ -218,7 +225,13 @@ class KLTable:
             # P'_{w,w} = 1 and P'_{x,w} in u^-1 Z[u^-1] otherwise, so
             # every coordinate has degree <= 0 and the right shift by
             # u stays exact
-            if prod[k] != one or any(n & low for x, n in prod.items() if x != k):
+            high = prod[k] != one
+            for x, n in prod.items():
+                if n & low and x != k:
+                    high = True
+                    break
+                prod[x] = share(n, n)
+            if high:
                 raise ArithmeticError(f"C'_{self.perms[k]} has a term of degree >= 0")
             rows.append(prod)
             bound.append(b)
@@ -266,15 +279,21 @@ class KLTable:
             # of bar(T_w) is d_sy or d_sy - (u - u^-1) d_y, so every
             # |coefficient| is at most 3^l(w), and every degree at most
             # l(w) < L = l(w0) + 1.
+            # Every key of acc outside base holds a coordinate of base
+            # itself (_left_mul_s), so sharing the updated ones keeps one
+            # object per distinct coordinate.
             lengths, left = self._lengths, self._left
-            out = [{0: 1 << (_K * (lengths[-1] + 1))}]
+            top = 1 << (_K * (lengths[-1] + 1))
+            out = [{0: top}]
+            share = {top: top}.setdefault
             for k, i, v in self._descents():
                 _check_bound(3 ** lengths[k], self.perms[k])
                 base = out[v]
                 acc = _left_mul_s(base, left[i], lengths)
                 get = acc.get
                 for y, d in base.items():
-                    acc[y] = get(y, 0) - (d >> _K) + (d << _K)
+                    n = get(y, 0) - (d >> _K) + (d << _K)
+                    acc[y] = share(n, n)
                 out.append(acc)
             self._bar_packed = out
         return self._bar_packed

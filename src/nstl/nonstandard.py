@@ -628,7 +628,7 @@ def _paths(parts: tuple, k: int):
 
 def branching_blocks(lam: Partition, mu: Partition, c):
     """One branching step down from the lower (x) lower coefficient
-    matrix c of M_lam (x) M_mu: (nu, iota_l, rho, iota_r^T,
+    matrix c of M_lam (x) M_mu: (nu, iota_l, rho, iota_r,
     pi_l c pi_r^T) for every child nu of lam and rho of mu, in branching
     order, with iota: child coords -> parent coords and pi its left
     inverse (the cached matrices, not to be mutated). Since
@@ -637,13 +637,13 @@ def branching_blocks(lam: Partition, mu: Partition, c):
     blocks: pieces cut from the child blocks have, laid end to end, the
     rank of their lifts, and are zero just when those are."""
     right = [
-        (rho, mat_transpose(iota), mat_transpose(pi))
+        (rho, iota, mat_transpose(pi))
         for rho, iota, pi, _ in build_specht(mu).branching
     ]
     for nu, iota, pi, _ in build_specht(lam).branching:
         left = mat_mul(pi, c)
-        for rho, iotaT, piT in right:
-            yield nu, iota, rho, iotaT, mat_mul(left, piT)
+        for rho, iota_r, piT in right:
+            yield nu, iota, rho, iota_r, mat_mul(left, piT)
 
 
 def nonstandard_pieces(nu: Partition, rho: Partition, d) -> tuple:
@@ -678,8 +678,11 @@ def _nonzero(M) -> bool:
 
 
 def _lift(parts):
-    """Sum iota_l piece iota_r^T over the (iota_l, piece, iota_r^T)."""
-    return reduce(mat_add, (mat_mul(li, mat_mul(p, riT)) for li, p, riT in parts))
+    """Sum iota_l piece iota_r^T over the (iota_l, piece, iota_r)."""
+    return reduce(
+        mat_add,
+        (mat_mul(li, mat_mul(p, mat_transpose(ri))) for li, p, ri in parts),
+    )
 
 
 # ---------------------------------------------------------------------
@@ -699,16 +702,16 @@ def _restriction_split(mod: NsSubmodule) -> dict:
     spans, sums = {}, {}
     for c in mod.basis:
         cut = {}
-        for nu, li, rho, riT, d in branching_blocks(tm.lam, tm.mu, c):
+        for nu, li, rho, ri, d in branching_blocks(tm.lam, tm.mu, c):
             for label, piece in nonstandard_pieces(nu, rho, d):
-                cut.setdefault(label, []).append((li, piece, riT))
+                cut.setdefault(label, []).append((li, piece, ri))
         for label, parts in cut.items():
             row = [x for _, piece, _ in parts for x in flatten(piece)]
             if any(row) and spans.setdefault(label, SpanBasis()).add(row):
                 acc = sums.get(label)
                 sums[label] = parts if acc is None else [
-                    (li, mat_add(a, piece), riT)
-                    for (_, a, _), (li, piece, riT) in zip(acc, parts)
+                    (li, mat_add(a, piece), ri)
+                    for (_, a, _), (li, piece, ri) in zip(acc, parts)
                 ]
     return {label: (len(span), _lift(sums[label])) for label, span in spans.items()}
 

@@ -91,9 +91,11 @@ def check_cells(r: int) -> dict:
         by_p_lower.setdefault(P.transpose(), set()).add(w)
     for tag, fibers in (("upper", by_p_upper), ("lower", by_p_lower)):
         got = set(cells_regular(r, tag).as_label_sets())
-        want = {frozenset(v) for v in fibers.values()}
-        if got != want:
-            return _fail(f"{tag} cells disagree with insertion fibers")
+        # both partition S_r, so they are equal when every fiber is a cell
+        split = [v for v in fibers.values() if frozenset(v) not in got]
+        if split:
+            w = min((w for v in split for w in v), key=lambda w: w.word)
+            return _fail(f"{tag} cells disagree with the insertion fiber of {w}")
     return {"ok": True, "cells": len(by_p_upper)}
 
 
@@ -158,7 +160,7 @@ def check_dkt_mu(n: int) -> dict:
                     return _fail(f"nonpositive mu at {lam}")
             for a, b, _ in dkt_edges(lam).edges:
                 if m.mu(a, b) != 1 or m.mu(b, a) != 1:
-                    return _fail(f"DE edge without mu=1 in {lam}")
+                    return _fail(f"DE edge {a} - {b} without mu=1 in {lam}")
                 checked += 1
     return {"ok": True, "de_edges": checked}
 

@@ -7,8 +7,9 @@ import os
 import pytest
 
 from nstl import cli, nonstandard, verify
-from nstl.combinatorics import Partition
+from nstl.combinatorics import Partition, dkt_edges
 from nstl.exact_arith import R_ONE, PoleError, RationalFn
+from nstl.hecke_core import kl_table
 from nstl.linalg import mat_add
 from nstl.nonstandard import TensorModule
 from nstl.seminormal import SeminormalBasis
@@ -285,3 +286,51 @@ def test_a_perturbed_transition_entry_fails_transition(monkeypatch, capsys):
     result = check_transition(4)
     assert result == {"ok": False, "detail": "not identity at 0/inf for 2,1"}
     fails_alone(capsys, "transition", result["detail"])
+
+
+def test_a_dropped_mu_pair_fails_cells(monkeypatch, capsys):
+    # without the pair 1,4,2,3 in mu_pairs[1,2,4,3], the upper cell
+    # {1,2,4,3, 1,4,2,3, 4,1,2,3} splits off {1,2,4,3}
+    table = kl_table(4)
+    pairs = dict(table.mu_pairs)
+    w = next(w for w in pairs if str(w) == "1,2,4,3")
+    pairs[w] = [(x, m) for x, m in pairs[w] if str(x) != "1,4,2,3"]
+    assert len(pairs[w]) == len(table.mu_pairs[w]) - 1
+    monkeypatch.setattr(table, "_mu_pairs", pairs)
+    result = check_cells(4)
+    assert result == {
+        "ok": False,
+        "detail": "upper cells disagree with the insertion fiber of 1,2,4,3",
+    }
+    fails_alone(capsys, "cells-rsk", result["detail"])
+
+
+def test_a_zero_mu_on_a_de_edge_fails_de_mu(monkeypatch, capsys):
+    # the dual-equivalence edge 124/3 - 123/4 of (3,1) loses its mu
+    lam = Partition([3, 1])
+    a, b, _ = next(e for e in dkt_edges(lam).edges if str(e[0]) == "124/3")
+    real = verify.build_specht
+
+    class ZeroMu:
+        def __init__(self, module):
+            self.module = module
+            edge = {(a, b), (b, a)}
+            self.mu_table = {
+                key: m for key, m in module.mu_table.items() if key not in edge
+            }
+
+        def __getattr__(self, name):
+            return getattr(self.module, name)
+
+        def mu(self, q1, q2):
+            return self.mu_table.get((q1, q2), 0)
+
+    monkeypatch.setattr(
+        verify,
+        "build_specht",
+        lambda shape: ZeroMu(real(shape)) if shape == lam else real(shape),
+    )
+    result = check_dkt_mu(4)
+    detail = "DE edge 124/3 - 123/4 without mu=1 in 3,1"
+    assert result == {"ok": False, "detail": detail}
+    fails_alone(capsys, "de-mu", result["detail"])

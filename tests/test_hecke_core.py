@@ -302,6 +302,14 @@ class TestPermutationKeyedOracle:
                 assert table.mu(x, w) == (p.coeff(-1) if p is not None else 0)
         assert table._lower is None
 
+    @pytest.mark.parametrize("r", [5, 6])
+    def test_equal_packed_coordinates_are_one_object(self, r):
+        # 121 distinct values among the 98,407 lower coordinates at r = 6
+        table = kl_table(r)
+        for rows in (table._rows, table._bar_rows()):
+            values = [n for row in rows for n in row.values()]
+            assert len({id(n) for n in values}) == len(set(values))
+
 
 def _narrow_digits(monkeypatch, k: int) -> None:
     monkeypatch.setattr(hecke_core, "_K", k)
