@@ -1,5 +1,6 @@
 """Permutations, partitions, standard Young tableaux, RSK, descent
-statistics, dual Knuth transformations, and dual equivalence graphs."""
+statistics, dual Knuth transformations, dual equivalence graphs, and
+the strongly connected components of a digraph."""
 
 from __future__ import annotations
 
@@ -559,3 +560,49 @@ def de_distance(Q: Tableau) -> int:
     if Q not in dist:
         raise ValueError(f"{Q} not connected to the superstandard tableau")
     return dist[Q]
+
+
+def strong_components(edges: dict) -> list:
+    """Strongly connected components of the digraph {vertex: successors},
+    as lists, in linear time and without recursion (Kosaraju; Sharir
+    1981). A depth-first pass lists the vertices by finishing time; a
+    second pass over the reversed edges, latest finisher first, collects
+    one component per root. The components come in a topological order
+    of the condensation, so the first is a source: no other component
+    reaches it. Successors that are not vertices are ignored."""
+    finished, seen = [], set()
+    for root in edges:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(edges[root]))]
+        while stack:
+            v, succ = stack[-1]
+            for w in succ:
+                if w in edges and w not in seen:
+                    seen.add(w)
+                    stack.append((w, iter(edges[w])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    back: dict = {v: [] for v in edges}
+    for v, succ in edges.items():
+        for w in succ:
+            if w in back:
+                back[w].append(v)
+    comps, done = [], set()
+    for root in reversed(finished):
+        if root in done:
+            continue
+        done.add(root)
+        comp, todo = [], [root]
+        while todo:
+            v = todo.pop()
+            comp.append(v)
+            for w in back[v]:
+                if w not in done:
+                    done.add(w)
+                    todo.append(w)
+        comps.append(comp)
+    return comps

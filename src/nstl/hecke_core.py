@@ -18,15 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinatorics import Permutation, all_permutations, rsk
-from .exact_arith import (
-    LaurentPoly,
-    RationalFn,
-    quantum_int,
-)
+from .combinatorics import Permutation, all_permutations, rsk, strong_components
+from .exact_arith import TWO, U_INV, LaurentPoly, RationalFn
 
 U_MINUS_UINV = LaurentPoly({1: 1, -1: -1})
-UINV = LaurentPoly({-1: 1})
 NEG_U = LaurentPoly({1: -1})
 
 
@@ -485,7 +480,7 @@ class HeckeElement:
             "standard",
             {
                 Permutation.simple(r, i): RationalFn.from_int(1),
-                Permutation.identity(r): RationalFn(UINV),
+                Permutation.identity(r): RationalFn(U_INV),
             },
         )
 
@@ -659,8 +654,7 @@ def right_multiply_canonical(a: HeckeElement, i: int) -> HeckeElement:
     if a.basis_tag not in ("lower", "upper"):
         raise ValueError("right_multiply_canonical requires a canonical basis")
     table = kl_table(a.r)
-    two = RationalFn(quantum_int(2))
-    sign = two if a.basis_tag == "lower" else -two
+    sign = TWO if a.basis_tag == "lower" else -TWO
     out: dict = {}
 
     def add(w, c):
@@ -685,104 +679,25 @@ def right_multiply_canonical(a: HeckeElement, i: int) -> HeckeElement:
 
 @dataclass
 class CellPartition:
-    """Partition of a basis into cells plus the induced preorder on
-    blocks (block i <= block j iff j reaches i... see `leq`)."""
+    """Partition of a basis into cells, as lists of labels."""
 
-    labels: list
-    blocks: list  # list of lists of labels
-    block_leq: set  # pairs (i, j) with block i <= block j in the preorder
+    blocks: list
 
     def as_label_sets(self):
         return [frozenset(b) for b in self.blocks]
 
 
 def cells(labels: list, action_matrices: list) -> CellPartition:
-    """Cells of a module-with-basis. action_matrices[g][j][i] nonzero
-    means basis label i appears in (label j) * generator g; matrices are
-    dicts {j: {i: coeff}} or dense rows indexed [j][i]."""
-    n = len(labels)
-    adj = [set() for _ in range(n)]  # j -> i edges (i appears in j*h)
+    """Cells of a module-with-basis: the strongly connected components
+    of the digraph j -> i, with i in (label j) * generator g when
+    action_matrices[g][j][i] is nonzero; matrices are dicts
+    {j: {i: coeff}}."""
+    adj: dict = {j: set() for j in range(len(labels))}
     for mat in action_matrices:
-        if isinstance(mat, dict):
-            for j, row in mat.items():
-                for i, c in row.items():
-                    if c and i != j:
-                        adj[j].add(i)
-        else:
-            for j in range(n):
-                for i in range(n):
-                    if mat[j][i] and i != j:
-                        adj[j].add(i)
-
-    # iterative Tarjan SCC
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = [0]
-
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] is None:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-
-    comp_of = {}
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = k
-    # reachability on the condensation: j -> i edge means cell(i) <= cell(j)
-    succ = [set() for _ in comps]
-    for j in range(n):
-        for i in adj[j]:
-            if comp_of[i] != comp_of[j]:
-                succ[comp_of[j]].add(comp_of[i])
-    reach = [set() for _ in comps]
-    for k in range(len(comps)):
-        seen, todo = {k}, [k]
-        while todo:
-            v = todo.pop()
-            for w in succ[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        reach[k] = seen
-    leq = {(i, j) for j in range(len(comps)) for i in reach[j]}
-    blocks = [[labels[v] for v in comp] for comp in comps]
-    return CellPartition(labels, blocks, leq)
+        for j, row in mat.items():
+            adj[j].update(i for i, c in row.items() if c)
+    comps = strong_components(adj)
+    return CellPartition([[labels[v] for v in comp] for comp in comps])
 
 
 def cells_regular(r: int, basis_tag: str) -> CellPartition:

@@ -25,6 +25,7 @@ from .combinatorics import (
     Partition,
     de_distance,
     descent_set,
+    strong_components,
     syt_count,
     two_row_partitions,
 )
@@ -574,13 +575,12 @@ def _restriction_edges(mod: NsSubmodule) -> dict:
 
 def _unreachable(edges: dict) -> tuple:
     """(j, k) with k not reachable from j in the digraph, or () when it
-    is strongly connected; reach[j] is closed by Warshall's rule."""
-    reach = {j: {j} | ks for j, ks in edges.items()}
-    for k in reach:
-        for j in reach:
-            if k in reach[j]:
-                reach[j] |= reach[k]
-    return next(((j, k) for j in reach for k in reach if k not in reach[j]), ())
+    is strongly connected: k in the first, source component of
+    strong_components and j the first vertex outside it."""
+    comps = strong_components(edges)
+    if len(comps) < 2:
+        return ()
+    return next(j for j in edges if j not in comps[0]), comps[0][0]
 
 
 def chain_trace(label: NsIrredLabel, r: int) -> RationalFn:

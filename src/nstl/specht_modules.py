@@ -36,6 +36,7 @@ from .exact_arith import (
     R_ONE,
     R_ZERO,
     TWO,
+    U_INV,
     RationalFn,
     common_denominator,
 )
@@ -372,8 +373,6 @@ class SpechtModule:
 
     def standard_action(self, i: int):
         """T_{s_i} on lower coordinates: C'_{s_i} action minus u^-1."""
-        from .exact_arith import U_INV
-
         A = [row[:] for row in self.lower_action[i]]
         uinv = RationalFn(U_INV)
         for k in range(self.dim):
@@ -519,17 +518,19 @@ def projected_basis(shape: Partition, which: str):
     m = build_specht(shape)
     if m.r <= 1:
         return [(q, [R_ONE]) for q in m.basis]
-    out = []
-    for q in m.basis:
-        proj = isotypic_projector(shape, m.restriction_shape(q))
+    if which not in ("lower", "upper"):
+        raise ValueError(f"unknown basis {which!r}")
+    projs = {}
+    for child, _, _, proj in m.branching:
         if which == "upper":
             # upper coords = X @ lower coords, so conjugate by X
             proj = mat_mul(m.transition, mat_mul(proj, m.transition_inv))
-        elif which != "lower":
-            raise ValueError(f"unknown basis {which!r}")
+        projs[child] = proj
+    out = []
+    for q in m.basis:
         e = [R_ZERO] * m.dim
         e[m.index[q]] = R_ONE
-        out.append((q, mat_vec(proj, e)))
+        out.append((q, mat_vec(projs[m.restriction_shape(q)], e)))
     return out
 
 

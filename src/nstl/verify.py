@@ -134,8 +134,11 @@ def check_figures() -> dict:
     got_mu = {
         frozenset({str(a), str(b)}): v for (a, b), v in m.mu_table.items()
     }
-    if set(got_mu) != FIG_MU_EDGES:
-        return _fail("mu-edge set differs from the five-vertex picture")
+    diff = sorted(sorted(e) for e in FIG_MU_EDGES ^ set(got_mu))
+    if diff:
+        a, b = diff[0]
+        where = "missing" if frozenset(diff[0]) in FIG_MU_EDGES else "extra"
+        return _fail(f"mu edge {a} - {b} {where} in the five-vertex picture")
     if any(v != 1 for v in got_mu.values()):
         return _fail("a mu edge is not 1")
     got_de = {
@@ -205,10 +208,10 @@ def check_projected(n: int) -> dict:
                 for q, vec in projected_basis(lam, which):
                     sh_q = m.restriction_shape(q)
                     for qp in m.basis:
-                        x = vec[m.index[qp]]
+                        x, bad = vec[m.index[qp]], ""
                         if qp == q:
                             if x != R_ONE:
-                                return _fail(f"diagonal != 1 for {lam}")
+                                bad = "diagonal != 1"
                         elif x:
                             sh_qp = m.restriction_shape(qp)
                             good = (
@@ -217,9 +220,11 @@ def check_projected(n: int) -> dict:
                                 else sh_q.dominates(sh_qp)
                             )
                             if sh_qp == sh_q or not good:
-                                return _fail(f"triangularity fails {lam}")
-                            if x.val0() < 1 or x.val_inf() < 1:
-                                return _fail(f"valuation fails for {lam}")
+                                bad = "triangularity fails"
+                            elif x.val0() < 1 or x.val_inf() < 1:
+                                bad = "valuation fails"
+                        if bad:
+                            return _fail(f"{bad} for {lam} ({which} {q} at {qp})")
             shapes += 1
     return {"ok": True, "shapes": shapes}
 

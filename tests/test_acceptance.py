@@ -334,3 +334,71 @@ def test_a_zero_mu_on_a_de_edge_fails_de_mu(monkeypatch, capsys):
     detail = "DE edge 124/3 - 123/4 without mu=1 in 3,1"
     assert result == {"ok": False, "detail": detail}
     fails_alone(capsys, "de-mu", result["detail"])
+
+
+def test_a_dropped_mu_edge_fails_figures(monkeypatch, capsys):
+    # the (3,2) module without its mu edge 123/45 - 135/24
+    lam = Partition([3, 2])
+    real = verify.build_specht
+
+    class DroppedMu:
+        def __init__(self, module):
+            self.module = module
+            self.mu_table = {
+                (a, b): m
+                for (a, b), m in module.mu_table.items()
+                if {str(a), str(b)} != {"123/45", "135/24"}
+            }
+
+        def __getattr__(self, name):
+            return getattr(self.module, name)
+
+    monkeypatch.setattr(
+        verify,
+        "build_specht",
+        lambda shape: DroppedMu(real(shape)) if shape == lam else real(shape),
+    )
+    result = check_figures()
+    detail = "mu edge 123/45 - 135/24 missing in the five-vertex picture"
+    assert result == {"ok": False, "detail": detail}
+    fails_alone(capsys, "figures", result["detail"])
+
+
+def test_a_perturbed_projector_entry_fails_projected_basis(monkeypatch, capsys):
+    # the lower projected vector of 13/2 is column 13/2 of the (2,1)
+    # projector; + 1 at 12/3 takes that coordinate out of u K0
+    lam = Partition([2, 1])
+    real = verify.projected_basis
+
+    def perturbed(shape, which):
+        cols = real(shape, which)
+        if shape != lam or which != "lower":
+            return cols
+        (q, vec), rest = cols[0], cols[1:]
+        return [(q, [vec[0], vec[1] + R_ONE] + vec[2:])] + rest
+
+    monkeypatch.setattr(verify, "projected_basis", perturbed)
+    result = check_projected(4)
+    assert result == {
+        "ok": False,
+        "detail": "valuation fails for 2,1 (lower 13/2 at 12/3)",
+    }
+    fails_alone(capsys, "projected-basis", result["detail"])
+
+
+def test_a_flipped_sign_in_the_minus_vector_fails_eps_antipode(monkeypatch, capsys):
+    # the minus vector of (2,1) with one sign flipped is symmetric, and
+    # P_1 does not annihilate it
+    lam = Partition([2, 1])
+    real = verify.epsilon_minus_vector
+
+    def flipped(shape):
+        em = [row[:] for row in real(shape)]
+        if shape == lam:
+            em[1][0] = -em[1][0]
+        return em
+
+    monkeypatch.setattr(verify, "epsilon_minus_vector", flipped)
+    result = check_epsilon_antipode()
+    assert result == {"ok": False, "detail": "minus vector not annihilated: 2,1"}
+    fails_alone(capsys, "eps-antipode", result["detail"])

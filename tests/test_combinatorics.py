@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from nstl.combinatorics import (
     row_superstandard,
     rsk,
     rsk_inverse,
+    strong_components,
     syt_count,
     syt_enumerate,
     two_row_partitions,
@@ -331,3 +333,48 @@ class TestSerialization:
         assert data["shape"] == [3, 2]
         assert len(data["vertices"]) == 5
         assert len(data["edges"]) == 6
+
+
+def random_digraph(rng):
+    """{vertex: successors} on up to 12 vertices; some successors are
+    not vertices."""
+    n = rng.randrange(13)
+    p = rng.choice([0.05, 0.15, 0.3, 0.6])
+    return {
+        v: {w for w in range(n + 2) if rng.random() < p} for v in range(n)
+    }
+
+
+def reachable(edges, v):
+    seen, todo = {v}, [v]
+    while todo:
+        for w in edges[todo.pop()]:
+            if w in edges and w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+class TestStrongComponents:
+    def test_agrees_with_reachability(self):
+        rng = random.Random(20)
+        for _ in range(1000):
+            edges = random_digraph(rng)
+            reach = {v: reachable(edges, v) for v in edges}
+            comps = strong_components(edges)
+            assert sorted(v for comp in comps for v in comp) == sorted(edges)
+            for comp in comps:
+                v = comp[0]
+                assert set(comp) == {w for w in reach[v] if v in reach[w]}
+
+    def test_components_come_in_topological_order(self):
+        # every edge between components runs forward, so the first
+        # component is a source: no vertex outside it reaches it
+        rng = random.Random(21)
+        for _ in range(1000):
+            edges = random_digraph(rng)
+            comps = strong_components(edges)
+            index = {v: k for k, comp in enumerate(comps) for v in comp}
+            for v, succ in edges.items():
+                for w in succ:
+                    assert w not in index or index[v] <= index[w]

@@ -555,6 +555,18 @@ class TestCells:
         part = cells(labels, [mat])
         assert sorted(map(sorted, part.blocks)) == [["a"], ["b"], ["c"]]
 
+    def test_a_long_path_closed_by_one_edge_is_one_cell(self):
+        # 5,000 vertices: deeper than Python's recursion limit
+        n = 5000
+        mat = {j: {(j + 1) % n: 1} for j in range(n)}
+        part = cells(list(range(n)), [mat])
+        assert [sorted(b) for b in part.blocks] == [list(range(n))]
+
+    def test_a_zero_coefficient_is_no_edge(self):
+        mat = {0: {1: 1}, 1: {0: 0}}
+        part = cells(["a", "b"], [mat])
+        assert sorted(map(sorted, part.blocks)) == [["a"], ["b"]]
+
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_regular_cells_match_rsk(self, r):
         from nstl.combinatorics import all_permutations

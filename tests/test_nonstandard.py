@@ -38,6 +38,7 @@ from nstl.nonstandard import (
     _split_bound,
     _split_failure,
     _sym_projection_basis,
+    _unreachable,
     antipode_check,
     build_irreducible,
     certify_irreducible,
@@ -633,6 +634,30 @@ class TestCertification:
             assert mods[0].dim == mods[1].dim
             assert restriction_decompose(mods[0]) == restriction_decompose(mods[1])
             assert chain_trace(lbl(a), r) != chain_trace(lbl(b), r)
+
+    def test_the_unreachable_pair_is_unreachable(self):
+        rng = random.Random(22)
+        for _ in range(1000):
+            n = rng.randrange(9)
+            p = rng.choice([0.1, 0.3, 0.6])
+            edges = {
+                j: {k for k in range(n + 1) if k != j and rng.random() < p}
+                for j in range(n)
+            }
+            reach = {}
+            for j in edges:
+                seen, todo = {j}, [j]
+                while todo:
+                    for k in edges[todo.pop()] & edges.keys() - seen:
+                        seen.add(k)
+                        todo.append(k)
+                reach[j] = seen
+            missing = _unreachable(edges)
+            if all(reach[j] == edges.keys() for j in edges):
+                assert missing == ()
+            else:
+                j, k = missing
+                assert j in edges and k in edges and k not in reach[j]
 
 
 def lbl(text):
