@@ -15,8 +15,10 @@ C_w = sum_x (-1)^{l(w)+l(x)} bar(P'_{x,w}) T_x.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import countOf
 
 from .combinatorics import Permutation, all_permutations, rsk, strong_components
 from .exact_arith import TWO, U_INV, LaurentPoly, RationalFn
@@ -104,27 +106,62 @@ def _check_bound(bound: int, w: Permutation) -> None:
         )
 
 
-def _left_mul_s(coords: dict, row: list, lengths: list) -> dict:
-    """Left multiplication by T_{s_i} of packed standard coordinates
-    {index: int} over KLTable.perms, where row[k] is the index of
-    s_i perms[k] and lengths[k] the length of perms[k].
+def _left_mul_s(coords, row: list) -> dict:
+    """Left multiplication by T_{s_i} of packed standard coordinates,
+    given as (index, int) pairs over KLTable.perms, where row[k] is the
+    index of s_i perms[k]. perms is sorted by length, so s_i x < x
+    exactly when s_i x comes first.
 
     There is no zero test: every P'_{x,w} and every coordinate of
     bar(T_w) with x <= w in the Bruhat order is nonzero, and a sum that
     cancels on the way keeps the place where its key was first inserted.
-    A new key takes c itself, not a copy, so a shared coordinate stays
-    shared.
     """
     out: dict = {}
     get = out.get
-    for x, c in coords.items():
+    for x, c in coords:
         sx = row[x]
         n = get(sx)
         out[sx] = c if n is None else n + c
-        if lengths[sx] < lengths[x]:
+        if sx < x:
             # T_s T_x = T_sx + (u - u^-1) T_x for s x < x
             out[x] = get(x, 0) + (c >> _K) - (c << _K)
     return out
+
+
+class _Pool(dict):
+    """Each packed integer looked up -> the order of its first lookup."""
+
+    def __missing__(self, n: int) -> int:
+        self[n] = j = len(self)
+        return j
+
+
+class _PackedRows:
+    """Packed rows {index: int} of one table in three flat arrays: cols,
+    the column indices of all rows, each row's in its key order; refs,
+    for each column the index of its packed integer in values, which
+    holds each distinct one once; and starts, the offset at which each
+    row starts."""
+
+    def __init__(self, first: dict):
+        self.cols, self.refs = array("H"), array("H")
+        self.starts = array("L", [0])
+        self.values, self._pool = [], _Pool()
+        self.append(first)
+
+    def append(self, row: dict) -> None:
+        self.cols.fromlist(list(row))
+        self.refs.fromlist(list(map(self._pool.__getitem__, row.values())))
+        self.starts.append(len(self.cols))
+        if len(self._pool) > len(self.values):
+            self.values = list(self._pool)
+
+    def row(self, k: int, table=None) -> tuple:
+        """The columns x of row k in key order, and table[j] for each, j
+        the index in values of its coordinate; table defaults to values."""
+        a, b = self.starts[k], self.starts[k + 1]
+        get = (self.values if table is None else table).__getitem__
+        return self.cols[a:b].tolist(), list(map(get, self.refs[a:b]))
 
 
 class KLTable:
@@ -137,11 +174,12 @@ class KLTable:
     Bruhat directions, symmetric usage).
 
     The recursions run on packed rows {index: int} over perms, which is
-    sorted by length and then by word. Each distinct packed integer of a
-    table (lower rows, bar(T_w) rows) is one object that every row
-    refers to, shared through a pool that lives only while the rows are
-    built. mu and mu_pairs read the packed lower rows; lower is decoded
-    and keyed by Permutation on first access only.
+    sorted by length and then by word. Each table (lower rows, bar(T_w)
+    rows) is one _PackedRows: flat arrays of column indices and of
+    indices into the list of its distinct packed integers, as du Cloux's
+    Coxeter stores KL rows. mu and mu_pairs read the u^-1 digit of each
+    distinct lower coordinate; lower is decoded and keyed by Permutation
+    on first access only.
     """
 
     def __init__(self, r: int):
@@ -154,7 +192,7 @@ class KLTable:
             i: [self._index[w.times_simple_left(i).word] for w in self.perms]
             for i in range(1, r)
         }
-        self._rows = self._compute_lower()
+        self._rows, self._mus = self._compute_lower()
         self._lower = None
         self._mu_pairs = None
         self._upper = None
@@ -164,73 +202,73 @@ class KLTable:
         self._rsk_pairs = None
         self._shape_of = None
 
-    def _unpacked(self, rows: list, top: int) -> dict:
+    def _unpacked(self, rows: _PackedRows, top: int) -> dict:
         # Few distinct packed integers occur (121 among the 98,407
         # coordinates of the lower basis at r = 6, 81 among those of
-        # bar(T_w)), and the rows hold each as one object. So each is
-        # decoded once per call, for this top only, and its LaurentPoly
-        # shared: nothing mutates LaurentPoly.coeffs after construction.
+        # bar(T_w)), and rows.values holds each once. So each is decoded
+        # once per call, for this top only, and its LaurentPoly shared:
+        # nothing mutates LaurentPoly.coeffs after construction.
         perms = self.perms
-        poly = {n: _unpack(n, top) for n in {n for row in rows for n in row.values()}}
+        poly = [_unpack(n, top) for n in rows.values]
         return {
-            perms[k]: {perms[x]: poly[n] for x, n in row.items()}
-            for k, row in enumerate(rows)
+            w: {perms[x]: p for x, p in zip(*rows.row(k, poly))}
+            for k, w in enumerate(perms)
         }
 
     def _descents(self):
         """(k, i, v) for k = 1, 2, ...: i is the first left descent of
         perms[k], and v the index of s_i perms[k]."""
-        lengths, left = self._lengths, self._left
+        left = self._left
         for k in range(1, len(self.perms)):
-            i = next(i for i in left if lengths[left[i][k]] < lengths[k])
+            i = next(i for i in left if left[i][k] < k)
             yield k, i, left[i][k]
 
     # -- lower canonical basis ----------------------------------------
 
-    def _compute_lower(self) -> list:
-        """Packed rows of the lower basis, with L = 1. bound[k] is at
-        least every |coefficient| of C'_{perms[k]}: for w = s v, C'_s C'_v
-        has the coordinates c_sy + u^(+-1) c_y, and each correction is
+    def _compute_lower(self) -> tuple:
+        """Packed rows of the lower basis, with L = 1, and the u^-1 digit
+        of each of their distinct coordinates. bound[k] is at least every
+        |coefficient| of C'_{perms[k]}: for w = s v, C'_s C'_v has the
+        coordinates c_sy + u^(+-1) c_y, and each correction is
         mu(z, v) C'_z."""
-        lengths, left = self._lengths, self._left
+        left = self._left
         one, low = 1 << _K, (1 << (2 * _K)) - 1  # digits 0 and 1 hold u^1, u^0
-        rows = [{0: one}]
-        share = {one: one}.setdefault  # one object per distinct coordinate
+        rows = _PackedRows({0: one})
+        mus = [_mu_digit(one)]
         bound = [1]
         for k, i, v in self._descents():
             row = left[i]
-            cv = rows[v]
-            prod = _left_mul_s(cv, row, lengths)
+            xs, cs = rows.row(v)
+            prod = _left_mul_s(zip(xs, cs), row)
             get = prod.get
             # C'_s C'_v = (T_s + u^-1) C'_v
-            for x, c in cv.items():
+            for x, c in zip(xs, cs):
                 prod[x] = get(x, 0) + (c << _K)
             b = 2 * bound[v]
             # subtract mu-corrections for z with s z < z
-            for z, pz in cv.items():
-                if z == v or lengths[row[z]] > lengths[z]:
-                    continue
-                m = _mu_digit(pz)
-                if not m:
+            for z, m in zip(*rows.row(v, mus)):
+                if not m or z == v or row[z] > z:
                     continue
                 b += abs(m) * bound[z]
-                for x, c in rows[z].items():
+                for x, c in zip(*rows.row(z)):
                     prod[x] = get(x, 0) - m * c
             _check_bound(b, self.perms[k])
             # P'_{w,w} = 1 and P'_{x,w} in u^-1 Z[u^-1] otherwise, so
             # every coordinate has degree <= 0 and the right shift by
-            # u stays exact
-            high = prod[k] != one
-            for x, n in prod.items():
-                if n & low and x != k:
-                    high = True
-                    break
-                prod[x] = share(n, n)
-            if high:
-                raise ArithmeticError(f"C'_{self.perms[k]} has a term of degree >= 0")
+            # u stays exact. values[0] is 1, the diagonal of row 0, and
+            # 1 may occur only on a diagonal; every other value is
+            # checked once, when it first occurs.
+            seen = len(rows.values)
             rows.append(prod)
+            if (
+                prod[k] != one
+                or countOf(prod.values(), one) > 1
+                or any(n & low for n in rows.values[seen:])
+            ):
+                raise ArithmeticError(f"C'_{self.perms[k]} has a term of degree >= 0")
+            mus.extend(map(_mu_digit, rows.values[seen:]))
             bound.append(b)
-        return rows
+        return rows, mus
 
     @property
     def lower(self) -> dict:
@@ -245,13 +283,9 @@ class KLTable:
         if self._mu_pairs is None:
             perms = self.perms
             pairs = {w: [] for w in perms}
-            for k, row in enumerate(self._rows):
-                w = perms[k]
-                for x, n in row.items():
-                    if x == k:
-                        continue
-                    m = _mu_digit(n)
-                    if m:
+            for k, w in enumerate(perms):
+                for x, m in zip(*self._rows.row(k, self._mus)):
+                    if m and x != k:
                         pairs[w].append((perms[x], m))
                         pairs[perms[x]].append((w, m))
             self._mu_pairs = pairs
@@ -260,13 +294,15 @@ class KLTable:
     def mu(self, x: Permutation, w: Permutation) -> int:
         if x.length() > w.length():
             x, w = w, x
-        k = self._index.get(w.word)
-        n = None if k is None else self._rows[k].get(self._index.get(x.word))
-        return _mu_digit(n) if n is not None else 0
+        k, j = self._index.get(w.word), self._index.get(x.word)
+        rows = self._rows
+        a, b = (0, 0) if k is None else rows.starts[k : k + 2]
+        cols = rows.cols[a:b]
+        return self._mus[rows.refs[a + cols.index(j)]] if j in cols else 0
 
     # -- theta / bar on the standard basis ----------------------------
 
-    def _bar_rows(self) -> list:
+    def _bar_rows(self) -> _PackedRows:
         """Packed rows of bar(T_w) for all w, with L = l(w0) + 1."""
         if self._bar_packed is None:
             # bar(T_s) = T_s^-1 = T_s - (u - u^-1) T_e, and
@@ -274,21 +310,15 @@ class KLTable:
             # of bar(T_w) is d_sy or d_sy - (u - u^-1) d_y, so every
             # |coefficient| is at most 3^l(w), and every degree at most
             # l(w) < L = l(w0) + 1.
-            # Every key of acc outside base holds a coordinate of base
-            # itself (_left_mul_s), so sharing the updated ones keeps one
-            # object per distinct coordinate.
             lengths, left = self._lengths, self._left
-            top = 1 << (_K * (lengths[-1] + 1))
-            out = [{0: top}]
-            share = {top: top}.setdefault
+            out = _PackedRows({0: 1 << (_K * (lengths[-1] + 1))})
             for k, i, v in self._descents():
                 _check_bound(3 ** lengths[k], self.perms[k])
-                base = out[v]
-                acc = _left_mul_s(base, left[i], lengths)
+                ys, ds = out.row(v)
+                acc = _left_mul_s(zip(ys, ds), left[i])
                 get = acc.get
-                for y, d in base.items():
-                    n = get(y, 0) - (d >> _K) + (d << _K)
-                    acc[y] = share(n, n)
+                for y, d in zip(ys, ds):
+                    acc[y] = get(y, 0) - (d >> _K) + (d << _K)
                 out.append(acc)
             self._bar_packed = out
         return self._bar_packed
@@ -339,9 +369,9 @@ class KLTable:
         lengths = self._lengths
         text: dict = {}
         out = {}
-        for k, row in enumerate(self._rows):
+        for k, name in enumerate(names):
             coords = {}
-            for x, n in row.items():
+            for x, n in zip(*self._rows.row(k)):
                 key = (n, upper and (lengths[k] + lengths[x]) % 2)
                 s = text.get(key)
                 if s is None:
@@ -350,7 +380,7 @@ class KLTable:
                         p = -p.bar() if key[1] else p.bar()
                     s = text[key] = str(p)
                 coords[names[x]] = s
-            out[names[k]] = coords
+            out[name] = coords
         return out
 
     def canonical_failure(self) -> str | None:
@@ -379,8 +409,7 @@ class KLTable:
         """
         lengths, perms = self._lengths, self.perms
         bar_rows = self._bar_rows()
-        values = {n for row in self._rows for n in row.values()}
-        digits = {n: _digits(n) for n in values}
+        digits = {n: _digits(n) for n in self._rows.values}
         # B >= 1 gives every reversed digit of every row a place >= 0
         base = max([1] + [j - 1 for ds in digits.values() for j in ds])
         rev, lift, norm = {}, {}, {}
@@ -392,8 +421,8 @@ class KLTable:
         pow3 = [3**n for n in lengths]
         one, low = 1 << _K, (1 << (2 * _K)) - 1
         size = len(perms)
-        for k, row in enumerate(self._rows):
-            w = perms[k]
+        for k, w in enumerate(perms):
+            row = dict(zip(*self._rows.row(k)))
             if row.get(k) != one:
                 return f"diagonal coefficient != 1 at {w}"
             if any(n & low for x, n in row.items() if x != k):
@@ -405,7 +434,7 @@ class KLTable:
             for x, n in row.items():
                 g = groups.setdefault((n, lengths[x] % 2), {})
                 get = g.get
-                for y, d in bar_rows[x].items():
+                for y, d in zip(*bar_rows.row(x)):
                     g[y] = get(y, 0) + d
             bar_lower, bar_upper = [0] * size, [0] * size
             for (n, odd), g in groups.items():

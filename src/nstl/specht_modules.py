@@ -500,17 +500,6 @@ def transition_lower_to_upper(shape: Partition):
     return build_specht(shape).transition
 
 
-def isotypic_projector(shape: Partition, child: Partition):
-    """Projector (lower coordinates) onto the M_child-isotypic component
-    of the restriction to H_{r-1}; the zero matrix when child is not
-    obtained from shape by removing a corner."""
-    m = build_specht(shape)
-    for child_shape, _, _, proj in m.branching:
-        if child_shape == child:
-            return proj
-    return zeros(m.dim, m.dim, R_ZERO)
-
-
 def projected_basis(shape: Partition, which: str):
     """Vectors (C~'_Q)^J (lower) or (C~_Q)^J (upper) as coordinate
     columns in the corresponding basis, listed with labels in canonical

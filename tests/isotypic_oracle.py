@@ -1,11 +1,27 @@
-"""Test oracle: the isotypic split of a tensor vector under the rank-k
-parabolic, for any k, lifted back to the top module. The library cuts
-only one branching step (nonstandard.branching_blocks); this is the
-many-step split it is checked against, here and in the seminormal
-tests."""
+"""Test oracles for isotypic components.
 
-from nstl.linalg import mat_add, mat_mul, mat_transpose
+isotypic_split is the isotypic split of a tensor vector under the
+rank-k parabolic, for any k, lifted back to the top module. The library
+cuts only one branching step (nonstandard.branching_blocks); this is the
+many-step split it is checked against, here and in the seminormal
+tests. isotypic_projector reads one projector of a Specht module's
+branching."""
+
+from nstl.exact_arith import R_ZERO
+from nstl.linalg import mat_add, mat_mul, mat_transpose, zeros
 from nstl.nonstandard import _paths
+from nstl.specht_modules import build_specht
+
+
+def isotypic_projector(shape, child):
+    """Projector (lower coordinates) onto the M_child-isotypic component
+    of the restriction of M_shape to H_{r-1}; the zero matrix when child
+    is not obtained from shape by removing a corner."""
+    m = build_specht(shape)
+    for child_shape, _, _, proj in m.branching:
+        if child_shape == child:
+            return proj
+    return zeros(m.dim, m.dim, R_ZERO)
 
 
 def isotypic_split(lam, mu, k, c, pieces) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import random
@@ -303,12 +304,35 @@ class TestPermutationKeyedOracle:
         assert table._lower is None
 
     @pytest.mark.parametrize("r", [5, 6])
-    def test_equal_packed_coordinates_are_one_object(self, r):
+    def test_each_packed_value_is_stored_once(self, r):
         # 121 distinct values among the 98,407 lower coordinates at r = 6
         table = kl_table(r)
         for rows in (table._rows, table._bar_rows()):
-            values = [n for row in rows for n in row.values()]
-            assert len({id(n) for n in values}) == len(set(values))
+            assert len(set(rows.values)) == len(rows.values)
+            assert set(rows.refs) == set(range(len(rows.values)))
+
+    @pytest.mark.parametrize(
+        "r, lower, bar",
+        [
+            (
+                5,
+                "1092cf7b3889d85d33dc7ec106d60a780c896dc28faab0e87e89dda6084261d8",
+                "cfff7124ecf980b1444356e0e4f47ddc4b848aa459c58cf57d4b0b2dfcfb62b4",
+            ),
+            (
+                6,
+                "c142170ed4814d094f37f5490a37b4f2ebc1ca133f288577d19d112fe7b882b0",
+                "6812c5764347ac0981defff865183aa6add1d139f3fe78483206b55d32c4d716",
+            ),
+        ],
+    )
+    def test_raw_rows_are_pinned(self, r, lower, bar):
+        # sha256 of repr([list(row.items()) for row in rows]) with the
+        # rows as dicts {index: packed int}: keys, their order and values
+        table = kl_table(r)
+        for rows, want in ((table._rows, lower), (table._bar_rows(), bar)):
+            raw = [list(zip(*rows.row(k))) for k in range(len(table.perms))]
+            assert hashlib.sha256(repr(raw).encode()).hexdigest() == want
 
 
 def _narrow_digits(monkeypatch, k: int) -> None:
@@ -335,6 +359,21 @@ class TestPackedBound:
     def test_skipped_mu_corrections_raise(self, monkeypatch):
         # without them C'_{s1 s2 s1} would keep the degree-0 term T_{s1}
         monkeypatch.setattr(hecke_core, "_mu_digit", lambda n: 0)
+        with pytest.raises(ArithmeticError, match="degree >= 0"):
+            KLTable(3)
+
+    @pytest.mark.parametrize("x, digit", [(0, 1), (5, 2)])
+    def test_stored_values_in_the_wrong_place_raise(self, monkeypatch, x, digit):
+        # C'_{w0} at r = 3 gets 1 = u^0 at e, or u^-1 on its diagonal:
+        # both values are stored already, as a diagonal and as P'_{e,s}
+        append = hecke_core._PackedRows.append
+
+        def misplace(rows, row):
+            if len(row) == 6:
+                row[x] = 1 << (digit * hecke_core._K)
+            append(rows, row)
+
+        monkeypatch.setattr(hecke_core._PackedRows, "append", misplace)
         with pytest.raises(ArithmeticError, match="degree >= 0"):
             KLTable(3)
 
@@ -391,6 +430,15 @@ def _failing_w(message):
     return None if message is None else message.rsplit(" at ", 1)[1]
 
 
+def _add_to_coordinate(table: KLTable, k: int, x: int, step: int) -> None:
+    """Add step to the packed lower coordinate at column x of row k in
+    the flat store; the sum is stored as a value of its own."""
+    rows = table._rows
+    at = rows.cols.index(x, rows.starts[k], rows.starts[k + 1])
+    rows.values.append(rows.values[rows.refs[at]] + step)
+    rows.refs[at] = len(rows.values) - 1
+
+
 def _off_diagonal(table: KLTable) -> tuple:
     """(k, x): the longest w, and an x of length l(w) - 1 below it."""
     k = len(table.perms) - 1
@@ -412,9 +460,9 @@ class TestPackedCheck:
         for _ in range(12):
             table = KLTable(r)
             k = pick.randrange(1, len(table.perms))
-            x = pick.choice(list(table._rows[k]))
+            x = pick.choice(table._rows.row(k)[0])
             step = pick.choice((-1, 1, 2)) << (K * pick.randrange(0, r + 1))
-            table._rows[k][x] += step
+            _add_to_coordinate(table, k, x, step)
             got = table.canonical_failure()
             assert got is not None
             assert _failing_w(got) == _failing_w(oracle_canonical_failure(table))
@@ -428,13 +476,13 @@ class TestPackedCheck:
     def test_altered_coordinate_is_not_bar_invariant(self):
         table = KLTable(4)
         k, x = _off_diagonal(table)
-        table._rows[k][x] += 1 << (2 * hecke_core._K)  # one more u^-1
+        _add_to_coordinate(table, k, x, 1 << (2 * hecke_core._K))  # one more u^-1
         assert table.canonical_failure() == f"not bar-invariant at {table.perms[k]}"
 
     def test_diagonal_other_than_one_fails(self):
         table = KLTable(4)
         k = len(table.perms) - 1
-        table._rows[k][k] = 2 << hecke_core._K
+        _add_to_coordinate(table, k, k, 1 << hecke_core._K)  # 2 on the diagonal
         assert table.canonical_failure() == (
             f"diagonal coefficient != 1 at {table.perms[k]}"
         )
@@ -442,7 +490,7 @@ class TestPackedCheck:
     def test_off_diagonal_constant_fails_the_lattice_congruence(self):
         table = KLTable(4)
         k, x = _off_diagonal(table)
-        table._rows[k][x] += 1 << hecke_core._K  # a u^0 term
+        _add_to_coordinate(table, k, x, 1 << hecke_core._K)  # a u^0 term
         assert table.canonical_failure() == (
             f"lattice congruence fails at {table.perms[k]}"
         )
@@ -451,7 +499,7 @@ class TestPackedCheck:
         table = KLTable(4)
         k, x = _off_diagonal(table)
         # ||P'_{x,w}||_1 3^l(x) >= 2^34 * 3^5 > 2^35
-        table._rows[k][x] += (1 << 34) << (2 * hecke_core._K)
+        _add_to_coordinate(table, k, x, (1 << 34) << (2 * hecke_core._K))
         with pytest.raises(ArithmeticError, match="packed digits"):
             table.canonical_failure()
 
@@ -470,7 +518,7 @@ class TestPackedCheck:
         assert verify.check_kl(4) == {"ok": True, "elements": 48}
         table = KLTable(3)
         k, x = _off_diagonal(table)
-        table._rows[k][x] -= 1 << (2 * hecke_core._K)
+        _add_to_coordinate(table, k, x, -1 << (2 * hecke_core._K))
         monkeypatch.setattr(verify, "kl_table", lambda r: table)
         assert verify.check_kl(3) == {
             "ok": False,

@@ -12,11 +12,12 @@ from nstl.specht_modules import (
     SpechtModule,
     _intertwiner,
     build_specht,
-    isotypic_projector,
     lattice_reduce,
     projected_basis,
     transition_lower_to_upper,
 )
+
+from isotypic_oracle import isotypic_projector
 
 rng = random.Random(11)
 
