@@ -62,9 +62,8 @@ def _std_right_mul_s(coords: dict, i: int) -> dict:
 # integer. Coefficients are read back as balanced base-2^K digits, which
 # is exact while each is below 2^(K-1) in absolute value; both recursions
 # carry a bound per row and raise ArithmeticError before it gets there.
-# K = 36 fits both bounds at r = 7: 2^26 for the lower basis and
-# 3^21 < 2^35 for bar(T_w). The bar-invariance check of
-# KLTable.canonical_failure fits up to r = 6 (2^27; 2^37 at r = 7).
+# K = 36 fits every bound at r = 7: 2^26 for the lower basis, 3^21 < 2^35
+# for bar(T_w) and 66 for the check of KLTable.canonical_failure.
 _K = 36
 _HALF = 1 << (_K - 1)
 _MASK = (1 << _K) - 1
@@ -297,8 +296,10 @@ class KLTable:
         k, j = self._index.get(w.word), self._index.get(x.word)
         rows = self._rows
         a, b = (0, 0) if k is None else rows.starts[k : k + 2]
-        cols = rows.cols[a:b]
-        return self._mus[rows.refs[a + cols.index(j)]] if j in cols else 0
+        try:
+            return self._mus[rows.refs[rows.cols.index(j, a, b)]]
+        except ValueError:  # x is not in w's row, or not in the table
+            return 0
 
     # -- theta / bar on the standard basis ----------------------------
 
@@ -357,19 +358,18 @@ class KLTable:
 
     # -- readers of the packed rows -----------------------------------
 
-    def printed(self, basis: str) -> dict:
-        """The canonical basis as `nstl kl-basis` prints it: str(w) ->
-        {str(x): coordinate} for every w, the coordinates of C'_w
-        (basis "lower") or of C_w ("upper"). Each packed value is
-        decoded and printed once per sign; an upper coordinate is
-        (-1)^{l(w)+l(x)} bar(P'_{x,w}). No coordinate is zero (see
-        _left_mul_s), so all are printed."""
+    def printed(self, basis: str):
+        """The canonical basis as `nstl kl-basis` prints it, one element
+        at a time: (str(w), {str(x): coordinate}) for every w in the
+        order of str(w), the coordinates of C'_w (basis "lower") or of
+        C_w ("upper"). Each packed value is decoded and printed once per
+        sign; an upper coordinate is (-1)^{l(w)+l(x)} bar(P'_{x,w}). No
+        coordinate is zero (see _left_mul_s), so all are printed."""
         upper = basis == "upper"
         names = [str(w) for w in self.perms]
         lengths = self._lengths
         text: dict = {}
-        out = {}
-        for k, name in enumerate(names):
+        for k in sorted(range(len(names)), key=names.__getitem__):
             coords = {}
             for x, n in zip(*self._rows.row(k)):
                 key = (n, upper and (lengths[k] + lengths[x]) % 2)
@@ -380,73 +380,69 @@ class KLTable:
                         p = -p.bar() if key[1] else p.bar()
                     s = text[key] = str(p)
                 coords[names[x]] = s
-            out[name] = coords
-        return out
+            yield names[k], coords
 
     def canonical_failure(self) -> str | None:
         """The first failure of C'_w or C_w, read off the packed rows, to
         be the canonical basis element, as a message naming w; None if
         every w passes.
 
-        Per w it checks that the diagonal coordinate is 1 and that every
-        other one lies in u^-1 Z[u^-1] (C'_w), so that its signed bar lies
-        in u Z[u] (C_w); then that both are bar-invariant:
-            sum_x bar(P'_{x,w}) bar(T_x) = sum_y P'_{y,w} T_y,
-            sum_x (-1)^l(x) P'_{x,w} bar(T_x) = sum_y (-1)^l(y) bar(P'_{y,w}) T_y,
-        the second being bar(C_w) = C_w with the sign (-1)^l(w) taken out.
-        Both sides are packed at L = B + l(w0) + 1, so a product of
-        coordinates is an integer product: bar(P') as the digit reversal
-        of P' at L = B, P' itself shifted to L = B, bar(T_x) as its
-        packed row.
+        In the order of perms: the diagonal coordinate of C'_w must be 1
+        and every other one lie in u^-1 Z[u^-1]; and for w = v s > v, s
+        the first right descent, D = C'_v C'_s - C'_w must be
+        sum_z m_z C'_z with integers m_z, l(z) < l(w) and z s < z, found by
+        eliminating the longest z first. By induction on l(w), C'_w is
+        then bar-invariant, as C'_s = T_s + u^-1 and every shorter C'_z
+        are (Kazhdan-Lusztig 1979, Thm 1.1), hence canonical. So is
+        C_w = (-1)^{l(w)} theta(C'_w), whose coordinates
+        (-1)^{l(w)+l(x)} bar(P'_{x,w}) upper and printed read, as theta
+        commutes with bar. T_x T_s reads a table of its own, not _left,
+        which built the rows; u C'_v is an exact right shift, as row v
+        passed the lattice check.
 
-        The comparison is exact: a left side has coefficients of absolute
-        value at most sum_x ||P'_{x,w}||_1 3^l(x) (|bar(T_x)| <= 3^l(x)
-        coefficient-wise), a right side those of the row's balanced
-        digits, at most 2^(K-1). While the first bound is below 2^(K-1),
-        the difference of the two sides has coefficients below 2^K, and
-        its packed integer is 0 only if it is the zero polynomial. At or
-        past that bound this raises ArithmeticError (2^27 at r = 6).
+        D's coefficients stay within 2|C'_v| + |C'_w| + sum |m_z| |C'_z|,
+        |C'_x| the largest |digit| of row x (at most 19 at r = 6, 66 at
+        r = 7). At or past 2^(K-1) this raises ArithmeticError before it
+        answers for w; below it the packed integers are exact.
         """
-        lengths, perms = self._lengths, self.perms
-        bar_rows = self._bar_rows()
-        digits = {n: _digits(n) for n in self._rows.values}
-        # B >= 1 gives every reversed digit of every row a place >= 0
-        base = max([1] + [j - 1 for ds in digits.values() for j in ds])
-        rev, lift, norm = {}, {}, {}
-        for n, ds in digits.items():
-            rev[n] = sum(d << (_K * (base + 1 - j)) for j, d in ds.items())
-            lift[n] = n << (_K * (base - 1))
-            norm[n] = sum(abs(d) for d in ds.values())
-        high = _K * (lengths[-1] + 1)  # from L = B to L = B + l(w0) + 1
-        pow3 = [3**n for n in lengths]
+        perms, lengths, rows = self.perms, self._lengths, self._rows
+        right = [
+            [self._index[w.times_simple_right(i).word] for w in perms]
+            for i in range(1, self.r)
+        ]
+        top = [max(map(abs, _digits(n).values()), default=0) for n in rows.values]
+        size = []  # size[k] is the largest |coefficient| of C'_{perms[k]}
         one, low = 1 << _K, (1 << (2 * _K)) - 1
-        size = len(perms)
         for k, w in enumerate(perms):
-            row = dict(zip(*self._rows.row(k)))
+            row = dict(zip(*rows.row(k)))
             if row.get(k) != one:
                 return f"diagonal coefficient != 1 at {w}"
             if any(n & low for x, n in row.items() if x != k):
                 return f"lattice congruence fails at {w}"
-            _check_bound(sum(norm[n] * pow3[x] for x, n in row.items()), w)
-            # x with the same coordinate and parity share one product:
-            # sum their bar(T_x) rows first
-            groups: dict = {}
-            for x, n in row.items():
-                g = groups.setdefault((n, lengths[x] % 2), {})
-                get = g.get
-                for y, d in zip(*bar_rows.row(x)):
-                    g[y] = get(y, 0) + d
-            bar_lower, bar_upper = [0] * size, [0] * size
-            for (n, odd), g in groups.items():
-                a, b = rev[n], -lift[n] if odd else lift[n]
-                for y, d in g.items():
-                    bar_lower[y] += a * d
-                    bar_upper[y] += b * d
-            lower, upper = [0] * size, [0] * size
-            for y, n in row.items():
-                lower[y] = lift[n] << high
-                upper[y] = (-rev[n] if lengths[y] % 2 else rev[n]) << high
-            if bar_lower != lower or bar_upper != upper:
+            size.append(max(rows.row(k, top)[1]))
+            if not k:
+                continue
+            s = next(s for s in right if s[k] < k)
+            d = {x: -n for x, n in row.items()}
+            get = d.get
+            for x, c in zip(*rows.row(s[k])):
+                # T_x C'_s = T_xs + u^-1 T_x, or T_xs + u T_x when xs < x
+                xs = s[x]
+                d[xs] = get(xs, 0) + c
+                d[x] = get(x, 0) + (c >> _K if xs < x else c << _K)
+            bound = 2 * size[s[k]] + size[k]
+            for z in sorted(d, reverse=True):
+                m, rest = divmod(d[z], one)
+                if not (m or rest):
+                    continue
+                if rest or abs(m) >= _HALF or lengths[z] >= lengths[k] or s[z] > z:
+                    break
+                bound += abs(m) * size[z]
+                for x, c in zip(*rows.row(z)):
+                    d[x] = get(x, 0) - m * c
+            # the bound only grows: below 2^(K-1) here, every read was exact
+            _check_bound(bound, w)
+            if any(d.values()):
                 return f"not bar-invariant at {w}"
         return None
 

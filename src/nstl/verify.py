@@ -64,15 +64,9 @@ def _fail(msg) -> dict:
 def check_kl(r: int) -> dict:
     """C'_w and C_w for every w in S_r: diagonal coordinate 1, the other
     coordinates in u^-1 Z[u^-1] (C'_w) and u Z[u] (C_w), and both
-    bar-invariant (KLTable.canonical_failure).
-
-    The bar invariance is compared on packed integers, where a product of
-    coordinates is an integer product and bar(P') the digit reversal of
-    P'. That is exact while every coefficient of bar(C'_w) and bar(C_w),
-    bounded by sum_x ||P'_{x,w}||_1 3^l(x), stays below 2^(K-1) = 2^35:
-    then equal integers are equal polynomials. The bound is 2^27 at r = 6;
-    past 2^35 (r = 7) the check raises ArithmeticError instead of
-    answering."""
+    bar-invariant, proved from C'_v C'_s - C'_w for w = v s > v
+    (KLTable.canonical_failure; it raises ArithmeticError rather than
+    answer where its packed integers might be inexact)."""
     table = kl_table(r)
     failure = table.canonical_failure()
     if failure:
@@ -474,7 +468,7 @@ def check_seminormal() -> dict:
 # each check up when called, so a wrapper patched into this module
 # later (a tracer, a test double) sees every call.
 ACCEPTANCE_CHECKS = (
-    ("kl-basis", 6, False, lambda r: check_kl(r)),
+    ("kl-basis", 7, False, lambda r: check_kl(r)),
     ("cells-rsk", 5, False, lambda r: check_cells(r)),
     ("figures", 5, True, lambda r: check_figures()),
     ("de-mu", 5, False, lambda r: check_dkt_mu(r)),

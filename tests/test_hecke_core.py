@@ -452,7 +452,7 @@ class TestPackedCheck:
         assert table.canonical_failure() is None
         assert oracle_canonical_failure(table) is None
 
-    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("r", [3, 4, 5])
     def test_agrees_with_oracle_on_altered_digits(self, r):
         # one digit of one packed coordinate moved, in seeded places
         K = hecke_core._K
@@ -470,8 +470,13 @@ class TestPackedCheck:
     def test_does_not_decode(self):
         table = KLTable(5)
         assert table.canonical_failure() is None
-        assert table.printed("upper") and table.printed("lower")
+        assert list(table.printed("upper")) and list(table.printed("lower"))
         assert table._lower is None and table._bar_t is None
+
+    def test_does_not_build_the_bar_rows(self):
+        table = KLTable(5)
+        assert table.canonical_failure() is None
+        assert table._bar_packed is None
 
     def test_altered_coordinate_is_not_bar_invariant(self):
         table = KLTable(4)
@@ -496,19 +501,26 @@ class TestPackedCheck:
         )
 
     def test_row_past_the_bound_raises(self):
+        # a u^-1 coefficient of 2^35 - 1, the largest digit, in C'_w0:
+        # |C'_w0| alone puts the bound of D at 2^35 - 1, and 2 |C'_v| >= 2
+        # past it
         table = KLTable(4)
         k, x = _off_diagonal(table)
-        # ||P'_{x,w}||_1 3^l(x) >= 2^34 * 3^5 > 2^35
-        _add_to_coordinate(table, k, x, (1 << 34) << (2 * hecke_core._K))
+        _add_to_coordinate(table, k, x, (hecke_core._HALF - 2) << (2 * hecke_core._K))
         with pytest.raises(ArithmeticError, match="packed digits"):
             table.canonical_failure()
 
     def test_narrow_digits_raise_before_comparing(self, monkeypatch):
-        # 12-bit digits hold the r=4 tables (bounds 2^6 and 3^6 < 2^11),
-        # not the products of the check (2080 >= 2^11)
-        _narrow_digits(monkeypatch, 12)
+        # the r=4 rows repacked in 3-bit digits: every coefficient (at
+        # most 1) fits, and so does 2 |C'_v| + |C'_w| (at most 3), but not
+        # what eliminating the m_z C'_z adds (up to 5 >= 2^2)
         table = KLTable(4)
-        assert in_order(table.bar_t) == in_order(oracle_bar_t(4))
+        polys = [hecke_core._unpack(n, 1) for n in table._rows.values]
+        _narrow_digits(monkeypatch, 3)
+        table._rows.values = [
+            sum(c << (3 * (1 - e)) for e, c in p.coeffs.items()) for p in polys
+        ]
+        assert in_order(table.lower) == in_order(oracle_lower(4))
         with pytest.raises(ArithmeticError, match="packed digits"):
             table.canonical_failure()
 
