@@ -1,8 +1,8 @@
-"""The Hecke algebra H_r: standard basis multiplication, bar involution,
-the lower canonical basis via the Kazhdan-Lusztig recursion and the
-upper one derived from it, mu-coefficients,
-cell decomposition of modules-with-basis, and the Temperley-Lieb
-quotient killing shapes with more than d rows.
+"""The Hecke algebra H_r: standard basis multiplication, the lower
+canonical basis via the Kazhdan-Lusztig recursion and the upper one
+derived from it, mu-coefficients, cell decomposition of
+modules-with-basis, and the Temperley-Lieb quotient killing shapes with
+more than d rows.
 
 Conventions: (T_s - u)(T_s + u^-1) = 0, C'_s = T_s + u^-1, C_s = T_s - u,
 bar(T_w) = (T_{w^-1})^-1, theta(T_s) = -T_s^-1, C_w = (-1)^{l(w)}
@@ -11,6 +11,10 @@ theta(C'_w).
 The upper basis is read off the lower one: theta(T_x) = (-1)^{l(x)}
 bar(T_x) and C_w is bar-invariant, so
 C_w = sum_x (-1)^{l(w)+l(x)} bar(P'_{x,w}) T_x.
+Neither bar nor theta is applied to elements here: the antipode check
+carries theta beside each product of generators (see
+nonstandard._tensor_product_terms), and the tests keep bar(T_w) and
+theta(T_w) as oracles.
 """
 
 from __future__ import annotations
@@ -52,18 +56,18 @@ def _std_right_mul_s(coords: dict, i: int) -> dict:
     return out
 
 
-# Packed coordinates. Inside KLTable a coordinate sum_e c_e u^e is the
-# integer sum_e c_e 2^(K(L - e)), a Kronecker substitution u^-1 -> 2^K:
-# u^-1 is a left shift by K bits, u a right shift, and a coefficient
-# update is one integer operation. Only coordinates of degree below L are
-# multiplied by u (L = 1 for the lower basis, whose coordinates have
-# degree <= 0, as _compute_lower checks; L = l(w0) + 1 for bar(T_w)), so
-# the right shift is exact, and a coordinate of few terms is a small
-# integer. Coefficients are read back as balanced base-2^K digits, which
-# is exact while each is below 2^(K-1) in absolute value; both recursions
-# carry a bound per row and raise ArithmeticError before it gets there.
-# K = 36 fits every bound at r = 7: 2^26 for the lower basis, 3^21 < 2^35
-# for bar(T_w) and 66 for the check of KLTable.canonical_failure.
+# Packed coordinates. Inside KLTable a coordinate sum_e c_e u^e of the
+# lower basis is the integer sum_e c_e 2^(K(1 - e)), a Kronecker
+# substitution u^-1 -> 2^K: u^-1 is a left shift by K bits, u a right
+# shift, and a coefficient update is one integer operation. Every
+# coordinate has degree <= 0, as _compute_lower checks, so the right
+# shift is exact, and a coordinate of few terms is a small integer.
+# Coefficients are read back as balanced base-2^K digits, which is exact
+# while each is below 2^(K-1) in absolute value; the recursion and the
+# check carry a bound per row and raise ArithmeticError before it gets
+# there. K = 36 fits both bounds at r = 7, 2^26 for the lower basis and
+# 66 for the check of KLTable.canonical_failure; a narrower K would
+# change the packed integers, whose raw rows the tests pin.
 _K = 36
 _HALF = 1 << (_K - 1)
 _MASK = (1 << _K) - 1
@@ -93,9 +97,9 @@ def _digits(n: int) -> dict:
     return out
 
 
-def _unpack(n: int, top: int) -> LaurentPoly:
-    """The Laurent polynomial of a packed coordinate with L = top."""
-    return LaurentPoly({top - j: d for j, d in _digits(n).items()})
+def _unpack(n: int) -> LaurentPoly:
+    """The Laurent polynomial of a packed coordinate."""
+    return LaurentPoly({1 - j: d for j, d in _digits(n).items()})
 
 
 def _check_bound(bound: int, w: Permutation) -> None:
@@ -111,9 +115,9 @@ def _left_mul_s(coords, row: list) -> dict:
     index of s_i perms[k]. perms is sorted by length, so s_i x < x
     exactly when s_i x comes first.
 
-    There is no zero test: every P'_{x,w} and every coordinate of
-    bar(T_w) with x <= w in the Bruhat order is nonzero, and a sum that
-    cancels on the way keeps the place where its key was first inserted.
+    There is no zero test: every P'_{x,w} with x <= w in the Bruhat
+    order is nonzero, and a sum that cancels on the way keeps the place
+    where its key was first inserted.
     """
     out: dict = {}
     get = out.get
@@ -136,11 +140,11 @@ class _Pool(dict):
 
 
 class _PackedRows:
-    """Packed rows {index: int} of one table in three flat arrays: cols,
-    the column indices of all rows, each row's in its key order; refs,
-    for each column the index of its packed integer in values, which
-    holds each distinct one once; and starts, the offset at which each
-    row starts."""
+    """The packed rows {index: int} of the lower basis in three flat
+    arrays: cols, the column indices of all rows, each row's in its key
+    order; refs, for each column the index of its packed integer in
+    values, which holds each distinct one once; and starts, the offset
+    at which each row starts."""
 
     def __init__(self, first: dict):
         self.cols, self.refs = array("H"), array("H")
@@ -172,13 +176,12 @@ class KLTable:
     mu_pairs[w] lists (w', mu) over all w' with mu(w', w) != 0 (both
     Bruhat directions, symmetric usage).
 
-    The recursions run on packed rows {index: int} over perms, which is
-    sorted by length and then by word. Each table (lower rows, bar(T_w)
-    rows) is one _PackedRows: flat arrays of column indices and of
-    indices into the list of its distinct packed integers, as du Cloux's
-    Coxeter stores KL rows. mu and mu_pairs read the u^-1 digit of each
-    distinct lower coordinate; lower is decoded and keyed by Permutation
-    on first access only.
+    The recursion runs on packed rows {index: int} over perms, which is
+    sorted by length and then by word, stored in one _PackedRows: flat
+    arrays of column indices and of indices into the list of its
+    distinct packed integers, as du Cloux's Coxeter stores KL rows. mu
+    and mu_pairs read the u^-1 digit of each distinct lower coordinate;
+    lower is decoded and keyed by Permutation on first access only.
     """
 
     def __init__(self, r: int):
@@ -195,48 +198,27 @@ class KLTable:
         self._lower = None
         self._mu_pairs = None
         self._upper = None
-        self._bar_packed = None
-        self._bar_t = None
-        self._theta_t = None
         self._rsk_pairs = None
         self._shape_of = None
-
-    def _unpacked(self, rows: _PackedRows, top: int) -> dict:
-        # Few distinct packed integers occur (121 among the 98,407
-        # coordinates of the lower basis at r = 6, 81 among those of
-        # bar(T_w)), and rows.values holds each once. So each is decoded
-        # once per call, for this top only, and its LaurentPoly shared:
-        # nothing mutates LaurentPoly.coeffs after construction.
-        perms = self.perms
-        poly = [_unpack(n, top) for n in rows.values]
-        return {
-            w: {perms[x]: p for x, p in zip(*rows.row(k, poly))}
-            for k, w in enumerate(perms)
-        }
-
-    def _descents(self):
-        """(k, i, v) for k = 1, 2, ...: i is the first left descent of
-        perms[k], and v the index of s_i perms[k]."""
-        left = self._left
-        for k in range(1, len(self.perms)):
-            i = next(i for i in left if left[i][k] < k)
-            yield k, i, left[i][k]
 
     # -- lower canonical basis ----------------------------------------
 
     def _compute_lower(self) -> tuple:
-        """Packed rows of the lower basis, with L = 1, and the u^-1 digit
-        of each of their distinct coordinates. bound[k] is at least every
-        |coefficient| of C'_{perms[k]}: for w = s v, C'_s C'_v has the
-        coordinates c_sy + u^(+-1) c_y, and each correction is
-        mu(z, v) C'_z."""
+        """Packed rows of the lower basis and the u^-1 digit of each of
+        their distinct coordinates. Row k is C'_s C'_v less its
+        mu-corrections, for w = perms[k] = s v and s = s_i the first left
+        descent of w. bound[k] is at least every |coefficient| of C'_w:
+        C'_s C'_v has the coordinates c_sy + u^(+-1) c_y, and each
+        correction is mu(z, v) C'_z."""
         left = self._left
         one, low = 1 << _K, (1 << (2 * _K)) - 1  # digits 0 and 1 hold u^1, u^0
         rows = _PackedRows({0: one})
         mus = [_mu_digit(one)]
         bound = [1]
-        for k, i, v in self._descents():
+        for k in range(1, len(self.perms)):
+            i = next(i for i in left if left[i][k] < k)
             row = left[i]
+            v = row[k]
             xs, cs = rows.row(v)
             prod = _left_mul_s(zip(xs, cs), row)
             get = prod.get
@@ -272,7 +254,16 @@ class KLTable:
     @property
     def lower(self) -> dict:
         if self._lower is None:
-            self._lower = self._unpacked(self._rows, 1)
+            # Few distinct packed integers occur (121 among the 98,407
+            # coordinates at r = 6), and _rows.values holds each once. So
+            # each is decoded once and its LaurentPoly shared: nothing
+            # mutates LaurentPoly.coeffs after construction.
+            perms, rows = self.perms, self._rows
+            poly = [_unpack(n) for n in rows.values]
+            self._lower = {
+                w: {perms[x]: p for x, p in zip(*rows.row(k, poly))}
+                for k, w in enumerate(perms)
+            }
         return self._lower
 
     # -- mu -----------------------------------------------------------
@@ -300,47 +291,6 @@ class KLTable:
             return self._mus[rows.refs[rows.cols.index(j, a, b)]]
         except ValueError:  # x is not in w's row, or not in the table
             return 0
-
-    # -- theta / bar on the standard basis ----------------------------
-
-    def _bar_rows(self) -> _PackedRows:
-        """Packed rows of bar(T_w) for all w, with L = l(w0) + 1."""
-        if self._bar_packed is None:
-            # bar(T_s) = T_s^-1 = T_s - (u - u^-1) T_e, and
-            # bar(T_w) = bar(T_s) bar(T_v) for w = s v > v. A coordinate
-            # of bar(T_w) is d_sy or d_sy - (u - u^-1) d_y, so every
-            # |coefficient| is at most 3^l(w), and every degree at most
-            # l(w) < L = l(w0) + 1.
-            lengths, left = self._lengths, self._left
-            out = _PackedRows({0: 1 << (_K * (lengths[-1] + 1))})
-            for k, i, v in self._descents():
-                _check_bound(3 ** lengths[k], self.perms[k])
-                ys, ds = out.row(v)
-                acc = _left_mul_s(zip(ys, ds), left[i])
-                get = acc.get
-                for y, d in zip(ys, ds):
-                    acc[y] = get(y, 0) - (d >> _K) + (d << _K)
-                out.append(acc)
-            self._bar_packed = out
-        return self._bar_packed
-
-    @property
-    def bar_t(self) -> dict:
-        """bar(T_w) in standard coordinates, for all w."""
-        if self._bar_t is None:
-            self._bar_t = self._unpacked(self._bar_rows(), self._lengths[-1] + 1)
-        return self._bar_t
-
-    @property
-    def theta_t(self) -> dict:
-        """theta(T_w) = (-1)^{l(w)} bar(T_w) in standard coordinates,
-        for all w; used by theta_element only."""
-        if self._theta_t is None:
-            self._theta_t = {
-                w: {x: -p for x, p in coords.items()} if w.length() % 2 else coords
-                for w, coords in self.bar_t.items()
-            }
-        return self._theta_t
 
     # -- upper canonical basis ----------------------------------------
 
@@ -375,7 +325,7 @@ class KLTable:
                 key = (n, upper and (lengths[k] + lengths[x]) % 2)
                 s = text.get(key)
                 if s is None:
-                    p = _unpack(n, 1)
+                    p = _unpack(n)
                     if upper:
                         p = -p.bar() if key[1] else p.bar()
                     s = text[key] = str(p)
@@ -573,39 +523,6 @@ def multiply_standard(a: HeckeElement, b: HeckeElement) -> HeckeElement:
             else:
                 total[x] = cd
     return HeckeElement(a.r, "standard", total)
-
-
-def bar_element(a: HeckeElement) -> HeckeElement:
-    """The bar involution; input and output in the standard basis."""
-    if a.basis_tag != "standard":
-        raise ValueError("bar_element requires standard-basis input")
-    table = kl_table(a.r).bar_t
-    out: dict = {}
-    for w, c in a.coords.items():
-        cb = c.bar()
-        for x, d in table[w].items():
-            t = cb * d
-            if x in out:
-                out[x] = out[x] + t
-            else:
-                out[x] = t
-    return HeckeElement(a.r, "standard", out)
-
-
-def theta_element(a: HeckeElement) -> HeckeElement:
-    """The A-algebra involution theta(T_s) = -T_s^-1, standard basis."""
-    if a.basis_tag != "standard":
-        raise ValueError("theta_element requires standard-basis input")
-    table = kl_table(a.r).theta_t
-    out: dict = {}
-    for w, c in a.coords.items():
-        for x, d in table[w].items():
-            t = c * d
-            if x in out:
-                out[x] = out[x] + t
-            else:
-                out[x] = t
-    return HeckeElement(a.r, "standard", out)
 
 
 def kl_lower(w: Permutation) -> HeckeElement:

@@ -30,12 +30,7 @@ from .combinatorics import (
     two_row_partitions,
 )
 from .exact_arith import FOUR, R_HALF, R_ONE, R_ZERO, TWO, RationalFn
-from .hecke_core import (
-    HeckeElement,
-    multiply_standard,
-    theta_element,
-    to_standard,
-)
+from .hecke_core import HeckeElement, multiply_standard
 from .linalg import (
     IntSpanBasis,
     SpanBasis,
@@ -296,11 +291,10 @@ def epsilon_minus_vector(lam: Partition):
 
 def trace_functional(lam: Partition, c, pair: str = "lu"):
     """(1/f) sum of diagonal coefficients in lower (x) upper
-    coordinates."""
-    m = build_specht(lam)
+    coordinates, read off the lower (x) lower ones by _pairing."""
     tm = TensorModule(lam, lam)
-    c = tm.convert(c, pair, "lu")
-    return _trace(c) / RationalFn.from_int(m.dim)
+    c = tm.convert(c, pair, "ll")
+    return _pairing(c, tm.left.transition) / RationalFn.from_int(tm.left.dim)
 
 
 def _trace(M):
@@ -359,37 +353,49 @@ def square_split_identities(lam: Partition) -> str:
 # antipode identities in the Hecke algebra itself
 
 
+def _generators_with_theta(r: int, i: int) -> list:
+    """(f, theta(f)) for f = C'_s and f = C_s, s = s_i. From
+    theta(T_s) = -T_s^-1 = -T_s + u - u^-1: theta(C'_s) = -T_s + u = -C_s
+    and theta(C_s) = -T_s - u^-1 = -C'_s."""
+    cp, cs = HeckeElement.c_prime_s(r, i), HeckeElement.c_s(r, i)
+    return [(cp, cs.scale(-1)), (cs, cp.scale(-1))]
+
+
 def _tensor_product_terms(r, word):
     """Pure-tensor expansion of the product of P_{s_i} over the word,
-    with the first tensor factor multiplied in reversed order (the
-    "op" side of the antipode identity)."""
-    terms = [(HeckeElement.unit(r), HeckeElement.unit(r), R_ONE)]
+    as triples (a, theta(a), b) for its terms a (x) b, with the first
+    tensor factor multiplied in reversed order (the "op" side of the
+    antipode identity). theta is an algebra automorphism, so where a
+    gains the factor f on the left, theta(a) gains theta(f)."""
+    unit = HeckeElement.unit(r)
+    terms = [(unit, unit, unit)]
     for i in word:
-        cp = to_standard(HeckeElement.c_prime_s(r, i))
-        cs = to_standard(HeckeElement.c_s(r, i))
-        new = []
-        for a, b, coeff in terms:
-            for fa, fb in ((cp, cp), (cs, cs)):
-                new.append(
-                    (multiply_standard(fa, a), multiply_standard(b, fb), coeff)
-                )
-        terms = new
+        gens = _generators_with_theta(r, i)
+        terms = [
+            (
+                multiply_standard(f, a),
+                multiply_standard(tf, ta),
+                multiply_standard(b, f),
+            )
+            for a, ta, b in terms
+            for f, tf in gens
+        ]
     return terms
 
 
 def antipode_check(word, r: int = 4) -> bool:
     """mu((1^op (x) 1)(x)) = [2]^{2k} T_e and
     mu((theta^op (x) 1)(x)) = 0 for x the product of P_{s_i} over the
-    word."""
-    terms = _tensor_product_terms(r, word)
-    plus = HeckeElement(r, "standard", {})
-    minus = HeckeElement(r, "standard", {})
-    for a, b, coeff in terms:
-        ab = multiply_standard(a, b)
-        plus = plus + ab.scale(coeff)
-        minus = minus + multiply_standard(theta_element(a), b).scale(coeff)
-    expected = HeckeElement.unit(r).scale(FOUR ** len(word))
-    return plus == expected and not minus.coords
+    word. x is a sum of pure tensors a (x) b with a a product of C'_s
+    and C_s, so theta(a) is the product of their images, which
+    _tensor_product_terms carries beside a: theta(T_s) = -T_s^-1 meets
+    the quadratic and braid relations of T_s, so theta extends to an
+    algebra automorphism of H_r, determined by the generators."""
+    plus = minus = HeckeElement(r, "standard", {})
+    for a, ta, b in _tensor_product_terms(r, word):
+        plus = plus + multiply_standard(a, b)
+        minus = minus + multiply_standard(ta, b)
+    return plus == HeckeElement.unit(r).scale(FOUR ** len(word)) and minus.is_zero()
 
 
 # ---------------------------------------------------------------------
@@ -428,10 +434,11 @@ def _half_sums(f: int, sign: int):
 def _sym_projection_basis(lam: Partition):
     """Lemma basis of S'M-hat_lam: projections of C'_A . C'_B for
     A < B together with A = B, A != first canonical tableau."""
-    eps = epsilon_plus_vector(lam)
+    m, eps = build_specht(lam), epsilon_plus_vector(lam)
+    f = RationalFn.from_int(m.dim)
     return [
-        mat_sub(c, mat_scale(eps, trace_functional(lam, c, "ll")))
-        for c in _half_sums(build_specht(lam).dim, 1)[1:]
+        mat_sub(c, mat_scale(eps, _pairing(c, m.transition) / f))
+        for c in _half_sums(m.dim, 1)[1:]
     ]
 
 

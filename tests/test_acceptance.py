@@ -402,3 +402,17 @@ def test_a_flipped_sign_in_the_minus_vector_fails_eps_antipode(monkeypatch, caps
     result = check_epsilon_antipode()
     assert result == {"ok": False, "detail": "minus vector not annihilated: 2,1"}
     fails_alone(capsys, "eps-antipode", result["detail"])
+
+
+def test_theta_as_the_identity_fails_eps_antipode(monkeypatch, capsys):
+    # with theta(C'_s) = C'_s and theta(C_s) = C_s the minus side is
+    # the plus side, [2]^2 T_e for the word [1], not 0
+    real = nonstandard._generators_with_theta
+
+    def identity(r, i):
+        return [(f, f) for f, _ in real(r, i)]
+
+    monkeypatch.setattr(nonstandard, "_generators_with_theta", identity)
+    result = check_epsilon_antipode()
+    assert result == {"ok": False, "detail": "antipode identity fails on word [1]"}
+    fails_alone(capsys, "eps-antipode", result["detail"])

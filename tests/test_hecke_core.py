@@ -14,7 +14,6 @@ from nstl.hecke_core import (
     HeckeElement,
     KLTable,
     TLElement,
-    bar_element,
     cells,
     cells_regular,
     convert,
@@ -25,10 +24,17 @@ from nstl.hecke_core import (
     mu,
     multiply_standard,
     right_multiply_canonical,
-    theta_element,
     tl_dimension,
     tl_project,
     to_standard,
+)
+
+from hecke_oracle import (
+    bar_element,
+    oracle_bar_t,
+    oracle_lower,
+    oracle_theta_t,
+    theta_element,
 )
 
 rng = random.Random(7)
@@ -91,6 +97,15 @@ class TestBar:
     def test_bar_fixes_c_prime_s(self):
         cp = HeckeElement.c_prime_s(3, 2)
         assert bar_element(cp) == cp
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_theta_is_the_signed_bar_on_the_standard_basis(self, r):
+        # theta(T_w) = (-1)^{l(w)} bar(T_w): the two oracle tables agree
+        bar, theta = oracle_bar_t(r), oracle_theta_t(r)
+        assert list(theta) == list(bar)
+        for w, coords in bar.items():
+            sign = (-1) ** w.length()
+            assert theta[w] == {x: p * sign for x, p in coords.items()}
 
     def test_bar_antiautomorphism_on_products(self):
         # bar is a ring homomorphism here (it is u-semilinear but
@@ -156,8 +171,13 @@ class TestKLBases:
 
     def test_upper_is_read_off_lower(self):
         table = KLTable(4)
-        assert table.upper
-        assert table._theta_t is None and table._bar_t is None
+        assert list(table.upper) == table.perms
+        for w, coords in table.upper.items():
+            lower = table.lower[w]
+            assert list(coords) == list(lower)
+            for x, p in coords.items():
+                sign = (-1) ** (w.length() + x.length())
+                assert p == lower[x].bar() * sign
 
     def test_conversion_roundtrip(self):
         for _ in range(10):
@@ -168,96 +188,7 @@ class TestKLBases:
 
 
 # ----------------------------------------------------------------------
-# Test-only oracle: the KL and theta/bar recursions keyed by Permutation,
-# with a left multiplication of their own.
-
-U_MINUS_UINV = LaurentPoly({1: 1, -1: -1})
-UINV = LaurentPoly({-1: 1})
-
-
-def _accumulate(out: dict, w, c):
-    """out[w] += c. A zero sum stays in place, as it does in the packed
-    rows, so that the oracles list their keys in the same order."""
-    out[w] = out[w] + c if w in out else c
-
-
-def _std_left_mul_s(coords: dict, i: int) -> dict:
-    """Left multiplication by T_{s_i}."""
-    out: dict = {}
-    for w, c in coords.items():
-        sw = w.times_simple_left(i)
-        _accumulate(out, sw, c)
-        if sw.length() < w.length():
-            _accumulate(out, w, c * U_MINUS_UINV)
-    return out
-
-
-def _oracle_perms(r):
-    from nstl.combinatorics import all_permutations
-
-    return sorted(all_permutations(r), key=lambda w: (w.length(), w.word))
-
-
-def oracle_lower(r: int) -> dict:
-    e = Permutation.identity(r)
-    lower = {e: {e: L_ONE}}
-    for w in _oracle_perms(r):
-        if w == e:
-            continue
-        i = min(w.left_descents())
-        v = w.times_simple_left(i)
-        cv = lower[v]
-        prod = _std_left_mul_s(cv, i)
-        # C'_s C'_v = (T_s + u^-1) C'_v
-        for x, c in cv.items():
-            _accumulate(prod, x, c * UINV)
-        # subtract mu-corrections for z with s z < z
-        for z, pz in cv.items():
-            if z == v:
-                continue
-            m = pz.coeff(-1)
-            if not m or z.times_simple_left(i).length() > z.length():
-                continue
-            for x, c in lower[z].items():
-                _accumulate(prod, x, c * (-m))
-        lower[w] = prod
-    return lower
-
-
-def oracle_theta_like(r: int, s_image) -> dict:
-    e = Permutation.identity(r)
-    out = {e: {e: L_ONE}}
-    for w in _oracle_perms(r):
-        if w == e:
-            continue
-        i = min(w.left_descents())
-        v = w.times_simple_left(i)
-        base = out[v]
-        acc: dict = {}
-        for x, c in s_image(i).items():
-            pieces = base if x == e else _std_left_mul_s(base, i)
-            for y, d in pieces.items():
-                cd = d if (x != e and c.is_one()) else c * d
-                _accumulate(acc, y, cd)
-        out[w] = acc
-    return out
-
-
-def oracle_bar_t(r: int) -> dict:
-    # bar(T_s) = T_s^-1 = T_s + (u^-1 - u) T_e
-    e = Permutation.identity(r)
-    return oracle_theta_like(
-        r, lambda i: {Permutation.simple(r, i): L_ONE, e: -U_MINUS_UINV}
-    )
-
-
-def oracle_theta_t(r: int) -> dict:
-    # theta(T_s) = -T_s^-1 = -T_s + (u - u^-1) T_e
-    e = Permutation.identity(r)
-    return oracle_theta_like(
-        r,
-        lambda i: {Permutation.simple(r, i): LaurentPoly({0: -1}), e: U_MINUS_UINV},
-    )
+# The packed table against the Permutation-keyed oracles
 
 
 def in_order(table: dict) -> list:
@@ -267,13 +198,9 @@ def in_order(table: dict) -> list:
 
 class TestPermutationKeyedOracle:
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
-    @pytest.mark.parametrize(
-        "name,oracle",
-        [("lower", oracle_lower), ("bar_t", oracle_bar_t), ("theta_t", oracle_theta_t)],
-    )
-    def test_indexed_tables_match_in_order(self, r, name, oracle):
-        got = in_order(getattr(KLTable(r), name))
-        want = in_order(oracle(r))
+    def test_indexed_tables_match_in_order(self, r):
+        got = in_order(KLTable(r).lower)
+        want = in_order(oracle_lower(r))
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a == b
@@ -306,33 +233,24 @@ class TestPermutationKeyedOracle:
     @pytest.mark.parametrize("r", [5, 6])
     def test_each_packed_value_is_stored_once(self, r):
         # 121 distinct values among the 98,407 lower coordinates at r = 6
-        table = kl_table(r)
-        for rows in (table._rows, table._bar_rows()):
-            assert len(set(rows.values)) == len(rows.values)
-            assert set(rows.refs) == set(range(len(rows.values)))
+        rows = kl_table(r)._rows
+        assert len(set(rows.values)) == len(rows.values)
+        assert set(rows.refs) == set(range(len(rows.values)))
 
     @pytest.mark.parametrize(
-        "r, lower, bar",
+        "r, want",
         [
-            (
-                5,
-                "1092cf7b3889d85d33dc7ec106d60a780c896dc28faab0e87e89dda6084261d8",
-                "cfff7124ecf980b1444356e0e4f47ddc4b848aa459c58cf57d4b0b2dfcfb62b4",
-            ),
-            (
-                6,
-                "c142170ed4814d094f37f5490a37b4f2ebc1ca133f288577d19d112fe7b882b0",
-                "6812c5764347ac0981defff865183aa6add1d139f3fe78483206b55d32c4d716",
-            ),
+            (5, "1092cf7b3889d85d33dc7ec106d60a780c896dc28faab0e87e89dda6084261d8"),
+            (6, "c142170ed4814d094f37f5490a37b4f2ebc1ca133f288577d19d112fe7b882b0"),
         ],
     )
-    def test_raw_rows_are_pinned(self, r, lower, bar):
+    def test_raw_rows_are_pinned(self, r, want):
         # sha256 of repr([list(row.items()) for row in rows]) with the
         # rows as dicts {index: packed int}: keys, their order and values
         table = kl_table(r)
-        for rows, want in ((table._rows, lower), (table._bar_rows(), bar)):
-            raw = [list(zip(*rows.row(k))) for k in range(len(table.perms))]
-            assert hashlib.sha256(repr(raw).encode()).hexdigest() == want
+        rows = table._rows
+        raw = [list(zip(*rows.row(k))) for k in range(len(table.perms))]
+        assert hashlib.sha256(repr(raw).encode()).hexdigest() == want
 
 
 def _narrow_digits(monkeypatch, k: int) -> None:
@@ -346,15 +264,6 @@ class TestPackedBound:
         _narrow_digits(monkeypatch, 2)
         with pytest.raises(ArithmeticError, match="packed digits"):
             KLTable(5)
-
-    def test_bar_guard_raises(self, monkeypatch):
-        # 8-bit digits hold the r=4 lower basis (bound < 2^7), not 3^6
-        _narrow_digits(monkeypatch, 8)
-        table = KLTable(4)
-        assert in_order(table.lower) == in_order(oracle_lower(4))
-        with pytest.raises(ArithmeticError, match="packed digits"):
-            table.bar_t
-        assert table._bar_t is None
 
     def test_skipped_mu_corrections_raise(self, monkeypatch):
         # without them C'_{s1 s2 s1} would keep the degree-0 term T_{s1}
@@ -381,8 +290,6 @@ class TestPackedBound:
         monkeypatch.setattr(hecke_core, "_check_bound", lambda bound, w: None)
         _narrow_digits(monkeypatch, 2)
         assert in_order(KLTable(5).lower) != in_order(oracle_lower(5))
-        _narrow_digits(monkeypatch, 3)
-        assert in_order(KLTable(4).bar_t) != in_order(oracle_bar_t(4))
 
     def test_guard_is_not_an_assert(self):
         src = pathlib.Path(hecke_core.__file__).resolve().parent.parent
@@ -409,8 +316,9 @@ class TestPackedBound:
 
 
 def oracle_canonical_failure(table: KLTable):
-    """What the check did on RationalFn coordinates: bar_element on the
-    decoded C'_w and C_w, then their diagonal and lattice congruence."""
+    """What the check did on RationalFn coordinates: the oracle's
+    bar_element on the decoded C'_w and C_w, then their diagonal and
+    lattice congruence."""
     for w in table.perms:
         for coords, sign in ((table.lower[w], -1), (table.upper[w], 1)):
             elem = HeckeElement(table.r, "standard", coords)
@@ -471,12 +379,7 @@ class TestPackedCheck:
         table = KLTable(5)
         assert table.canonical_failure() is None
         assert list(table.printed("upper")) and list(table.printed("lower"))
-        assert table._lower is None and table._bar_t is None
-
-    def test_does_not_build_the_bar_rows(self):
-        table = KLTable(5)
-        assert table.canonical_failure() is None
-        assert table._bar_packed is None
+        assert table._lower is None
 
     def test_altered_coordinate_is_not_bar_invariant(self):
         table = KLTable(4)
@@ -515,7 +418,7 @@ class TestPackedCheck:
         # most 1) fits, and so does 2 |C'_v| + |C'_w| (at most 3), but not
         # what eliminating the m_z C'_z adds (up to 5 >= 2^2)
         table = KLTable(4)
-        polys = [hecke_core._unpack(n, 1) for n in table._rows.values]
+        polys = [hecke_core._unpack(n) for n in table._rows.values]
         _narrow_digits(monkeypatch, 3)
         table._rows.values = [
             sum(c << (3 * (1 - e)) for e, c in p.coeffs.items()) for p in polys

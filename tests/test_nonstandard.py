@@ -38,6 +38,7 @@ from nstl.nonstandard import (
     _split_bound,
     _split_failure,
     _sym_projection_basis,
+    _tensor_product_terms,
     _unreachable,
     antipode_check,
     build_irreducible,
@@ -61,6 +62,7 @@ from nstl.nonstandard import (
 from nstl.specht_modules import build_specht, specialize_matrix
 from nstl.verify import check_certification
 
+from hecke_oracle import theta_element
 from isotypic_oracle import isotypic_split
 
 rng = random.Random(23)
@@ -332,13 +334,24 @@ class TestTrace:
                 ) == FOUR * trace_functional(lam, c, "ll")
 
 
+ANTIPODE_WORDS = [
+    [1], [2], [3], [1, 2], [2, 2], [1, 3], [1, 2, 1], [1, 2, 3], [2, 1, 2]
+]
+
+
 class TestAntipode:
-    @pytest.mark.parametrize(
-        "word",
-        [[1], [2], [3], [1, 2], [2, 2], [1, 3], [1, 2, 1], [1, 2, 3], [2, 1, 2]],
-    )
+    @pytest.mark.parametrize("word", ANTIPODE_WORDS)
     def test_words_up_to_three(self, word):
         assert antipode_check(word, r=4)
+
+    def test_theta_from_the_generators_is_theta(self):
+        # theta(a), carried beside each product a of C'_s and C_s, is
+        # sum_w c_w theta(T_w) with theta(T_w) from the oracle table
+        for word in ANTIPODE_WORDS:
+            terms = _tensor_product_terms(4, word)
+            assert len(terms) == 2 ** len(word)
+            for a, theta_a, _ in terms:
+                assert theta_a == theta_element(a)
 
 
 class TestBuildIrreducible:
