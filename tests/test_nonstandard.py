@@ -10,6 +10,7 @@ import pytest
 from nstl import nonstandard
 from nstl.combinatorics import Partition, partitions_of, two_row_partitions
 from nstl.exact_arith import LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
+from nstl.hecke_core import HeckeElement, multiply_standard
 from nstl.linalg import (
     IntSpanBasis,
     SpanBasis,
@@ -34,6 +35,7 @@ from nstl.nonstandard import (
     U0,
     _accepted_words,
     _block_generators,
+    _generators_with_theta,
     _kron_sum,
     _split_bound,
     _split_failure,
@@ -62,7 +64,7 @@ from nstl.nonstandard import (
 from nstl.specht_modules import build_specht, specialize_matrix
 from nstl.verify import check_certification
 
-from hecke_oracle import theta_element
+from hecke_oracle import oracle_theta_t, theta_element
 from isotypic_oracle import isotypic_split
 
 rng = random.Random(23)
@@ -344,14 +346,36 @@ class TestAntipode:
     def test_words_up_to_three(self, word):
         assert antipode_check(word, r=4)
 
-    def test_theta_from_the_generators_is_theta(self):
+    @pytest.mark.parametrize("word", ANTIPODE_WORDS)
+    def test_theta_from_the_generators_is_theta(self, word):
         # theta(a), carried beside each product a of C'_s and C_s, is
         # sum_w c_w theta(T_w) with theta(T_w) from the oracle table
-        for word in ANTIPODE_WORDS:
-            terms = _tensor_product_terms(4, word)
-            assert len(terms) == 2 ** len(word)
-            for a, theta_a, _ in terms:
-                assert theta_a == theta_element(a)
+        terms = _tensor_product_terms(4, word)
+        assert len(terms) == 2 ** len(word)
+        for a, theta_a, _ in terms:
+            assert theta_a == theta_element(a)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_theta_from_the_generators_on_every_t_w(self, r):
+        # T_s = C'_s - u^-1 = C_s + u, so theta(T_s) is read off either
+        # generator image; theta(T_w) = theta(T_s) theta(T_v) for
+        # w = s v > v must be the oracle's theta(T_w) for every w
+        unit = HeckeElement.unit(r)
+        u, u_inv = LaurentPoly({1: 1}), LaurentPoly({-1: 1})
+        theta_ts = {}
+        for i in range(1, r):
+            (_, theta_cp), (_, theta_cs) = _generators_with_theta(r, i)
+            theta_ts[i] = theta_cp - unit.scale(u_inv)
+            assert theta_ts[i] == theta_cs + unit.scale(u)
+        theta_t = {}
+        for w, want in oracle_theta_t(r).items():
+            if w.length() == 0:
+                theta_t[w] = unit
+            else:
+                i = min(w.left_descents())
+                v = w.times_simple_left(i)
+                theta_t[w] = multiply_standard(theta_ts[i], theta_t[v])
+            assert theta_t[w] == HeckeElement(r, "standard", want)
 
 
 class TestBuildIrreducible:
