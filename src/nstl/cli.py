@@ -9,6 +9,7 @@ its traceback comes first).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 import time
@@ -24,17 +25,30 @@ from .combinatorics import (
     syt_enumerate,
 )
 from .hecke_core import cells_regular, kl_table
-from .nonstandard import (
-    NsIrredLabel,
-    build_irreducible,
-    dimension_formula,
-    nonstandard_dimension_oracle,
-    ns_labels,
-    restriction_decompose,
+
+
+def _lazy(name):
+    """The layer `name` of this package, imported as the import system
+    would import it but run on first attribute access (the LazyLoader
+    recipe of importlib); a layer already imported is reused."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+# kl-basis, cells and de-graph never run these five layers; wgraph, specht
+# and transition run specht_modules and linalg only. All five are still in
+# sys.modules, where perfbench/tracer.py looks for every layer to wrap.
+_lazy("linalg")
+specht_modules, nonstandard, seminormal, verify = map(
+    _lazy, ("specht_modules", "nonstandard", "seminormal", "verify")
 )
-from .seminormal import seminormal_table
-from .specht_modules import build_specht
-from .verify import ACCEPTANCE_CHECKS
 
 
 @dataclass
@@ -59,9 +73,9 @@ def _partition(text: str) -> Partition:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
 
 
-def _label(text: str) -> NsIrredLabel:
+def _label(text: str) -> nonstandard.NsIrredLabel:
     try:
-        return NsIrredLabel.parse(text)
+        return nonstandard.NsIrredLabel.parse(text)
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad label {text!r}: {exc}")
 
@@ -105,7 +119,7 @@ def cmd_cells(args, cfg, parser):
 
 def cmd_wgraph(args, cfg, parser):
     cfg.check_rank(args.shape.size, parser)
-    m = build_specht(args.shape)
+    m = specht_modules.build_specht(args.shape)
     vertices = [str(q) for q in m.basis]
     edges = sorted(
         [str(a), str(b), v]
@@ -137,7 +151,7 @@ def cmd_de_graph(args, cfg, parser):
 
 def cmd_specht(args, cfg, parser):
     cfg.check_rank(args.shape.size, parser)
-    m = build_specht(args.shape)
+    m = specht_modules.build_specht(args.shape)
     actions = m.lower_action if args.basis == "lower" else m.upper_action
     _emit(
         {
@@ -155,7 +169,7 @@ def cmd_specht(args, cfg, parser):
 
 def cmd_transition(args, cfg, parser):
     cfg.check_rank(args.shape.size, parser)
-    m = build_specht(args.shape)
+    m = specht_modules.build_specht(args.shape)
     _emit(
         {
             "shape": list(args.shape.parts),
@@ -178,17 +192,18 @@ def cmd_decompose(args, cfg, parser):
     if lam == mu:
         labels = [
             lbl
-            for lbl in ns_labels(r)
+            for lbl in nonstandard.ns_labels(r)
             if (lbl.kind in ("plus", "minus") and lbl.shapes[0] == lam)
             or lbl.kind == "eps_plus"
         ]
     else:
-        labels = [NsIrredLabel("pair", (lam, mu))]
+        labels = [nonstandard.NsIrredLabel("pair", (lam, mu))]
     parts = [
         {"label": str(lbl), "dimension": lbl.dimension(r)} for lbl in labels
     ]
     total = sum(p["dimension"] for p in parts)
-    ambient = build_specht(lam).dim * build_specht(mu).dim
+    build = specht_modules.build_specht
+    ambient = build(lam).dim * build(mu).dim
     _emit(
         {
             "lhs": list(lam.parts),
@@ -215,9 +230,9 @@ def cmd_restrict(args, cfg, parser):
     cfg.check_rank(r, parser)
     if r < 2:
         parser.error(f"restriction from rank {r} needs r >= 2")
-    if label not in set(ns_labels(r)):
+    if label not in set(nonstandard.ns_labels(r)):
         parser.error(f"label {label} is not in the rank-{r} index set")
-    counts = restriction_decompose(build_irreducible(label, r))
+    counts = nonstandard.restriction_decompose(nonstandard.build_irreducible(label, r))
     _emit(
         {
             "label": str(label),
@@ -241,7 +256,7 @@ def cmd_seminormal(args, cfg, parser):
     cfg.check_rank(lam.size, parser)
     if not 2 <= args.level <= lam.size:
         parser.error(f"--level must be in 2..{lam.size}")
-    grid = seminormal_table(lam, mu, args.level)
+    grid = seminormal.seminormal_table(lam, mu, args.level)
     rows = [str(t) for t in syt_enumerate(lam)]
     cols = [str(t) for t in syt_enumerate(mu)]
     _emit(
@@ -273,8 +288,8 @@ def cmd_seminormal(args, cfg, parser):
 
 def cmd_dim_check(args, cfg, parser):
     cfg.check_rank(args.r, parser)
-    formula = dimension_formula(args.r)
-    oracle = nonstandard_dimension_oracle(args.r)
+    formula = nonstandard.dimension_formula(args.r)
+    oracle = nonstandard.nonstandard_dimension_oracle(args.r)
     agree = formula == oracle
     _emit({"formula": formula, "oracle": oracle, "agree": agree}, cfg)
     return 0 if agree else 1
@@ -286,7 +301,7 @@ def cmd_verify_all(args, cfg, parser):
         parser.error(f"verify-all at rank {args.r} needs r >= 2 (branching restricts)")
     results = {}
     ok = True
-    for name, cap, fixed, check in ACCEPTANCE_CHECKS:
+    for name, cap, fixed, check in verify.ACCEPTANCE_CHECKS:
         rank = min(args.r, cap)
         t0 = time.perf_counter()
         res = check(rank)
@@ -396,6 +411,11 @@ def main(argv=None) -> int:
         output=args.output,
         verbosity=args.verbose,
     )
+    if cfg.output:
+        try:
+            open(cfg.output, "a").close()
+        except OSError as exc:
+            parser.error(f"cannot write --output {cfg.output}: {exc.strerror}")
     try:
         return args.fn(args, cfg, parser)
     except Exception as exc:

@@ -190,6 +190,34 @@ class TestConfig:
         main(["--output", str(p2), "wgraph", "--shape", "3,2"])
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_unwritable_output_is_a_usage_error_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        ran = []
+        monkeypatch.setattr(
+            "nstl.verify.ACCEPTANCE_CHECKS",
+            (("full", 5, False, lambda r: ran.append(r) or {"ok": True}),),
+        )
+        missing = tmp_path / "missing" / "x.json"
+        for path in (missing, tmp_path):
+            with pytest.raises(SystemExit) as exc:
+                main(["--output", str(path), "verify-all", "--r", "3"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"cannot write --output {path}: " in captured.err
+        assert ran == []
+        assert not missing.parent.exists()
+
+    def test_output_check_keeps_an_existing_file(self, tmp_path, capsys):
+        # a later usage error leaves the file as it was
+        path = tmp_path / "a.json"
+        path.write_text("kept\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--output", str(path), "kl-basis", "--r", "9"])
+        assert exc.value.code == 2
+        assert path.read_text() == "kept\n"
+
 
 class TestVerifyAll:
     def test_r3(self, capsys):
@@ -209,7 +237,7 @@ class TestVerifyAll:
             return check
 
         monkeypatch.setattr(
-            "nstl.cli.ACCEPTANCE_CHECKS",
+            "nstl.verify.ACCEPTANCE_CHECKS",
             (
                 ("full", 5, False, stub("full")),
                 ("capped", 4, False, stub("capped")),
@@ -246,7 +274,7 @@ class TestVerifyAll:
 
     def test_verbose_times_each_check_on_stderr(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "nstl.cli.ACCEPTANCE_CHECKS",
+            "nstl.verify.ACCEPTANCE_CHECKS",
             (
                 ("full", 5, False, lambda r: {"ok": True}),
                 ("capped", 4, False, lambda r: {"ok": True}),
@@ -316,7 +344,7 @@ class TestInternalError:
         def boom(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr("nstl.cli.nonstandard_dimension_oracle", boom)
+        monkeypatch.setattr("nstl.nonstandard.nonstandard_dimension_oracle", boom)
         assert main(["dim-check", "--r", "3"]) == 3
         captured = capsys.readouterr()
         assert not captured.out
@@ -329,7 +357,7 @@ class TestInternalError:
         def boom(*args, **kwargs):
             raise StabilizationError("span closure exceeded safety bound")
 
-        monkeypatch.setattr("nstl.cli.nonstandard_dimension_oracle", boom)
+        monkeypatch.setattr("nstl.nonstandard.nonstandard_dimension_oracle", boom)
         assert main(["-v", "dim-check", "--r", "3"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "Traceback (most recent call last):"
@@ -357,19 +385,24 @@ class TestInternalError:
         assert "needs r >= 2" in captured.err
 
 
-def run_flag_numpy(code):
-    """Run code in a fresh interpreter on this source tree; its last line
-    of stdout is whether numpy was loaded."""
+def run_fresh(code):
+    """Run code in a fresh interpreter on this source tree; return its
+    stdout lines."""
     src = pathlib.Path(nstl.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run(
-        [sys.executable, "-c", code + "; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    return run.stdout.splitlines()[-1]
+    return run.stdout.splitlines()
+
+
+def run_flag_numpy(code):
+    """The last line of run_fresh(code): whether numpy was loaded."""
+    return run_fresh(code + "; print('numpy' in sys.modules)")[-1]
 
 
 def test_cli_import_leaves_numpy_out():
@@ -382,3 +415,48 @@ def test_verify_all_at_rank_4_leaves_numpy_out():
     # the dimension check at rank 4 takes the exact route
     code = "import sys, nstl.cli; nstl.cli.main(['verify-all', '--r', '4'])"
     assert run_flag_numpy(code) == "False"
+
+
+DEFERRED = ["linalg", "nonstandard", "seminormal", "specht_modules", "verify"]
+
+LAYERS_RUN = """
+import contextlib, io, sys, types
+import nstl, nstl.cli
+
+def bound(layer):
+    module = sys.modules.get("nstl." + layer)
+    return module is not None and getattr(nstl, layer, None) is module
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        nstl.cli.main(list(argv))
+
+def ran():
+    return [l for l in %r if type(sys.modules["nstl." + l]) is types.ModuleType]
+
+layers = %r
+print(all(map(bound, layers)))
+run("kl-basis", "--r", "3")
+run("cells", "--r", "3")
+run("de-graph", "--shape", "2,1")
+run("dim-check", "--r", "0")
+print(ran())
+run("wgraph", "--shape", "2,1")
+print(ran())
+run("verify-all", "--r", "2")
+print(ran())
+"""
+
+
+def test_cli_runs_a_layer_only_when_a_command_needs_it():
+    # perfbench/tracer.py wraps every layer it finds in sys.modules after
+    # `import nstl.cli`, so all nine are there and bound on the package,
+    # but the five that kl-basis, cells and de-graph never call have not run
+    layers = ["exact_arith", "combinatorics", "hecke_core", "cli", *DEFERRED]
+    lines = run_fresh(LAYERS_RUN % (DEFERRED, layers))
+    assert lines == [
+        "True",
+        "[]",
+        "['linalg', 'specht_modules']",
+        str(DEFERRED),
+    ]
