@@ -253,6 +253,8 @@ def cmd_seminormal(args, cfg, parser):
         parser.error("--lhs and --rhs must have the same size")
     if not (lam.is_two_row() and mu.is_two_row()):
         parser.error("two-row shapes required")
+    if lam.size < 2:
+        parser.error("seminormal grids need rank >= 2")
     cfg.check_rank(lam.size, parser)
     if not 2 <= args.level <= lam.size:
         parser.error(f"--level must be in 2..{lam.size}")

@@ -1,8 +1,8 @@
 """The Hecke algebra H_r: standard basis multiplication, the lower
 canonical basis via the Kazhdan-Lusztig recursion and the upper one
-derived from it, mu-coefficients, cell decomposition of
-modules-with-basis, and the Temperley-Lieb quotient killing shapes with
-more than d rows.
+derived from it, mu-coefficients, the right cells of the regular
+module read off its W-graph, and the Temperley-Lieb quotient killing
+shapes with more than d rows.
 
 Conventions: (T_s - u)(T_s + u^-1) = 0, C'_s = T_s + u^-1, C_s = T_s - u,
 bar(T_w) = (T_{w^-1})^-1, theta(T_s) = -T_s^-1, C_w = (-1)^{l(w)}
@@ -22,10 +22,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from operator import countOf
 
 from .combinatorics import Permutation, all_permutations, rsk, strong_components
-from .exact_arith import TWO, U_INV, LaurentPoly, RationalFn
+from .exact_arith import U_INV, LaurentPoly, RationalFn
 
 U_MINUS_UINV = LaurentPoly({1: 1, -1: -1})
 NEG_U = LaurentPoly({1: -1})
@@ -140,11 +141,11 @@ class _Pool(dict):
 
 
 class _PackedRows:
-    """The packed rows {index: int} of the lower basis in three flat
-    arrays: cols, the column indices of all rows, each row's in its key
-    order; refs, for each column the index of its packed integer in
-    values, which holds each distinct one once; and starts, the offset
-    at which each row starts."""
+    """Rows {index: int} (the packed rows of the lower basis, or the mu
+    rows) in three flat arrays: cols, the column indices of all rows,
+    each row's in its key order; refs, for each column the index of its
+    value in values, which holds each distinct one once; and starts,
+    the offset at which each row starts."""
 
     def __init__(self, first: dict):
         self.cols, self.refs = array("H"), array("H")
@@ -180,8 +181,10 @@ class KLTable:
     sorted by length and then by word, stored in one _PackedRows: flat
     arrays of column indices and of indices into the list of its
     distinct packed integers, as du Cloux's Coxeter stores KL rows. mu
-    and mu_pairs read the u^-1 digit of each distinct lower coordinate;
-    lower is decoded and keyed by Permutation on first access only.
+    reads the u^-1 digit of each distinct lower coordinate; the mu rows
+    keep each row's x with mu != 0 (1% of the entries at r = 7) for the
+    recursion and mu_pairs. lower is decoded and keyed by Permutation
+    on first access only.
     """
 
     def __init__(self, r: int):
@@ -194,7 +197,7 @@ class KLTable:
             i: [self._index[w.times_simple_left(i).word] for w in self.perms]
             for i in range(1, r)
         }
-        self._rows, self._mus = self._compute_lower()
+        self._rows, self._mus, self._mu_rows = self._compute_lower()
         self._lower = None
         self._mu_pairs = None
         self._upper = None
@@ -204,16 +207,17 @@ class KLTable:
     # -- lower canonical basis ----------------------------------------
 
     def _compute_lower(self) -> tuple:
-        """Packed rows of the lower basis and the u^-1 digit of each of
-        their distinct coordinates. Row k is C'_s C'_v less its
-        mu-corrections, for w = perms[k] = s v and s = s_i the first left
-        descent of w. bound[k] is at least every |coefficient| of C'_w:
+        """Packed rows of the lower basis, the u^-1 digit of each of
+        their distinct coordinates, and the mu rows. Row k is C'_s C'_v
+        less its mu-corrections, for w = perms[k] = s v and s = s_i the
+        first left descent of w. bound[k] is at least every |coefficient| of C'_w:
         C'_s C'_v has the coordinates c_sy + u^(+-1) c_y, and each
         correction is mu(z, v) C'_z."""
         left = self._left
         one, low = 1 << _K, (1 << (2 * _K)) - 1  # digits 0 and 1 hold u^1, u^0
         rows = _PackedRows({0: one})
         mus = [_mu_digit(one)]
+        mu_rows = _PackedRows({})
         bound = [1]
         for k in range(1, len(self.perms)):
             i = next(i for i in left if left[i][k] < k)
@@ -227,8 +231,8 @@ class KLTable:
                 prod[x] = get(x, 0) + (c << _K)
             b = 2 * bound[v]
             # subtract mu-corrections for z with s z < z
-            for z, m in zip(*rows.row(v, mus)):
-                if not m or z == v or row[z] > z:
+            for z, m in zip(*mu_rows.row(v)):
+                if row[z] > z:
                     continue
                 b += abs(m) * bound[z]
                 for x, c in zip(*rows.row(z)):
@@ -248,8 +252,10 @@ class KLTable:
             ):
                 raise ArithmeticError(f"C'_{self.perms[k]} has a term of degree >= 0")
             mus.extend(map(_mu_digit, rows.values[seen:]))
+            xs, ms = rows.row(k, mus)
+            mu_rows.append(dict(compress(zip(xs, ms), ms)))
             bound.append(b)
-        return rows, mus
+        return rows, mus, mu_rows
 
     @property
     def lower(self) -> dict:
@@ -274,10 +280,9 @@ class KLTable:
             perms = self.perms
             pairs = {w: [] for w in perms}
             for k, w in enumerate(perms):
-                for x, m in zip(*self._rows.row(k, self._mus)):
-                    if m and x != k:
-                        pairs[w].append((perms[x], m))
-                        pairs[perms[x]].append((w, m))
+                for x, m in zip(*self._mu_rows.row(k)):
+                    pairs[w].append((perms[x], m))
+                    pairs[perms[x]].append((w, m))
             self._mu_pairs = pairs
         return self._mu_pairs
 
@@ -589,32 +594,6 @@ def convert(a: HeckeElement, basis_tag: str) -> HeckeElement:
     return from_standard(to_standard(a), basis_tag)
 
 
-def right_multiply_canonical(a: HeckeElement, i: int) -> HeckeElement:
-    """Right multiplication of a canonical-basis element by the
-    canonical generator of matching flavor: C'_{s_i} when a is in the
-    lower basis, C_{s_i} when upper."""
-    if a.basis_tag not in ("lower", "upper"):
-        raise ValueError("right_multiply_canonical requires a canonical basis")
-    table = kl_table(a.r)
-    sign = TWO if a.basis_tag == "lower" else -TWO
-    out: dict = {}
-
-    def add(w, c):
-        if w in out:
-            out[w] = out[w] + c
-        else:
-            out[w] = c
-
-    for w, c in a.coords.items():
-        if i in w.right_descents():
-            add(w, sign * c)
-        else:
-            for wp, m in table.mu_pairs[w]:
-                if i in wp.right_descents():
-                    add(wp, c * m)
-    return HeckeElement(a.r, a.basis_tag, out)
-
-
 # ----------------------------------------------------------------------
 # cells
 
@@ -629,33 +608,26 @@ class CellPartition:
         return [frozenset(b) for b in self.blocks]
 
 
-def cells(labels: list, action_matrices: list) -> CellPartition:
-    """Cells of a module-with-basis: the strongly connected components
-    of the digraph j -> i, with i in (label j) * generator g when
-    action_matrices[g][j][i] is nonzero; matrices are dicts
-    {j: {i: coeff}}."""
-    adj: dict = {j: set() for j in range(len(labels))}
-    for mat in action_matrices:
-        for j, row in mat.items():
-            adj[j].update(i for i, c in row.items() if c)
-    comps = strong_components(adj)
-    return CellPartition([[labels[v] for v in comp] for comp in comps])
-
-
 def cells_regular(r: int, basis_tag: str) -> CellPartition:
     """Right cells of the regular module in the chosen canonical basis,
-    using only the canonical generators."""
-    perms = kl_table(r).perms
-    idx = {w: k for k, w in enumerate(perms)}
-    mats = []
-    for i in range(1, r):
-        mat = {}
-        for w in perms:
-            el = HeckeElement(r, basis_tag, {w: RationalFn.from_int(1)})
-            img = right_multiply_canonical(el, i)
-            mat[idx[w]] = {idx[x]: c for x, c in img.coords.items()}
-        mats.append(mat)
-    return cells(perms, mats)
+    using only the canonical generators, read off the W-graph of H_r.
+
+    C'_w C'_s is [2] C'_w and C_w C_s is -[2] C_w when s is in R(w),
+    the right descent set of w. Otherwise each is w s plus mu(z, w)
+    times z over the z < w with z s < z and mu(z, w) != 0
+    (Kazhdan-Lusztig 1979): the w' in mu_pairs[w] with s in R(w'). So
+    both bases have the same support, hence the same cells, from the
+    edges w -> w' with R(w') not inside R(w); a loop w -> w changes no
+    component and is left out."""
+    if basis_tag not in ("lower", "upper"):
+        raise ValueError(f"unknown basis {basis_tag!r}")
+    table = kl_table(r)
+    desc = {w: w.right_descents() for w in table.perms}
+    edges = {
+        w: [v for v, _ in table.mu_pairs[w] if not desc[v] <= desc[w]]
+        for w in table.perms
+    }
+    return CellPartition(strong_components(edges))
 
 
 # ----------------------------------------------------------------------

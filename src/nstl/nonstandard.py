@@ -289,14 +289,6 @@ def epsilon_minus_vector(lam: Partition):
     return c
 
 
-def trace_functional(lam: Partition, c, pair: str = "lu"):
-    """(1/f) sum of diagonal coefficients in lower (x) upper
-    coordinates, read off the lower (x) lower ones by _pairing."""
-    tm = TensorModule(lam, lam)
-    c = tm.convert(c, pair, "ll")
-    return _pairing(c, tm.left.transition) / RationalFn.from_int(tm.left.dim)
-
-
 def _trace(M):
     t = R_ZERO
     for a in range(len(M)):

@@ -390,8 +390,22 @@ class SpechtModule:
 
     @property
     def transition_inv(self):
+        """X^-1 = Y / sum_k X[0][k] Y[k][0], where Y is the contravariant
+        form of the W-graph M_i = [2] I - L_i^T; no elimination.
+
+        L_i^T X = X L_i gives M_i^T X^-1 = X^-1 M_i. M_i has W-graph
+        shape: its descent set is the complement of that of L_i, and its
+        off-diagonal entries are -mu. So _contravariant_form, which checks
+        that shape exactly, solves for Y and proves it the unique
+        symmetric solution with Y[0][0] = 1. X is invertible, as the
+        transition matrix between two bases, and symmetric, so X^-1 is
+        symmetric and X^-1 = X^-1[0][0] Y. X^-1[0][0] != 0, or else
+        Y + X^-1 would be a second solution with corner 1. Hence one row
+        of X times one column of Y fixes the scale, and the product X Y
+        is not formed. A module of dimension 1 has X^-1 = [[1]]. L_i^T
+        alone is not of W-graph shape, and the solver rejects it."""
         if self._transition_inv is None:
-            self._transition_inv = inverse(self.transition, R_ONE, R_ZERO)
+            self._transition_inv = self._compute_transition_inv()
         return self._transition_inv
 
     def _compute_transition(self):
@@ -418,6 +432,18 @@ class SpechtModule:
             if lhs != rhs:
                 raise ArithmeticError(f"transition check failed at s_{i}")
         return X
+
+    def _compute_transition_inv(self):
+        if self.dim == 1:
+            return identity(1, R_ONE, R_ZERO)
+        complement = {
+            i: _shift_diagonal([[-x for x in col] for col in zip(*L)], TWO)
+            for i, L in self.lower_action.items()
+        }
+        Y = _contravariant_form(complement)
+        pairs = zip(self.transition[0], Y)
+        d = sum((x * row[0] for x, row in pairs if x and row[0]), R_ZERO)
+        return [[y / d for y in row] for row in Y]
 
     # -- restriction / branching ---------------------------------------
 
@@ -503,7 +529,16 @@ def transition_lower_to_upper(shape: Partition):
 def projected_basis(shape: Partition, which: str):
     """Vectors (C~'_Q)^J (lower) or (C~_Q)^J (upper) as coordinate
     columns in the corresponding basis, listed with labels in canonical
-    order."""
+    order: the columns of the child projectors P, in lower coordinates,
+    and of P^T in upper ones.
+
+    Upper coordinates are X times lower ones, so the upper projector is
+    X P X^-1, and that is P^T. X L_i X^-1 = L_i^T, so the upper matrix
+    X A(h) X^-1 of any h in H_r is A(iota h)^T, where iota is the
+    anti-involution that fixes each C'_s. P is the image A(e) of a
+    central idempotent e of H_{r-1}, and iota(e) = e, because the
+    invariant form X_nu makes each child module isomorphic to its
+    iota-contragredient."""
     m = build_specht(shape)
     if m.r <= 1:
         return [(q, [R_ONE]) for q in m.basis]
@@ -511,10 +546,7 @@ def projected_basis(shape: Partition, which: str):
         raise ValueError(f"unknown basis {which!r}")
     projs = {}
     for child, _, _, proj in m.branching:
-        if which == "upper":
-            # upper coords = X @ lower coords, so conjugate by X
-            proj = mat_mul(m.transition, mat_mul(proj, m.transition_inv))
-        projs[child] = proj
+        projs[child] = mat_transpose(proj) if which == "upper" else proj
     out = []
     for q in m.basis:
         e = [R_ZERO] * m.dim

@@ -6,13 +6,19 @@ theta(T_w) over the standard basis, each with a left multiplication of
 its own; the packed KLTable is checked against them in order. The
 library applies neither bar nor theta to elements (the antipode check
 carries theta beside each product of generators), so bar_element and
-theta_element, built on those tables, live here."""
+theta_element, built on those tables, live here.
+
+right_multiply_canonical forms the products C'_w C'_s and C_w C_s in
+the canonical bases, and cells_regular_by_products reads the right
+cells of the regular module from them, with the generic cells of a
+module-with-basis; the library reads the same cells straight off the
+W-graph."""
 
 from functools import lru_cache
 
-from nstl.combinatorics import Permutation, all_permutations
-from nstl.exact_arith import L_ONE, LaurentPoly
-from nstl.hecke_core import HeckeElement
+from nstl.combinatorics import Permutation, all_permutations, strong_components
+from nstl.exact_arith import L_ONE, TWO, LaurentPoly, RationalFn
+from nstl.hecke_core import CellPartition, HeckeElement, kl_table
 
 U_MINUS_UINV = LaurentPoly({1: 1, -1: -1})
 UINV = LaurentPoly({-1: 1})
@@ -131,3 +137,53 @@ def bar_element(a: HeckeElement) -> HeckeElement:
 def theta_element(a: HeckeElement) -> HeckeElement:
     """The A-algebra involution theta(T_s) = -T_s^-1, standard basis."""
     return _extend(a, oracle_theta_t, lambda c: c)
+
+
+def right_multiply_canonical(a: HeckeElement, i: int) -> HeckeElement:
+    """Right multiplication of a canonical-basis element by the
+    canonical generator of matching flavor: C'_{s_i} when a is in the
+    lower basis, C_{s_i} when upper. The library reads only the support
+    of these products (hecke_core.cells_regular)."""
+    if a.basis_tag not in ("lower", "upper"):
+        raise ValueError("right_multiply_canonical requires a canonical basis")
+    table = kl_table(a.r)
+    sign = TWO if a.basis_tag == "lower" else -TWO
+    out: dict = {}
+    for w, c in a.coords.items():
+        if i in w.right_descents():
+            _accumulate(out, w, sign * c)
+        else:
+            for wp, m in table.mu_pairs[w]:
+                if i in wp.right_descents():
+                    _accumulate(out, wp, c * m)
+    return HeckeElement(a.r, a.basis_tag, out)
+
+
+def cells(labels: list, action_matrices: list) -> CellPartition:
+    """Cells of a module-with-basis: the strongly connected components
+    of the digraph j -> i, with i in (label j) * generator g when
+    action_matrices[g][j][i] is nonzero; matrices are dicts
+    {j: {i: coeff}}."""
+    adj: dict = {j: set() for j in range(len(labels))}
+    for mat in action_matrices:
+        for j, row in mat.items():
+            adj[j].update(i for i, c in row.items() if c)
+    comps = strong_components(adj)
+    return CellPartition([[labels[v] for v in comp] for comp in comps])
+
+
+def cells_regular_by_products(r: int, basis_tag: str) -> CellPartition:
+    """The right cells of the regular module from the products C'_w C'_s
+    (or C_w C_s) themselves: the route hecke_core.cells_regular
+    replaced by the support argument."""
+    perms = kl_table(r).perms
+    idx = {w: k for k, w in enumerate(perms)}
+    mats = []
+    for i in range(1, r):
+        mat = {}
+        for w in perms:
+            el = HeckeElement(r, basis_tag, {w: RationalFn.from_int(1)})
+            img = right_multiply_canonical(el, i)
+            mat[idx[w]] = {idx[x]: c for x, c in img.coords.items()}
+        mats.append(mat)
+    return cells(perms, mats)

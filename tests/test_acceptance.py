@@ -386,6 +386,45 @@ def test_a_perturbed_projector_entry_fails_projected_basis(monkeypatch, capsys):
     fails_alone(capsys, "projected-basis", result["detail"])
 
 
+def test_a_perturbed_upper_projector_entry_fails_projected_basis(monkeypatch, capsys):
+    # the upper twin: the upper projected vector of 12/3 is column 12/3
+    # of the transposed (2,1) projector, u / [2] at 13/2; + 1 there
+    # takes that coordinate out of u K0
+    lam = Partition([2, 1])
+    real = verify.projected_basis
+
+    def perturbed(shape, which):
+        cols = real(shape, which)
+        if shape != lam or which != "upper":
+            return cols
+        first, (q, vec) = cols
+        return [first, (q, [vec[0] + R_ONE] + vec[1:])]
+
+    monkeypatch.setattr(verify, "projected_basis", perturbed)
+    result = check_projected(4)
+    assert result == {
+        "ok": False,
+        "detail": "valuation fails for 2,1 (upper 12/3 at 13/2)",
+    }
+    fails_alone(capsys, "projected-basis", result["detail"])
+
+
+def test_the_untransposed_projector_fails_projected_basis(monkeypatch, capsys):
+    # P in place of P^T in upper coordinates: the upper vectors become
+    # the columns of P, the lower ones, whose off-diagonal entries sit
+    # on the dominating side
+    real = verify.projected_basis
+    monkeypatch.setattr(
+        verify, "projected_basis", lambda shape, which: real(shape, "lower")
+    )
+    result = check_projected(4)
+    assert result == {
+        "ok": False,
+        "detail": "triangularity fails for 2,1 (upper 13/2 at 12/3)",
+    }
+    fails_alone(capsys, "projected-basis", result["detail"])
+
+
 def test_a_flipped_sign_in_the_minus_vector_fails_eps_antipode(monkeypatch, capsys):
     # the minus vector of (2,1) with one sign flipped is symmetric, and
     # P_1 does not annihilate it

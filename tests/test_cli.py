@@ -144,6 +144,15 @@ class TestNonstandard:
         assert data["grid"] == [["eps+", "-2,1"], ["+2,1", "+2,1"]]
         assert "eps+" in out.splitlines()[2]
 
+    def test_seminormal_at_rank_1_names_the_rank(self, capsys):
+        # not "--level must be in 2..1", an empty range
+        with pytest.raises(SystemExit) as exc:
+            main(["seminormal", "--lhs", "1", "--rhs", "1", "--level", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seminormal grids need rank >= 2" in captured.err
+
 
 class TestConfig:
     def test_rank_bound(self, capsys):

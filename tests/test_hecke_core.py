@@ -14,7 +14,6 @@ from nstl.hecke_core import (
     HeckeElement,
     KLTable,
     TLElement,
-    cells,
     cells_regular,
     convert,
     from_standard,
@@ -23,7 +22,6 @@ from nstl.hecke_core import (
     kl_upper,
     mu,
     multiply_standard,
-    right_multiply_canonical,
     tl_dimension,
     tl_project,
     to_standard,
@@ -31,9 +29,12 @@ from nstl.hecke_core import (
 
 from hecke_oracle import (
     bar_element,
+    cells,
+    cells_regular_by_products,
     oracle_bar_t,
     oracle_lower,
     oracle_theta_t,
+    right_multiply_canonical,
     theta_element,
 )
 
@@ -548,6 +549,17 @@ class TestCells:
         assert set(lower.as_label_sets()) == {
             frozenset(v) for v in by_p_lower.values()
         }
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("tag", ["lower", "upper"])
+    def test_regular_cells_match_the_products(self, r, tag):
+        # the W-graph read against C'_w C'_s and C_w C_s themselves
+        want = cells_regular_by_products(r, tag).as_label_sets()
+        assert set(cells_regular(r, tag).as_label_sets()) == set(want)
+
+    def test_regular_cells_reject_an_unknown_basis(self):
+        with pytest.raises(ValueError, match="unknown basis"):
+            cells_regular(3, "standard")
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_cell_count(self, r):

@@ -37,6 +37,7 @@ from nstl.nonstandard import (
     _block_generators,
     _generators_with_theta,
     _kron_sum,
+    _pairing,
     _split_bound,
     _split_failure,
     _sym_projection_basis,
@@ -59,7 +60,6 @@ from nstl.nonstandard import (
     q_element,
     restriction_decompose,
     square_split_identities,
-    trace_functional,
 )
 from nstl.specht_modules import build_specht, specialize_matrix
 from nstl.verify import check_certification
@@ -310,6 +310,15 @@ class TestEpsilonMinus:
     def test_row_shape_explicit(self):
         eps = epsilon_minus_vector(P([2]))
         assert mats_equal(eps, [[R_ONE]])
+
+
+def trace_functional(lam: Partition, c, pair: str = "lu"):
+    """(1/f) sum of diagonal coefficients in lower (x) upper
+    coordinates, read off the lower (x) lower ones by _pairing, which
+    the library reads directly."""
+    tm = TensorModule(lam, lam)
+    c = tm.convert(c, pair, "ll")
+    return _pairing(c, tm.left.transition) / RationalFn.from_int(tm.left.dim)
 
 
 class TestTrace:

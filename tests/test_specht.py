@@ -1,15 +1,25 @@
+import os
 import random
 
 import pytest
 
 from nstl.combinatorics import Partition, partitions_of, syt_count, syt_enumerate
 from nstl.exact_arith import R_ONE, R_ZERO, TWO, LaurentPoly, RationalFn
-from nstl.hecke_core import HeckeElement, kl_table, right_multiply_canonical
-from nstl.linalg import identity, mat_mul, mat_transpose, mat_vec, nullspace, zeros
+from nstl.hecke_core import HeckeElement, kl_table
+from nstl.linalg import (
+    identity,
+    inverse,
+    mat_mul,
+    mat_transpose,
+    mat_vec,
+    nullspace,
+    zeros,
+)
 from nstl.specht_modules import (
     Lattice,
     PreconditionError,
     SpechtModule,
+    _contravariant_form,
     _intertwiner,
     build_specht,
     lattice_reduce,
@@ -17,13 +27,21 @@ from nstl.specht_modules import (
     transition_lower_to_upper,
 )
 
+from hecke_oracle import right_multiply_canonical
 from isotypic_oracle import isotypic_projector
 
 rng = random.Random(11)
 
+HEAVY = os.environ.get("NSTL_HEAVY") == "1"
+
 
 def shapes_up_to(n, lo=2):
     return [lam for r in range(lo, n + 1) for lam in partitions_of(r)]
+
+
+def wide_shapes_up_to(n):
+    """The shapes of rank <= n with more than one tableau."""
+    return [lam for lam in shapes_up_to(n) if syt_count(lam) > 1]
 
 
 def mats_equal(A, B):
@@ -89,6 +107,18 @@ def cell_realization(lam):
             mats[i] = A
         actions.append(mats)
     return tuple(actions)
+
+
+def complementary_wgraph(m):
+    """M_i = [2] I - L_i^T, entry by entry."""
+    n = m.dim
+    return {
+        i: [
+            [(TWO if a == b else R_ZERO) - L[b][a] for b in range(n)]
+            for a in range(n)
+        ]
+        for i, L in m.lower_action.items()
+    }
 
 
 def block_diagonal(A, B):
@@ -232,6 +262,32 @@ class TestTransition:
         with pytest.raises(ArithmeticError, match="W-graph shape"):
             m._compute_transition()
 
+    @pytest.mark.parametrize(
+        "lam",
+        shapes_up_to(5, lo=1) + (partitions_of(6) if HEAVY else []),
+        ids=str,
+    )
+    def test_inverse_matches_gauss_jordan(self, lam):
+        m = build_specht(lam)
+        assert m.transition_inv == inverse(m.transition, R_ONE, R_ZERO)
+
+    @pytest.mark.parametrize("lam", wide_shapes_up_to(5), ids=str)
+    def test_complementary_form_needs_its_corner_division(self, lam):
+        # Y has corner 1 and X^-1 does not: Y is X^-1 only up to scale
+        m = build_specht(lam)
+        Y = _contravariant_form(complementary_wgraph(m))
+        inv = inverse(m.transition, R_ONE, R_ZERO)
+        assert Y != inv
+        assert [[inv[0][0] * y for y in row] for row in Y] == inv
+
+    @pytest.mark.parametrize("lam", wide_shapes_up_to(5), ids=str)
+    def test_unshifted_transpose_is_rejected(self, lam):
+        # L_i^T keeps the descent set of L_i, whose rows carry mu
+        m = build_specht(lam)
+        actions = {i: mat_transpose(L) for i, L in m.lower_action.items()}
+        with pytest.raises(ArithmeticError, match="W-graph shape"):
+            _contravariant_form(actions)
+
 
 class TestBranching:
     @pytest.mark.parametrize("lam", shapes_up_to(5), ids=str)
@@ -315,6 +371,20 @@ class TestProjectedBasis:
                     else:
                         assert sh_q.dominates(sh_qp)
                     assert x.val0() >= 1 and x.val_inf() >= 1
+
+
+    @pytest.mark.parametrize("lam", shapes_up_to(5), ids=str)
+    def test_upper_projectors_are_the_conjugates(self, lam):
+        # X P X^-1 = P^T for every child projector P
+        m = build_specht(lam)
+        X, X_inv = m.transition, inverse(m.transition, R_ONE, R_ZERO)
+        conj = {}
+        for child, _, _, P in m.branching:
+            conj[child] = mat_mul(X, mat_mul(P, X_inv))
+            assert conj[child] == mat_transpose(P)
+        for q, vec in projected_basis(lam, "upper"):
+            col = m.index[q]
+            assert vec == [row[col] for row in conj[m.restriction_shape(q)]]
 
 
 class TestLattice:
