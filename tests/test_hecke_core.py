@@ -480,6 +480,14 @@ class TestMu:
             for _, m in pairs:
                 assert m > 0
 
+    @pytest.mark.parametrize("r", [4, 5, 6])
+    def test_mu_rows_are_the_nonzero_mu_of_the_packed_rows(self, r):
+        # in row order, so that the recursion's corrections run in it
+        table = kl_table(r)
+        for k in range(len(table.perms)):
+            want = [(x, m) for x, m in zip(*table._rows.row(k, table._mus)) if m]
+            assert list(zip(*table._mu_rows.row(k))) == want
+
 
 class TestRightMultiplyCanonical:
     @pytest.mark.parametrize("r", [3, 4])

@@ -372,7 +372,6 @@ class TestProjectedBasis:
                         assert sh_q.dominates(sh_qp)
                     assert x.val0() >= 1 and x.val_inf() >= 1
 
-
     @pytest.mark.parametrize("lam", shapes_up_to(5), ids=str)
     def test_upper_projectors_are_the_conjugates(self, lam):
         # X P X^-1 = P^T for every child projector P
