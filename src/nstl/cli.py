@@ -405,9 +405,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_minus_labels(argv: list) -> list:
+    """argv with `--label -3,1` written as `--label=-3,1`. argparse takes
+    an argument that starts with "-", and is not a number, for an option,
+    so it would find --label without its value; a minus label is "-" and
+    then a digit."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--label" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--label={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_minus_labels(argv))
     cfg = RunConfig(
         r_bound=args.r_bound,
         output=args.output,

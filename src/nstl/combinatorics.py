@@ -39,10 +39,6 @@ class Permutation:
         w[i - 1], w[i] = w[i], w[i - 1]
         return cls(w)
 
-    @classmethod
-    def longest_element(cls, r: int) -> "Permutation":
-        return cls(range(r, 0, -1))
-
     def __call__(self, i: int) -> int:
         return self.word[i - 1]
 
@@ -50,12 +46,6 @@ class Permutation:
         if self.r != other.r:
             raise ValueError("size mismatch")
         return Permutation(self.word[j - 1] for j in other.word)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.r
-        for i, v in enumerate(self.word):
-            inv[v - 1] = i + 1
-        return Permutation(inv)
 
     def length(self) -> int:
         if self._length is None:
@@ -72,9 +62,6 @@ class Permutation:
         """{i : w s_i < w} = {i : w(i) > w(i+1)}."""
         w = self.word
         return frozenset(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-    def left_descents(self) -> frozenset:
-        return self.inverse().right_descents()
 
     def _step(self, w: list, up: bool) -> "Permutation":
         """self times a simple reflection, whose word w is not validated
@@ -124,44 +111,6 @@ class Permutation:
     def __str__(self):
         return ",".join(map(str, self.word))
 
-    @classmethod
-    def parse(cls, s: str) -> "Permutation":
-        return cls(int(x) for x in s.split(","))
-
-
-@lru_cache(maxsize=None)
-def _bruhat_leq(x: tuple, w: tuple) -> bool:
-    if x == w:
-        return True
-    px, pw = Permutation(x), Permutation(w)
-    if px.length() >= pw.length():
-        return False
-    # recursive left-descent criterion
-    i = min(pw.left_descents())
-    sw = pw.times_simple_left(i).word
-    sx = px.times_simple_left(i)
-    if sx.length() < px.length():
-        return _bruhat_leq(sx.word, sw)
-    return _bruhat_leq(x, sw)
-
-
-def bruhat_leq(x: Permutation, w: Permutation) -> bool:
-    if x.r != w.r:
-        raise ValueError("size mismatch")
-    return _bruhat_leq(x.word, w.word)
-
-
-def bruhat_leq_dot_criterion(x: Permutation, w: Permutation) -> bool:
-    """Sorted-prefix (Ehresmann) criterion; independent oracle."""
-    if x.r != w.r:
-        raise ValueError("size mismatch")
-    for k in range(1, x.r):
-        for a, b in zip(sorted(x.word[:k]), sorted(w.word[:k])):
-            if a > b:
-                return False
-    return True
-
-
 def all_permutations(r: int):
     return [Permutation(w) for w in itertools.permutations(range(1, r + 1))]
 
@@ -207,12 +156,6 @@ class Partition:
         parts = list(self.parts)
         parts[row] -= 1
         return Partition(parts)
-
-    def contains(self, other: "Partition") -> bool:
-        return all(
-            (self.parts[i] if i < len(self.parts) else 0) >= p
-            for i, p in enumerate(other.parts)
-        )
 
     def dominates(self, other: "Partition") -> bool:
         """self >= other in dominance order (same size)."""
@@ -366,11 +309,6 @@ class Tableau:
             "shape": list(self.shape.parts),
             "rows": [list(row) for row in self.rows],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Tableau":
-        return cls(data["rows"])
-
 
 def row_superstandard(shape: Partition) -> Tableau:
     """Z*: 1..lambda_1 in the first row, continuing row by row."""

@@ -81,9 +81,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self.coeffs)
 
-    def coeff(self, e: int) -> int:
-        return self.coeffs.get(e, 0)
-
     def as_int(self):
         """Return the integer value if constant, else None."""
         if not self.coeffs:
@@ -140,27 +137,9 @@ class LaurentPoly:
             n >>= 1
         return result
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by u^k."""
-        return _laurent({e + k: c for e, c in self.coeffs.items()})
-
     def bar(self) -> "LaurentPoly":
         """The involution u -> u^-1."""
         return _laurent({-e: c for e, c in self.coeffs.items()})
-
-    # -- evaluation ----------------------------------------------------
-
-    def evaluate(self, u0: Fraction) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        if u0 == 0:
-            if self.min_exp() < 0:
-                raise PoleError("evaluation of a Laurent polynomial at u = 0")
-            return Fraction(self.coeffs.get(0, 0))
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += c * u0**e
-        return total
 
     # -- comparison / hashing -----------------------------------------
 
@@ -218,11 +197,6 @@ def quantum_int(k: int) -> LaurentPoly:
     if k < 0:
         raise ValueError("quantum integer of a negative argument")
     return LaurentPoly({k - 1 - 2 * j: 1 for j in range(k)})
-
-
-def bar(p):
-    """Bar involution u -> u^-1 on LaurentPoly or RationalFn."""
-    return p.bar()
 
 
 # ----------------------------------------------------------------------
@@ -613,15 +587,3 @@ def common_denominator(values) -> tuple:
         for den in dens
     }
     return d, [x.num * cofactor[x.den] for x in values]
-
-
-def val0(f: RationalFn):
-    return RationalFn._coerce(f).val0()
-
-
-def val_inf(f: RationalFn):
-    return RationalFn._coerce(f).val_inf()
-
-
-def specialize(f: RationalFn, u0) -> Fraction:
-    return RationalFn._coerce(f).specialize(u0)

@@ -1,8 +1,7 @@
 """The Hecke algebra H_r: standard basis multiplication, the lower
 canonical basis via the Kazhdan-Lusztig recursion and the upper one
-derived from it, mu-coefficients, the right cells of the regular
-module read off its W-graph, and the Temperley-Lieb quotient killing
-shapes with more than d rows.
+derived from it, mu-coefficients, and the right cells of the regular
+module read off its W-graph.
 
 Conventions: (T_s - u)(T_s + u^-1) = 0, C'_s = T_s + u^-1, C_s = T_s - u,
 bar(T_w) = (T_{w^-1})^-1, theta(T_s) = -T_s^-1, C_w = (-1)^{l(w)}
@@ -25,7 +24,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import countOf
 
-from .combinatorics import Permutation, all_permutations, rsk, strong_components
+from .combinatorics import Permutation, all_permutations, strong_components
 from .exact_arith import U_INV, LaurentPoly, RationalFn
 
 U_MINUS_UINV = LaurentPoly({1: 1, -1: -1})
@@ -171,9 +170,9 @@ class _PackedRows:
 class KLTable:
     """Both canonical bases of H_r, expanded over the standard basis.
 
-    lower[w] maps x -> P'_{x,w} (LaurentPoly); upper[w] holds the
-    standard-basis coordinates of C_w = (-1)^{l(w)} theta(C'_w), which
-    are (-1)^{l(w)+l(x)} bar(P'_{x,w}).
+    Row k holds the coordinates P'_{x,w} of C'_w, w = perms[k], over the
+    T_x; the coordinates of C_w = (-1)^{l(w)} theta(C'_w) are
+    (-1)^{l(w)+l(x)} bar(P'_{x,w}), which printed derives from them.
     mu_pairs[w] lists (w', mu) over all w' with mu(w', w) != 0 (both
     Bruhat directions, symmetric usage).
 
@@ -183,8 +182,7 @@ class KLTable:
     distinct packed integers, as du Cloux's Coxeter stores KL rows. mu
     reads the u^-1 digit of each distinct lower coordinate; the mu rows
     keep each row's x with mu != 0 (1% of the entries at r = 7) for the
-    recursion and mu_pairs. lower is decoded and keyed by Permutation
-    on first access only.
+    recursion and mu_pairs. Only printed decodes the packed integers.
     """
 
     def __init__(self, r: int):
@@ -198,11 +196,7 @@ class KLTable:
             for i in range(1, r)
         }
         self._rows, self._mus, self._mu_rows = self._compute_lower()
-        self._lower = None
         self._mu_pairs = None
-        self._upper = None
-        self._rsk_pairs = None
-        self._shape_of = None
 
     # -- lower canonical basis ----------------------------------------
 
@@ -257,21 +251,6 @@ class KLTable:
             bound.append(b)
         return rows, mus, mu_rows
 
-    @property
-    def lower(self) -> dict:
-        if self._lower is None:
-            # Few distinct packed integers occur (121 among the 98,407
-            # coordinates at r = 6), and _rows.values holds each once. So
-            # each is decoded once and its LaurentPoly shared: nothing
-            # mutates LaurentPoly.coeffs after construction.
-            perms, rows = self.perms, self._rows
-            poly = [_unpack(n) for n in rows.values]
-            self._lower = {
-                w: {perms[x]: p for x, p in zip(*rows.row(k, poly))}
-                for k, w in enumerate(perms)
-            }
-        return self._lower
-
     # -- mu -----------------------------------------------------------
 
     @property
@@ -296,20 +275,6 @@ class KLTable:
             return self._mus[rows.refs[rows.cols.index(j, a, b)]]
         except ValueError:  # x is not in w's row, or not in the table
             return 0
-
-    # -- upper canonical basis ----------------------------------------
-
-    @property
-    def upper(self) -> dict:
-        if self._upper is None:
-            self._upper = {
-                w: {
-                    x: p.bar() * (-1) ** (w.length() + x.length())
-                    for x, p in coords.items()
-                }
-                for w, coords in self.lower.items()
-            }
-        return self._upper
 
     # -- readers of the packed rows -----------------------------------
 
@@ -350,7 +315,7 @@ class KLTable:
         then bar-invariant, as C'_s = T_s + u^-1 and every shorter C'_z
         are (Kazhdan-Lusztig 1979, Thm 1.1), hence canonical. So is
         C_w = (-1)^{l(w)} theta(C'_w), whose coordinates
-        (-1)^{l(w)+l(x)} bar(P'_{x,w}) upper and printed read, as theta
+        (-1)^{l(w)+l(x)} bar(P'_{x,w}) printed reads, as theta
         commutes with bar. T_x T_s reads a table of its own, not _left,
         which built the rows; u C'_v is an exact right shift, as row v
         passed the lattice check.
@@ -401,23 +366,6 @@ class KLTable:
                 return f"not bar-invariant at {w}"
         return None
 
-    # -- RSK -----------------------------------------------------------
-
-    @property
-    def rsk_pairs(self) -> dict:
-        """w -> (P(w), Q(w)), the RSK insertion and recording tableaux,
-        in the order of perms."""
-        if self._rsk_pairs is None:
-            self._rsk_pairs = {w: rsk(w.word) for w in self.perms}
-        return self._rsk_pairs
-
-    @property
-    def shape_of(self) -> dict:
-        """w -> shape of the RSK insertion tableau P(w)."""
-        if self._shape_of is None:
-            self._shape_of = {w: P.shape for w, (P, _) in self.rsk_pairs.items()}
-        return self._shape_of
-
 
 @lru_cache(maxsize=None)
 def kl_table(r: int) -> KLTable:
@@ -429,25 +377,18 @@ def kl_table(r: int) -> KLTable:
 
 
 class HeckeElement:
-    """Sparse H_r element over a tagged basis (standard, lower, upper)."""
+    """Sparse H_r element over the standard basis {T_w}."""
 
-    __slots__ = ("r", "basis_tag", "coords")
+    __slots__ = ("r", "coords")
 
-    def __init__(self, r: int, basis_tag: str, coords: dict):
-        if basis_tag not in ("standard", "lower", "upper"):
-            raise ValueError(f"unknown basis {basis_tag!r}")
+    def __init__(self, r: int, coords: dict):
         self.r = r
-        self.basis_tag = basis_tag
         coerced = ((w, RationalFn._coerce(c)) for w, c in coords.items())
         self.coords = {w: c for w, c in coerced if c}
 
     @classmethod
     def t(cls, w: Permutation) -> "HeckeElement":
-        return cls(w.r, "standard", {w: RationalFn.from_int(1)})
-
-    @classmethod
-    def t_simple(cls, r: int, i: int) -> "HeckeElement":
-        return cls.t(Permutation.simple(r, i))
+        return cls(w.r, {w: RationalFn.from_int(1)})
 
     @classmethod
     def unit(cls, r: int) -> "HeckeElement":
@@ -457,7 +398,6 @@ class HeckeElement:
     def c_prime_s(cls, r: int, i: int) -> "HeckeElement":
         return cls(
             r,
-            "standard",
             {
                 Permutation.simple(r, i): RationalFn.from_int(1),
                 Permutation.identity(r): RationalFn(U_INV),
@@ -468,7 +408,6 @@ class HeckeElement:
     def c_s(cls, r: int, i: int) -> "HeckeElement":
         return cls(
             r,
-            "standard",
             {
                 Permutation.simple(r, i): RationalFn.from_int(1),
                 Permutation.identity(r): RationalFn(NEG_U),
@@ -479,27 +418,24 @@ class HeckeElement:
         return not self.coords
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if self.basis_tag != other.basis_tag or self.r != other.r:
-            raise ValueError("basis or size mismatch")
+        if self.r != other.r:
+            raise ValueError("size mismatch")
         out = dict(self.coords)
         for w, c in other.coords.items():
             out[w] = out.get(w, RationalFn.from_int(0)) + c
-        return HeckeElement(self.r, self.basis_tag, out)
+        return HeckeElement(self.r, out)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + other.scale(RationalFn.from_int(-1))
 
     def scale(self, c) -> "HeckeElement":
         c = RationalFn._coerce(c)
-        return HeckeElement(
-            self.r, self.basis_tag, {w: c * x for w, x in self.coords.items()}
-        )
+        return HeckeElement(self.r, {w: c * x for w, x in self.coords.items()})
 
     def __eq__(self, other):
         return (
             isinstance(other, HeckeElement)
             and self.r == other.r
-            and self.basis_tag == other.basis_tag
             and self.coords == other.coords
         )
 
@@ -507,15 +443,13 @@ class HeckeElement:
         terms = ", ".join(
             f"{w}: {c}" for w, c in sorted(self.coords.items(), key=lambda t: t[0].word)
         )
-        return f"HeckeElement[{self.basis_tag}]({{{terms}}})"
+        return f"HeckeElement({{{terms}}})"
 
 
 def multiply_standard(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in H_r; both factors in the standard basis."""
+    """Product in H_r."""
     if a.r != b.r:
         raise ValueError("size mismatch")
-    if a.basis_tag != "standard" or b.basis_tag != "standard":
-        raise ValueError("multiply_standard requires standard-basis input")
     total: dict = {}
     for w, c in b.coords.items():
         cur = dict(a.coords)
@@ -527,71 +461,7 @@ def multiply_standard(a: HeckeElement, b: HeckeElement) -> HeckeElement:
                 total[x] = total[x] + cd
             else:
                 total[x] = cd
-    return HeckeElement(a.r, "standard", total)
-
-
-def kl_lower(w: Permutation) -> HeckeElement:
-    """C'_w in standard coordinates."""
-    return HeckeElement(w.r, "standard", dict(kl_table(w.r).lower[w]))
-
-
-def kl_upper(w: Permutation) -> HeckeElement:
-    """C_w in standard coordinates."""
-    return HeckeElement(w.r, "standard", dict(kl_table(w.r).upper[w]))
-
-
-def mu(x: Permutation, w: Permutation) -> int:
-    if x.r != w.r:
-        raise ValueError("size mismatch")
-    return kl_table(x.r).mu(x, w)
-
-
-def to_standard(a: HeckeElement) -> HeckeElement:
-    if a.basis_tag == "standard":
-        return a
-    table = kl_table(a.r)
-    expansions = table.lower if a.basis_tag == "lower" else table.upper
-    out: dict = {}
-    for w, c in a.coords.items():
-        for x, d in expansions[w].items():
-            t = c * d
-            if x in out:
-                out[x] = out[x] + t
-            else:
-                out[x] = t
-    return HeckeElement(a.r, "standard", out)
-
-
-def from_standard(a: HeckeElement, basis_tag: str) -> HeckeElement:
-    """Expand a standard-basis element over a canonical basis by
-    triangular elimination (both canonical bases are unitriangular over
-    the standard basis in length order)."""
-    if basis_tag == "standard":
-        return a
-    table = kl_table(a.r)
-    expansions = table.lower if basis_tag == "lower" else table.upper
-    rest = dict(a.coords)
-    out: dict = {}
-    while rest:
-        w = max(rest, key=lambda p: (p.length(), p.word))
-        c = rest.pop(w)
-        if not c:
-            continue
-        out[w] = c
-        for x, d in expansions[w].items():
-            if x == w:
-                continue
-            t = c * d
-            if x in rest:
-                rest[x] = rest[x] - t
-            else:
-                rest[x] = -t
-        rest = {x: v for x, v in rest.items() if v}
-    return HeckeElement(a.r, basis_tag, out)
-
-
-def convert(a: HeckeElement, basis_tag: str) -> HeckeElement:
-    return from_standard(to_standard(a), basis_tag)
+    return HeckeElement(a.r, total)
 
 
 # ----------------------------------------------------------------------
@@ -608,7 +478,7 @@ class CellPartition:
         return [frozenset(b) for b in self.blocks]
 
 
-def cells_regular(r: int, basis_tag: str) -> CellPartition:
+def cells_regular(r: int, basis: str) -> CellPartition:
     """Right cells of the regular module in the chosen canonical basis,
     using only the canonical generators, read off the W-graph of H_r.
 
@@ -619,8 +489,8 @@ def cells_regular(r: int, basis_tag: str) -> CellPartition:
     both bases have the same support, hence the same cells, from the
     edges w -> w' with R(w') not inside R(w); a loop w -> w changes no
     component and is left out."""
-    if basis_tag not in ("lower", "upper"):
-        raise ValueError(f"unknown basis {basis_tag!r}")
+    if basis not in ("lower", "upper"):
+        raise ValueError(f"unknown basis {basis!r}")
     table = kl_table(r)
     desc = {w: w.right_descents() for w in table.perms}
     edges = {
@@ -628,52 +498,3 @@ def cells_regular(r: int, basis_tag: str) -> CellPartition:
         for w in table.perms
     }
     return CellPartition(strong_components(edges))
-
-
-# ----------------------------------------------------------------------
-# Temperley-Lieb quotient
-
-
-class TLElement:
-    """Element of the quotient H_{r,d}, coordinates over the surviving
-    upper canonical images {C_w : l(sh(P(w))) <= d}."""
-
-    __slots__ = ("r", "d", "coords")
-
-    def __init__(self, r: int, d: int, coords: dict):
-        self.r = r
-        self.d = d
-        shape_of = kl_table(r).shape_of
-        coerced = ((w, RationalFn._coerce(c)) for w, c in coords.items())
-        self.coords = {w: c for w, c in coerced if c and shape_of[w].length <= d}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TLElement)
-            and (self.r, self.d) == (other.r, other.d)
-            and self.coords == other.coords
-        )
-
-    def __repr__(self):
-        terms = ", ".join(
-            f"{w}: {c}" for w, c in sorted(self.coords.items(), key=lambda t: t[0].word)
-        )
-        return f"TLElement(r={self.r}, d={self.d}, {{{terms}}})"
-
-    def multiply(self, other: "TLElement") -> "TLElement":
-        a = to_standard(HeckeElement(self.r, "upper", dict(self.coords)))
-        b = to_standard(HeckeElement(self.r, "upper", dict(other.coords)))
-        prod = from_standard(multiply_standard(a, b), "upper")
-        return TLElement(self.r, self.d, prod.coords)
-
-
-def tl_dimension(r: int, d: int = 2) -> int:
-    shape_of = kl_table(r).shape_of
-    return sum(1 for w in kl_table(r).perms if shape_of[w].length <= d)
-
-
-def tl_project(a: HeckeElement, d: int = 2) -> TLElement:
-    """Project onto the quotient H_{r,d}; input in the upper basis."""
-    if a.basis_tag != "upper":
-        raise ValueError("tl_project requires upper-basis input")
-    return TLElement(a.r, d, dict(a.coords))

@@ -164,19 +164,6 @@ class TensorModule:
                 out.append(e)
         return out
 
-    def convert(self, c, frm: str, to: str):
-        """Change a coefficient matrix between basis pairs; first tag
-        letter is the left factor ('l' lower / 'u' upper)."""
-        if frm == to:
-            return [row[:] for row in c]
-        XL, XLi = self.left.transition, self.left.transition_inv
-        XR, XRi = self.right.transition, self.right.transition_inv
-        if frm[0] != to[0]:
-            c = mat_mul(XL if to[0] == "u" else XLi, c)
-        if frm[1] != to[1]:
-            c = mat_mul(c, mat_transpose(XR if to[1] == "u" else XRi))
-        return c
-
     # -- generator action ----------------------------------------------
 
     def ops(self, i: int, pair: str):
@@ -383,7 +370,7 @@ def antipode_check(word, r: int = 4) -> bool:
     _tensor_product_terms carries beside a: theta(T_s) = -T_s^-1 meets
     the quadratic and braid relations of T_s, so theta extends to an
     algebra automorphism of H_r, determined by the generators."""
-    plus = minus = HeckeElement(r, "standard", {})
+    plus = minus = HeckeElement(r, {})
     for a, ta, b in _tensor_product_terms(r, word):
         plus = plus + multiply_standard(a, b)
         minus = minus + multiply_standard(ta, b)
@@ -665,11 +652,6 @@ def nonstandard_pieces(nu: Partition, rho: Partition, d) -> tuple:
         (NsIrredLabel("plus", (nu,)), plus),
         (NsIrredLabel("minus", (nu,)), mat_scale(mat_sub(d, dt), R_HALF)),
     )
-
-
-def hh_pieces(nu: Partition, rho: Partition, d) -> tuple:
-    """The full tensor-square rule: the block is the (nu, rho) part."""
-    return (((nu, rho), d),)
 
 
 def _nonzero(M) -> bool:

@@ -44,7 +44,6 @@ from .nonstandard import (
     _nonzero,
     _paths,
     branching_blocks,
-    hh_pieces,
     nonstandard_pieces,
 )
 from .specht_modules import build_specht
@@ -134,8 +133,10 @@ class GTBasis:
     `_paths(parts, 1)` in lower coordinates and row a of Pi is its pi,
     so Pi V = I; `seqs[a]` lists that path's shapes from the top shape
     down to size 1. With X the lower -> upper transition matrix,
-    g = diag(V^T X V) and E = diag(Pi X^-1 Pi^T), both matrices being
-    diagonal. Every field is a tuple."""
+    g = diag(V^T X V), that matrix being diagonal, and E = 1/g is the
+    diagonal of Pi X^-1 Pi^T: V is square, so Pi V = I gives V Pi = I,
+    and then Pi X^-1 Pi^T = (V^T X V)^-1 = diag(g)^-1. No g_a is 0, as
+    X is invertible. Every field is a tuple."""
 
     V: tuple
     Pi: tuple
@@ -147,7 +148,7 @@ class GTBasis:
 @lru_cache(maxsize=None)
 def _gt_basis(parts: tuple) -> GTBasis:
     """The GT basis of shape `parts`, checked as it is built: raises
-    ArithmeticError unless Pi V = I and both forms are diagonal."""
+    ArithmeticError unless Pi V = I and V^T X V is diagonal."""
     lam = Partition(parts)
     m = build_specht(lam)
     paths = _paths(parts, 1)
@@ -162,23 +163,17 @@ def _gt_basis(parts: tuple) -> GTBasis:
             for s in _gt_basis(child.parts).seqs
         )
     G = mat_mul(mat_transpose(V), mat_mul(m.transition, V))
-    H = mat_mul(Pi, mat_mul(m.transition_inv, mat_transpose(Pi)))
     if mat_mul(Pi, V) != identity(m.dim, R_ONE, R_ZERO):
         raise ArithmeticError(f"GT basis of {lam}: Pi V is not the identity")
-    if any(
-        x
-        for M in (G, H)
-        for a, row in enumerate(M)
-        for b, x in enumerate(row)
-        if a != b
-    ):
-        raise ArithmeticError(f"GT basis of {lam}: a form is not diagonal")
+    if any(x for a, row in enumerate(G) for b, x in enumerate(row) if a != b):
+        raise ArithmeticError(f"GT basis of {lam}: the form is not diagonal")
+    g = tuple(G[a][a] for a in range(m.dim))
     return GTBasis(
         V=tuple(map(tuple, V)),
         Pi=tuple(map(tuple, Pi)),
         seqs=seqs,
-        g=tuple(G[a][a] for a in range(m.dim)),
-        E=tuple(H[a][a] for a in range(m.dim)),
+        g=g,
+        E=tuple(R_ONE / x for x in g),
     )
 
 
@@ -265,9 +260,6 @@ class SeminormalBasis:
     def dim(self):
         return len(self.vectors)
 
-    def chain_index(self, chain: SeminormalChainLabel) -> int:
-        return self.chains.index(chain)
-
 
 def _normalize(c):
     lead = next((x for row in c for x in row if x), None)
@@ -276,12 +268,12 @@ def _normalize(c):
     return [[x / lead for x in row] for row in c]
 
 
-def _split(tm: TensorModule, space, pieces) -> list:
+def _split(tm: TensorModule, space) -> list:
     """Iterated isotypic splitting of the span of `space` (sparse GT
-    coordinate vectors {(a, b): entry}) at levels k = r, r-1, ..., 2
-    under the labeling rule `pieces`. At level k the (a, b) coordinate
-    lies in the child block of the pair of branching paths to size k
-    that a and b start with, and the rule cuts each block by label.
+    coordinate vectors {(a, b): entry}) at levels k = r, r-1, ..., 2.
+    At level k the (a, b) coordinate lies in the child block of the pair
+    of branching paths to size k that a and b start with, and
+    _nonstandard_pieces cuts each block by label.
     Returns (chain of labels, normalized lower (x) lower vector) per
     leaf and raises MultiplicityError unless every leaf is a line."""
     left, right = _gt_basis(tm.lam.parts), _gt_basis(tm.mu.parts)
@@ -299,7 +291,7 @@ def _split(tm: TensorModule, space, pieces) -> list:
         out = {}
         for (p, q), D in blocks.items():
             la, rb = lmembers[p], rmembers[q]
-            for label, piece in pieces(p[-1], q[-1], D):
+            for label, piece in _nonstandard_pieces(p[-1], q[-1], D):
                 comp = out.setdefault(label, {})
                 for (s, t), x in piece.items():
                     comp[la[s], rb[t]] = x
@@ -345,7 +337,7 @@ def seminormal_basis(m) -> SeminormalBasis:
         tm, space = m, _unit_space(m)
     else:
         raise TypeError("expected TensorModule or NsSubmodule")
-    leaves = _split(tm, space, _nonstandard_pieces)
+    leaves = _split(tm, space)
     if len(leaves) != len(space):
         raise MultiplicityError(
             f"{len(leaves)} leaves for a {len(space)}-dimensional space"
@@ -380,16 +372,3 @@ def chain_membership(basis: SeminormalBasis, idx: int) -> bool:
                 if label != want and _nonzero(piece):
                     return False
     return True
-
-
-# ---------------------------------------------------------------------
-# comparison chain: full tensor square of the Hecke algebra
-
-
-def hh_chain_basis(tm: TensorModule) -> list:
-    """Leaves of the same iterated splitting but along the chain of
-    full tensor-square parabolic algebras, whose level-k irreducibles
-    are the ordered pairs (nu, rho).  Returns (chain of (nu, rho)
-    pairs, normalized vector) per leaf; every leaf vector has a rank-1
-    coefficient matrix."""
-    return _split(tm, _unit_space(tm), hh_pieces)

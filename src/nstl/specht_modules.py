@@ -1,7 +1,7 @@
 """Specht modules M_lambda with lower and upper canonical bases labeled
 by SYT(lambda), exact generator actions, the lower -> upper transition
-matrix, branching projectors for the restriction to H_{r-1}, projected
-canonical bases, and lattice reduction mod u.
+matrix and its inverse, branching projectors for the restriction to
+H_{r-1}, and projected canonical bases.
 
 Both actions are built from the W-graph of the module: the tableau
 descent sets and the mu-table. The mu-table is read from the KL table
@@ -36,7 +36,6 @@ from .exact_arith import (
     R_ONE,
     R_ZERO,
     TWO,
-    U_INV,
     RationalFn,
     common_denominator,
 )
@@ -52,10 +51,6 @@ from .linalg import (
     rref,
     zeros,
 )
-
-
-class PreconditionError(ValueError):
-    """A stated precondition of an operation was violated."""
 
 
 def _intertwiner(src_actions, dst_actions, gens):
@@ -371,14 +366,6 @@ class SpechtModule:
             self._p_factors[key] = pair
         return self._p_factors[key]
 
-    def standard_action(self, i: int):
-        """T_{s_i} on lower coordinates: C'_{s_i} action minus u^-1."""
-        A = [row[:] for row in self.lower_action[i]]
-        uinv = RationalFn(U_INV)
-        for k in range(self.dim):
-            A[k][k] = A[k][k] - uinv
-        return A
-
     # -- transition lower -> upper --------------------------------------
 
     @property
@@ -552,46 +539,6 @@ def projected_basis(shape: Partition, which: str):
         e = [R_ZERO] * m.dim
         e[m.index[q]] = R_ONE
         out.append((q, mat_vec(projs[m.restriction_shape(q)], e)))
-    return out
-
-
-class Lattice:
-    """The K0-lattice L_lambda spanned by either canonical basis."""
-
-    def __init__(self, shape: Partition):
-        self.shape = shape
-        self.module = build_specht(shape)
-
-    def contains(self, coords, basis: str = "lower") -> bool:
-        coords = list(coords)
-        if basis == "upper":
-            coords = mat_vec(self.module.transition_inv, coords)
-        elif basis != "lower":
-            raise ValueError(f"unknown basis {basis!r}")
-        return all(RationalFn._coerce(c).val0() >= 0 for c in coords)
-
-
-def lattice_reduce(shape: Partition, coords) -> dict:
-    """Coordinates of x mod u L in the projected lower basis, evaluated
-    at u = 0. Requires all lower coordinates in K0."""
-    m = build_specht(shape)
-    coords = [RationalFn._coerce(c) for c in coords]
-    if any(c.val0() < 0 for c in coords):
-        raise PreconditionError(
-            "lattice_reduce requires all lower coordinates in K0"
-        )
-    cols = projected_basis(shape, "lower")
-    M = [[cols[j][1][a] for j in range(m.dim)] for a in range(m.dim)]
-    a_vec = mat_vec(inverse(M, R_ONE, R_ZERO), coords)
-    out = {}
-    for (q, _), val in zip(cols, a_vec):
-        if val.val0() < 0:
-            raise PreconditionError(
-                "projected-basis coordinate escapes K0"
-            )
-        v = val.specialize(0)
-        if v:
-            out[q] = v
     return out
 
 

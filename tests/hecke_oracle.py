@@ -1,12 +1,14 @@
 """Test oracles for the Hecke algebra, keyed by Permutation.
 
 oracle_lower is the Kazhdan-Lusztig recursion of the lower canonical
-basis, and oracle_bar_t and oracle_theta_t expand bar(T_w) and
-theta(T_w) over the standard basis, each with a left multiplication of
-its own; the packed KLTable is checked against them in order. The
-library applies neither bar nor theta to elements (the antipode check
-carries theta beside each product of generators), so bar_element and
-theta_element, built on those tables, live here.
+basis, upper_of derives the upper basis from a lower one, and
+oracle_bar_t and oracle_theta_t expand bar(T_w) and theta(T_w) over the
+standard basis, each with a left multiplication of its own; the packed
+KLTable is checked against them in order. The library applies neither
+bar nor theta to elements (the antipode check carries theta beside each
+product of generators), so bar_element and theta_element, built on
+those tables, live here, as does the Bruhat order that bounds the
+support of C'_w.
 
 right_multiply_canonical forms the products C'_w C'_s and C_w C_s in
 the canonical bases, and cells_regular_by_products reads the right
@@ -45,13 +47,20 @@ def _oracle_perms(r):
     return sorted(all_permutations(r), key=lambda w: (w.length(), w.word))
 
 
+def first_left_descent(w) -> int:
+    """The least i with s_i w < w."""
+    return next(
+        i for i in range(1, w.r) if w.times_simple_left(i).length() < w.length()
+    )
+
+
 def oracle_lower(r: int) -> dict:
     e = Permutation.identity(r)
     lower = {e: {e: L_ONE}}
     for w in _oracle_perms(r):
         if w == e:
             continue
-        i = min(w.left_descents())
+        i = first_left_descent(w)
         v = w.times_simple_left(i)
         cv = lower[v]
         prod = _std_left_mul_s(cv, i)
@@ -62,13 +71,32 @@ def oracle_lower(r: int) -> dict:
         for z, pz in cv.items():
             if z == v:
                 continue
-            m = pz.coeff(-1)
+            m = pz.coeffs.get(-1, 0)
             if not m or z.times_simple_left(i).length() > z.length():
                 continue
             for x, c in lower[z].items():
                 _accumulate(prod, x, c * (-m))
         lower[w] = prod
     return lower
+
+
+def upper_of(lower: dict) -> dict:
+    """The coordinates (-1)^{l(w)+l(x)} bar(P'_{x,w}) of C_w, in the
+    order of a lower table {w: {x: P'_{x,w}}}."""
+    return {
+        w: {x: p.bar() * (-1) ** (w.length() + x.length()) for x, p in coords.items()}
+        for w, coords in lower.items()
+    }
+
+
+def bruhat_leq(x, w) -> bool:
+    """x <= w in the Bruhat order, by the sorted-prefix (Ehresmann)
+    criterion."""
+    return all(
+        a <= b
+        for k in range(1, x.r)
+        for a, b in zip(sorted(x.word[:k]), sorted(w.word[:k]))
+    )
 
 
 def oracle_theta_like(r: int, s_image) -> dict:
@@ -79,7 +107,7 @@ def oracle_theta_like(r: int, s_image) -> dict:
     for w in _oracle_perms(r):
         if w == e:
             continue
-        i = min(w.left_descents())
+        i = first_left_descent(w)
         v = w.times_simple_left(i)
         base = out[v]
         acc: dict = {}
@@ -117,15 +145,13 @@ def _images(r: int, oracle) -> dict:
 
 def _extend(a: HeckeElement, oracle, scalar) -> HeckeElement:
     """sum_w scalar(c_w) image(T_w) for a = sum_w c_w T_w."""
-    if a.basis_tag != "standard":
-        raise ValueError("requires standard-basis input")
     table = _images(a.r, oracle)
     out: dict = {}
     for w, c in a.coords.items():
         c = scalar(c)
         for x, d in table[w].items():
             _accumulate(out, x, c * d)
-    return HeckeElement(a.r, "standard", out)
+    return HeckeElement(a.r, out)
 
 
 def bar_element(a: HeckeElement) -> HeckeElement:
@@ -139,24 +165,22 @@ def theta_element(a: HeckeElement) -> HeckeElement:
     return _extend(a, oracle_theta_t, lambda c: c)
 
 
-def right_multiply_canonical(a: HeckeElement, i: int) -> HeckeElement:
-    """Right multiplication of a canonical-basis element by the
-    canonical generator of matching flavor: C'_{s_i} when a is in the
-    lower basis, C_{s_i} when upper. The library reads only the support
-    of these products (hecke_core.cells_regular)."""
-    if a.basis_tag not in ("lower", "upper"):
-        raise ValueError("right_multiply_canonical requires a canonical basis")
-    table = kl_table(a.r)
-    sign = TWO if a.basis_tag == "lower" else -TWO
+def right_multiply_canonical(coords: dict, i: int, basis: str) -> dict:
+    """Right multiplication of sum_w c_w C'_w (basis "lower") by C'_{s_i},
+    or of sum_w c_w C_w ("upper") by C_{s_i}, on coordinates {w: c_w} in
+    that basis. The library reads only the support of these products
+    (hecke_core.cells_regular)."""
+    table = kl_table(next(iter(coords)).r)
+    sign = TWO if basis == "lower" else -TWO
     out: dict = {}
-    for w, c in a.coords.items():
+    for w, c in coords.items():
         if i in w.right_descents():
             _accumulate(out, w, sign * c)
         else:
             for wp, m in table.mu_pairs[w]:
                 if i in wp.right_descents():
                     _accumulate(out, wp, c * m)
-    return HeckeElement(a.r, a.basis_tag, out)
+    return out
 
 
 def cells(labels: list, action_matrices: list) -> CellPartition:
@@ -172,7 +196,7 @@ def cells(labels: list, action_matrices: list) -> CellPartition:
     return CellPartition([[labels[v] for v in comp] for comp in comps])
 
 
-def cells_regular_by_products(r: int, basis_tag: str) -> CellPartition:
+def cells_regular_by_products(r: int, basis: str) -> CellPartition:
     """The right cells of the regular module from the products C'_w C'_s
     (or C_w C_s) themselves: the route hecke_core.cells_regular
     replaced by the support argument."""
@@ -182,8 +206,7 @@ def cells_regular_by_products(r: int, basis_tag: str) -> CellPartition:
     for i in range(1, r):
         mat = {}
         for w in perms:
-            el = HeckeElement(r, basis_tag, {w: RationalFn.from_int(1)})
-            img = right_multiply_canonical(el, i)
-            mat[idx[w]] = {idx[x]: c for x, c in img.coords.items()}
+            img = right_multiply_canonical({w: RationalFn.from_int(1)}, i, basis)
+            mat[idx[w]] = {idx[x]: c for x, c in img.items()}
         mats.append(mat)
     return cells(perms, mats)

@@ -4,12 +4,14 @@ isotypic_split is the isotypic split of a tensor vector under the
 rank-k parabolic, for any k, lifted back to the top module. The library
 cuts only one branching step (nonstandard.branching_blocks); this is the
 many-step split it is checked against, here and in the seminormal
-tests. isotypic_projector reads one projector of a Specht module's
-branching."""
+tests. dense_split iterates it down the chain, as the library's
+seminormal descent does in GT coordinates, under nonstandard_pieces or
+hh_pieces, the rule of the full tensor-square chain. isotypic_projector
+reads one projector of a Specht module's branching."""
 
 from nstl.exact_arith import R_ZERO
-from nstl.linalg import mat_add, mat_mul, mat_transpose, zeros
-from nstl.nonstandard import _paths
+from nstl.linalg import mat_add, mat_mul, mat_transpose, rref, zeros
+from nstl.nonstandard import _paths, flatten
 from nstl.specht_modules import build_specht
 
 
@@ -44,3 +46,45 @@ def isotypic_split(lam, mu, k, c, pieces) -> dict:
                     lift = mat_mul(li, mat_mul(piece, riT))
                     out[label] = mat_add(out[label], lift) if label in out else lift
     return out
+
+
+def hh_pieces(nu, rho, d) -> tuple:
+    """The full tensor-square rule: the block is the (nu, rho) part."""
+    return (((nu, rho), d),)
+
+
+def dense_row_basis(vectors, nrows, ncols):
+    flats = [f for f in (flatten(v) for v in vectors) if any(f)]
+    if not flats:
+        return []
+    return [
+        [row[a * ncols : (a + 1) * ncols] for a in range(nrows)]
+        for row in rref(flats)[0]
+    ]
+
+
+def dense_split(tm, vectors, pieces):
+    """Oracle for the GT-coordinate descent: the same iterated splitting
+    on dense lower (x) lower coefficient matrices, re-echelonning every
+    component at every level with isotypic_split."""
+    nrows, ncols = tm.left.dim, tm.right.dim
+    leaves = []
+
+    def descend(space, k, chain):
+        if k == 1:
+            assert len(space) == 1, chain
+            (v,) = space
+            lead = next(x for row in v for x in row if x)
+            leaves.append((chain, [[x / lead for x in row] for row in v]))
+            return
+        images = {}
+        for v in space:
+            split = isotypic_split(tm.lam, tm.mu, k, v, pieces)
+            for label, comp in split.items():
+                images.setdefault(label, []).append(comp)
+        for label in sorted(images, key=str):
+            basis = dense_row_basis(images[label], nrows, ncols)
+            descend(basis, k - 1, chain + (label,))
+
+    descend(dense_row_basis(vectors, nrows, ncols), tm.r, ())
+    return leaves

@@ -9,10 +9,10 @@ import pytest
 
 import nstl
 from nstl.cli import main
-from nstl.combinatorics import all_permutations
-from nstl.hecke_core import kl_lower, kl_upper
 from nstl.verify import ACCEPTANCE_CHECKS
 from nstl.nonstandard import StabilizationError
+
+from hecke_oracle import oracle_lower, upper_of
 
 
 def run(capsys, *argv):
@@ -69,12 +69,14 @@ class TestAlgebra:
         "r,basis",
         [(r, b) for r in range(1, 6) for b in ("lower", "upper")] + [(6, "upper")],
     )
-    def test_kl_basis_matches_hecke_elements(self, capsys, r, basis):
-        # the packed reader prints what the HeckeElement route printed
-        fn = kl_lower if basis == "lower" else kl_upper
+    def test_kl_basis_matches_the_oracle(self, capsys, r, basis):
+        # the packed reader prints the Kazhdan-Lusztig recursion's basis
+        table = oracle_lower(r)
+        if basis == "upper":
+            table = upper_of(table)
         elements = {
-            str(w): {str(x): str(c.as_laurent()) for x, c in fn(w).coords.items()}
-            for w in all_permutations(r)
+            str(w): {str(x): str(p) for x, p in coords.items()}
+            for w, coords in table.items()
         }
         want = {"r": r, "basis": basis, "elements": elements}
         code, out = run(
@@ -121,6 +123,14 @@ class TestNonstandard:
         code, data = run_json(capsys, "restrict", "--label", "+3,1")
         assert code == 0
         assert data["restriction"] == {"3:2,1": 1, "+2,1": 1, "eps+": 1}
+
+    def test_restrict_minus_label_as_its_own_argument(self, capsys):
+        # the form --help and the README give, which argparse alone reads
+        # as an option
+        code, out = run(capsys, "restrict", "--label", "-3,1")
+        assert code == 0
+        assert (code, out) == run(capsys, "restrict", "--label=-3,1")
+        assert json.loads(out)["restriction"] == {"-2,1": 1, "3:2,1": 1}
 
     def test_restrict_eps_needs_rank(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,11 +10,7 @@ from nstl.exact_arith import (
     _poly_of,
     PoleError,
     RationalFn,
-    bar,
     quantum_int,
-    specialize,
-    val0,
-    val_inf,
 )
 
 lp = st.builds(
@@ -42,13 +38,13 @@ def test_quantum_int_values():
 
 def test_quantum_int_bar_invariant():
     for k in range(8):
-        assert bar(quantum_int(k)) == quantum_int(k)
+        assert quantum_int(k).bar() == quantum_int(k)
 
 
 def test_bar_examples():
     p = LaurentPoly({2: 1, 1: 3})
-    assert bar(p) == LaurentPoly({-2: 1, -1: 3})
-    assert bar(LaurentPoly()) == LaurentPoly()
+    assert p.bar() == LaurentPoly({-2: 1, -1: 3})
+    assert LaurentPoly().bar() == LaurentPoly()
 
 
 @settings(max_examples=1000)
@@ -66,13 +62,13 @@ def test_ring_axioms(a, b, c):
 
 @given(lp)
 def test_bar_involution(a):
-    assert bar(bar(a)) == a
+    assert a.bar().bar() == a
 
 
 @given(lp, lp)
 def test_bar_is_ring_map(a, b):
-    assert bar(a + b) == bar(a) + bar(b)
-    assert bar(a * b) == bar(a) * bar(b)
+    assert (a + b).bar() == a.bar() + b.bar()
+    assert (a * b).bar() == a.bar() * b.bar()
 
 
 def test_rational_canonical_form():
@@ -86,8 +82,8 @@ def test_rational_canonical_form():
     assert g == rf(u + one, one)
     # denominator sign normalization
     h = rf(one, LaurentPoly({0: -2}))
-    assert h.den.coeff(0) == 2
-    assert h.num.coeff(0) == -1
+    assert h.den == 2
+    assert h.num == -1
 
 
 @settings(max_examples=300)
@@ -100,32 +96,32 @@ def test_val_examples():
     u = LaurentPoly({1: 1})
     one = LaurentPoly({0: 1})
     f = rf(u, one + u * u)
-    assert val0(f) == 1 and val_inf(f) == 1
+    assert f.val0() == 1 and f.val_inf() == 1
     two = RationalFn(quantum_int(2))
-    assert val0(two) == -1 and val_inf(two) == -1
-    assert val0(RationalFn(one)) == 0 and val_inf(RationalFn(one)) == 0
-    assert val0(RationalFn(LaurentPoly())) == math.inf
-    assert val_inf(RationalFn(LaurentPoly())) == math.inf
+    assert two.val0() == -1 and two.val_inf() == -1
+    assert RationalFn(one).val0() == 0 and RationalFn(one).val_inf() == 0
+    assert RationalFn(LaurentPoly()).val0() == math.inf
+    assert RationalFn(LaurentPoly()).val_inf() == math.inf
 
 
 @settings(max_examples=300)
 @given(lp_nonzero, lp_nonzero, lp_nonzero, lp_nonzero)
 def test_val_multiplicative_and_bar_swaps(a, b, c, d):
     f, g = rf(a, b), rf(c, d)
-    assert val0(f * g) == val0(f) + val0(g)
-    assert val_inf(f * g) == val_inf(f) + val_inf(g)
-    assert val0(f.bar()) == val_inf(f)
+    assert (f * g).val0() == f.val0() + g.val0()
+    assert (f * g).val_inf() == f.val_inf() + g.val_inf()
+    assert f.bar().val0() == f.val_inf()
 
 
 def test_specialize_examples():
     two = RationalFn(quantum_int(2))
-    assert specialize(two, 1) == 2
-    assert specialize(two * two, 1) == 4
+    assert two.specialize(1) == 2
+    assert (two * two).specialize(1) == 4
     u = LaurentPoly({1: 1})
     one = LaurentPoly({0: 1})
     with pytest.raises(PoleError):
-        specialize(rf(u, u - one), 1)
-    assert specialize(rf(u, u - one), Fraction(7, 3)) == Fraction(7, 4)
+        rf(u, u - one).specialize(1)
+    assert rf(u, u - one).specialize(Fraction(7, 3)) == Fraction(7, 4)
 
 
 @settings(max_examples=300)
@@ -134,11 +130,11 @@ def test_specialize_is_a_ring_map(a, b, c, d):
     u0 = Fraction(7, 3)
     f, g = rf(a, b), rf(c, d)
     try:
-        fv, gv = specialize(f, u0), specialize(g, u0)
+        fv, gv = f.specialize(u0), g.specialize(u0)
     except PoleError:
         return
-    assert specialize(f + g, u0) == fv + gv
-    assert specialize(f * g, u0) == fv * gv
+    assert (f + g).specialize(u0) == fv + gv
+    assert (f * g).specialize(u0) == fv * gv
 
 
 @settings(max_examples=300)
@@ -332,12 +328,17 @@ def test_cached_dense_forms_stay_fresh(values):
 POINTS = [0, 1, -1, 2, Fraction(7, 3), Fraction(-2, 5), Fraction(1, 4)]
 
 
+def termwise(p, u0):
+    """p(u0) summed term by term; a negative power of 0 raises."""
+    return sum((c * u0**e for e, c in p.coeffs.items()), Fraction(0))
+
+
 @settings(max_examples=300)
 @given(rational, st.sampled_from(POINTS))
 def test_specialize_matches_termwise_evaluation(f, u0):
     u0 = Fraction(u0)
     try:
-        want = f.num.evaluate(u0) / f.den.evaluate(u0)
+        want = termwise(f.num, u0) / termwise(f.den, u0)
     except ZeroDivisionError:  # PoleError is one
         with pytest.raises(PoleError):
             f.specialize(u0)

@@ -7,28 +7,20 @@ import sys
 
 import pytest
 
-from nstl import hecke_core, specht_modules
-from nstl.combinatorics import Partition, Permutation, partitions_of, rsk, syt_count
-from nstl.exact_arith import L_ONE, LaurentPoly, RationalFn, quantum_int
+from nstl import hecke_core
+from nstl.combinatorics import Permutation, all_permutations, rsk, syt_count
+from nstl.exact_arith import L_ONE, R_ONE, LaurentPoly, RationalFn, quantum_int
 from nstl.hecke_core import (
     HeckeElement,
     KLTable,
-    TLElement,
     cells_regular,
-    convert,
-    from_standard,
-    kl_lower,
     kl_table,
-    kl_upper,
-    mu,
     multiply_standard,
-    tl_dimension,
-    tl_project,
-    to_standard,
 )
 
 from hecke_oracle import (
     bar_element,
+    bruhat_leq,
     cells,
     cells_regular_by_products,
     oracle_bar_t,
@@ -36,14 +28,30 @@ from hecke_oracle import (
     oracle_theta_t,
     right_multiply_canonical,
     theta_element,
+    upper_of,
 )
 
 rng = random.Random(7)
 
 
-def rand_element(r: int, nterms: int = 3) -> HeckeElement:
-    from nstl.combinatorics import all_permutations
+def decoded(table: KLTable) -> dict:
+    """{w: {x: P'_{x,w}}}, the packed rows decoded in their order."""
+    rows, perms = table._rows, table.perms
+    poly = [hecke_core._unpack(n) for n in rows.values]
+    return {
+        w: {perms[x]: p for x, p in zip(*rows.row(k, poly))}
+        for k, w in enumerate(perms)
+    }
 
+
+def canonical_elements(r: int) -> dict:
+    """w -> (C'_w, C_w) from the packed rows of kl_table(r)."""
+    lower = decoded(kl_table(r))
+    upper = upper_of(lower)
+    return {w: (HeckeElement(r, lower[w]), HeckeElement(r, upper[w])) for w in lower}
+
+
+def rand_element(r: int, nterms: int = 3) -> HeckeElement:
     perms = all_permutations(r)
     coords = {}
     for _ in range(nterms):
@@ -51,14 +59,14 @@ def rand_element(r: int, nterms: int = 3) -> HeckeElement:
         coords[w] = RationalFn(
             LaurentPoly({rng.randint(-2, 2): rng.randint(-4, 4)})
         )
-    return HeckeElement(r, "standard", coords)
+    return HeckeElement(r, coords)
 
 
 class TestStandardMultiplication:
     def test_quadratic_relation(self):
         # T_s T_s = (u - u^-1) T_s + T_e
         r = 3
-        ts = HeckeElement.t_simple(r, 1)
+        ts = HeckeElement.t(Permutation.simple(r, 1))
         prod = multiply_standard(ts, ts)
         e = Permutation.identity(r)
         s = Permutation.simple(r, 1)
@@ -67,7 +75,7 @@ class TestStandardMultiplication:
 
     def test_reduced_product(self):
         r = 3
-        t1, t2 = HeckeElement.t_simple(r, 1), HeckeElement.t_simple(r, 2)
+        t1, t2 = (HeckeElement.t(Permutation.simple(r, i)) for i in (1, 2))
         prod = multiply_standard(t1, t2)
         s1s2 = Permutation.simple(r, 1) * Permutation.simple(r, 2)
         assert prod.coords == {s1s2: RationalFn.from_int(1)}
@@ -83,7 +91,7 @@ class TestStandardMultiplication:
 class TestBar:
     def test_bar_ts(self):
         r = 3
-        ts = HeckeElement.t_simple(r, 1)
+        ts = HeckeElement.t(Permutation.simple(r, 1))
         b = bar_element(ts)
         e = Permutation.identity(r)
         s = Permutation.simple(r, 1)
@@ -121,23 +129,27 @@ class TestBar:
 class TestKLBases:
     def test_c_prime_s_and_c_s(self):
         s = Permutation.simple(3, 1)
-        assert kl_lower(s) == HeckeElement.c_prime_s(3, 1)
-        assert kl_upper(s) == HeckeElement.c_s(3, 1)
+        assert canonical_elements(3)[s] == (
+            HeckeElement.c_prime_s(3, 1),
+            HeckeElement.c_s(3, 1),
+        )
 
     def test_longest_s3(self):
         # C'_{w0} = sum over x of u^{l(x)-3} T_x
-        w0 = Permutation.longest_element(3)
-        got = kl_lower(w0)
+        got, _ = canonical_elements(3)[Permutation((3, 2, 1))]
         for x, c in got.coords.items():
             assert c == RationalFn(LaurentPoly({x.length() - 3: 1}))
         assert len(got.coords) == 6
 
+    def test_longest_s6(self):
+        # C'_{w0} = sum over x of u^{l(x)-15} T_x, as kl-basis prints it
+        got = dict(kl_table(6).printed("lower"))["6,5,4,3,2,1"]
+        assert len(got) == 720
+        assert got["1,2,3,4,5,6"] == "u^-15"
+
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_bar_invariance_and_congruence(self, r):
-        from nstl.combinatorics import all_permutations
-
-        for w in all_permutations(r):
-            cw = kl_lower(w)
+        for w, (cw, cu) in canonical_elements(r).items():
             assert bar_element(cw) == cw
             for x, c in cw.coords.items():
                 p = c.as_laurent()
@@ -146,7 +158,6 @@ class TestKLBases:
                     assert p == L_ONE
                 else:
                     assert p.max_exp() <= -1  # in u^-1 Z[u^-1]
-            cu = kl_upper(w)
             assert bar_element(cu) == cu
             for x, c in cu.coords.items():
                 p = c.as_laurent()
@@ -156,36 +167,33 @@ class TestKLBases:
                     assert p.min_exp() >= 1  # in u Z[u]
 
     def test_support_bruhat(self):
-        from nstl.combinatorics import all_permutations, bruhat_leq
-
-        for w in all_permutations(4):
-            for x in kl_lower(w).coords:
+        for w, coords in decoded(kl_table(4)).items():
+            for x in coords:
                 assert bruhat_leq(x, w)
 
-    def test_theta_maps_lower_to_upper(self):
-        from nstl.combinatorics import all_permutations
+    def test_bruhat_oracle_on_s3(self):
+        # on S_3, x <= w just when x = w or x is shorter
+        for x in all_permutations(3):
+            for w in all_permutations(3):
+                assert bruhat_leq(x, w) == (x == w or x.length() < w.length())
 
+    def test_theta_maps_lower_to_upper(self):
         for r in range(2, 6):
-            for w in all_permutations(r):
+            for w, (cw, cu) in canonical_elements(r).items():
                 sign = -1 if w.length() % 2 else 1
-                assert theta_element(kl_lower(w)) == kl_upper(w).scale(sign)
+                assert theta_element(cw) == cu.scale(sign)
 
     def test_upper_is_read_off_lower(self):
+        # printed("upper") signs and bars the lower rows, in their order
         table = KLTable(4)
-        assert list(table.upper) == table.perms
-        for w, coords in table.upper.items():
-            lower = table.lower[w]
-            assert list(coords) == list(lower)
-            for x, p in coords.items():
-                sign = (-1) ** (w.length() + x.length())
-                assert p == lower[x].bar() * sign
-
-    def test_conversion_roundtrip(self):
-        for _ in range(10):
-            a = rand_element(4)
-            for tag in ("lower", "upper"):
-                b = from_standard(a, tag)
-                assert to_standard(b) == a
+        want = {
+            str(w): [(str(x), str(p)) for x, p in coords.items()]
+            for w, coords in upper_of(decoded(table)).items()
+        }
+        got = list(table.printed("upper"))
+        assert [w for w, _ in got] == sorted(want)
+        for w, coords in got:
+            assert list(coords.items()) == want[w]
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +208,7 @@ def in_order(table: dict) -> list:
 class TestPermutationKeyedOracle:
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_indexed_tables_match_in_order(self, r):
-        got = in_order(KLTable(r).lower)
+        got = in_order(decoded(KLTable(r)))
         want = in_order(oracle_lower(r))
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -214,22 +222,22 @@ class TestPermutationKeyedOracle:
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_packed_mu_reads_match(self, r):
-        # mu and mu_pairs read the packed rows, never the decoded table
+        # mu and mu_pairs against the u^-1 coefficients of the oracle
         lower = oracle_lower(r)
         table = KLTable(r)
         pairs = {w: [] for w in lower}
         for w, coords in lower.items():
             for x, p in coords.items():
-                if x != w and p.coeff(-1):
-                    pairs[w].append((x, p.coeff(-1)))
-                    pairs[x].append((w, p.coeff(-1)))
+                m = p.coeffs.get(-1)
+                if x != w and m:
+                    pairs[w].append((x, m))
+                    pairs[x].append((w, m))
         assert list(table.mu_pairs.items()) == list(pairs.items())
         for w in lower:
             for x in lower:
                 low, high = (x, w) if x.length() <= w.length() else (w, x)
                 p = lower[high].get(low)
-                assert table.mu(x, w) == (p.coeff(-1) if p is not None else 0)
-        assert table._lower is None
+                assert table.mu(x, w) == (p.coeffs.get(-1, 0) if p is not None else 0)
 
     @pytest.mark.parametrize("r", [5, 6])
     def test_each_packed_value_is_stored_once(self, r):
@@ -290,7 +298,7 @@ class TestPackedBound:
     def test_widths_the_guards_reject_give_wrong_digits(self, monkeypatch):
         monkeypatch.setattr(hecke_core, "_check_bound", lambda bound, w: None)
         _narrow_digits(monkeypatch, 2)
-        assert in_order(KLTable(5).lower) != in_order(oracle_lower(5))
+        assert in_order(decoded(KLTable(5))) != in_order(oracle_lower(5))
 
     def test_guard_is_not_an_assert(self):
         src = pathlib.Path(hecke_core.__file__).resolve().parent.parent
@@ -320,9 +328,11 @@ def oracle_canonical_failure(table: KLTable):
     """What the check did on RationalFn coordinates: the oracle's
     bar_element on the decoded C'_w and C_w, then their diagonal and
     lattice congruence."""
+    lower = decoded(table)
+    upper = upper_of(lower)
     for w in table.perms:
-        for coords, sign in ((table.lower[w], -1), (table.upper[w], 1)):
-            elem = HeckeElement(table.r, "standard", coords)
+        for coords, sign in ((lower[w], -1), (upper[w], 1)):
+            elem = HeckeElement(table.r, coords)
             if bar_element(elem) != elem:
                 return f"not bar-invariant at {w}"
             for x, c in elem.coords.items():
@@ -376,12 +386,6 @@ class TestPackedCheck:
             assert got is not None
             assert _failing_w(got) == _failing_w(oracle_canonical_failure(table))
 
-    def test_does_not_decode(self):
-        table = KLTable(5)
-        assert table.canonical_failure() is None
-        assert list(table.printed("upper")) and list(table.printed("lower"))
-        assert table._lower is None
-
     def test_altered_coordinate_is_not_bar_invariant(self):
         table = KLTable(4)
         k, x = _off_diagonal(table)
@@ -424,7 +428,7 @@ class TestPackedCheck:
         table._rows.values = [
             sum(c << (3 * (1 - e)) for e, c in p.coeffs.items()) for p in polys
         ]
-        assert in_order(table.lower) == in_order(oracle_lower(4))
+        assert in_order(decoded(table)) == in_order(oracle_lower(4))
         with pytest.raises(ArithmeticError, match="packed digits"):
             table.canonical_failure()
 
@@ -442,37 +446,23 @@ class TestPackedCheck:
         }
 
 
-def test_specht_modules_leave_lower_packed():
-    kl_table.cache_clear()
-    specht_modules._build_specht.cache_clear()
-    table = kl_table(6)
-    for lam in partitions_of(6):
-        specht_modules.build_specht(lam)
-    assert kl_table(6) is table and table._lower is None
-    w0 = table.perms[-1]
-    c = kl_lower(w0)
-    assert table._lower is not None
-    assert len(c.coords) == 720
-    assert c.coords[Permutation.identity(6)] == RationalFn(LaurentPoly({-15: 1}))
-
-
 class TestMu:
     def test_mu_e_s(self):
-        assert mu(Permutation.identity(2), Permutation.simple(2, 1)) == 1
+        assert kl_table(2).mu(Permutation.identity(2), Permutation.simple(2, 1)) == 1
 
     def test_parity_vanishing_s4(self):
-        from nstl.combinatorics import all_permutations
-
+        table = kl_table(4)
         for w in all_permutations(4):
             for x in all_permutations(4):
                 diff = w.length() - x.length()
                 if diff > 0 and diff % 2 == 0:
-                    assert mu(x, w) == 0
+                    assert table.mu(x, w) == 0
 
     def test_symmetric_usage(self):
         x = Permutation.identity(3)
         w = Permutation.simple(3, 1)
-        assert mu(x, w) == mu(w, x) == 1
+        table = kl_table(3)
+        assert table.mu(x, w) == table.mu(w, x) == 1
 
     def test_nonnegative_s5(self):
         table = kl_table(5)
@@ -492,32 +482,28 @@ class TestMu:
 class TestRightMultiplyCanonical:
     @pytest.mark.parametrize("r", [3, 4])
     def test_descent_eigenvalue(self, r):
-        from nstl.combinatorics import all_permutations
-
         two = RationalFn(quantum_int(2))
         for w in all_permutations(r):
             for i in w.right_descents():
-                lo = HeckeElement(r, "lower", {w: RationalFn.from_int(1)})
-                assert right_multiply_canonical(lo, i) == lo.scale(two)
-                up = HeckeElement(r, "upper", {w: RationalFn.from_int(1)})
-                assert right_multiply_canonical(up, i) == up.scale(-two)
+                assert right_multiply_canonical({w: R_ONE}, i, "lower") == {w: two}
+                assert right_multiply_canonical({w: R_ONE}, i, "upper") == {w: -two}
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_matches_standard_multiplication(self, r):
-        from nstl.combinatorics import all_permutations
-
+        # the products, expanded over the standard basis
+        elements = canonical_elements(r)
         for w in all_permutations(r):
             for i in range(1, r):
-                for tag, gen in (
-                    ("lower", HeckeElement.c_prime_s(r, i)),
-                    ("upper", HeckeElement.c_s(r, i)),
-                ):
-                    el = HeckeElement(r, tag, {w: RationalFn.from_int(1)})
-                    fast = right_multiply_canonical(el, i)
-                    slow = from_standard(
-                        multiply_standard(to_standard(el), gen), tag
+                for k, (basis, gen) in enumerate(
+                    (
+                        ("lower", HeckeElement.c_prime_s(r, i)),
+                        ("upper", HeckeElement.c_s(r, i)),
                     )
-                    assert fast == slow
+                ):
+                    fast = HeckeElement(r, {})
+                    for x, c in right_multiply_canonical({w: R_ONE}, i, basis).items():
+                        fast = fast + elements[x][k].scale(c)
+                    assert fast == multiply_standard(elements[w][k], gen)
 
 
 class TestCells:
@@ -541,8 +527,6 @@ class TestCells:
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_regular_cells_match_rsk(self, r):
-        from nstl.combinatorics import all_permutations
-
         by_p_upper = {}
         by_p_lower = {}
         for w in all_permutations(r):
@@ -582,45 +566,6 @@ class TestTL:
         "r,cat", [(2, 2), (3, 5), (4, 14), (5, 42)]
     )
     def test_dimension_catalan(self, r, cat):
-        assert tl_dimension(r, 2) == cat
-
-    def test_three_row_killed(self):
-        r = 3
-        w0 = Permutation.longest_element(r)  # P(w0) is a column
-        el = from_standard(to_standard(HeckeElement(r, "upper", {w0: RationalFn.from_int(1)})), "upper")
-        assert tl_project(el, 2).coords == {}
-
-    @pytest.mark.parametrize("r", [3, 4])
-    def test_kill_set_is_an_ideal(self, r):
-        # products of surviving elements never need the killed ones to
-        # close: check associativity in the quotient on random triples
-        from nstl.combinatorics import all_permutations
-
-        shape_of = kl_table(r).shape_of
-        surviving = [w for w in all_permutations(r) if shape_of[w].length <= 2]
-        for _ in range(10):
-            ws = [rng.choice(surviving) for _ in range(3)]
-            a, b, c = (
-                TLElement(r, 2, {w: RationalFn.from_int(1)}) for w in ws
-            )
-            assert a.multiply(b).multiply(c) == a.multiply(b.multiply(c))
-
-    @pytest.mark.parametrize("r", [3, 4])
-    def test_killed_ideal_absorbs(self, r):
-        from nstl.combinatorics import all_permutations
-
-        shape_of = kl_table(r).shape_of
-        killed = [w for w in all_permutations(r) if shape_of[w].length > 2]
-        surviving = [w for w in all_permutations(r) if shape_of[w].length <= 2]
-        for w in killed[:4]:
-            for v in surviving[:6]:
-                a = to_standard(
-                    HeckeElement(r, "upper", {w: RationalFn.from_int(1)})
-                )
-                b = to_standard(
-                    HeckeElement(r, "upper", {v: RationalFn.from_int(1)})
-                )
-                prod = from_standard(multiply_standard(a, b), "upper")
-                for x, coeff in prod.coords.items():
-                    if shape_of[x].length <= 2:
-                        assert not coeff
+        # the C_w with P(w) of at most two rows span the rank-2 quotient
+        two_row = [w for w in all_permutations(r) if rsk(w.word)[0].shape.length <= 2]
+        assert len(two_row) == cat

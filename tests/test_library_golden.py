@@ -4,11 +4,14 @@ The digests in `library_golden.json` are sha256 hashes of the printed
 seminormal and hh bases (vectors and chains) of five tensor products
 and of every rank-4 irreducible, of the restriction multiset of every
 label with r <= 5, and of both canonical bases of H_6 and the cell
-actions and mu table of every Specht module of rank 6. Each pytest
-process runs under its own hash seed, so a match also shows that these
-results do not depend on set or dict iteration order. The KL and Specht
-digests print every entry in dict order, so they also pin the order in
-which the tables are built. After an intended change, re-record them with
+actions and mu table of every Specht module of rank 6. The hh bases,
+split along the chain of full tensor-square algebras, come from the
+dense oracle, which the library no longer carries a copy of. Each
+pytest process runs under its own hash seed, so a match also shows that
+these results do not depend on set or dict iteration order. The KL and
+Specht digests print every entry in the order of the packed rows and of
+the dicts, so they also pin the order in which the tables are built.
+After an intended change, re-record them with
 
     PYTHONPATH=src python tests/test_library_golden.py
 """
@@ -27,8 +30,10 @@ from nstl.nonstandard import (
     ns_labels,
     restriction_decompose,
 )
-from nstl.seminormal import hh_chain_basis, seminormal_basis
+from nstl.seminormal import seminormal_basis
 from nstl.specht_modules import build_specht
+
+from isotypic_oracle import dense_split, hh_pieces
 
 GOLDEN = pathlib.Path(__file__).with_name("library_golden.json")
 
@@ -55,7 +60,7 @@ def _seminormal(space):
 def _hh(tm):
     return "\n".join(
         " > ".join(f"{nu}:{rho}" for nu, rho in chain) + " : " + _matrix(v)
-        for chain, v in hh_chain_basis(tm)
+        for chain, v in dense_split(tm, tm.unit_vectors(), hh_pieces)
     )
 
 
@@ -67,9 +72,12 @@ def _restriction(label, r):
 
 
 def _kl(basis):
-    table = getattr(kl_table(6), basis)
+    # printed lists the elements by name; the digest takes them in the
+    # order of the table, each with its coordinates in row order
+    table = kl_table(6)
+    printed = dict(table.printed(basis))
     return "\n".join(
-        f"{w} {x} {p}" for w, coords in table.items() for x, p in coords.items()
+        f"{w} {x} {p}" for w in table.perms for x, p in printed[str(w)].items()
     )
 
 

@@ -52,7 +52,6 @@ from nstl.nonstandard import (
     epsilon_minus_vector,
     epsilon_plus_vector,
     flatten,
-    hh_pieces,
     ns_labels,
     nonstandard_dimension_oracle,
     nonstandard_pieces,
@@ -64,8 +63,8 @@ from nstl.nonstandard import (
 from nstl.specht_modules import build_specht, specialize_matrix
 from nstl.verify import check_certification
 
-from hecke_oracle import oracle_theta_t, theta_element
-from isotypic_oracle import isotypic_split
+from hecke_oracle import first_left_descent, oracle_theta_t, theta_element
+from isotypic_oracle import hh_pieces, isotypic_split
 
 rng = random.Random(23)
 
@@ -180,12 +179,19 @@ class TestPAction:
                         )
 
     def test_conversion_consistency(self):
+        # upper coordinates are X times lower ones, on either factor
         tm = TensorModule(P([2, 1]), P([3]))
+        XL, XRt = tm.left.transition, mat_transpose(tm.right.transition)
+        convert = {
+            "ul": lambda c: mat_mul(XL, c),
+            "lu": lambda c: mat_mul(c, XRt),
+            "uu": lambda c: mat_mul(XL, mat_mul(c, XRt)),
+        }
         c = rand_matrix(tm.left.dim, tm.right.dim)
         for i in (1, 2):
-            for pair in ("ul", "lu", "uu"):
-                lhs = tm.convert(tm.p_apply(c, i, "ll"), "ll", pair)
-                rhs = tm.p_apply(tm.convert(c, "ll", pair), i, pair)
+            for pair, to in convert.items():
+                lhs = to(tm.p_apply(c, i, "ll"))
+                rhs = tm.p_apply(to(c), i, pair)
                 assert mats_equal(lhs, rhs)
 
     def test_quadratic_relations(self):
@@ -270,17 +276,12 @@ class TestEpsilonPlus:
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_two_expressions_agree(self, r):
-        # sum C_Q (x) C'_Q = identity in ul coords; sum C'_Q (x) C_Q =
-        # identity in lu coords; both must land on the same ll matrix
+        # sum C_Q (x) C'_Q = identity in ul coords, X^-1 I in ll ones;
+        # sum C'_Q (x) C_Q = identity in lu coords, I (X^-1)^T in ll ones;
+        # both must land on the same ll matrix
         for lam in partitions_of(r):
-            tm = TensorModule(lam, lam)
-            n = tm.left.dim
-            ident = [
-                [R_ONE if a == b else R_ZERO for b in range(n)]
-                for a in range(n)
-            ]
-            first = tm.convert(ident, "ul", "ll")
-            second = tm.convert(ident, "lu", "ll")
+            first = build_specht(lam).transition_inv
+            second = mat_transpose(first)
             assert mats_equal(first, second)
             assert mats_equal(first, epsilon_plus_vector(lam))
 
@@ -312,28 +313,27 @@ class TestEpsilonMinus:
         assert mats_equal(eps, [[R_ONE]])
 
 
-def trace_functional(lam: Partition, c, pair: str = "lu"):
-    """(1/f) sum of diagonal coefficients in lower (x) upper
-    coordinates, read off the lower (x) lower ones by _pairing, which
+def trace_functional(lam: Partition, c):
+    """(1/f) sum of the diagonal coefficients of c in lower (x) upper
+    coordinates, read off its lower (x) lower ones by _pairing, which
     the library reads directly."""
-    tm = TensorModule(lam, lam)
-    c = tm.convert(c, pair, "ll")
-    return _pairing(c, tm.left.transition) / RationalFn.from_int(tm.left.dim)
+    X = build_specht(lam).transition
+    return _pairing(c, X) / RationalFn.from_int(len(X))
 
 
 class TestTrace:
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_trace_of_eps_plus_is_one(self, r):
         for lam in partitions_of(r):
-            assert trace_functional(
-                lam, epsilon_plus_vector(lam), "ll"
-            ) == R_ONE
+            assert trace_functional(lam, epsilon_plus_vector(lam)) == R_ONE
 
     def test_off_diagonal_zero(self):
         lam = P([2, 1])
         c = zeros(2, 2, R_ZERO)
         c[0][1] = R_ONE  # C'_T (x) C_U with T != U in lu coords
-        assert trace_functional(lam, c, "lu") == R_ZERO
+        # in ll coords: X^-1 on the upper factor
+        c = mat_mul(c, mat_transpose(build_specht(lam).transition_inv))
+        assert trace_functional(lam, c) == R_ZERO
 
     def test_equivariance(self):
         for lam in (P([2, 1]), P([3, 1])):
@@ -341,8 +341,8 @@ class TestTrace:
             c = rand_matrix(tm.left.dim, tm.left.dim)
             for i in range(1, lam.size):
                 assert trace_functional(
-                    lam, tm.p_apply(c, i, "ll"), "ll"
-                ) == FOUR * trace_functional(lam, c, "ll")
+                    lam, tm.p_apply(c, i, "ll")
+                ) == FOUR * trace_functional(lam, c)
 
 
 ANTIPODE_WORDS = [
@@ -381,10 +381,10 @@ class TestAntipode:
             if w.length() == 0:
                 theta_t[w] = unit
             else:
-                i = min(w.left_descents())
+                i = first_left_descent(w)
                 v = w.times_simple_left(i)
                 theta_t[w] = multiply_standard(theta_ts[i], theta_t[v])
-            assert theta_t[w] == HeckeElement(r, "standard", want)
+            assert theta_t[w] == HeckeElement(r, want)
 
 
 class TestBuildIrreducible:

@@ -16,7 +16,7 @@ from nstl.combinatorics import (
     y_tableau,
 )
 from nstl.exact_arith import R_ONE, R_ZERO, RationalFn
-from nstl.linalg import identity, mat_add, mat_mul, mat_transpose, rank, rref
+from nstl.linalg import identity, mat_add, mat_mul, mat_transpose, rank
 from nstl.nonstandard import (
     NsIrredLabel,
     NsSubmodule,
@@ -24,8 +24,6 @@ from nstl.nonstandard import (
     _paths,
     build_irreducible,
     epsilon_plus_vector,
-    flatten,
-    hh_pieces,
     nonstandard_pieces,
     ns_labels,
 )
@@ -36,13 +34,12 @@ from nstl.seminormal import (
     _gt_basis,
     alpha,
     chain_membership,
-    hh_chain_basis,
     seminormal_basis,
     seminormal_table,
 )
 from nstl.specht_modules import build_specht
 
-from isotypic_oracle import isotypic_split
+from isotypic_oracle import dense_split, hh_pieces, isotypic_split
 
 # sha256 of the (3,2) x (3,2) seminormal chains and vectors
 DIGEST_32 = """
@@ -206,9 +203,7 @@ class TestSeminormalBasis:
 
     def test_eps_leaf_is_the_eigenline(self):
         sb = seminormal_basis(TensorModule(P32, P32))
-        idx = sb.chain_index(
-            SeminormalChainLabel(tuple([lbl("eps+")] * 4))
-        )
+        idx = sb.chains.index(SeminormalChainLabel(tuple([lbl("eps+")] * 4)))
         eps = epsilon_plus_vector(P32)
         lead = next(x for row in eps for x in row if x)
         eps = [[x / lead for x in row] for row in eps]
@@ -270,10 +265,12 @@ class TestSeminormalBasis:
                     corrupt(iota)
                     corrupt(pi)
                 m = build_specht(lam)
-                for M in (*m.lower_action.values(), *m.upper_action.values()):
-                    corrupt(M)
+                # X^-1, which the basis no longer reads, is formed here
+                # from the actions before they are corrupted
                 corrupt(m.transition)
                 corrupt(m.transition_inv)
+                for M in (*m.lower_action.values(), *m.upper_action.values()):
+                    corrupt(M)
                 for _, iota, pi, proj in m.branching:
                     for M in (iota, pi, proj):
                         corrupt(M)
@@ -350,14 +347,12 @@ class TestTensorSquareChainDiffers:
         # yields only rank-1 leaf matrices, so its leaf lines cannot all
         # agree with the nonstandard chain: the eps+ leaf has full rank
         tm = TensorModule(P32, P32)
-        hh = hh_chain_basis(tm)
+        hh = dense_split(tm, tm.unit_vectors(), hh_pieces)
         assert len(hh) == 25
         for _, v in hh:
             assert rank(v) == 1
         ns = seminormal_basis(tm)
-        idx = ns.chain_index(
-            SeminormalChainLabel(tuple([lbl("eps+")] * 4))
-        )
+        idx = ns.chains.index(SeminormalChainLabel(tuple([lbl("eps+")] * 4)))
         eps_vec = ns.vectors[idx]
         assert rank(eps_vec) == 5
         assert all(v != eps_vec for _, v in hh)
@@ -435,43 +430,6 @@ class TestGTBasis:
             self._build_with(monkeypatch, shear)
 
 
-def dense_row_basis(vectors, nrows, ncols):
-    flats = [f for f in (flatten(v) for v in vectors) if any(f)]
-    if not flats:
-        return []
-    return [
-        [row[a * ncols : (a + 1) * ncols] for a in range(nrows)]
-        for row in rref(flats)[0]
-    ]
-
-
-def dense_split(tm, vectors, pieces):
-    """Oracle for the GT-coordinate descent: the same iterated splitting
-    on dense lower (x) lower coefficient matrices, re-echelonning every
-    component at every level with nonstandard.isotypic_split."""
-    nrows, ncols = tm.left.dim, tm.right.dim
-    leaves = []
-
-    def descend(space, k, chain):
-        if k == 1:
-            assert len(space) == 1, chain
-            (v,) = space
-            lead = next(x for row in v for x in row if x)
-            leaves.append((chain, [[x / lead for x in row] for row in v]))
-            return
-        images = {}
-        for v in space:
-            split = isotypic_split(tm.lam, tm.mu, k, v, pieces)
-            for label, comp in split.items():
-                images.setdefault(label, []).append(comp)
-        for label in sorted(images, key=str):
-            basis = dense_row_basis(images[label], nrows, ncols)
-            descend(basis, k - 1, chain + (label,))
-
-    descend(dense_row_basis(vectors, nrows, ncols), tm.r, ())
-    return leaves
-
-
 def printed(leaves):
     return "\n".join(
         " > ".join(map(str, chain))
@@ -491,9 +449,6 @@ class TestDenseOracle:
         assert printed(
             (c.labels, v) for c, v in zip(sb.chains, sb.vectors)
         ) == printed(dense_split(tm, tm.unit_vectors(), nonstandard_pieces))
-        assert printed(hh_chain_basis(tm)) == printed(
-            dense_split(tm, tm.unit_vectors(), hh_pieces)
-        )
 
     @pytest.mark.parametrize(
         "label,r", [(l, r) for r in (3, 4) for l in ns_labels(r)], ids=str

@@ -1,36 +1,30 @@
 import os
-import random
 
 import pytest
 
-from nstl.combinatorics import Partition, partitions_of, syt_count, syt_enumerate
-from nstl.exact_arith import R_ONE, R_ZERO, TWO, LaurentPoly, RationalFn
-from nstl.hecke_core import HeckeElement, kl_table
+from nstl.combinatorics import Partition, partitions_of, rsk, syt_count, syt_enumerate
+from nstl.exact_arith import R_ONE, R_ZERO, TWO, U_INV, RationalFn
+from nstl.hecke_core import kl_table
 from nstl.linalg import (
     identity,
     inverse,
     mat_mul,
     mat_transpose,
-    mat_vec,
     nullspace,
     zeros,
 )
 from nstl.specht_modules import (
-    Lattice,
-    PreconditionError,
     SpechtModule,
     _contravariant_form,
     _intertwiner,
+    _shift_diagonal,
     build_specht,
-    lattice_reduce,
     projected_basis,
     transition_lower_to_upper,
 )
 
 from hecke_oracle import right_multiply_canonical
 from isotypic_oracle import isotypic_projector
-
-rng = random.Random(11)
 
 HEAVY = os.environ.get("NSTL_HEAVY") == "1"
 
@@ -88,7 +82,8 @@ def cell_realization(lam):
     m = build_specht(lam)
     p0t = syt_enumerate(lam.conjugate())[0]
     members = {"lower": {}, "upper": {}}
-    for w, (P, Q) in table.rsk_pairs.items():
+    for w in table.perms:
+        P, Q = rsk(w.word)
         if P == p0t:
             members["lower"][Q.transpose()] = w
         if P == m.basis[0]:
@@ -100,8 +95,8 @@ def cell_realization(lam):
         for i in range(1, r):
             A = zeros(m.dim, m.dim, R_ZERO)
             for q, w in cell.items():
-                img = right_multiply_canonical(HeckeElement(r, tag, {w: R_ONE}), i)
-                for x, c in img.coords.items():
+                img = right_multiply_canonical({w: R_ONE}, i, tag)
+                for x, c in img.items():
                     if x in label_of:
                         A[m.index[label_of[x]]][m.index[q]] = c
             mats[i] = A
@@ -152,7 +147,9 @@ class TestConstruction:
     def test_braid_and_commuting_relations(self, lam):
         m = build_specht(lam)
         r = lam.size
-        T = {i: m.standard_action(i) for i in range(1, r)}
+        # T_{s_i} = C'_{s_i} - u^-1
+        uinv = RationalFn(U_INV)
+        T = {i: _shift_diagonal(L, -uinv) for i, L in m.lower_action.items()}
         for i in range(1, r - 1):
             lhs = mat_mul(T[i], mat_mul(T[i + 1], T[i]))
             rhs = mat_mul(T[i + 1], mat_mul(T[i], T[i + 1]))
@@ -384,39 +381,3 @@ class TestProjectedBasis:
         for q, vec in projected_basis(lam, "upper"):
             col = m.index[q]
             assert vec == [row[col] for row in conj[m.restriction_shape(q)]]
-
-
-class TestLattice:
-    @pytest.mark.parametrize("lam", shapes_up_to(4), ids=str)
-    def test_lattices_agree(self, lam):
-        m = build_specht(lam)
-        lat = Lattice(lam)
-        for _ in range(10):
-            coords = [
-                RationalFn(LaurentPoly({rng.randint(0, 3): rng.randint(-3, 3)}))
-                for _ in range(m.dim)
-            ]
-            assert lat.contains(coords, "lower")
-            upper = mat_vec(m.transition, coords)
-            assert lat.contains(upper, "upper")
-
-    def test_rejects_pole_coordinates(self):
-        lam = Partition([2, 1])
-        bad = [RationalFn(LaurentPoly({-1: 1})), R_ZERO]
-        assert not Lattice(lam).contains(bad, "lower")
-        with pytest.raises(PreconditionError):
-            lattice_reduce(lam, bad)
-
-    @pytest.mark.parametrize("lam", shapes_up_to(4), ids=str)
-    def test_reduce_canonical_vectors(self, lam):
-        m = build_specht(lam)
-        for q in m.basis:
-            e = [R_ZERO] * m.dim
-            e[m.index[q]] = R_ONE
-            assert lattice_reduce(lam, e) == {q: 1}
-
-    def test_reduce_kills_u_multiples(self):
-        lam = Partition([2, 1])
-        m = build_specht(lam)
-        u = RationalFn(LaurentPoly({1: 1}))
-        assert lattice_reduce(lam, [u, u]) == {}
