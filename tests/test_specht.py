@@ -175,6 +175,26 @@ class TestConstruction:
             assert m.mu(q2, q1) == v
 
 
+class TestTemperleyLieb:
+    @pytest.mark.parametrize("lam", shapes_up_to(6, lo=3), ids=str)
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    def test_relation_holds_exactly_on_two_row_shapes(self, lam, which):
+        # C_s C_t C_s - C_s = C_{sts} for adjacent s, t; C_{sts} spans the
+        # ideal of the C_w with P(w) of three rows or more, so the upper
+        # action factors through the rank-2 quotient TL_r exactly when lam
+        # has at most two rows (the lower one: at most two columns)
+        m = build_specht(lam)
+        act = m.lower_action if which == "lower" else m.upper_action
+        holds = all(
+            mats_equal(mat_mul(act[i], mat_mul(act[j], act[i])), act[i])
+            for i in act
+            for j in (i - 1, i + 1)
+            if j in act
+        )
+        rows = lam.conjugate() if which == "lower" else lam
+        assert holds == (rows.length <= 2)
+
+
 class TestTransition:
     @pytest.mark.parametrize("lam", shapes_up_to(6), ids=str)
     def test_intertwines(self, lam):
