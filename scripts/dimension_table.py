@@ -3,9 +3,10 @@
 
 Usage: python3 scripts/dimension_table.py [max_r]
 
-The oracle is exact through rank 4. From rank 5 it runs the same
-closure over F_p, a few seconds at rank 5 (at ranks 2-4 the F_p closure
-equals the exact one, which the tests check).
+The oracle runs its closure over F_p at every rank, in pure Python
+through rank 4 and in numpy from rank 5, a few seconds at rank 5 (at
+ranks 2-4 its words equal those of an exact Fraction closure, which the
+tests check).
 """
 
 import argparse

@@ -111,8 +111,8 @@ def cmd_kl_basis(args, cfg, parser):
 
 def cmd_cells(args, cfg, parser):
     cfg.check_rank(args.r, parser)
-    part = cells_regular(args.r, args.basis)
-    blocks = sorted(sorted(str(w) for w in b) for b in part.as_label_sets())
+    cells = cells_regular(args.r, args.basis)
+    blocks = sorted(sorted(str(w) for w in cell) for cell in cells)
     _emit({"r": args.r, "basis": args.basis, "cells": blocks}, cfg)
     return 0
 

@@ -19,7 +19,6 @@ theta(T_w) as oracles.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import countOf
@@ -468,19 +467,10 @@ def multiply_standard(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 # cells
 
 
-@dataclass
-class CellPartition:
-    """Partition of a basis into cells, as lists of labels."""
-
-    blocks: list
-
-    def as_label_sets(self):
-        return [frozenset(b) for b in self.blocks]
-
-
-def cells_regular(r: int, basis: str) -> CellPartition:
+def cells_regular(r: int, basis: str) -> list:
     """Right cells of the regular module in the chosen canonical basis,
-    using only the canonical generators, read off the W-graph of H_r.
+    as lists of permutations, using only the canonical generators, read
+    off the W-graph of H_r.
 
     C'_w C'_s is [2] C'_w and C_w C_s is -[2] C_w when s is in R(w),
     the right descent set of w. Otherwise each is w s plus mu(z, w)
@@ -497,4 +487,4 @@ def cells_regular(r: int, basis: str) -> CellPartition:
         w: [v for v, _ in table.mu_pairs[w] if not desc[v] <= desc[w]]
         for w in table.perms
     }
-    return CellPartition(strong_components(edges))
+    return strong_components(edges)

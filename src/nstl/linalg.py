@@ -1,16 +1,15 @@
 """Dense exact linear algebra over any field-like element type.
 
 Works for RationalFn, Fraction, or anything supporting +, -, *, / and
-truthiness-as-nonzero. Matrices are lists of lists (rows). IntSpanBasis
-tracks the span of sparse integer vectors without fractions. SpanBasisModP
-keeps a reduced echelon basis over F_p in numpy int64 arrays and takes
-a whole level of the mod-p spanning closure with one matrix product;
-numpy is imported only when that class is first used.
+truthiness-as-nonzero. Matrices are lists of lists (rows). Two span
+trackers work over F_p: ListSpanBasisModP takes one vector of Python
+ints at a time, and SpanBasisModP keeps a reduced echelon basis in
+numpy int64 arrays and takes a whole level of the mod-p spanning
+closure with one matrix product; numpy is imported only when that class
+is first used.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 
 def mat_mul(A, B):
@@ -92,10 +91,6 @@ def rref(M):
     return rows[:r], pivots
 
 
-def rank(M):
-    return len(rref(M)[0])
-
-
 def nullspace(M, one, zero):
     """Basis of the right nullspace of M, as column vectors (lists)."""
     if not M:
@@ -152,50 +147,35 @@ class SpanBasis:
         return len(self.rows)
 
 
-class IntSpanBasis:
-    """Echelon basis of the Q-span of integer vectors, fraction-free.
+class ListSpanBasisModP:
+    """Echelon span tracker over F_p on lists of Python ints, one vector
+    at a time: each row has a 1 at its pivot and a 0 at the pivots of
+    the rows before it. It needs no numpy, which costs more to import
+    than a small span takes to build."""
 
-    Rows are sparse primitive integer vectors {column: entry}, each zero
-    at the pivots of the rows before it. A vector v with entry x at the
-    pivot p of a row with pivot entry a becomes (a/g) v - (x/g) row,
-    g = gcd(a, x); once reduced it is divided by its content, so entries
-    stay the size of the integer rows rather than of their fractions.
-    """
-
-    def __init__(self):
-        self.rows = []  # primitive rows {column: entry}
+    def __init__(self, p: int):
+        self.p = p
+        self.rows = []
         self.pivots = []  # pivot column per row, insertion order
 
-    def add(self, v: dict):
-        """Reduce the sparse integer vector v, {column: entry} with no
-        zero entries, against the basis; absorb it if independent.
-        Returns True iff the span grew. A zero entry would be taken for
-        a pivot, so callers drop them."""
-        v = dict(v)
-        for row, p in zip(self.rows, self.pivots):
-            x = v.get(p)
-            if not x:
-                continue
-            a = row[p]
-            g = gcd(a, x)
-            a, x = a // g, x // g
-            if a != 1:
-                for j in v:
-                    v[j] *= a
-            for j, y in row.items():
-                n = v.get(j, 0) - x * y
-                if n:
-                    v[j] = n
-                else:
-                    del v[j]
-        if not v:
+    def add(self, v) -> bool:
+        """Reduce the integer vector v mod p against the basis; absorb
+        it if independent. Returns True iff the span grew. Each row is
+        0 at the earlier pivots, so one pass in insertion order clears
+        every pivot; entries are reduced mod p only at the pivot read
+        and at the end."""
+        p = self.p
+        for row, q in zip(self.rows, self.pivots):
+            x = v[q] % p
+            if x:
+                v = [a - x * b for a, b in zip(v, row)]
+        v = [a % p for a in v]
+        q = next((j for j, a in enumerate(v) if a), None)
+        if q is None:
             return False
-        g = gcd(*v.values())
-        if g != 1:
-            for j in v:
-                v[j] //= g
-        self.rows.append(v)
-        self.pivots.append(min(v))
+        inv = pow(v[q], -1, p)
+        self.rows.append([a * inv % p for a in v])
+        self.pivots.append(q)
         return True
 
     def __len__(self):

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import comb, gcd, isqrt, lcm
+from math import comb, isqrt, lcm
 
 from .combinatorics import (
     Partition,
@@ -32,7 +32,7 @@ from .combinatorics import (
 from .exact_arith import FOUR, R_HALF, R_ONE, R_ZERO, TWO, RationalFn
 from .hecke_core import HeckeElement, multiply_standard
 from .linalg import (
-    IntSpanBasis,
+    ListSpanBasisModP,
     SpanBasis,
     SpanBasisModP,
     identity,
@@ -724,7 +724,7 @@ def restriction_decompose(mod: NsSubmodule) -> Counter:
 # dimension oracle and formula
 
 
-# The dimension oracle's specialization point, and its prime from rank 5.
+# The dimension oracle's specialization point and its prime.
 U0 = Fraction(7, 3)
 ORACLE_PRIME = 1000003
 
@@ -758,8 +758,8 @@ def _block_generators(r: int, u0: Fraction):
     P_s = C'_s (x) C'_s + C_s (x) C_s is symmetric in its factors: the
     antisymmetric parts of the squares M_lam (x) M_lam, one block
     M_lam (x) M_mu per pair lam < mu of two-row shapes, and the
-    symmetric parts, in that order (the exact closure at r = 4 runs
-    about a third faster than with the blocks in shape order). The
+    symmetric parts, in that order (the F_p closure at r = 4 runs
+    about a fifth faster than with the blocks in shape order). The
     ordered sum over all pairs is a direct sum of copies of these, so
     it has the same annihilator and word relations. Returns (signs,
     mats): signs[k] is the flip sign of block k (0 for a pair block),
@@ -831,48 +831,51 @@ def _closure(ident, gens, multiply, accept, bound, safety):
         )
 
 
-def _accepted_words(r: int, u0: Fraction, mod_p: int = None):
+def _accepted_words(r: int, u0: Fraction, p: int):
     """Words in the specialized P_i (tuples of generator indices i),
-    from the empty word, that grow the span of the breadth-first
-    product closure, in the order they are accepted. The closure stops
-    once the span reaches _split_bound, which no span can pass.
+    from the empty word, that grow the span over F_p of the
+    breadth-first product closure, in the order they are accepted. The
+    closure stops once the span reaches _split_bound, which no span can
+    pass.
 
-    A word's value is its list of integer blocks. Exactly, its flattened
-    blocks enter a fraction-free span, and it is kept divided by their
-    content; with mod_p, a whole level enters an F_p span at once."""
+    A word's value is its list of integer blocks mod p. Through rank 4
+    each value's flattened blocks enter a pure-Python span one at a
+    time, so the oracle there never imports numpy; from rank 5 a whole
+    level enters a numpy span at once."""
     signs, mats = _block_generators(r, u0)
     bound = _split_bound(r, signs, mats[0])
     ident, *gens = _integer_generators(mats)
     length = sum(len(B) ** 2 for B in ident)
     safety = length * (r - 1) + r
-    if mod_p is None:
-        span = IntSpanBasis()
+    _check_modulus(p, u0, length)
+    ident, *gens = [
+        [[[x % p for x in row] for row in B] for B in M] for M in [ident] + gens
+    ]
+    if r <= 4:
+        span = ListSpanBasisModP(p)
 
         def accept(level):
             kept = []
             for word, M in level:
                 if len(span) == bound:
                     break
-                flat = enumerate(x for B in M for row in B for x in row)
-                v = {j: x for j, x in flat if x}
-                if span.add(v):
-                    g = gcd(*v.values())
-                    M = [[[x // g for x in row] for row in B] for B in M]
+                if span.add([x for B in M for row in B for x in row]):
                     kept.append((word, M))
             return kept
 
         def multiply(M, G):
-            return [mat_mul(A, B) for A, B in zip(M, G)]
+            return [
+                [[x % p for x in row] for row in mat_mul(A, B)]
+                for A, B in zip(M, G)
+            ]
 
         return _closure(ident, gens, multiply, accept, bound, safety)
 
     import numpy as np
 
-    _check_modulus(mod_p, u0, length)
-    span = SpanBasisModP(length, mod_p)
+    span = SpanBasisModP(length, p)
     ident, *gens = [
-        [np.array([[x % mod_p for x in row] for row in B], dtype=np.int64) for B in M]
-        for M in [ident] + gens
+        [np.array(B, dtype=np.int64) for B in M] for M in [ident] + gens
     ]
 
     def accept(level):
@@ -881,7 +884,7 @@ def _accepted_words(r: int, u0: Fraction, mod_p: int = None):
         return [pair for pair, ok in zip(level, span.add_level(flat)) if ok]
 
     def multiply(M, G):
-        return [A @ B % mod_p for A, B in zip(M, G)]
+        return [A @ B % p for A, B in zip(M, G)]
 
     return _closure(ident, gens, multiply, accept, bound, safety)
 
@@ -905,18 +908,17 @@ def _check_modulus(p: int, u0: Fraction, n: int):
 
 def nonstandard_dimension_oracle(r: int) -> int:
     """Dimension of the unital algebra generated by the P_i specialized
-    at U0 on the faithful two-row tensor sum, by product-span closure:
-    exact through rank 4, over F_p for p = ORACLE_PRIME from rank 5,
-    where the exact closure runs for minutes.
+    at U0 on the faithful two-row tensor sum, by product-span closure
+    over F_p for p = ORACLE_PRIME at every rank.
 
-    Soundness: the span at U0, and mod p, is a lower bound on the
+    Soundness: the span at U0 mod p is a lower bound on the
     algebra's dimension at generic u, and _split_bound, from identities
     proved over Q(u), an upper bound. The closure stops when the span
     reaches the upper bound, and then the generic dimension is exactly
     that. A bad point or prime can only leave the span short of it,
     which gives a false FAIL against the formula, never a false PASS.
     A split identity that fails raises CertificateError."""
-    return len(_accepted_words(r, U0, None if r <= 4 else ORACLE_PRIME))
+    return len(_accepted_words(r, U0, ORACLE_PRIME))
 
 
 def dimension_formula(r: int) -> int:

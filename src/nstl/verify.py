@@ -84,7 +84,7 @@ def check_cells(r: int) -> dict:
         by_p_upper.setdefault(P, set()).add(w)
         by_p_lower.setdefault(P.transpose(), set()).add(w)
     for tag, fibers in (("upper", by_p_upper), ("lower", by_p_lower)):
-        got = set(cells_regular(r, tag).as_label_sets())
+        got = {frozenset(cell) for cell in cells_regular(r, tag)}
         # both partition S_r, so they are equal when every fiber is a cell
         split = [v for v in fibers.values() if frozenset(v) not in got]
         if split:
@@ -382,15 +382,15 @@ def check_branching(r: int) -> dict:
 
 
 def check_dimension(rs=(2, 3, 4)) -> dict:
-    """The formula against the oracle at U0 at each rank (exact through
-    r = 4, over F_p above), a count by spanning independent of
-    check_certification, which derives the same dimension from the
-    irreducibles. The oracle's span is a lower bound on the generic
-    dimension, and it stops at an upper bound proved over Q(u) by the
-    split identities (nonstandard._split_bound), never taken from the
-    formula; so a PASS proves the generic dimension equals the formula,
-    and a bad point or prime can only give a false FAIL. A split
-    identity that fails is a FAIL."""
+    """The formula against the oracle at U0 over F_p at each rank, a
+    count by spanning independent of check_certification, which derives
+    the same dimension from the irreducibles. The oracle's span is a
+    lower bound on the generic dimension, and it stops at an upper
+    bound proved over Q(u) by the split identities
+    (nonstandard._split_bound), never taken from the formula; so a PASS
+    proves the generic dimension equals the formula, and a bad point or
+    prime can only give a false FAIL. A split identity that fails is a
+    FAIL."""
     values = {}
     for r in rs:
         formula = dimension_formula(r)

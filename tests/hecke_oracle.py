@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from nstl.combinatorics import Permutation, all_permutations, strong_components
 from nstl.exact_arith import L_ONE, TWO, LaurentPoly, RationalFn
-from nstl.hecke_core import CellPartition, HeckeElement, kl_table
+from nstl.hecke_core import HeckeElement, kl_table
 
 U_MINUS_UINV = LaurentPoly({1: 1, -1: -1})
 UINV = LaurentPoly({-1: 1})
@@ -183,20 +183,20 @@ def right_multiply_canonical(coords: dict, i: int, basis: str) -> dict:
     return out
 
 
-def cells(labels: list, action_matrices: list) -> CellPartition:
+def cells(labels: list, action_matrices: list) -> list:
     """Cells of a module-with-basis: the strongly connected components
     of the digraph j -> i, with i in (label j) * generator g when
     action_matrices[g][j][i] is nonzero; matrices are dicts
-    {j: {i: coeff}}."""
+    {j: {i: coeff}}. Returns the cells as lists of labels."""
     adj: dict = {j: set() for j in range(len(labels))}
     for mat in action_matrices:
         for j, row in mat.items():
             adj[j].update(i for i, c in row.items() if c)
     comps = strong_components(adj)
-    return CellPartition([[labels[v] for v in comp] for comp in comps])
+    return [[labels[v] for v in comp] for comp in comps]
 
 
-def cells_regular_by_products(r: int, basis: str) -> CellPartition:
+def cells_regular_by_products(r: int, basis: str) -> list:
     """The right cells of the regular module from the products C'_w C'_s
     (or C_w C_s) themselves: the route hecke_core.cells_regular
     replaced by the support argument."""

@@ -1,11 +1,10 @@
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from nstl.exact_arith import LaurentPoly
-from nstl.linalg import IntSpanBasis, SpanBasis, SpanBasisModP, mat_mul
+from nstl.linalg import ListSpanBasisModP, SpanBasis, SpanBasisModP, mat_mul
 
 # few distinct entries, so that dependent vectors turn up often
 int_vectors = st.lists(
@@ -14,39 +13,44 @@ int_vectors = st.lists(
 )
 
 
-def sparse(v):
-    """v as IntSpanBasis.add takes it: {column: entry}, zeros dropped."""
-    return {j: x for j, x in enumerate(v) if x}
-
-
-@given(int_vectors)
-def test_int_span_accepts_like_fraction_span(vectors):
-    exact, fraction = IntSpanBasis(), SpanBasis()
-    for v in vectors:
-        assert exact.add(sparse(v)) == fraction.add([Fraction(x) for x in v])
-    assert len(exact) == len(fraction)
-
-
-@given(int_vectors)
-def test_int_span_rows_are_primitive_and_pivoted(vectors):
-    span = IntSpanBasis()
-    for v in vectors:
-        span.add(sparse([7 * x for x in v]))
-    for k, (row, p) in enumerate(zip(span.rows, span.pivots)):
-        assert row[p] and gcd(*row.values()) == 1
-        assert all(other.get(p, 0) == 0 for other in span.rows[k + 1 :])
-
-
 # a prime above every minor of these vectors (Hadamard: (3 sqrt 5)^5 <
 # 13,600), so their ranks over F_p and over Q agree
 BIG_PRIME = 1000003
 
 
+@given(int_vectors)
+def test_list_span_accepts_like_fraction_span(vectors):
+    modp, fraction = ListSpanBasisModP(BIG_PRIME), SpanBasis()
+    for v in vectors:
+        assert modp.add(v) == fraction.add([Fraction(x) for x in v])
+    assert len(modp) == len(fraction)
+
+
+@given(int_vectors)
+def test_list_span_accepts_like_numpy_span_one_vector_per_level(vectors):
+    np = pytest.importorskip("numpy")
+    listed, levels = ListSpanBasisModP(BIG_PRIME), SpanBasisModP(5, BIG_PRIME)
+    for v in vectors:
+        assert [listed.add(v)] == levels.add_level(np.array([v], dtype=np.int64))
+    assert len(listed) == len(levels)
+
+
+@given(int_vectors)
+def test_list_span_rows_are_pivoted(vectors):
+    span = ListSpanBasisModP(BIG_PRIME)
+    for v in vectors:
+        span.add([7 * x for x in v])
+    # a 1 at each pivot, 0 at the pivots of the rows before it
+    for k, (row, p) in enumerate(zip(span.rows, span.pivots)):
+        assert all(0 <= x < BIG_PRIME for x in row)
+        assert [row[q] for q in span.pivots[: k + 1]] == [0] * k + [1]
+
+
 @given(int_vectors, st.lists(st.integers(min_value=1, max_value=4)))
 def test_mod_p_levels_accept_like_one_at_a_time(vectors, cuts):
     np = pytest.importorskip("numpy")
-    exact, modp = IntSpanBasis(), SpanBasisModP(5, BIG_PRIME)
-    want = [exact.add(sparse(v)) for v in vectors]
+    listed, modp = ListSpanBasisModP(BIG_PRIME), SpanBasisModP(5, BIG_PRIME)
+    want = [listed.add(v) for v in vectors]
     got, start = [], 0
     for size in cuts + [len(vectors)]:
         level = vectors[start : start + size]
@@ -54,7 +58,7 @@ def test_mod_p_levels_accept_like_one_at_a_time(vectors, cuts):
             got += modp.add_level(np.array(level, dtype=np.int64))
         start += size
     assert got == want
-    assert len(modp) == len(exact)
+    assert len(modp) == len(listed)
     # reduced echelon: a 1 at each pivot, 0 at the pivots of the others
     for row, p in zip(modp.rows, modp.pivots):
         assert [int(row[q]) for q in modp.pivots] == [int(q == p) for q in modp.pivots]

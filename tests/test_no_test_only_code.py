@@ -5,12 +5,14 @@ code that only tests call belongs in the tests, as an oracle.
 
 A reference is a loaded name, a loaded attribute, or one part of a
 dotted identifier in a string that is not a docstring (the benchmark's
-tracer names callables as "RationalFn.specialize"). The scan is by name
-only, with no types and no reachability: a definition whose name is
-used for something else, such as a method `convert` beside another
-`convert`, or a property `lower` beside the string "lower", passes. A
-definition that is referenced only from other dead code passes too, so
-delete top-down."""
+tracer names callables as "RationalFn.specialize"). A name that a
+function binds (an argument, or the target of an assignment, a loop or
+a comprehension) is its local there, so loading it inside that
+function is no reference. The scan is by name only, with no types and
+no reachability: a definition whose name is used for something else,
+such as a method `convert` beside another `convert`, or a property
+`lower` beside the string "lower", passes. A definition that is
+referenced only from other dead code passes too, so delete top-down."""
 
 import ast
 import re
@@ -53,13 +55,46 @@ def docstrings(tree):
     }
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def local_names(function):
+    """The names a function binds itself: its arguments and the targets
+    of its assignments, loops and comprehensions, not those of the
+    functions nested in it."""
+    names = {arg.arg for arg in ast.walk(function.args) if isinstance(arg, ast.arg)}
+    body = function.body if isinstance(function.body, list) else [function.body]
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, _FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def loaded_names(node, bound=frozenset()):
+    """(name, line) for each bare name loaded under node that is not a
+    local of a function around it."""
+    if isinstance(node, _FUNCTIONS):
+        bound = bound | local_names(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in bound:
+            yield node.id, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from loaded_names(child, bound)
+
+
 def references(tree):
-    """(name, line, is a bare name) for each reference in a module."""
+    """(name, line, is a bare name) for each reference in a module. A
+    bare name that a function binds is its local inside that function,
+    not a reference."""
     skip = docstrings(tree)
+    for name, line in loaded_names(tree):
+        yield name, line, True
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno, True
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr, node.lineno, False
         elif (
             isinstance(node, ast.Constant)
@@ -121,7 +156,17 @@ def test_detects_a_definition_without_a_caller(tmp_path):
         "    def shadowed(self):\n        return 0\n"
         "shadowed = 1\n"
         "TRACED = ('Box.named',)\n"
-        "print(shadowed, Box)\n"
+        "def rank():\n    return 0\n"
+        "def by_argument(rank):\n    return rank\n"
+        "def by_assignment():\n    rank = 1\n    return rank\n"
+        "def by_loop():\n    for rank in ():\n        pass\n    return rank\n"
+        "def by_comprehension():\n    return [rank for rank in ()]\n"
+        "print(shadowed, Box, by_argument, by_assignment, by_loop, by_comprehension)\n"
     )
     found = unreferenced([module], [module])
-    assert found == [("m.py", "dead"), ("m.py", "Box.size"), ("m.py", "Box.shadowed")]
+    assert found == [
+        ("m.py", "dead"),
+        ("m.py", "Box.size"),
+        ("m.py", "Box.shadowed"),
+        ("m.py", "rank"),
+    ]

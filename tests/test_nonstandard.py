@@ -1,7 +1,11 @@
 import functools
 import itertools
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -12,7 +16,7 @@ from nstl.combinatorics import Partition, partitions_of, two_row_partitions
 from nstl.exact_arith import LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
 from nstl.hecke_core import HeckeElement, multiply_standard
 from nstl.linalg import (
-    IntSpanBasis,
+    ListSpanBasisModP,
     SpanBasis,
     SpanBasisModP,
     inverse,
@@ -20,7 +24,6 @@ from nstl.linalg import (
     mat_mul,
     mat_transpose,
     nullspace,
-    rank,
     rref,
     zeros,
 )
@@ -30,6 +33,7 @@ from nstl.nonstandard import (
     ModulusError,
     NsIrredLabel,
     NsSubmodule,
+    ORACLE_PRIME,
     RestrictionError,
     TensorModule,
     U0,
@@ -104,8 +108,9 @@ def closure_check(mod):
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def fraction_closure_words(r, u0):
-    """Oracle for the integer span closure: the same breadth-first
+    """Oracle for the F_p span closure: the same breadth-first
     closure on dense block-diagonal Fraction generators of the whole
     faithful sum, with each product's N^2 entries in a Fraction span.
     Returns the accepted words in order."""
@@ -792,7 +797,7 @@ class TestRestriction:
                     lifted.setdefault(k, []).append(flatten(comp))
             assert mod.restriction.keys() == lifted.keys()
             for k, (rk, probe) in mod.restriction.items():
-                assert rk == rank(lifted[k])
+                assert rk == len(rref(lifted[k])[0])
                 assert isotypic_split(tm.lam, tm.mu, r - 1, probe, nonstandard_pieces) == {k: probe}
 
 
@@ -877,26 +882,35 @@ class TestDimension:
         + [(3, Fraction(11, 5)), (4, Fraction(5, 2))],
     )
     def test_integer_closure_matches_fraction_closure(self, r, u0):
-        words = _accepted_words(r, u0)
+        words = _accepted_words(r, u0, ORACLE_PRIME)
         assert words == fraction_closure_words(r, u0)
         assert len(words) == nonstandard_dimension_oracle(r)
 
-    def test_exact_oracle_stops_at_the_split_bound(self, monkeypatch):
+    def test_oracle_stops_at_the_split_bound(self, monkeypatch):
         # the 191st add takes the span to 89, and none follows it; the
         # closure run to its end makes 268
         sizes = []
-        add = IntSpanBasis.add
+        add = ListSpanBasisModP.add
 
         def counted(self, v):
             sizes.append(len(self))
             return add(self, v)
 
-        monkeypatch.setattr(IntSpanBasis, "add", counted)
+        monkeypatch.setattr(ListSpanBasisModP, "add", counted)
         assert nonstandard_dimension_oracle(4) == 89
         assert len(sizes) == 191
         assert max(sizes) == sizes[-1] == 88
 
-    def test_mod_p_oracle_stops_at_the_split_bound(self, monkeypatch):
+    def test_mod_p_bounds_exact_r4(self):
+        exact = len(fraction_closure_words(4, U0))
+        assert len(_accepted_words(4, U0, 1000003)) <= exact
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_mod_p_equals_exact(self, r):
+        assert _accepted_words(r, U0, 1000003) == fraction_closure_words(r, U0)
+
+    def test_oracle_r5_mod_p(self, monkeypatch):
+        # the numpy span takes whole levels, and none once it holds 855
         sizes = []
         add_level = SpanBasisModP.add_level
 
@@ -905,23 +919,29 @@ class TestDimension:
             return add_level(self, V)
 
         monkeypatch.setattr(SpanBasisModP, "add_level", counted)
-        assert len(_accepted_words(4, U0, 1000003)) == 89
-        assert max(sizes) < 89
-
-    def test_mod_p_bounds_exact_r4(self):
-        exact = nonstandard_dimension_oracle(4)
-        assert len(_accepted_words(4, U0, 1000003)) <= exact
-
-    @pytest.mark.parametrize("r", [2, 3, 4])
-    def test_mod_p_equals_exact(self, r):
-        assert len(_accepted_words(r, U0, 1000003)) == nonstandard_dimension_oracle(r)
-
-    def test_oracle_r5_mod_p(self):
         assert nonstandard_dimension_oracle(5) == 855
+        assert max(sizes) < 855
 
-    @pytest.mark.parametrize("r, prime", [(2, None), (4, None), (5, 1000003)])
-    def test_oracle_picks_its_route_by_rank(self, monkeypatch, r, prime):
-        # exact through rank 4, F_p from rank 5, always at U0
+    def test_oracle_through_rank_4_never_imports_numpy(self):
+        # numpy costs more to import than the span through rank 4 takes
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = (
+            "import sys\n"
+            "from nstl.nonstandard import nonstandard_dimension_oracle as oracle\n"
+            "print([oracle(r) for r in (2, 3, 4)], 'numpy' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out == "[2, 10, 89] False\n"
+
+    @pytest.mark.parametrize("r", [2, 4, 5])
+    def test_oracle_runs_over_f_p_at_every_rank(self, monkeypatch, r):
         calls = []
         monkeypatch.setattr(
             nonstandard,
@@ -929,7 +949,7 @@ class TestDimension:
             lambda *args: calls.append(args) or [()],
         )
         assert nonstandard_dimension_oracle(r) == 1
-        assert calls == [(r, U0, prime)]
+        assert calls == [(r, U0, ORACLE_PRIME)]
 
     def test_modulus_bound_is_span_vector_length(self):
         # at r = 3 the span vectors have 15 entries: 784150127 is the
