@@ -111,7 +111,7 @@ def cmd_kl_basis(args, cfg, parser):
 
 def cmd_cells(args, cfg, parser):
     cfg.check_rank(args.r, parser)
-    cells = cells_regular(args.r, args.basis)
+    cells = cells_regular(args.r)
     blocks = sorted(sorted(str(w) for w in cell) for cell in cells)
     _emit({"r": args.r, "basis": args.basis, "cells": blocks}, cfg)
     return 0
@@ -349,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cells", help="cells of the regular representation")
     p.add_argument("--r", type=int, required=True)
+    # both canonical bases have the same cells; the basis only tags the output
     p.add_argument("--basis", choices=("lower", "upper"), default="upper")
     p.set_defaults(fn=cmd_cells)
 

@@ -467,10 +467,10 @@ def multiply_standard(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 # cells
 
 
-def cells_regular(r: int, basis: str) -> list:
-    """Right cells of the regular module in the chosen canonical basis,
-    as lists of permutations, using only the canonical generators, read
-    off the W-graph of H_r.
+def cells_regular(r: int) -> list:
+    """Right cells of the regular module, the same in both canonical
+    bases, as lists of permutations, using only the canonical
+    generators, read off the W-graph of H_r.
 
     C'_w C'_s is [2] C'_w and C_w C_s is -[2] C_w when s is in R(w),
     the right descent set of w. Otherwise each is w s plus mu(z, w)
@@ -479,8 +479,6 @@ def cells_regular(r: int, basis: str) -> list:
     both bases have the same support, hence the same cells, from the
     edges w -> w' with R(w') not inside R(w); a loop w -> w changes no
     component and is left out."""
-    if basis not in ("lower", "upper"):
-        raise ValueError(f"unknown basis {basis!r}")
     table = kl_table(r)
     desc = {w: w.right_descents() for w in table.perms}
     edges = {

@@ -253,11 +253,6 @@ def p_action(tm: TensorModule, c, i: int, pair: str = "ll"):
 # epsilon embeddings and trace
 
 
-def q_element(tm: TensorModule, c, i: int, pair: str = "ll"):
-    """Action of Q_{s_i} = [2]^2 - P_{s_i}."""
-    return mat_sub(mat_scale(c, FOUR), tm.p_apply(c, i, pair))
-
-
 def epsilon_plus_vector(lam: Partition):
     """The eps+ line in M_lam (x) M_lam, as a lower (x) lower
     coefficient matrix (the inverse transition matrix)."""
@@ -397,34 +392,13 @@ class NsSubmodule:
         return _restriction_split(self)
 
 
-def _half_sums(f: int, sign: int):
-    """(E_ab + sign E_ba)/2 in f x f, row by row over a <= b for sign 1
-    (E_aa on the diagonal) and over a < b for sign -1."""
-    out = []
-    for a in range(f):
-        for b in range(a + (sign < 0), f):
-            c = zeros(f, f, R_ZERO)
-            c[a][b] = R_HALF
-            c[b][a] = c[b][a] + R_HALF * sign
-            out.append(c)
-    return out
-
-
-def _sym_projection_basis(lam: Partition):
-    """Lemma basis of S'M-hat_lam: projections of C'_A . C'_B for
-    A < B together with A = B, A != first canonical tableau."""
-    m, eps = build_specht(lam), epsilon_plus_vector(lam)
-    f = RationalFn.from_int(m.dim)
-    return [
-        mat_sub(c, mat_scale(eps, _pairing(c, m.transition) / f))
-        for c in _half_sums(m.dim, 1)[1:]
-    ]
-
-
 @lru_cache(maxsize=None)
 def build_irreducible(label: NsIrredLabel, r: int) -> NsSubmodule:
     """The module of a label, cached with its restriction: not to be
-    mutated."""
+    mutated. A pair's basis is the unit vectors E_ab of its product; a
+    signed label's is its piece (nonstandard_pieces) of the E_ab of the
+    square, over a < b for -lam and over a <= b without E_00 for +lam,
+    the lemma basis: the projections of C'_A . C'_B onto V+."""
     if label not in set(ns_labels(r)):
         raise ValueError(f"label {label} is not in the rank-{r} index set")
     shapes = label.shapes or (max(two_row_partitions(r), key=syt_count),)
@@ -433,10 +407,15 @@ def build_irreducible(label: NsIrredLabel, r: int) -> NsSubmodule:
         basis = tm.unit_vectors()
     elif label.kind == "eps_plus":
         basis = [epsilon_plus_vector(tm.lam)]
-    elif label.kind == "plus":
-        basis = _sym_projection_basis(tm.lam)
     else:
-        basis = _half_sums(tm.left.dim, -1)
+        f, units = tm.left.dim, tm.unit_vectors()
+        minus = label.kind == "minus"
+        pieces = [
+            dict(nonstandard_pieces(tm.lam, tm.lam, units[a * f + b]))[label]
+            for a in range(f)
+            for b in range(a + minus, f)
+        ]
+        basis = pieces if minus else pieces[1:]
     return NsSubmodule(label, tm, basis)
 
 
@@ -453,7 +432,6 @@ def _split_failure(mod: NsSubmodule) -> str:
     if label.kind == "pair":
         if set(label.shapes) != {tm.lam, tm.mu}:
             return f"ambient {tm.lam} x {tm.mu} is not the pair"
-        want = tm.dim
 
         def inside(c):
             return [x for row in c for x in row if x] == [R_ONE]
@@ -469,20 +447,22 @@ def _split_failure(mod: NsSubmodule) -> str:
         pairs = [(a, b) for a in range(f) for b in range(a, f)]
         if label.kind == "eps_plus":
             eps = epsilon_plus_vector(lam)
-            want, inside = 1, lambda c: c == eps
+
+            def inside(c):
+                return c == eps
+
         elif label.kind == "minus":
-            want = comb(f, 2)
 
             def inside(c):
                 return all(c[a][b] == -c[b][a] for a, b in pairs)
 
         else:
-            want = comb(f + 1, 2) - 1
 
             def inside(c):
                 symmetric = all(c[a][b] == c[b][a] for a, b in pairs)
                 return symmetric and not _pairing(c, X)
 
+    want = label.dimension(tm.r)
     if len(basis) != want:
         return f"{len(basis)} vectors for a piece of dimension {want}"
     outside = next((k for k, c in enumerate(basis) if not inside(c)), None)
@@ -635,14 +615,15 @@ def branching_blocks(lam: Partition, mu: Partition, c):
 def nonstandard_pieces(nu: Partition, rho: Partition, d) -> tuple:
     """Cut the child block d of a (nu, rho) path pair by rank-k
     nonstandard label: the whole block is pair{nu, rho} when nu != rho;
-    otherwise the eps+ eigenline e = tr(d X^T)/f X^-1, and for f > 1 the
-    symmetric rest (d + d^T)/2 - e and the wedge (d - d^T)/2."""
+    otherwise the eps+ eigenline e = tr(d X^T)/f eps, with eps = X^-1
+    from epsilon_plus_vector, and for f > 1 the symmetric rest
+    (d + d^T)/2 - e and the wedge (d - d^T)/2. build_irreducible takes
+    the +lam and -lam bases from this cut too."""
     if nu != rho:
         return ((NsIrredLabel("pair", (nu, rho)), d),)
     child = build_specht(nu)
-    X = child.transition
-    t = _pairing(d, X) / RationalFn.from_int(child.dim)
-    e = mat_scale(child.transition_inv, t)
+    t = _pairing(d, child.transition) / RationalFn.from_int(child.dim)
+    e = mat_scale(epsilon_plus_vector(nu), t)
     if child.dim == 1:
         return ((NsIrredLabel("eps_plus"), e),)
     dt = mat_transpose(d)
@@ -929,19 +910,12 @@ def dimension_formula(r: int) -> int:
 def dimension_formula_details(r: int) -> dict:
     """The closed form plus the two intermediate sums of squared
     irreducible dimensions."""
-    shapes = two_row_partitions(r)
-    pair_sum = 0
-    for lam, mu in itertools.combinations(shapes, 2):
-        pair_sum += (syt_count(lam) * syt_count(mu)) ** 2
-    signed_sum = 0
-    for lam in shapes:
-        if lam == Partition([r]):
-            continue
-        f = syt_count(lam)
-        signed_sum += (comb(f + 1, 2) - 1) ** 2 + comb(f, 2) ** 2
+    squares = Counter()
+    for label in ns_labels(r):
+        squares[label.kind == "pair"] += label.dimension(r) ** 2
     return {
         "formula": dimension_formula(r),
-        "pair_square_sum": pair_sum,
-        "signed_square_sum_plus_one": signed_sum + 1,
-        "total_squares": pair_sum + signed_sum + 1,
+        "pair_square_sum": squares[True],
+        "signed_square_sum_plus_one": squares[False],
+        "total_squares": squares[True] + squares[False],
     }

@@ -3,19 +3,20 @@ by SYT(lambda), exact generator actions, the lower -> upper transition
 matrix and its inverse, branching projectors for the restriction to
 H_{r-1}, and projected canonical bases.
 
-Both actions are built from the W-graph of the module: the tableau
+The lower action is built from the W-graph of the module: the tableau
 descent sets and the mu-table. The mu-table is read from the KL table
 on a right cell of each canonical basis: a cell of {C'_w} with labels
 Q(w)^t and a cell of {C_w} with labels Q(w), which must agree. Action
 matrices act on coordinate columns: (C_Q * C_s) has coordinates A[:, Q].
 
-The lower and upper descent sets of a tableau are complements, so
-U_i + [2] I = L_i^T and the transition matrix is the Gram matrix of
-the contravariant form, solved from the W-graph by propagation in
-`_contravariant_form`. The branching embeddings are intertwiners of
-irreducible modules, unique up to a scalar because restriction to
-H_{r-1} is multiplicity-free. `_intertwiner` solves for one from a
-cyclic vector in dim(target) unknowns. Both results are checked
+The lower and upper descent sets of a tableau are complements and mu
+is symmetric, so the upper action is derived, U_i = L_i^T - [2] I, and
+the transition matrix is the Gram matrix of the contravariant form,
+solved from the W-graph by propagation in `_contravariant_form`. The
+branching embeddings are intertwiners of irreducible modules, unique up
+to a scalar because restriction to H_{r-1} is multiplicity-free.
+`_intertwiner` solves for one from a cyclic vector in dim(target)
+unknowns. Both results are checked
 exactly against every generator."""
 
 from __future__ import annotations
@@ -268,11 +269,10 @@ class SpechtModule:
         self.index = {t: k for k, t in enumerate(self.basis)}
         self.dim = len(self.basis)
         self.mu_table = self._cell_mu_table()
-        self.lower_action = {
-            i: self._wgraph_action(i, "lower") for i in range(1, self.r)
-        }
+        self.lower_action = {i: self._wgraph_action(i) for i in range(1, self.r)}
         self.upper_action = {
-            i: self._wgraph_action(i, "upper") for i in range(1, self.r)
+            i: _shift_diagonal(mat_transpose(L), -TWO)
+            for i, L in self.lower_action.items()
         }
         self._transition = None
         self._transition_inv = None
@@ -325,12 +325,11 @@ class SpechtModule:
                     )
         return mu_table
 
-    def _wgraph_action(self, i: int, basis: str):
-        """C'_{s_i} (lower) or C_{s_i} (upper) from the W-graph: column
-        Q is +-[2] e_Q when i is in the descent set of Q, and otherwise
+    def _wgraph_action(self, i: int):
+        """C'_{s_i} on the lower basis from the W-graph: column Q is
+        [2] e_Q when i is in the lower descent set of Q, and otherwise
         sum mu(Q', Q) e_Q' over the Q' whose descent set holds i."""
-        diag = TWO if basis == "lower" else -TWO
-        descends = [i in descent_set(q, basis) for q in self.basis]
+        descends = [i in descent_set(q, "lower") for q in self.basis]
         ints = {}
         A = zeros(self.dim, self.dim, R_ZERO)
         for (qp, q), m in self.mu_table.items():
@@ -341,7 +340,7 @@ class SpechtModule:
                 A[row][col] = ints[m]
         for col, d in enumerate(descends):
             if d:
-                A[col][col] = diag
+                A[col][col] = TWO
         return A
 
     # -- actions --------------------------------------------------------

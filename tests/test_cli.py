@@ -90,6 +90,18 @@ class TestAlgebra:
         assert code == 0
         assert sorted(map(len, data["cells"])) == [1, 1, 2, 2]
 
+    def test_cells_basis_only_tags_the_output(self, capsys):
+        _, lower = run_json(capsys, "cells", "--r", "4", "--basis", "lower")
+        _, upper = run_json(capsys, "cells", "--r", "4", "--basis", "upper")
+        assert (lower.pop("basis"), upper.pop("basis")) == ("lower", "upper")
+        assert lower == upper
+
+    def test_cells_reject_an_unknown_basis(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cells", "--r", "3", "--basis", "standard"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_transition_21(self, capsys):
         code, data = run_json(capsys, "transition", "--shape", "2,1")
         assert code == 0

@@ -534,26 +534,23 @@ class TestCells:
             P, _ = rsk(w.word)
             by_p_upper.setdefault(P, set()).add(w)
             by_p_lower.setdefault(P.transpose(), set()).add(w)
-        assert label_sets(cells_regular(r, "upper")) == label_sets(by_p_upper.values())
-        assert label_sets(cells_regular(r, "lower")) == label_sets(by_p_lower.values())
+        # P and P^t key the same fibers, so both bases have these cells
+        assert label_sets(cells_regular(r)) == label_sets(by_p_upper.values())
+        assert label_sets(cells_regular(r)) == label_sets(by_p_lower.values())
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     @pytest.mark.parametrize("tag", ["lower", "upper"])
     def test_regular_cells_match_the_products(self, r, tag):
         # the W-graph read against C'_w C'_s and C_w C_s themselves
         want = label_sets(cells_regular_by_products(r, tag))
-        assert label_sets(cells_regular(r, tag)) == want
-
-    def test_regular_cells_reject_an_unknown_basis(self):
-        with pytest.raises(ValueError, match="unknown basis"):
-            cells_regular(3, "standard")
+        assert label_sets(cells_regular(r)) == want
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_cell_count(self, r):
         from nstl.combinatorics import partitions_of
 
         expected = sum(syt_count(lam) for lam in partitions_of(r))
-        assert len(cells_regular(r, "upper")) == expected
+        assert len(cells_regular(r)) == expected
 
 
 class TestTL:

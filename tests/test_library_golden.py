@@ -3,7 +3,8 @@
 The digests in `library_golden.json` are sha256 hashes of the printed
 seminormal and hh bases (vectors and chains) of five tensor products
 and of every rank-4 irreducible, of the restriction multiset of every
-label with r <= 5, and of both canonical bases of H_6 and the cell
+label with r <= 5, of the raw basis matrices of every label with
+r <= 5, and of both canonical bases of H_6 and the cell
 actions and mu table of every Specht module of rank 6. The hh bases,
 split along the chain of full tensor-square algebras, come from the
 dense oracle, which the library no longer carries a copy of. Each
@@ -64,6 +65,10 @@ def _hh(tm):
     )
 
 
+def _basis(label, r):
+    return "\n".join(_matrix(c) for c in build_irreducible(label, r).basis)
+
+
 def _restriction(label, r):
     counts = restriction_decompose(build_irreducible(label, r))
     return ", ".join(
@@ -112,6 +117,9 @@ def cases():
             out[f"restrict {label} r={r}"] = lambda label=label, r=r: (
                 _restriction(label, r)
             )
+    for r in range(1, 6):
+        for label in ns_labels(r):
+            out[f"basis {label} r={r}"] = lambda label=label, r=r: _basis(label, r)
     for basis in ("lower", "upper"):
         out[f"kl {basis} r=6"] = lambda basis=basis: _kl(basis)
     for shape in partitions_of(6):

@@ -22,6 +22,8 @@ from nstl.linalg import (
     inverse,
     mat_add,
     mat_mul,
+    mat_scale,
+    mat_sub,
     mat_transpose,
     nullspace,
     rref,
@@ -44,7 +46,6 @@ from nstl.nonstandard import (
     _pairing,
     _split_bound,
     _split_failure,
-    _sym_projection_basis,
     _tensor_product_terms,
     _unreachable,
     antipode_check,
@@ -60,7 +61,6 @@ from nstl.nonstandard import (
     nonstandard_dimension_oracle,
     nonstandard_pieces,
     p_action,
-    q_element,
     restriction_decompose,
     square_split_identities,
 )
@@ -73,6 +73,11 @@ from isotypic_oracle import hh_pieces, isotypic_split
 rng = random.Random(23)
 
 P = Partition
+
+
+def q_element(tm: TensorModule, c, i: int, pair: str = "ll"):
+    """Action of Q_{s_i} = [2]^2 - P_{s_i}."""
+    return mat_sub(mat_scale(c, FOUR), tm.p_apply(c, i, pair))
 
 
 def rand_matrix(n, m):
@@ -511,7 +516,7 @@ class TestSplitClosure:
         self, monkeypatch, fresh_split_identities
     ):
         lam = P([3, 1])
-        v = _sym_projection_basis(lam)[0]
+        v = build_irreducible(lbl("+3,1"), 4).basis[0]
         real = nonstandard.epsilon_plus_vector
         monkeypatch.setattr(
             nonstandard, "epsilon_plus_vector", lambda mu: v if mu == lam else real(mu)
@@ -527,7 +532,8 @@ class TestSplitClosure:
     ):
         # eps plus a V+ vector is symmetric with t = 1, but P_i moves it
         lam = P([3, 1])
-        shifted = mat_add(epsilon_plus_vector(lam), _sym_projection_basis(lam)[0])
+        v = build_irreducible(lbl("+3,1"), 4).basis[0]
+        shifted = mat_add(epsilon_plus_vector(lam), v)
         monkeypatch.setattr(nonstandard, "epsilon_plus_vector", lambda mu: shifted)
         got = square_split_identities(lam)
         assert re.fullmatch(r"P_[123] eps != 4 eps on 3,1", got)
@@ -866,9 +872,6 @@ class TestDimension:
     def test_oracle_r3(self):
         assert nonstandard_dimension_oracle(3) == 10
 
-    def test_oracle_r3_mod_p(self):
-        assert len(_accepted_words(3, U0, 1000003)) == 10
-
     def test_oracle_r4(self):
         assert nonstandard_dimension_oracle(4) == 89
 
@@ -900,10 +903,6 @@ class TestDimension:
         assert nonstandard_dimension_oracle(4) == 89
         assert len(sizes) == 191
         assert max(sizes) == sizes[-1] == 88
-
-    def test_mod_p_bounds_exact_r4(self):
-        exact = len(fraction_closure_words(4, U0))
-        assert len(_accepted_words(4, U0, 1000003)) <= exact
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_mod_p_equals_exact(self, r):
