@@ -121,7 +121,12 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts if p)
+        # trailing zeros are dropped; a zero before a positive part is
+        # rejected with the other non-partitions
+        parts = [int(p) for p in parts]
+        while parts and not parts[-1]:
+            parts.pop()
+        parts = tuple(parts)
         if any(p <= 0 for p in parts) or any(
             parts[i] < parts[i + 1] for i in range(len(parts) - 1)
         ):

@@ -1,7 +1,10 @@
 """Dense exact linear algebra over any field-like element type.
 
 Works for RationalFn, Fraction, or anything supporting +, -, *, / and
-truthiness-as-nonzero. Matrices are lists of lists (rows). Two span
+truthiness-as-nonzero. Matrices are lists of lists (rows). The one
+elimination is rref: the library solves no system by an inverse or a
+nullspace, since every matrix it needs is derived or read off a
+projector, and the tests keep those routines as oracles. Two span
 trackers work over F_p: ListSpanBasisModP takes one vector of Python
 ints at a time, and SpanBasisModP keeps a reduced echelon basis in
 numpy int64 arrays and takes a whole level of the mod-p spanning
@@ -89,32 +92,6 @@ def rref(M):
         if r == len(rows):
             break
     return rows[:r], pivots
-
-
-def nullspace(M, one, zero):
-    """Basis of the right nullspace of M, as column vectors (lists)."""
-    if not M:
-        return []
-    ncols = len(M[0])
-    rows, pivots = rref(M)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = zero - rows[i][fc]
-        basis.append(v)
-    return basis
-
-
-def inverse(A, one, zero):
-    n = len(A)
-    aug = [list(row) + list(identity(n, one, zero)[i]) for i, row in enumerate(A)]
-    rows, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
 
 
 class SpanBasis:

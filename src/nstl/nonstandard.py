@@ -575,23 +575,6 @@ def chain_trace(label: NsIrredLabel, r: int) -> RationalFn:
 # one branching step
 
 
-@lru_cache(maxsize=None)
-def _paths(parts: tuple, k: int):
-    """All branching paths from the given shape down to size k, as
-    (terminal shape, iota, pi) with iota: child coords -> top coords and
-    pi its left inverse (both lower coordinates)."""
-    lam = Partition(parts)
-    m = build_specht(lam)
-    if lam.size == k:
-        eye = identity(m.dim, R_ONE, R_ZERO)
-        return ((lam, eye, eye),)
-    out = []
-    for child_shape, iota, pi, _ in m.branching:
-        for term, ci, cp in _paths(child_shape.parts, k):
-            out.append((term, mat_mul(iota, ci), mat_mul(cp, pi)))
-    return tuple(out)
-
-
 def branching_blocks(lam: Partition, mu: Partition, c):
     """One branching step down from the lower (x) lower coefficient
     matrix c of M_lam (x) M_mu: (nu, iota_l, rho, iota_r,

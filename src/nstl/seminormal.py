@@ -42,7 +42,6 @@ from .nonstandard import (
     NsSubmodule,
     TensorModule,
     _nonzero,
-    _paths,
     branching_blocks,
     nonstandard_pieces,
 )
@@ -130,7 +129,7 @@ class GTBasis:
     """Young's seminormal (Gelfand-Tsetlin) basis of one Specht module.
 
     Column a of V is the embedding iota of the a-th branching path of
-    `_paths(parts, 1)` in lower coordinates and row a of Pi is its pi,
+    `_paths(parts)` in lower coordinates and row a of Pi is its pi,
     so Pi V = I; `seqs[a]` lists that path's shapes from the top shape
     down to size 1. With X the lower -> upper transition matrix,
     g = diag(V^T X V), that matrix being diagonal, and E = 1/g is the
@@ -146,14 +145,29 @@ class GTBasis:
 
 
 @lru_cache(maxsize=None)
+def _paths(parts: tuple) -> tuple:
+    """All branching paths from the given shape down to size 1, as
+    (iota, pi) with iota: path coords -> top coords and pi its left
+    inverse (both lower coordinates), in branching order."""
+    lam = Partition(parts)
+    if lam.size == 1:
+        return (([[R_ONE]], [[R_ONE]]),)
+    return tuple(
+        (mat_mul(iota, ci), mat_mul(cp, pi))
+        for child, iota, pi, _ in build_specht(lam).branching
+        for ci, cp in _paths(child.parts)
+    )
+
+
+@lru_cache(maxsize=None)
 def _gt_basis(parts: tuple) -> GTBasis:
     """The GT basis of shape `parts`, checked as it is built: raises
     ArithmeticError unless Pi V = I and V^T X V is diagonal."""
     lam = Partition(parts)
     m = build_specht(lam)
-    paths = _paths(parts, 1)
-    V = [[iota[i][0] for _, iota, _ in paths] for i in range(m.dim)]
-    Pi = [pi[0] for _, _, pi in paths]
+    paths = _paths(parts)
+    V = [[iota[i][0] for iota, _ in paths] for i in range(m.dim)]
+    Pi = [pi[0] for _, pi in paths]
     if lam.size == 1:
         seqs = ((lam,),)
     else:

@@ -13,15 +13,13 @@ The lower and upper descent sets of a tableau are complements and mu
 is symmetric, so the upper action is derived, U_i = L_i^T - [2] I, and
 the transition matrix is the Gram matrix of the contravariant form,
 solved from the W-graph by propagation in `_contravariant_form`. The
-branching embeddings are intertwiners of irreducible modules, unique up
-to a scalar because restriction to H_{r-1} is multiplicity-free.
-`_intertwiner` solves for one from a cyclic vector in dim(target)
-unknowns. Both results are checked
-exactly against every generator."""
+branching maps are read off the isotypic projectors of the restriction
+to H_{r-1}, polynomials in the Jucys-Murphy element J_r. Both results
+are checked exactly against every generator."""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .combinatorics import (
     Partition,
@@ -37,92 +35,19 @@ from .exact_arith import (
     R_ONE,
     R_ZERO,
     TWO,
+    U_INV,
     RationalFn,
     common_denominator,
 )
 from .hecke_core import kl_table
 from .linalg import (
-    SpanBasis,
     identity,
-    inverse,
     mat_mul,
     mat_transpose,
     mat_vec,
-    nullspace,
     rref,
     zeros,
 )
-
-
-def _intertwiner(src_actions, dst_actions, gens):
-    """The Phi, unique up to a scalar, with dst_i Phi = Phi src_i for
-    every generator i in gens; the source module must be irreducible.
-
-    e_0 is then a cyclic vector: breadth-first words
-    w_j = src_{i_k} ... src_{i_1} e_0 that grow the span form a basis W,
-    and with M_j = dst_{i_k} ... dst_{i_1} an intertwiner satisfies
-    Phi w_j = M_j v for v = Phi e_0. Intertwining on that basis is the
-    system dst_i M_j v = sum_k (W^-1 src_i w_j)_k M_k v in dim(dst)
-    unknowns, whose solutions v correspond one-to-one with intertwiners.
-    Raises ArithmeticError unless the solutions form a line, and checks
-    Phi = [M_j v] W^-1 exactly against every generator before returning
-    it."""
-    gens = list(gens)
-    n = len(src_actions[gens[0]])
-    m = len(dst_actions[gens[0]])
-    words = [[R_ONE] + [R_ZERO] * (n - 1)]
-    dst_words = [identity(m, R_ONE, R_ZERO)]
-    span = SpanBasis()
-    span.add(words[0])
-    j = 0
-    while j < len(words) and len(words) < n:
-        for i in gens:
-            w = mat_vec(src_actions[i], words[j])
-            if span.add(w):
-                words.append(w)
-                dst_words.append(mat_mul(dst_actions[i], dst_words[j]))
-                if len(words) == n:
-                    break
-        j += 1
-    if len(words) != n:
-        raise ArithmeticError("e_0 is not cyclic: the source is reducible")
-    W_inv = inverse(mat_transpose(words), R_ONE, R_ZERO)
-
-    def equations():
-        # word-major order: the equations of one word under all the
-        # generators raise the rank much faster than one generator's
-        for j, w in enumerate(words):
-            for i in gens:
-                coords = mat_vec(W_inv, mat_vec(src_actions[i], w))
-                block = mat_mul(dst_actions[i], dst_words[j])
-                for c, M in zip(coords, dst_words):
-                    if c:
-                        block = [
-                            [x - c * y for x, y in zip(row, row_m)]
-                            for row, row_m in zip(block, M)
-                        ]
-                yield from block
-
-    # The solutions of the whole system lie among those of any prefix,
-    # so rows are taken only until the prefix has rank m - 1. Its null
-    # line is then the only candidate, and the exact check below accepts
-    # it iff the whole system has nullity 1. If the rows run out first,
-    # the nullity is at least 2.
-    eqs = SpanBasis()
-    for row in equations():
-        if eqs.add(row) and len(eqs) == m - 1:
-            break
-    sols = nullspace(eqs.rows or [[R_ZERO] * m], R_ONE, R_ZERO)
-    if len(sols) != 1:
-        raise ArithmeticError(
-            f"intertwiner space has dimension {len(sols)}, not 1"
-        )
-    images = [mat_vec(M, sols[0]) for M in dst_words]
-    phi = mat_mul(mat_transpose(images), W_inv)
-    for i in gens:
-        if mat_mul(dst_actions[i], phi) != mat_mul(phi, src_actions[i]):
-            raise ArithmeticError(f"intertwiner check failed at s_{i}")
-    return phi
 
 
 def _contravariant_form(actions):
@@ -274,9 +199,6 @@ class SpechtModule:
             i: _shift_diagonal(mat_transpose(L), -TWO)
             for i, L in self.lower_action.items()
         }
-        self._transition = None
-        self._transition_inv = None
-        self._branching = None
         self._p_factors = {}
 
     # -- construction --------------------------------------------------
@@ -367,14 +289,12 @@ class SpechtModule:
 
     # -- transition lower -> upper --------------------------------------
 
-    @property
+    @cached_property
     def transition(self):
         """Matrix X with C'_Q = sum_{Q'} X[Q'][Q] C_{Q'}."""
-        if self._transition is None:
-            self._transition = self._compute_transition()
-        return self._transition
+        return self._compute_transition()
 
-    @property
+    @cached_property
     def transition_inv(self):
         """X^-1 = Y / sum_k X[0][k] Y[k][0], where Y is the contravariant
         form of the W-graph M_i = [2] I - L_i^T; no elimination.
@@ -390,9 +310,16 @@ class SpechtModule:
         of X times one column of Y fixes the scale, and the product X Y
         is not formed. A module of dimension 1 has X^-1 = [[1]]. L_i^T
         alone is not of W-graph shape, and the solver rejects it."""
-        if self._transition_inv is None:
-            self._transition_inv = self._compute_transition_inv()
-        return self._transition_inv
+        if self.dim == 1:
+            return identity(1, R_ONE, R_ZERO)
+        complement = {
+            i: _shift_diagonal([[-x for x in col] for col in zip(*L)], TWO)
+            for i, L in self.lower_action.items()
+        }
+        Y = _contravariant_form(complement)
+        pairs = zip(self.transition[0], Y)
+        d = sum((x * row[0] for x, row in pairs if x and row[0]), R_ZERO)
+        return [[y / d for y in row] for row in Y]
 
     def _compute_transition(self):
         """X intertwines: (U_i + [2] I) X = X L_i for every generator,
@@ -419,73 +346,64 @@ class SpechtModule:
                 raise ArithmeticError(f"transition check failed at s_{i}")
         return X
 
-    def _compute_transition_inv(self):
-        if self.dim == 1:
-            return identity(1, R_ONE, R_ZERO)
-        complement = {
-            i: _shift_diagonal([[-x for x in col] for col in zip(*L)], TWO)
-            for i, L in self.lower_action.items()
-        }
-        Y = _contravariant_form(complement)
-        pairs = zip(self.transition[0], Y)
-        d = sum((x * row[0] for x, row in pairs if x and row[0]), R_ZERO)
-        return [[y / d for y in row] for row in Y]
-
     # -- restriction / branching ---------------------------------------
 
-    @property
+    @cached_property
     def branching(self):
-        """Per corner i: (child shape, iota, pi, projector), all in
-        lower coordinates. iota embeds M_{lambda - a_i} H_{r-1}-
-        equivariantly, pi is its left inverse, projector = iota @ pi."""
-        if self._branching is None:
-            self._branching = self._compute_branching()
-        return self._branching
+        """Per corner, west to east: (child shape, iota, pi, projector),
+        all in lower coordinates. iota embeds M_child H_{r-1}-
+        equivariantly, pi is its left inverse, projector = iota @ pi.
 
-    def _compute_branching(self):
-        corners = self.shape.corners()
+        The maps are read off the isotypic projectors of the restriction.
+        The Jucys-Murphy element J = T_{r-1} ... T_1 T_1 ... T_{r-1},
+        with T_i = L_i - u^-1 I since C'_s = T_s + u^-1, acts on the
+        M_nu-isotypic component as u^{2 (col - row)}, the content of the
+        corner (row, col) that nu lacks; these differ between corners
+        (G. E. Murphy, J. Algebra 173, 1995). So
+        P_nu = prod_{nu' != nu} (J - c_nu') / (c_nu - c_nu') projects
+        onto that component. iota is the columns of P_nu at the tableaux
+        whose restriction is the child's basis, in its order, and pi is
+        the same rows. The theorem only finds them; two exact checks
+        prove them: L_i iota = iota L^nu_i for every i <= r - 2, and the
+        stacked pi times the stacked iota is I. Then the iotas are a
+        basis, each pi is equivariant and sum iota pi = I. Raises
+        ArithmeticError unless both hold, so a wrong eigenvalue or a
+        wrong column gives no map."""
+        n, r = self.dim, self.r
+        u_inv = RationalFn(U_INV)
+        J = identity(n, R_ONE, R_ZERO)
+        for L in self.lower_action.values():
+            T = _shift_diagonal(L, -u_inv)
+            J = mat_mul(T, mat_mul(J, T))
+        contents = [u_inv ** (2 * (row - col)) for row, col in self.shape.corners()]
+        shifted = [_shift_diagonal(J, -c) for c in contents]
+        position = {q.restrict(r - 1): k for k, q in enumerate(self.basis)}
         out = []
-        blocks = []
-        for ci in range(len(corners)):
+        for ci, c in enumerate(contents):
             child_shape = self.shape.remove_corner(ci)
             child = build_specht(child_shape)
-            iota = self._solve_embedding(child)
-            blocks.append((child_shape, child, iota))
-        # stack embeddings and invert to get the projections
-        n = self.dim
-        B = zeros(n, n, R_ZERO)
-        col = 0
-        offsets = []
-        for child_shape, child, iota in blocks:
-            offsets.append(col)
-            for j in range(child.dim):
-                for a in range(n):
-                    B[a][col + j] = iota[a][j]
-            col += child.dim
-        if col != n:
+            P, d = identity(n, R_ONE, R_ZERO), R_ONE
+            for cj, other in enumerate(contents):
+                if cj != ci:
+                    P, d = mat_mul(P, shifted[cj]), d * (c - other)
+            cols = [position[t] for t in child.basis]
+            iota = [[P[a][k] / d for k in cols] for a in range(n)]
+            pi = [[x / d for x in P[k]] for k in cols]
+            for i in range(1, r - 1):
+                if mat_mul(self.lower_action[i], iota) != mat_mul(
+                    iota, child.lower_action[i]
+                ):
+                    raise ArithmeticError(
+                        f"embedding of {child_shape} in {self.shape} fails at s_{i}"
+                    )
+            out.append((child_shape, iota, pi, mat_mul(iota, pi)))
+        pis = [row for _, _, pi, _ in out for row in pi]
+        iotas = [[x for _, iota, _, _ in out for x in iota[a]] for a in range(n)]
+        if mat_mul(pis, iotas) != identity(n, R_ONE, R_ZERO):
             raise ArithmeticError(
-                f"restriction of {self.shape} has dimension {col}, not {n}"
+                f"the branching maps of {self.shape} are not inverse to each other"
             )
-        Binv = inverse(B, R_ONE, R_ZERO)
-        for k, (child_shape, child, iota) in enumerate(blocks):
-            off = offsets[k]
-            pi = [Binv[off + j][:] for j in range(child.dim)]
-            proj = mat_mul(iota, pi)
-            out.append((child_shape, iota, pi, proj))
         return out
-
-    def _solve_embedding(self, child: "SpechtModule"):
-        """The embedding iota with L_i iota = iota L'_i over the
-        parabolic generators s_1 .. s_{r-2}, normalized so that its
-        first nonzero entry (row-major) is 1."""
-        n, m = self.dim, child.dim
-        if self.r - 1 <= 1:
-            return [[R_ONE] for _ in range(n)] if m == 1 and n == 1 else None
-        iota = _intertwiner(
-            child.lower_action, self.lower_action, range(1, self.r - 1)
-        )
-        lead = next(x for row in iota for x in row if x)
-        return [[x / lead for x in row] for row in iota]
 
     def restriction_shape(self, q: Tableau) -> Partition:
         return q.restrict(self.r - 1).shape
@@ -525,11 +443,11 @@ def projected_basis(shape: Partition, which: str):
     central idempotent e of H_{r-1}, and iota(e) = e, because the
     invariant form X_nu makes each child module isomorphic to its
     iota-contragredient."""
+    if which not in ("lower", "upper"):
+        raise ValueError(f"unknown basis {which!r}")
     m = build_specht(shape)
     if m.r <= 1:
         return [(q, [R_ONE]) for q in m.basis]
-    if which not in ("lower", "upper"):
-        raise ValueError(f"unknown basis {which!r}")
     projs = {}
     for child, _, _, proj in m.branching:
         projs[child] = mat_transpose(proj) if which == "upper" else proj

@@ -9,10 +9,30 @@ seminormal descent does in GT coordinates, under nonstandard_pieces or
 hh_pieces, the rule of the full tensor-square chain. isotypic_projector
 reads one projector of a Specht module's branching."""
 
-from nstl.exact_arith import R_ZERO
-from nstl.linalg import mat_add, mat_mul, mat_transpose, rref, zeros
-from nstl.nonstandard import _paths, flatten
+from functools import lru_cache
+
+from nstl.combinatorics import Partition
+from nstl.exact_arith import R_ONE, R_ZERO
+from nstl.linalg import identity, mat_add, mat_mul, mat_transpose, rref, zeros
+from nstl.nonstandard import flatten
 from nstl.specht_modules import build_specht
+
+
+@lru_cache(maxsize=None)
+def paths_to(parts, k):
+    """All branching paths from the given shape down to size k, as
+    (terminal shape, iota, pi) with iota: child coords -> top coords and
+    pi its left inverse (both lower coordinates)."""
+    lam = Partition(parts)
+    m = build_specht(lam)
+    if lam.size == k:
+        eye = identity(m.dim, R_ONE, R_ZERO)
+        return ((lam, eye, eye),)
+    return tuple(
+        (term, mat_mul(iota, ci), mat_mul(cp, pi))
+        for child, iota, pi, _ in m.branching
+        for term, ci, cp in paths_to(child.parts, k)
+    )
 
 
 def isotypic_projector(shape, child):
@@ -35,10 +55,10 @@ def isotypic_split(lam, mu, k, c, pieces) -> dict:
     back by iota_l piece iota_r^T and summed per label."""
     right = [
         (rho, mat_transpose(ri), mat_transpose(rp))
-        for rho, ri, rp in _paths(mu.parts, k)
+        for rho, ri, rp in paths_to(mu.parts, k)
     ]
     out = {}
-    for nu, li, lp in _paths(lam.parts, k):
+    for nu, li, lp in paths_to(lam.parts, k):
         lc = mat_mul(lp, c)
         for rho, riT, rpT in right:
             for label, piece in pieces(nu, rho, mat_mul(lc, rpT)):

@@ -210,10 +210,12 @@ class TestConfig:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_bad_partition(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["de-graph", "--shape", "2,x"])
-        assert exc.value.code == 2
+    def test_bad_partition(self, capsys):
+        for shape in ("2,x", "3,0,2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["de-graph", "--shape", shape])
+            assert exc.value.code == 2
+            assert f"bad partition '{shape}'" in capsys.readouterr().err
 
     def test_output_file_and_determinism(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -115,6 +115,10 @@ class TestPartition:
         assert str(Partition([3, 2])) == "3,2"
         with pytest.raises(ValueError):
             Partition([2, 3])
+        assert Partition.parse("3,2,0,0") == Partition([3, 2])
+        for parts in ([3, 0, 2], [0, 1]):
+            with pytest.raises(ValueError, match="not a partition"):
+                Partition(parts)
 
     def test_dominance(self):
         assert Partition([3, 1]).dominates(Partition([2, 2]))

@@ -4,8 +4,9 @@ The digests in `library_golden.json` are sha256 hashes of the printed
 seminormal and hh bases (vectors and chains) of five tensor products
 and of every rank-4 irreducible, of the restriction multiset of every
 label with r <= 5, of the raw basis matrices of every label with
-r <= 5, and of both canonical bases of H_6 and the cell
-actions and mu table of every Specht module of rank 6. The hh bases,
+r <= 5, of both canonical bases of H_6, of the cell actions and mu
+table of every Specht module of rank 6, and of the branching maps
+(child, iota and pi) of every Specht module of rank 2 to 6. The hh bases,
 split along the chain of full tensor-square algebras, come from the
 dense oracle, which the library no longer carries a copy of. Each
 pytest process runs under its own hash seed, so a match also shows that
@@ -97,6 +98,13 @@ def _specht(parts):
     return "\n".join(lines)
 
 
+def _branching(parts):
+    return "\n".join(
+        f"{child} : {_matrix(iota)} : {_matrix(pi)}"
+        for child, iota, pi, _ in build_specht(Partition(parts)).branching
+    )
+
+
 def cases():
     """Name -> zero-argument function returning the printed result."""
     out = {}
@@ -124,6 +132,9 @@ def cases():
         out[f"kl {basis} r=6"] = lambda basis=basis: _kl(basis)
     for shape in partitions_of(6):
         out[f"specht {shape}"] = lambda parts=shape.parts: _specht(parts)
+    for r in range(2, 7):
+        for shape in partitions_of(r):
+            out[f"branching {shape}"] = lambda parts=shape.parts: _branching(parts)
     return out
 
 

@@ -21,7 +21,6 @@ from nstl.nonstandard import (
     NsIrredLabel,
     NsSubmodule,
     TensorModule,
-    _paths,
     build_irreducible,
     epsilon_plus_vector,
     nonstandard_pieces,
@@ -32,6 +31,7 @@ from nstl.seminormal import (
     SeminormalBasis,
     SeminormalChainLabel,
     _gt_basis,
+    _paths,
     alpha,
     chain_membership,
     seminormal_basis,
@@ -261,7 +261,7 @@ class TestSeminormalBasis:
             sb = seminormal_basis(TensorModule(P32, P32))
             shapes = {s for seq in _gt_basis(P32.parts).seqs for s in seq}
             for lam in shapes:
-                for _, iota, pi in _paths(lam.parts, 1):
+                for iota, pi in _paths(lam.parts):
                     corrupt(iota)
                     corrupt(pi)
                 m = build_specht(lam)
@@ -402,18 +402,16 @@ class TestGTBasis:
     def _build_with(self, monkeypatch, change):
         """Build the (3,2) GT basis, bypassing the cache, from paths
         whose embeddings and projections `change` rewrites."""
-        paths = seminormal._paths(P32.parts, 1)
+        paths = seminormal._paths(P32.parts)
         _gt_basis(P32.parts)  # the children's bases stay the cached ones
-        monkeypatch.setattr(
-            seminormal, "_paths", lambda parts, k: change(paths)
-        )
+        monkeypatch.setattr(seminormal, "_paths", lambda parts: change(paths))
         return _gt_basis.__wrapped__(P32.parts)
 
     def test_rejects_pi_not_inverse(self, monkeypatch):
         def scale_first_iota(paths):
-            (shape, iota, pi), *rest = paths
+            (iota, pi), *rest = paths
             iota = [[x + x for x in row] for row in iota]
-            return [(shape, iota, pi)] + rest
+            return [(iota, pi)] + rest
 
         with pytest.raises(ArithmeticError, match="identity"):
             self._build_with(monkeypatch, scale_first_iota)
@@ -421,10 +419,10 @@ class TestGTBasis:
     def test_rejects_non_diagonal_form(self, monkeypatch):
         def shear(paths):
             # iota_0 + iota_1 and pi_1 - pi_0: still inverse, not GT
-            (s0, i0, p0), (s1, i1, p1), *rest = paths
+            (i0, p0), (i1, p1), *rest = paths
             i0 = [[a + b for a, b in zip(x, y)] for x, y in zip(i0, i1)]
             p1 = [[b - a for a, b in zip(x, y)] for x, y in zip(p0, p1)]
-            return [(s0, i0, p0), (s1, i1, p1)] + rest
+            return [(i0, p0), (i1, p1)] + rest
 
         with pytest.raises(ArithmeticError, match="not diagonal"):
             self._build_with(monkeypatch, shear)

@@ -5,18 +5,10 @@ import pytest
 from nstl.combinatorics import Partition, partitions_of, rsk, syt_count, syt_enumerate
 from nstl.exact_arith import R_ONE, R_ZERO, TWO, U_INV, RationalFn
 from nstl.hecke_core import kl_table
-from nstl.linalg import (
-    identity,
-    inverse,
-    mat_mul,
-    mat_transpose,
-    nullspace,
-    zeros,
-)
+from nstl.linalg import identity, mat_mul, mat_transpose, zeros
 from nstl.specht_modules import (
     SpechtModule,
     _contravariant_form,
-    _intertwiner,
     _shift_diagonal,
     build_specht,
     projected_basis,
@@ -25,6 +17,7 @@ from nstl.specht_modules import (
 
 from hecke_oracle import right_multiply_canonical
 from isotypic_oracle import isotypic_projector
+from specht_oracle import intertwiner, inverse, nullspace, stacked_branching
 
 HEAVY = os.environ.get("NSTL_HEAVY") == "1"
 
@@ -248,7 +241,7 @@ class TestTransition:
     @pytest.mark.parametrize("lam", partitions_of(6), ids=str)
     def test_matches_cyclic_vector_solve(self, lam):
         m = build_specht(lam)
-        X = _intertwiner(m.lower_action, shifted_upper(m), range(1, lam.size))
+        X = intertwiner(m.lower_action, shifted_upper(m), range(1, lam.size))
         assert [[x / X[0][0] for x in row] for row in X] == m.transition
 
     @pytest.mark.parametrize("lam", shapes_up_to(6), ids=str)
@@ -363,6 +356,45 @@ class TestBranching:
             lead = next(x for row in want for x in row if x)
             assert [[x / lead for x in row] for row in want] == iota
 
+    @pytest.mark.parametrize(
+        "lam", shapes_up_to(6) + (partitions_of(7) if HEAVY else []), ids=str
+    )
+    def test_matches_stack_and_invert(self, lam):
+        assert build_specht(lam).branching == stacked_branching(lam)
+
+    @pytest.mark.parametrize("shape", [[2, 1], [3, 2], [3, 2, 1], [4, 2, 1]], ids=str)
+    def test_corner_content_off_by_one_raises(self, monkeypatch, shape):
+        # a fresh module for each shifted corner, over the cached children
+        lam = Partition(shape)
+        corners = Partition.corners
+        for ci in range(len(corners(lam))):
+            build_specht(lam.remove_corner(ci))
+        for ci in range(len(corners(lam))):
+            m = SpechtModule(lam)
+
+            def shifted(self, ci=ci):
+                out = corners(self)
+                if self == lam:
+                    out[ci] = (out[ci][0], out[ci][1] + 1)
+                return out
+
+            monkeypatch.setattr(Partition, "corners", shifted)
+            with pytest.raises(ArithmeticError, match="fails at s_|not inverse"):
+                m.branching
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("shape", [[3, 1], [3, 2], [3, 2, 1]], ids=str)
+    def test_perturbed_child_action_raises(self, monkeypatch, shape):
+        lam = Partition(shape)
+        m = SpechtModule(lam)
+        child = build_specht(lam.remove_corner(0))
+        i = m.r - 2
+        A = [row[:] for row in child.lower_action[i]]
+        A[0][-1] = A[0][-1] + R_ONE
+        monkeypatch.setitem(child.lower_action, i, A)
+        with pytest.raises(ArithmeticError, match=rf"fails at s_{i}$"):
+            m.branching
+
     def test_non_child_gives_zero(self):
         p = isotypic_projector(Partition([3, 2]), Partition([4]))
         assert all(x == R_ZERO for row in p for x in row)
@@ -388,6 +420,11 @@ class TestProjectedBasis:
                     else:
                         assert sh_q.dominates(sh_qp)
                     assert x.val0() >= 1 and x.val_inf() >= 1
+
+    @pytest.mark.parametrize("shape", [[1], [2, 1]], ids=str)
+    def test_unknown_basis_raises_at_every_rank(self, shape):
+        with pytest.raises(ValueError, match="unknown basis 'bogus'"):
+            projected_basis(Partition(shape), "bogus")
 
     @pytest.mark.parametrize("lam", shapes_up_to(5), ids=str)
     def test_upper_projectors_are_the_conjugates(self, lam):
