@@ -3,7 +3,8 @@ verification computations with deterministic JSON output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error (an uncaught exception, reported in one line on stderr; with -v
-its traceback comes first).
+its traceback comes first), 141 (128 + SIGPIPE) when the reader closes
+stdout early, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -291,6 +293,8 @@ def cmd_seminormal(args, cfg, parser):
 def cmd_dim_check(args, cfg, parser):
     cfg.check_rank(args.r, parser)
     formula = nonstandard.dimension_formula(args.r)
+    # the "oracle" key is the dimension proved from the certified
+    # irreducibles; it keeps its name so that the output stays the same
     oracle = nonstandard.nonstandard_dimension_oracle(args.r)
     agree = formula == oracle
     _emit({"formula": formula, "oracle": oracle, "agree": agree}, cfg)
@@ -394,7 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_seminormal)
 
     p = sub.add_parser(
-        "dim-check", help="dimension formula against the spanning oracle"
+        "dim-check",
+        help="dimension formula against the dimension proved from the "
+        "certified irreducibles and the split bound",
     )
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(fn=cmd_dim_check)
@@ -435,7 +441,14 @@ def main(argv=None) -> int:
         except OSError as exc:
             parser.error(f"cannot write --output {cfg.output}: {exc.strerror}")
     try:
-        return args.fn(args, cfg, parser)
+        code = args.fn(args, cfg, parser)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so that the flush at
+        # shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:
         if cfg.verbosity:
             import traceback

@@ -4,12 +4,7 @@ Works for RationalFn, Fraction, or anything supporting +, -, *, / and
 truthiness-as-nonzero. Matrices are lists of lists (rows). The one
 elimination is rref: the library solves no system by an inverse or a
 nullspace, since every matrix it needs is derived or read off a
-projector, and the tests keep those routines as oracles. Two span
-trackers work over F_p: ListSpanBasisModP takes one vector of Python
-ints at a time, and SpanBasisModP keeps a reduced echelon basis in
-numpy int64 arrays and takes a whole level of the mod-p spanning
-closure with one matrix product; numpy is imported only when that class
-is first used.
+projector, and the tests keep those routines as oracles.
 """
 
 from __future__ import annotations
@@ -34,10 +29,6 @@ def mat_mul(A, B):
             acc = [zero if x is None else x for x in acc]
         out.append(acc)
     return out
-
-
-def mat_vec(A, v):
-    return [row[0] for row in mat_mul(A, [[x] for x in v])]
 
 
 def mat_add(A, B):
@@ -122,89 +113,3 @@ class SpanBasis:
 
     def __len__(self):
         return len(self.rows)
-
-
-class ListSpanBasisModP:
-    """Echelon span tracker over F_p on lists of Python ints, one vector
-    at a time: each row has a 1 at its pivot and a 0 at the pivots of
-    the rows before it. It needs no numpy, which costs more to import
-    than a small span takes to build."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows = []
-        self.pivots = []  # pivot column per row, insertion order
-
-    def add(self, v) -> bool:
-        """Reduce the integer vector v mod p against the basis; absorb
-        it if independent. Returns True iff the span grew. Each row is
-        0 at the earlier pivots, so one pass in insertion order clears
-        every pivot; entries are reduced mod p only at the pivot read
-        and at the end."""
-        p = self.p
-        for row, q in zip(self.rows, self.pivots):
-            x = v[q] % p
-            if x:
-                v = [a - x * b for a, b in zip(v, row)]
-        v = [a % p for a in v]
-        q = next((j for j, a in enumerate(v) if a), None)
-        if q is None:
-            return False
-        inv = pow(v[q], -1, p)
-        self.rows.append([a * inv % p for a in v])
-        self.pivots.append(q)
-        return True
-
-    def __len__(self):
-        return len(self.rows)
-
-
-# ----------------------------------------------------------------------
-# mod-p routines (numpy int64; vectors of length n need n (p - 1)^2 < 2^63)
-
-
-class SpanBasisModP:
-    """Reduced echelon span tracker over F_p on numpy int64 vectors:
-    each row has a 1 at its pivot, and every row is 0 at the pivots of
-    the others."""
-
-    def __init__(self, dim: int, p: int):
-        import numpy as np
-
-        self.p = p
-        self.rows = np.zeros((0, dim), dtype=np.int64)
-        self.pivots = []
-
-    def add_level(self, V: np.ndarray) -> list:
-        """Absorb the rows of V in order, each one that is independent
-        of the span and of the rows before it; returns a flag per row,
-        True iff that row grew the span. The basis is reduced, so one
-        product on the columns that are not its pivots reduces all of V
-        against it; each row then needs only the rows of V absorbed
-        before it."""
-        import numpy as np
-
-        p = self.p
-        V = np.mod(V.astype(np.int64), p)
-        free = np.ones(V.shape[1], bool)
-        free[self.pivots] = False
-        V[:, free] = (V[:, free] - V[:, self.pivots] @ self.rows[:, free] % p) % p
-        V[:, self.pivots] = 0
-        new, pivots, flags = V[:0], [], []
-        for v in V:
-            v = (v - v[pivots] @ new % p) % p
-            nz = np.flatnonzero(v)
-            flags.append(bool(nz.size))
-            if not nz.size:
-                continue
-            piv = int(nz[0])
-            v = v * pow(int(v[piv]), p - 2, p) % p
-            new = np.vstack([(new - np.outer(new[:, piv], v)) % p, v])
-            pivots.append(piv)
-        old = self.rows
-        self.rows = np.vstack([(old - old[:, pivots] @ new % p) % p, new])
-        self.pivots += pivots
-        return flags
-
-    def __len__(self):
-        return self.rows.shape[0]

@@ -3,7 +3,9 @@ P_s = C'_s (x) C'_s + C_s (x) C_s acting on them, the irreducible
 modules they generate, epsilon_+/- embeddings and the trace map,
 restriction decompositions, irreducibility certificates read off the
 multiplicity-free restriction, and the dimension formula with its
-spanning oracle.
+proof: the certified irreducibles give sum d^2 as a lower bound by
+density, and the split identities give the same number as an upper
+bound, all exactly over Q(u).
 
 Tensor vectors are stored as coefficient matrices c of size
 f_lambda x f_mu over a basis pair; an operator A (x) B sends c to
@@ -17,9 +19,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import comb, isqrt, lcm
+from math import comb
 
 from .combinatorics import (
     Partition,
@@ -32,9 +33,7 @@ from .combinatorics import (
 from .exact_arith import FOUR, R_HALF, R_ONE, R_ZERO, TWO, RationalFn
 from .hecke_core import HeckeElement, multiply_standard
 from .linalg import (
-    ListSpanBasisModP,
     SpanBasis,
-    SpanBasisModP,
     identity,
     mat_add,
     mat_mul,
@@ -44,11 +43,7 @@ from .linalg import (
     rref,
     zeros,
 )
-from .specht_modules import build_specht, specialize_matrix
-
-
-class ModulusError(ValueError):
-    """A modulus for which the mod-p oracle cannot give a sound rank."""
+from .specht_modules import build_specht
 
 
 class CertificateError(ValueError):
@@ -58,10 +53,6 @@ class CertificateError(ValueError):
 
 class RestrictionError(ArithmeticError):
     """Isotypic ranks that do not fit the module: a fault in its data."""
-
-
-class StabilizationError(RuntimeError):
-    """Spanning closure failed to stabilize within the safety bound."""
 
 
 # ---------------------------------------------------------------------
@@ -482,12 +473,12 @@ def _split_failure(mod: NsSubmodule) -> str:
 def certify_irreducible(mod: NsSubmodule) -> None:
     """Certify a module V of rank r absolutely irreducible, exactly over
     Q(u), given that the rank-(r-1) labels are absolutely irreducible
-    and pairwise inequivalent (verify.check_certification does the
-    ranks below first). Raises CertificateError naming the step that
-    fails: closure (_split_failure); multiplicity-free, each label once
-    in the restriction to rank r - 1 (restriction_decompose, from the
-    isotypic split of the basis); strongly connected, the digraph with
-    j -> k when pi_k P_{r-1} probe_j != 0 (_restriction_edges).
+    and pairwise inequivalent (certify_rank runs rank by rank, from
+    2 up). Raises CertificateError naming the step that fails:
+    closure (_split_failure); multiplicity-free, each label once in the
+    restriction to rank r - 1 (restriction_decompose, from the isotypic
+    split of the basis); strongly connected, the digraph with j -> k
+    when pi_k P_{r-1} probe_j != 0 (_restriction_edges).
 
     Soundness. (i) Lemma: the projector pi_j onto the pieces labelled j
     lies in the image of H_{r-1,2}. The branching maps iota are
@@ -569,6 +560,33 @@ def chain_trace(label: NsIrredLabel, r: int) -> RationalFn:
     if label.kind == "minus":
         return (product - flipped) * R_HALF
     return (product + flipped) * R_HALF - FOUR ** (r - 1)
+
+
+def certify_rank(s: int) -> None:
+    """Certify every label of rank s, given ranks 2 .. s - 1 (rank 1 has
+    one label, of dimension 1): each module has its label's dimension
+    and passes certify_irreducible, and no two are isomorphic, since
+    they differ in dimension, in their restrictions (multisets of
+    pairwise inequivalent irreducibles), or else, for 2:1,1 and eps+ at
+    rank 2 and 3:2,1 and +2,1 at rank 3, in chain_trace. All exact over
+    Q(u), at no point. Raises CertificateError naming the first
+    failure."""
+    labels = ns_labels(s)
+    for label in labels:
+        mod = build_irreducible(label, s)
+        if mod.dim != label.dimension(s):
+            raise CertificateError(f"dimension mismatch for {label}")
+        certify_irreducible(mod)
+
+    def restricted(label):
+        return restriction_decompose(build_irreducible(label, s))
+
+    for a, b in itertools.combinations(labels, 2):
+        if a.dimension(s) != b.dimension(s) or restricted(a) != restricted(b):
+            continue
+        if chain_trace(a, s) == chain_trace(b, s):
+            why = "not told apart by dimension, restriction or trace"
+            raise CertificateError(f"{a} and {b} {why}")
 
 
 # ---------------------------------------------------------------------
@@ -685,204 +703,51 @@ def restriction_decompose(mod: NsSubmodule) -> Counter:
 
 
 # ---------------------------------------------------------------------
-# dimension oracle and formula
+# the dimension, proved, and its formula
 
 
-# The dimension oracle's specialization point and its prime.
-U0 = Fraction(7, 3)
-ORACLE_PRIME = 1000003
-
-
-def _kron_sum(ops):
-    """The matrix of c -> sum A c B^T on row-major vec(c)."""
-    m, n = len(ops[0][0]), len(ops[0][1])
-    cols = list(itertools.product(range(m), range(n)))
-    return [[sum(A[a][c] * B[b][d] for A, B in ops) for c, d in cols] for a, b in cols]
-
-
-def _flip_split(K, f):
-    """An operator K on vec(c) of M (x) M, f = dim M, cut into its
-    symmetric part (coordinates c_ab, a <= b; basis E_aa, E_ab + E_ba)
-    and its antisymmetric part (c_ab, a < b; basis E_ab - E_ba), each
-    tagged with the sign of the flip c -> c^T on it. Both are K-stable
-    only if K commutes with the flip, which is checked exactly."""
-    for a, b, c, d in itertools.product(range(f), repeat=4):
-        if K[a * f + b][c * f + d] != K[b * f + a][d * f + c]:
-            raise ArithmeticError("operator does not commute with the flip")
-    sym = [(a * f + b, b * f + a) for a in range(f) for b in range(a, f)]
-    alt = [(j, k) for j, k in sym if j != k]
-    plus = [[sum(K[i][x] for x in {j, k}) for j, k in sym] for i, _ in sym]
-    minus = [[K[i][j] - K[i][k] for j, k in alt] for i, _ in alt]
-    return [(1, plus), (-1, minus)]
-
-
-def _block_generators(r: int, u0: Fraction):
-    """The identity and the specialized P_i on a faithful module cut
-    small by the flip c -> c^T, which commutes with P_i because
-    P_s = C'_s (x) C'_s + C_s (x) C_s is symmetric in its factors: the
-    antisymmetric parts of the squares M_lam (x) M_lam, one block
-    M_lam (x) M_mu per pair lam < mu of two-row shapes, and the
-    symmetric parts, in that order (the F_p closure at r = 4 runs
-    about a fifth faster than with the blocks in shape order). The
-    ordered sum over all pairs is a direct sum of copies of these, so
-    it has the same annihilator and word relations. Returns (signs,
-    mats): signs[k] is the flip sign of block k (0 for a pair block),
-    mats[0][k] the identity on block k and mats[i][k] the Fraction
-    matrix of P_i."""
-    mats = [[] for _ in range(r)]
-    shapes = two_row_partitions(r)
-    for lam, mu in itertools.combinations_with_replacement(shapes, 2):
-        tm = TensorModule(lam, mu)
-        f = tm.left.dim
-        ops = [[(identity(f, 1, 0), identity(tm.right.dim, 1, 0))]] + [
-            [tuple(specialize_matrix(A, u0) for A in op) for op in tm.ops(i, "ll")]
-            for i in range(1, r)
-        ]
-        for blocks, op in zip(mats, ops):
-            K = _kron_sum(op)
-            blocks.extend([(0, K)] if lam != mu else _flip_split(K, f))
-    mats = [sorted((t for t in b if t[1]), key=lambda t: t[0]) for b in mats]
-    return [s for s, _ in mats[0]], [[K for _, K in b] for b in mats]
-
-
-def _split_bound(r: int, signs, blocks) -> int:
+def _split_bound(r: int) -> int:
     """An upper bound on the dimension of the algebra that the P_i
-    generate on these blocks, at generic u and so at every u0: n^2 for
-    each pair block and each Lambda^2 part of dimension n, (n - 1)^2 for
-    each Sym^2 part, which is V+ plus an eps line, and 1 for all the eps
-    lines together, since every P_i scales each of them by 4. It rests
-    on square_split_identities for every shape of rank r, proved over
-    Q(u); an identity that fails raises CertificateError."""
+    generate on the two-row tensor sum, read off the shapes: n^2 for
+    each pair block M_lam (x) M_mu, lam < mu, of dimension n = f_lam f_mu,
+    C(f, 2)^2 for each Lambda^2 and (C(f + 1, 2) - 1)^2 for each V+ of a
+    square of dimension f^2, and 1 for all the eps lines together, since
+    every P_i scales each of them by 4. It holds once
+    square_split_identities holds for every shape of rank r, which makes
+    those pieces P_i-stable; nonstandard_dimension_oracle checks that."""
+    dims = [syt_count(lam) for lam in two_row_partitions(r)]
+    pairs = sum((f * g) ** 2 for f, g in itertools.combinations(dims, 2))
+    squares = sum(comb(f, 2) ** 2 + (comb(f + 1, 2) - 1) ** 2 for f in dims)
+    return 1 + pairs + squares
+
+
+def nonstandard_dimension_oracle(r: int, certified: int = 1) -> int:
+    """Dimension of the unital algebra generated by the P_i on the
+    two-row tensor sum, proved exactly over Q(u) from the certified
+    irreducibles: the split identities of every shape of rank r give
+    _split_bound as an upper bound; certify_rank for ranks
+    certified + 1 .. r (the caller vouches for ranks 2 .. certified)
+    proves the labels of rank r absolutely irreducible and pairwise
+    inequivalent, so by density the algebra maps onto the sum of their
+    endomorphism rings, and sum d^2 is a lower bound. It returns sum d^2
+    once that meets the bound.
+
+    Soundness: a certificate that misses an edge can only give a false
+    FAIL, never a false PASS. A split identity that fails, a certificate
+    that fails, or a sum that misses the bound raises CertificateError."""
     for lam in two_row_partitions(r):
         broken = square_split_identities(lam)
         if broken:
             raise CertificateError(f"no split bound at r={r}: {broken}")
-    return 1 + sum((len(B) - (s > 0)) ** 2 for s, B in zip(signs, blocks))
-
-
-def _integer_generators(gens):
-    """Each generator times the lcm of its entries' denominators, one
-    scalar over all its blocks: a word in these is a nonzero multiple
-    of the same word in the Fraction generators, so both span alike."""
-    scales = [lcm(*(x.denominator for B in g for row in B for x in row)) for g in gens]
-    return [
-        [[[x.numerator * (s // x.denominator) for x in row] for row in B] for B in g]
-        for g, s in zip(gens, scales)
-    ]
-
-
-def _closure(ident, gens, multiply, accept, bound, safety):
-    """Breadth-first product closure from ident, level by level:
-    accept(level) takes one level's (word, value) pairs in order and
-    returns those whose word grew the span, each with the value to keep.
-    The next level holds the products of the kept values with each
-    generator, formed only as accept draws them, so an accept that
-    stops once the span holds `bound` words forms no more. The closure
-    ends when no word is kept or `bound`, an upper bound on the span's
-    dimension, is reached. Returns the accepted words in order."""
-    words, steps, frontier = [], 0, accept([((), ident)])
-    while True:
-        words += [word for word, _ in frontier]
-        if not frontier or len(words) >= bound:
-            return words
-        steps += len(frontier) * len(gens)
-        if steps > safety:
-            raise StabilizationError("span closure exceeded safety bound")
-        frontier = accept(
-            (word + (i,), multiply(M, G))
-            for word, M in frontier
-            for i, G in enumerate(gens, start=1)
+    bound = _split_bound(r)
+    for s in range(max(certified + 1, 2), r + 1):
+        certify_rank(s)
+    squares = sum(label.dimension(r) ** 2 for label in ns_labels(r))
+    if squares != bound:
+        raise CertificateError(
+            f"r={r}: squared dimensions sum to {squares}, not the split bound {bound}"
         )
-
-
-def _accepted_words(r: int, u0: Fraction, p: int):
-    """Words in the specialized P_i (tuples of generator indices i),
-    from the empty word, that grow the span over F_p of the
-    breadth-first product closure, in the order they are accepted. The
-    closure stops once the span reaches _split_bound, which no span can
-    pass.
-
-    A word's value is its list of integer blocks mod p. Through rank 4
-    each value's flattened blocks enter a pure-Python span one at a
-    time, so the oracle there never imports numpy; from rank 5 a whole
-    level enters a numpy span at once."""
-    signs, mats = _block_generators(r, u0)
-    bound = _split_bound(r, signs, mats[0])
-    ident, *gens = _integer_generators(mats)
-    length = sum(len(B) ** 2 for B in ident)
-    safety = length * (r - 1) + r
-    _check_modulus(p, u0, length)
-    ident, *gens = [
-        [[[x % p for x in row] for row in B] for B in M] for M in [ident] + gens
-    ]
-    if r <= 4:
-        span = ListSpanBasisModP(p)
-
-        def accept(level):
-            kept = []
-            for word, M in level:
-                if len(span) == bound:
-                    break
-                if span.add([x for B in M for row in B for x in row]):
-                    kept.append((word, M))
-            return kept
-
-        def multiply(M, G):
-            return [
-                [[x % p for x in row] for row in mat_mul(A, B)]
-                for A, B in zip(M, G)
-            ]
-
-        return _closure(ident, gens, multiply, accept, bound, safety)
-
-    import numpy as np
-
-    span = SpanBasisModP(length, p)
-    ident, *gens = [
-        [np.array(B, dtype=np.int64) for B in M] for M in [ident] + gens
-    ]
-
-    def accept(level):
-        level = list(level)
-        flat = np.array([np.concatenate([B.ravel() for B in M]) for _, M in level])
-        return [pair for pair, ok in zip(level, span.add_level(flat)) if ok]
-
-    def multiply(M, G):
-        return [A @ B % p for A, B in zip(M, G)]
-
-    return _closure(ident, gens, multiply, accept, bound, safety)
-
-
-def _check_modulus(p: int, u0: Fraction, n: int):
-    """A sum of n products of residues mod p stays exact in int64 only
-    while n (p - 1)^2 < 2^63; the longest the mod-p closure forms is a
-    span vector of length n against its basis. F_p needs p prime. The
-    generators are Laurent polynomials in u, so their only poles mod p
-    are u0 = 0 and u0 = infinity."""
-    if p < 2 or n * (p - 1) ** 2 >= 2**63:
-        raise ModulusError(
-            f"modulus {p} is outside the int64-safe range "
-            f"2 <= p, {n}*(p-1)^2 < 2^63"
-        )
-    if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        raise ModulusError(f"modulus {p} is not prime")
-    if u0.numerator % p == 0 or u0.denominator % p == 0:
-        raise ModulusError(f"u0 = {u0} is 0 or a pole mod {p}")
-
-
-def nonstandard_dimension_oracle(r: int) -> int:
-    """Dimension of the unital algebra generated by the P_i specialized
-    at U0 on the faithful two-row tensor sum, by product-span closure
-    over F_p for p = ORACLE_PRIME at every rank.
-
-    Soundness: the span at U0 mod p is a lower bound on the
-    algebra's dimension at generic u, and _split_bound, from identities
-    proved over Q(u), an upper bound. The closure stops when the span
-    reaches the upper bound, and then the generic dimension is exactly
-    that. A bad point or prime can only leave the span short of it,
-    which gives a false FAIL against the formula, never a false PASS.
-    A split identity that fails raises CertificateError."""
-    return len(_accepted_words(r, U0, ORACLE_PRIME))
+    return squares
 
 
 def dimension_formula(r: int) -> int:

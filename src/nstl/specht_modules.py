@@ -44,7 +44,6 @@ from .linalg import (
     identity,
     mat_mul,
     mat_transpose,
-    mat_vec,
     rref,
     zeros,
 )
@@ -433,8 +432,8 @@ def transition_lower_to_upper(shape: Partition):
 def projected_basis(shape: Partition, which: str):
     """Vectors (C~'_Q)^J (lower) or (C~_Q)^J (upper) as coordinate
     columns in the corresponding basis, listed with labels in canonical
-    order: the columns of the child projectors P, in lower coordinates,
-    and of P^T in upper ones.
+    order: column Q of its child's projector P in lower coordinates, and
+    column Q of P^T, row Q of P, in upper ones.
 
     Upper coordinates are X times lower ones, so the upper projector is
     X P X^-1, and that is P^T. X L_i X^-1 = L_i^T, so the upper matrix
@@ -448,16 +447,9 @@ def projected_basis(shape: Partition, which: str):
     m = build_specht(shape)
     if m.r <= 1:
         return [(q, [R_ONE]) for q in m.basis]
-    projs = {}
-    for child, _, _, proj in m.branching:
-        projs[child] = mat_transpose(proj) if which == "upper" else proj
+    projs = {child: proj for child, _, _, proj in m.branching}
     out = []
     for q in m.basis:
-        e = [R_ZERO] * m.dim
-        e[m.index[q]] = R_ONE
-        out.append((q, mat_vec(projs[m.restriction_shape(q)], e)))
+        P, j = projs[m.restriction_shape(q)], m.index[q]
+        out.append((q, list(P[j]) if which == "upper" else [row[j] for row in P]))
     return out
-
-
-def specialize_matrix(M, u0):
-    return [[RationalFn._coerce(x).specialize(u0) for x in row] for row in M]

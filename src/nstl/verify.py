@@ -7,7 +7,6 @@ the package's headline guarantees at desk scale.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 from . import nonstandard
@@ -31,8 +30,7 @@ from .nonstandard import (
     TensorModule,
     antipode_check,
     build_irreducible,
-    certify_irreducible,
-    chain_trace,
+    certify_rank,
     dimension_formula,
     epsilon_minus_vector,
     nonstandard_dimension_oracle,
@@ -279,36 +277,16 @@ def check_epsilon_antipode() -> dict:
 
 
 def check_certification(r: int) -> dict:
-    """Every label of ranks 2..r is absolutely irreducible, certified
-    once the rank below is (nonstandard.certify_irreducible; rank 1 has
-    one label, of dimension 1), and no two of a rank are isomorphic:
-    they differ in dimension, in their restrictions (multisets of
-    pairwise inequivalent irreducibles), or else, for 2:1,1 and eps+ at
-    rank 2 and 3:2,1 and +2,1 at rank 3, in the trace of P_1 ... P_{s-1}
-    (nonstandard.chain_trace). All exact over Q(u), at no point. With
-    the split identities the faithful sum is a direct sum of copies of
-    these V_i, so by density the algebra has dimension sum_i d_i^2,
-    which must be the formula."""
-    for s in range(2, r + 1):
-        labels = ns_labels(s)
-        for label in labels:
-            mod = build_irreducible(label, s)
-            if mod.dim != label.dimension(s):
-                return _fail(f"dimension mismatch for {label}")
-            try:
-                certify_irreducible(mod)
-            except CertificateError as exc:
-                return _fail(exc)
-
-        def restricted(label):
-            return restriction_decompose(build_irreducible(label, s))
-
-        for a, b in itertools.combinations(labels, 2):
-            if a.dimension(s) != b.dimension(s) or restricted(a) != restricted(b):
-                continue
-            if chain_trace(a, s) == chain_trace(b, s):
-                why = "not told apart by dimension, restriction or trace"
-                return _fail(f"{a} and {b} {why}")
+    """Every label of ranks 2..r is absolutely irreducible and no two of
+    a rank are isomorphic (nonstandard.certify_rank, rank by rank: each
+    certificate needs the rank below). With the split identities the
+    faithful sum is a direct sum of copies of these V_i, so by density
+    the algebra has dimension sum_i d_i^2, which must be the formula."""
+    try:
+        for s in range(2, r + 1):
+            certify_rank(s)
+    except CertificateError as exc:
+        return _fail(exc)
     squares = sum(label.dimension(r) ** 2 for label in ns_labels(r))
     if squares != dimension_formula(r):
         return _fail("sum of squared dimensions misses the formula")
@@ -373,26 +351,27 @@ def check_branching(r: int) -> dict:
     return {"ok": True, "labels": len(ns_labels(r))}
 
 
-# -- 11: dimension formula vs oracle ----------------------------------
+# -- 11: dimension formula vs the proved dimension ---------------------
 
 
 def check_dimension(rs=(2, 3, 4)) -> dict:
-    """The formula against the oracle at U0 over F_p at each rank, a
-    count by spanning independent of check_certification, which derives
-    the same dimension from the irreducibles. The oracle's span is a
-    lower bound on the generic dimension, and it stops at an upper
-    bound proved over Q(u) by the split identities
-    (nonstandard._split_bound), never taken from the formula; so a PASS
-    proves the generic dimension equals the formula, and a bad point or
-    prime can only give a false FAIL. A split identity that fails is a
-    FAIL."""
-    values = {}
+    """The formula against the dimension of the algebra at each rank,
+    proved exactly over Q(u) by nonstandard_dimension_oracle: the
+    certified irreducibles give sum d^2 as a lower bound (density), the
+    split identities the same number as an upper bound
+    (nonstandard._split_bound, read off the shapes, never taken from the
+    formula). So a PASS proves the dimension equals the formula, and a
+    certificate that misses an edge can only give a false FAIL. Each
+    rank is certified once over all of rs. A split identity or a
+    certificate that fails is a FAIL."""
+    values, certified = {}, 1
     for r in rs:
         formula = dimension_formula(r)
         try:
-            oracle = nonstandard_dimension_oracle(r)
+            oracle = nonstandard_dimension_oracle(r, certified)
         except CertificateError as exc:
             return _fail(exc)
+        certified = max(certified, r)
         if formula != oracle:
             return _fail(f"r={r}: formula {formula} != oracle {oracle}")
         values[r] = formula

@@ -14,11 +14,14 @@ from nstl.linalg import (
     identity,
     mat_mul,
     mat_transpose,
-    mat_vec,
     rref,
     zeros,
 )
 from nstl.specht_modules import build_specht
+
+
+def mat_vec(A, v):
+    return [row[0] for row in mat_mul(A, [[x] for x in v])]
 
 
 def nullspace(M, one, zero):

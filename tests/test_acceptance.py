@@ -225,6 +225,58 @@ def test_a_broken_split_identity_fails_dimension_and_certification(
     assert f"dimension: FAIL ({dimension['detail']})" in capsys.readouterr().out
 
 
+def test_a_certificate_that_fails_below_fails_dimension(monkeypatch, capsys):
+    # the proof at rank 4 rests on the certificates of ranks 2 and 3
+    real = nonstandard.certify_irreducible
+
+    def failing(mod):
+        if str(mod.label) == "3:2,1":
+            raise nonstandard.CertificateError("not strongly connected: 3:2,1")
+        return real(mod)
+
+    monkeypatch.setattr(nonstandard, "certify_irreducible", failing)
+    assert check_dimension((4,)) == {
+        "ok": False,
+        "detail": "not strongly connected: 3:2,1",
+    }
+    assert cli.main(["verify-all", "--r", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "dimension: FAIL (not strongly connected: 3:2,1)" in out
+    assert "certification: FAIL (not strongly connected: 3:2,1)" in out
+
+
+def test_a_label_missing_from_the_index_set_fails_dimension(monkeypatch, capsys):
+    # every label left is certified, but their squares fall short of the
+    # split bound; the formula check of certification sees it too
+    real = nonstandard.ns_labels
+
+    def short(r):
+        return real(r)[:-1] if r == 4 else real(r)
+
+    monkeypatch.setattr(nonstandard, "ns_labels", short)
+    monkeypatch.setattr(verify, "ns_labels", short)
+    detail = "r=4: squared dimensions sum to 88, not the split bound 89"
+    assert check_dimension((2, 3, 4)) == {"ok": False, "detail": detail}
+    assert cli.main(["verify-all", "--r", "4"]) == 1
+    assert f"dimension: FAIL ({detail})" in capsys.readouterr().out
+
+
+def test_a_label_dimension_off_the_split_bound_fails_dimension(monkeypatch):
+    # -3,1 claims one dimension more than its module has, which would
+    # take the squares to 96 against the bound 89; the module's
+    # dimension check stops it first
+    real = nonstandard.NsIrredLabel.dimension
+
+    def inflated(label, r):
+        return real(label, r) + (str(label) == "-3,1")
+
+    monkeypatch.setattr(nonstandard.NsIrredLabel, "dimension", inflated)
+    assert check_dimension((2, 3, 4)) == {
+        "ok": False,
+        "detail": "dimension mismatch for -3,1",
+    }
+
+
 def test_criterion_12_seminormal():
     report(12, "seminormal", check_seminormal())
 

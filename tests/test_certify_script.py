@@ -37,7 +37,7 @@ def fresh_modules():
 
 
 real_split = nonstandard._restriction_split
-real_trace = verify.chain_trace
+real_trace = nonstandard.chain_trace
 
 
 def doubled(mod):
@@ -63,7 +63,7 @@ FAILURES = [
     ),
     (nonstandard, "_restriction_split", doubled, "not multiplicity-free: 2:1,1"),
     (
-        verify,
+        nonstandard,
         "chain_trace",
         lambda label, r: R_ZERO if r == 3 else real_trace(label, r),
         "3:2,1 and +2,1 not told apart",

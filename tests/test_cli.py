@@ -10,7 +10,7 @@ import pytest
 import nstl
 from nstl.cli import main
 from nstl.verify import ACCEPTANCE_CHECKS
-from nstl.nonstandard import StabilizationError
+from nstl.nonstandard import RestrictionError
 
 from hecke_oracle import oracle_lower, upper_of
 
@@ -34,7 +34,8 @@ class TestDimCheck:
 
     @pytest.mark.parametrize("argv", [["--help"], ["dim-check", "--help"]])
     def test_help_lists_no_route_options(self, capsys, argv):
-        # the oracle picks its route by rank, and --r-bound alone bounds it
+        # the proof has no point or prime to choose, and --r-bound alone
+        # bounds the rank
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
@@ -370,7 +371,7 @@ class TestInternalError:
         "exc",
         [
             ArithmeticError("inexact polynomial division"),
-            StabilizationError("span closure exceeded\nsafety bound"),
+            RestrictionError("restriction dimensions 4\n!= module dimension 3"),
         ],
     )
     def test_uncaught_exception_exits_3(self, capsys, monkeypatch, exc):
@@ -388,15 +389,15 @@ class TestInternalError:
 
     def test_verbose_prints_the_traceback(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
-            raise StabilizationError("span closure exceeded safety bound")
+            raise RestrictionError("restriction dimensions 4 != module dimension 3")
 
         monkeypatch.setattr("nstl.nonstandard.nonstandard_dimension_oracle", boom)
         assert main(["-v", "dim-check", "--r", "3"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "Traceback (most recent call last):"
         assert err[-1] == (
-            "nstl: internal error: StabilizationError: "
-            "span closure exceeded safety bound"
+            "nstl: internal error: RestrictionError: "
+            "restriction dimensions 4 != module dimension 3"
         )
 
     def test_usage_errors_keep_exit_2(self):
@@ -439,15 +440,36 @@ def run_flag_numpy(code):
 
 
 def test_cli_import_leaves_numpy_out():
-    # only the oracle's F_p route, from rank 5, needs numpy; importing the
-    # CLI must not load it
+    # numpy is a test dependency only
     assert run_flag_numpy("import sys, nstl.cli") == "False"
 
 
 def test_verify_all_at_rank_4_leaves_numpy_out():
-    # the dimension check at rank 4 takes the exact route
     code = "import sys, nstl.cli; nstl.cli.main(['verify-all', '--r', '4'])"
     assert run_flag_numpy(code) == "False"
+
+
+def test_dim_check_at_rank_5_leaves_numpy_out():
+    # the dimension is proved from the certified irreducibles, at no point
+    code = "import sys, nstl.cli; nstl.cli.main(['dim-check', '--r', '5'])"
+    assert run_flag_numpy(code) == "False"
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_141():
+    # 128 + SIGPIPE, with nothing on stderr: not an internal error, and no
+    # "Exception ignored" from the flush at shutdown. The output (several
+    # MB) overflows the pipe, so writing after the close always fails.
+    src = pathlib.Path(nstl.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nstl.cli", "--r-bound", "6", "kl-basis", "--r", "6"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{"basis":"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (141, b"")
 
 
 DEFERRED = ["linalg", "nonstandard", "seminormal", "specht_modules", "verify"]

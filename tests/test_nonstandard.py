@@ -16,9 +16,7 @@ from nstl.combinatorics import Partition, partitions_of, two_row_partitions
 from nstl.exact_arith import LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
 from nstl.hecke_core import HeckeElement, multiply_standard
 from nstl.linalg import (
-    ListSpanBasisModP,
     SpanBasis,
-    SpanBasisModP,
     mat_add,
     mat_mul,
     mat_scale,
@@ -30,17 +28,11 @@ from nstl.linalg import (
 from nstl.nonstandard import (
     FOUR,
     CertificateError,
-    ModulusError,
     NsIrredLabel,
     NsSubmodule,
-    ORACLE_PRIME,
     RestrictionError,
     TensorModule,
-    U0,
-    _accepted_words,
-    _block_generators,
     _generators_with_theta,
-    _kron_sum,
     _pairing,
     _split_bound,
     _split_failure,
@@ -62,9 +54,22 @@ from nstl.nonstandard import (
     restriction_decompose,
     square_split_identities,
 )
-from nstl.specht_modules import build_specht, specialize_matrix
-from nstl.verify import check_certification
+from nstl.specht_modules import build_specht
+from nstl.verify import check_certification, check_dimension
 
+from dimension_oracle import (
+    ORACLE_PRIME,
+    U0,
+    ListSpanBasisModP,
+    ModulusError,
+    SpanBasisModP,
+    _accepted_words,
+    _block_generators,
+    _kron_sum,
+    block_bound,
+    closure_dimension,
+    specialize_matrix,
+)
 from hecke_oracle import first_left_descent, oracle_theta_t, theta_element
 from isotypic_oracle import hh_pieces, isotypic_split
 from specht_oracle import inverse, nullspace
@@ -566,8 +571,9 @@ class TestSplitClosure:
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_bound_is_the_sum_of_squares(self, r):
+        # read off the shapes, it is the bound of the reference's blocks
         signs, mats = _block_generators(r, U0)
-        assert _split_bound(r, signs, mats[0]) == dimension_formula(r)
+        assert _split_bound(r) == block_bound(signs, mats[0]) == dimension_formula(r)
 
 
 def basis_matrices(mod, u0=U0):
@@ -881,7 +887,7 @@ class TestDimension:
             for r in (2, 3)
             for u0 in (Fraction(7, 3), Fraction(2), Fraction(5, 2))
         ]
-        + [(3, Fraction(11, 5)), (4, Fraction(5, 2))],
+        + [(3, Fraction(11, 5)), (4, U0), (4, Fraction(5, 2))],
     )
     def test_integer_closure_matches_fraction_closure(self, r, u0):
         words = _accepted_words(r, u0, ORACLE_PRIME)
@@ -889,8 +895,8 @@ class TestDimension:
         assert len(words) == nonstandard_dimension_oracle(r)
 
     def test_oracle_stops_at_the_split_bound(self, monkeypatch):
-        # the 191st add takes the span to 89, and none follows it; the
-        # closure run to its end makes 268
+        # the reference closure: the 191st add takes the span to 89, and
+        # none follows it; the closure run to its end makes 268
         sizes = []
         add = ListSpanBasisModP.add
 
@@ -899,7 +905,7 @@ class TestDimension:
             return add(self, v)
 
         monkeypatch.setattr(ListSpanBasisModP, "add", counted)
-        assert nonstandard_dimension_oracle(4) == 89
+        assert closure_dimension(4) == 89
         assert len(sizes) == 191
         assert max(sizes) == sizes[-1] == 88
 
@@ -908,7 +914,9 @@ class TestDimension:
         assert _accepted_words(r, U0, 1000003) == fraction_closure_words(r, U0)
 
     def test_oracle_r5_mod_p(self, monkeypatch):
-        # the numpy span takes whole levels, and none once it holds 855
+        # the numpy span takes whole levels, and none once it holds 855;
+        # the pure-Python span would take minutes at rank 5
+        pytest.importorskip("numpy")
         sizes = []
         add_level = SpanBasisModP.add_level
 
@@ -917,17 +925,16 @@ class TestDimension:
             return add_level(self, V)
 
         monkeypatch.setattr(SpanBasisModP, "add_level", counted)
-        assert nonstandard_dimension_oracle(5) == 855
+        assert closure_dimension(5) == nonstandard_dimension_oracle(5) == 855
         assert max(sizes) < 855
 
-    def test_oracle_through_rank_4_never_imports_numpy(self):
-        # numpy costs more to import than the span through rank 4 takes
+    def test_oracle_never_imports_numpy(self):
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         code = (
             "import sys\n"
             "from nstl.nonstandard import nonstandard_dimension_oracle as oracle\n"
-            "print([oracle(r) for r in (2, 3, 4)], 'numpy' in sys.modules)\n"
+            "print([oracle(r) for r in (2, 3, 4, 5)], 'numpy' in sys.modules)\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -936,18 +943,24 @@ class TestDimension:
             text=True,
             check=True,
         ).stdout
-        assert out == "[2, 10, 89] False\n"
+        assert out == "[2, 10, 89, 855] False\n"
 
-    @pytest.mark.parametrize("r", [2, 4, 5])
-    def test_oracle_runs_over_f_p_at_every_rank(self, monkeypatch, r):
+    def test_oracle_certifies_every_rank_once(self, monkeypatch):
         calls = []
+        real = nonstandard.certify_rank
         monkeypatch.setattr(
-            nonstandard,
-            "_accepted_words",
-            lambda *args: calls.append(args) or [()],
+            nonstandard, "certify_rank", lambda s: calls.append(s) or real(s)
         )
-        assert nonstandard_dimension_oracle(r) == 1
-        assert calls == [(r, U0, ORACLE_PRIME)]
+        assert nonstandard_dimension_oracle(4) == 89
+        assert nonstandard_dimension_oracle(4, certified=3) == 89
+        assert nonstandard_dimension_oracle(1) == 1
+        assert calls == [2, 3, 4, 4]
+        calls.clear()
+        assert check_dimension((2, 4, 3)) == {
+            "ok": True,
+            "values": {2: 2, 4: 89, 3: 10},
+        }
+        assert calls == [2, 3, 4]
 
     def test_modulus_bound_is_span_vector_length(self):
         # at r = 3 the span vectors have 15 entries: 784150127 is the
