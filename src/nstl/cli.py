@@ -295,7 +295,11 @@ def cmd_dim_check(args, cfg, parser):
     formula = nonstandard.dimension_formula(args.r)
     # the "oracle" key is the dimension proved from the certified
     # irreducibles; it keeps its name so that the output stays the same
-    oracle = nonstandard.nonstandard_dimension_oracle(args.r)
+    try:
+        oracle = nonstandard.nonstandard_dimension_oracle(args.r)
+    except nonstandard.CertificateError as exc:
+        print(f"nstl: dim-check: FAIL ({exc})", file=sys.stderr)
+        return 1
     agree = formula == oracle
     _emit({"formula": formula, "oracle": oracle, "agree": agree}, cfg)
     return 0 if agree else 1

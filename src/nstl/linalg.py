@@ -35,10 +35,6 @@ def mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_scale(A, c):
     return [[c * a for a in row] for row in A]
 
@@ -83,33 +79,3 @@ def rref(M):
         if r == len(rows):
             break
     return rows[:r], pivots
-
-
-class SpanBasis:
-    """Incrementally maintained echelon basis of a span of vectors."""
-
-    def __init__(self):
-        self.rows = []  # echelon rows, normalized to leading 1
-        self.pivots = []  # pivot column per row, increasing insertion order
-
-    def add(self, v):
-        """Reduce v against the basis; absorb if independent. Returns
-        True iff the span grew."""
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                for j in range(len(v)):
-                    if row[j]:
-                        v[j] = v[j] - f * row[j]
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is None:
-            return False
-        pv = v[p]
-        v = [x / pv for x in v]
-        self.rows.append(v)
-        self.pivots.append(p)
-        return True
-
-    def __len__(self):
-        return len(self.rows)

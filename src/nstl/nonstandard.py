@@ -12,6 +12,11 @@ f_lambda x f_mu over a basis pair; an operator A (x) B sends c to
 A c B^T. Basis-pair tags: "ll" (lower (x) lower), "ul", "lu", "uu".
 Two-row shapes have action matrices unchanged by the rank-2 quotient of
 the Hecke algebra, so the same Specht matrices serve here.
+The irreducibles' bases are sparse Gelfand-Tsetlin vectors
+{(a, b): entry} instead (seminormal._gt_basis), where the restriction
+is a split of the coordinates: the certificate reads it off the
+seminormal cut. `seminormal` imports this module, so functions here
+import it when they run.
 """
 
 from __future__ import annotations
@@ -33,12 +38,10 @@ from .combinatorics import (
 from .exact_arith import FOUR, R_HALF, R_ONE, R_ZERO, TWO, RationalFn
 from .hecke_core import HeckeElement, multiply_standard
 from .linalg import (
-    SpanBasis,
     identity,
     mat_add,
     mat_mul,
     mat_scale,
-    mat_sub,
     mat_transpose,
     rref,
     zeros,
@@ -174,10 +177,6 @@ class TensorModule:
 
     def p_apply(self, c, i: int, pair: str = "ll"):
         return self.apply(self.ops(i, pair), c)
-
-
-def flatten(c):
-    return [x for row in c for x in row]
 
 
 # ---------------------------------------------------------------------
@@ -371,7 +370,7 @@ def antipode_check(word, r: int = 4) -> bool:
 class NsSubmodule:
     label: NsIrredLabel
     ambient: TensorModule
-    basis: list  # lower (x) lower coefficient matrices
+    basis: list  # sparse GT coordinate vectors {(a, b): entry}
 
     @property
     def dim(self):
@@ -386,46 +385,56 @@ class NsSubmodule:
 @lru_cache(maxsize=None)
 def build_irreducible(label: NsIrredLabel, r: int) -> NsSubmodule:
     """The module of a label, cached with its restriction: not to be
-    mutated. A pair's basis is the unit vectors E_ab of its product; a
-    signed label's is its piece (nonstandard_pieces) of the E_ab of the
-    square, over a < b for -lam and over a <= b without E_00 for +lam,
-    the lemma basis: the projections of C'_A . C'_B onto V+."""
+    mutated. Its basis is in closed form in the GT coordinates of
+    seminormal._gt_basis, with E_ab the unit vectors and E the GT
+    diagonal of X^-1: a pair's is the E_ab of its product; -lam's the
+    (E_ab - E_ba)/2 and +lam's the (E_ab + E_ba)/2, a < b, and for +lam
+    also the E_a E_aa - E_0 E_00, a > 0, so sum_s g_s C_ss = 0 on each;
+    eps+'s is the GT coordinates of epsilon_plus_vector, the eps line
+    that square_split_identities checks."""
+    from .seminormal import _gt_basis, _to_gt, _unit_space
+
     if label not in set(ns_labels(r)):
         raise ValueError(f"label {label} is not in the rank-{r} index set")
     shapes = label.shapes or (max(two_row_partitions(r), key=syt_count),)
     tm = TensorModule(shapes[0], shapes[-1])
+    f = tm.left.dim
+    pairs = [(a, b) for a in range(f) for b in range(a, f)]
     if label.kind == "pair":
-        basis = tm.unit_vectors()
+        basis = _unit_space(tm)
     elif label.kind == "eps_plus":
-        basis = [epsilon_plus_vector(tm.lam)]
+        basis = [_to_gt(epsilon_plus_vector(tm.lam), tm)]
+    elif label.kind == "minus":
+        basis = [{(a, b): R_HALF, (b, a): -R_HALF} for a, b in pairs if a < b]
     else:
-        f, units = tm.left.dim, tm.unit_vectors()
-        minus = label.kind == "minus"
-        pieces = [
-            dict(nonstandard_pieces(tm.lam, tm.lam, units[a * f + b]))[label]
-            for a in range(f)
-            for b in range(a + minus, f)
+        E = _gt_basis(tm.lam.parts).E
+        basis = [
+            {(a, b): R_HALF, (b, a): R_HALF} if a < b
+            else {(a, a): E[a], (0, 0): -E[0]}
+            for a, b in pairs[1:]
         ]
-        basis = pieces if minus else pieces[1:]
     return NsSubmodule(label, tm, basis)
 
 
 def _split_failure(mod: NsSubmodule) -> str:
     """Why the basis is not the piece of the split its label names, or
-    ''. Each vector must lie in the piece: a unit vector of
-    M_lam (x) M_mu for a pair, Lambda^2 (antisymmetric) for -lam, V+
-    (symmetric with t = 0) for +lam, the line of eps for eps+; there
-    must be as many vectors as the piece has dimensions, and they must
-    be independent over Q(u), checked exactly. The pieces of a square
-    are P_i-stable by square_split_identities, which is checked here,
-    so such a basis spans a closed module."""
+    '', read in GT coordinates (see certify_irreducible). Each vector
+    must lie in the piece: a unit vector of M_lam (x) M_mu for a pair,
+    Lambda^2 (C = -C^T) for -lam, V+ (C = C^T with t = 0) for +lam, the
+    eps line diag(E) for eps+; there must be as many vectors as the
+    piece has dimensions, and they must be independent over Q(u), by an
+    exact rref over their support. The pieces of a square are
+    P_i-stable by square_split_identities, which is checked here, so
+    such a basis spans a closed module."""
+    from .seminormal import _gt_basis
+
     tm, label, basis = mod.ambient, mod.label, mod.basis
     if label.kind == "pair":
         if set(label.shapes) != {tm.lam, tm.mu}:
             return f"ambient {tm.lam} x {tm.mu} is not the pair"
 
-        def inside(c):
-            return [x for row in c for x in row if x] == [R_ONE]
+        def inside(C):
+            return [x for x in C.values() if x] == [R_ONE]
 
     else:
         lam = tm.lam
@@ -434,32 +443,31 @@ def _split_failure(mod: NsSubmodule) -> str:
         broken = square_split_identities(lam)
         if broken:
             return broken
-        f, X = tm.left.dim, tm.left.transition
-        pairs = [(a, b) for a in range(f) for b in range(a, f)]
+        gt = _gt_basis(lam.parts)
         if label.kind == "eps_plus":
-            eps = epsilon_plus_vector(lam)
-
-            def inside(c):
-                return c == eps
+            def inside(C):
+                return C == {(s, s): e for s, e in enumerate(gt.E)}
 
         elif label.kind == "minus":
 
-            def inside(c):
-                return all(c[a][b] == -c[b][a] for a, b in pairs)
+            def inside(C):
+                return all(C.get((b, a), R_ZERO) == -x for (a, b), x in C.items())
 
         else:
 
-            def inside(c):
-                symmetric = all(c[a][b] == c[b][a] for a, b in pairs)
-                return symmetric and not _pairing(c, X)
+            def inside(C):
+                symmetric = all(C.get((b, a), R_ZERO) == x for (a, b), x in C.items())
+                t = sum((x * gt.g[a] for (a, b), x in C.items() if a == b), R_ZERO)
+                return symmetric and not t
 
     want = label.dimension(tm.r)
     if len(basis) != want:
         return f"{len(basis)} vectors for a piece of dimension {want}"
-    outside = next((k for k, c in enumerate(basis) if not inside(c)), None)
+    outside = next((k for k, C in enumerate(basis) if not inside(C)), None)
     if outside is not None:
         return f"basis vector {outside} lies outside the {label.kind} piece"
-    _, pivots = rref(mat_transpose([flatten(c) for c in basis]))
+    support = sorted(set().union(*basis))
+    _, pivots = rref([[C.get(c, R_ZERO) for C in basis] for c in support])
     if len(pivots) < len(basis):
         k = next(k for k, p in enumerate(pivots + [None]) if p != k)
         return f"basis vector {k} depends on the ones before it"
@@ -485,7 +493,7 @@ def certify_irreducible(mod: NsSubmodule) -> None:
     H_{r-1}-equivariant, so the path pairs cut the ambient into the
     blocks M_nu (x) M_rho of the semisimple H_{r-1} (x) H_{r-1}; the
     flip and c -> t(c) eps commute with the P_i
-    (square_split_identities), so nonstandard_pieces cuts each block
+    (square_split_identities), so the cut by label splits each block
     into rank-(r-1) modules. These are pairwise inequivalent
     irreducibles, so pi_j is a central idempotent of the image, and
     pi_j V lies in V. (ii) V is the direct sum of the pi_j V, each a
@@ -494,7 +502,17 @@ def certify_irreducible(mod: NsSubmodule) -> None:
     pi_j V it holds P_{r-1} probe_j, so an edge j -> k puts pi_k V in
     W; strongly connected, W = V. The argument holds over an algebraic
     closure of Q(u) too. A probe that misses an edge can only give a
-    false FAIL, never a false PASS."""
+    false FAIL, never a false PASS.
+
+    The proof runs in GT coordinates (seminormal._gt_basis), which
+    checks Pi V = I and V^T X V = diag(g). So c = V C V^T turns the flip
+    c -> c^T into C -> C^T, t(c) = <c, X> / f into sum_s g_s C_ss / f,
+    and X^-1, the eps line, into diag(E). The (nu, rho) child block of
+    c is the child's GT coordinates of pi_nu c pi_rho^T, since each GT
+    path starts with one branching step, so seminormal._nonstandard_pieces,
+    with the child's g and E, is the same cut as in lower coordinates;
+    one level of it (seminormal._cut) gives the components, and
+    seminormal._gt_apply applies P_{r-1} exactly, as Pi V = I."""
     broken = _split_failure(mod)
     if broken:
         raise CertificateError(f"not generator-closed: {mod.label} ({broken})")
@@ -517,17 +535,15 @@ def certify_irreducible(mod: NsSubmodule) -> None:
 
 def _restriction_edges(mod: NsSubmodule) -> dict:
     """{j: the labels k != j with pi_k P_{r-1} probe_j != 0}, read off
-    the unlifted pieces of P_{r-1} probe_j, one cut per component."""
-    tm, edges = mod.ambient, {}
-    for j, (_, probe) in mod.restriction.items():
-        image = tm.p_apply(probe, tm.r - 1)
-        edges[j] = {
-            label
-            for nu, _, rho, _, d in branching_blocks(tm.lam, tm.mu, image)
-            for label, p in nonstandard_pieces(nu, rho, d)
-            if label != j and _nonzero(p)
-        }
-    return edges
+    one GT cut of P_{r-1} probe_j, applied in GT coordinates."""
+    from .seminormal import _cut, _gt_apply, _level
+
+    tm = mod.ambient
+    level = _level(tm, tm.r - 1)
+    return {
+        j: set(_cut(_gt_apply(tm, probe, tm.r - 1), level)) - {j}
+        for j, (_, probe) in mod.restriction.items()
+    }
 
 
 def _unreachable(edges: dict) -> tuple:
@@ -590,93 +606,32 @@ def certify_rank(s: int) -> None:
 
 
 # ---------------------------------------------------------------------
-# one branching step
-
-
-def branching_blocks(lam: Partition, mu: Partition, c):
-    """One branching step down from the lower (x) lower coefficient
-    matrix c of M_lam (x) M_mu: (nu, iota_l, rho, iota_r,
-    pi_l c pi_r^T) for every child nu of lam and rho of mu, in branching
-    order, with iota: child coords -> parent coords and pi its left
-    inverse (the cached matrices, not to be mutated). Since
-    sum_c iota_c pi_c = I and pi_c iota_c' = delta, the lifts
-    d -> iota_l d iota_r^T of the pairs are injective into independent
-    blocks: pieces cut from the child blocks have, laid end to end, the
-    rank of their lifts, and are zero just when those are."""
-    right = [
-        (rho, iota, mat_transpose(pi))
-        for rho, iota, pi, _ in build_specht(mu).branching
-    ]
-    for nu, iota, pi, _ in build_specht(lam).branching:
-        left = mat_mul(pi, c)
-        for rho, iota_r, piT in right:
-            yield nu, iota, rho, iota_r, mat_mul(left, piT)
-
-
-def nonstandard_pieces(nu: Partition, rho: Partition, d) -> tuple:
-    """Cut the child block d of a (nu, rho) path pair by rank-k
-    nonstandard label: the whole block is pair{nu, rho} when nu != rho;
-    otherwise the eps+ eigenline e = tr(d X^T)/f eps, with eps = X^-1
-    from epsilon_plus_vector, and for f > 1 the symmetric rest
-    (d + d^T)/2 - e and the wedge (d - d^T)/2. build_irreducible takes
-    the +lam and -lam bases from this cut too."""
-    if nu != rho:
-        return ((NsIrredLabel("pair", (nu, rho)), d),)
-    child = build_specht(nu)
-    t = _pairing(d, child.transition) / RationalFn.from_int(child.dim)
-    e = mat_scale(epsilon_plus_vector(nu), t)
-    if child.dim == 1:
-        return ((NsIrredLabel("eps_plus"), e),)
-    dt = mat_transpose(d)
-    plus = mat_sub(mat_scale(mat_add(d, dt), R_HALF), e)
-    return (
-        (NsIrredLabel("eps_plus"), e),
-        (NsIrredLabel("plus", (nu,)), plus),
-        (NsIrredLabel("minus", (nu,)), mat_scale(mat_sub(d, dt), R_HALF)),
-    )
-
-
-def _nonzero(M) -> bool:
-    return any(x for row in M for x in row)
-
-
-def _lift(parts):
-    """Sum iota_l piece iota_r^T over the (iota_l, piece, iota_r)."""
-    return reduce(
-        mat_add,
-        (mat_mul(li, mat_mul(p, mat_transpose(ri))) for li, p, ri in parts),
-    )
-
-
-# ---------------------------------------------------------------------
 # restriction to rank r-1
 
 
 def _restriction_split(mod: NsSubmodule) -> dict:
     """{rank-(r-1) label: (rank, probe)}: the rank over Q(u) of the
-    label's isotypic components of the basis, taken on their pieces
-    (nonstandard_pieces of the branching_blocks) laid end to end in a
-    SpanBasis, and the probe, the sum of the components that grew the
-    span: nonzero, since they are independent. The pieces are summed
-    per pair of children and lifted once."""
+    label's isotypic component of the basis and the probe, the sum of
+    the component's echelon rows: nonzero, since they are independent.
+    The components are one GT cut at level r - 1 (seminormal._cut) of
+    each basis vector, row reduced on their support per label."""
+    from .seminormal import _cut, _echelon, _level
+
     tm = mod.ambient
     if tm.r < 2:
         raise ValueError("needs r >= 2")
-    spans, sums = {}, {}
-    for c in mod.basis:
-        cut = {}
-        for nu, li, rho, ri, d in branching_blocks(tm.lam, tm.mu, c):
-            for label, piece in nonstandard_pieces(nu, rho, d):
-                cut.setdefault(label, []).append((li, piece, ri))
-        for label, parts in cut.items():
-            row = [x for _, piece, _ in parts for x in flatten(piece)]
-            if any(row) and spans.setdefault(label, SpanBasis()).add(row):
-                acc = sums.get(label)
-                sums[label] = parts if acc is None else [
-                    (li, mat_add(a, piece), ri)
-                    for (_, a, _), (li, piece, ri) in zip(acc, parts)
-                ]
-    return {label: (len(span), _lift(sums[label])) for label, span in spans.items()}
+    level, images = _level(tm, tm.r - 1), {}
+    for C in mod.basis:
+        for label, comp in _cut(C, level).items():
+            images.setdefault(label, []).append(comp)
+    out = {}
+    for label, comps in images.items():
+        rows, probe = _echelon(comps), {}
+        for row in rows:
+            for key, x in row.items():
+                probe[key] = probe[key] + x if key in probe else x
+        out[label] = (len(rows), {key: x for key, x in probe.items() if x})
+    return out
 
 
 def restriction_decompose(mod: NsSubmodule) -> Counter:

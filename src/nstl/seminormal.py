@@ -1,7 +1,8 @@
 """Seminormal bases for the irreducibles of the rank-2 nonstandard
 quotient, taken along the chain of parabolic subalgebras on the
-generator sets {P_1}, {P_1, P_2}, ..., and the combinatorial bijection
-alpha from pairs of standard tableaux to seminormal chain labels.
+generator sets {P_1}, {P_1, P_2}, ..., the combinatorial bijection
+alpha from pairs of standard tableaux to seminormal chain labels, and
+the Gelfand-Tsetlin coordinates the irreducibles are certified in.
 
 A seminormal basis of an invariant subspace of M_lambda (x) M_mu is
 obtained by iterated isotypic splitting: at each level k = r, r-1, ...,
@@ -15,13 +16,14 @@ seminormal basis V (the embeddings of its branching paths down to size
 pairs of paths and c = V_lambda C V_mu^T is its lower (x) lower
 coefficient matrix. At level k the (T, U) coordinates whose paths
 share their first r - k steps form one child block, and a block is cut
-in closed form (`_nonstandard_pieces`). Each component is row reduced
-only on the columns where it is nonzero. A leaf is mapped back to lower
-(x) lower coordinates once, and normalized so the lexicographically-
-first nonzero coordinate (row-major, canonical SYT order) equals 1; the
-basis is only canonical up to one scalar per vector, and this
-normalization pins the scalars for reproducibility. A submodule basis
-enters the descent as Pi_lambda c Pi_mu^T.
+in closed form (`_nonstandard_pieces`), one level at a time (`_cut`,
+the one cut of the library: the certificate reads its restriction and
+edges off it too). Each component is row reduced only on the columns
+where it is nonzero. A leaf is mapped back to lower (x) lower
+coordinates once, and normalized so the lexicographically-first nonzero
+coordinate (row-major, canonical SYT order) equals 1; the basis is only
+canonical up to one scalar per vector, and this normalization pins the
+scalars for reproducibility. A submodule basis enters as it is.
 """
 
 from __future__ import annotations
@@ -37,14 +39,7 @@ from .combinatorics import (
 )
 from .exact_arith import R_HALF, R_ONE, R_ZERO, RationalFn
 from .linalg import identity, mat_mul, mat_transpose, rref, zeros
-from .nonstandard import (
-    NsIrredLabel,
-    NsSubmodule,
-    TensorModule,
-    _nonzero,
-    branching_blocks,
-    nonstandard_pieces,
-)
+from .nonstandard import NsIrredLabel, NsSubmodule, TensorModule
 from .specht_modules import build_specht
 
 
@@ -192,11 +187,12 @@ def _gt_basis(parts: tuple) -> GTBasis:
 
 
 def _nonstandard_pieces(nu: Partition, rho: Partition, D) -> tuple:
-    """nonstandard.nonstandard_pieces on a child block D given in GT
-    coordinates as {(s, t): entry}: pair{nu, rho} when nu != rho;
-    otherwise the eps+ line (sum_s D_ss g_s / f) E on the diagonal, and
-    for f > 1 the symmetric rest (D + D^T)/2 - eps+ and the wedge
-    (D - D^T)/2. Zero entries and empty pieces are left out."""
+    """The cut of a child block D of a (nu, rho) path pair by rank-k
+    nonstandard label, D given in GT coordinates as {(s, t): entry}:
+    pair{nu, rho} when nu != rho; otherwise the eps+ line
+    (sum_s D_ss g_s / f) E on the diagonal, and for f > 1 the symmetric
+    rest (D + D^T)/2 - eps+ and the wedge (D - D^T)/2. Zero entries and
+    empty pieces are left out."""
     if nu != rho:
         return ((NsIrredLabel("pair", (nu, rho)), D),)
     gt = _gt_basis(nu.parts)
@@ -224,17 +220,43 @@ def _nonstandard_pieces(nu: Partition, rho: Partition, D) -> tuple:
     return tuple((label, piece) for label, piece in out if piece)
 
 
-def _level(gt: GTBasis, k: int):
-    """Per GT index a at level k: (the branching path to size k that
-    a's path starts with, a's index in the GT basis of its shape at size
-    k), and the GT indices of each such path, listed by that index."""
-    cut = len(gt.seqs[0]) - k + 1
-    where, members = [], {}
-    for a, seq in enumerate(gt.seqs):
-        group = members.setdefault(seq[:cut], [])
-        where.append((seq[:cut], len(group)))
-        group.append(a)
-    return where, members
+def _level(tm: TensorModule, k: int) -> tuple:
+    """Level k of the chain on both factors of tm: per factor, for each
+    GT index a, (the branching path to size k that a's path starts with,
+    a's index in the GT basis of its shape at size k), and the GT indices
+    of each such path, listed by that index."""
+    out = []
+    for lam in (tm.lam, tm.mu):
+        seqs = _gt_basis(lam.parts).seqs
+        cut = len(seqs[0]) - k + 1
+        where, members = [], {}
+        for a, seq in enumerate(seqs):
+            group = members.setdefault(seq[:cut], [])
+            where.append((seq[:cut], len(group)))
+            group.append(a)
+        out.append((where, members))
+    return tuple(out)
+
+
+def _cut(v, level) -> dict:
+    """{label: component} of the sparse GT vector v at one level of the
+    chain (`_level`): the (a, b) coordinate lies in the child block of
+    the pair of branching paths that a and b start with, and
+    _nonstandard_pieces cuts each block by label. Empty components are
+    left out, and the components sum to v."""
+    (lwhere, lmembers), (rwhere, rmembers) = level
+    blocks = {}
+    for (a, b), x in v.items():
+        (p, s), (q, t) = lwhere[a], rwhere[b]
+        blocks.setdefault((p, q), {})[s, t] = x
+    out = {}
+    for (p, q), D in blocks.items():
+        la, rb = lmembers[p], rmembers[q]
+        for label, piece in _nonstandard_pieces(p[-1], q[-1], D):
+            comp = out.setdefault(label, {})
+            for (s, t), x in piece.items():
+                comp[la[s], rb[t]] = x
+    return out
 
 
 def _echelon(vectors) -> list:
@@ -264,6 +286,34 @@ def _to_lower(C, left: GTBasis, right: GTBasis):
     return mat_mul(mat_mul(left.V, dense), mat_transpose(right.V))
 
 
+@lru_cache(maxsize=None)
+def _gt_factors(parts: tuple, i: int) -> tuple:
+    """The factors (C'_{s_i}, C_{s_i}) of P_{s_i} (p_factors) in the GT
+    basis of the shape, Pi A V, each as its sparse columns: entry s lists
+    the (a, entry) of column s that are nonzero."""
+    gt = _gt_basis(parts)
+    factors = build_specht(Partition(parts)).p_factors(i, "l")
+    return tuple(
+        tuple(tuple((a, x) for a, x in enumerate(col) if x) for col in zip(*S))
+        for S in (mat_mul(gt.Pi, mat_mul(A, gt.V)) for A in factors)
+    )
+
+
+def _gt_apply(tm: TensorModule, C, i: int) -> dict:
+    """P_{s_i} on the sparse GT vector C: the sum of A C B^T over its
+    factor pairs (A, B) in GT coordinates, exact since Pi V = I. Zero
+    entries are left out."""
+    out = {}
+    for A, B in zip(_gt_factors(tm.lam.parts, i), _gt_factors(tm.mu.parts, i)):
+        for (s, t), x in C.items():
+            for a, y in A[s]:
+                yx = y * x
+                for b, z in B[t]:
+                    term = yx * z
+                    out[a, b] = out[a, b] + term if (a, b) in out else term
+    return {key: x for key, x in out.items() if x}
+
+
 @dataclass
 class SeminormalBasis:
     ambient: TensorModule
@@ -284,32 +334,13 @@ def _normalize(c):
 
 def _split(tm: TensorModule, space) -> list:
     """Iterated isotypic splitting of the span of `space` (sparse GT
-    coordinate vectors {(a, b): entry}) at levels k = r, r-1, ..., 2.
-    At level k the (a, b) coordinate lies in the child block of the pair
-    of branching paths to size k that a and b start with, and
-    _nonstandard_pieces cuts each block by label.
-    Returns (chain of labels, normalized lower (x) lower vector) per
-    leaf and raises MultiplicityError unless every leaf is a line."""
+    coordinate vectors {(a, b): entry}) at levels k = r, r-1, ..., 2,
+    each level one _cut. Returns (chain of labels, normalized lower (x)
+    lower vector) per leaf and raises MultiplicityError unless every
+    leaf is a line."""
     left, right = _gt_basis(tm.lam.parts), _gt_basis(tm.mu.parts)
-    levels = {
-        k: (_level(left, k), _level(right, k)) for k in range(2, tm.r + 1)
-    }
+    levels = {k: _level(tm, k) for k in range(2, tm.r + 1)}
     leaves = []
-
-    def split(v, k):
-        (lwhere, lmembers), (rwhere, rmembers) = levels[k]
-        blocks = {}
-        for (a, b), x in v.items():
-            (p, s), (q, t) = lwhere[a], rwhere[b]
-            blocks.setdefault((p, q), {})[s, t] = x
-        out = {}
-        for (p, q), D in blocks.items():
-            la, rb = lmembers[p], rmembers[q]
-            for label, piece in _nonstandard_pieces(p[-1], q[-1], D):
-                comp = out.setdefault(label, {})
-                for (s, t), x in piece.items():
-                    comp[la[s], rb[t]] = x
-        return out
 
     def descend(space, k, chain):
         if k == 1:
@@ -323,7 +354,7 @@ def _split(tm: TensorModule, space) -> list:
             return
         images = {}
         for v in space:
-            for label, comp in split(v, k).items():
+            for label, comp in _cut(v, levels[k]).items():
                 images.setdefault(label, []).append(comp)
         for label in sorted(images, key=str):
             descend(_echelon(images[label]), k - 1, chain + (label,))
@@ -345,8 +376,7 @@ def seminormal_basis(m) -> SeminormalBasis:
     parabolic chain; every leaf is one-dimensional and is tagged with
     its chain of labels."""
     if isinstance(m, NsSubmodule):
-        tm = m.ambient
-        space = [_to_gt(c, tm) for c in m.basis]
+        tm, space = m.ambient, m.basis
     elif isinstance(m, TensorModule):
         tm, space = m, _unit_space(m)
     else:
@@ -362,27 +392,14 @@ def seminormal_basis(m) -> SeminormalBasis:
 
 def chain_membership(basis: SeminormalBasis, idx: int) -> bool:
     """A nonzero leaf vector must be its own isotypic component under
-    the label its chain names at every level k. Its child blocks are
-    carried down one branching step at a time (branching_blocks), in
-    lower coordinates; at level k every piece that nonstandard_pieces
-    cuts from a block under another label must vanish. The lifts of
-    distinct child pairs and labels are independent, so this is the same
-    as the vector equalling its component."""
-    v = basis.vectors[idx]
+    the label its chain names at every level k: in GT coordinates the
+    _cut of level k finds it under that label and no other. The pieces
+    of distinct child pairs and labels are independent, so this is the
+    same as the vector equalling its component."""
     tm = basis.ambient
-    if not _nonzero(v):
-        return False
-    blocks = [(tm.lam, tm.mu, v)]
-    for depth, want in enumerate(basis.chains[idx].labels):
-        if depth:
-            blocks = [
-                (nu, rho, d)
-                for lam, mu, c in blocks
-                for nu, _, rho, _, d in branching_blocks(lam, mu, c)
-                if _nonzero(d)
-            ]
-        for nu, rho, d in blocks:
-            for label, piece in nonstandard_pieces(nu, rho, d):
-                if label != want and _nonzero(piece):
-                    return False
-    return True
+    v = _to_gt(basis.vectors[idx], tm)
+    chain = basis.chains[idx]
+    return bool(v) and all(
+        set(_cut(v, _level(tm, k))) == {chain.level(k)}
+        for k in range(tm.r, 1, -1)
+    )

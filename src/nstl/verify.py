@@ -39,6 +39,7 @@ from .nonstandard import (
     restriction_decompose,
 )
 from .seminormal import (
+    MultiplicityError,
     alpha,
     chain_membership,
     seminormal_basis,
@@ -410,7 +411,10 @@ def check_seminormal() -> dict:
                     return _fail(
                         f"level-{level} grid differs at ({ra},{rb})"
                     )
-    sb = seminormal_basis(TensorModule(lam, lam))
+    try:
+        sb = seminormal_basis(TensorModule(lam, lam))
+    except MultiplicityError as exc:
+        return _fail(exc)
     if sb.dim != 25:
         return _fail(f"leaf count {sb.dim} != 25")
     tops = [c.level(5) for c in sb.chains]

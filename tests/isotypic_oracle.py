@@ -1,21 +1,125 @@
-"""Test oracles for isotypic components.
+"""Test oracles for isotypic components, in lower (x) lower coordinates.
 
-isotypic_split is the isotypic split of a tensor vector under the
-rank-k parabolic, for any k, lifted back to the top module. The library
-cuts only one branching step (nonstandard.branching_blocks); this is the
-many-step split it is checked against, here and in the seminormal
-tests. dense_split iterates it down the chain, as the library's
-seminormal descent does in GT coordinates, under nonstandard_pieces or
-hh_pieces, the rule of the full tensor-square chain. isotypic_projector
-reads one projector of a Specht module's branching."""
+The library builds and cuts its irreducibles in Gelfand-Tsetlin
+coordinates, one chain level at a time (seminormal._cut). Before that,
+it built the +lam and -lam bases in lower coordinates (`lower_basis`)
+and cut each vector one branching step down (`branching_blocks`, then
+`nonstandard_pieces` on each child block); that cut is kept here as the
+reference. isotypic_split is the isotypic split of a tensor vector
+under the rank-k parabolic, for any k, lifted back to the top module.
+dense_split iterates it down the chain, as the library's seminormal
+descent does in GT coordinates, under nonstandard_pieces or hh_pieces,
+the rule of the full tensor-square chain. isotypic_projector reads one
+projector of a Specht module's branching."""
 
 from functools import lru_cache
 
 from nstl.combinatorics import Partition
-from nstl.exact_arith import R_ONE, R_ZERO
-from nstl.linalg import identity, mat_add, mat_mul, mat_transpose, rref, zeros
-from nstl.nonstandard import flatten
+from nstl.exact_arith import R_HALF, R_ONE, R_ZERO, RationalFn
+from nstl.linalg import (
+    identity,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    mat_transpose,
+    rref,
+    zeros,
+)
+from nstl.nonstandard import NsIrredLabel, _pairing, epsilon_plus_vector
+from nstl.seminormal import _gt_basis, _to_lower
 from nstl.specht_modules import build_specht
+
+
+def flatten(c):
+    return [x for row in c for x in row]
+
+
+def mat_sub(A, B):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def branching_blocks(lam, mu, c):
+    """One branching step down from the lower (x) lower coefficient
+    matrix c of M_lam (x) M_mu: (nu, iota_l, rho, iota_r,
+    pi_l c pi_r^T) for every child nu of lam and rho of mu, in branching
+    order, with iota: child coords -> parent coords and pi its left
+    inverse."""
+    right = [
+        (rho, iota, mat_transpose(pi))
+        for rho, iota, pi, _ in build_specht(mu).branching
+    ]
+    for nu, iota, pi, _ in build_specht(lam).branching:
+        left = mat_mul(pi, c)
+        for rho, iota_r, piT in right:
+            yield nu, iota, rho, iota_r, mat_mul(left, piT)
+
+
+def nonstandard_pieces(nu, rho, d) -> tuple:
+    """Cut the child block d of a (nu, rho) path pair by rank-k
+    nonstandard label: the whole block is pair{nu, rho} when nu != rho;
+    otherwise the eps+ eigenline e = tr(d X^T)/f eps, with eps = X^-1
+    from epsilon_plus_vector, and for f > 1 the symmetric rest
+    (d + d^T)/2 - e and the wedge (d - d^T)/2."""
+    if nu != rho:
+        return ((NsIrredLabel("pair", (nu, rho)), d),)
+    child = build_specht(nu)
+    t = _pairing(d, child.transition) / RationalFn.from_int(child.dim)
+    e = mat_scale(epsilon_plus_vector(nu), t)
+    if child.dim == 1:
+        return ((NsIrredLabel("eps_plus"), e),)
+    dt = mat_transpose(d)
+    plus = mat_sub(mat_scale(mat_add(d, dt), R_HALF), e)
+    return (
+        (NsIrredLabel("eps_plus"), e),
+        (NsIrredLabel("plus", (nu,)), plus),
+        (NsIrredLabel("minus", (nu,)), mat_scale(mat_sub(d, dt), R_HALF)),
+    )
+
+
+def restriction_ranks(lam, mu, vectors) -> dict:
+    """{rank-(r-1) label: rank} of the isotypic components of the lower
+    (x) lower vectors: each vector's pieces under a label, cut from its
+    branching_blocks, are laid end to end and row reduced per label."""
+    rows = {}
+    for c in vectors:
+        cut = {}
+        for nu, _, rho, _, d in branching_blocks(lam, mu, c):
+            for label, piece in nonstandard_pieces(nu, rho, d):
+                cut.setdefault(label, []).extend(flatten(piece))
+        for label, row in cut.items():
+            if any(row):
+                rows.setdefault(label, []).append(row)
+    return {label: len(rref(r)[0]) for label, r in rows.items()}
+
+
+def lower_basis(mod):
+    """The basis of the module's label in lower (x) lower coordinates,
+    as the library built it before it moved to GT coordinates: the unit
+    vectors E_ab of a pair; epsilon_plus_vector for eps+; and for a
+    signed label the pieces (nonstandard_pieces) of the E_ab of the
+    square under that label, over a < b for -lam and over a <= b
+    without E_00 for +lam."""
+    label, tm = mod.label, mod.ambient
+    if label.kind == "eps_plus":
+        return [epsilon_plus_vector(tm.lam)]
+    units = tm.unit_vectors()
+    if label.kind == "pair":
+        return units
+    f = tm.left.dim
+    minus = label.kind == "minus"
+    pieces = [
+        dict(nonstandard_pieces(tm.lam, tm.lam, units[a * f + b]))[label]
+        for a in range(f)
+        for b in range(a + minus, f)
+    ]
+    return pieces if minus else pieces[1:]
+
+
+def in_lower(tm, vectors):
+    """Sparse GT coordinate vectors of the tensor module tm as lower (x)
+    lower coefficient matrices."""
+    left, right = _gt_basis(tm.lam.parts), _gt_basis(tm.mu.parts)
+    return [_to_lower(C, left, right) for C in vectors]
 
 
 @lru_cache(maxsize=None)

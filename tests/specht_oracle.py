@@ -4,20 +4,43 @@ The library reads each embedding iota and projection pi off an
 isotypic projector, a polynomial in the Jucys-Murphy element. Before
 that, it solved for each iota as an intertwiner from a cyclic vector
 (`intertwiner`), stacked the iotas and inverted the stack to get the
-pis (`stacked_branching`); that route, with the Gauss-Jordan `inverse`
-and the `nullspace` it used, is kept here as the reference the library
-is checked against."""
+pis (`stacked_branching`); that route, with the Gauss-Jordan `inverse`,
+the `nullspace` and the incremental `SpanBasis` it used, is kept here as
+the reference the library is checked against."""
 
 from nstl.exact_arith import R_ONE, R_ZERO
-from nstl.linalg import (
-    SpanBasis,
-    identity,
-    mat_mul,
-    mat_transpose,
-    rref,
-    zeros,
-)
+from nstl.linalg import identity, mat_mul, mat_transpose, rref, zeros
 from nstl.specht_modules import build_specht
+
+
+class SpanBasis:
+    """Incrementally maintained echelon basis of a span of vectors."""
+
+    def __init__(self):
+        self.rows = []  # echelon rows, normalized to leading 1
+        self.pivots = []  # pivot column per row, increasing insertion order
+
+    def add(self, v):
+        """Reduce v against the basis; absorb if independent. Returns
+        True iff the span grew."""
+        v = list(v)
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                f = v[p]
+                for j in range(len(v)):
+                    if row[j]:
+                        v[j] = v[j] - f * row[j]
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        pv = v[p]
+        v = [x / pv for x in v]
+        self.rows.append(v)
+        self.pivots.append(p)
+        return True
+
+    def __len__(self):
+        return len(self.rows)
 
 
 def mat_vec(A, v):

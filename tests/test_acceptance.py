@@ -6,13 +6,14 @@ import os
 
 import pytest
 
-from nstl import cli, nonstandard, verify
+from nstl import cli, nonstandard, seminormal, verify
 from nstl.combinatorics import Partition, dkt_edges
-from nstl.exact_arith import R_ONE, PoleError, RationalFn
+from nstl.exact_arith import R_HALF, R_ONE, PoleError, RationalFn
 from nstl.hecke_core import kl_table
 from nstl.linalg import mat_add
-from nstl.nonstandard import TensorModule
+from nstl.nonstandard import NsIrredLabel, TensorModule
 from nstl.seminormal import SeminormalBasis
+from nstl.specht_modules import build_specht
 from nstl.verify import (
     check_action_formula,
     check_branching,
@@ -115,11 +116,15 @@ def test_certification_specializes_nothing(monkeypatch, fresh_modules):
 
 
 def v_plus_vector(lam):
-    """The first basis vector of +lam, a V+ vector, built past the
-    build_irreducible cache: a module built now, with the real eps line,
-    must not be found there once a test has patched it."""
-    label = nonstandard.NsIrredLabel("plus", (lam,))
-    return nonstandard.build_irreducible.__wrapped__(label, lam.size).basis[0]
+    """A V+ vector of lam (x) lam in lower (x) lower coordinates, the +lam
+    piece (E_01 + E_10)/2 - (X_01 / f) eps of E_01, built from the real
+    eps line before a test patches it."""
+    m = build_specht(lam)
+    t = m.transition[0][1] / RationalFn.from_int(m.dim)
+    v = [[-t * x for x in row] for row in nonstandard.epsilon_plus_vector(lam)]
+    v[0][1] = v[0][1] + R_HALF
+    v[1][0] = v[1][0] + R_HALF
+    return v
 
 
 def v_plus_for_eps(monkeypatch, bad):
@@ -145,17 +150,22 @@ def test_certification_needs_the_eps_line_outside_v_plus(
     }
 
 
-@pytest.mark.parametrize("r, bad", [(3, "2,1"), (4, "3,1")])
+@pytest.mark.parametrize(
+    "r, bad, why",
+    [
+        (3, "2,1", "restriction dimensions 2 != module dimension 1"),
+        (4, "3,1", "rank 1 of 3:2,1 component not a multiple of 2"),
+    ],
+)
 def test_a_restriction_that_misses_its_module_fails_branching(
-    monkeypatch, capsys, fresh_modules, r, bad
+    monkeypatch, capsys, fresh_modules, r, bad, why
 ):
     # the eps+ module of rank r is then a V+ vector, whose restriction
-    # has more dimensions than the module
+    # has more dimensions than the module; at r=4 one of them is a
+    # single line of the two-dimensional 3:2,1
     v_plus_for_eps(monkeypatch, bad)
     result = check_branching(r)
-    assert not result["ok"]
-    assert result["detail"].startswith("restriction of ")
-    assert "!= module dimension" in result["detail"]
+    assert result == {"ok": False, "detail": f"restriction of eps+: {why}"}
     assert cli.main(["verify-all", "--r", str(r)]) == 1
     lines = capsys.readouterr().out.splitlines()
     checks = verify.ACCEPTANCE_CHECKS
@@ -309,6 +319,34 @@ def test_a_leaf_plus_another_fails_seminormal_membership(monkeypatch, capsys):
     result = check_seminormal()
     assert result == {"ok": False, "detail": f"membership fails for chain {chain}"}
     fails_alone(capsys, "seminormal", result["detail"])
+
+
+def test_a_cut_that_keeps_the_eps_line_in_v_plus_fails_seminormal(
+    monkeypatch, capsys, fresh_modules
+):
+    # the +lam piece without its eps subtraction: the eps line is then
+    # counted twice, and the descent no longer ends in lines
+    real = seminormal._nonstandard_pieces
+
+    def unsubtracted(nu, rho, D):
+        pieces = dict(real(nu, rho, D))
+        eps = pieces.get(NsIrredLabel("eps_plus"), {})
+        plus = NsIrredLabel("plus", (nu,))
+        if nu != rho or len(build_specht(nu).basis) == 1 or not eps:
+            return tuple(pieces.items())
+        piece = dict(pieces.get(plus, {}))
+        for key, x in eps.items():
+            piece[key] = piece[key] + x if key in piece else x
+        pieces[plus] = {key: x for key, x in piece.items() if x}
+        return tuple((label, p) for label, p in pieces.items() if p)
+
+    monkeypatch.setattr(seminormal, "_nonstandard_pieces", unsubtracted)
+    result = check_seminormal()
+    assert not result["ok"]
+    assert "ends with dimension" in result["detail"]
+    assert cli.main(["verify-all", "--r", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"seminormal: FAIL ({result['detail']})" in lines
 
 
 def test_a_case_coefficient_off_by_one_fails_action_formula(monkeypatch, capsys):

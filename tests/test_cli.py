@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import nstl
+from nstl import nonstandard
 from nstl.cli import main
 from nstl.verify import ACCEPTANCE_CHECKS
 from nstl.nonstandard import RestrictionError
@@ -31,6 +32,21 @@ class TestDimCheck:
         code, data = run_json(capsys, "dim-check", "--r", "3")
         assert code == 0
         assert data == {"formula": 10, "oracle": 10, "agree": True}
+
+    def test_a_failed_certificate_exits_1(self, capsys, monkeypatch):
+        # a failed proof is a verification failure, not an internal error
+        real = nonstandard.certify_irreducible
+
+        def failing(mod):
+            if str(mod.label) == "3:2,1":
+                raise nonstandard.CertificateError("not strongly connected: 3:2,1")
+            return real(mod)
+
+        monkeypatch.setattr(nonstandard, "certify_irreducible", failing)
+        assert main(["dim-check", "--r", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "nstl: dim-check: FAIL (not strongly connected: 3:2,1)\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["dim-check", "--help"]])
     def test_help_lists_no_route_options(self, capsys, argv):

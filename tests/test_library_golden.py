@@ -3,8 +3,8 @@
 The digests in `library_golden.json` are sha256 hashes of the printed
 seminormal and hh bases (vectors and chains) of five tensor products
 and of every rank-4 irreducible, of the restriction multiset of every
-label with r <= 5, of the raw basis matrices of every label with
-r <= 5, of both canonical bases of H_6, of the cell actions and mu
+label with r <= 5, of the raw basis of every label with r <= 5 (sparse
+GT coordinate vectors), of both canonical bases of H_6, of the cell actions and mu
 table of every Specht module of rank 6, and of the branching maps
 (child, iota and pi) of every Specht module of rank 2 to 6. The hh bases,
 split along the chain of full tensor-square algebras, come from the
@@ -67,7 +67,11 @@ def _hh(tm):
 
 
 def _basis(label, r):
-    return "\n".join(_matrix(c) for c in build_irreducible(label, r).basis)
+    # sparse GT coordinate vectors, each with its entries in key order
+    return "\n".join(
+        "{" + ", ".join(f"{a},{b}: {x}" for (a, b), x in sorted(C.items())) + "}"
+        for C in build_irreducible(label, r).basis
+    )
 
 
 def _restriction(label, r):

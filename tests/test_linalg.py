@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nstl.exact_arith import LaurentPoly
-from nstl.linalg import SpanBasis, mat_mul
+from nstl.linalg import mat_mul
 
 from dimension_oracle import ListSpanBasisModP, SpanBasisModP
+from specht_oracle import SpanBasis
 
 # few distinct entries, so that dependent vectors turn up often
 int_vectors = st.lists(

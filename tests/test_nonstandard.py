@@ -16,11 +16,9 @@ from nstl.combinatorics import Partition, partitions_of, two_row_partitions
 from nstl.exact_arith import LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
 from nstl.hecke_core import HeckeElement, multiply_standard
 from nstl.linalg import (
-    SpanBasis,
     mat_add,
     mat_mul,
     mat_scale,
-    mat_sub,
     mat_transpose,
     rref,
     zeros,
@@ -46,14 +44,13 @@ from nstl.nonstandard import (
     dimension_formula_details,
     epsilon_minus_vector,
     epsilon_plus_vector,
-    flatten,
     ns_labels,
     nonstandard_dimension_oracle,
-    nonstandard_pieces,
     p_action,
     restriction_decompose,
     square_split_identities,
 )
+from nstl.seminormal import _to_gt, _unit_space
 from nstl.specht_modules import build_specht
 from nstl.verify import check_certification, check_dimension
 
@@ -71,8 +68,17 @@ from dimension_oracle import (
     specialize_matrix,
 )
 from hecke_oracle import first_left_descent, oracle_theta_t, theta_element
-from isotypic_oracle import hh_pieces, isotypic_split
-from specht_oracle import inverse, nullspace
+from isotypic_oracle import (
+    flatten,
+    hh_pieces,
+    in_lower,
+    isotypic_split,
+    lower_basis,
+    mat_sub,
+    nonstandard_pieces,
+    restriction_ranks,
+)
+from specht_oracle import SpanBasis, inverse, nullspace
 
 rng = random.Random(23)
 
@@ -105,13 +111,14 @@ def shape_pairs(r):
 
 def closure_check(mod):
     """Oracle for the certificate's closure: every generator image of
-    every basis vector stays in the span, by Q(u) elimination."""
-    span = SpanBasis()
-    for c in mod.basis:
+    every basis vector stays in the span, by Q(u) elimination, in lower
+    (x) lower coordinates."""
+    span, basis = SpanBasis(), in_lower(mod.ambient, mod.basis)
+    for c in basis:
         if not span.add(flatten(c)):
             return False
     for i in range(1, mod.ambient.r):
-        for c in mod.basis:
+        for c in basis:
             if span.add(flatten(mod.ambient.p_apply(c, i, "ll"))):
                 return False
     return True
@@ -416,6 +423,16 @@ class TestBuildIrreducible:
                 minus = f * (f - 1) // 2
                 assert plus + minus + 1 == f * f
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_gt_basis_spans_the_lower_basis(self, r):
+        # the closed forms in GT coordinates span what the lower cut did
+        for label in ns_labels(r):
+            mod = build_irreducible(label, r)
+            gt = [flatten(c) for c in in_lower(mod.ambient, mod.basis)]
+            old = [flatten(c) for c in lower_basis(mod)]
+            ranks = [len(rref(rows)[0]) for rows in (gt, old, gt + old)]
+            assert ranks == [mod.dim] * 3
+
     def test_minus_single_row_rejected(self):
         with pytest.raises(ValueError):
             build_irreducible(NsIrredLabel("minus", (P([3]),)), 3)
@@ -446,10 +463,10 @@ def open_controls():
     closed."""
     lam = P([3, 1])
     tm = TensorModule(lam, lam)
-    units = tm.unit_vectors()
+    units = _unit_space(tm)  # GT coordinates, as the bases are
     plus, minus = (build_irreducible(lbl(k + "3,1"), 4).basis for k in "+-")
     pair = build_irreducible(lbl("4:3,1"), 4)
-    sym = mat_add(units[1], units[3])  # E_01 + E_10
+    sym = {(0, 1): R_ONE, (1, 0): R_ONE}  # E_01 + E_10
     outside = "basis vector 0 lies outside the {} piece".format
     return {
         "eps with a unit vector": (
@@ -520,7 +537,8 @@ class TestSplitClosure:
         self, monkeypatch, fresh_split_identities
     ):
         lam = P([3, 1])
-        v = build_irreducible(lbl("+3,1"), 4).basis[0]
+        mod = build_irreducible(lbl("+3,1"), 4)
+        (v,) = in_lower(mod.ambient, mod.basis[:1])
         real = nonstandard.epsilon_plus_vector
         monkeypatch.setattr(
             nonstandard, "epsilon_plus_vector", lambda mu: v if mu == lam else real(mu)
@@ -536,7 +554,8 @@ class TestSplitClosure:
     ):
         # eps plus a V+ vector is symmetric with t = 1, but P_i moves it
         lam = P([3, 1])
-        v = build_irreducible(lbl("+3,1"), 4).basis[0]
+        mod = build_irreducible(lbl("+3,1"), 4)
+        (v,) = in_lower(mod.ambient, mod.basis[:1])
         shifted = mat_add(epsilon_plus_vector(lam), v)
         monkeypatch.setattr(nonstandard, "epsilon_plus_vector", lambda mu: shifted)
         got = square_split_identities(lam)
@@ -581,13 +600,14 @@ def basis_matrices(mod, u0=U0):
     matrices G_i with P_i V = V G_i of the specialized P_i on the
     module's basis V, read off d rows where V is invertible and checked
     on every row."""
-    V = mat_transpose([flatten(specialize_matrix(c, u0)) for c in mod.basis])
+    basis = in_lower(mod.ambient, mod.basis)
+    V = mat_transpose([flatten(specialize_matrix(c, u0)) for c in basis])
     _, rows = rref(mat_transpose(V))
     assert len(rows) == mod.dim
     S_inv = inverse([V[j] for j in rows], Fraction(1), Fraction(0))
     gens = []
     for i in range(1, mod.ambient.r):
-        images = [flatten(specialize_matrix(mod.ambient.p_apply(c, i), u0)) for c in mod.basis]
+        images = [flatten(specialize_matrix(mod.ambient.p_apply(c, i), u0)) for c in basis]
         W = mat_transpose(images)
         G = mat_mul(S_inv, [W[j] for j in rows])
         assert mat_mul(V, G) == W
@@ -618,7 +638,7 @@ def square_control(kind, lam):
     ("eps+minus"), or Sym^2 = V+ plus the eps line ("plus+eps"); the
     certificate sees it only with the closure step bypassed."""
     r = lam.size
-    eps = [epsilon_plus_vector(lam)]
+    eps = [_to_gt(epsilon_plus_vector(lam), TensorModule(lam, lam))]
     if kind == "eps+minus":
         minus = build_irreducible(NsIrredLabel("minus", (lam,)), r)
         return NsSubmodule(minus.label, minus.ambient, eps + minus.basis)
@@ -637,14 +657,14 @@ class TestCertification:
     def test_reducible_square_fails_closure(self):
         # the full tensor square of (2,1) has three summands
         tm = TensorModule(P([2, 1]), P([2, 1]))
-        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, tm.unit_vectors())
+        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, _unit_space(tm))
         assert fraction_hom_dimension(*[basis_matrices(mod), 4] * 2) == 3
         with pytest.raises(CertificateError, match="not generator-closed"):
             certify_irreducible(mod)
 
     def test_open_module_fails_closure(self):
         tm = TensorModule(P([2, 1]), P([2, 1]))
-        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, tm.unit_vectors()[:1])
+        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, _unit_space(tm)[:1])
         with pytest.raises(CertificateError, match="not generator-closed"):
             certify_irreducible(mod)
 
@@ -783,32 +803,36 @@ class TestRestriction:
     def test_inconsistent_ranks_raise(self, monkeypatch, stub_rank, message):
         # 3:2,1 has dimension 2, so rank 1 is not a multiple of it; rank
         # 0 everywhere leaves the restriction short of the module
-        class StubSpan:
-            def add(self, row):
-                return True
+        real = nonstandard._restriction_split
 
-            def __len__(self):
-                return stub_rank
+        def stubbed(mod):
+            return {k: (stub_rank, probe) for k, (_, probe) in real(mod).items()}
 
-        monkeypatch.setattr(nonstandard, "SpanBasis", StubSpan)
+        monkeypatch.setattr(nonstandard, "_restriction_split", stubbed)
         built = build_irreducible(lbl("3,1:2,2"), 4)
         mod = NsSubmodule(built.label, built.ambient, built.basis)
         with pytest.raises(RestrictionError, match=message):
             restriction_decompose(mod)
 
-    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_ranks_and_probes_match_the_lifted_components(self, r):
+        # the GT cut against the lower-coordinate one: the ranks of the
+        # old one-step cut and of the lifted components, and each probe
+        # is its own component
         for label in ns_labels(r):
             mod = build_irreducible(label, r)
             tm = mod.ambient
+            basis = in_lower(tm, mod.basis)
             lifted = {}
-            for c in mod.basis:
+            for c in basis:
                 split = isotypic_split(tm.lam, tm.mu, r - 1, c, nonstandard_pieces)
                 for k, comp in split.items():
                     lifted.setdefault(k, []).append(flatten(comp))
-            assert mod.restriction.keys() == lifted.keys()
+            ranks = restriction_ranks(tm.lam, tm.mu, basis)
+            assert mod.restriction.keys() == lifted.keys() == ranks.keys()
             for k, (rk, probe) in mod.restriction.items():
-                assert rk == len(rref(lifted[k])[0])
+                assert rk == len(rref(lifted[k])[0]) == ranks[k]
+                (probe,) = in_lower(tm, [probe])
                 assert isotypic_split(tm.lam, tm.mu, r - 1, probe, nonstandard_pieces) == {k: probe}
 
 

@@ -23,15 +23,18 @@ from nstl.nonstandard import (
     TensorModule,
     build_irreducible,
     epsilon_plus_vector,
-    nonstandard_pieces,
     ns_labels,
 )
 from nstl.seminormal import (
     MultiplicityError,
     SeminormalBasis,
     SeminormalChainLabel,
+    _gt_apply,
     _gt_basis,
     _paths,
+    _to_gt,
+    _to_lower,
+    _unit_space,
     alpha,
     chain_membership,
     seminormal_basis,
@@ -39,7 +42,13 @@ from nstl.seminormal import (
 )
 from nstl.specht_modules import build_specht
 
-from isotypic_oracle import dense_split, hh_pieces, isotypic_split
+from isotypic_oracle import (
+    dense_split,
+    hh_pieces,
+    in_lower,
+    isotypic_split,
+    nonstandard_pieces,
+)
 
 # sha256 of the (3,2) x (3,2) seminormal chains and vectors
 DIGEST_32 = """
@@ -292,7 +301,7 @@ class TestSeminormalBasis:
 def isotypic_chain_membership(basis, idx):
     """Oracle for chain_membership: at every level the leaf equals its
     isotypic component under the chain's label, split from the top
-    module with nonstandard.isotypic_split."""
+    module in lower coordinates with isotypic_oracle.isotypic_split."""
     v = basis.vectors[idx]
     chain = basis.chains[idx]
     tm = basis.ambient
@@ -428,6 +437,19 @@ class TestGTBasis:
             self._build_with(monkeypatch, shear)
 
 
+class TestGTAction:
+    @pytest.mark.parametrize("pair", list(two_row_pairs(5)), ids=str)
+    def test_matches_the_lower_action(self, pair):
+        # P_i applied in GT coordinates, against the round trip through
+        # lower (x) lower coordinates
+        tm = TensorModule(*pair)
+        left, right = _gt_basis(tm.lam.parts), _gt_basis(tm.mu.parts)
+        for i in range(1, tm.r):
+            for C in _unit_space(tm):
+                lower = tm.p_apply(_to_lower(C, left, right), i)
+                assert _gt_apply(tm, C, i) == _to_gt(lower, tm)
+
+
 def printed(leaves):
     return "\n".join(
         " > ".join(map(str, chain))
@@ -456,7 +478,11 @@ class TestDenseOracle:
         sb = seminormal_basis(mod)
         assert printed(
             (c.labels, v) for c, v in zip(sb.chains, sb.vectors)
-        ) == printed(dense_split(mod.ambient, mod.basis, nonstandard_pieces))
+        ) == printed(
+            dense_split(
+                mod.ambient, in_lower(mod.ambient, mod.basis), nonstandard_pieces
+            )
+        )
 
     def test_dependent_submodule_basis_is_rejected(self):
         mod = build_irreducible(lbl("+2,1"), 3)
