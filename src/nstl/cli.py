@@ -24,6 +24,7 @@ from .combinatorics import (
     Partition,
     dkt_edges,
     descent_set,
+    syt_count,
     syt_enumerate,
 )
 from .hecke_core import cells_regular, kl_table
@@ -204,8 +205,7 @@ def cmd_decompose(args, cfg, parser):
         {"label": str(lbl), "dimension": lbl.dimension(r)} for lbl in labels
     ]
     total = sum(p["dimension"] for p in parts)
-    build = specht_modules.build_specht
-    ambient = build(lam).dim * build(mu).dim
+    ambient = syt_count(lam) * syt_count(mu)
     _emit(
         {
             "lhs": list(lam.parts),

@@ -127,10 +127,10 @@ class GTBasis:
     `_paths(parts)` in lower coordinates and row a of Pi is its pi,
     so Pi V = I; `seqs[a]` lists that path's shapes from the top shape
     down to size 1. With X the lower -> upper transition matrix,
-    g = diag(V^T X V), that matrix being diagonal, and E = 1/g is the
-    diagonal of Pi X^-1 Pi^T: V is square, so Pi V = I gives V Pi = I,
-    and then Pi X^-1 Pi^T = (V^T X V)^-1 = diag(g)^-1. No g_a is 0, as
-    X is invertible. Every field is a tuple."""
+    g = diag(V^T X V), that matrix being diagonal, and E = 1/g. V is
+    square, so Pi V = I gives V Pi = I, and then X = Pi^T diag(g) Pi
+    has the inverse X^-1 = V diag(E) V^T (SpechtModule.transition_inv).
+    No g_a is 0, as X is invertible. Every field is a tuple."""
 
     V: tuple
     Pi: tuple
@@ -155,6 +155,20 @@ def _paths(parts: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _seqs(parts: tuple) -> tuple:
+    """The shapes of each branching path of `_paths(parts)`, from the
+    given shape down to size 1, in the same order."""
+    lam = Partition(parts)
+    if lam.size == 1:
+        return ((lam,),)
+    return tuple(
+        (lam,) + s
+        for child, _, _, _ in build_specht(lam).branching
+        for s in _seqs(child.parts)
+    )
+
+
+@lru_cache(maxsize=None)
 def _gt_basis(parts: tuple) -> GTBasis:
     """The GT basis of shape `parts`, checked as it is built: raises
     ArithmeticError unless Pi V = I and V^T X V is diagonal."""
@@ -163,14 +177,6 @@ def _gt_basis(parts: tuple) -> GTBasis:
     paths = _paths(parts)
     V = [[iota[i][0] for iota, _ in paths] for i in range(m.dim)]
     Pi = [pi[0] for _, pi in paths]
-    if lam.size == 1:
-        seqs = ((lam,),)
-    else:
-        seqs = tuple(
-            (lam,) + s
-            for child, _, _, _ in m.branching
-            for s in _gt_basis(child.parts).seqs
-        )
     G = mat_mul(mat_transpose(V), mat_mul(m.transition, V))
     if mat_mul(Pi, V) != identity(m.dim, R_ONE, R_ZERO):
         raise ArithmeticError(f"GT basis of {lam}: Pi V is not the identity")
@@ -180,7 +186,7 @@ def _gt_basis(parts: tuple) -> GTBasis:
     return GTBasis(
         V=tuple(map(tuple, V)),
         Pi=tuple(map(tuple, Pi)),
-        seqs=seqs,
+        seqs=_seqs(parts),
         g=g,
         E=tuple(R_ONE / x for x in g),
     )

@@ -11,11 +11,12 @@ matrices act on coordinate columns: (C_Q * C_s) has coordinates A[:, Q].
 
 The lower and upper descent sets of a tableau are complements and mu
 is symmetric, so the upper action is derived, U_i = L_i^T - [2] I, and
-the transition matrix is the Gram matrix of the contravariant form,
+the transition matrix X is the Gram matrix of the contravariant form,
 solved from the W-graph by propagation in `_contravariant_form`. The
 branching maps are read off the isotypic projectors of the restriction
 to H_{r-1}, polynomials in the Jucys-Murphy element J_r. Both results
-are checked exactly against every generator."""
+are checked exactly against every generator. X^-1 is read off the
+Gelfand-Tsetlin basis that the maps give (seminormal.GTBasis)."""
 
 from __future__ import annotations
 
@@ -295,30 +296,13 @@ class SpechtModule:
 
     @cached_property
     def transition_inv(self):
-        """X^-1 = Y / sum_k X[0][k] Y[k][0], where Y is the contravariant
-        form of the W-graph M_i = [2] I - L_i^T; no elimination.
+        """X^-1 = V diag(E) V^T, read off the GT basis of the shape,
+        which checks what makes it exact (seminormal.GTBasis)."""
+        from .seminormal import _gt_basis
 
-        L_i^T X = X L_i gives M_i^T X^-1 = X^-1 M_i. M_i has W-graph
-        shape: its descent set is the complement of that of L_i, and its
-        off-diagonal entries are -mu. So _contravariant_form, which checks
-        that shape exactly, solves for Y and proves it the unique
-        symmetric solution with Y[0][0] = 1. X is invertible, as the
-        transition matrix between two bases, and symmetric, so X^-1 is
-        symmetric and X^-1 = X^-1[0][0] Y. X^-1[0][0] != 0, or else
-        Y + X^-1 would be a second solution with corner 1. Hence one row
-        of X times one column of Y fixes the scale, and the product X Y
-        is not formed. A module of dimension 1 has X^-1 = [[1]]. L_i^T
-        alone is not of W-graph shape, and the solver rejects it."""
-        if self.dim == 1:
-            return identity(1, R_ONE, R_ZERO)
-        complement = {
-            i: _shift_diagonal([[-x for x in col] for col in zip(*L)], TWO)
-            for i, L in self.lower_action.items()
-        }
-        Y = _contravariant_form(complement)
-        pairs = zip(self.transition[0], Y)
-        d = sum((x * row[0] for x, row in pairs if x and row[0]), R_ZERO)
-        return [[y / d for y in row] for row in Y]
+        gt = _gt_basis(self.shape.parts)
+        VE = [[v * e for v, e in zip(row, gt.E)] for row in gt.V]
+        return mat_mul(VE, mat_transpose(gt.V))
 
     def _compute_transition(self):
         """X intertwines: (U_i + [2] I) X = X L_i for every generator,

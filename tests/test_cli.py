@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import nstl
-from nstl import nonstandard
+from nstl import nonstandard, specht_modules
 from nstl.cli import main
 from nstl.verify import ACCEPTANCE_CHECKS
 from nstl.nonstandard import RestrictionError
@@ -138,6 +138,21 @@ class TestNonstandard:
         )
         assert code == 0
         assert data["total"] == data["ambient"] == 25
+
+    def test_decompose_builds_no_module(self, capsys, monkeypatch):
+        # the ambient is a product of tableau counts, and a module would
+        # build the rank-r KL table
+        def no_module(shape):
+            raise RuntimeError(f"built the Specht module of {shape}")
+
+        monkeypatch.setattr(specht_modules, "build_specht", no_module)
+        command = "decompose --lhs 3,2 --rhs 3,2"
+        code, out = run(capsys, *command.split())
+        golden = pathlib.Path(__file__).with_name("cli_golden.json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == json.loads(
+            golden.read_text()
+        )[command]
 
     def test_decompose_pair(self, capsys):
         code, data = run_json(

@@ -269,13 +269,15 @@ class TestSeminormalBasis:
         try:
             sb = seminormal_basis(TensorModule(P32, P32))
             shapes = {s for seq in _gt_basis(P32.parts).seqs for s in seq}
+            # X^-1, which the basis does not read, is formed from the
+            # GT bases before anything is corrupted
+            for lam in shapes:
+                build_specht(lam).transition_inv
             for lam in shapes:
                 for iota, pi in _paths(lam.parts):
                     corrupt(iota)
                     corrupt(pi)
                 m = build_specht(lam)
-                # X^-1, which the basis no longer reads, is formed here
-                # from the actions before they are corrupted
                 corrupt(m.transition)
                 corrupt(m.transition_inv)
                 for M in (*m.lower_action.values(), *m.upper_action.values()):

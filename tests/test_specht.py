@@ -2,10 +2,11 @@ import os
 
 import pytest
 
+from nstl import seminormal, specht_modules
 from nstl.combinatorics import Partition, partitions_of, rsk, syt_count, syt_enumerate
 from nstl.exact_arith import R_ONE, R_ZERO, TWO, U_INV, RationalFn
 from nstl.hecke_core import kl_table
-from nstl.linalg import identity, mat_mul, mat_transpose, zeros
+from nstl.linalg import identity, mat_add, mat_mul, mat_transpose, zeros
 from nstl.specht_modules import (
     SpechtModule,
     _contravariant_form,
@@ -188,6 +189,23 @@ class TestTemperleyLieb:
         assert holds == (rows.length <= 2)
 
 
+@pytest.fixture
+def fresh_modules():
+    """Fresh Specht modules and GT bases: a test that counts or patches
+    what they compute starts and ends with empty caches."""
+    caches = (
+        specht_modules._build_specht,
+        seminormal._gt_basis,
+        seminormal._paths,
+        seminormal._seqs,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 class TestTransition:
     @pytest.mark.parametrize("lam", shapes_up_to(6), ids=str)
     def test_intertwines(self, lam):
@@ -280,6 +298,39 @@ class TestTransition:
     def test_inverse_matches_gauss_jordan(self, lam):
         m = build_specht(lam)
         assert m.transition_inv == inverse(m.transition, R_ONE, R_ZERO)
+
+    @pytest.mark.parametrize("lam", shapes_up_to(5, lo=1), ids=str)
+    def test_inverse_calls_no_solver(self, lam, monkeypatch, fresh_modules):
+        m = build_specht(lam)
+        m.transition
+        calls = []
+        real = specht_modules._contravariant_form
+
+        def counted(actions):
+            calls.append(actions)
+            return real(actions)
+
+        monkeypatch.setattr(specht_modules, "_contravariant_form", counted)
+        m.transition_inv
+        assert calls == []
+
+    def test_gt_basis_reads_no_child_transition(self, fresh_modules):
+        lam = Partition([4, 2])
+        seminormal._gt_basis(lam.parts)
+        for child, _, _, _ in build_specht(lam).branching:
+            assert "transition" not in vars(build_specht(child))
+
+    def test_a_perturbed_transition_breaks_the_inverse(
+        self, monkeypatch, fresh_modules
+    ):
+        # X + d with d symmetric is no longer diagonal in the GT basis,
+        # so X^-1 is not formed from it
+        m = build_specht(Partition([3, 1]))
+        d = zeros(m.dim, m.dim, R_ZERO)
+        d[0][1] = d[1][0] = R_ONE
+        monkeypatch.setattr(m, "transition", mat_add(m.transition, d))
+        with pytest.raises(ArithmeticError, match="GT basis of 3,1"):
+            m.transition_inv
 
     @pytest.mark.parametrize("lam", wide_shapes_up_to(5), ids=str)
     def test_complementary_form_needs_its_corner_division(self, lam):
