@@ -403,10 +403,11 @@ def rsk_inverse(P: Tableau, Q: Tableau):
     return tuple(reversed(word))
 
 
+@lru_cache(maxsize=None)
 def descent_set(Q: Tableau, convention: str) -> frozenset:
-    """Tableau descent sets: lower (for C'_Q labels) collects i with
-    i+1 strictly east of i; upper (for C_Q labels) collects i with i+1
-    strictly south of i."""
+    """Tableau descent sets, cached: lower (for C'_Q labels) collects i
+    with i+1 strictly east of i; upper (for C_Q labels) collects i with
+    i+1 strictly south of i. An unknown convention raises every call."""
     if convention not in ("lower", "upper"):
         raise ValueError(f"unknown convention {convention!r}")
     out = set()

@@ -19,11 +19,10 @@ share their first r - k steps form one child block, and a block is cut
 in closed form (`_nonstandard_pieces`), one level at a time (`_cut`,
 the one cut of the library: the certificate reads its restriction and
 edges off it too). Each component is row reduced only on the columns
-where it is nonzero. A leaf is mapped back to lower (x) lower
-coordinates once, and normalized so the lexicographically-first nonzero
-coordinate (row-major, canonical SYT order) equals 1; the basis is only
-canonical up to one scalar per vector, and this normalization pins the
-scalars for reproducibility. A submodule basis enters as it is.
+where it is nonzero. A leaf stays the sparse GT vector the descent
+ends with, its scalar pinned by that row reduction; its lower (x) lower
+matrix V_lambda C V_mu^T is a view the tests form. A submodule basis
+enters as it is.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .combinatorics import (
     y_tableau,
 )
 from .exact_arith import R_HALF, R_ONE, R_ZERO, RationalFn
-from .linalg import identity, mat_mul, mat_transpose, rref, zeros
+from .linalg import identity, mat_mul, mat_transpose, rref
 from .nonstandard import NsIrredLabel, NsSubmodule, TensorModule
 from .specht_modules import build_specht
 
@@ -71,16 +70,18 @@ class SeminormalChainLabel:
         return " > ".join(str(lbl) for lbl in self.labels)
 
 
-def _alpha_labels(T: Tableau, U: Tableau) -> list:
+@lru_cache(maxsize=None)
+def _alpha_labels(T: Tableau, U: Tableau) -> tuple:
+    """The chain labels of (T, U), top rank first, cached per pair."""
     r = T.size
     if r <= 1:
-        return []
+        return ()
     lam, mu = T.shape, U.shape
     Tr, Ur = T.restrict(r - 1), U.restrict(r - 1)
     if lam != mu:
-        return [NsIrredLabel("pair", (lam, mu))] + _alpha_labels(Tr, Ur)
+        return (NsIrredLabel("pair", (lam, mu)),) + _alpha_labels(Tr, Ur)
     if T == U == y_tableau(lam):
-        return [NsIrredLabel("eps_plus")] + _alpha_labels(Tr, Ur)
+        return (NsIrredLabel("eps_plus"),) + _alpha_labels(Tr, Ur)
     i, j = T.corner_index_of_max(), U.corner_index_of_max()
     rest = _alpha_labels(Tr, Ur)
     if i < j:
@@ -92,7 +93,7 @@ def _alpha_labels(T: Tableau, U: Tableau) -> list:
         top = NsIrredLabel(
             "minus" if rest[0].kind == "minus" else "plus", (lam,)
         )
-    return [top] + rest
+    return (top,) + rest
 
 
 def alpha(
@@ -103,7 +104,7 @@ def alpha(
         raise ValueError("tableau shapes do not match the given shapes")
     if not (lam.is_two_row() and mu.is_two_row()):
         raise ValueError("two-row shapes required")
-    return SeminormalChainLabel(tuple(_alpha_labels(T, U)))
+    return SeminormalChainLabel(_alpha_labels(T, U))
 
 
 def seminormal_table(lam: Partition, mu: Partition, level: int) -> list:
@@ -283,15 +284,6 @@ def _to_gt(c, tm: TensorModule) -> dict:
     }
 
 
-def _to_lower(C, left: GTBasis, right: GTBasis):
-    """The lower (x) lower matrix V_left C V_right^T of a sparse GT
-    coordinate vector C."""
-    dense = zeros(len(left.V), len(right.V), R_ZERO)
-    for (a, b), x in C.items():
-        dense[a][b] = x
-    return mat_mul(mat_mul(left.V, dense), mat_transpose(right.V))
-
-
 @lru_cache(maxsize=None)
 def _gt_factors(parts: tuple, i: int) -> tuple:
     """The factors (C'_{s_i}, C_{s_i}) of P_{s_i} (p_factors) in the GT
@@ -322,29 +314,23 @@ def _gt_apply(tm: TensorModule, C, i: int) -> dict:
 
 @dataclass
 class SeminormalBasis:
+    """Seminormal leaves as sparse GT vectors C = {(a, b): entry} (lower
+    (x) lower matrix V_lambda C V_mu^T), each with its chain."""
+
     ambient: TensorModule
-    vectors: list  # lower (x) lower coefficient matrices
-    chains: list  # SeminormalChainLabel per vector
+    leaves: list  # sparse GT coordinate vectors
+    chains: list  # SeminormalChainLabel per leaf
 
     @property
     def dim(self):
-        return len(self.vectors)
-
-
-def _normalize(c):
-    lead = next((x for row in c for x in row if x), None)
-    if lead is None:
-        raise ValueError("zero vector")
-    return [[x / lead for x in row] for row in c]
+        return len(self.leaves)
 
 
 def _split(tm: TensorModule, space) -> list:
     """Iterated isotypic splitting of the span of `space` (sparse GT
     coordinate vectors {(a, b): entry}) at levels k = r, r-1, ..., 2,
-    each level one _cut. Returns (chain of labels, normalized lower (x)
-    lower vector) per leaf and raises MultiplicityError unless every
-    leaf is a line."""
-    left, right = _gt_basis(tm.lam.parts), _gt_basis(tm.mu.parts)
+    each level one _cut. Returns (chain of labels, sparse GT vector) per
+    leaf and raises MultiplicityError unless every leaf is a line."""
     levels = {k: _level(tm, k) for k in range(2, tm.r + 1)}
     leaves = []
 
@@ -355,8 +341,7 @@ def _split(tm: TensorModule, space) -> list:
                     f"chain {' > '.join(map(str, chain))} ends with "
                     f"dimension {len(space)}"
                 )
-            c = _to_lower(space[0], left, right)
-            leaves.append((chain, _normalize(c)))
+            leaves.append((chain, space[0]))
             return
         images = {}
         for v in space:
@@ -397,14 +382,14 @@ def seminormal_basis(m) -> SeminormalBasis:
 
 
 def chain_membership(basis: SeminormalBasis, idx: int) -> bool:
-    """A nonzero leaf vector must be its own isotypic component under
-    the label its chain names at every level k: in GT coordinates the
-    _cut of level k finds it under that label and no other. The pieces
-    of distinct child pairs and labels are independent, so this is the
-    same as the vector equalling its component."""
+    """A nonzero leaf must be its own isotypic component under the label
+    its chain names at every level k: the _cut of level k finds the
+    stored GT leaf under that label and no other (the pieces of distinct
+    child pairs and labels are independent). _gt_basis proves Pi V = I,
+    so Pi (V C V^T / l) Pi^T = C / l exactly, and the cut is linear: a
+    leaf has the same labels in lower (x) lower coordinates."""
     tm = basis.ambient
-    v = _to_gt(basis.vectors[idx], tm)
-    chain = basis.chains[idx]
+    v, chain = basis.leaves[idx], basis.chains[idx]
     return bool(v) and all(
         set(_cut(v, _level(tm, k))) == {chain.level(k)}
         for k in range(tm.r, 1, -1)

@@ -10,7 +10,9 @@ under the rank-k parabolic, for any k, lifted back to the top module.
 dense_split iterates it down the chain, as the library's seminormal
 descent does in GT coordinates, under nonstandard_pieces or hh_pieces,
 the rule of the full tensor-square chain. isotypic_projector reads one
-projector of a Specht module's branching."""
+projector of a Specht module's branching. The library keeps its
+seminormal leaves in GT coordinates; lower_leaves is their lower (x)
+lower view, the one the seminormal digests and the dense oracle print."""
 
 from functools import lru_cache
 
@@ -26,7 +28,7 @@ from nstl.linalg import (
     zeros,
 )
 from nstl.nonstandard import NsIrredLabel, _pairing, epsilon_plus_vector
-from nstl.seminormal import _gt_basis, _to_lower
+from nstl.seminormal import _gt_basis
 from nstl.specht_modules import build_specht
 
 
@@ -115,11 +117,34 @@ def lower_basis(mod):
     return pieces if minus else pieces[1:]
 
 
+def to_lower(C, left, right):
+    """The lower (x) lower matrix V_left C V_right^T of a sparse GT
+    coordinate vector C, for the GT bases left and right."""
+    dense = zeros(len(left.V), len(right.V), R_ZERO)
+    for (a, b), x in C.items():
+        dense[a][b] = x
+    return mat_mul(mat_mul(left.V, dense), mat_transpose(right.V))
+
+
 def in_lower(tm, vectors):
     """Sparse GT coordinate vectors of the tensor module tm as lower (x)
     lower coefficient matrices."""
     left, right = _gt_basis(tm.lam.parts), _gt_basis(tm.mu.parts)
-    return [_to_lower(C, left, right) for C in vectors]
+    return [to_lower(C, left, right) for C in vectors]
+
+
+def normalize(c):
+    """c scaled so its lexicographically-first nonzero coordinate
+    (row-major, canonical SYT order) is 1."""
+    lead = next(x for row in c for x in row if x)
+    return [[x / lead for x in row] for row in c]
+
+
+def lower_leaves(sb):
+    """The leaves of a SeminormalBasis as lower (x) lower coefficient
+    matrices, each normalized: a leaf is canonical up to one scalar, and
+    this pins the scalar in the coordinates the digests print."""
+    return [normalize(c) for c in in_lower(sb.ambient, sb.leaves)]
 
 
 @lru_cache(maxsize=None)
@@ -198,8 +223,7 @@ def dense_split(tm, vectors, pieces):
         if k == 1:
             assert len(space) == 1, chain
             (v,) = space
-            lead = next(x for row in v for x in row if x)
-            leaves.append((chain, [[x / lead for x in row] for row in v]))
+            leaves.append((chain, normalize(v)))
             return
         images = {}
         for v in space:

@@ -29,6 +29,8 @@ from nstl.verify import (
     check_transition,
 )
 
+from isotypic_oracle import lower_leaves
+
 HEAVY = os.environ.get("NSTL_HEAVY") == "1"
 
 
@@ -305,13 +307,15 @@ def fails_alone(capsys, name, detail):
 
 def test_a_leaf_plus_another_fails_seminormal_membership(monkeypatch, capsys):
     # v_0 + v_1 keeps the chain of v_0, but where the two chains part it
-    # has a piece under the label of v_1
+    # has a piece under the label of v_1; the sum is formed in lower (x)
+    # lower coordinates and taken to GT coordinates by _to_gt
     real = verify.seminormal_basis
 
     def summed(tm):
         sb = real(tm)
-        vectors = [mat_add(sb.vectors[0], sb.vectors[1])] + sb.vectors[1:]
-        return SeminormalBasis(sb.ambient, vectors, sb.chains)
+        lower = lower_leaves(sb)
+        v = seminormal._to_gt(mat_add(lower[0], lower[1]), sb.ambient)
+        return SeminormalBasis(sb.ambient, [v] + sb.leaves[1:], sb.chains)
 
     monkeypatch.setattr(verify, "seminormal_basis", summed)
     lam = Partition([3, 2])

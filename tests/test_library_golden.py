@@ -6,7 +6,9 @@ and of every rank-4 irreducible, of the restriction multiset of every
 label with r <= 5, of the raw basis of every label with r <= 5 (sparse
 GT coordinate vectors), of both canonical bases of H_6, of the cell actions and mu
 table of every Specht module of rank 6, and of the branching maps
-(child, iota and pi) of every Specht module of rank 2 to 6. The hh bases,
+(child, iota and pi) of every Specht module of rank 2 to 6. The
+seminormal vectors are the library's GT leaves in their normalized
+lower (x) lower view (isotypic_oracle.lower_leaves). The hh bases,
 split along the chain of full tensor-square algebras, come from the
 dense oracle, which the library no longer carries a copy of. Each
 pytest process runs under its own hash seed, so a match also shows that
@@ -35,7 +37,7 @@ from nstl.nonstandard import (
 from nstl.seminormal import seminormal_basis
 from nstl.specht_modules import build_specht
 
-from isotypic_oracle import dense_split, hh_pieces
+from isotypic_oracle import dense_split, hh_pieces, lower_leaves
 
 GOLDEN = pathlib.Path(__file__).with_name("library_golden.json")
 
@@ -55,7 +57,7 @@ def _matrix(c):
 def _seminormal(space):
     sb = seminormal_basis(space)
     return "\n".join(
-        f"{chain} : {_matrix(v)}" for chain, v in zip(sb.chains, sb.vectors)
+        f"{chain} : {_matrix(v)}" for chain, v in zip(sb.chains, lower_leaves(sb))
     )
 
 

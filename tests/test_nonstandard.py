@@ -52,7 +52,7 @@ from nstl.nonstandard import (
 )
 from nstl.seminormal import _to_gt, _unit_space
 from nstl.specht_modules import build_specht
-from nstl.verify import check_certification, check_dimension
+from nstl.verify import _unit_image, check_certification, check_dimension
 
 from dimension_oracle import (
     ORACLE_PRIME,
@@ -198,6 +198,22 @@ class TestPAction:
                         assert mats_equal(
                             p_action(tm, e, i, pair), tm.p_apply(e, i, pair)
                         )
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_unit_image_is_the_matrix_action(self, r):
+        # the matrix side of check_action_formula, read off the factors'
+        # columns, against the products of p_apply on every unit vector
+        shapes = two_row_partitions(r)
+        for lam, mu in itertools.product(shapes, shapes):
+            tm = TensorModule(lam, mu)
+            units = tm.unit_vectors()
+            for pair in ("ll", "ul", "uu"):
+                for i in range(1, r):
+                    ops = tm.ops(i, pair)
+                    for n, e in enumerate(units):
+                        a, b = divmod(n, tm.right.dim)
+                        want = tm.p_apply(e, i, pair)
+                        assert _unit_image(ops, a, b) == want
 
     def test_conversion_consistency(self):
         # upper coordinates are X times lower ones, on either factor

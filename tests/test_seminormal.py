@@ -33,7 +33,6 @@ from nstl.seminormal import (
     _gt_basis,
     _paths,
     _to_gt,
-    _to_lower,
     _unit_space,
     alpha,
     chain_membership,
@@ -41,25 +40,29 @@ from nstl.seminormal import (
     seminormal_table,
 )
 from nstl.specht_modules import build_specht
+from nstl.verify import check_seminormal
 
 from isotypic_oracle import (
     dense_split,
     hh_pieces,
     in_lower,
     isotypic_split,
+    lower_leaves,
     nonstandard_pieces,
+    to_lower,
 )
 
-# sha256 of the (3,2) x (3,2) seminormal chains and vectors
+# sha256 of the (3,2) x (3,2) seminormal chains and lower vectors
 DIGEST_32 = """
 import hashlib
 from nstl.combinatorics import Partition
 from nstl.nonstandard import TensorModule
 from nstl.seminormal import seminormal_basis
+from isotypic_oracle import lower_leaves
 lam = Partition([3, 2])
 sb = seminormal_basis(TensorModule(lam, lam))
 text = repr([(str(c), [[str(x) for x in row] for row in v])
-             for c, v in zip(sb.chains, sb.vectors)])
+             for c, v in zip(sb.chains, lower_leaves(sb))])
 print(hashlib.sha256(text.encode()).hexdigest())
 """
 
@@ -216,7 +219,7 @@ class TestSeminormalBasis:
         eps = epsilon_plus_vector(P32)
         lead = next(x for row in eps for x in row if x)
         eps = [[x / lead for x in row] for row in eps]
-        assert sb.vectors[idx] == eps
+        assert lower_leaves(sb)[idx] == eps
 
     def test_submodule_input(self):
         mod = build_irreducible(lbl("+2,1"), 3)
@@ -236,8 +239,10 @@ class TestSeminormalBasis:
         # two processes under different hash seeds, so set and dict
         # iteration order differ; a rebuild in one process would only
         # read the caches back (see the next test)
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        here = pathlib.Path(__file__).resolve().parent
+        path = os.pathsep.join(
+            filter(None, (str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")))
+        )
         digests = {
             subprocess.run(
                 [sys.executable, "-c", DIGEST_32],
@@ -288,25 +293,48 @@ class TestSeminormalBasis:
             assert build_specht(P32).lower_action[1][0][0] == junk
             again = seminormal_basis(TensorModule(P32, P32))
             assert again.chains == sb.chains
-            assert again.vectors == sb.vectors
+            assert again.leaves == sb.leaves
         finally:
             for cache in caches:
                 cache.cache_clear()
 
     def test_normalization(self):
+        # each leaf is the row the descent's last row reduction leaves:
+        # sparse GT coordinates, no zero entry, 1 at its first key
         sb = seminormal_basis(TensorModule(P32, P32))
-        for v in sb.vectors:
-            lead = next(x for row in v for x in row if x)
-            assert lead == R_ONE
+        for v in sb.leaves:
+            assert isinstance(v, dict) and all(v.values())
+            assert v[min(v)] == R_ONE
+
+    def test_check_forms_no_lower_leaf(self, monkeypatch):
+        # the check cuts the stored GT leaves: with the GT bases warm it
+        # takes nothing back to GT coordinates and multiplies no matrix,
+        # so no lower (x) lower leaf is formed
+        assert check_seminormal()["ok"]
+        calls = []
+
+        def counted(name):
+            real = getattr(seminormal, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapper
+
+        for name in ("_to_gt", "mat_mul", "mat_transpose"):
+            monkeypatch.setattr(seminormal, name, counted(name))
+        assert check_seminormal() == {"ok": True, "leaves": 25}
+        assert calls == []
 
 
 def isotypic_chain_membership(basis, idx):
     """Oracle for chain_membership: at every level the leaf equals its
     isotypic component under the chain's label, split from the top
     module in lower coordinates with isotypic_oracle.isotypic_split."""
-    v = basis.vectors[idx]
-    chain = basis.chains[idx]
     tm = basis.ambient
+    (v,) = in_lower(tm, [basis.leaves[idx]])
+    chain = basis.chains[idx]
     for k in range(chain.r, 1, -1):
         split = isotypic_split(tm.lam, tm.mu, k, v, nonstandard_pieces)
         if split.get(chain.level(k)) != v:
@@ -331,18 +359,23 @@ class TestMembershipOracle:
     def test_perturbed_swapped_and_zero(self, pair):
         """Per leaf: the leaf plus the next leaf, the leaf with one
         entry moved, the leaf under the next leaf's chain, and the zero
-        vector under the leaf's chain."""
-        sb = seminormal_basis(TensorModule(*pair))
+        vector under the leaf's chain, perturbed in lower (x) lower
+        coordinates and taken to GT coordinates by _to_gt, a bijection."""
+        tm = TensorModule(*pair)
+        sb = seminormal_basis(tm)
         n = sb.dim
-        zero = [[R_ZERO] * len(row) for row in sb.vectors[0]]
+        lower = lower_leaves(sb)
+        zero = [[R_ZERO] * len(row) for row in lower[0]]
         vectors, chains = [], []
         for idx in range(n):
-            v, chain = sb.vectors[idx], sb.chains[idx]
+            v, chain = lower[idx], sb.chains[idx]
             moved = [row[:] for row in v]
             moved[0][0] = moved[0][0] + R_ONE
-            vectors += [mat_add(v, sb.vectors[(idx + 1) % n]), moved, v, zero]
+            vectors += [mat_add(v, lower[(idx + 1) % n]), moved, v, zero]
             chains += [chain, chain, sb.chains[(idx + 1) % n], chain]
-        probe = SeminormalBasis(sb.ambient, vectors, chains)
+        leaves = [_to_gt(v, tm) for v in vectors]
+        assert in_lower(tm, leaves) == vectors
+        probe = SeminormalBasis(tm, leaves, chains)
         got = [chain_membership(probe, j) for j in range(len(vectors))]
         assert got == [
             isotypic_chain_membership(probe, j) for j in range(len(vectors))
@@ -350,6 +383,21 @@ class TestMembershipOracle:
         assert not any(got[3::4])
         if n > 1:
             assert not any(got[0::4]) and not any(got[2::4])
+
+
+class TestIrreducibleLeaves:
+    """The seminormal basis of each irreducible of rank 5, which no
+    command builds: one line per dimension, distinct chains, and every
+    leaf in its chain's components in both coordinate systems."""
+
+    @pytest.mark.parametrize("label", ns_labels(5), ids=str)
+    def test_rank_5(self, label):
+        sb = seminormal_basis(build_irreducible(label, 5))
+        assert sb.dim == label.dimension(5)
+        assert len(set(sb.chains)) == sb.dim
+        for idx in range(sb.dim):
+            assert chain_membership(sb, idx)
+            assert isotypic_chain_membership(sb, idx)
 
 
 class TestTensorSquareChainDiffers:
@@ -364,13 +412,14 @@ class TestTensorSquareChainDiffers:
             assert len(rref(v)[0]) == 1
         ns = seminormal_basis(tm)
         idx = ns.chains.index(SeminormalChainLabel(tuple([lbl("eps+")] * 4)))
-        eps_vec = ns.vectors[idx]
+        ns_vectors = lower_leaves(ns)
+        eps_vec = ns_vectors[idx]
         assert len(rref(eps_vec)[0]) == 5
         assert all(v != eps_vec for _, v in hh)
         # concrete differing pair: the two chains agree on the ambient
         # but partition it into different sets of lines
         assert {tuple(map(tuple, v)) for _, v in hh} != {
-            tuple(map(tuple, v)) for v in ns.vectors
+            tuple(map(tuple, v)) for v in ns_vectors
         }
 
 
@@ -448,7 +497,7 @@ class TestGTAction:
         left, right = _gt_basis(tm.lam.parts), _gt_basis(tm.mu.parts)
         for i in range(1, tm.r):
             for C in _unit_space(tm):
-                lower = tm.p_apply(_to_lower(C, left, right), i)
+                lower = tm.p_apply(to_lower(C, left, right), i)
                 assert _gt_apply(tm, C, i) == _to_gt(lower, tm)
 
 
@@ -469,7 +518,7 @@ class TestDenseOracle:
         tm = TensorModule(*pair)
         sb = seminormal_basis(tm)
         assert printed(
-            (c.labels, v) for c, v in zip(sb.chains, sb.vectors)
+            (c.labels, v) for c, v in zip(sb.chains, lower_leaves(sb))
         ) == printed(dense_split(tm, tm.unit_vectors(), nonstandard_pieces))
 
     @pytest.mark.parametrize(
@@ -479,7 +528,7 @@ class TestDenseOracle:
         mod = build_irreducible(label, r)
         sb = seminormal_basis(mod)
         assert printed(
-            (c.labels, v) for c, v in zip(sb.chains, sb.vectors)
+            (c.labels, v) for c, v in zip(sb.chains, lower_leaves(sb))
         ) == printed(
             dense_split(
                 mod.ambient, in_lower(mod.ambient, mod.basis), nonstandard_pieces
