@@ -322,7 +322,7 @@ class TestSeminormalBasis:
 
             return wrapper
 
-        for name in ("_to_gt", "mat_mul", "mat_transpose"):
+        for name in ("_to_gt", "mat_mul"):
             monkeypatch.setattr(seminormal, name, counted(name))
         assert check_seminormal() == {"ok": True, "leaves": 25}
         assert calls == []
