@@ -12,10 +12,9 @@ from __future__ import annotations
 
 def mat_mul(A, B):
     """A B, summing a_t B[t][j] only where both factors are nonzero,
-    in increasing t; an entry with no such term is a zero, formed once
-    per call from the first row that needs it."""
+    in increasing t; an entry with no such term is its row's zero."""
     m = len(B[0]) if B else 0
-    out, zero = [], None
+    out = []
     for row_a in A:
         acc = [None] * m
         for a, row_b in zip(row_a, B):
@@ -26,7 +25,7 @@ def mat_mul(A, B):
                     term = a * b
                     acc[j] = term if acc[j] is None else acc[j] + term
         if any(x is None for x in acc):
-            zero = row_a[0] - row_a[0] if zero is None else zero
+            zero = row_a[0] - row_a[0]
             acc = [zero if x is None else x for x in acc]
         out.append(acc)
     return out

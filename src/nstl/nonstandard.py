@@ -169,10 +169,24 @@ class TensorModule:
 
     @staticmethod
     def apply(ops, c):
-        out = None
+        """sum A c B^T over (A, B) in ops, read off the nonzero entries:
+        row a of c B^T gathers c_ab times column b of B, and column a of
+        A times that row adds into the result. So A E_ab B^T is exactly
+        the outer product of column a of A and column b of B, and a unit
+        vector costs no matrix product."""
+        out = zeros(len(ops[0][0]), len(ops[0][1]), R_ZERO)
         for A, B in ops:
-            term = mat_mul(A, mat_mul(c, mat_transpose(B)))
-            out = term if out is None else mat_add(out, term)
+            for a, row in enumerate(c):
+                w = {}
+                for b, x in enumerate(row):
+                    if x:
+                        for t, rb in enumerate(B):
+                            if rb[b]:
+                                w[t] = w.get(t, R_ZERO) + x * rb[b]
+                for s, ra in enumerate(A if w else ()):
+                    if ra[a]:
+                        for t, y in w.items():
+                            out[s][t] = out[s][t] + ra[a] * y
         return out
 
     def p_apply(self, c, i: int, pair: str = "ll"):

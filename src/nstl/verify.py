@@ -23,7 +23,6 @@ from .combinatorics import (
 )
 from .exact_arith import FOUR, R_ONE, R_ZERO
 from .hecke_core import cells_regular, kl_table
-from .linalg import zeros
 from .nonstandard import (
     CertificateError,
     NsIrredLabel,
@@ -227,19 +226,6 @@ def check_projected(n: int) -> dict:
 # -- 7: closed action formulas ----------------------------------------
 
 
-def _unit_image(ops, a, b):
-    """P E_ab for P as its factor pairs (A, B) (TensorModule.ops): each
-    A E_ab B^T is exactly the outer product of column a of A and b of B."""
-    out = zeros(len(ops[0][0]), len(ops[0][1]), R_ZERO)
-    for A, B in ops:
-        col = [(t, row[b]) for t, row in enumerate(B) if row[b]]
-        for s, row in enumerate(A):
-            if row[a]:
-                for t, y in col:
-                    out[s][t] = out[s][t] + row[a] * y
-    return out
-
-
 def check_action_formula() -> dict:
     shapes = two_row_partitions(4)
     checked = 0
@@ -249,10 +235,8 @@ def check_action_formula() -> dict:
             units = tm.unit_vectors()
             for pair in ("ll", "ul", "uu"):
                 for i in range(1, 4):
-                    ops = tm.ops(i, pair)
-                    for n, c in enumerate(units):
-                        a, b = divmod(n, tm.right.dim)
-                        if p_action(tm, c, i, pair) != _unit_image(ops, a, b):
+                    for c in units:
+                        if p_action(tm, c, i, pair) != tm.p_apply(c, i, pair):
                             return _fail(
                                 f"case formula differs at "
                                 f"{lam},{mu},{pair},s_{i}"

@@ -52,7 +52,7 @@ from nstl.nonstandard import (
 )
 from nstl.seminormal import _to_gt, _unit_space
 from nstl.specht_modules import build_specht
-from nstl.verify import _unit_image, check_certification, check_dimension
+from nstl.verify import check_action_formula, check_certification, check_dimension
 
 from dimension_oracle import (
     ORACLE_PRIME,
@@ -200,20 +200,31 @@ class TestPAction:
                         )
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
-    def test_unit_image_is_the_matrix_action(self, r):
-        # the matrix side of check_action_formula, read off the factors'
-        # columns, against the products of p_apply on every unit vector
+    def test_apply_is_the_matrix_product(self, r):
+        # apply reads A c B^T off the nonzero entries of c; the oracle is
+        # the dense product, on every unit vector (the columns of
+        # check_action_formula) and on one dense matrix per pair
+        def dense(ops, c):
+            terms = [mat_mul(A, mat_mul(c, mat_transpose(B))) for A, B in ops]
+            return functools.reduce(mat_add, terms)
+
         shapes = two_row_partitions(r)
         for lam, mu in itertools.product(shapes, shapes):
             tm = TensorModule(lam, mu)
-            units = tm.unit_vectors()
+            cs = tm.unit_vectors() + [rand_matrix(tm.left.dim, tm.right.dim)]
             for pair in ("ll", "ul", "uu"):
                 for i in range(1, r):
                     ops = tm.ops(i, pair)
-                    for n, e in enumerate(units):
-                        a, b = divmod(n, tm.right.dim)
-                        want = tm.p_apply(e, i, pair)
-                        assert _unit_image(ops, a, b) == want
+                    for c in cs:
+                        assert tm.apply(ops, c) == dense(ops, c)
+
+    def test_action_formula_multiplies_no_matrix(self, monkeypatch):
+        # every unit column of the check is read off the factors
+        def refuse(*args):
+            raise AssertionError("mat_mul called")
+
+        monkeypatch.setattr(nonstandard, "mat_mul", refuse)
+        assert check_action_formula() == {"ok": True, "matrix_columns": 324}
 
     def test_conversion_consistency(self):
         # upper coordinates are X times lower ones, on either factor

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from nstl import seminormal, specht_modules
+from nstl import combinatorics, seminormal, specht_modules
 from nstl.combinatorics import Partition, partitions_of, rsk, syt_count, syt_enumerate
 from nstl.exact_arith import R_ONE, R_ZERO, TWO, U_INV, RationalFn
 from nstl.hecke_core import kl_table
@@ -191,13 +191,16 @@ class TestTemperleyLieb:
 
 @pytest.fixture
 def fresh_modules():
-    """Fresh Specht modules and GT bases: a test that counts or patches
-    what they compute starts and ends with empty caches."""
+    """Fresh Specht modules, GT bases, descent sets and chain labels: a
+    test that counts or patches what they compute starts and ends with
+    empty caches."""
     caches = (
         specht_modules._build_specht,
         seminormal._gt_basis,
         seminormal._paths,
         seminormal._seqs,
+        seminormal._alpha_labels,
+        combinatorics.descent_set,
     )
     for cache in caches:
         cache.cache_clear()
