@@ -47,10 +47,8 @@ def _std_right_mul_s(coords: dict, i: int) -> dict:
 
     for w, c in coords.items():
         ws = w.times_simple_right(i)
-        if ws.length() > w.length():
-            add(ws, c)
-        else:
-            add(ws, c)
+        add(ws, c)
+        if ws.length() < w.length():
             add(w, c * U_MINUS_UINV)
     return out
 

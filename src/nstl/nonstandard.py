@@ -592,15 +592,20 @@ def chain_trace(label: NsIrredLabel, r: int) -> RationalFn:
     return (product + flipped) * R_HALF - FOUR ** (r - 1)
 
 
+@lru_cache(maxsize=None)
 def certify_rank(s: int) -> None:
-    """Certify every label of rank s, given ranks 2 .. s - 1 (rank 1 has
-    one label, of dimension 1): each module has its label's dimension
-    and passes certify_irreducible, and no two are isomorphic, since
-    they differ in dimension, in their restrictions (multisets of
-    pairwise inequivalent irreducibles), or else, for 2:1,1 and eps+ at
-    rank 2 and 3:2,1 and +2,1 at rank 3, in chain_trace. All exact over
-    Q(u), at no point. Raises CertificateError naming the first
-    failure."""
+    """Certify every label of rank s >= 2, by induction: first ranks
+    2 .. s - 1, through this cache (rank 1 has one label, of dimension
+    1), so each rank is proved once per process and bottom up. Then
+    each module has its label's dimension and passes
+    certify_irreducible, and no two are isomorphic, since they differ
+    in dimension, in their restrictions (multisets of pairwise
+    inequivalent irreducibles), or else, for 2:1,1 and eps+ at rank 2
+    and 3:2,1 and +2,1 at rank 3, in chain_trace. All exact over Q(u),
+    at no point. Raises CertificateError naming the first failure; a
+    failure is not cached."""
+    if s > 2:
+        certify_rank(s - 1)
     labels = ns_labels(s)
     for label in labels:
         mod = build_irreducible(label, s)
@@ -690,16 +695,16 @@ def _split_bound(r: int) -> int:
     return 1 + pairs + squares
 
 
-def nonstandard_dimension_oracle(r: int, certified: int = 1) -> int:
+def nonstandard_dimension_oracle(r: int) -> int:
     """Dimension of the unital algebra generated by the P_i on the
     two-row tensor sum, proved exactly over Q(u) from the certified
     irreducibles: the split identities of every shape of rank r give
-    _split_bound as an upper bound; certify_rank for ranks
-    certified + 1 .. r (the caller vouches for ranks 2 .. certified)
-    proves the labels of rank r absolutely irreducible and pairwise
-    inequivalent, so by density the algebra maps onto the sum of their
-    endomorphism rings, and sum d^2 is a lower bound. It returns sum d^2
-    once that meets the bound.
+    _split_bound as an upper bound; certify_rank(r), with ranks
+    2 .. r - 1 below it, each proved once per process, proves the
+    labels of rank r absolutely irreducible and pairwise inequivalent,
+    so by density the algebra maps onto the sum of their endomorphism
+    rings, and sum d^2 is a lower bound. It returns sum d^2 once that
+    meets the bound.
 
     Soundness: a certificate that misses an edge can only give a false
     FAIL, never a false PASS. A split identity that fails, a certificate
@@ -709,8 +714,8 @@ def nonstandard_dimension_oracle(r: int, certified: int = 1) -> int:
         if broken:
             raise CertificateError(f"no split bound at r={r}: {broken}")
     bound = _split_bound(r)
-    for s in range(max(certified + 1, 2), r + 1):
-        certify_rank(s)
+    if r >= 2:
+        certify_rank(r)
     squares = sum(label.dimension(r) ** 2 for label in ns_labels(r))
     if squares != bound:
         raise CertificateError(

@@ -143,29 +143,16 @@ class GTBasis:
 @lru_cache(maxsize=None)
 def _paths(parts: tuple) -> tuple:
     """All branching paths from the given shape down to size 1, as
-    (iota, pi) with iota: path coords -> top coords and pi its left
-    inverse (both lower coordinates), in branching order."""
+    (iota, pi, seq) with iota: path coords -> top coords, pi its left
+    inverse (both lower coordinates) and seq the path's shapes from the
+    given shape down to size 1, in branching order."""
     lam = Partition(parts)
     if lam.size == 1:
-        return (([[R_ONE]], [[R_ONE]]),)
+        return (([[R_ONE]], [[R_ONE]], (lam,)),)
     return tuple(
-        (mat_mul(iota, ci), mat_mul(cp, pi))
+        (mat_mul(iota, ci), mat_mul(cp, pi), (lam,) + seq)
         for child, iota, pi, _ in build_specht(lam).branching
-        for ci, cp in _paths(child.parts)
-    )
-
-
-@lru_cache(maxsize=None)
-def _seqs(parts: tuple) -> tuple:
-    """The shapes of each branching path of `_paths(parts)`, from the
-    given shape down to size 1, in the same order."""
-    lam = Partition(parts)
-    if lam.size == 1:
-        return ((lam,),)
-    return tuple(
-        (lam,) + s
-        for child, _, _, _ in build_specht(lam).branching
-        for s in _seqs(child.parts)
+        for ci, cp, seq in _paths(child.parts)
     )
 
 
@@ -176,8 +163,8 @@ def _gt_basis(parts: tuple) -> GTBasis:
     lam = Partition(parts)
     m = build_specht(lam)
     paths = _paths(parts)
-    V = [[iota[i][0] for iota, _ in paths] for i in range(m.dim)]
-    Pi = [pi[0] for _, pi in paths]
+    V = [[iota[i][0] for iota, _, _ in paths] for i in range(m.dim)]
+    Pi = [pi[0] for _, pi, _ in paths]
     G = mat_mul(mat_transpose(V), mat_mul(m.transition, V))
     if mat_mul(Pi, V) != identity(m.dim, R_ONE, R_ZERO):
         raise ArithmeticError(f"GT basis of {lam}: Pi V is not the identity")
@@ -187,7 +174,7 @@ def _gt_basis(parts: tuple) -> GTBasis:
     return GTBasis(
         V=tuple(map(tuple, V)),
         Pi=tuple(map(tuple, Pi)),
-        seqs=_seqs(parts),
+        seqs=tuple(seq for _, _, seq in paths),
         g=g,
         E=tuple(R_ONE / x for x in g),
     )

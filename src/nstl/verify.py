@@ -280,13 +280,13 @@ def check_epsilon_antipode() -> dict:
 
 def check_certification(r: int) -> dict:
     """Every label of ranks 2..r is absolutely irreducible and no two of
-    a rank are isomorphic (nonstandard.certify_rank, rank by rank: each
-    certificate needs the rank below). With the split identities the
-    faithful sum is a direct sum of copies of these V_i, so by density
-    the algebra has dimension sum_i d_i^2, which must be the formula."""
+    a rank are isomorphic (nonstandard.certify_rank(r), which proves the
+    ranks below first: each certificate needs the rank below). With the
+    split identities the faithful sum is a direct sum of copies of these
+    V_i, so by density the algebra has dimension sum_i d_i^2, which must
+    be the formula."""
     try:
-        for s in range(2, r + 1):
-            certify_rank(s)
+        certify_rank(r)
     except CertificateError as exc:
         return _fail(exc)
     squares = sum(label.dimension(r) ** 2 for label in ns_labels(r))
@@ -364,16 +364,15 @@ def check_dimension(rs=(2, 3, 4)) -> dict:
     (nonstandard._split_bound, read off the shapes, never taken from the
     formula). So a PASS proves the dimension equals the formula, and a
     certificate that misses an edge can only give a false FAIL. Each
-    rank is certified once over all of rs. A split identity or a
-    certificate that fails is a FAIL."""
-    values, certified = {}, 1
+    rank is certified once per process (nonstandard.certify_rank). A
+    split identity or a certificate that fails is a FAIL."""
+    values = {}
     for r in rs:
         formula = dimension_formula(r)
         try:
-            oracle = nonstandard_dimension_oracle(r, certified)
+            oracle = nonstandard_dimension_oracle(r)
         except CertificateError as exc:
             return _fail(exc)
-        certified = max(certified, r)
         if formula != oracle:
             return _fail(f"r={r}: formula {formula} != oracle {oracle}")
         values[r] = formula

@@ -108,6 +108,22 @@ def test_certification_and_branching_split_each_label_once(
     assert set(calls) == set(want)
 
 
+def test_verify_all_certifies_each_module_once(monkeypatch):
+    # certification and dimension both rest on ranks 2..4: one proof
+    calls = []
+    real = nonstandard.certify_irreducible
+
+    def counted(mod):
+        calls.append((mod.label, mod.ambient.r))
+        return real(mod)
+
+    monkeypatch.setattr(nonstandard, "certify_irreducible", counted)
+    assert cli.main(["verify-all", "--r", "4"]) == 0
+    want = [(label, s) for s in (2, 3, 4) for label in nonstandard.ns_labels(s)]
+    assert calls == want
+    assert len(want) == 14
+
+
 def test_certification_specializes_nothing(monkeypatch, fresh_modules):
     # every step is exact over Q(u): no point, so no pole to meet
     def pole(self, u0):

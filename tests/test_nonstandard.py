@@ -744,6 +744,20 @@ class TestCertification:
             assert restriction_decompose(mods[0]) == restriction_decompose(mods[1])
             assert chain_trace(lbl(a), r) != chain_trace(lbl(b), r)
 
+    def test_a_rank_rests_on_the_ranks_below(self, monkeypatch):
+        # certify_rank(4) proves ranks 2 and 3 first, through its cache
+        real = nonstandard.certify_irreducible
+
+        def failing(mod):
+            if mod.ambient.r == 3:
+                raise CertificateError(f"not strongly connected: {mod.label}")
+            return real(mod)
+
+        monkeypatch.setattr(nonstandard, "certify_irreducible", failing)
+        with pytest.raises(CertificateError, match="not strongly connected"):
+            nonstandard.certify_rank(4)
+        assert nonstandard.certify_rank.cache_info().currsize == 1
+
     def test_the_unreachable_pair_is_unreachable(self):
         rng = random.Random(22)
         for _ in range(1000):
@@ -997,21 +1011,27 @@ class TestDimension:
         assert out == "[2, 10, 89, 855] False\n"
 
     def test_oracle_certifies_every_rank_once(self, monkeypatch):
+        # each label of ranks 2..4 once, bottom up, however the ranks
+        # are asked for
         calls = []
-        real = nonstandard.certify_rank
+        real = nonstandard.certify_irreducible
         monkeypatch.setattr(
-            nonstandard, "certify_rank", lambda s: calls.append(s) or real(s)
+            nonstandard,
+            "certify_irreducible",
+            lambda mod: calls.append(mod.ambient.r) or real(mod),
         )
+        bottom_up = [s for s in (2, 3, 4) for _ in ns_labels(s)]
         assert nonstandard_dimension_oracle(4) == 89
-        assert nonstandard_dimension_oracle(4, certified=3) == 89
+        assert nonstandard_dimension_oracle(4) == 89
         assert nonstandard_dimension_oracle(1) == 1
-        assert calls == [2, 3, 4, 4]
+        assert calls == bottom_up
+        nonstandard.certify_rank.cache_clear()
         calls.clear()
         assert check_dimension((2, 4, 3)) == {
             "ok": True,
             "values": {2: 2, 4: 89, 3: 10},
         }
-        assert calls == [2, 3, 4]
+        assert calls == bottom_up
 
     def test_modulus_bound_is_span_vector_length(self):
         # at r = 3 the span vectors have 15 entries: 784150127 is the

@@ -279,7 +279,7 @@ class TestSeminormalBasis:
             for lam in shapes:
                 build_specht(lam).transition_inv
             for lam in shapes:
-                for iota, pi in _paths(lam.parts):
+                for iota, pi, _ in _paths(lam.parts):
                     corrupt(iota)
                     corrupt(pi)
                 m = build_specht(lam)
@@ -469,9 +469,9 @@ class TestGTBasis:
 
     def test_rejects_pi_not_inverse(self, monkeypatch):
         def scale_first_iota(paths):
-            (iota, pi), *rest = paths
+            (iota, pi, seq), *rest = paths
             iota = [[x + x for x in row] for row in iota]
-            return [(iota, pi)] + rest
+            return [(iota, pi, seq)] + rest
 
         with pytest.raises(ArithmeticError, match="identity"):
             self._build_with(monkeypatch, scale_first_iota)
@@ -479,10 +479,10 @@ class TestGTBasis:
     def test_rejects_non_diagonal_form(self, monkeypatch):
         def shear(paths):
             # iota_0 + iota_1 and pi_1 - pi_0: still inverse, not GT
-            (i0, p0), (i1, p1), *rest = paths
+            (i0, p0, s0), (i1, p1, s1), *rest = paths
             i0 = [[a + b for a, b in zip(x, y)] for x, y in zip(i0, i1)]
             p1 = [[b - a for a, b in zip(x, y)] for x, y in zip(p0, p1)]
-            return [(i0, p0), (i1, p1)] + rest
+            return [(i0, p0, s0), (i1, p1, s1)] + rest
 
         with pytest.raises(ArithmeticError, match="not diagonal"):
             self._build_with(monkeypatch, shear)

@@ -198,7 +198,6 @@ def fresh_modules():
         specht_modules._build_specht,
         seminormal._gt_basis,
         seminormal._paths,
-        seminormal._seqs,
         seminormal._alpha_labels,
         combinatorics.descent_set,
     )
