@@ -12,7 +12,12 @@ that one generator links is strongly connected, so it is irreducible.
 Modules of one rank are told apart by dimension, restriction or the
 trace of P_1 ... P_{r-1}, and their squared dimensions sum to the
 dimension formula. The restriction printed is the split the
-certificate computed; no label is split twice.
+certificate computed; no label is split twice. A rank below 2 is a
+usage error (exit 2), as in `nstl verify-all`.
+
+Every identity the certificate checks is read in the Gelfand-Tsetlin
+coordinates of the irreducibles (seminormal._gt_basis): the split
+identities, the eps line diag(E) and the restriction.
 
 Usage: python3 scripts/certify_irreducibles.py [r]
 """
@@ -46,6 +51,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("r", type=int, nargs="?", default=4)
     r = ap.parse_args(argv).r
+    if r < 2:
+        ap.error(f"certification at rank {r} needs r >= 2 (branching restricts)")
     result = check_certification(r)
     for label in ns_labels(r):
         res_str = restriction_text(label, r)

@@ -31,14 +31,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    return [[c * a for a in row] for row in A]
-
-
 def mat_transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 

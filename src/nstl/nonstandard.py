@@ -15,8 +15,9 @@ the Hecke algebra, so the same Specht matrices serve here.
 The irreducibles' bases are sparse Gelfand-Tsetlin vectors
 {(a, b): entry} instead (seminormal._gt_basis), where the restriction
 is a split of the coordinates: the certificate reads it off the
-seminormal cut. `seminormal` imports this module, so functions here
-import it when they run.
+seminormal cut, and its split identities are read there too.
+`seminormal` imports this module, so functions here import it when
+they run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from math import comb
 
 from .combinatorics import (
@@ -37,15 +38,7 @@ from .combinatorics import (
 )
 from .exact_arith import FOUR, R_HALF, R_ONE, R_ZERO, TWO, RationalFn
 from .hecke_core import HeckeElement, multiply_standard
-from .linalg import (
-    identity,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_transpose,
-    rref,
-    zeros,
-)
+from .linalg import identity, mat_mul, rref, zeros
 from .specht_modules import build_specht
 
 
@@ -282,47 +275,41 @@ def _trace(M):
     return t
 
 
-def _pairing(c, X):
-    """sum_ab c_ab X_ab. With X the transition matrix of the shape this
-    is f t(c), t the trace functional: the lower (x) upper coefficients
-    of c are c X^T."""
-    return sum(
-        (a * x for ra, rx in zip(c, X) for a, x in zip(ra, rx) if a and x),
-        R_ZERO,
-    )
-
-
 @lru_cache(maxsize=None)
 def square_split_identities(lam: Partition) -> str:
     """Check exactly over Q(u), for every generator P_i of the square
-    M_lam (x) M_lam, the identities that cut it into P_i-stable pieces.
-    Returns '' when all hold, else names the first that fails.
+    M_lam (x) M_lam, the identities that cut it into P_i-stable pieces,
+    in the GT coordinates of seminormal._gt_basis: P_i is _gt_apply,
+    eps is diag(E) and t(C) = sum_s g_s C_ss / f. Returns '' when all
+    hold, else names the first that fails.
 
-    - flip: both factors of each (A, B) in P_i are equal, so P_i
-      commutes with c -> c^T and keeps Sym^2 and Lambda^2 = V-;
-    - eps = eps^T and t(eps) = 1, so eps lies in Sym^2 outside ker t;
+    - t(eps) = 1, as sum_s g_s E_s = f;
     - P_i eps = 4 eps;
-    - t o P_i = 4 t, as one covector identity: t(A c B^T) = <A^T X B,
-      c> / f with X the transition matrix, so sum A^T X B = 4 X.
+    - t o P_i = 4 t, as t(P_i E_ab) = 4 t(E_ab) on every unit vector.
 
-    Then c -> c - t(c) eps commutes with P_i, so Sym^2 of dimension n
-    is V+ = Sym^2 n ker t, of dimension n - 1, plus the line of eps, and
-    both are stable; every P_i acts on every eps line by 4."""
-    tm = TensorModule(lam, lam)
-    X, eps = tm.left.transition, epsilon_plus_vector(lam)
-    if eps != mat_transpose(eps):
-        return f"eps of {lam} is not symmetric"
-    if _pairing(eps, X) != RationalFn.from_int(tm.left.dim):
+    By construction one factor tuple serves both sides, so P_i commutes
+    with the flip C -> C^T and keeps Sym^2 and Lambda^2 = V-, and eps is
+    symmetric. Then C -> C - t(C) eps commutes with P_i, so Sym^2 of
+    dimension n is V+ = Sym^2 n ker t, of dimension n - 1, plus the line
+    of eps, and both are stable; every P_i acts on every eps line by 4.
+    _gt_basis checks Pi V = I and V^T X V = diag(g), so c = V C V^T
+    carries all of it to lower (x) lower coordinates: P_i to
+    c -> sum A c B^T, C^T to c^T, diag(E) to X^-1 and t to <c, X> / f."""
+    from .seminormal import _gt_apply, _gt_basis, _unit_space
+
+    tm, gt = TensorModule(lam, lam), _gt_basis(lam.parts)
+
+    def f_t(C):  # f t(C)
+        return sum((x * gt.g[a] for (a, b), x in C.items() if a == b), R_ZERO)
+
+    eps = {(s, s): e for s, e in enumerate(gt.E)}
+    if f_t(eps) != RationalFn.from_int(len(eps)):
         return f"t(eps) != 1 on {lam}"
-    four_eps, four_X = mat_scale(eps, FOUR), mat_scale(X, FOUR)
+    four_eps = {key: FOUR * x for key, x in eps.items()}
     for i in range(1, lam.size):
-        ops = tm.ops(i, "ll")
-        if any(A != B for A, B in ops):
-            return f"P_{i} does not commute with the flip on {lam}"
-        if tm.apply(ops, eps) != four_eps:
+        if _gt_apply(tm, eps, i) != four_eps:
             return f"P_{i} eps != 4 eps on {lam}"
-        covector = [mat_mul(mat_transpose(A), mat_mul(X, B)) for A, B in ops]
-        if reduce(mat_add, covector) != four_X:
+        if any(f_t(_gt_apply(tm, C, i)) != FOUR * f_t(C) for C in _unit_space(tm)):
             return f"t P_{i} != 4 t on {lam}"
     return ""
 
@@ -404,9 +391,9 @@ def build_irreducible(label: NsIrredLabel, r: int) -> NsSubmodule:
     diagonal of X^-1: a pair's is the E_ab of its product; -lam's the
     (E_ab - E_ba)/2 and +lam's the (E_ab + E_ba)/2, a < b, and for +lam
     also the E_a E_aa - E_0 E_00, a > 0, so sum_s g_s C_ss = 0 on each;
-    eps+'s is the GT coordinates of epsilon_plus_vector, the eps line
-    that square_split_identities checks."""
-    from .seminormal import _gt_basis, _to_gt, _unit_space
+    eps+'s is diag(E), the eps line that square_split_identities checks
+    (the GT coordinates of epsilon_plus_vector)."""
+    from .seminormal import _gt_basis, _unit_space
 
     if label not in set(ns_labels(r)):
         raise ValueError(f"label {label} is not in the rank-{r} index set")
@@ -414,14 +401,14 @@ def build_irreducible(label: NsIrredLabel, r: int) -> NsSubmodule:
     tm = TensorModule(shapes[0], shapes[-1])
     f = tm.left.dim
     pairs = [(a, b) for a in range(f) for b in range(a, f)]
+    E = _gt_basis(tm.lam.parts).E
     if label.kind == "pair":
         basis = _unit_space(tm)
     elif label.kind == "eps_plus":
-        basis = [_to_gt(epsilon_plus_vector(tm.lam), tm)]
+        basis = [{(s, s): e for s, e in enumerate(E)}]
     elif label.kind == "minus":
         basis = [{(a, b): R_HALF, (b, a): -R_HALF} for a, b in pairs if a < b]
     else:
-        E = _gt_basis(tm.lam.parts).E
         basis = [
             {(a, b): R_HALF, (b, a): R_HALF} if a < b
             else {(a, a): E[a], (0, 0): -E[0]}
@@ -521,12 +508,13 @@ def certify_irreducible(mod: NsSubmodule) -> None:
     The proof runs in GT coordinates (seminormal._gt_basis), which
     checks Pi V = I and V^T X V = diag(g). So c = V C V^T turns the flip
     c -> c^T into C -> C^T, t(c) = <c, X> / f into sum_s g_s C_ss / f,
-    and X^-1, the eps line, into diag(E). The (nu, rho) child block of
-    c is the child's GT coordinates of pi_nu c pi_rho^T, since each GT
-    path starts with one branching step, so seminormal._nonstandard_pieces,
+    and X^-1, the eps line, into diag(E); seminormal._gt_apply applies
+    each P_i exactly, as Pi V = I, and square_split_identities checks
+    its identities in these terms. The (nu, rho) child block of c is
+    the child's GT coordinates of pi_nu c pi_rho^T, since each GT path
+    starts with one branching step, so seminormal._nonstandard_pieces,
     with the child's g and E, is the same cut as in lower coordinates;
-    one level of it (seminormal._cut) gives the components, and
-    seminormal._gt_apply applies P_{r-1} exactly, as Pi V = I."""
+    one level of it (seminormal._cut) gives the components."""
     broken = _split_failure(mod)
     if broken:
         raise CertificateError(f"not generator-closed: {mod.label} ({broken})")

@@ -36,10 +36,10 @@ from .combinatorics import (
     syt_enumerate,
     y_tableau,
 )
-from .exact_arith import R_HALF, R_ONE, R_ZERO, RationalFn
+from .exact_arith import R_HALF, R_ONE, R_ZERO, TWO, RationalFn
 from .linalg import identity, mat_mul, mat_transpose, rref
 from .nonstandard import NsIrredLabel, NsSubmodule, TensorModule
-from .specht_modules import build_specht
+from .specht_modules import _shift_diagonal, build_specht
 
 
 class MultiplicityError(RuntimeError):
@@ -261,26 +261,19 @@ def _echelon(vectors) -> list:
     return [{c: x for c, x in zip(cols, row) if x} for row in rows]
 
 
-def _to_gt(c, tm: TensorModule) -> dict:
-    """The sparse GT coordinates Pi_lambda c Pi_mu^T of a lower (x)
-    lower coefficient matrix c."""
-    left, right = _gt_basis(tm.lam.parts), _gt_basis(tm.mu.parts)
-    C = mat_mul(mat_mul(left.Pi, c), mat_transpose(right.Pi))
-    return {
-        (a, b): x for a, row in enumerate(C) for b, x in enumerate(row) if x
-    }
-
-
 @lru_cache(maxsize=None)
 def _gt_factors(parts: tuple, i: int) -> tuple:
     """The factors (C'_{s_i}, C_{s_i}) of P_{s_i} (p_factors) in the GT
-    basis of the shape, Pi A V, each as its sparse columns: entry s lists
-    the (a, entry) of column s that are nonzero."""
+    basis of the shape, each as its sparse columns: entry s lists the
+    (a, entry) of column s that are nonzero. C'_{s_i}'s is the one dense
+    product Pi L_i V, L_i its lower action matrix; C_{s_i} = C'_{s_i} -
+    [2] T_e, and Pi V = I makes its factor exactly Pi L_i V - [2] I."""
     gt = _gt_basis(parts)
-    factors = build_specht(Partition(parts)).p_factors(i, "l")
+    L = build_specht(Partition(parts)).lower_action[i]
+    S = mat_mul(gt.Pi, mat_mul(L, gt.V))
     return tuple(
-        tuple(tuple((a, x) for a, x in enumerate(col) if x) for col in zip(*S))
-        for S in (mat_mul(gt.Pi, mat_mul(A, gt.V)) for A in factors)
+        tuple(tuple((a, x) for a, x in enumerate(col) if x) for col in zip(*F))
+        for F in (S, _shift_diagonal(S, -TWO))
     )
 
 

@@ -12,22 +12,18 @@ descent does in GT coordinates, under nonstandard_pieces or hh_pieces,
 the rule of the full tensor-square chain. isotypic_projector reads one
 projector of a Specht module's branching. The library keeps its
 seminormal leaves in GT coordinates; lower_leaves is their lower (x)
-lower view, the one the seminormal digests and the dense oracle print."""
+lower view, the one the seminormal digests and the dense oracle print,
+and to_gt the way back. lower_split_identities checks the split
+identities of a tensor square in lower (x) lower coordinates, with
+dense products with X, as the library did before it read them in GT
+coordinates (nonstandard.square_split_identities)."""
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from nstl.combinatorics import Partition
-from nstl.exact_arith import R_HALF, R_ONE, R_ZERO, RationalFn
-from nstl.linalg import (
-    identity,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_transpose,
-    rref,
-    zeros,
-)
-from nstl.nonstandard import NsIrredLabel, _pairing, epsilon_plus_vector
+from nstl.exact_arith import FOUR, R_HALF, R_ONE, R_ZERO, RationalFn
+from nstl.linalg import identity, mat_mul, mat_transpose, rref, zeros
+from nstl.nonstandard import NsIrredLabel, TensorModule, epsilon_plus_vector
 from nstl.seminormal import _gt_basis
 from nstl.specht_modules import build_specht
 
@@ -36,8 +32,55 @@ def flatten(c):
     return [x for row in c for x in row]
 
 
+def mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def mat_scale(A, c):
+    return [[c * a for a in row] for row in A]
+
+
+def pairing(c, X):
+    """sum_ab c_ab X_ab. With X the transition matrix of the shape this
+    is f t(c), t the trace functional: the lower (x) upper coefficients
+    of c are c X^T."""
+    return sum(
+        (a * x for ra, rx in zip(c, X) for a, x in zip(ra, rx) if a and x),
+        R_ZERO,
+    )
+
+
+def lower_split_identities(lam) -> str:
+    """Oracle for nonstandard.square_split_identities, in lower (x) lower
+    coordinates: '' when the identities hold on M_lam (x) M_lam, else
+    the first that fails.
+
+    - flip: both factors of each (A, B) in P_i are equal;
+    - eps = eps^T and t(eps) = 1, eps = X^-1 (epsilon_plus_vector);
+    - P_i eps = 4 eps;
+    - t o P_i = 4 t, as one covector identity: t(A c B^T) = <A^T X B,
+      c> / f with X the transition matrix, so sum A^T X B = 4 X."""
+    tm = TensorModule(lam, lam)
+    X, eps = tm.left.transition, epsilon_plus_vector(lam)
+    if eps != mat_transpose(eps):
+        return f"eps of {lam} is not symmetric"
+    if pairing(eps, X) != RationalFn.from_int(tm.left.dim):
+        return f"t(eps) != 1 on {lam}"
+    four_eps, four_X = mat_scale(eps, FOUR), mat_scale(X, FOUR)
+    for i in range(1, lam.size):
+        ops = tm.ops(i, "ll")
+        if any(A != B for A, B in ops):
+            return f"P_{i} does not commute with the flip on {lam}"
+        if tm.apply(ops, eps) != four_eps:
+            return f"P_{i} eps != 4 eps on {lam}"
+        covector = [mat_mul(mat_transpose(A), mat_mul(X, B)) for A, B in ops]
+        if reduce(mat_add, covector) != four_X:
+            return f"t P_{i} != 4 t on {lam}"
+    return ""
 
 
 def branching_blocks(lam, mu, c):
@@ -65,7 +108,7 @@ def nonstandard_pieces(nu, rho, d) -> tuple:
     if nu != rho:
         return ((NsIrredLabel("pair", (nu, rho)), d),)
     child = build_specht(nu)
-    t = _pairing(d, child.transition) / RationalFn.from_int(child.dim)
+    t = pairing(d, child.transition) / RationalFn.from_int(child.dim)
     e = mat_scale(epsilon_plus_vector(nu), t)
     if child.dim == 1:
         return ((NsIrredLabel("eps_plus"), e),)
@@ -124,6 +167,16 @@ def to_lower(C, left, right):
     for (a, b), x in C.items():
         dense[a][b] = x
     return mat_mul(mat_mul(left.V, dense), mat_transpose(right.V))
+
+
+def to_gt(c, tm):
+    """The sparse GT coordinates Pi_lambda c Pi_mu^T of a lower (x)
+    lower coefficient matrix c of the tensor module tm."""
+    left, right = _gt_basis(tm.lam.parts), _gt_basis(tm.mu.parts)
+    C = mat_mul(mat_mul(left.Pi, c), mat_transpose(right.Pi))
+    return {
+        (a, b): x for a, row in enumerate(C) for b, x in enumerate(row) if x
+    }
 
 
 def in_lower(tm, vectors):

@@ -8,9 +8,8 @@ import pytest
 
 from nstl import cli, nonstandard, seminormal, verify
 from nstl.combinatorics import Partition, dkt_edges
-from nstl.exact_arith import R_HALF, R_ONE, PoleError, RationalFn
+from nstl.exact_arith import R_ONE, PoleError, RationalFn
 from nstl.hecke_core import kl_table
-from nstl.linalg import mat_add
 from nstl.nonstandard import NsIrredLabel, TensorModule
 from nstl.seminormal import SeminormalBasis
 from nstl.specht_modules import build_specht
@@ -29,7 +28,7 @@ from nstl.verify import (
     check_transition,
 )
 
-from isotypic_oracle import lower_leaves
+from isotypic_oracle import lower_leaves, mat_add, to_gt
 
 HEAVY = os.environ.get("NSTL_HEAVY") == "1"
 
@@ -133,35 +132,21 @@ def test_certification_specializes_nothing(monkeypatch, fresh_modules):
     assert check_certification(4) == {"ok": True, "labels": 8}
 
 
-def v_plus_vector(lam):
-    """A V+ vector of lam (x) lam in lower (x) lower coordinates, the +lam
-    piece (E_01 + E_10)/2 - (X_01 / f) eps of E_01, built from the real
-    eps line before a test patches it."""
-    m = build_specht(lam)
-    t = m.transition[0][1] / RationalFn.from_int(m.dim)
-    v = [[-t * x for x in row] for row in nonstandard.epsilon_plus_vector(lam)]
-    v[0][1] = v[0][1] + R_HALF
-    v[1][0] = v[1][0] + R_HALF
-    return v
-
-
-def v_plus_for_eps(monkeypatch, bad):
-    """Put a V+ vector of the shape `bad` in place of its eps line."""
-    real = nonstandard.epsilon_plus_vector
-    vector = v_plus_vector(Partition.parse(bad))
-    monkeypatch.setattr(
-        nonstandard,
-        "epsilon_plus_vector",
-        lambda lam: vector if str(lam) == bad else real(lam),
-    )
+def v_plus_for_eps(gt_fault, bad):
+    """Put a V+ vector of the shape `bad` in place of its eps line: E
+    becomes the diagonal E_0, ..., E_{f-2}, -(f - 1) E_{f-1}, which has
+    sum_s g_s C_ss = 0. The +lam basis reads E too."""
+    lam = Partition.parse(bad)
+    E = seminormal._gt_basis(lam.parts).E
+    gt_fault(lam, E=E[:-1] + (E[-1] * RationalFn.from_int(1 - len(E)),))
 
 
 @pytest.mark.parametrize("bad", ["3,1", "2,2"])
 def test_certification_needs_the_eps_line_outside_v_plus(
-    monkeypatch, fresh_modules, bad
+    gt_fault, fresh_modules, bad
 ):
     # the dimensions still tile the square, but t(eps) = 0
-    v_plus_for_eps(monkeypatch, bad)
+    v_plus_for_eps(gt_fault, bad)
     assert check_certification(4) == {
         "ok": False,
         "detail": f"not generator-closed: +{bad} (t(eps) != 1 on {bad})",
@@ -169,22 +154,21 @@ def test_certification_needs_the_eps_line_outside_v_plus(
 
 
 @pytest.mark.parametrize(
-    "r, bad, why",
+    "bad, why",
     [
-        (3, "2,1", "restriction dimensions 2 != module dimension 1"),
-        (4, "3,1", "rank 1 of 3:2,1 component not a multiple of 2"),
+        ("3,1", "restriction dimensions 6 != module dimension 5"),
+        ("2,2", "rank 1 of +2,1 component not a multiple of 2"),
     ],
 )
 def test_a_restriction_that_misses_its_module_fails_branching(
-    monkeypatch, capsys, fresh_modules, r, bad, why
+    capsys, gt_fault, fresh_modules, bad, why
 ):
-    # the eps+ module of rank r is then a V+ vector, whose restriction
-    # has more dimensions than the module; at r=4 one of them is a
-    # single line of the two-dimensional 3:2,1
-    v_plus_for_eps(monkeypatch, bad)
-    result = check_branching(r)
-    assert result == {"ok": False, "detail": f"restriction of eps+: {why}"}
-    assert cli.main(["verify-all", "--r", str(r)]) == 1
+    # the +lam basis E_a E_aa - E_0 E_00 reads E too, and then spans no
+    # V+: the ranks of its restriction misfit the module
+    v_plus_for_eps(gt_fault, bad)
+    result = check_branching(4)
+    assert result == {"ok": False, "detail": f"restriction of +{bad}: {why}"}
+    assert cli.main(["verify-all", "--r", "4"]) == 1
     lines = capsys.readouterr().out.splitlines()
     checks = verify.ACCEPTANCE_CHECKS
     assert [line.split(":")[0] for line in lines[: len(checks)]] == [
@@ -225,24 +209,13 @@ def test_dimension_fails_on_a_formula_off_by_one(monkeypatch, capsys, r, shift):
 
 
 def test_a_broken_split_identity_fails_dimension_and_certification(
-    monkeypatch, capsys
+    capsys, gt_fault, fresh_modules
 ):
     # a V+ vector in place of the eps line of (2,1): t(eps) = 0
-    lam = Partition([2, 1])
-    vector = v_plus_vector(lam)
-    real = nonstandard.epsilon_plus_vector
-    monkeypatch.setattr(
-        nonstandard,
-        "epsilon_plus_vector",
-        lambda mu: vector if mu == lam else real(mu),
-    )
-    nonstandard.square_split_identities.cache_clear()
-    try:
-        dimension = check_dimension((2, 3, 4))
-        certification = check_certification(3)
-        code = cli.main(["verify-all", "--r", "4"])
-    finally:
-        nonstandard.square_split_identities.cache_clear()
+    v_plus_for_eps(gt_fault, "2,1")
+    dimension = check_dimension((2, 3, 4))
+    certification = check_certification(3)
+    code = cli.main(["verify-all", "--r", "4"])
     why = "t(eps) != 1 on 2,1"
     assert dimension == {"ok": False, "detail": f"no split bound at r=3: {why}"}
     assert certification == {
@@ -324,13 +297,13 @@ def fails_alone(capsys, name, detail):
 def test_a_leaf_plus_another_fails_seminormal_membership(monkeypatch, capsys):
     # v_0 + v_1 keeps the chain of v_0, but where the two chains part it
     # has a piece under the label of v_1; the sum is formed in lower (x)
-    # lower coordinates and taken to GT coordinates by _to_gt
+    # lower coordinates and taken to GT coordinates by to_gt
     real = verify.seminormal_basis
 
     def summed(tm):
         sb = real(tm)
         lower = lower_leaves(sb)
-        v = seminormal._to_gt(mat_add(lower[0], lower[1]), sb.ambient)
+        v = to_gt(mat_add(lower[0], lower[1]), sb.ambient)
         return SeminormalBasis(sb.ambient, [v] + sb.leaves[1:], sb.chains)
 
     monkeypatch.setattr(verify, "seminormal_basis", summed)

@@ -27,6 +27,17 @@ def test_rank_3_passes(capsys):
     assert lines[-1] == "certification: PASS"
 
 
+@pytest.mark.parametrize("r", [0, 1])
+def test_a_rank_below_2_is_a_usage_error(capsys, r):
+    # exit 2 with a message, as verify-all, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        certify.main([str(r)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"certification at rank {r} needs r >= 2" in captured.err
+
+
 @pytest.fixture(autouse=True)
 def fresh_modules():
     """build_irreducible caches each module with its restriction: a

@@ -11,18 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from nstl import nonstandard
+from nstl import nonstandard, seminormal, specht_modules
 from nstl.combinatorics import Partition, partitions_of, two_row_partitions
-from nstl.exact_arith import LaurentPoly, R_ONE, R_ZERO, RationalFn, quantum_int
+from nstl.exact_arith import LaurentPoly, R_HALF, R_ONE, R_ZERO, RationalFn
 from nstl.hecke_core import HeckeElement, multiply_standard
-from nstl.linalg import (
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_transpose,
-    rref,
-    zeros,
-)
+from nstl.linalg import mat_mul, mat_transpose, rref, zeros
 from nstl.nonstandard import (
     FOUR,
     CertificateError,
@@ -31,7 +24,6 @@ from nstl.nonstandard import (
     RestrictionError,
     TensorModule,
     _generators_with_theta,
-    _pairing,
     _split_bound,
     _split_failure,
     _tensor_product_terms,
@@ -50,7 +42,7 @@ from nstl.nonstandard import (
     restriction_decompose,
     square_split_identities,
 )
-from nstl.seminormal import _to_gt, _unit_space
+from nstl.seminormal import _gt_basis, _gt_factors, _unit_space
 from nstl.specht_modules import build_specht
 from nstl.verify import check_action_formula, check_certification, check_dimension
 
@@ -74,10 +66,16 @@ from isotypic_oracle import (
     in_lower,
     isotypic_split,
     lower_basis,
+    lower_split_identities,
+    mat_add,
+    mat_scale,
     mat_sub,
     nonstandard_pieces,
+    pairing,
     restriction_ranks,
+    to_gt,
 )
+import isotypic_oracle
 from specht_oracle import SpanBasis, inverse, nullspace
 
 rng = random.Random(23)
@@ -363,10 +361,10 @@ class TestEpsilonMinus:
 
 def trace_functional(lam: Partition, c):
     """(1/f) sum of the diagonal coefficients of c in lower (x) upper
-    coordinates, read off its lower (x) lower ones by _pairing, which
-    the library reads directly."""
+    coordinates, read off its lower (x) lower ones by pairing, which
+    the library reads in GT coordinates as sum_s g_s C_ss / f."""
     X = build_specht(lam).transition
-    return _pairing(c, X) / RationalFn.from_int(len(X))
+    return pairing(c, X) / RationalFn.from_int(len(X))
 
 
 class TestTrace:
@@ -472,11 +470,19 @@ class TestBuildIrreducible:
 
 @pytest.fixture
 def fresh_split_identities():
-    """square_split_identities is cached: a test that patches what it
-    reads starts and ends with an empty cache."""
-    square_split_identities.cache_clear()
+    """square_split_identities and build_irreducible are cached: a test
+    that patches what they read starts and ends with empty caches."""
+    for cached in (square_split_identities, build_irreducible):
+        cached.cache_clear()
     yield
-    square_split_identities.cache_clear()
+    for cached in (square_split_identities, build_irreducible):
+        cached.cache_clear()
+
+
+def v_plus_diagonal(E):
+    """The diagonal V+ vector with entries E_0, ..., E_{f-2} and
+    -(f - 1) E_{f-1} (sum_s g_s C_ss = 0), as a tuple like E."""
+    return E[:-1] + (E[-1] * RationalFn.from_int(1 - len(E)),)
 
 
 def replaced(basis, k, c):
@@ -538,6 +544,64 @@ class TestSplitClosure:
             assert square_split_identities(lam) == ""
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_agree_with_the_lower_coordinate_identities(self, r):
+        for lam in two_row_partitions(r):
+            assert square_split_identities(lam) == lower_split_identities(lam) == ""
+
+    @pytest.mark.parametrize("fault", ["v+ for eps", "eps off its line", "trace"])
+    def test_agree_with_the_lower_coordinates_on_a_fault(
+        self, monkeypatch, gt_fault, fresh_split_identities, fault
+    ):
+        # one fault in g or E of (3,1), carried to lower coordinates as
+        # X = Pi^T diag(g) Pi and eps = V diag(E) V^T, fails both checks
+        # with the same message
+        lam = P([3, 1])
+        gt = _gt_basis(lam.parts)
+        g, (E0, E1, E2) = gt.g, gt.E
+        E = {
+            "v+ for eps": v_plus_diagonal(gt.E),
+            "eps off its line": (E0 * R_HALF, E1 * R_HALF * 3, E2),
+            "trace": gt.E,
+        }[fault]
+        if fault == "trace":
+            g = (g[0] * R_HALF * 3, g[1] * R_HALF, g[2])
+        gt_fault(lam, g=g, E=E)
+        Pi, V = [list(row) for row in gt.Pi], [list(row) for row in gt.V]
+        X = mat_mul(mat_transpose(Pi), [[x * y for y in row] for x, row in zip(g, Pi)])
+        eps = mat_mul([[v * e for v, e in zip(row, E)] for row in V], mat_transpose(V))
+        monkeypatch.setattr(build_specht(lam), "transition", X)
+        monkeypatch.setattr(isotypic_oracle, "epsilon_plus_vector", lambda mu: eps)
+        got = square_split_identities(lam)
+        assert got and got == lower_split_identities(lam)
+
+    def test_read_only_the_gt_data(self, monkeypatch, fresh_split_identities):
+        # with the GT bases and factors warm, the identities and the eps+
+        # module form no lower (x) lower vector: no epsilon_plus_vector
+        # and no matrix product
+        r = 5
+        for lam in two_row_partitions(r):
+            for i in range(1, r):
+                _gt_factors(lam.parts, i)
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(nonstandard, "epsilon_plus_vector")
+        for module in (nonstandard, seminormal, specht_modules):
+            counted(module, "mat_mul")
+        for lam in two_row_partitions(r):
+            assert square_split_identities(lam) == ""
+        assert build_irreducible(NsIrredLabel("eps_plus"), r).dim == 1
+        assert calls == []
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
     def test_agrees_with_the_oracle_on_every_label(self, r):
         for label in ns_labels(r):
             mod = build_irreducible(label, r)
@@ -561,15 +625,11 @@ class TestSplitClosure:
         assert "is not the pair" in _split_failure(wrong)
 
     def test_a_v_plus_vector_for_eps_breaks_the_identities(
-        self, monkeypatch, fresh_split_identities
+        self, gt_fault, fresh_split_identities
     ):
+        # E of (3,1) a V+ vector: diag(E) is then no eps line, t = 0
         lam = P([3, 1])
-        mod = build_irreducible(lbl("+3,1"), 4)
-        (v,) = in_lower(mod.ambient, mod.basis[:1])
-        real = nonstandard.epsilon_plus_vector
-        monkeypatch.setattr(
-            nonstandard, "epsilon_plus_vector", lambda mu: v if mu == lam else real(mu)
-        )
+        gt_fault(lam, E=v_plus_diagonal(_gt_basis(lam.parts).E))
         assert square_split_identities(lam) == "t(eps) != 1 on 3,1"
         assert square_split_identities(P([2, 2])) == ""
         with pytest.raises(CertificateError, match=r"^no split bound at r=4: t\(eps\)"):
@@ -577,43 +637,26 @@ class TestSplitClosure:
         assert nonstandard_dimension_oracle(3) == 10
 
     def test_eps_off_its_eigenline_breaks_the_identities(
-        self, monkeypatch, fresh_split_identities
+        self, gt_fault, fresh_split_identities
     ):
-        # eps plus a V+ vector is symmetric with t = 1, but P_i moves it
+        # eps plus half a V+ vector, diag(E_0/2, 3 E_1/2, E_2): symmetric
+        # with t = 1, but P_i moves it
         lam = P([3, 1])
-        mod = build_irreducible(lbl("+3,1"), 4)
-        (v,) = in_lower(mod.ambient, mod.basis[:1])
-        shifted = mat_add(epsilon_plus_vector(lam), v)
-        monkeypatch.setattr(nonstandard, "epsilon_plus_vector", lambda mu: shifted)
+        E0, E1, E2 = _gt_basis(lam.parts).E
+        gt_fault(lam, E=(E0 * R_HALF, E1 * R_HALF * 3, E2))
         got = square_split_identities(lam)
         assert re.fullmatch(r"P_[123] eps != 4 eps on 3,1", got)
 
     def test_a_perturbed_trace_breaks_the_covector_identity(
-        self, monkeypatch, fresh_split_identities
+        self, gt_fault, fresh_split_identities
     ):
-        # X + d with d symmetric and <d, eps> = 0 keeps t(eps) = 1, but
-        # sum A^T (X + d) B = 4 (X + d) fails
+        # g of (3,1) as (3 g_0/2, g_1/2, g_2) keeps t(eps) = 1 and the
+        # eps line, but t(C) = sum_s g_s C_ss / f is then no multiple of
+        # the one invariant functional, and t P_i != 4 t
         lam = P([3, 1])
-        m = build_specht(lam)
-        eps = m.transition_inv
-        d = zeros(m.dim, m.dim, R_ZERO)
-        d[0][1] = d[1][0] = R_ONE
-        d[0][0] = (R_ZERO - eps[0][1] - eps[1][0]) / eps[0][0]
-        monkeypatch.setattr(m, "transition", mat_add(m.transition, d))
+        g0, g1, g2 = _gt_basis(lam.parts).g
+        gt_fault(lam, g=(g0 * R_HALF * 3, g1 * R_HALF, g2))
         assert square_split_identities(lam).startswith("t P_")
-
-    def test_lopsided_generators_break_the_flip(
-        self, monkeypatch, fresh_split_identities
-    ):
-        ops = TensorModule.ops
-
-        def lopsided(self, i, pair):
-            (lp, _), (_, rc) = ops(self, i, pair)
-            return [(lp, rc)]
-
-        monkeypatch.setattr(TensorModule, "ops", lopsided)
-        got = square_split_identities(P([2, 1]))
-        assert got == "P_1 does not commute with the flip on 2,1"
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_bound_is_the_sum_of_squares(self, r):
@@ -665,7 +708,7 @@ def square_control(kind, lam):
     ("eps+minus"), or Sym^2 = V+ plus the eps line ("plus+eps"); the
     certificate sees it only with the closure step bypassed."""
     r = lam.size
-    eps = [_to_gt(epsilon_plus_vector(lam), TensorModule(lam, lam))]
+    eps = [to_gt(epsilon_plus_vector(lam), TensorModule(lam, lam))]
     if kind == "eps+minus":
         minus = build_irreducible(NsIrredLabel("minus", (lam,)), r)
         return NsSubmodule(minus.label, minus.ambient, eps + minus.basis)

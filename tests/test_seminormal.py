@@ -10,13 +10,14 @@ from nstl import seminormal, specht_modules
 from nstl.combinatorics import (
     Partition,
     Tableau,
+    partitions_of,
     syt_count,
     syt_enumerate,
     two_row_partitions,
     y_tableau,
 )
 from nstl.exact_arith import R_ONE, R_ZERO, RationalFn
-from nstl.linalg import identity, mat_add, mat_mul, mat_transpose, rref
+from nstl.linalg import identity, mat_mul, mat_transpose, rref
 from nstl.nonstandard import (
     NsIrredLabel,
     NsSubmodule,
@@ -31,8 +32,8 @@ from nstl.seminormal import (
     SeminormalChainLabel,
     _gt_apply,
     _gt_basis,
+    _gt_factors,
     _paths,
-    _to_gt,
     _unit_space,
     alpha,
     chain_membership,
@@ -48,7 +49,9 @@ from isotypic_oracle import (
     in_lower,
     isotypic_split,
     lower_leaves,
+    mat_add,
     nonstandard_pieces,
+    to_gt,
     to_lower,
 )
 
@@ -308,22 +311,17 @@ class TestSeminormalBasis:
 
     def test_check_forms_no_lower_leaf(self, monkeypatch):
         # the check cuts the stored GT leaves: with the GT bases warm it
-        # takes nothing back to GT coordinates and multiplies no matrix,
-        # so no lower (x) lower leaf is formed
+        # multiplies no matrix, so no lower (x) lower leaf is formed (the
+        # library has no way back from lower to GT coordinates)
         assert check_seminormal()["ok"]
         calls = []
+        real = seminormal.mat_mul
 
-        def counted(name):
-            real = getattr(seminormal, name)
+        def counted(*args):
+            calls.append("mat_mul")
+            return real(*args)
 
-            def wrapper(*args):
-                calls.append(name)
-                return real(*args)
-
-            return wrapper
-
-        for name in ("_to_gt", "mat_mul"):
-            monkeypatch.setattr(seminormal, name, counted(name))
+        monkeypatch.setattr(seminormal, "mat_mul", counted)
         assert check_seminormal() == {"ok": True, "leaves": 25}
         assert calls == []
 
@@ -360,7 +358,7 @@ class TestMembershipOracle:
         """Per leaf: the leaf plus the next leaf, the leaf with one
         entry moved, the leaf under the next leaf's chain, and the zero
         vector under the leaf's chain, perturbed in lower (x) lower
-        coordinates and taken to GT coordinates by _to_gt, a bijection."""
+        coordinates and taken to GT coordinates by to_gt, a bijection."""
         tm = TensorModule(*pair)
         sb = seminormal_basis(tm)
         n = sb.dim
@@ -373,7 +371,7 @@ class TestMembershipOracle:
             moved[0][0] = moved[0][0] + R_ONE
             vectors += [mat_add(v, lower[(idx + 1) % n]), moved, v, zero]
             chains += [chain, chain, sb.chains[(idx + 1) % n], chain]
-        leaves = [_to_gt(v, tm) for v in vectors]
+        leaves = [to_gt(v, tm) for v in vectors]
         assert in_lower(tm, leaves) == vectors
         probe = SeminormalBasis(tm, leaves, chains)
         got = [chain_membership(probe, j) for j in range(len(vectors))]
@@ -498,7 +496,24 @@ class TestGTAction:
         for i in range(1, tm.r):
             for C in _unit_space(tm):
                 lower = tm.p_apply(to_lower(C, left, right), i)
-                assert _gt_apply(tm, C, i) == _to_gt(lower, tm)
+                assert _gt_apply(tm, C, i) == to_gt(lower, tm)
+
+
+class TestGTFactors:
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_both_factors_are_the_dense_products(self, r):
+        # C_{s_i}'s factor is read off C'_{s_i}'s as Pi L_i V - [2] I:
+        # it must be the dense Pi C_{s_i} V of every shape, every i
+        for lam in partitions_of(r):
+            gt = _gt_basis(lam.parts)
+            for i in range(1, r):
+                factors = build_specht(lam).p_factors(i, "l")
+                for A, cols in zip(factors, _gt_factors(lam.parts, i), strict=True):
+                    dense = mat_mul(gt.Pi, mat_mul(A, gt.V))
+                    assert cols == tuple(
+                        tuple((a, x) for a, x in enumerate(col) if x)
+                        for col in zip(*dense)
+                    )
 
 
 def printed(leaves):

@@ -6,7 +6,7 @@ from nstl import combinatorics, seminormal, specht_modules
 from nstl.combinatorics import Partition, partitions_of, rsk, syt_count, syt_enumerate
 from nstl.exact_arith import R_ONE, R_ZERO, TWO, U_INV, RationalFn
 from nstl.hecke_core import kl_table
-from nstl.linalg import identity, mat_add, mat_mul, mat_transpose, zeros
+from nstl.linalg import identity, mat_mul, mat_transpose, zeros
 from nstl.specht_modules import (
     SpechtModule,
     _contravariant_form,
@@ -17,7 +17,7 @@ from nstl.specht_modules import (
 )
 
 from hecke_oracle import right_multiply_canonical
-from isotypic_oracle import isotypic_projector
+from isotypic_oracle import isotypic_projector, mat_add
 from specht_oracle import intertwiner, inverse, nullspace, stacked_branching
 
 HEAVY = os.environ.get("NSTL_HEAVY") == "1"
