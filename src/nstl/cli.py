@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
@@ -54,11 +53,9 @@ specht_modules, nonstandard, seminormal, verify = map(
 )
 
 
-@dataclass
 class RunConfig:
-    r_bound: int = 5
-    output: str | None = None
-    verbosity: int = 0
+    def __init__(self, r_bound: int, output: str | None, verbosity: int):
+        self.r_bound, self.output, self.verbosity = r_bound, output, verbosity
 
     def check_rank(self, r: int, parser: argparse.ArgumentParser):
         if r < 1:

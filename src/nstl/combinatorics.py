@@ -5,7 +5,6 @@ the strongly connected components of a digraph."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -421,13 +420,12 @@ def descent_set(Q: Tableau, convention: str) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
 class DEGraph:
-    """Dual equivalence graph: vertices SYT(shape), edges (T, T', i)."""
+    """Dual equivalence graph: vertices SYT(shape), edges (T, T', i), a
+    frozenset of (Tableau, Tableau, i) with canonical T < T'."""
 
-    shape: Partition
-    vertices: tuple
-    edges: frozenset  # of (Tableau, Tableau, i) with canonical T < T'
+    def __init__(self, shape: Partition, vertices: tuple, edges: frozenset):
+        self.shape, self.vertices, self.edges = shape, vertices, edges
 
     def neighbors(self, T: Tableau):
         out = []

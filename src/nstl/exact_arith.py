@@ -31,7 +31,6 @@ once its sign is fixed; a sum a + c/d with one denominator 1 is
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class PoleError(ZeroDivisionError):
@@ -494,9 +493,11 @@ class RationalFn:
 
     # -- specialization ------------------------------------------------
 
-    def specialize(self, u0) -> Fraction:
-        """The value at u0 = p/q: Horner on integers gives
+    def specialize(self, u0):
+        """The value at u0 = p/q, a Fraction: Horner on integers gives
         q^deg * f(p/q) for the dense parts, and one Fraction divides."""
+        from fractions import Fraction
+
         u0 = Fraction(u0)
         p, q = u0.numerator, u0.denominator
         shift, num = _poly_of(self.num)

@@ -1,7 +1,8 @@
 """The Hecke algebra H_r: standard basis multiplication, the lower
-canonical basis via the Kazhdan-Lusztig recursion and the upper one
-derived from it, mu-coefficients, and the right cells of the regular
-module read off its W-graph.
+canonical basis via the Kazhdan-Lusztig recursion, each row computed
+when it is first read, and the upper one derived from it,
+mu-coefficients, and the right cells of the regular module read off
+its W-graph.
 
 Conventions: (T_s - u)(T_s + u^-1) = 0, C'_s = T_s + u^-1, C_s = T_s - u,
 bar(T_w) = (T_{w^-1})^-1, theta(T_s) = -T_s^-1, C_w = (-1)^{l(w)}
@@ -138,18 +139,21 @@ class _Pool(dict):
 
 class _PackedRows:
     """Rows {index: int} (the packed rows of the lower basis, or the mu
-    rows) in three flat arrays: cols, the column indices of all rows,
-    each row's in its key order; refs, for each column the index of its
-    value in values, which holds each distinct one once; and starts,
-    the offset at which each row starts."""
+    rows) in flat arrays, in the order they are stored: cols, the column
+    indices of all rows, each row's in its key order; refs, for each
+    column the index of its value in values, which holds each distinct
+    one once; starts, the offset at which each row starts; and slot[k],
+    the place in starts of row k, -1 until it is stored."""
 
-    def __init__(self, first: dict):
+    def __init__(self, n: int, first: dict):
         self.cols, self.refs = array("H"), array("H")
         self.starts = array("L", [0])
+        self.slot = array("l", [-1]) * n
         self.values, self._pool = [], _Pool()
-        self.append(first)
+        self.append(0, first)
 
-    def append(self, row: dict) -> None:
+    def append(self, k: int, row: dict) -> None:
+        self.slot[k] = len(self.starts) - 1
         self.cols.fromlist(list(row))
         self.refs.fromlist(list(map(self._pool.__getitem__, row.values())))
         self.starts.append(len(self.cols))
@@ -159,7 +163,8 @@ class _PackedRows:
     def row(self, k: int, table=None) -> tuple:
         """The columns x of row k in key order, and table[j] for each, j
         the index in values of its coordinate; table defaults to values."""
-        a, b = self.starts[k], self.starts[k + 1]
+        p = self.slot[k]
+        a, b = self.starts[p], self.starts[p + 1]
         get = (self.values if table is None else table).__getitem__
         return self.cols[a:b].tolist(), list(map(get, self.refs[a:b]))
 
@@ -173,13 +178,18 @@ class KLTable:
     mu_pairs[w] lists (w', mu) over all w' with mu(w', w) != 0 (both
     Bruhat directions, symmetric usage).
 
+    Rows are computed on demand (_lower): mu(x, w) computes the row of
+    the longer permutation, and printed, canonical_failure and mu_pairs
+    fill the whole table first. A row and the order of its keys depend
+    only on the recursion, not on the order rows are computed in.
+
     The recursion runs on packed rows {index: int} over perms, which is
     sorted by length and then by word, stored in one _PackedRows: flat
     arrays of column indices and of indices into the list of its
     distinct packed integers, as du Cloux's Coxeter stores KL rows. mu
     reads the u^-1 digit of each distinct lower coordinate; the mu rows
     keep each row's x with mu != 0 (1% of the entries at r = 7) for the
-    recursion and mu_pairs. Only printed decodes the packed integers.
+    recursion, mu and mu_pairs. Only printed decodes the packed integers.
     """
 
     def __init__(self, r: int):
@@ -192,67 +202,71 @@ class KLTable:
             i: [self._index[w.times_simple_left(i).word] for w in self.perms]
             for i in range(1, r)
         }
-        self._rows, self._mus, self._mu_rows = self._compute_lower()
+        n = len(self.perms)
+        self._rows = _PackedRows(n, {0: 1 << _K})  # C'_e = T_e
+        self._mu_rows = _PackedRows(n, {})
+        self._mus, self._checked = [_mu_digit(1 << _K)], 1
+        self._bound = [1] * n
         self._mu_pairs = None
 
     # -- lower canonical basis ----------------------------------------
 
-    def _compute_lower(self) -> tuple:
-        """Packed rows of the lower basis, the u^-1 digit of each of
-        their distinct coordinates, and the mu rows. Row k is C'_s C'_v
-        less its mu-corrections, for w = perms[k] = s v and s = s_i the
-        first left descent of w. bound[k] is at least every |coefficient| of C'_w:
-        C'_s C'_v has the coordinates c_sy + u^(+-1) c_y, and each
-        correction is mu(z, v) C'_z."""
-        left = self._left
+    def _lower(self, k: int) -> None:
+        """Compute row k of the lower basis, its mu row and the u^-1
+        digits of its new values, after the rows it reads, unless its mu
+        row is stored. Row k is C'_s C'_v less its mu-corrections, for
+        w = perms[k] = s v, s = s_i the first left descent of w; _bound[k]
+        bounds every |coefficient| of C'_w, as C'_s C'_v has the
+        coordinates c_sy + u^(+-1) c_y and each correction is mu(z, v) C'_z."""
+        rows, mu_rows, bound = self._rows, self._mu_rows, self._bound
+        if mu_rows.slot[k] >= 0:
+            return
+        row = next(row for row in self._left.values() if row[k] < k)
+        v = row[k]
+        self._lower(v)
+        xs, cs = rows.row(v)
+        prod = _left_mul_s(zip(xs, cs), row)
+        get = prod.get
+        # C'_s C'_v = (T_s + u^-1) C'_v
+        for x, c in zip(xs, cs):
+            prod[x] = get(x, 0) + (c << _K)
+        b = 2 * bound[v]
+        # subtract mu-corrections for z with s z < z
+        for z, m in zip(*mu_rows.row(v)):
+            if row[z] > z:
+                continue
+            self._lower(z)
+            b += abs(m) * bound[z]
+            for x, c in zip(*rows.row(z)):
+                prod[x] = get(x, 0) - m * c
+        _check_bound(b, self.perms[k])
+        # P'_{w,w} = 1 and P'_{x,w} in u^-1 Z[u^-1] otherwise: every
+        # coordinate has degree <= 0, so the right shift by u is exact.
+        # values[0] is 1, row 0's diagonal, and 1 may occur only on a
+        # diagonal; any other value is checked after its first row is
+        # stored, and stays unchecked if it fails, failing later rows.
         one, low = 1 << _K, (1 << (2 * _K)) - 1  # digits 0 and 1 hold u^1, u^0
-        rows = _PackedRows({0: one})
-        mus = [_mu_digit(one)]
-        mu_rows = _PackedRows({})
-        bound = [1]
-        for k in range(1, len(self.perms)):
-            i = next(i for i in left if left[i][k] < k)
-            row = left[i]
-            v = row[k]
-            xs, cs = rows.row(v)
-            prod = _left_mul_s(zip(xs, cs), row)
-            get = prod.get
-            # C'_s C'_v = (T_s + u^-1) C'_v
-            for x, c in zip(xs, cs):
-                prod[x] = get(x, 0) + (c << _K)
-            b = 2 * bound[v]
-            # subtract mu-corrections for z with s z < z
-            for z, m in zip(*mu_rows.row(v)):
-                if row[z] > z:
-                    continue
-                b += abs(m) * bound[z]
-                for x, c in zip(*rows.row(z)):
-                    prod[x] = get(x, 0) - m * c
-            _check_bound(b, self.perms[k])
-            # P'_{w,w} = 1 and P'_{x,w} in u^-1 Z[u^-1] otherwise, so
-            # every coordinate has degree <= 0 and the right shift by
-            # u stays exact. values[0] is 1, the diagonal of row 0, and
-            # 1 may occur only on a diagonal; every other value is
-            # checked once, when it first occurs.
-            seen = len(rows.values)
-            rows.append(prod)
-            if (
-                prod[k] != one
-                or countOf(prod.values(), one) > 1
-                or any(n & low for n in rows.values[seen:])
-            ):
-                raise ArithmeticError(f"C'_{self.perms[k]} has a term of degree >= 0")
-            mus.extend(map(_mu_digit, rows.values[seen:]))
-            xs, ms = rows.row(k, mus)
-            mu_rows.append(dict(compress(zip(xs, ms), ms)))
-            bound.append(b)
-        return rows, mus, mu_rows
+        rows.append(k, prod)
+        new = rows.values[self._checked :]
+        bad = prod[k] != one or countOf(prod.values(), one) > 1
+        if bad or any(n & low for n in new):
+            raise ArithmeticError(f"C'_{self.perms[k]} has a term of degree >= 0")
+        self._checked = len(rows.values)
+        self._mus.extend(map(_mu_digit, new))
+        xs, ms = rows.row(k, self._mus)
+        mu_rows.append(k, dict(compress(zip(xs, ms), ms)))
+        bound[k] = b
+
+    def _fill(self) -> None:
+        for k in range(len(self.perms)):
+            self._lower(k)
 
     # -- mu -----------------------------------------------------------
 
     @property
     def mu_pairs(self) -> dict:
         if self._mu_pairs is None:
+            self._fill()
             perms = self.perms
             pairs = {w: [] for w in perms}
             for k, w in enumerate(perms):
@@ -266,12 +280,11 @@ class KLTable:
         if x.length() > w.length():
             x, w = w, x
         k, j = self._index.get(w.word), self._index.get(x.word)
-        rows = self._rows
-        a, b = (0, 0) if k is None else rows.starts[k : k + 2]
-        try:
-            return self._mus[rows.refs[rows.cols.index(j, a, b)]]
-        except ValueError:  # x is not in w's row, or not in the table
+        if k is None:  # not in the table
             return 0
+        self._lower(k)
+        xs, ms = self._mu_rows.row(k)
+        return ms[xs.index(j)] if j in xs else 0
 
     # -- readers of the packed rows -----------------------------------
 
@@ -282,6 +295,7 @@ class KLTable:
         C_w ("upper"). Each packed value is decoded and printed once per
         sign; an upper coordinate is (-1)^{l(w)+l(x)} bar(P'_{x,w}). No
         coordinate is zero (see _left_mul_s), so all are printed."""
+        self._fill()
         upper = basis == "upper"
         names = [str(w) for w in self.perms]
         lengths = self._lengths
@@ -322,6 +336,7 @@ class KLTable:
         r = 7). At or past 2^(K-1) this raises ArithmeticError before it
         answers for w; below it the packed integers are exact.
         """
+        self._fill()
         perms, lengths, rows = self.perms, self._lengths, self._rows
         right = [
             [self._index[w.times_simple_right(i).word] for w in perms]

@@ -285,7 +285,9 @@ def square_split_identities(lam: Partition) -> str:
 
     - t(eps) = 1, as sum_s g_s E_s = f;
     - P_i eps = 4 eps;
-    - t o P_i = 4 t, as t(P_i E_ab) = 4 t(E_ab) on every unit vector.
+    - t o P_i = 4 t, as sum_F F^T diag(g) F = 4 diag(g), read for
+      a <= b as it is symmetric: its (a, b) entry is f t(P_i E_ab),
+      read off the diagonal of P_i E_ab alone.
 
     By construction one factor tuple serves both sides, so P_i commutes
     with the flip C -> C^T and keeps Sym^2 and Lambda^2 = V-, and eps is
@@ -295,22 +297,24 @@ def square_split_identities(lam: Partition) -> str:
     _gt_basis checks Pi V = I and V^T X V = diag(g), so c = V C V^T
     carries all of it to lower (x) lower coordinates: P_i to
     c -> sum A c B^T, C^T to c^T, diag(E) to X^-1 and t to <c, X> / f."""
-    from .seminormal import _gt_apply, _gt_basis, _unit_space
+    from .seminormal import _gt_apply, _gt_basis, _gt_factors
 
     tm, gt = TensorModule(lam, lam), _gt_basis(lam.parts)
-
-    def f_t(C):  # f t(C)
-        return sum((x * gt.g[a] for (a, b), x in C.items() if a == b), R_ZERO)
-
-    eps = {(s, s): e for s, e in enumerate(gt.E)}
-    if f_t(eps) != RationalFn.from_int(len(eps)):
+    g, eps = gt.g, {(s, s): e for s, e in enumerate(gt.E)}
+    if sum(map(RationalFn.__mul__, g, gt.E), R_ZERO) != RationalFn.from_int(len(g)):
         return f"t(eps) != 1 on {lam}"
     four_eps = {key: FOUR * x for key, x in eps.items()}
     for i in range(1, lam.size):
         if _gt_apply(tm, eps, i) != four_eps:
             return f"P_{i} eps != 4 eps on {lam}"
-        if any(f_t(_gt_apply(tm, C, i)) != FOUR * f_t(C) for C in _unit_space(tm)):
-            return f"t P_{i} != 4 t on {lam}"
+        fs = _gt_factors(lam.parts, i)
+        for a, b in itertools.combinations_with_replacement(range(len(g)), 2):
+            f_t = sum(  # f t(P_i E_ab) = sum_F sum_c g_c F[c][a] F[c][b]
+                (g[c] * x * y for F in fs for c, x in F[a] for d, y in F[b] if c == d),
+                R_ZERO,
+            )
+            if f_t != (FOUR * g[a] if a == b else R_ZERO):
+                return f"t P_{i} != 4 t on {lam}"
     return ""
 
 

@@ -308,24 +308,24 @@ class SpechtModule:
         """X intertwines: (U_i + [2] I) X = X L_i for every generator,
         since C'_s = C_s + [2] T_e in H_r; normalized by X[0][0] = 1.
         U_i + [2] I = L_i^T, so X is the Gram matrix of the contravariant
-        form; it is solved from L alone and then checked against U."""
+        form; it is solved from L alone. The check on X = Y / d takes
+        Laurent products and no gcd: Y = Y^T, U_i + [2] I = L_i^T and
+        Y L_i symmetric give (U_i + [2] I) Y = L_i^T Y^T = (Y L_i)^T = Y L_i."""
         n = self.dim
         if n == 1 or self.r <= 1:
             return identity(1, R_ONE, R_ZERO)
         X = _contravariant_form(self.lower_action)
-        # the exact check on X = Y / d: Laurent products, no gcd
         _, nums = common_denominator([x for row in X for x in row])
         Y = [nums[a * n:(a + 1) * n] for a in range(n)]
+        symmetric = Y == mat_transpose(Y)
         for i, U in self.upper_action.items():
-            shifted = _shift_diagonal(U, TWO)
-            lhs, rhs = zeros(n, n, L_ZERO), zeros(n, n, L_ZERO)
-            for a, k, s in _laurent_entries(shifted):
-                for b in range(n):
-                    lhs[a][b] = lhs[a][b] + s * Y[k][b]
-            for k, b, s in _laurent_entries(self.lower_action[i]):
+            L = self.lower_action[i]
+            YL = zeros(n, n, L_ZERO)
+            for k, b, s in _laurent_entries(L):
                 for a in range(n):
-                    rhs[a][b] = rhs[a][b] + Y[a][k] * s
-            if lhs != rhs:
+                    YL[a][b] = YL[a][b] + Y[a][k] * s
+            ok = symmetric and _shift_diagonal(U, TWO) == mat_transpose(L)
+            if not (ok and YL == mat_transpose(YL)):
                 raise ArithmeticError(f"transition check failed at s_{i}")
         return X
 

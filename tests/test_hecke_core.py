@@ -4,11 +4,19 @@ import pathlib
 import random
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 
-from nstl import hecke_core
-from nstl.combinatorics import Permutation, all_permutations, rsk, syt_count
+from nstl import hecke_core, specht_modules
+from nstl.combinatorics import (
+    Partition,
+    Permutation,
+    all_permutations,
+    partitions_of,
+    rsk,
+    syt_count,
+)
 from nstl.exact_arith import L_ONE, R_ONE, LaurentPoly, RationalFn, quantum_int
 from nstl.hecke_core import (
     HeckeElement,
@@ -35,7 +43,9 @@ rng = random.Random(7)
 
 
 def decoded(table: KLTable) -> dict:
-    """{w: {x: P'_{x,w}}}, the packed rows decoded in their order."""
+    """{w: {x: P'_{x,w}}}, the packed rows decoded in their order, with
+    every row computed first."""
+    table._fill()
     rows, perms = table._rows, table.perms
     poly = [hecke_core._unpack(n) for n in rows.values]
     return {
@@ -205,6 +215,20 @@ def in_order(table: dict) -> list:
     return [(w, x, p) for w, coords in table.items() for x, p in coords.items()]
 
 
+RAW_ROW_PINS = [
+    (5, "1092cf7b3889d85d33dc7ec106d60a780c896dc28faab0e87e89dda6084261d8"),
+    (6, "c142170ed4814d094f37f5490a37b4f2ebc1ca133f288577d19d112fe7b882b0"),
+]
+
+
+def raw_rows_digest(table: KLTable) -> str:
+    """sha256 of the table's raw rows, every row computed first."""
+    table._fill()
+    rows = table._rows
+    raw = [list(zip(*rows.row(k))) for k in range(len(table.perms))]
+    return hashlib.sha256(repr(raw).encode()).hexdigest()
+
+
 class TestPermutationKeyedOracle:
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_indexed_tables_match_in_order(self, r):
@@ -246,20 +270,77 @@ class TestPermutationKeyedOracle:
         assert len(set(rows.values)) == len(rows.values)
         assert set(rows.refs) == set(range(len(rows.values)))
 
-    @pytest.mark.parametrize(
-        "r, want",
-        [
-            (5, "1092cf7b3889d85d33dc7ec106d60a780c896dc28faab0e87e89dda6084261d8"),
-            (6, "c142170ed4814d094f37f5490a37b4f2ebc1ca133f288577d19d112fe7b882b0"),
-        ],
-    )
+    @pytest.mark.parametrize("r, want", RAW_ROW_PINS)
     def test_raw_rows_are_pinned(self, r, want):
         # sha256 of repr([list(row.items()) for row in rows]) with the
         # rows as dicts {index: packed int}: keys, their order and values
-        table = kl_table(r)
-        rows = table._rows
-        raw = [list(zip(*rows.row(k))) for k in range(len(table.perms))]
-        assert hashlib.sha256(repr(raw).encode()).hexdigest() == want
+        assert raw_rows_digest(kl_table(r)) == want
+
+    @pytest.mark.parametrize("r, want", RAW_ROW_PINS)
+    @pytest.mark.parametrize("fill", ["seeded order", "specht first"])
+    def test_raw_rows_are_pinned_in_any_order(self, monkeypatch, r, want, fill):
+        # the same rows whatever order they are computed in
+        table = KLTable(r)
+        if fill == "seeded order":
+            order = list(range(len(table.perms)))
+            random.Random(r).shuffle(order)
+            for k in order:
+                table._lower(k)
+        else:
+            build_every_specht(monkeypatch, table)
+        assert raw_rows_digest(table) == want
+
+
+def build_every_specht(monkeypatch, table: KLTable) -> None:
+    """Build every Specht module of the table's rank, uncached, reading
+    the table."""
+    monkeypatch.setattr(specht_modules, "kl_table", lambda r: table)
+    for lam in partitions_of(table.r):
+        specht_modules.SpechtModule(lam)
+
+
+def stored(table: KLTable) -> int:
+    """How many rows of the lower basis the table holds."""
+    return len(table._rows.starts) - 1
+
+
+class TestOnDemandRows:
+    def test_the_specht_modules_reach_a_third_of_the_rows(self, monkeypatch):
+        # their cells read mu on 345 of the 720 rows at r = 6
+        table = KLTable(6)
+        assert stored(table) == 1
+        build_every_specht(monkeypatch, table)
+        assert stored(table) == 345
+        assert in_order(decoded(table)) == in_order(decoded(kl_table(6)))
+
+    def test_mu_computes_the_row_of_the_longer_permutation(self):
+        table = KLTable(4)
+        w0 = table.perms[-1]
+        assert table.mu(w0, table.perms[-2]) == 1
+        assert table._rows.slot[len(table.perms) - 1] >= 0
+        assert stored(table) < len(table.perms)
+
+    def test_narrow_digits_raise_on_the_first_affected_read(self, monkeypatch):
+        # 3-bit digits hold the rows of length <= 1 (bound 2 < 2^2) but
+        # not the bound 4 of a row of length 2, which (3,2) reaches
+        _narrow_digits(monkeypatch, 3)
+        table = KLTable(5)
+        monkeypatch.setattr(specht_modules, "kl_table", lambda r: table)
+        fresh = lru_cache(maxsize=None)(specht_modules._build_specht.__wrapped__)
+        monkeypatch.setattr(specht_modules, "_build_specht", fresh)
+        e, s = Permutation.identity(5), Permutation.simple(5, 1)
+        assert table.mu(e, s) == 1
+        with pytest.raises(ArithmeticError, match="packed digits"):
+            specht_modules.build_specht(Partition([3, 2]))
+        assert stored(table) < len(table.perms)
+
+    def test_a_failed_row_fails_again(self, monkeypatch):
+        # the values of a row that failed its check stay unchecked
+        monkeypatch.setattr(hecke_core, "_mu_digit", lambda n: 0)
+        table = KLTable(3)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="degree >= 0"):
+                table._fill()
 
 
 def _narrow_digits(monkeypatch, k: int) -> None:
@@ -272,13 +353,13 @@ class TestPackedBound:
     def test_lower_guard_raises(self, monkeypatch):
         _narrow_digits(monkeypatch, 2)
         with pytest.raises(ArithmeticError, match="packed digits"):
-            KLTable(5)
+            KLTable(5)._fill()
 
     def test_skipped_mu_corrections_raise(self, monkeypatch):
         # without them C'_{s1 s2 s1} would keep the degree-0 term T_{s1}
         monkeypatch.setattr(hecke_core, "_mu_digit", lambda n: 0)
         with pytest.raises(ArithmeticError, match="degree >= 0"):
-            KLTable(3)
+            KLTable(3)._fill()
 
     @pytest.mark.parametrize("x, digit", [(0, 1), (5, 2)])
     def test_stored_values_in_the_wrong_place_raise(self, monkeypatch, x, digit):
@@ -286,14 +367,14 @@ class TestPackedBound:
         # both values are stored already, as a diagonal and as P'_{e,s}
         append = hecke_core._PackedRows.append
 
-        def misplace(rows, row):
+        def misplace(rows, k, row):
             if len(row) == 6:
                 row[x] = 1 << (digit * hecke_core._K)
-            append(rows, row)
+            append(rows, k, row)
 
         monkeypatch.setattr(hecke_core._PackedRows, "append", misplace)
         with pytest.raises(ArithmeticError, match="degree >= 0"):
-            KLTable(3)
+            KLTable(3)._fill()
 
     def test_widths_the_guards_reject_give_wrong_digits(self, monkeypatch):
         monkeypatch.setattr(hecke_core, "_check_bound", lambda bound, w: None)
@@ -306,7 +387,7 @@ class TestPackedBound:
             "import nstl.hecke_core as h\n"
             "h._K, h._HALF, h._MASK = 2, 2, 3\n"
             "try:\n"
-            "    h.KLTable(5)\n"
+            "    h.KLTable(5)._fill()\n"
             "except ArithmeticError:\n"
             "    print('raised')\n"
         )
@@ -351,9 +432,11 @@ def _failing_w(message):
 
 def _add_to_coordinate(table: KLTable, k: int, x: int, step: int) -> None:
     """Add step to the packed lower coordinate at column x of row k in
-    the flat store; the sum is stored as a value of its own."""
+    the flat store; the sum is stored as a value of its own. Every row
+    is computed first, so that none is computed from the altered one."""
+    table._fill()
     rows = table._rows
-    at = rows.cols.index(x, rows.starts[k], rows.starts[k + 1])
+    at = rows.cols.index(x, *rows.starts[rows.slot[k] : rows.slot[k] + 2])
     rows.values.append(rows.values[rows.refs[at]] + step)
     rows.refs[at] = len(rows.values) - 1
 
@@ -378,6 +461,7 @@ class TestPackedCheck:
         pick = random.Random(r)
         for _ in range(12):
             table = KLTable(r)
+            table._fill()
             k = pick.randrange(1, len(table.perms))
             x = pick.choice(table._rows.row(k)[0])
             step = pick.choice((-1, 1, 2)) << (K * pick.randrange(0, r + 1))
@@ -423,6 +507,7 @@ class TestPackedCheck:
         # most 1) fits, and so does 2 |C'_v| + |C'_w| (at most 3), but not
         # what eliminating the m_z C'_z adds (up to 5 >= 2^2)
         table = KLTable(4)
+        table._fill()
         polys = [hecke_core._unpack(n) for n in table._rows.values]
         _narrow_digits(monkeypatch, 3)
         table._rows.values = [
@@ -474,6 +559,7 @@ class TestMu:
     def test_mu_rows_are_the_nonzero_mu_of_the_packed_rows(self, r):
         # in row order, so that the recursion's corrections run in it
         table = kl_table(r)
+        table._fill()
         for k in range(len(table.perms)):
             want = [(x, m) for x, m in zip(*table._rows.row(k, table._mus)) if m]
             assert list(zip(*table._mu_rows.row(k))) == want

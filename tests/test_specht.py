@@ -255,8 +255,26 @@ class TestTransition:
         m = SpechtModule(Partition(shape))
         U = m.upper_action[m.r - 1]
         U[0][m.dim - 1] = U[0][m.dim - 1] + R_ONE
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match=f"check failed at s_{m.r - 1}"):
             m._compute_transition()
+
+    @pytest.mark.parametrize("sides", ["one side", "both sides"])
+    @pytest.mark.parametrize("shape", [[2, 1], [3, 2], [3, 2, 1]], ids=str)
+    def test_perturbed_form_raises(self, monkeypatch, shape, sides):
+        # X[0][1] + 1 alone leaves Y asymmetric; with X[1][0] + 1 too, Y
+        # is symmetric but Y L_i is not for some i
+        real = specht_modules._contravariant_form
+
+        def perturbed(actions):
+            X = real(actions)
+            X[0][1] = X[0][1] + R_ONE
+            if sides == "both sides":
+                X[1][0] = X[1][0] + R_ONE
+            return X
+
+        monkeypatch.setattr(specht_modules, "_contravariant_form", perturbed)
+        with pytest.raises(ArithmeticError, match="transition check failed at s_"):
+            SpechtModule(Partition(shape))._compute_transition()
 
     @pytest.mark.parametrize("lam", partitions_of(6), ids=str)
     def test_matches_cyclic_vector_solve(self, lam):
