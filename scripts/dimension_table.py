@@ -12,7 +12,8 @@ that sum once the two meet. A failed certificate can only give a false
 disagreement, never a false agreement, and raises CertificateError.
 Each rank is certified once per process, from rank 2 up
 (nonstandard.certify_rank), so each row certifies only its own rank:
-under a second through rank 6.
+under a second through rank 6. A max_r below 2 is a usage error
+(exit 2).
 """
 
 import argparse
@@ -29,6 +30,8 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("max_r", type=int, nargs="?", default=4)
     args = ap.parse_args()
+    if args.max_r < 2:
+        ap.error(f"max_r {args.max_r} leaves the table empty: it needs max_r >= 2")
     print(f"{'r':>3} {'formula':>8} {'oracle':>8} {'time':>8}")
     for r in range(2, args.max_r + 1):
         t0 = time.time()

@@ -3,6 +3,9 @@
 level, plus the leaf census of the seminormal basis.
 
 Usage: python3 scripts/seminormal_demo.py [shape]
+
+The shape must be a two-row partition of size at least 2; anything else
+is a usage error (exit 2).
 """
 
 import argparse
@@ -36,7 +39,14 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("shape", nargs="?", default="3,2")
     args = ap.parse_args()
-    lam = Partition.parse(args.shape)
+    try:
+        lam = Partition.parse(args.shape)
+    except ValueError as exc:
+        ap.error(f"bad partition {args.shape!r}: {exc}")
+    if not lam.is_two_row():
+        ap.error("two-row shapes required")
+    if lam.size < 2:
+        ap.error("seminormal grids need rank >= 2")
     for level in range(lam.size, 1, -1):
         print_grid(lam, level)
     sb = seminormal_basis(TensorModule(lam, lam))

@@ -35,6 +35,14 @@ def mat_transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
 
+def sparse_columns(A):
+    """The columns of A, each as the tuple of its nonzero (row, entry)
+    pairs, in increasing row."""
+    return tuple(
+        tuple((a, x) for a, x in enumerate(col) if x) for col in zip(*A)
+    )
+
+
 def zeros(n, m, zero):
     return [[zero] * m for _ in range(n)]
 

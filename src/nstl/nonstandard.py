@@ -7,15 +7,17 @@ proof: the certified irreducibles give sum d^2 as a lower bound by
 density, and the split identities give the same number as an upper
 bound, all exactly over Q(u).
 
-Tensor vectors are stored as coefficient matrices c of size
-f_lambda x f_mu over a basis pair; an operator A (x) B sends c to
-A c B^T. Basis-pair tags: "ll" (lower (x) lower), "ul", "lu", "uu".
-Two-row shapes have action matrices unchanged by the rank-2 quotient of
-the Hecke algebra, so the same Specht matrices serve here.
-The irreducibles' bases are sparse Gelfand-Tsetlin vectors
-{(a, b): entry} instead (seminormal._gt_basis), where the restriction
-is a split of the coordinates: the certificate reads it off the
-seminormal cut, and its split identities are read there too.
+Tensor vectors are sparse dicts {(a, b): entry} with no zero entry,
+the nonzero entries of a coefficient matrix c of size f_lambda x f_mu
+over a basis pair. TensorModule.p_apply is the one loop that applies
+P_{s_i}, c -> sum A c B^T over its factor pairs A (x) B, on every
+basis-pair tag: "ll" (lower (x) lower), "ul", "lu", "uu", and "gg",
+the Gelfand-Tsetlin coordinates of seminormal._gt_basis, in which the
+irreducibles' bases are built. Two-row shapes have action matrices
+unchanged by the rank-2 quotient of the Hecke algebra, so the same
+Specht matrices serve here. In GT coordinates the restriction is a
+split of the coordinates: the certificate reads it off the seminormal
+cut, and its split identities are read there too.
 `seminormal` imports this module, so functions here import it when
 they run.
 """
@@ -38,8 +40,8 @@ from .combinatorics import (
 )
 from .exact_arith import FOUR, R_HALF, R_ONE, R_ZERO, TWO, RationalFn
 from .hecke_core import HeckeElement, multiply_standard
-from .linalg import identity, mat_mul, rref, zeros
-from .specht_modules import build_specht
+from .linalg import identity, mat_mul, rref
+from .specht_modules import _shift_diagonal, build_specht
 
 
 class CertificateError(ValueError):
@@ -128,7 +130,8 @@ def ns_labels(r: int):
 
 
 class TensorModule:
-    """M_lambda (x) M_mu with vectors as coefficient matrices."""
+    """M_lambda (x) M_mu with vectors as sparse dicts {(a, b): entry}
+    over a basis pair, with no zero entry."""
 
     def __init__(self, lam: Partition, mu: Partition):
         if lam.size != mu.size:
@@ -139,51 +142,29 @@ class TensorModule:
         self.right = build_specht(mu)
         self.dim = self.left.dim * self.right.dim
 
-    # -- coordinates ----------------------------------------------------
-
     def unit_vectors(self):
-        """The coefficient matrices E_ab of the basis pairs, row-major."""
-        out = []
-        for a in range(self.left.dim):
-            for b in range(self.right.dim):
-                e = zeros(self.left.dim, self.right.dim, R_ZERO)
-                e[a][b] = R_ONE
-                out.append(e)
-        return out
+        """The unit vectors E_ab of the basis pairs, row-major."""
+        return [
+            {(a, b): R_ONE}
+            for a in range(self.left.dim)
+            for b in range(self.right.dim)
+        ]
 
-    # -- generator action ----------------------------------------------
-
-    def ops(self, i: int, pair: str):
-        """P_{s_i} as a list of (A, B) with action c -> sum A c B^T; the
-        matrices are the factors' cached ones, not to be mutated."""
-        lp, lc = self.left.p_factors(i, pair[0])
-        rp, rc = self.right.p_factors(i, pair[1])
-        return [(lp, rp), (lc, rc)]
-
-    @staticmethod
-    def apply(ops, c):
-        """sum A c B^T over (A, B) in ops, read off the nonzero entries:
-        row a of c B^T gathers c_ab times column b of B, and column a of
-        A times that row adds into the result. So A E_ab B^T is exactly
-        the outer product of column a of A and column b of B, and a unit
-        vector costs no matrix product."""
-        out = zeros(len(ops[0][0]), len(ops[0][1]), R_ZERO)
-        for A, B in ops:
-            for a, row in enumerate(c):
-                w = {}
-                for b, x in enumerate(row):
-                    if x:
-                        for t, rb in enumerate(B):
-                            if rb[b]:
-                                w[t] = w.get(t, R_ZERO) + x * rb[b]
-                for s, ra in enumerate(A if w else ()):
-                    if ra[a]:
-                        for t, y in w.items():
-                            out[s][t] = out[s][t] + ra[a] * y
-        return out
-
-    def p_apply(self, c, i: int, pair: str = "ll"):
-        return self.apply(self.ops(i, pair), c)
+    def p_apply(self, C, i: int, pair: str = "ll") -> dict:
+        """P_{s_i} on the sparse vector C over the basis pair: sum A C B^T
+        over its factor pairs (SpechtModule.p_factors), as A E_st B^T is
+        the outer product of columns s of A and t of B. Zero entries are
+        left out."""
+        out = {}
+        lf, rf = self.left.p_factors(i, pair[0]), self.right.p_factors(i, pair[1])
+        for A, B in zip(lf, rf):
+            for (s, t), x in C.items():
+                for a, y in A[s]:
+                    yx = y * x
+                    for b, z in B[t]:
+                        term = yx * z
+                        out[a, b] = out[a, b] + term if (a, b) in out else term
+        return {key: x for key, x in out.items() if x}
 
 
 # ---------------------------------------------------------------------
@@ -209,15 +190,16 @@ _P_CASES = {
 }
 
 
-def p_action(tm: TensorModule, c, i: int, pair: str = "ll"):
-    """Action of P_{s_i} on a coefficient matrix, computed from the
-    descent-set/mu case formulas (_P_CASES) on the chosen basis pair."""
+def p_action(tm: TensorModule, C, i: int, pair: str = "ll") -> dict:
+    """Action of P_{s_i} on a sparse vector {(a, b): entry}, computed
+    from the descent-set/mu case formulas (_P_CASES) on the chosen basis
+    pair. Zero entries are left out."""
     if pair not in ("ll", "ul", "uu"):
         raise ValueError(f"unsupported basis pair {pair!r}")
     left, right = tm.left, tm.right
     lconv = "lower" if pair[0] == "l" else "upper"
     rconv = "lower" if pair[1] == "l" else "upper"
-    out = zeros(left.dim, right.dim, R_ZERO)
+    out = {}
 
     def neighbors(module, conv, q):
         return [
@@ -226,46 +208,47 @@ def p_action(tm: TensorModule, c, i: int, pair: str = "ll"):
             if i in descent_set(qp, conv) and module.mu(qp, q)
         ]
 
-    for T in left.basis:
-        for U in right.basis:
-            t, u = left.index[T], right.index[U]
-            if not c[t][u]:
-                continue
-            case = (pair, i in descent_set(T, lconv), i in descent_set(U, rconv))
-            same, lft, rgt, both = _P_CASES[case]
-            ln, rn = neighbors(left, lconv, T), neighbors(right, rconv, U)
-            terms = (
-                [(t, u, same)]
-                + [(a, u, lft * m) for a, m in ln]
-                + [(t, b, rgt * m) for b, m in rn]
-                + [(a, b, both * ma * mb) for a, ma in ln for b, mb in rn]
-            )
-            for a, b, x in terms:
-                if x:
-                    out[a][b] = out[a][b] + c[t][u] * x
-    return out
+    for (t, u), c in C.items():
+        T, U = left.basis[t], right.basis[u]
+        case = (pair, i in descent_set(T, lconv), i in descent_set(U, rconv))
+        same, lft, rgt, both = _P_CASES[case]
+        ln, rn = neighbors(left, lconv, T), neighbors(right, rconv, U)
+        terms = (
+            [(t, u, same)]
+            + [(a, u, lft * m) for a, m in ln]
+            + [(t, b, rgt * m) for b, m in rn]
+            + [(a, b, both * ma * mb) for a, ma in ln for b, mb in rn]
+        )
+        for a, b, x in terms:
+            if x:
+                term = c * x
+                out[a, b] = out[a, b] + term if (a, b) in out else term
+    return {key: x for key, x in out.items() if x}
 
 
 # ---------------------------------------------------------------------
 # epsilon embeddings and trace
 
 
-def epsilon_plus_vector(lam: Partition):
-    """The eps+ line in M_lam (x) M_lam, as a lower (x) lower
-    coefficient matrix (the inverse transition matrix)."""
-    return build_specht(lam).transition_inv
+def epsilon_plus_vector(lam: Partition) -> dict:
+    """The eps+ line in M_lam (x) M_lam, as a sparse lower (x) lower
+    vector: the inverse transition matrix X^-1."""
+    X_inv = build_specht(lam).transition_inv
+    return {
+        (a, b): x for a, row in enumerate(X_inv) for b, x in enumerate(row) if x
+    }
 
 
-def epsilon_minus_vector(lam: Partition):
+def epsilon_minus_vector(lam: Partition) -> dict:
     """sum_Q (-1)^{l(Q)} C'_{Q^t} (x) C'_Q in M_{lam'} (x) M_lam,
-    as a lower (x) lower coefficient matrix."""
-    left = build_specht(lam.conjugate())
-    right = build_specht(lam)
-    c = zeros(left.dim, right.dim, R_ZERO)
-    for Q in right.basis:
-        sign = -1 if de_distance(Q) % 2 else 1
-        c[left.index[Q.transpose()]][right.index[Q]] = RationalFn.from_int(sign)
-    return c
+    as a sparse lower (x) lower vector."""
+    left, right = build_specht(lam.conjugate()), build_specht(lam)
+    return {
+        (left.index[Q.transpose()], right.index[Q]): RationalFn.from_int(
+            -1 if de_distance(Q) % 2 else 1
+        )
+        for Q in right.basis
+    }
 
 
 def _trace(M):
@@ -279,9 +262,11 @@ def _trace(M):
 def square_split_identities(lam: Partition) -> str:
     """Check exactly over Q(u), for every generator P_i of the square
     M_lam (x) M_lam, the identities that cut it into P_i-stable pieces,
-    in the GT coordinates of seminormal._gt_basis: P_i is _gt_apply,
-    eps is diag(E) and t(C) = sum_s g_s C_ss / f. Returns '' when all
-    hold, else names the first that fails.
+    in the GT coordinates of seminormal._gt_basis: P_i is
+    TensorModule.p_apply on the pair "gg", its factors are
+    SpechtModule.p_factors(i, "g"), eps is diag(E) and t(C) =
+    sum_s g_s C_ss / f. Returns '' when all hold, else names the first
+    that fails.
 
     - t(eps) = 1, as sum_s g_s E_s = f;
     - P_i eps = 4 eps;
@@ -297,7 +282,7 @@ def square_split_identities(lam: Partition) -> str:
     _gt_basis checks Pi V = I and V^T X V = diag(g), so c = V C V^T
     carries all of it to lower (x) lower coordinates: P_i to
     c -> sum A c B^T, C^T to c^T, diag(E) to X^-1 and t to <c, X> / f."""
-    from .seminormal import _gt_apply, _gt_basis, _gt_factors
+    from .seminormal import _gt_basis
 
     tm, gt = TensorModule(lam, lam), _gt_basis(lam.parts)
     g, eps = gt.g, {(s, s): e for s, e in enumerate(gt.E)}
@@ -305,9 +290,9 @@ def square_split_identities(lam: Partition) -> str:
         return f"t(eps) != 1 on {lam}"
     four_eps = {key: FOUR * x for key, x in eps.items()}
     for i in range(1, lam.size):
-        if _gt_apply(tm, eps, i) != four_eps:
+        if tm.p_apply(eps, i, "gg") != four_eps:
             return f"P_{i} eps != 4 eps on {lam}"
-        fs = _gt_factors(lam.parts, i)
+        fs = tm.left.p_factors(i, "g")
         for a, b in itertools.combinations_with_replacement(range(len(g)), 2):
             f_t = sum(  # f t(P_i E_ab) = sum_F sum_c g_c F[c][a] F[c][b]
                 (g[c] * x * y for F in fs for c, x in F[a] for d, y in F[b] if c == d),
@@ -397,7 +382,7 @@ def build_irreducible(label: NsIrredLabel, r: int) -> NsSubmodule:
     also the E_a E_aa - E_0 E_00, a > 0, so sum_s g_s C_ss = 0 on each;
     eps+'s is diag(E), the eps line that square_split_identities checks
     (the GT coordinates of epsilon_plus_vector)."""
-    from .seminormal import _gt_basis, _unit_space
+    from .seminormal import _gt_basis
 
     if label not in set(ns_labels(r)):
         raise ValueError(f"label {label} is not in the rank-{r} index set")
@@ -407,7 +392,7 @@ def build_irreducible(label: NsIrredLabel, r: int) -> NsSubmodule:
     pairs = [(a, b) for a in range(f) for b in range(a, f)]
     E = _gt_basis(tm.lam.parts).E
     if label.kind == "pair":
-        basis = _unit_space(tm)
+        basis = tm.unit_vectors()
     elif label.kind == "eps_plus":
         basis = [{(s, s): e for s, e in enumerate(E)}]
     elif label.kind == "minus":
@@ -512,8 +497,9 @@ def certify_irreducible(mod: NsSubmodule) -> None:
     The proof runs in GT coordinates (seminormal._gt_basis), which
     checks Pi V = I and V^T X V = diag(g). So c = V C V^T turns the flip
     c -> c^T into C -> C^T, t(c) = <c, X> / f into sum_s g_s C_ss / f,
-    and X^-1, the eps line, into diag(E); seminormal._gt_apply applies
-    each P_i exactly, as Pi V = I, and square_split_identities checks
+    and X^-1, the eps line, into diag(E); TensorModule.p_apply on the
+    pair "gg" applies each P_i exactly, as Pi V = I, with the factors of
+    SpechtModule.p_factors(i, "g"), and square_split_identities checks
     its identities in these terms. The (nu, rho) child block of c is
     the child's GT coordinates of pi_nu c pi_rho^T, since each GT path
     starts with one branching step, so seminormal._nonstandard_pieces,
@@ -542,12 +528,12 @@ def certify_irreducible(mod: NsSubmodule) -> None:
 def _restriction_edges(mod: NsSubmodule) -> dict:
     """{j: the labels k != j with pi_k P_{r-1} probe_j != 0}, read off
     one GT cut of P_{r-1} probe_j, applied in GT coordinates."""
-    from .seminormal import _cut, _gt_apply, _level
+    from .seminormal import _cut, _level
 
     tm = mod.ambient
     level = _level(tm, tm.r - 1)
     return {
-        j: set(_cut(_gt_apply(tm, probe, tm.r - 1), level)) - {j}
+        j: set(_cut(tm.p_apply(probe, tm.r - 1, "gg"), level)) - {j}
         for j, (_, probe) in mod.restriction.items()
     }
 
@@ -567,13 +553,16 @@ def chain_trace(label: NsIrredLabel, r: int) -> RationalFn:
     over Q(u): a sum over the 2^(r-1) choices of one factor pair per P_i
     of X (x) Y, with trace tr X tr Y; on Sym^2 and Lambda^2, where the
     flip commutes with it, (tr X tr Y +- tr XY)/2, less the eps line's
-    4^(r-1) for +lam."""
+    4^(r-1) for +lam. The factor pairs are dense, (L_i, L_i - [2] I) on
+    each factor's lower basis."""
     if label.kind == "eps_plus":
         return FOUR ** (r - 1)
     tm = build_irreducible(label, r).ambient
-    terms = [tuple(identity(m.dim, R_ONE, R_ZERO) for m in (tm.left, tm.right))]
+    modules = (tm.left, tm.right)
+    terms = [tuple(identity(m.dim, R_ONE, R_ZERO) for m in modules)]
     for i in range(1, r):
-        ops = tm.ops(i, "ll")
+        L, R = (m.lower_action[i] for m in modules)
+        ops = ((L, R), (_shift_diagonal(L, -TWO), _shift_diagonal(R, -TWO)))
         terms = [(mat_mul(X, A), mat_mul(Y, B)) for X, Y in terms for A, B in ops]
     product = sum((_trace(X) * _trace(Y) for X, Y in terms), R_ZERO)
     if label.kind == "pair":
@@ -624,20 +613,16 @@ def _restriction_split(mod: NsSubmodule) -> dict:
     """{rank-(r-1) label: (rank, probe)}: the rank over Q(u) of the
     label's isotypic component of the basis and the probe, the sum of
     the component's echelon rows: nonzero, since they are independent.
-    The components are one GT cut at level r - 1 (seminormal._cut) of
-    each basis vector, row reduced on their support per label."""
-    from .seminormal import _cut, _echelon, _level
+    The components are the isotypic split of the basis at level r - 1
+    (seminormal._isotypic), each row reduced on its support."""
+    from .seminormal import _isotypic, _level
 
     tm = mod.ambient
     if tm.r < 2:
         raise ValueError("needs r >= 2")
-    level, images = _level(tm, tm.r - 1), {}
-    for C in mod.basis:
-        for label, comp in _cut(C, level).items():
-            images.setdefault(label, []).append(comp)
     out = {}
-    for label, comps in images.items():
-        rows, probe = _echelon(comps), {}
+    for label, rows in _isotypic(mod.basis, _level(tm, tm.r - 1)).items():
+        probe = {}
         for row in rows:
             for key, x in row.items():
                 probe[key] = probe[key] + x if key in probe else x

@@ -14,15 +14,16 @@ The descent runs in Gelfand-Tsetlin coordinates: each factor's Young
 seminormal basis V (the embeddings of its branching paths down to size
 1, with inverse Pi), so a vector is a sparse dict {(T, U): entry} over
 pairs of paths and c = V_lambda C V_mu^T is its lower (x) lower
-coefficient matrix. At level k the (T, U) coordinates whose paths
-share their first r - k steps form one child block, and a block is cut
-in closed form (`_nonstandard_pieces`), one level at a time (`_cut`,
-the one cut of the library: the certificate reads its restriction and
-edges off it too). Each component is row reduced only on the columns
-where it is nonzero. A leaf stays the sparse GT vector the descent
-ends with, its scalar pinned by that row reduction; its lower (x) lower
-matrix V_lambda C V_mu^T is a view the tests form. A submodule basis
-enters as it is.
+coefficient matrix (P_i acts by TensorModule.p_apply on the pair
+"gg"). At level k the (T, U) coordinates whose paths share their first
+r - k steps form one child block, cut in closed form
+(`_nonstandard_pieces`) one level at a time by `_cut`, the one cut of
+the library; `_isotypic` splits a span with it, row reducing each
+component on its support, for the descent and the certificate alike.
+A leaf stays the sparse GT vector the descent ends with, its scalar
+pinned by that row reduction; its lower (x) lower matrix
+V_lambda C V_mu^T is a view the tests form. A submodule basis enters
+as it is.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from .combinatorics import (
     syt_enumerate,
     y_tableau,
 )
-from .exact_arith import R_HALF, R_ONE, R_ZERO, TWO, RationalFn
+from .exact_arith import R_HALF, R_ONE, R_ZERO, RationalFn
 from .linalg import identity, mat_mul, mat_transpose, rref
 from .nonstandard import NsIrredLabel, NsSubmodule, TensorModule
-from .specht_modules import _shift_diagonal, build_specht
+from .specht_modules import build_specht
 
 
 class MultiplicityError(RuntimeError):
@@ -261,35 +262,16 @@ def _echelon(vectors) -> list:
     return [{c: x for c, x in zip(cols, row) if x} for row in rows]
 
 
-@lru_cache(maxsize=None)
-def _gt_factors(parts: tuple, i: int) -> tuple:
-    """The factors (C'_{s_i}, C_{s_i}) of P_{s_i} (p_factors) in the GT
-    basis of the shape, each as its sparse columns: entry s lists the
-    (a, entry) of column s that are nonzero. C'_{s_i}'s is the one dense
-    product Pi L_i V, L_i its lower action matrix; C_{s_i} = C'_{s_i} -
-    [2] T_e, and Pi V = I makes its factor exactly Pi L_i V - [2] I."""
-    gt = _gt_basis(parts)
-    L = build_specht(Partition(parts)).lower_action[i]
-    S = mat_mul(gt.Pi, mat_mul(L, gt.V))
-    return tuple(
-        tuple(tuple((a, x) for a, x in enumerate(col) if x) for col in zip(*F))
-        for F in (S, _shift_diagonal(S, -TWO))
-    )
-
-
-def _gt_apply(tm: TensorModule, C, i: int) -> dict:
-    """P_{s_i} on the sparse GT vector C: the sum of A C B^T over its
-    factor pairs (A, B) in GT coordinates, exact since Pi V = I. Zero
-    entries are left out."""
-    out = {}
-    for A, B in zip(_gt_factors(tm.lam.parts, i), _gt_factors(tm.mu.parts, i)):
-        for (s, t), x in C.items():
-            for a, y in A[s]:
-                yx = y * x
-                for b, z in B[t]:
-                    term = yx * z
-                    out[a, b] = out[a, b] + term if (a, b) in out else term
-    return {key: x for key, x in out.items() if x}
+def _isotypic(vectors, level) -> dict:
+    """{label: canonical echelon basis of the label's isotypic
+    component} of the span of the sparse GT vectors at one level of the
+    chain: the _cut pieces of every vector, grouped by label in the
+    order they first appear, each group row reduced by _echelon."""
+    images = {}
+    for v in vectors:
+        for label, comp in _cut(v, level).items():
+            images.setdefault(label, []).append(comp)
+    return {label: _echelon(comps) for label, comps in images.items()}
 
 
 @dataclass
@@ -309,7 +291,7 @@ class SeminormalBasis:
 def _split(tm: TensorModule, space) -> list:
     """Iterated isotypic splitting of the span of `space` (sparse GT
     coordinate vectors {(a, b): entry}) at levels k = r, r-1, ..., 2,
-    each level one _cut. Returns (chain of labels, sparse GT vector) per
+    each level one _isotypic split. Returns (chain of labels, sparse GT vector) per
     leaf and raises MultiplicityError unless every leaf is a line."""
     levels = {k: _level(tm, k) for k in range(2, tm.r + 1)}
     leaves = []
@@ -323,23 +305,12 @@ def _split(tm: TensorModule, space) -> list:
                 )
             leaves.append((chain, space[0]))
             return
-        images = {}
-        for v in space:
-            for label, comp in _cut(v, levels[k]).items():
-                images.setdefault(label, []).append(comp)
-        for label in sorted(images, key=str):
-            descend(_echelon(images[label]), k - 1, chain + (label,))
+        split = _isotypic(space, levels[k])
+        for label in sorted(split, key=str):
+            descend(split[label], k - 1, chain + (label,))
 
     descend(_echelon(space), tm.r, ())
     return leaves
-
-
-def _unit_space(tm: TensorModule) -> list:
-    return [
-        {(a, b): R_ONE}
-        for a in range(tm.left.dim)
-        for b in range(tm.right.dim)
-    ]
 
 
 def seminormal_basis(m) -> SeminormalBasis:
@@ -349,7 +320,7 @@ def seminormal_basis(m) -> SeminormalBasis:
     if isinstance(m, NsSubmodule):
         tm, space = m.ambient, m.basis
     elif isinstance(m, TensorModule):
-        tm, space = m, _unit_space(m)
+        tm, space = m, m.unit_vectors()
     else:
         raise TypeError("expected TensorModule or NsSubmodule")
     leaves = _split(tm, space)

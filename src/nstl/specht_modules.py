@@ -46,6 +46,7 @@ from .linalg import (
     mat_mul,
     mat_transpose,
     rref,
+    sparse_columns,
     zeros,
 )
 
@@ -271,20 +272,30 @@ class SpechtModule:
         return self.mu_table.get((q1, q2), 0)
 
     def p_factors(self, i: int, basis: str):
-        """(C'_{s_i}, C_{s_i}) as matrices on the lower ("l") or upper
-        ("u") basis, the factors of P_{s_i} on a tensor product; the one
-        not given by the W-graph differs from the other by [2] on the
-        diagonal, since C'_s = C_s + [2] T_e. Cached on the module, so
-        callers must not mutate them."""
+        """(C'_{s_i}, C_{s_i}), the factors of P_{s_i} on a tensor
+        product, on the lower ("l"), upper ("u") or GT ("g") basis, each
+        as its sparse columns (linalg.sparse_columns). The one not given
+        by the W-graph differs from the other by [2] on the diagonal,
+        since C'_s = C_s + [2] T_e. On the GT basis of
+        seminormal._gt_basis, C'_{s_i}'s is the one dense product
+        Pi L_i V, and Pi V = I makes C_{s_i}'s exactly Pi L_i V - [2] I.
+        Cached on the module."""
         key = (i, basis)
         if key not in self._p_factors:
-            if basis == "l":
-                L = self.lower_action[i]
-                pair = (L, _shift_diagonal(L, -TWO))
-            else:
+            if basis == "u":
                 U = self.upper_action[i]
                 pair = (_shift_diagonal(U, TWO), U)
-            self._p_factors[key] = pair
+            elif basis in ("l", "g"):
+                L = self.lower_action[i]
+                if basis == "g":
+                    from .seminormal import _gt_basis
+
+                    gt = _gt_basis(self.shape.parts)
+                    L = mat_mul(gt.Pi, mat_mul(L, gt.V))
+                pair = (L, _shift_diagonal(L, -TWO))
+            else:
+                raise ValueError(f"unknown basis {basis!r}")
+            self._p_factors[key] = tuple(map(sparse_columns, pair))
         return self._p_factors[key]
 
     # -- transition lower -> upper --------------------------------------

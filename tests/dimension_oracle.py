@@ -21,6 +21,8 @@ from nstl.exact_arith import RationalFn
 from nstl.linalg import identity, mat_mul
 from nstl.nonstandard import TensorModule
 
+from isotypic_oracle import dense_ops
+
 # The specialization point and its prime.
 U0 = Fraction(7, 3)
 ORACLE_PRIME = 1000003
@@ -160,7 +162,7 @@ def _block_generators(r: int, u0: Fraction):
         tm = TensorModule(lam, mu)
         f = tm.left.dim
         ops = [[(identity(f, 1, 0), identity(tm.right.dim, 1, 0))]] + [
-            [tuple(specialize_matrix(A, u0) for A in op) for op in tm.ops(i, "ll")]
+            [tuple(specialize_matrix(A, u0) for A in op) for op in dense_ops(tm, i, "ll")]
             for i in range(1, r)
         ]
         for blocks, op in zip(mats, ops):

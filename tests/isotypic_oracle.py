@@ -16,7 +16,10 @@ lower view, the one the seminormal digests and the dense oracle print,
 and to_gt the way back. lower_split_identities checks the split
 identities of a tensor square in lower (x) lower coordinates, with
 dense products with X, as the library did before it read them in GT
-coordinates (nonstandard.square_split_identities)."""
+coordinates (nonstandard.square_split_identities). The library keeps
+every tensor vector as a sparse dict {(a, b): entry}; to_dense and
+to_sparse carry one to its coefficient matrix and back, and dense_ops
+reads the factors of P_i as dense matrices."""
 
 from functools import lru_cache, reduce
 
@@ -30,6 +33,34 @@ from nstl.specht_modules import build_specht
 
 def flatten(c):
     return [x for row in c for x in row]
+
+
+def to_dense(v, tm):
+    """The coefficient matrix of the sparse tensor vector v of the
+    tensor module tm."""
+    c = zeros(tm.left.dim, tm.right.dim, R_ZERO)
+    for (a, b), x in v.items():
+        c[a][b] = x
+    return c
+
+
+def to_sparse(c):
+    """The sparse tensor vector {(a, b): entry} of the coefficient
+    matrix c, zero entries left out."""
+    return {(a, b): x for a, row in enumerate(c) for b, x in enumerate(row) if x}
+
+
+def dense_ops(tm, i, pair):
+    """P_{s_i} on the basis pair as [(A, B), ...], acting by
+    c -> sum A c B^T: the factors of SpechtModule.p_factors, each read
+    from its sparse columns into a dense matrix."""
+
+    def dense(cols):
+        cols = [dict(col) for col in cols]
+        return [[col.get(a, R_ZERO) for col in cols] for a in range(len(cols))]
+
+    modules = zip((tm.left, tm.right), pair)
+    return list(zip(*([dense(F) for F in m.p_factors(i, b)] for m, b in modules)))
 
 
 def mat_add(A, B):
@@ -65,17 +96,17 @@ def lower_split_identities(lam) -> str:
     - t o P_i = 4 t, as one covector identity: t(A c B^T) = <A^T X B,
       c> / f with X the transition matrix, so sum A^T X B = 4 X."""
     tm = TensorModule(lam, lam)
-    X, eps = tm.left.transition, epsilon_plus_vector(lam)
+    X, eps = tm.left.transition, to_dense(epsilon_plus_vector(lam), tm)
     if eps != mat_transpose(eps):
         return f"eps of {lam} is not symmetric"
     if pairing(eps, X) != RationalFn.from_int(tm.left.dim):
         return f"t(eps) != 1 on {lam}"
     four_eps, four_X = mat_scale(eps, FOUR), mat_scale(X, FOUR)
     for i in range(1, lam.size):
-        ops = tm.ops(i, "ll")
+        ops = dense_ops(tm, i, "ll")
         if any(A != B for A, B in ops):
             return f"P_{i} does not commute with the flip on {lam}"
-        if tm.apply(ops, eps) != four_eps:
+        if tm.p_apply(to_sparse(eps), i, "ll") != to_sparse(four_eps):
             return f"P_{i} eps != 4 eps on {lam}"
         covector = [mat_mul(mat_transpose(A), mat_mul(X, B)) for A, B in ops]
         if reduce(mat_add, covector) != four_X:
@@ -109,7 +140,7 @@ def nonstandard_pieces(nu, rho, d) -> tuple:
         return ((NsIrredLabel("pair", (nu, rho)), d),)
     child = build_specht(nu)
     t = pairing(d, child.transition) / RationalFn.from_int(child.dim)
-    e = mat_scale(epsilon_plus_vector(nu), t)
+    e = mat_scale(to_dense(epsilon_plus_vector(nu), TensorModule(nu, nu)), t)
     if child.dim == 1:
         return ((NsIrredLabel("eps_plus"), e),)
     dt = mat_transpose(d)
@@ -146,8 +177,8 @@ def lower_basis(mod):
     without E_00 for +lam."""
     label, tm = mod.label, mod.ambient
     if label.kind == "eps_plus":
-        return [epsilon_plus_vector(tm.lam)]
-    units = tm.unit_vectors()
+        return [to_dense(epsilon_plus_vector(tm.lam), tm)]
+    units = [to_dense(e, tm) for e in tm.unit_vectors()]
     if label.kind == "pair":
         return units
     f = tm.left.dim

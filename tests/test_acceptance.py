@@ -523,9 +523,9 @@ def test_a_flipped_sign_in_the_minus_vector_fails_eps_antipode(monkeypatch, caps
     real = verify.epsilon_minus_vector
 
     def flipped(shape):
-        em = [row[:] for row in real(shape)]
+        em = dict(real(shape))
         if shape == lam:
-            em[1][0] = -em[1][0]
+            em[1, 0] = -em[1, 0]
         return em
 
     monkeypatch.setattr(verify, "epsilon_minus_vector", flipped)

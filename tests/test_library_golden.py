@@ -37,7 +37,7 @@ from nstl.nonstandard import (
 from nstl.seminormal import seminormal_basis
 from nstl.specht_modules import build_specht
 
-from isotypic_oracle import dense_split, hh_pieces, lower_leaves
+from isotypic_oracle import dense_split, hh_pieces, lower_leaves, to_dense
 
 GOLDEN = pathlib.Path(__file__).with_name("library_golden.json")
 
@@ -64,7 +64,9 @@ def _seminormal(space):
 def _hh(tm):
     return "\n".join(
         " > ".join(f"{nu}:{rho}" for nu, rho in chain) + " : " + _matrix(v)
-        for chain, v in dense_split(tm, tm.unit_vectors(), hh_pieces)
+        for chain, v in dense_split(
+            tm, [to_dense(e, tm) for e in tm.unit_vectors()], hh_pieces
+        )
     )
 
 

@@ -42,10 +42,11 @@ from nstl.nonstandard import (
     restriction_decompose,
     square_split_identities,
 )
-from nstl.seminormal import _gt_basis, _gt_factors, _unit_space
+from nstl.seminormal import _gt_basis
 from nstl.specht_modules import build_specht
 from nstl.verify import check_action_formula, check_certification, check_dimension
 
+import dimension_oracle
 from dimension_oracle import (
     ORACLE_PRIME,
     U0,
@@ -61,6 +62,7 @@ from dimension_oracle import (
 )
 from hecke_oracle import first_left_descent, oracle_theta_t, theta_element
 from isotypic_oracle import (
+    dense_ops,
     flatten,
     hh_pieces,
     in_lower,
@@ -73,7 +75,9 @@ from isotypic_oracle import (
     nonstandard_pieces,
     pairing,
     restriction_ranks,
+    to_dense,
     to_gt,
+    to_sparse,
 )
 import isotypic_oracle
 from specht_oracle import SpanBasis, inverse, nullspace
@@ -83,9 +87,15 @@ rng = random.Random(23)
 P = Partition
 
 
+def p_dense(tm: TensorModule, c, i: int, pair: str = "ll"):
+    """TensorModule.p_apply on a coefficient matrix, through to_sparse
+    and to_dense."""
+    return to_dense(tm.p_apply(to_sparse(c), i, pair), tm)
+
+
 def q_element(tm: TensorModule, c, i: int, pair: str = "ll"):
     """Action of Q_{s_i} = [2]^2 - P_{s_i}."""
-    return mat_sub(mat_scale(c, FOUR), tm.p_apply(c, i, pair))
+    return mat_sub(mat_scale(c, FOUR), p_dense(tm, c, i, pair))
 
 
 def rand_matrix(n, m):
@@ -117,7 +127,7 @@ def closure_check(mod):
             return False
     for i in range(1, mod.ambient.r):
         for c in basis:
-            if span.add(flatten(mod.ambient.p_apply(c, i, "ll"))):
+            if span.add(flatten(p_dense(mod.ambient, c, i, "ll"))):
                 return False
     return True
 
@@ -136,7 +146,7 @@ def fraction_closure_words(r, u0):
         G = [[Fraction(0)] * N for _ in range(N)]
         off = 0
         for b in blocks:
-            flat = _kron_sum(b.ops(i, "ll"))
+            flat = _kron_sum(dense_ops(b, i, "ll"))
             for a in range(b.dim):
                 for c in range(b.dim):
                     G[off + a][off + c] = flat[a][c].specialize(u0)
@@ -189,19 +199,15 @@ class TestPAction:
         for lam, mu in shape_pairs(4):
             tm = TensorModule(lam, mu)
             for i in range(1, 4):
-                for a in range(tm.left.dim):
-                    for b in range(tm.right.dim):
-                        e = zeros(tm.left.dim, tm.right.dim, R_ZERO)
-                        e[a][b] = R_ONE
-                        assert mats_equal(
-                            p_action(tm, e, i, pair), tm.p_apply(e, i, pair)
-                        )
+                for e in tm.unit_vectors():
+                    assert p_action(tm, e, i, pair) == tm.p_apply(e, i, pair)
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_apply_is_the_matrix_product(self, r):
-        # apply reads A c B^T off the nonzero entries of c; the oracle is
-        # the dense product, on every unit vector (the columns of
-        # check_action_formula) and on one dense matrix per pair
+        # p_apply reads A C B^T off the nonzero entries of C; the oracle
+        # is the dense product, on every unit vector (the columns of
+        # check_action_formula) and on one dense matrix per pair, in
+        # every basis pair the library applies P_i in
         def dense(ops, c):
             terms = [mat_mul(A, mat_mul(c, mat_transpose(B))) for A, B in ops]
             return functools.reduce(mat_add, terms)
@@ -209,12 +215,20 @@ class TestPAction:
         shapes = two_row_partitions(r)
         for lam, mu in itertools.product(shapes, shapes):
             tm = TensorModule(lam, mu)
-            cs = tm.unit_vectors() + [rand_matrix(tm.left.dim, tm.right.dim)]
-            for pair in ("ll", "ul", "uu"):
+            cs = [to_dense(e, tm) for e in tm.unit_vectors()]
+            cs.append(rand_matrix(tm.left.dim, tm.right.dim))
+            for pair in ("ll", "ul", "lu", "uu", "gg"):
                 for i in range(1, r):
-                    ops = tm.ops(i, pair)
+                    ops = dense_ops(tm, i, pair)
                     for c in cs:
-                        assert tm.apply(ops, c) == dense(ops, c)
+                        got = tm.p_apply(to_sparse(c), i, pair)
+                        assert got == to_sparse(dense(ops, c))
+
+    @pytest.mark.parametrize("pair", ["xl", "lx", "gx"])
+    def test_an_unknown_basis_raises(self, pair):
+        tm = TensorModule(P([2, 1]), P([2, 1]))
+        with pytest.raises(ValueError, match="unknown basis 'x'"):
+            tm.p_apply({(0, 0): R_ONE}, 1, pair)
 
     def test_action_formula_multiplies_no_matrix(self, monkeypatch):
         # every unit column of the check is read off the factors
@@ -236,17 +250,17 @@ class TestPAction:
         c = rand_matrix(tm.left.dim, tm.right.dim)
         for i in (1, 2):
             for pair, to in convert.items():
-                lhs = to(tm.p_apply(c, i, "ll"))
-                rhs = tm.p_apply(to(c), i, pair)
+                lhs = to(p_dense(tm, c, i, "ll"))
+                rhs = p_dense(tm, to(c), i, pair)
                 assert mats_equal(lhs, rhs)
 
     def test_quadratic_relations(self):
         tm = TensorModule(P([2, 1]), P([2, 1]))
         for i in (1, 2):
             c = rand_matrix(2, 2)
-            p1 = tm.p_apply(c, i, "ll")
+            p1 = p_dense(tm, c, i, "ll")
             assert mats_equal(
-                tm.p_apply(p1, i, "ll"),
+                p_dense(tm, p1, i, "ll"),
                 [[FOUR * x for x in row] for row in p1],
             )
             q1 = q_element(tm, c, i, "ll")
@@ -259,8 +273,8 @@ class TestPAction:
             c = rand_matrix(tm.left.dim, tm.left.dim)
             for i in range(1, 4):
                 assert mats_equal(
-                    mat_transpose(tm.p_apply(mat_transpose(c), i, "ll")),
-                    tm.p_apply(c, i, "ll"),
+                    mat_transpose(p_dense(tm, mat_transpose(c), i, "ll")),
+                    p_dense(tm, c, i, "ll"),
                 )
 
 
@@ -297,9 +311,9 @@ class TestThetaTwist:
         mapped = mat_mul(SL, mat_mul(c, mat_transpose(SR)))
         for i in range(1, lam.size):
             lhs = mat_mul(
-                SL, mat_mul(tm.p_apply(c, i, "ll"), mat_transpose(SR))
+                SL, mat_mul(p_dense(tm, c, i, "ll"), mat_transpose(SR))
             )
-            rhs = tmt.p_apply(mapped, i, "uu")
+            rhs = p_dense(tmt, mapped, i, "uu")
             assert mats_equal(lhs, rhs)
 
 
@@ -310,15 +324,14 @@ class TestEpsilonPlus:
             tm = TensorModule(lam, lam)
             eps = epsilon_plus_vector(lam)
             for i in range(1, r):
-                assert mats_equal(
-                    tm.p_apply(eps, i, "ll"),
-                    [[FOUR * x for x in row] for row in eps],
-                )
+                assert tm.p_apply(eps, i, "ll") == {
+                    key: FOUR * x for key, x in eps.items()
+                }
 
     def test_symmetric(self):
         for lam in partitions_of(4):
             eps = epsilon_plus_vector(lam)
-            assert mats_equal(eps, mat_transpose(eps))
+            assert eps == {(b, a): x for (a, b), x in eps.items()}
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_two_expressions_agree(self, r):
@@ -329,16 +342,16 @@ class TestEpsilonPlus:
             first = build_specht(lam).transition_inv
             second = mat_transpose(first)
             assert mats_equal(first, second)
-            assert mats_equal(first, epsilon_plus_vector(lam))
+            assert to_sparse(first) == epsilon_plus_vector(lam)
 
     def test_single_tableau_shape(self):
         eps = epsilon_plus_vector(P([4]))
-        assert mats_equal(eps, [[R_ONE]])
+        assert eps == {(0, 0): R_ONE}
 
     def test_killed_by_q(self):
         lam = P([2, 1])
         tm = TensorModule(lam, lam)
-        eps = epsilon_plus_vector(lam)
+        eps = to_dense(epsilon_plus_vector(lam), tm)
         for i in (1, 2):
             img = q_element(tm, eps, i, "ll")
             assert all(not x for row in img for x in row)
@@ -351,12 +364,41 @@ class TestEpsilonMinus:
             tm = TensorModule(lam.conjugate(), lam)
             eps = epsilon_minus_vector(lam)
             for i in range(1, r):
-                img = tm.p_apply(eps, i, "ll")
-                assert all(not x for row in img for x in row)
+                assert tm.p_apply(eps, i, "ll") == {}
 
     def test_row_shape_explicit(self):
         eps = epsilon_minus_vector(P([2]))
-        assert mats_equal(eps, [[R_ONE]])
+        assert eps == {(0, 0): R_ONE}
+
+
+class TestSparseVectors:
+    """Every tensor vector the library returns is a dict {(a, b): entry}
+    with no zero entry, whichever basis pair it is in."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_every_returned_vector_is_sparse(self, r):
+        shapes = two_row_partitions(r)
+        vectors = []
+        for lam in partitions_of(r):
+            plus, minus = epsilon_plus_vector(lam), epsilon_minus_vector(lam)
+            tm = TensorModule(lam.conjugate(), lam)
+            # P_i annihilates the minus vector: every entry cancels
+            vectors += [plus, minus] + [tm.p_apply(minus, i) for i in range(1, r)]
+        for label in ns_labels(r):
+            mod = build_irreducible(label, r)
+            vectors += mod.basis + seminormal.seminormal_basis(mod).leaves
+            vectors += [mod.ambient.p_apply(C, r - 1, "gg") for C in mod.basis]
+        for lam, mu in itertools.product(shapes, shapes):
+            tm = TensorModule(lam, mu)
+            vectors += seminormal.seminormal_basis(tm).leaves
+            for C in tm.unit_vectors():
+                vectors.append(C)
+                for i in range(1, r):
+                    for pair in ("ll", "ul", "lu", "uu", "gg"):
+                        vectors.append(tm.p_apply(C, i, pair))
+                    for pair in ("ll", "ul", "uu"):
+                        vectors.append(p_action(tm, C, i, pair))
+        assert all(isinstance(v, dict) and all(v.values()) for v in vectors)
 
 
 def trace_functional(lam: Partition, c):
@@ -371,7 +413,8 @@ class TestTrace:
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_trace_of_eps_plus_is_one(self, r):
         for lam in partitions_of(r):
-            assert trace_functional(lam, epsilon_plus_vector(lam)) == R_ONE
+            eps = to_dense(epsilon_plus_vector(lam), TensorModule(lam, lam))
+            assert trace_functional(lam, eps) == R_ONE
 
     def test_off_diagonal_zero(self):
         lam = P([2, 1])
@@ -387,7 +430,7 @@ class TestTrace:
             c = rand_matrix(tm.left.dim, tm.left.dim)
             for i in range(1, lam.size):
                 assert trace_functional(
-                    lam, tm.p_apply(c, i, "ll")
+                    lam, p_dense(tm, c, i, "ll")
                 ) == FOUR * trace_functional(lam, c)
 
 
@@ -496,7 +539,7 @@ def open_controls():
     closed."""
     lam = P([3, 1])
     tm = TensorModule(lam, lam)
-    units = _unit_space(tm)  # GT coordinates, as the bases are
+    units = tm.unit_vectors()  # GT coordinates, as the bases are
     plus, minus = (build_irreducible(lbl(k + "3,1"), 4).basis for k in "+-")
     pair = build_irreducible(lbl("4:3,1"), 4)
     sym = {(0, 1): R_ONE, (1, 0): R_ONE}  # E_01 + E_10
@@ -570,7 +613,9 @@ class TestSplitClosure:
         X = mat_mul(mat_transpose(Pi), [[x * y for y in row] for x, row in zip(g, Pi)])
         eps = mat_mul([[v * e for v, e in zip(row, E)] for row in V], mat_transpose(V))
         monkeypatch.setattr(build_specht(lam), "transition", X)
-        monkeypatch.setattr(isotypic_oracle, "epsilon_plus_vector", lambda mu: eps)
+        monkeypatch.setattr(
+            isotypic_oracle, "epsilon_plus_vector", lambda mu: to_sparse(eps)
+        )
         got = square_split_identities(lam)
         assert got and got == lower_split_identities(lam)
 
@@ -581,7 +626,7 @@ class TestSplitClosure:
         r = 5
         for lam in two_row_partitions(r):
             for i in range(1, r):
-                _gt_factors(lam.parts, i)
+                build_specht(lam).p_factors(i, "g")
         calls = []
 
         def counted(module, name):
@@ -677,7 +722,7 @@ def basis_matrices(mod, u0=U0):
     S_inv = inverse([V[j] for j in rows], Fraction(1), Fraction(0))
     gens = []
     for i in range(1, mod.ambient.r):
-        images = [flatten(specialize_matrix(mod.ambient.p_apply(c, i), u0)) for c in basis]
+        images = [flatten(specialize_matrix(p_dense(mod.ambient, c, i), u0)) for c in basis]
         W = mat_transpose(images)
         G = mat_mul(S_inv, [W[j] for j in rows])
         assert mat_mul(V, G) == W
@@ -708,7 +753,8 @@ def square_control(kind, lam):
     ("eps+minus"), or Sym^2 = V+ plus the eps line ("plus+eps"); the
     certificate sees it only with the closure step bypassed."""
     r = lam.size
-    eps = [to_gt(epsilon_plus_vector(lam), TensorModule(lam, lam))]
+    tm = TensorModule(lam, lam)
+    eps = [to_gt(to_dense(epsilon_plus_vector(lam), tm), tm)]
     if kind == "eps+minus":
         minus = build_irreducible(NsIrredLabel("minus", (lam,)), r)
         return NsSubmodule(minus.label, minus.ambient, eps + minus.basis)
@@ -727,14 +773,14 @@ class TestCertification:
     def test_reducible_square_fails_closure(self):
         # the full tensor square of (2,1) has three summands
         tm = TensorModule(P([2, 1]), P([2, 1]))
-        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, _unit_space(tm))
+        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, tm.unit_vectors())
         assert fraction_hom_dimension(*[basis_matrices(mod), 4] * 2) == 3
         with pytest.raises(CertificateError, match="not generator-closed"):
             certify_irreducible(mod)
 
     def test_open_module_fails_closure(self):
         tm = TensorModule(P([2, 1]), P([2, 1]))
-        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, _unit_space(tm)[:1])
+        mod = NsSubmodule(NsIrredLabel("eps_plus"), tm, tm.unit_vectors()[:1])
         with pytest.raises(CertificateError, match="not generator-closed"):
             certify_irreducible(mod)
 
@@ -940,7 +986,8 @@ class TestIsotypicSplit:
     @pytest.mark.parametrize("lam,mu,k", list(split_cases(4)), ids=str)
     @pytest.mark.parametrize("pieces", [nonstandard_pieces, hh_pieces])
     def test_resolves_identity_and_is_idempotent(self, lam, mu, k, pieces):
-        for c in TensorModule(lam, mu).unit_vectors():
+        tm = TensorModule(lam, mu)
+        for c in (to_dense(e, tm) for e in tm.unit_vectors()):
             split = isotypic_split(lam, mu, k, c, pieces)
             assert mats_equal(self.total(split.values(), c), c)
             for label, comp in split.items():
@@ -950,7 +997,8 @@ class TestIsotypicSplit:
 
     @pytest.mark.parametrize("lam,mu,k", list(split_cases(4)), ids=str)
     def test_refines_the_tensor_square_split(self, lam, mu, k):
-        for c in TensorModule(lam, mu).unit_vectors():
+        tm = TensorModule(lam, mu)
+        for c in (to_dense(e, tm) for e in tm.unit_vectors()):
             ns = isotypic_split(lam, mu, k, c, nonstandard_pieces)
             hh = isotypic_split(lam, mu, k, c, hh_pieces)
             diagonal = [hh[nu, rho] for nu, rho in hh if nu == rho]
@@ -1110,13 +1158,13 @@ class TestDimension:
         assert len(mats) == 4
 
     def test_square_block_must_commute_with_flip(self, monkeypatch):
-        ops = TensorModule.ops
+        ops = dimension_oracle.dense_ops
 
-        def lopsided(self, i, pair):
+        def lopsided(tm, i, pair):
             # C'_s (x) C_s alone is not symmetric in the two factors
-            (lp, _), (_, rc) = ops(self, i, pair)
+            (lp, _), (_, rc) = ops(tm, i, pair)
             return [(lp, rc)]
 
-        monkeypatch.setattr(TensorModule, "ops", lopsided)
+        monkeypatch.setattr(dimension_oracle, "dense_ops", lopsided)
         with pytest.raises(ArithmeticError, match="flip"):
             _block_generators(3, Fraction(7, 3))

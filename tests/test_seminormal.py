@@ -30,11 +30,8 @@ from nstl.seminormal import (
     MultiplicityError,
     SeminormalBasis,
     SeminormalChainLabel,
-    _gt_apply,
     _gt_basis,
-    _gt_factors,
     _paths,
-    _unit_space,
     alpha,
     chain_membership,
     seminormal_basis,
@@ -44,6 +41,7 @@ from nstl.specht_modules import build_specht
 from nstl.verify import check_seminormal
 
 from isotypic_oracle import (
+    dense_ops,
     dense_split,
     hh_pieces,
     in_lower,
@@ -51,8 +49,10 @@ from isotypic_oracle import (
     lower_leaves,
     mat_add,
     nonstandard_pieces,
+    to_dense,
     to_gt,
     to_lower,
+    to_sparse,
 )
 
 # sha256 of the (3,2) x (3,2) seminormal chains and lower vectors
@@ -219,7 +219,7 @@ class TestSeminormalBasis:
     def test_eps_leaf_is_the_eigenline(self):
         sb = seminormal_basis(TensorModule(P32, P32))
         idx = sb.chains.index(SeminormalChainLabel(tuple([lbl("eps+")] * 4)))
-        eps = epsilon_plus_vector(P32)
+        eps = to_dense(epsilon_plus_vector(P32), TensorModule(P32, P32))
         lead = next(x for row in eps for x in row if x)
         eps = [[x / lead for x in row] for row in eps]
         assert lower_leaves(sb)[idx] == eps
@@ -404,7 +404,8 @@ class TestTensorSquareChainDiffers:
         # yields only rank-1 leaf matrices, so its leaf lines cannot all
         # agree with the nonstandard chain: the eps+ leaf has full rank
         tm = TensorModule(P32, P32)
-        hh = dense_split(tm, tm.unit_vectors(), hh_pieces)
+        units = [to_dense(e, tm) for e in tm.unit_vectors()]
+        hh = dense_split(tm, units, hh_pieces)
         assert len(hh) == 25
         for _, v in hh:
             assert len(rref(v)[0]) == 1
@@ -494,21 +495,23 @@ class TestGTAction:
         tm = TensorModule(*pair)
         left, right = _gt_basis(tm.lam.parts), _gt_basis(tm.mu.parts)
         for i in range(1, tm.r):
-            for C in _unit_space(tm):
-                lower = tm.p_apply(to_lower(C, left, right), i)
-                assert _gt_apply(tm, C, i) == to_gt(lower, tm)
+            for C in tm.unit_vectors():
+                lower = tm.p_apply(to_sparse(to_lower(C, left, right)), i)
+                assert tm.p_apply(C, i, "gg") == to_gt(to_dense(lower, tm), tm)
 
 
 class TestGTFactors:
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_both_factors_are_the_dense_products(self, r):
-        # C_{s_i}'s factor is read off C'_{s_i}'s as Pi L_i V - [2] I:
-        # it must be the dense Pi C_{s_i} V of every shape, every i
+        # p_factors(i, "g") reads C_{s_i}'s factor off C'_{s_i}'s as
+        # Pi L_i V - [2] I: each GT factor must be the dense Pi A V of
+        # its lower factor A, for every shape and every i
         for lam in partitions_of(r):
             gt = _gt_basis(lam.parts)
             for i in range(1, r):
-                factors = build_specht(lam).p_factors(i, "l")
-                for A, cols in zip(factors, _gt_factors(lam.parts, i), strict=True):
+                factors = [A for A, _ in dense_ops(TensorModule(lam, lam), i, "ll")]
+                gt_factors = build_specht(lam).p_factors(i, "g")
+                for A, cols in zip(factors, gt_factors, strict=True):
                     dense = mat_mul(gt.Pi, mat_mul(A, gt.V))
                     assert cols == tuple(
                         tuple((a, x) for a, x in enumerate(col) if x)
@@ -534,7 +537,11 @@ class TestDenseOracle:
         sb = seminormal_basis(tm)
         assert printed(
             (c.labels, v) for c, v in zip(sb.chains, lower_leaves(sb))
-        ) == printed(dense_split(tm, tm.unit_vectors(), nonstandard_pieces))
+        ) == printed(
+            dense_split(
+                tm, [to_dense(e, tm) for e in tm.unit_vectors()], nonstandard_pieces
+            )
+        )
 
     @pytest.mark.parametrize(
         "label,r", [(l, r) for r in (3, 4) for l in ns_labels(r)], ids=str
