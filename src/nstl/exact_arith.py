@@ -1,20 +1,21 @@
 """Exact arithmetic over Z[u, u^-1] and Q(u).
 
-LaurentPoly is a sparse exponent -> integer map; RationalFn is a reduced
-fraction of two LaurentPolys kept in a canonical form that makes the
-valuations at u = 0 and u = infinity direct degree computations:
+LaurentPoly is a sparse exponent -> integer map. RationalFn keeps its
+value u^shift * top(u) / bot(u) as an integer and two tuples of integer
+coefficients, constant term first, in a canonical form that makes the
+valuations at u = 0 and u = infinity direct length computations:
 
-* the denominator is an ordinary polynomial in u with nonzero constant
-  term and positive leading coefficient (all u-powers cleared into the
-  numerator),
-* gcd(num, den) = 1 in Z[u].
+* top has nonzero end terms (0 is shift 0 and top ()),
+* bot has a nonzero constant term and a positive leading coefficient,
+* gcd(top, bot) = 1 in Z[u].
 
-The constructor reduces any fraction to this form with one gcd. The
-field operations on canonical operands cancel across them instead
-(Henrici's rule, Knuth TAOCP vol. 2, 4.5.1): with a/b and c/d canonical,
-g1 = gcd(a, d) and g2 = gcd(c, b),
+The constructor reduces a fraction of two LaurentPolys to this form
+with one gcd. The field operations run the dense helpers below on the
+tuples and build no LaurentPoly. A product cancels across its operands
+instead (Henrici's rule, Knuth TAOCP vol. 2, 4.5.1): with u^s a/b and
+u^t c/d canonical, g1 = gcd(a, d) and g2 = gcd(c, b),
 
-    (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)).
+    (u^s a/b)(u^t c/d) = u^(s+t) ((a/g1)(c/g2)) / ((b/g2)(d/g1)).
 
 This is canonical without a further gcd. Z[u] has unique factorization,
 so a prime that divided both sides would divide one factor of each, and
@@ -24,8 +25,10 @@ with positive leading coefficients, so the denominator keeps its sign,
 and no factor of it vanishes at u = 0. Each gcd is of two operand parts,
 not of the larger product, and a constant or monomial side makes it an
 integer gcd. A quotient multiplies by the inverse, which is canonical
-once its sign is fixed; a sum a + c/d with one denominator 1 is
-(a d + c)/d, which is reduced because gcd(c, d) = 1.
+once its sign is fixed. A sum aligns the two u^shift terms: over equal
+denominators it adds the tops, a + c/d with one denominator 1 is
+(a d + c)/d, which is reduced because gcd(c, d) = 1, and only the
+general a/b + c/d cross-multiplies and cancels, once.
 """
 
 from __future__ import annotations
@@ -69,16 +72,6 @@ class LaurentPoly:
 
     def is_one(self) -> bool:
         return self.coeffs == {0: 1}
-
-    def min_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
-
-    def max_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self.coeffs)
 
     def as_int(self):
         """Return the integer value if constant, else None."""
@@ -346,33 +339,30 @@ def _horner(dense, p: int, q: int) -> int:
     return acc
 
 
-class RationalFn:
-    """Element of K = Q(u) in canonical form (see module docstring)."""
+# the dense form of the polynomial 1
+_UNIT = (1,)
 
-    __slots__ = ("num", "den", "_hash")
+
+class RationalFn:
+    """Element of K = Q(u) in canonical form (see module docstring):
+    u^shift * top(u) / bot(u), with top and bot integer tuples."""
+
+    __slots__ = ("shift", "top", "bot", "_hash")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = L_ONE):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if den.is_one():
-            self.num, self.den = num, den
-        else:
-            self.num, self.den = self._canonicalize(num, den)
+        shift, top = _poly_of(num)
+        bot = _UNIT
+        if top and not den.is_one():
+            # clear the denominator's u-power into the numerator
+            dshift, bot = _poly_of(den)
+            shift -= dshift
+            top, bot = _cancel(top, bot)
+            if bot[-1] < 0:
+                top, bot = [-x for x in top], [-y for y in bot]
+        self.shift, self.top, self.bot = shift, tuple(top), tuple(bot)
         self._hash = None
-
-    @staticmethod
-    def _canonicalize(num: LaurentPoly, den: LaurentPoly):
-        if num.is_zero():
-            return L_ZERO, L_ONE
-        dshift, ddense = _poly_of(den)
-        nshift, ndense = _poly_of(num)
-        # clear the denominator's u-power into the numerator
-        nshift -= dshift
-        ndense, ddense = _cancel(ndense, ddense)
-        if ddense[-1] < 0:
-            ndense = [-x for x in ndense]
-            ddense = [-x for x in ddense]
-        return _dense_to_laurent(nshift, ndense), _dense_to_laurent(0, ddense)
 
     # -- constructors --------------------------------------------------
 
@@ -383,14 +373,16 @@ class RationalFn:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.top
 
     def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
+        return self.top == _UNIT and self.bot == _UNIT and not self.shift
 
     def as_laurent(self):
-        """Return the LaurentPoly value if den = 1, else None."""
-        return self.num if self.den.is_one() else None
+        """Return the LaurentPoly value if bot = 1, else None."""
+        if self.bot == _UNIT:
+            return _dense_to_laurent(self.shift, self.top)
+        return None
 
     # -- field operations ----------------------------------------------
 
@@ -405,29 +397,35 @@ class RationalFn:
         raise TypeError(f"cannot coerce {x!r} to RationalFn")
 
     def __add__(self, other) -> "RationalFn":
-        other = self._coerce(other)
-        if not other.num.coeffs:
+        if not isinstance(other, RationalFn):
+            other = self._coerce(other)
+        s, a, b = self.shift, self.top, self.bot
+        t, c, d = other.shift, other.top, other.bot
+        if not c:
             return self
-        if not self.num.coeffs:
+        if not a:
             return other
-        if self.den.is_one():
-            if other.den.is_one():
-                return _rational(self.num + other.num, L_ONE)
-            # (a d + c) / d is reduced: a common factor of it and d
-            # would divide c
-            return _rational(self.num * other.den + other.num, other.den)
-        if other.den.is_one():
-            return _rational(other.num * self.den + self.num, self.den)
-        if self.den == other.den:
-            return RationalFn(self.num + other.num, self.den)
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        if b == d:
+            # (a + c) / b; a denominator 1 takes no gcd in _cancel
+            shift, top = _shifted_sum(s, a, t, c)
+            if not top:
+                return R_ZERO
+            return _rational(shift, *_cancel(top, b))
+        # (a d + c) / d is reduced: a common factor of it and d would
+        # divide c, and it is not 0, as d does not divide c
+        if b == _UNIT:
+            return _rational(*_shifted_sum(s, _dense_mul(a, d), t, c), d)
+        if d == _UNIT:
+            return _rational(*_shifted_sum(t, _dense_mul(c, b), s, a), b)
+        shift, top = _shifted_sum(s, _dense_mul(a, d), t, _dense_mul(c, b))
+        if not top:
+            return R_ZERO
+        return _rational(shift, *_cancel(top, _dense_mul(b, d)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFn":
-        return _rational(-self.num, self.den)
+        return _rational(self.shift, [-x for x in self.top], self.bot)
 
     def __sub__(self, other) -> "RationalFn":
         return self + (-self._coerce(other))
@@ -436,27 +434,25 @@ class RationalFn:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "RationalFn":
-        other = self._coerce(other)
-        if not self.num.coeffs or not other.num.coeffs:
+        if not isinstance(other, RationalFn):
+            other = self._coerce(other)
+        if not self.top or not other.top:
             return R_ZERO
-        if self.den.is_one() and other.den.is_one():
-            return _rational(self.num * other.num, L_ONE)
-        return _product(self, *_poly_of(other.num), _poly_of(other.den)[1])
+        return _product(self, other.shift, other.top, other.bot)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RationalFn":
         other = self._coerce(other)
-        if other.is_zero():
+        if not other.top:
             raise ZeroDivisionError("division by zero rational function")
-        if not self.num.coeffs:
+        if not self.top:
             return R_ZERO
         # other = u^s c / d, so 1 / other = u^-s d / c, with c's sign moved
-        s, c = _poly_of(other.num)
-        d = _poly_of(other.den)[1]
+        c, d = other.top, other.bot
         if c[-1] < 0:
             c, d = [-x for x in c], [-x for x in d]
-        return _product(self, -s, d, c)
+        return _product(self, -other.shift, d, c)
 
     def __rtruediv__(self, other) -> "RationalFn":
         return self._coerce(other) / self
@@ -474,34 +470,34 @@ class RationalFn:
         return result
 
     def bar(self) -> "RationalFn":
-        return RationalFn(self.num.bar(), self.den.bar())
+        num = _dense_to_laurent(self.shift, self.top)
+        return RationalFn(num.bar(), _dense_to_laurent(0, self.bot).bar())
 
     # -- valuations ----------------------------------------------------
 
     def val0(self):
         """Order of vanishing at u = 0; +inf sentinel for 0."""
-        if self.num.is_zero():
+        if not self.top:
             return math.inf
-        # canonical den has nonzero constant term, so val0(den) = 0
-        return self.num.min_exp()
+        # top and bot have nonzero constant terms
+        return self.shift
 
     def val_inf(self):
         """Order of vanishing at u = infinity; +inf sentinel for 0."""
-        if self.num.is_zero():
+        if not self.top:
             return math.inf
-        return self.den.max_exp() - self.num.max_exp()
+        return len(self.bot) - len(self.top) - self.shift
 
     # -- specialization ------------------------------------------------
 
     def specialize(self, u0):
         """The value at u0 = p/q, a Fraction: Horner on integers gives
-        q^deg * f(p/q) for the dense parts, and one Fraction divides."""
+        q^deg * f(p/q) for top and bot, and one Fraction divides."""
         from fractions import Fraction
 
         u0 = Fraction(u0)
         p, q = u0.numerator, u0.denominator
-        shift, num = _poly_of(self.num)
-        den = _poly_of(self.den)[1]
+        shift, num, den = self.shift, self.top, self.bot
         top, bottom = _horner(den, p, q), _horner(num, p, q)
         if not top or (shift < 0 and not p):
             raise PoleError(f"pole at u = {u0}")
@@ -519,52 +515,71 @@ class RationalFn:
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (RationalFn, LaurentPoly, int)):
+        if not isinstance(other, RationalFn):
+            if not isinstance(other, (LaurentPoly, int)):
+                return NotImplemented
             other = self._coerce(other)
-            # canonical form is unique
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
+        # canonical form is unique
+        return (self.shift, self.top, self.bot) == (other.shift, other.top, other.bot)
 
     def __hash__(self):
-        # a RationalFn with denominator 1 equals its numerator
+        # a RationalFn with bot = 1 equals its LaurentPoly
         if self._hash is None:
             self._hash = hash(
-                self.num if self.den.is_one() else (self.num, self.den)
+                self.as_laurent()
+                if self.bot == _UNIT
+                else (self.shift, self.top, self.bot)
             )
         return self._hash
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.top)
 
     # -- serialization -------------------------------------------------
 
     def __str__(self) -> str:
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+        num = _dense_to_laurent(self.shift, self.top)
+        if self.bot == _UNIT:
+            return str(num)
+        return f"({num}) / ({_dense_to_laurent(0, self.bot)})"
 
     def __repr__(self) -> str:
         return f"RationalFn({self})"
 
 
-def _rational(num: LaurentPoly, den: LaurentPoly) -> RationalFn:
-    """A RationalFn on a pair already in canonical form."""
+def _rational(shift: int, top, bot) -> RationalFn:
+    """A RationalFn on parts already in canonical form."""
     r = RationalFn.__new__(RationalFn)
-    r.num, r.den, r._hash = num, den, None
+    r.shift, r.top, r.bot, r._hash = shift, tuple(top), tuple(bot), None
     return r
 
 
+def _shifted_sum(s: int, a, t: int, c):
+    """u^s a + u^t c for dense a and c, as (shift, dense) with nonzero
+    end terms; (0, ()) if it is 0."""
+    if s > t:
+        s, a, t, c = t, c, s, a
+    out = list(a) + [0] * (t - s + len(c) - len(a))
+    for i, y in enumerate(c, t - s):
+        out[i] += y
+    if not _dense_trim(out):
+        return 0, ()
+    lo = 0
+    while not out[lo]:
+        lo += 1
+    return s + lo, out[lo:]
+
+
 def _product(x: RationalFn, shift: int, c, d) -> RationalFn:
-    """x * u^shift c / d for the dense parts of a canonical form, by
+    """x * u^shift c / d for the parts of a canonical form, by
     cancelling across the two factors (see the module docstring)."""
-    xshift, a = _poly_of(x.num)
-    b = _poly_of(x.den)[1]
-    a, d = _cancel(a, d)
-    c, b = _cancel(c, b)
-    return _rational(
-        _dense_to_laurent(xshift + shift, _dense_mul(a, c)),
-        _dense_to_laurent(0, _dense_mul(b, d)),
-    )
+    a, b = x.top, x.bot
+    # a denominator 1 cancels nothing
+    if d != _UNIT:
+        a, d = _cancel(a, d)
+    if b != _UNIT:
+        c, b = _cancel(c, b)
+    return _rational(x.shift + shift, _dense_mul(a, c), _dense_mul(b, d))
 
 
 R_ZERO = RationalFn(L_ZERO)
@@ -576,15 +591,13 @@ R_HALF = RationalFn(L_ONE, LaurentPoly({0: 2}))
 
 def common_denominator(values) -> tuple:
     """(d, nums) with values[k] = nums[k] / d for RationalFn values and
-    d the least common multiple of their denominators in Z[u]."""
-    dens = dict.fromkeys(x.den for x in values)
-    d = L_ONE
+    d the least common multiple of their denominators in Z[u], both as
+    LaurentPolys."""
+    dens = dict.fromkeys(x.bot for x in values)
+    d = _UNIT
     for den in dens:
-        dd, ld = _poly_of(den)[1], _poly_of(d)[1]
-        d = d * _dense_to_laurent(0, _dense_div_exact(dd, _dense_gcd(ld, dd)))
-    ld = _poly_of(d)[1]
-    cofactor = {
-        den: _dense_to_laurent(0, _dense_div_exact(ld, _poly_of(den)[1]))
-        for den in dens
-    }
-    return d, [x.num * cofactor[x.den] for x in values]
+        d = _dense_mul(d, _dense_div_exact(den, _dense_gcd(d, den)))
+    cofactor = {den: _dense_div_exact(d, den) for den in dens}
+    return _dense_to_laurent(0, d), [
+        _dense_to_laurent(x.shift, _dense_mul(x.top, cofactor[x.bot])) for x in values
+    ]

@@ -155,6 +155,8 @@ class TensorModule:
         over its factor pairs (SpechtModule.p_factors), as A E_st B^T is
         the outer product of columns s of A and t of B. Zero entries are
         left out."""
+        if len(pair) != 2:
+            raise ValueError(f"unknown basis pair {pair!r}")
         out = {}
         lf, rf = self.left.p_factors(i, pair[0]), self.right.p_factors(i, pair[1])
         for A, B in zip(lf, rf):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nstl.exact_arith import (
+    L_ONE,
     LaurentPoly,
     _dense_div_exact,
     _poly_of,
     PoleError,
     RationalFn,
+    common_denominator,
     quantum_int,
 )
 
@@ -26,6 +28,17 @@ lp_nonzero = lp.filter(lambda p: not p.is_zero())
 
 def rf(n, d):
     return RationalFn(n, d)
+
+
+def parts(x):
+    """(numerator, denominator) of a RationalFn, LaurentPoly or int as
+    LaurentPolys; a RationalFn's are read off its canonical tuples."""
+    if isinstance(x, int):
+        return LaurentPoly({0: x}), L_ONE
+    if isinstance(x, LaurentPoly):
+        return x, L_ONE
+    top = LaurentPoly({x.shift + i: c for i, c in enumerate(x.top)})
+    return top, LaurentPoly(dict(enumerate(x.bot)))
 
 
 def test_quantum_int_values():
@@ -82,8 +95,8 @@ def test_rational_canonical_form():
     assert g == rf(u + one, one)
     # denominator sign normalization
     h = rf(one, LaurentPoly({0: -2}))
-    assert h.den == 2
-    assert h.num == -1
+    assert (h.shift, h.top, h.bot) == (0, (-1,), (2,))
+    assert parts(h) == (-1, 2)
 
 
 @settings(max_examples=300)
@@ -189,6 +202,26 @@ def fraction_div_exact(a, b):
     return [int(q) for q in out]
 
 
+def fraction_gcd(a, b):
+    """Monic gcd in Q[x] of two dense integer polynomials, not both 0,
+    by Euclid's algorithm on Fraction coefficients."""
+
+    def trim(p):
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    a, b = trim([Fraction(x) for x in a]), trim([Fraction(x) for x in b])
+    while b:
+        while len(a) >= len(b):
+            q, k = a[-1] / b[-1], len(a) - len(b)
+            for i, y in enumerate(b):
+                a[k + i] -= q * y
+            trim(a)
+        a, b = b, a
+    return [x / a[-1] for x in a]
+
+
 def dense_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -281,11 +314,6 @@ rational = st.builds(RationalFn, poly, nonzero_poly)
 operand = rational | poly | st.integers(min_value=-6, max_value=6)
 
 
-def parts(x):
-    x = RationalFn._coerce(x)
-    return x.num, x.den
-
-
 def assert_same(got, want):
     assert got == want
     assert str(got) == str(want)
@@ -317,12 +345,15 @@ def test_cached_dense_forms_stay_fresh(values):
         seen += [x * y, x + y, x - y, y * x * x]
         if not y.is_zero():
             seen.append(x / y)
-    for x in seen:
-        for p in (x.num, x.den):
-            cached = p._dense
-            if cached is not None:
-                assert isinstance(cached[1], tuple)
-                assert cached == _poly_of(LaurentPoly(p.coeffs))
+    d, nums = common_denominator(seen)
+    for x, num in zip(seen, nums):
+        assert RationalFn(num, d) == x
+    laurent = [p for p in map(RationalFn.as_laurent, seen) if p is not None]
+    for p in [d, *nums, *laurent]:
+        cached = p._dense
+        if cached is not None:
+            assert isinstance(cached[1], tuple)
+            assert cached == _poly_of(LaurentPoly(p.coeffs))
 
 
 POINTS = [0, 1, -1, 2, Fraction(7, 3), Fraction(-2, 5), Fraction(1, 4)]
@@ -338,7 +369,8 @@ def termwise(p, u0):
 def test_specialize_matches_termwise_evaluation(f, u0):
     u0 = Fraction(u0)
     try:
-        want = termwise(f.num, u0) / termwise(f.den, u0)
+        num, den = parts(f)
+        want = termwise(num, u0) / termwise(den, u0)
     except ZeroDivisionError:  # PoleError is one
         with pytest.raises(PoleError):
             f.specialize(u0)
@@ -389,3 +421,52 @@ def test_laurent_truthiness():
     assert not LaurentPoly({3: 0})
     assert LaurentPoly({-1: 2})
     assert not LaurentPoly({1: 1}) - LaurentPoly({1: 1})
+
+
+# The field operations against an oracle that shares no code with them:
+# canonical form checked on the tuples with a Fraction gcd, and the value
+# by cross-multiplying in LaurentPoly arithmetic.
+
+
+def assert_canonical(x):
+    assert type(x.shift) is int
+    assert type(x.top) is tuple and type(x.bot) is tuple
+    assert all(type(c) is int for c in x.top + x.bot)
+    if not x.top:
+        assert (x.shift, x.bot) == (0, (1,))
+        return
+    assert x.top[0] and x.top[-1]
+    assert x.bot[0] and x.bot[-1] > 0
+    # gcd 1 in Z[u]: no common factor of positive degree, no common content
+    assert fraction_gcd(x.top, x.bot) == [1]
+    assert math.gcd(*x.top, *x.bot) == 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(poly, nonzero_poly, operand)
+def test_ops_are_canonical_and_cross_multiply(n, m, y):
+    x = RationalFn(n, m)
+    (a, b), (c, d) = parts(x), parts(y)
+    cases = [
+        (x, n, m),
+        (x * y, a * c, b * d),
+        (x + y, a * d + c * b, b * d),
+        (x - y, a * d - c * b, b * d),
+        (-x, -a, b),
+        (x.bar(), a.bar(), b.bar()),
+    ]
+    # LaurentPoly's own operators do not take a RationalFn
+    if not isinstance(y, LaurentPoly):
+        cases += [
+            (y * x, a * c, b * d),
+            (y + x, a * d + c * b, b * d),
+            (y - x, c * b - a * d, b * d),
+        ]
+    if c:
+        cases.append((x / y, a * d, b * c))
+    if a:
+        cases.append((y / x, c * b, d * a))
+    for got, num, den in cases:
+        assert_canonical(got)
+        top, bot = parts(got)
+        assert top * den == bot * num

@@ -39,6 +39,17 @@ from hecke_oracle import (
     upper_of,
 )
 
+
+def min_exp(p):
+    """The lowest exponent of a nonzero LaurentPoly."""
+    return min(p.coeffs)
+
+
+def max_exp(p):
+    """The highest exponent of a nonzero LaurentPoly."""
+    return max(p.coeffs)
+
+
 rng = random.Random(7)
 
 
@@ -167,14 +178,14 @@ class TestKLBases:
                 if x == w:
                     assert p == L_ONE
                 else:
-                    assert p.max_exp() <= -1  # in u^-1 Z[u^-1]
+                    assert max_exp(p) <= -1  # in u^-1 Z[u^-1]
             assert bar_element(cu) == cu
             for x, c in cu.coords.items():
                 p = c.as_laurent()
                 if x == w:
                     assert p == L_ONE
                 else:
-                    assert p.min_exp() >= 1  # in u Z[u]
+                    assert min_exp(p) >= 1  # in u Z[u]
 
     def test_support_bruhat(self):
         for w, coords in decoded(kl_table(4)).items():
@@ -421,7 +432,7 @@ def oracle_canonical_failure(table: KLTable):
                 if x == w:
                     if p != L_ONE:
                         return f"diagonal coefficient != 1 at {w}"
-                elif (p.max_exp() > -1) if sign < 0 else (p.min_exp() < 1):
+                elif (max_exp(p) > -1) if sign < 0 else (min_exp(p) < 1):
                     return f"lattice congruence fails at {w}"
     return None
 

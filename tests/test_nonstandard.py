@@ -224,10 +224,15 @@ class TestPAction:
                         got = tm.p_apply(to_sparse(c), i, pair)
                         assert got == to_sparse(dense(ops, c))
 
-    @pytest.mark.parametrize("pair", ["xl", "lx", "gx"])
+    @pytest.mark.parametrize("pair", ["xl", "lx", "gx", "ggx", "gl ", "l"])
     def test_an_unknown_basis_raises(self, pair):
         tm = TensorModule(P([2, 1]), P([2, 1]))
-        with pytest.raises(ValueError, match="unknown basis 'x'"):
+        # a tag is two letters, each one of l, u and g
+        if len(pair) == 2:
+            message = "unknown basis 'x'"
+        else:
+            message = f"unknown basis pair {pair!r}"
+        with pytest.raises(ValueError, match=message):
             tm.p_apply({(0, 0): R_ONE}, 1, pair)
 
     def test_action_formula_multiplies_no_matrix(self, monkeypatch):
